@@ -69,12 +69,19 @@ from repro.analysis.witness import (
     region_cells,
     size_envs,
 )
+from repro.compiler.codegen import ExecutionError
 from repro.compiler.ir import ROLE_INPUT, RegionIR, RuleIR, TransformIR
+from repro.engine_fast.geometry import split_chain_free
 from repro.language import ast_nodes as ast
 from repro.symbolic.solve import unit_stride_offset
 
 #: Per-dimension dependence distance; ``None`` renders as ``*``.
 Distance = Tuple[Optional[Fraction], ...]
+
+
+def _distance_text(distance: Distance) -> str:
+    inner = ", ".join("*" if d is None else str(d) for d in distance)
+    return f"({inner})"
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,7 @@ class Dependence:
     distance: Distance
 
     def distance_text(self) -> str:
-        inner = ", ".join("*" if d is None else str(d) for d in self.distance)
-        return f"({inner})"
+        return _distance_text(self.distance)
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,7 @@ class FusionCandidate:
     def distance_text(self) -> str:
         if not self.distances:
             return "(none)"
-        parts = []
-        for vec in self.distances:
-            inner = ", ".join("*" if d is None else str(d) for d in vec)
-            parts.append(f"({inner})")
-        return " ".join(parts)
+        return " ".join(_distance_text(vec) for vec in self.distances)
 
 
 def _region_distance(
@@ -207,10 +209,6 @@ def rule_dependences(ir: TransformIR) -> List[Dependence]:
                     continue
                 emit("output", name, w1, w2, reg1, reg2)
     return deps
-
-
-def _tunable_names(ir: TransformIR):
-    return {t.name for t in ir.tunables}
 
 
 def _structural_block(
@@ -271,7 +269,7 @@ def _structural_block(
     allowed = (
         {reg.bind_name for reg in p.from_regions}
         | set(ir.size_vars)
-        | _tunable_names(ir)
+        | {t.name for t in ir.tunables}
     )
 
     def walk(node) -> str:
@@ -360,42 +358,50 @@ def _carried_conflict(
         if not apps:
             continue
         writes: Dict[Tuple[int, ...], Tuple[RuleIR, Dict[str, int]]] = {}
-        for chosen, instance_env, assignment in apps:
-            for reg in chosen.to_regions:
-                if reg.matrix != matrix:
-                    continue
-                cells = region_cells(reg.box.concrete(instance_env), budget)
-                for cell in cells or ():
-                    writes.setdefault(cell, (chosen, assignment))
-        for chosen, instance_env, assignment in apps:
-            for reg in chosen.from_regions:
-                if reg.matrix != matrix:
-                    continue
-                cells = region_cells(reg.box.concrete(instance_env), budget)
-                for cell in cells or ():
-                    hit = writes.get(cell)
-                    if hit is None:
-                        continue
-                    writer_rule, writer_assignment = hit
-                    if (
-                        writer_rule.rule_id == chosen.rule_id
-                        and writer_assignment == assignment
-                    ):
-                        continue
-                    witness = ConflictWitness(
-                        sizes=tuple(sorted(env.items())),
-                        writer_rule=writer_rule.label,
-                        writer_rule_id=writer_rule.rule_id,
-                        writer=tuple(sorted(writer_assignment.items())),
-                        reader_rule=chosen.label,
-                        reader_rule_id=chosen.rule_id,
-                        reader=tuple(sorted(assignment.items())),
-                        cell=cell,
-                        matrix=matrix,
-                    )
-                    if validate_conflict(compiled, witness):
-                        return witness
+        for cell, chosen, assignment in _touched_cells(
+            apps, matrix, "to_regions", budget
+        ):
+            writes.setdefault(cell, (chosen, assignment))
+        for cell, chosen, assignment in _touched_cells(
+            apps, matrix, "from_regions", budget
+        ):
+            hit = writes.get(cell)
+            if hit is None:
+                continue
+            writer_rule, writer_assignment = hit
+            if (
+                writer_rule.rule_id == chosen.rule_id
+                and writer_assignment == assignment
+            ):
+                continue
+            witness = ConflictWitness(
+                sizes=tuple(sorted(env.items())),
+                writer_rule=writer_rule.label,
+                writer_rule_id=writer_rule.rule_id,
+                writer=tuple(sorted(writer_assignment.items())),
+                reader_rule=chosen.label,
+                reader_rule_id=chosen.rule_id,
+                reader=tuple(sorted(assignment.items())),
+                cell=cell,
+                matrix=matrix,
+            )
+            if validate_conflict(compiled, witness):
+                return witness
     return None
+
+
+def _touched_cells(apps, matrix: str, side: str, budget: WitnessBudget):
+    """``(cell, rule, assignment)`` for every cell of ``matrix`` the
+    applications touch through their ``side`` (``"to_regions"`` or
+    ``"from_regions"``), in application order; regions over the witness
+    budget contribute nothing."""
+    for chosen, instance_env, assignment in apps:
+        for reg in getattr(chosen, side):
+            if reg.matrix != matrix:
+                continue
+            cells = region_cells(reg.box.concrete(instance_env), budget)
+            for cell in cells or ():
+                yield cell, chosen, assignment
 
 
 def validate_conflict(compiled, witness: ConflictWitness) -> bool:
@@ -412,24 +418,24 @@ def validate_conflict(compiled, witness: ConflictWitness) -> bool:
     reader = dict(witness.reader)
     if witness.writer_rule_id == witness.reader_rule_id and writer == reader:
         return False
-    env = dict(witness.sizes)
+    return _touches(
+        rules[witness.writer_rule_id].to_regions, witness, writer
+    ) and _touches(rules[witness.reader_rule_id].from_regions, witness, reader)
 
-    def hits(regions, instance) -> bool:
-        instance_env = {**env, **instance}
-        for reg in regions:
-            if reg.matrix != witness.matrix:
-                continue
-            bounds = reg.box.concrete(instance_env)
-            if len(bounds) == len(witness.cell) and all(
-                lo <= coord < hi
-                for coord, (lo, hi) in zip(witness.cell, bounds)
-            ):
-                return True
-        return False
 
-    return hits(rules[witness.writer_rule_id].to_regions, writer) and hits(
-        rules[witness.reader_rule_id].from_regions, reader
-    )
+def _touches(regions, witness, instance) -> bool:
+    """Does some region over the witness's matrix, at this application
+    (``instance`` on top of the witness's sizes), contain its cell?"""
+    instance_env = {**dict(witness.sizes), **instance}
+    for reg in regions:
+        if reg.matrix != witness.matrix:
+            continue
+        bounds = reg.box.concrete(instance_env)
+        if len(bounds) == len(witness.cell) and all(
+            lo <= coord < hi for coord, (lo, hi) in zip(witness.cell, bounds)
+        ):
+            return True
+    return False
 
 
 # -- schedule legality: tiling and interchange (PB604/PB605) ----------------
@@ -622,6 +628,68 @@ def _schedule_block_reason(
     return ""
 
 
+@dataclass(frozen=True)
+class ScheduleVerdict:
+    """The PB604 decision for one (segment, rule) site, with the
+    chain/free split of the rule's instance variables it was taken on.
+
+    ``reason`` is empty exactly when tiling/interchange is proven legal.
+    ``carried`` marks a refusal caused by a self-dependence the blocked
+    order might reorder — PB605 material once a concrete witness is
+    found; every other refusal is structural."""
+
+    chain_vars: Tuple[str, ...]
+    free_vars: Tuple[str, ...]
+    directions: Dict[str, int]
+    reason: str
+    carried: bool = False
+
+    @property
+    def legal(self) -> bool:
+        return not self.reason
+
+    @property
+    def is_site(self) -> bool:
+        """A schedule candidate at all: a chain to interchange *and* a
+        free variable to tile."""
+        return bool(self.chain_vars and self.free_vars)
+
+
+def schedule_verdict(compiled, segment, rule: RuleIR) -> ScheduleVerdict:
+    """The single home of the PB604 verdict: may the engine run this
+    site's free variables tile-by-tile, the chain inside each tile?
+
+    Everything that needs the answer reads it here, through the
+    per-site cache ``CompiledTransform._schedule_verdict`` — the engine,
+    :func:`schedule_candidates` and witness replay — so the knobs, the
+    diagnostics and the rewrites cannot disagree.  Only an :class:`ExecutionError` from the direction
+    analysis (a rule with no consistent iteration order) is a verdict;
+    any other exception is a bug and propagates."""
+    if not rule.is_instance_rule or rule.native_body is not None:
+        return ScheduleVerdict(
+            (), (), {}, f"{rule.label} is not a DSL instance rule"
+        )
+    try:
+        directions, var_order = compiled._var_directions_cached(segment, rule)
+    except ExecutionError as error:
+        return ScheduleVerdict((), (), {}, str(error))
+    chain_vars, free_vars = split_chain_free(directions, var_order)
+    carried = False
+    if not chain_vars or not free_vars:
+        reason = f"{rule.label} has no chain/free split to tile"
+    elif rule.where or rule.residual_where:
+        reason = (
+            f"{rule.label} has a where-clause; per-instance fallbacks "
+            f"do not tile"
+        )
+    else:
+        reason = _schedule_block_reason(
+            rule, chain_vars, free_vars, directions
+        )
+        carried = bool(reason)
+    return ScheduleVerdict(chain_vars, free_vars, directions, reason, carried)
+
+
 def _schedule_conflict(
     compiled,
     segment,
@@ -644,40 +712,28 @@ def _schedule_conflict(
         apps = [app for app in apps if app[0].rule_id == rule.rule_id]
         for matrix in shared:
             writes: Dict[Tuple[int, ...], List[Dict[str, int]]] = {}
-            for chosen, instance_env, assignment in apps:
-                for reg in chosen.to_regions:
-                    if reg.matrix != matrix:
+            for cell, _rule, assignment in _touched_cells(
+                apps, matrix, "to_regions", budget
+            ):
+                writes.setdefault(cell, []).append(assignment)
+            for cell, _rule, assignment in _touched_cells(
+                apps, matrix, "from_regions", budget
+            ):
+                for writer_assignment in writes.get(cell, ()):
+                    if writer_assignment == assignment:
                         continue
-                    cells = region_cells(
-                        reg.box.concrete(instance_env), budget
+                    witness = ScheduleWitness(
+                        sizes=tuple(sorted(env.items())),
+                        segment=segment.key,
+                        rule=rule.label,
+                        rule_id=rule.rule_id,
+                        writer=tuple(sorted(writer_assignment.items())),
+                        reader=tuple(sorted(assignment.items())),
+                        cell=cell,
+                        matrix=matrix,
                     )
-                    for cell in cells or ():
-                        writes.setdefault(cell, []).append(assignment)
-            for chosen, instance_env, assignment in apps:
-                for reg in chosen.from_regions:
-                    if reg.matrix != matrix:
-                        continue
-                    cells = region_cells(
-                        reg.box.concrete(instance_env), budget
-                    )
-                    for cell in cells or ():
-                        for writer_assignment in writes.get(cell, ()):
-                            if writer_assignment == assignment:
-                                continue
-                            witness = ScheduleWitness(
-                                sizes=tuple(sorted(env.items())),
-                                segment=segment.key,
-                                rule=rule.label,
-                                rule_id=rule.rule_id,
-                                writer=tuple(
-                                    sorted(writer_assignment.items())
-                                ),
-                                reader=tuple(sorted(assignment.items())),
-                                cell=cell,
-                                matrix=matrix,
-                            )
-                            if validate_schedule_witness(compiled, witness):
-                                return witness
+                    if validate_schedule_witness(compiled, witness):
+                        return witness
     return None
 
 
@@ -700,33 +756,17 @@ def validate_schedule_witness(compiled, witness: ScheduleWitness) -> bool:
     segment = compiled._segments.get(witness.segment)
     if segment is None:
         return False
-    try:
-        directions, var_order = compiled._var_directions_cached(segment, rule)
-    except Exception:
+    verdict = compiled._schedule_verdict(segment, rule)
+    if not verdict.is_site:
         return False
-    chain_vars = tuple(v for v in var_order if directions.get(v, 0) != 0)
-    free_vars = tuple(v for v in var_order if directions.get(v, 0) == 0)
-    if not chain_vars or not free_vars:
+    chain_vars, free_vars = verdict.chain_vars, verdict.free_vars
+    directions = verdict.directions
+    if any(v not in writer or v not in reader for v in chain_vars + free_vars):
         return False
-    needed = chain_vars + free_vars
-    if any(v not in writer or v not in reader for v in needed):
-        return False
-    env = dict(witness.sizes)
-
-    def hits(regions, instance) -> bool:
-        instance_env = {**env, **instance}
-        for reg in regions:
-            if reg.matrix != witness.matrix:
-                continue
-            bounds = reg.box.concrete(instance_env)
-            if len(bounds) == len(witness.cell) and all(
-                lo <= coord < hi
-                for coord, (lo, hi) in zip(witness.cell, bounds)
-            ):
-                return True
-        return False
-
-    if not (hits(rule.to_regions, writer) and hits(rule.from_regions, reader)):
+    if not (
+        _touches(rule.to_regions, witness, writer)
+        and _touches(rule.from_regions, witness, reader)
+    ):
         return False
     chain_w = tuple(directions[v] * writer[v] for v in chain_vars)
     chain_r = tuple(directions[v] * reader[v] for v in chain_vars)
@@ -744,75 +784,41 @@ def schedule_candidates(
     that has both a chain and a free instance variable."""
     ir = compiled.ir
     out: List[ScheduleCandidate] = []
-    seen = set()
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            rule = ir.rules[option.primary]
-            key = (segment.key, rule.rule_id)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not rule.is_instance_rule or rule.native_body is not None:
-                continue
-            try:
-                directions, var_order = compiled._var_directions_cached(
-                    segment, rule
-                )
-            except Exception:
-                continue
-            chain_vars = tuple(
-                v for v in var_order if directions.get(v, 0) != 0
-            )
-            free_vars = tuple(
-                v for v in var_order if directions.get(v, 0) == 0
-            )
-            if not chain_vars or not free_vars:
-                continue
-
-            def cand(status, reason="", witness=None):
-                return ScheduleCandidate(
-                    transform=ir.name,
-                    segment=segment.key,
-                    matrix=segment.matrix,
-                    rule=rule.label,
-                    rule_id=rule.rule_id,
-                    chain_vars=chain_vars,
-                    free_vars=free_vars,
-                    status=status,
-                    reason=reason,
-                    witness=witness,
-                    line=rule.line or ir.line,
-                    column=rule.column or ir.column,
-                )
-
-            if rule.where or rule.residual_where:
-                out.append(
-                    cand(
-                        "ineligible",
-                        f"{rule.label} has a where-clause; per-instance "
-                        f"fallbacks do not tile",
-                    )
-                )
-                continue
-            reason = _schedule_block_reason(
-                rule, chain_vars, free_vars, directions
-            )
-            if not reason:
-                out.append(cand("legal"))
-                continue
+    for segment, option, rule in compiled.rule_sites():
+        verdict = compiled._schedule_verdict(segment, rule)
+        if not verdict.is_site:
+            continue
+        status, reason, witness = "legal", verdict.reason, None
+        if verdict.carried:
             witness = _schedule_conflict(
                 compiled, segment, option, rule, budget
             )
             if witness is not None:
-                out.append(cand("blocked", reason, witness))
+                status = "blocked"
             else:
-                out.append(
-                    cand(
-                        "ineligible",
-                        f"{reason}; no concrete out-of-order instance "
-                        f"pair found within budget",
-                    )
+                status = "ineligible"
+                reason += (
+                    "; no concrete out-of-order instance pair found "
+                    "within budget"
                 )
+        elif reason:
+            status = "ineligible"
+        out.append(
+            ScheduleCandidate(
+                transform=ir.name,
+                segment=segment.key,
+                matrix=segment.matrix,
+                rule=rule.label,
+                rule_id=rule.rule_id,
+                chain_vars=verdict.chain_vars,
+                free_vars=verdict.free_vars,
+                status=status,
+                reason=reason,
+                witness=witness,
+                line=rule.line or ir.line,
+                column=rule.column or ir.column,
+            )
+        )
     out.sort(key=lambda c: (c.segment, c.rule_id))
     return out
 
@@ -936,99 +942,71 @@ def check_depend(
     candidates = fusion_candidates(compiled, budget)
     sched = schedule_candidates(compiled, budget)
     diagnostics: List[Diagnostic] = []
+
+    def emit(code, at, rule, message, hint, witness=None) -> None:
+        diagnostics.append(
+            Diagnostic(
+                code=code,
+                severity=INFO,
+                message=message,
+                transform=ir.name,
+                rule=rule,
+                region=at.matrix,
+                line=at.line,
+                column=at.column,
+                witness=witness.describe() if witness else "",
+                hint=hint,
+                path=path,
+            )
+        )
+
     for cand in candidates:
         if cand.status == "legal":
-            diagnostics.append(
-                Diagnostic(
-                    code="PB601",
-                    severity=INFO,
-                    message=(
-                        f"fusing {cand.producer} into {cand.consumer} over "
-                        f"{cand.matrix} is legal; distance vector(s) "
-                        f"{cand.distance_text()}"
-                    ),
-                    transform=ir.name,
-                    rule=cand.consumer,
-                    region=cand.matrix,
-                    line=cand.line,
-                    column=cand.column,
-                    hint=(
-                        f"apply with `repro rewrite --apply` or set "
-                        f"tunable {ir.name}.__fuse__ = 1"
-                    ),
-                    path=path,
-                )
+            emit(
+                "PB601",
+                cand,
+                cand.consumer,
+                f"fusing {cand.producer} into {cand.consumer} over "
+                f"{cand.matrix} is legal; distance vector(s) "
+                f"{cand.distance_text()}",
+                f"apply with `repro rewrite --apply` or set tunable "
+                f"{ir.name}.__fuse__ = 1",
             )
         elif cand.status == "blocked":
-            diagnostics.append(
-                Diagnostic(
-                    code="PB602",
-                    severity=INFO,
-                    message=(
-                        f"fusion over {cand.matrix} is blocked: {cand.reason}"
-                    ),
-                    transform=ir.name,
-                    rule=cand.producer,
-                    region=cand.matrix,
-                    line=cand.line,
-                    column=cand.column,
-                    witness=cand.conflict.describe() if cand.conflict else "",
-                    hint=(
-                        "fusion would read the producer's expression instead "
-                        "of the cell another instance wrote"
-                    ),
-                    path=path,
-                )
+            emit(
+                "PB602",
+                cand,
+                cand.producer,
+                f"fusion over {cand.matrix} is blocked: {cand.reason}",
+                "fusion would read the producer's expression instead of "
+                "the cell another instance wrote",
+                cand.conflict,
             )
     for site in sched:
         if site.status == "legal":
-            diagnostics.append(
-                Diagnostic(
-                    code="PB604",
-                    severity=INFO,
-                    message=(
-                        f"tiling/interchange of {site.rule} over "
-                        f"{site.segment} is legal: every "
-                        f"{site.matrix}-carried dependence stays within "
-                        f"or ahead of its tile (chain "
-                        f"({', '.join(site.chain_vars)}), free "
-                        f"({', '.join(site.free_vars)}))"
-                    ),
-                    transform=ir.name,
-                    rule=site.rule,
-                    region=site.matrix,
-                    line=site.line,
-                    column=site.column,
-                    hint=(
-                        f"set tunables {ir.name}.__tile_i__ / "
-                        f"{ir.name}.__tile_j__ (and "
-                        f"{ir.name}.__interchange__ = 1) or let "
-                        f"`repro tune` search them"
-                    ),
-                    path=path,
-                )
+            emit(
+                "PB604",
+                site,
+                site.rule,
+                f"tiling/interchange of {site.rule} over {site.segment} is "
+                f"legal: every {site.matrix}-carried dependence stays "
+                f"within or ahead of its tile (chain "
+                f"({', '.join(site.chain_vars)}), free "
+                f"({', '.join(site.free_vars)}))",
+                f"set tunables {ir.name}.__tile_i__ / {ir.name}.__tile_j__ "
+                f"(and {ir.name}.__interchange__ = 1) or let `repro tune` "
+                f"search them",
             )
         elif site.status == "blocked":
-            diagnostics.append(
-                Diagnostic(
-                    code="PB605",
-                    severity=INFO,
-                    message=(
-                        f"tiling/interchange of {site.rule} over "
-                        f"{site.segment} is blocked: {site.reason}"
-                    ),
-                    transform=ir.name,
-                    rule=site.rule,
-                    region=site.matrix,
-                    line=site.line,
-                    column=site.column,
-                    witness=site.witness.describe() if site.witness else "",
-                    hint=(
-                        "a blocked order would visit the reading tile "
-                        "on the wrong side of the writing one"
-                    ),
-                    path=path,
-                )
+            emit(
+                "PB605",
+                site,
+                site.rule,
+                f"tiling/interchange of {site.rule} over {site.segment} is "
+                f"blocked: {site.reason}",
+                "a blocked order would visit the reading tile on the wrong "
+                "side of the writing one",
+                site.witness,
             )
     kinds = {"flow": 0, "anti": 0, "output": 0}
     for dep in deps:
@@ -1072,9 +1050,11 @@ __all__ = [
     "FusionCandidate",
     "ScheduleCandidate",
     "ScheduleWitness",
+    "ScheduleVerdict",
     "rule_dependences",
     "fusion_candidates",
     "schedule_candidates",
+    "schedule_verdict",
     "validate_conflict",
     "validate_schedule_witness",
     "check_depend",

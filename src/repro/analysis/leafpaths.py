@@ -37,63 +37,52 @@ def check_leaf_paths(compiled, budget=None, path: str = "") -> List[Diagnostic]:
     ir = compiled.ir
     diagnostics: List[Diagnostic] = []
     seen: Set[Tuple] = set()
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            rule = ir.rules[option.primary]
-            if rule.native_body is not None or not rule.is_instance_rule:
-                continue
-            if not rule.body:
-                continue
-            has_fallback = option.fallback is not None
-            qualifies, reason = vector_leaf_status(
-                compiled, segment, rule, has_fallback
+    for segment, option, rule in compiled.rule_sites():
+        if rule.native_body is not None or not rule.is_instance_rule:
+            continue
+        if not rule.body:
+            continue
+        has_fallback = option.fallback is not None
+        qualifies, reason = vector_leaf_status(
+            compiled, segment, rule, has_fallback
+        )
+        key = (rule.rule_id, qualifies, reason)
+        if key in seen:
+            continue
+        seen.add(key)
+        if qualifies:
+            free_vars = compiled._schedule_verdict(segment, rule).free_vars
+            over = f" over ({', '.join(free_vars)})" if free_vars else ""
+            code = "PB501"
+            message = (
+                f"qualifies for vectorized leaf execution{over} "
+                f"(segment {segment.key})"
             )
-            key = (rule.rule_id, qualifies, reason)
-            if key in seen:
-                continue
-            seen.add(key)
-            if qualifies:
-                free_vars = _free_vars(compiled, segment, rule)
-                over = (
-                    f" over ({', '.join(free_vars)})" if free_vars else ""
-                )
-                diagnostics.append(
-                    Diagnostic(
-                        code="PB501",
-                        severity=INFO,
-                        message=(
-                            f"qualifies for vectorized leaf execution"
-                            f"{over} (segment {segment.key})"
-                        ),
-                        transform=ir.name,
-                        rule=rule.label,
-                        line=rule.line,
-                        column=rule.column,
-                        hint=(
-                            f"set tunable {ir.name}.__leaf_path__ = 2 (or "
-                            "let the autotuner pick it) to run whole "
-                            "data-parallel steps as NumPy slice arithmetic"
-                        ),
-                        path=path,
-                    )
-                )
-            else:
-                diagnostics.append(
-                    Diagnostic(
-                        code="PB502",
-                        severity=INFO,
-                        message=f"not vectorizable: {reason}",
-                        transform=ir.name,
-                        rule=rule.label,
-                        line=rule.line,
-                        column=rule.column,
-                        hint=(
-                            "the rule still runs through the compiled "
-                            "closure path (__leaf_path__ = 1, the default)"
-                        ),
-                        path=path,
-                    )
-                )
+            hint = (
+                f"set tunable {ir.name}.__leaf_path__ = 2 (or let the "
+                "autotuner pick it) to run whole data-parallel steps as "
+                "NumPy slice arithmetic"
+            )
+        else:
+            code = "PB502"
+            message = f"not vectorizable: {reason}"
+            hint = (
+                "the rule still runs through the compiled closure path "
+                "(__leaf_path__ = 1, the default)"
+            )
+        diagnostics.append(
+            Diagnostic(
+                code=code,
+                severity=INFO,
+                message=message,
+                transform=ir.name,
+                rule=rule.label,
+                line=rule.line,
+                column=rule.column,
+                hint=hint,
+                path=path,
+            )
+        )
     diagnostics.append(_batch_diagnostic(compiled, path))
     return diagnostics
 
@@ -132,11 +121,3 @@ def _batch_diagnostic(compiled, path: str) -> Diagnostic:
         hint=hint,
         path=path,
     )
-
-
-def _free_vars(compiled, segment, rule) -> Tuple[str, ...]:
-    try:
-        directions, var_order = compiled._var_directions_cached(segment, rule)
-    except Exception:
-        return ()
-    return tuple(v for v in var_order if directions.get(v, 0) == 0)

@@ -33,7 +33,6 @@ event stream stays deterministic).
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,6 +49,7 @@ from repro.batch.request import (
 from repro.batch.stacked import StackedPlan, plan_stacked, run_stacked
 from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig
+from repro.engine_fast import LRUCache
 from repro.runtime.batchqueue import BucketQueue
 from repro.runtime.matrix import Matrix
 
@@ -87,9 +87,8 @@ class BatchEngine:
         self._results: Dict[int, BatchResult] = {}
         self._tokens: Dict[int, str] = {}
         self._token_refs: List[CompiledTransform] = []  # keep ids alive
-        self._plans: "OrderedDict[BucketKey, Tuple[Optional[StackedPlan], str]]" = (
-            OrderedDict()
-        )
+        #: BucketKey -> (StackedPlan or None, fallback reason)
+        self._plans = LRUCache(plan_cache_size)
         self._next_id = 0
 
     # -- submission ---------------------------------------------------------
@@ -222,10 +221,6 @@ class BatchEngine:
                     first.transform, first.shapes, first.config, first.sizes
                 )
                 self._plans[key] = cached
-                if len(self._plans) > self.plan_cache_size:
-                    self._plans.popitem(last=False)
-            else:
-                self._plans.move_to_end(key)
             plan, _reason = cached
         if plan is None:
             for request in requests:

@@ -1,9 +1,10 @@
 """Stacked execution: one bucket of same-shaped requests, one sweep.
 
-``plan_stacked`` walks a transform's choice-grid schedule exactly the
-way the serial engine does — same size binding, same order/size guards,
-same option selection, same cached geometry — and asks the batch-axis
-vector planner (:func:`repro.engine_fast.vectorize.plan_vector_leaf`
+``plan_stacked`` consumes the same schedule walk the serial engine
+executes (:meth:`CompiledTransform.scheduled_segments` — same size
+binding, same size guards, same option selection, same cached geometry)
+and asks the batch-axis vector planner
+(:func:`repro.engine_fast.vectorize.plan_vector_leaf`
 with ``batch=True``) for every nonempty segment the configuration
 selects.  If every segment qualifies, the whole transform runs as a
 sequence of batched NumPy steps over arrays carrying a leading
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig
-from repro.compiler.ir import ROLE_OUTPUT
+from repro.engine_fast import Geometry
 from repro.engine_fast.vectorize import VectorPlan
 from repro.runtime.matrix import Matrix
 
@@ -44,11 +45,9 @@ class StackedStep:
     segment_key: str
     rule_label: str
     plan: VectorPlan
-    #: ``(lo, count)`` pairs per free variable, flattened — the trailing
-    #: arguments of the plan's step function.
-    free_args: Tuple[int, ...]
-    #: Concrete chain-variable value lists (empty tuple list = one step).
-    chain_steps: Tuple[Tuple[int, ...], ...]
+    #: The (cached, shared with the serial engine) iteration geometry
+    #: ``plan.sweep`` turns into step-function calls.
+    geometry: Geometry
 
 
 @dataclass
@@ -56,7 +55,6 @@ class StackedPlan:
     """Everything needed to run a bucket: shared env, tunables, steps."""
 
     env: Dict[str, int]
-    problem_size: int
     tunables: Dict[str, int]
     #: (name, shape, is_output) per allocated matrix, schedule order.
     allocations: Tuple[Tuple[str, Tuple[int, ...], bool], ...]
@@ -90,68 +88,31 @@ def _plan(transform, shapes, config, explicit_sizes):
         if guard.evaluate(env) < 0:
             return None, f"order guard {guard} fails at {dict(env)}"
 
-    allocations: List[Tuple[str, Tuple[int, ...], bool]] = []
-    cells = 0
-    for mat, shape in zip(transform.ir.inputs, shapes):
-        cells += int(np.prod(shape, dtype=np.int64)) if shape else 1
-    for mat in transform.ir.outputs + transform.ir.throughs:
-        shape = tuple(dim.eval_floor(env) for dim in mat.dims)
-        allocations.append((mat.name, shape, mat.role == ROLE_OUTPUT))
-        cells += int(np.prod(shape, dtype=np.int64)) if shape else 1
-    problem_size = cells
+    allocations, problem_size = transform.frame_layout(env, shapes)
     tunables = transform.tunables_at(config, problem_size)
 
     steps: List[StackedStep] = []
-    for node in transform.depgraph.schedule_order:
-        segment = transform._segments.get(node)
-        if segment is None:
-            continue  # an input matrix
-        bounds = segment.box.concrete(env)
-        volume = 1
-        for lo, hi in bounds:
-            volume *= max(0, hi - lo)
-        if volume == 0:
-            continue
-        option = transform._select_option(config, segment, problem_size)
-        rule = transform.ir.rules[option.primary]
-        if option.fallback is not None:
-            return None, (
-                f"{segment.key}: selected option has a where-clause "
-                f"fallback (per-lane control flow)"
-            )
-        if not rule.is_instance_rule or rule.native_body is not None:
-            return None, f"{segment.key}: selected rule is not a DSL instance rule"
-        if rule.residual_where:
-            return None, f"{segment.key}: selected rule has a where clause"
-        transform._check_size_guards(rule, env)
-        plan, reason = transform._vector_plan(segment, rule, False, batch=True)
+    for segment, rule, fallback, bounds in transform.scheduled_segments(
+        env, config, problem_size
+    ):
+        plan, reason = _site_plan(
+            transform, segment, rule, fallback is not None
+        )
         if plan is None:
             return None, f"{segment.key}: {reason}"
-        geometry = transform.geometry_for(segment, rule, env, bounds)
-        free_args: List[int] = []
-        for var in plan.free_vars:
-            lo, hi = geometry.var_ranges[var]
-            free_args.extend((lo, hi - lo))
-        chain_steps = (
-            tuple(itertools.product(*geometry.chain_value_lists))
-            if geometry.chain_vars
-            else ((),)
-        )
         steps.append(
             StackedStep(
                 segment_key=segment.key,
                 rule_label=rule.label,
                 plan=plan,
-                free_args=tuple(free_args),
-                chain_steps=chain_steps,
+                geometry=transform.geometry_for(segment, rule, env, bounds),
             )
         )
     return (
         StackedPlan(
             env=env,
-            problem_size=problem_size,
             tunables=tunables,
-            allocations=tuple(allocations),
+            allocations=allocations,
             steps=tuple(steps),
         ),
         "",
@@ -189,8 +150,8 @@ def run_stacked(
             plan.tunables,
             {name: arrays[name] for name in step.plan.matrices},
         )
-        for chain_values in step.chain_steps:
-            step_fn(*chain_values, *step.free_args)
+        for chain_values, free_args, _volume in step.plan.sweep(step.geometry):
+            step_fn(*chain_values, *free_args)
             if sink is not None:
                 sink.count("batch.stacked_steps")
     return outputs
@@ -213,39 +174,38 @@ def batch_eligibility(
       carries the blocking reason.
     """
     any_blocked = ""
-    for segment in transform.grid.all_segments():
-        segment_ok = False
-        segment_reason = ""
-        for option in segment.options:
-            ok, reason = _option_status(transform, segment, option)
-            if ok:
-                segment_ok = True
-            else:
-                if not segment_reason:
-                    segment_reason = reason
-                if not any_blocked:
-                    any_blocked = f"{segment.key}: {reason}"
-        if not segment_ok:
-            return "none", f"{segment.key}: {segment_reason}"
+    for segment_key, sites in itertools.groupby(
+        transform.rule_sites(), key=lambda site: site[0].key
+    ):
+        statuses = [
+            _site_plan(transform, segment, rule, option.fallback is not None)
+            for segment, option, rule in sites
+        ]
+        blocked = [reason for plan, reason in statuses if plan is None]
+        if len(blocked) == len(statuses):
+            return "none", f"{segment_key}: {blocked[0]}"
+        if blocked and not any_blocked:
+            any_blocked = f"{segment_key}: {blocked[0]}"
     if any_blocked:
         return "partial", any_blocked
     return "full", ""
 
 
-def _option_status(transform, segment, option) -> Tuple[bool, str]:
-    rule = transform.ir.rules[option.primary]
-    if option.fallback is not None:
-        return False, "option has a where-clause fallback"
+def _site_plan(
+    transform, segment, rule, has_fallback: bool
+) -> Tuple[Optional[VectorPlan], str]:
+    """The batch-axis vector plan of one (segment, rule) site, or why
+    it cannot stack — the one predicate behind both the bucket planner
+    and PB503, so the diagnostic cannot disagree with the engine."""
+    if has_fallback:
+        return None, "option has a where-clause fallback"
     if rule.native_body is not None:
-        return False, "rule has a native body"
+        return None, "rule has a native body"
     if not rule.is_instance_rule:
-        return False, "rule is not an instance rule"
+        return None, "rule is not an instance rule"
     if rule.residual_where:
-        return False, "rule has a where clause"
+        return None, "rule has a where clause"
     try:
-        plan, reason = transform._vector_plan(segment, rule, False, batch=True)
+        return transform._vector_plan(segment, rule, False, batch=True)
     except Exception as error:
-        return False, str(error)
-    if plan is None:
-        return False, reason
-    return True, ""
+        return None, str(error)

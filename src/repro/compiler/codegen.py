@@ -27,8 +27,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -44,7 +54,6 @@ from repro.engine_fast import (
     geometry_key,
     lower_rule,
 )
-from repro.language import ast_nodes as ast
 from repro.language import parse_program
 from repro.language.errors import CompileError, PetaBricksError
 from repro.language.interp import Scope, evaluate, execute
@@ -57,12 +66,11 @@ from repro.compiler.applicable import analyze_applicable_regions
 from repro.compiler.config import ChoiceConfig, Selector, site_key
 from repro.compiler.depgraph import ChoiceDepGraph, build_dep_graph
 from repro.compiler.ir import (
-    ROLE_INPUT,
     ROLE_OUTPUT,
-    ROLE_THROUGH,
     ProgramIR,
     RegionIR,
     RuleIR,
+    ScheduleIR,
     TransformIR,
     build_ir,
 )
@@ -206,21 +214,12 @@ class CompiledTransform:
         self.ir = ir
         self.program = program
         analyze_applicable_regions(ir)
+        # build_choice_grid also folds the grid's single-variable order
+        # guards (e.g. ``n - 2 >= 0``; checked at run time, so analyses
+        # may assume them) into ``ir.assumptions`` — the dependency
+        # analysis below sees them, pruning provably-empty conservative
+        # edges.
         self.grid: ChoiceGrid = build_choice_grid(ir)
-        # The grid's order guards are checked at run time, so downstream
-        # analyses may assume them: fold single-variable guards (e.g.
-        # ``n - 2 >= 0``) into the size assumptions before dependency
-        # analysis — this prunes provably-empty conservative edges.
-        for guard in self.grid.order_guards:
-            variables = guard.variables()
-            if len(variables) != 1:
-                continue
-            var = variables[0]
-            coeff = guard.coefficient(var)
-            if coeff <= 0:
-                continue
-            minimum = math.ceil(-guard.constant / coeff)
-            ir.assumptions = ir.assumptions.with_at_least(var, int(minimum))
         self.depgraph: ChoiceDepGraph = build_dep_graph(ir, self.grid)
         self._segments: Dict[str, Segment] = {
             seg.key: seg for seg in self.grid.all_segments()
@@ -250,9 +249,9 @@ class CompiledTransform:
         self._vector_plans: Dict[
             Tuple[str, int, bool, bool], Tuple[Optional[VectorPlan], str]
         ] = {}
-        # PB604 schedule-legality verdicts per (segment, rule): True
-        # when tiling/interchange of the site is provably exact.
-        self._sched_cache: Dict[Tuple[str, int], bool] = {}
+        # PB604 schedule verdicts per (segment, rule): legal when
+        # tiling/interchange of the site is provably exact.
+        self._sched_cache: Dict[Tuple[str, int], object] = {}
         # The legality-gated fused rewrite (repro.rewrite), planned and
         # verified lazily on first request; None once planning decides
         # there is nothing (or nothing provably safe) to fuse.
@@ -330,17 +329,18 @@ class CompiledTransform:
 
     def _bind_sizes(
         self,
-        input_views: Mapping[str, MatrixView],
+        shapes: Sequence[Tuple[int, ...]],
         explicit: Optional[Mapping[str, int]],
     ) -> Dict[str, int]:
+        """Size variables from the input shapes (declared order)."""
         key = (
-            tuple(input_views[mat.name].shape for mat in self.ir.inputs),
+            tuple(shapes),
             tuple(sorted(explicit.items())) if explicit else (),
         )
         cached = self._size_cache.get(key)
         if cached is not None:
             return dict(cached)
-        env = self._bind_sizes_uncached(input_views, explicit)
+        env = self._bind_sizes_uncached(shapes, explicit)
         self._size_cache[key] = dict(env)
         return env
 
@@ -363,28 +363,25 @@ class CompiledTransform:
                 f"{self.name}: expected {len(declared)} input shapes, "
                 f"got {len(shapes)}"
             )
-        stubs = {
-            mat.name: _ShapeStub(tuple(int(d) for d in shape))
-            for mat, shape in zip(declared, shapes)
-        }
-        return self._bind_sizes(stubs, explicit)
+        return self._bind_sizes(
+            [tuple(int(d) for d in shape) for shape in shapes], explicit
+        )
 
     def _bind_sizes_uncached(
         self,
-        input_views: Mapping[str, MatrixView],
+        shapes: Sequence[Tuple[int, ...]],
         explicit: Optional[Mapping[str, int]],
     ) -> Dict[str, int]:
         env: Dict[str, int] = dict(explicit or {})
         # Iteratively bind size variables from dimension equations.
         equations: List[Tuple[Affine, int, str]] = []
-        for mat in self.ir.inputs:
-            view = input_views[mat.name]
-            if view.ndim != mat.ndim:
+        for mat, shape in zip(self.ir.inputs, shapes):
+            if len(shape) != mat.ndim:
                 raise ExecutionError(
-                    f"{self.name}: input {mat.name!r} is {view.ndim}-D, "
+                    f"{self.name}: input {mat.name!r} is {len(shape)}-D, "
                     f"declared {mat.ndim}-D"
                 )
-            for expr, extent in zip(mat.dims, view.shape):
+            for expr, extent in zip(mat.dims, shape):
                 equations.append((expr, extent, mat.name))
         progress = True
         while progress:
@@ -448,57 +445,44 @@ class CompiledTransform:
         tunables can change anything: some (segment, rule) site is both
         PB604 schedule-legal and vectorizable.  Mirrors
         :meth:`has_fusion` — the tuner only searches knobs that exist."""
+        return any(
+            self._schedule_verdict(segment, rule).legal
+            and self._vector_plan(segment, rule, option.fallback is not None)[0]
+            is not None
+            for segment, option, rule in self.rule_sites()
+        )
+
+    def rule_sites(self) -> Iterator[Tuple[Segment, ChoiceOption, RuleIR]]:
+        """Every distinct (segment, primary rule) site of the choice
+        grid, in grid order, with the first option that selects it —
+        the one iteration the per-site analyses (PB501–PB503,
+        PB604/PB605, :meth:`has_tiling`) share.  A restricted rule
+        packaged with several fallbacks is one site: its verdicts do
+        not depend on which fallback catches the rejected cells."""
+        seen = set()
         for segment in self.grid.all_segments():
             for option in segment.options:
-                rule = self.ir.rules[option.primary]
-                if not self._schedule_legal(segment, rule):
-                    continue
-                plan, _reason = self._vector_plan(
-                    segment, rule, option.fallback is not None
-                )
-                if plan is not None:
-                    return True
-        return False
+                if (segment.key, option.primary) not in seen:
+                    seen.add((segment.key, option.primary))
+                    yield segment, option, self.ir.rules[option.primary]
 
-    def _schedule_legal(self, segment: Segment, rule: RuleIR) -> bool:
+    def _schedule_verdict(self, segment: Segment, rule: RuleIR):
         """Cached PB604 verdict for one (segment, rule) site: may the
         engine run the site's free variables tile-by-tile (and the chain
-        per tile)?  Uses the same conservative dependence-delta check
-        the ``repro check`` diagnostics report, so the knobs are a
-        verified no-op everywhere the analyzer cannot prove safety."""
+        per tile)?  A cache around the analyzer's single verdict
+        (:func:`repro.analysis.depend.schedule_verdict`) — the one
+        ``repro check`` reports, and reads through this cache — so the
+        knobs are a verified no-op everywhere the analyzer cannot prove
+        safety."""
         key = (segment.key, rule.rule_id)
         cached = self._sched_cache.get(key)
         if cached is None:
-            from repro.analysis.depend import _schedule_block_reason
+            # Local import: repro.analysis sits on top of this module.
+            from repro.analysis.depend import schedule_verdict
 
-            if (
-                not rule.is_instance_rule
-                or rule.native_body is not None
-                or rule.where
-                or rule.residual_where
-            ):
-                cached = False
-            else:
-                try:
-                    directions, var_order = self._var_directions_cached(
-                        segment, rule
-                    )
-                except ExecutionError:
-                    cached = False
-                else:
-                    chain_vars = tuple(
-                        v for v in var_order if directions.get(v, 0) != 0
-                    )
-                    free_vars = tuple(
-                        v for v in var_order if directions.get(v, 0) == 0
-                    )
-                    if not chain_vars or not free_vars:
-                        cached = False
-                    else:
-                        cached = not _schedule_block_reason(
-                            rule, chain_vars, free_vars, directions
-                        )
-            self._sched_cache[key] = cached
+            cached = self._sched_cache[key] = schedule_verdict(
+                self, segment, rule
+            )
         return cached
 
     def _execute(
@@ -511,7 +495,10 @@ class CompiledTransform:
             variant = self.fused_variant()
             if variant is not None:
                 return variant._execute(state, input_views, explicit_sizes)
-        env = self._bind_sizes(input_views, explicit_sizes)
+        env = self._bind_sizes(
+            [input_views[mat.name].shape for mat in self.ir.inputs],
+            explicit_sizes,
+        )
 
         for guard in self.grid.order_guards:
             if guard.evaluate(env) < 0:
@@ -539,22 +526,17 @@ class CompiledTransform:
         input_views: Dict[str, MatrixView],
         env: Dict[str, int],
     ) -> Dict[str, Matrix]:
-        # Allocate outputs and intermediates.
+        allocations, problem_size = self.frame_layout(
+            env, [view.shape for view in input_views.values()]
+        )
         views: Dict[str, MatrixView] = dict(input_views)
         outputs: Dict[str, Matrix] = {}
-        for mat in self.ir.outputs + self.ir.throughs:
-            shape = tuple(dim.eval_floor(env) for dim in mat.dims)
-            storage = Matrix.zeros(shape, name=f"{self.name}.{mat.name}")
-            views[mat.name] = storage.whole()
-            if mat.role == ROLE_OUTPUT:
-                outputs[mat.name] = storage
+        for name, shape, is_output in allocations:
+            storage = Matrix.zeros(shape, name=f"{self.name}.{name}")
+            views[name] = storage.whole()
+            if is_output:
+                outputs[name] = storage
 
-        # The problem size steering choice selection and the sequential
-        # cutoff: total cells across every matrix of this call.  Using the
-        # whole call footprint (not just outputs) makes the metric shrink
-        # under *any* recursive decomposition, including splits along
-        # reduction dimensions that keep the output size constant.
-        problem_size = sum(view.size for view in views.values())
         cutoff = state.config.seq_cutoff(self.name)
         outer_inline = state.inline
         outer_problem_size = state.problem_size
@@ -564,61 +546,94 @@ class CompiledTransform:
 
         try:
             with state.recorder.task(label=self.name, inline=state.inline):
+                # Segment tasks by node; inputs, empty and inlined
+                # segments have none and contribute no dependency edge.
                 node_tasks: Dict[str, Optional[int]] = {}
-                for node in self.depgraph.schedule_order:
-                    if node not in self._segments:
-                        node_tasks[node] = None  # an input matrix
-                        continue
-                    segment = self._segments[node]
+                for segment, rule, fallback, bounds in self.scheduled_segments(
+                    env, state.config, problem_size
+                ):
                     deps = sorted(
                         {
                             node_tasks[edge.src]
-                            for edge in self.depgraph.edges_into(node)
-                            if edge.src != node
+                            for edge in self.depgraph.edges_into(segment.key)
+                            if edge.src != segment.key
                             and node_tasks.get(edge.src) is not None
                         }
                     )
-                    node_tasks[node] = self._execute_segment(
-                        state, segment, env, views, deps, problem_size
-                    )
+                    with state.recorder.task(
+                        deps=deps,
+                        label=f"{self.name}.{segment.key}",
+                        inline=state.inline,
+                    ) as segment_task:
+                        if rule.is_instance_rule:
+                            self._apply_instance_rule(
+                                state, segment, rule, fallback, env, views, bounds
+                            )
+                        else:
+                            self._apply_once(state, rule, dict(env), views)
+                    node_tasks[segment.key] = segment_task
         finally:
             state.inline = outer_inline
             state.problem_size = outer_problem_size
         return outputs
 
-    def _execute_segment(
-        self,
-        state: _EngineState,
-        segment: Segment,
-        env: Dict[str, int],
-        views: Dict[str, MatrixView],
-        deps: List[int],
-        problem_size: int,
-    ) -> Optional[int]:
-        bounds = segment.box.concrete(env)
-        volume = 1
-        for lo, hi in bounds:
-            volume *= max(0, hi - lo)
-        if volume == 0:
-            return None
-
-        option = self._select_option(state.config, segment, problem_size)
-        rule = self.ir.rules[option.primary]
-        fallback = (
-            self.ir.rules[option.fallback] if option.fallback is not None else None
+    def frame_layout(
+        self, env: Mapping[str, int], input_shapes: Sequence[Tuple[int, ...]]
+    ) -> Tuple[Tuple[Tuple[str, Tuple[int, ...], bool], ...], int]:
+        """What one call of this transform allocates and how big it is:
+        ``(name, shape, is_output)`` for every output and ``through``
+        matrix, plus the problem size steering choice selection and the
+        sequential cutoff — total cells across every matrix of the call.
+        Using the whole call footprint (not just outputs) makes the
+        metric shrink under *any* recursive decomposition, including
+        splits along reduction dimensions that keep the output size
+        constant.  Shared by the serial frame and the batch planner."""
+        allocations = tuple(
+            (
+                mat.name,
+                tuple(dim.eval_floor(env) for dim in mat.dims),
+                mat.role == ROLE_OUTPUT,
+            )
+            for mat in self.ir.outputs + self.ir.throughs
         )
-        self._check_size_guards(rule, env)
+        problem_size = sum(math.prod(shape) for shape in input_shapes) + sum(
+            math.prod(shape) for _name, shape, _is_output in allocations
+        )
+        return allocations, problem_size
 
-        with state.recorder.task(
-            deps=deps, label=f"{self.name}.{segment.key}", inline=state.inline
-        ) as segment_task:
-            if rule.is_instance_rule:
-                self._apply_instance_rule(
-                    state, segment, rule, fallback, env, views, bounds
-                )
-            else:
-                self._apply_whole_rule(state, rule, env, views)
-        return segment_task
+    def scheduled_segments(
+        self, env: Dict[str, int], config: ChoiceConfig, problem_size: int
+    ) -> Iterator[
+        Tuple[Segment, RuleIR, Optional[RuleIR], Tuple[Tuple[int, int], ...]]
+    ]:
+        """The schedule walk: ``(segment, rule, fallback, bounds)`` for
+        every non-empty choice-grid segment in dependency (schedule)
+        order, with the configuration's option selected for
+        ``problem_size``, its primary/fallback rules resolved, the
+        primary's size guards checked and the segment's concrete
+        ``[lo, hi)`` bounds computed.
+
+        Lazy on purpose: the serial frame executes each segment before
+        the next one is resolved, so a bad option index or failing size
+        guard surfaces exactly where it always did.  The one consumer
+        of ``depgraph.schedule_order`` — the serial engine and the
+        batch planner (:mod:`repro.batch.stacked`) both walk this."""
+        for node in self.depgraph.schedule_order:
+            segment = self._segments.get(node)
+            if segment is None:
+                continue  # an input matrix
+            bounds = segment.box.concrete(env)
+            if any(hi <= lo for lo, hi in bounds):
+                continue
+            option = self._select_option(config, segment, problem_size)
+            rule = self.ir.rules[option.primary]
+            fallback = (
+                self.ir.rules[option.fallback]
+                if option.fallback is not None
+                else None
+            )
+            self._check_size_guards(rule, env)
+            yield segment, rule, fallback, bounds
 
     def _select_option(
         self, config: ChoiceConfig, segment: Segment, volume: int
@@ -663,30 +678,24 @@ class CompiledTransform:
         views: Dict[str, MatrixView],
         segment_bounds: Tuple[Tuple[int, int], ...],
     ) -> None:
-        geometry = self._segment_geometry(
-            state, segment, rule, env, segment_bounds
+        geometry = self.geometry_for(
+            segment, rule, env, segment_bounds, sink=state.recorder.sink
         )
-        tunables = self._tunable_values(state)
+        # User tunables at the current problem size, computed once per
+        # segment application (not once per cell).
+        tunables = self.tunables_at(state.config, state.problem_size)
         leaf, plan = self._resolve_leaf(state, segment, rule, fallback, geometry)
         if leaf == LEAF_VECTOR:
-            tiles = self._tile_spec(state, segment, rule, geometry)
-            if tiles is not None:
-                tile_sizes, interchange = tiles
-                self._run_tiled_vector_steps(
-                    state,
-                    rule,
-                    env,
-                    views,
-                    geometry,
-                    plan,
-                    tunables,
-                    tile_sizes,
-                    interchange,
-                )
-            else:
-                self._run_vector_steps(
-                    state, rule, env, views, geometry, plan, tunables
-                )
+            self._run_vector_steps(
+                state,
+                rule,
+                env,
+                views,
+                geometry,
+                plan,
+                tunables,
+                self._tile_spec(state, segment, rule, geometry),
+            )
             return
         if leaf == LEAF_CLOSURE:
             apply_block = self._closure_block_runner(
@@ -697,18 +706,6 @@ class CompiledTransform:
                 state, rule, fallback, env, views, geometry, tunables
             )
         self._run_instance_steps(state, rule, geometry, apply_block)
-
-    def _segment_geometry(
-        self,
-        state: _EngineState,
-        segment: Segment,
-        rule: RuleIR,
-        env: Dict[str, int],
-        segment_bounds: Tuple[Tuple[int, int], ...],
-    ) -> Geometry:
-        return self.geometry_for(
-            segment, rule, env, segment_bounds, sink=state.recorder.sink
-        )
 
     def geometry_for(
         self,
@@ -802,11 +799,6 @@ class CompiledTransform:
             self._vector_plans[key] = cached
         return cached
 
-    def _tunable_values(self, state: _EngineState) -> Dict[str, int]:
-        """User tunables at the current problem size, computed once per
-        segment application (not once per cell)."""
-        return self.tunables_at(state.config, state.problem_size)
-
     def tunables_at(
         self, config: ChoiceConfig, problem_size: int
     ) -> Dict[str, int]:
@@ -868,14 +860,13 @@ class CompiledTransform:
         paths (and identical to the pre-kernel engine)."""
         block = max(1, state.config.block_size(self.name))
         instances = geometry.free_products
-
-        def run_step(
-            chain_values: Tuple[int, ...], deps: List[int]
-        ) -> List[int]:
-            block_tasks: List[int] = []
+        previous: List[int] = []
+        # product() of no chain variables is the one unchained step.
+        for chain_values in itertools.product(*geometry.chain_value_lists):
+            step_tasks: List[int] = []
             for start in range(0, len(instances), block):
                 with state.recorder.task(
-                    deps=deps,
+                    deps=previous,
                     label=f"{rule.label}[{start}]",
                     inline=state.inline,
                 ) as block_task:
@@ -883,17 +874,25 @@ class CompiledTransform:
                         chain_values, instances[start : start + block]
                     )
                 if block_task is not None:
-                    block_tasks.append(block_task)
-            return block_tasks
-
-        if not geometry.chain_vars:
-            run_step((), [])
-            return
-        previous: List[int] = []
-        for chain_values in itertools.product(*geometry.chain_value_lists):
-            step_tasks = run_step(chain_values, sorted(set(previous)))
+                    step_tasks.append(block_task)
             if step_tasks:
                 previous = step_tasks
+
+    def _where_failure(
+        self,
+        rule: RuleIR,
+        geometry: Geometry,
+        chain_values: Tuple[int, ...],
+        values: Tuple[int, ...],
+    ) -> ExecutionError:
+        """The error for an instance whose where-clause rejects it with
+        no fallback rule to catch it (same text on every leaf path)."""
+        assignment = dict(zip(geometry.chain_vars, chain_values))
+        assignment.update(zip(geometry.free_vars, values))
+        return ExecutionError(
+            f"{self.name} {rule.label}: where-clause fails "
+            f"at {assignment} and no fallback exists"
+        )
 
     def _interp_block_runner(
         self,
@@ -929,11 +928,8 @@ class CompiledTransform:
                     rule, instance_env
                 ):
                     if fallback is None:
-                        assignment = dict(zip(chain_vars, chain_values))
-                        assignment.update(zip(free_vars, values))
-                        raise ExecutionError(
-                            f"{self.name} {rule.label}: where-clause fails "
-                            f"at {assignment} and no fallback exists"
+                        raise self._where_failure(
+                            rule, geometry, chain_values, values
                         )
                     chosen = fallback
                 self._apply_once(
@@ -1007,11 +1003,8 @@ class CompiledTransform:
                         count += 1
                         continue
                     if fallback is None:
-                        assignment = dict(zip(geometry.chain_vars, chain_values))
-                        assignment.update(zip(geometry.free_vars, values))
-                        raise ExecutionError(
-                            f"{self.name} {rule.label}: where-clause fails "
-                            f"at {assignment} and no fallback exists"
+                        raise self._where_failure(
+                            rule, geometry, chain_values, values
                         )
                     self._apply_once(
                         state, fallback, residual_env, views, tunables
@@ -1029,54 +1022,6 @@ class CompiledTransform:
                     sink.count("exec.closure_calls", count)
 
         return apply_block
-
-    def _run_vector_steps(
-        self,
-        state: _EngineState,
-        rule: RuleIR,
-        env: Dict[str, int],
-        views: Dict[str, MatrixView],
-        geometry: Geometry,
-        plan: VectorPlan,
-        tunables: Dict[str, int],
-    ) -> None:
-        """Vector path: one task and one NumPy slice expression per chain
-        step.  Bit-identical results; a *different* (cheaper) task graph
-        and work model — that difference is exactly what makes the leaf
-        path worth tuning."""
-        arrays = {name: views[name].to_numpy() for name in plan.matrices}
-        step = plan.maker(env, tunables, arrays)
-        free_args: List[int] = []
-        for var in plan.free_vars:
-            lo, hi = geometry.var_ranges[var]
-            free_args.extend((lo, hi - lo))
-        volume = geometry.step_volume
-        work = (
-            volume * (rule.base_work + plan.static_ops) * _VECTOR_WORK_FACTOR
-            + _VECTOR_STEP_WORK
-        )
-        recorder = state.recorder
-        sink = recorder.sink
-        steps = (
-            itertools.product(*geometry.chain_value_lists)
-            if geometry.chain_vars
-            else [()]
-        )
-        previous: List[int] = []
-        for chain_values in steps:
-            with recorder.task(
-                deps=sorted(set(previous)),
-                label=f"{rule.label}[vec]",
-                inline=state.inline,
-            ) as step_task:
-                step(*chain_values, *free_args)
-                recorder.charge(work)
-            state.applications += volume
-            if sink is not None:
-                sink.count("exec.vectorized_blocks")
-                sink.count("exec.vectorized_cells", volume)
-            if step_task is not None:
-                previous = [step_task]
 
     def _tile_spec(
         self,
@@ -1096,8 +1041,8 @@ class CompiledTransform:
         if not geometry.chain_vars or not geometry.free_vars:
             return None
         config = state.config
-        declared = rule.schedule
-        declared_tiles = dict(declared.tile) if declared else {}
+        declared = rule.schedule or ScheduleIR()
+        declared_tiles = dict(declared.tile)
         tile_sizes: List[int] = []
         tiled = False
         for dim, var in enumerate(geometry.free_vars):
@@ -1112,15 +1057,13 @@ class CompiledTransform:
                 tiled = True
         if not tiled:
             return None
-        if not self._schedule_legal(segment, rule):
+        if not self._schedule_verdict(segment, rule).legal:
             return None
-        interchange_default = 1 if declared and declared.interchange else 0
-        interchange = bool(
-            config.interchange_enabled(self.name, interchange_default)
+        return tile_sizes, bool(
+            config.interchange_enabled(self.name, int(declared.interchange))
         )
-        return tile_sizes, interchange
 
-    def _run_tiled_vector_steps(
+    def _run_vector_steps(
         self,
         state: _EngineState,
         rule: RuleIR,
@@ -1129,68 +1072,47 @@ class CompiledTransform:
         geometry: Geometry,
         plan: VectorPlan,
         tunables: Dict[str, int],
-        tile_sizes: List[int],
-        interchange: bool,
+        tiles: Optional[Tuple[List[int], bool]],
     ) -> None:
-        """Cache-blocked vector path: the free space is cut into tiles
-        and each (chain step, tile) pair runs one bounded slice sweep.
-
-        Plain tiling keeps the chain outermost (every tile per step);
-        ``interchange`` runs tiles outermost — the whole chain sweeps
-        one tile while it is cache-hot before moving to the next, which
-        is the locality win on chain-heavy stacks like matmul.  Tiles
-        execute in ascending lexicographic order, the order the PB604
-        proof assumes; tasks form a single sequential chain, which is
-        always a legal schedule of the recorded graph."""
+        """Vector path: one task and one NumPy slice expression per
+        (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
+        (``tiles`` is ``None``) the sweep is the single full-extent tile
+        — one task per chain step; with the ``(tile sizes, interchange)``
+        of :meth:`_tile_spec` the free space is cut into cache-sized
+        blocks.  Bit-identical results either way; a *different*
+        (cheaper) task graph and work model than the per-cell paths —
+        that difference is exactly what makes the leaf path worth
+        tuning.  Tasks form a single sequential chain, which is always a
+        legal schedule of the recorded graph."""
         arrays = {name: views[name].to_numpy() for name in plan.matrices}
         step = plan.maker(env, tunables, arrays)
-        size_by_var = dict(zip(geometry.free_vars, tile_sizes))
-        chunk_lists: List[List[Tuple[int, int]]] = []
-        for var in plan.free_vars:
-            lo, hi = geometry.var_ranges[var]
-            size = size_by_var.get(var, 0)
-            if size <= 0:
-                chunk_lists.append([(lo, hi - lo)])
-            else:
-                chunk_lists.append(
-                    [(s, min(size, hi - s)) for s in range(lo, hi, size)]
-                )
-        tiles = list(itertools.product(*chunk_lists))
-        chain_steps = (
-            list(itertools.product(*geometry.chain_value_lists))
-            if geometry.chain_vars
-            else [()]
-        )
+        tile_sizes, interchange = tiles or ((), False)
+        label = f"{rule.label}[vec:tiled]" if tiles else f"{rule.label}[vec]"
+        cell_work = rule.base_work + plan.static_ops
         recorder = state.recorder
         sink = recorder.sink
-        label = f"{rule.label}[vec:tiled]"
-        per_cell = (rule.base_work + plan.static_ops) * _VECTOR_WORK_FACTOR
         previous: List[int] = []
-        pairs = (
-            ((chain, tile) for tile in tiles for chain in chain_steps)
-            if interchange
-            else ((chain, tile) for chain in chain_steps for tile in tiles)
-        )
-        for chain_values, tile in pairs:
-            free_args = [bound for chunk in tile for bound in chunk]
-            volume = 1
-            for _lo, count in tile:
-                volume *= count
+        for chain_values, free_args, volume in plan.sweep(
+            geometry, tile_sizes, interchange
+        ):
             with recorder.task(
-                deps=sorted(set(previous)),
-                label=label,
-                inline=state.inline,
+                deps=previous, label=label, inline=state.inline
             ) as step_task:
                 step(*chain_values, *free_args)
-                # The honest cost model: per-tile slice setup is a real
+                # The honest cost model: per-call slice setup is a real
                 # fixed cost, so over-tiling loses simulated work even
-                # though each sweep is smaller.
-                recorder.charge(volume * per_cell + _VECTOR_STEP_WORK)
+                # though each sweep is smaller.  (The factor is a power
+                # of two, so the product is exact in any association.)
+                recorder.charge(
+                    volume * cell_work * _VECTOR_WORK_FACTOR
+                    + _VECTOR_STEP_WORK
+                )
             state.applications += volume
             if sink is not None:
                 sink.count("exec.vectorized_blocks")
                 sink.count("exec.vectorized_cells", volume)
-                sink.count("exec.tiled_blocks")
+                if tiles:
+                    sink.count("exec.tiled_blocks")
             if step_task is not None:
                 previous = [step_task]
 
@@ -1282,15 +1204,6 @@ class CompiledTransform:
 
     # -- rule application ------------------------------------------------------------
 
-    def _apply_whole_rule(
-        self,
-        state: _EngineState,
-        rule: RuleIR,
-        env: Dict[str, int],
-        views: Dict[str, MatrixView],
-    ) -> None:
-        self._apply_once(state, rule, dict(env), views)
-
     def _apply_once(
         self,
         state: _EngineState,
@@ -1306,7 +1219,7 @@ class CompiledTransform:
                 region, env, views[region.matrix]
             )
         if tunables is None:
-            tunables = self._tunable_values(state)
+            tunables = self.tunables_at(state.config, state.problem_size)
 
         if rule.native_body is not None:
             context = NativeContext(
@@ -1482,19 +1395,11 @@ def specialize(
     static.ir = program.ir
     static.transforms = {}
     for name, compiled in program.transforms.items():
+        # Same IR, analyses and (shared) caches; only the call graph
+        # the clone recurses through is the static program's.
         clone = _StaticTransform.__new__(_StaticTransform)
-        clone.ir = compiled.ir
+        clone.__dict__.update(compiled.__dict__)
         clone.program = static
-        clone.grid = compiled.grid
-        clone.depgraph = compiled.depgraph
-        clone._segments = compiled._segments
-        clone._kernels = compiled._kernels
-        clone._geom_cache = compiled._geom_cache
-        clone._size_cache = compiled._size_cache
-        clone._dir_cache = compiled._dir_cache
-        clone._vector_plans = compiled._vector_plans
-        clone._sched_cache = compiled._sched_cache
-        clone._fused = compiled._fused
         static.transforms[name] = clone
     return static
 
@@ -1502,20 +1407,6 @@ def specialize(
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-class _ShapeStub:
-    """Duck-typed stand-in for a MatrixView in size binding: shape/ndim
-    are all ``_bind_sizes`` reads."""
-
-    __slots__ = ("shape",)
-
-    def __init__(self, shape: Tuple[int, ...]) -> None:
-        self.shape = shape
-
-    @property
-    def ndim(self) -> int:
-        return len(self.shape)
 
 
 def _as_view(value: ArrayLike) -> MatrixView:

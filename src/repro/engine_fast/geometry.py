@@ -69,13 +69,22 @@ class Geometry:
     """
 
     var_ranges: Dict[str, Tuple[int, int]]
-    directions: Dict[str, int]
-    var_order: Tuple[str, ...]
     chain_vars: Tuple[str, ...]
     free_vars: Tuple[str, ...]
     chain_value_lists: Tuple[Tuple[int, ...], ...]
     free_products: Tuple[Tuple[int, ...], ...]
     step_volume: int
+
+
+def split_chain_free(
+    directions: Mapping[str, int], var_order: Sequence[str]
+) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """``var_order`` split into (chain, free) variables: a variable the
+    dependency analysis gives a direction iterates as a sequential
+    chain, every other one is data parallel.  The one home of the
+    split — geometry, the vector planner and the PB604 verdict share it."""
+    chain_vars = tuple(v for v in var_order if directions.get(v, 0) != 0)
+    return chain_vars, tuple(v for v in var_order if v not in chain_vars)
 
 
 def build_geometry(
@@ -89,8 +98,7 @@ def build_geometry(
     reversed when the dependency analysis demands a negative direction
     (free variables always have direction 0, hence always ascend).
     """
-    chain_vars = tuple(v for v in var_order if directions.get(v, 0) != 0)
-    free_vars = tuple(v for v in var_order if directions.get(v, 0) == 0)
+    chain_vars, free_vars = split_chain_free(directions, var_order)
 
     def values_of(var: str) -> Tuple[int, ...]:
         lo, hi = var_ranges[var]
@@ -106,8 +114,6 @@ def build_geometry(
     free_products = tuple(itertools.product(*free_value_lists))
     return Geometry(
         var_ranges=dict(var_ranges),
-        directions=dict(directions),
-        var_order=tuple(var_order),
         chain_vars=chain_vars,
         free_vars=free_vars,
         chain_value_lists=chain_value_lists,

@@ -52,11 +52,14 @@ request's exact serial error without poisoning its neighbours.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -66,6 +69,7 @@ from typing import (
 
 import numpy as np
 
+from repro.engine_fast.geometry import Geometry, split_chain_free
 from repro.language import ast_nodes as ast
 from repro.language.interp import EvalError
 from repro.symbolic import Affine
@@ -156,8 +160,10 @@ class VectorPlan:
     a sub-range of each free variable — the generated slices are affine
     in ``lo``/``count``, so any partition of the free space computes
     exactly the cells the full-step call would, in tile-sized pieces.
-    No separate tiled kernel exists; only the engine's driver loop
-    changes (see ``_run_tiled_vector_steps`` in the codegen module).
+    No separate tiled kernel exists: :meth:`sweep` enumerates the calls
+    of one segment application, and the untiled sweep is simply the
+    single full-extent tile (see ``_run_vector_steps`` in the codegen
+    module and ``run_stacked`` in :mod:`repro.batch.stacked`).
     """
 
     chain_vars: Tuple[str, ...]
@@ -168,6 +174,49 @@ class VectorPlan:
     source: str
     #: planned for arrays with a leading batch axis (``repro.batch``)
     batch: bool = False
+
+    def sweep(
+        self,
+        geometry: Geometry,
+        tile_sizes: Sequence[int] = (),
+        interchange: bool = False,
+    ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...], int]]:
+        """Every step-function call of one segment application, in
+        execution order: ``(chain values, flattened (lo, count) free
+        arguments, cells covered)``.
+
+        ``tile_sizes`` aligns with ``free_vars``; a missing or
+        non-positive size leaves that variable as one full-extent chunk,
+        so the default is one call per chain step.  Tiles run in
+        ascending lexicographic order, the order the PB604 proof
+        assumes.  Plain tiling keeps the chain outermost (every tile per
+        step); ``interchange`` runs tiles outermost — the whole chain
+        sweeps one tile while it is cache-hot before moving to the
+        next, which is the locality win on chain-heavy stacks like
+        matmul."""
+        chunk_lists: List[List[Tuple[int, int]]] = []
+        for var, size in itertools.zip_longest(
+            self.free_vars, tile_sizes, fillvalue=0
+        ):
+            lo, hi = geometry.var_ranges[var]
+            if size <= 0:
+                chunk_lists.append([(lo, hi - lo)])
+            else:
+                chunk_lists.append(
+                    [(s, min(size, hi - s)) for s in range(lo, hi, size)]
+                )
+        tiles = [
+            (
+                tuple(bound for chunk in tile for bound in chunk),
+                math.prod(count for _lo, count in tile),
+            )
+            for tile in itertools.product(*chunk_lists)
+        ]
+        # product() of no chain variables is the one empty step.
+        chain_steps = list(itertools.product(*geometry.chain_value_lists))
+        if interchange:
+            return ((chain, *tile) for tile in tiles for chain in chain_steps)
+        return ((chain, *tile) for chain in chain_steps for tile in tiles)
 
 
 class _NotVectorizable(Exception):
@@ -514,8 +563,7 @@ def plan_vector_leaf(
         return None, "whole-region rule (no instance space)"
     if has_fallback or rule.residual_where:
         return None, "meta-rule with a where-clause fallback"
-    chain_vars = [v for v in var_order if directions.get(v, 0) != 0]
-    free_vars = [v for v in var_order if directions.get(v, 0) == 0]
+    chain_vars, free_vars = split_chain_free(directions, var_order)
     if not free_vars:
         return (
             None,
@@ -538,8 +586,8 @@ def plan_vector_leaf(
         namespace,
     )
     plan = VectorPlan(
-        chain_vars=tuple(chain_vars),
-        free_vars=tuple(free_vars),
+        chain_vars=chain_vars,
+        free_vars=free_vars,
         static_ops=lowerer.static_ops,
         matrices=tuple(sorted(lowerer.used_matrices)),
         maker=namespace["_maker"],

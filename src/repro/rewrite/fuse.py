@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.depend import FusionCandidate, fusion_candidates
 from repro.analysis.witness import WitnessBudget
-from repro.compiler.ir import TransformIR
+from repro.compiler.ir import RuleIR, TransformIR
 from repro.language import ast_nodes as ast
 
 __all__ = [
@@ -192,24 +192,27 @@ def apply_fusion(ir: TransformIR, candidate: FusionCandidate) -> TransformIR:
         if rule.rule_id == producer.rule_id:
             continue
         chosen = fused if rule.rule_id == consumer.rule_id else rule
-        # Fresh copies with renumbered ids and cleared analysis fields:
-        # compiling the fused IR re-runs the applicable-regions pass.
-        new_rules.append(
-            replace(
-                chosen,
-                rule_id=len(new_rules),
-                applicable={},
-                var_bounds={},
-                residual_where=(),
-                size_guards=(),
-            )
-        )
+        new_rules.append(unanalyzed(chosen, rule_id=len(new_rules)))
     new_matrices = {
         mat_name: mat
         for mat_name, mat in ir.matrices.items()
         if mat_name != name
     }
     return replace(ir, matrices=new_matrices, rules=new_rules)
+
+
+def unanalyzed(rule: RuleIR, **changes) -> RuleIR:
+    """A fresh copy of ``rule`` with ``changes`` applied and its
+    analysis fields cleared: compiling the rewritten IR re-runs the
+    applicable-regions pass (shared by every rewrite in this package)."""
+    return replace(
+        rule,
+        applicable={},
+        var_bounds={},
+        residual_where=(),
+        size_guards=(),
+        **changes,
+    )
 
 
 def fuse_transform(

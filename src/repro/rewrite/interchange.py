@@ -14,19 +14,23 @@ any consistent product order over (chain, tile) coordinates preserves
 every dependence, so the two factors commute.  :func:`apply_interchange`
 therefore shares the analyzer gate (and the annotation plumbing) with
 :mod:`repro.rewrite.tile`; the engine honors the annotation only on
-sites it independently re-proves, and the ``__interchange__`` tunable
-can override it either way at run time.
+sites the same analyzer verdict clears, and the ``__interchange__``
+tunable can override it either way at run time.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.analysis.depend import ScheduleCandidate, schedule_candidates
+from repro.analysis.depend import ScheduleCandidate
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import TransformIR
 from repro.rewrite.fuse import REWRITE_BUDGET
-from repro.rewrite.tile import ScheduleError, annotate_schedule
+from repro.rewrite.tile import (
+    annotate_schedule,
+    require_legal,
+    rewrite_legal_sites,
+)
 
 __all__ = [
     "apply_interchange",
@@ -42,12 +46,7 @@ def apply_interchange(
     Purely structural — callers re-verify through the compile pipeline
     before executing the result.
     """
-    if candidate.status != "legal":
-        raise ScheduleError(
-            f"schedule candidate {candidate.segment}/{candidate.rule} is "
-            f"{candidate.status}, not legal"
-            + (f": {candidate.reason}" if candidate.reason else "")
-        )
+    require_legal(candidate)
     return annotate_schedule(ir, candidate.rule_id, interchange=True)
 
 
@@ -62,22 +61,4 @@ def interchange_transform(
     typically composed after :func:`repro.rewrite.tile.tile_transform`
     — annotations merge, they do not overwrite.
     """
-    from repro.compiler.codegen import CompiledTransform
-
-    legal = [
-        cand
-        for cand in schedule_candidates(compiled, budget)
-        if cand.status == "legal"
-    ]
-    applied: List[ScheduleCandidate] = []
-    seen_rules = set()
-    ir = compiled.ir
-    for cand in legal:
-        if cand.rule_id in seen_rules:
-            continue
-        seen_rules.add(cand.rule_id)
-        ir = apply_interchange(ir, cand)
-        applied.append(cand)
-    if not applied:
-        return compiled, []
-    return CompiledTransform(ir, compiled.program), applied
+    return rewrite_legal_sites(compiled, budget, apply_interchange)

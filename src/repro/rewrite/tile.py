@@ -20,12 +20,12 @@ instance pair the blocked order would reorder).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Mapping, Tuple, Union
+from typing import Callable, List, Mapping, Tuple, Union
 
 from repro.analysis.depend import ScheduleCandidate, schedule_candidates
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import ScheduleIR, TransformIR
-from repro.rewrite.fuse import REWRITE_BUDGET
+from repro.rewrite.fuse import REWRITE_BUDGET, unanalyzed
 
 __all__ = [
     "ScheduleError",
@@ -89,30 +89,53 @@ def annotate_schedule(
     new_rules = []
     for rule in ir.rules:
         if rule.rule_id == rule_id:
-            old = rule.schedule
+            old = rule.schedule or ScheduleIR()
             merged = ScheduleIR(
-                tile=(
-                    tile
-                    if tile is not None
-                    else (old.tile if old is not None else ())
-                ),
+                tile=old.tile if tile is None else tile,
                 interchange=(
-                    interchange
-                    if interchange is not None
-                    else (old.interchange if old is not None else False)
+                    old.interchange if interchange is None else interchange
                 ),
             )
             rule = replace(rule, schedule=merged)
-        new_rules.append(
-            replace(
-                rule,
-                applicable={},
-                var_bounds={},
-                residual_where=(),
-                size_guards=(),
-            )
-        )
+        new_rules.append(unanalyzed(rule))
     return replace(ir, rules=new_rules)
+
+
+def require_legal(candidate: ScheduleCandidate) -> None:
+    """The analyzer gate shared by tiling and interchange: refuse any
+    candidate that is not PB604-legal."""
+    if candidate.status != "legal":
+        raise ScheduleError(
+            f"schedule candidate {candidate.segment}/{candidate.rule} is "
+            f"{candidate.status}, not legal"
+            + (f": {candidate.reason}" if candidate.reason else "")
+        )
+
+
+def rewrite_legal_sites(
+    compiled,
+    budget: WitnessBudget,
+    apply: Callable[[TransformIR, ScheduleCandidate], TransformIR],
+) -> Tuple[object, List[ScheduleCandidate]]:
+    """Run one schedule rewrite over every PB604-legal site, once per
+    rule (a rule legal in several segments carries one annotation).
+
+    Returns the recompiled transform (the input itself when no site is
+    legal) and the candidates that were applied."""
+    from repro.compiler.codegen import CompiledTransform
+
+    applied: List[ScheduleCandidate] = []
+    ir = compiled.ir
+    for cand in schedule_candidates(compiled, budget):
+        if cand.status != "legal" or any(
+            cand.rule_id == done.rule_id for done in applied
+        ):
+            continue
+        ir = apply(ir, cand)
+        applied.append(cand)
+    if not applied:
+        return compiled, []
+    return CompiledTransform(ir, compiled.program), applied
 
 
 def apply_tiling(
@@ -127,12 +150,7 @@ def apply_tiling(
     structural — callers re-verify through the compile pipeline before
     executing the result.
     """
-    if candidate.status != "legal":
-        raise ScheduleError(
-            f"schedule candidate {candidate.segment}/{candidate.rule} is "
-            f"{candidate.status}, not legal"
-            + (f": {candidate.reason}" if candidate.reason else "")
-        )
+    require_legal(candidate)
     return annotate_schedule(
         ir, candidate.rule_id, tile=_tile_pairs(candidate, sizes)
     )
@@ -148,22 +166,6 @@ def tile_transform(
     Returns the recompiled transform (the input itself when no site is
     legal) and the candidates that were applied.
     """
-    from repro.compiler.codegen import CompiledTransform
-
-    legal = [
-        cand
-        for cand in schedule_candidates(compiled, budget)
-        if cand.status == "legal"
-    ]
-    applied: List[ScheduleCandidate] = []
-    seen_rules = set()
-    ir = compiled.ir
-    for cand in legal:
-        if cand.rule_id in seen_rules:
-            continue
-        seen_rules.add(cand.rule_id)
-        ir = apply_tiling(ir, cand, sizes)
-        applied.append(cand)
-    if not applied:
-        return compiled, []
-    return CompiledTransform(ir, compiled.program), applied
+    return rewrite_legal_sites(
+        compiled, budget, lambda ir, cand: apply_tiling(ir, cand, sizes)
+    )

@@ -299,3 +299,50 @@ def test_gather_order_survives_scrambled_buckets():
     for index, result in enumerate(results):
         assert result.request_id == index
         np.testing.assert_array_equal(result.output(), expected[index])
+
+
+# A multi-segment transform: an elementwise stage, a boundary row and a
+# row-by-row chain (i sequential, j data parallel).
+STAGES = """
+transform Stages
+from A[n, m]
+through T[n, m]
+to B[n, m]
+{
+  to (T.cell(i, j) t) from (A.cell(i, j) a) { t = a + 1.0; }
+  to (B.cell(0, j) b) from (T.cell(0, j) t) { b = t; }
+  to (B.cell(i, j) b) from (T.cell(i, j) t, B.cell(i - 1, j) p) { b = t + p; }
+}
+"""
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (3, 2), (5, 6)])
+def test_stacked_plan_walks_the_serial_schedule(shape):
+    """The batch planner and the serial engine consume one schedule
+    walk: the plan's (segment, rule) steps are exactly the vector-leaf
+    tasks a serial run records, in the same order."""
+    from repro.batch.stacked import plan_stacked
+
+    stages = compile_program(STAGES).transform("Stages")
+    config = ChoiceConfig()
+    config.set_tunable("Stages.__leaf_path__", 2)
+    config.set_tunable("Stages.__vectorize_cutoff__", 0)
+    config.set_tunable("Stages.__seq_cutoff__", 0)  # record every task
+    plan, reason = plan_stacked(stages, [shape], config)
+    assert plan is not None, reason
+
+    sink = TraceSink()
+    stages.run({"A": np.ones(shape)}, config, sink=sink)
+    serial = []
+    segment = None
+    for event in sink.events_of("task_recorded"):
+        label = event["label"]
+        if label.startswith("Stages."):
+            segment = label[len("Stages."):]
+        elif label.endswith("[vec]"):
+            step = (segment, label[: -len("[vec]")])
+            if not serial or serial[-1] != step:  # one per chain step
+                serial.append(step)
+    assert serial, "the serial run took no vector leaf"
+    assert sink.counter("exec.vector_fallbacks") == 0
+    assert [(s.segment_key, s.rule_label) for s in plan.steps] == serial

@@ -193,6 +193,72 @@ class TestScheduleCandidates:
         assert schedule_candidates(compiled(PIPE, "Pipe")) == []
 
 
+def _dsl_sources():
+    """Every DSL program in the repo: module-level string constants of
+    ``examples/`` and ``src/repro/apps/`` that hold transform source
+    (read with ``ast``, so nothing is imported), plus this file's own
+    fixtures."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    sources = {
+        "MATMUL_CHAIN": MATMUL_CHAIN,
+        "HEAT": HEAT,
+        "FUSE_TILE": FUSE_TILE,
+        "PIPE": PIPE,
+    }
+    for folder in ("examples", "src/repro/apps"):
+        for path in sorted((root / folder).glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, str)
+                    and "transform " in node.value.value
+                    and "{" in node.value.value
+                ):
+                    name = f"{path.name}:{node.targets[0].id}"
+                    sources[name] = node.value.value
+    return sources
+
+
+class TestOneVerdict:
+    """The engine's cached PB604 verdict and the analyzer's candidate
+    list are two views of one decision."""
+
+    APPS = ["eigen", "matmul", "poisson", "rollingsum", "sort"]
+
+    @pytest.mark.parametrize(
+        "name", sorted(_dsl_sources()) + [f"apps.{app}" for app in APPS]
+    )
+    def test_engine_verdict_matches_candidates(self, name):
+        if name.startswith("apps."):  # builder-made (native-body) programs
+            import importlib
+
+            program = importlib.import_module(f"repro.{name}").build_program()
+        else:
+            program = compile_program(_dsl_sources()[name])
+        for transform in program.transforms.values():
+            legal = {
+                (cand.segment, cand.rule_id)
+                for cand in schedule_candidates(transform)
+                if cand.status == "legal"
+            }
+            for segment in transform.grid.all_segments():
+                for option in segment.options:
+                    rule = transform.ir.rules[option.primary]
+                    verdict = transform._schedule_verdict(segment, rule)
+                    assert verdict.legal == (
+                        (segment.key, rule.rule_id) in legal
+                    ), (transform.name, segment.key, rule.label)
+
+    def test_sources_were_found(self):
+        names = set(_dsl_sources())
+        assert any(n.startswith("heat_diffusion.py:") for n in names)
+        assert any(n.startswith("rollingsum.py:") for n in names)
+
+
 # -- the tile / interchange rewrites ---------------------------------------
 
 
@@ -278,6 +344,68 @@ class TestEngineTiling:
         reference = run_bytes(mm, inputs)
         config = config_with("MatMulChain", __leaf_path__=leaf, **knobs)
         assert run_bytes(mm, inputs, config) == reference
+
+    # Captured at the parent commit of the one-driver refactor (same
+    # inputs as test_tiled_blocks_counter): the merged vector driver
+    # must record the same graph — labels, dependency edges, spawn tree
+    # and per-task work to the float bit (every value below is exactly
+    # representable) — and the same counters.  6x7 cells in 3x4 tiles
+    # are two 12-cell and two 9-cell tiles per chain step.
+    _SEGMENTS = ["MatMulChain", "MatMulChain.S.0", "rule0[vec]", "MatMulChain.S.1"]
+    _TAIL = ["MatMulChain.C.0", "rule2[vec]"]
+    GOLDEN = {
+        "untiled": dict(
+            knobs={},
+            labels=_SEGMENTS + ["rule1[vec]"] * 4 + _TAIL,
+            deps=[(), (), (), (1,), (), (4,), (5,), (6,), (3,), ()],
+            parents=[None, 0, 1, 0, 3, 3, 3, 3, 0, 8],
+            work=[0.0, 0.0, 34.625, 0.0] + [39.875] * 4 + [0.0, 34.625],
+            counters=(6, 252, 0),
+        ),
+        "tiled": dict(
+            knobs={"__tile_i__": 3, "__tile_j__": 4},
+            labels=_SEGMENTS + ["rule1[vec:tiled]"] * 16 + _TAIL,
+            deps=[(), (), (), (1,), ()]
+            + [(tid,) for tid in range(4, 19)]
+            + [(3,), ()],
+            parents=[None, 0, 1, 0] + [3] * 16 + [0, 20],
+            # chain outermost: the four tiles alternate within each step
+            work=[0.0, 0.0, 34.625, 0.0] + [34.25, 33.6875] * 8 + [0.0, 34.625],
+            counters=(18, 252, 16),
+        ),
+        "tiled+interchange": dict(
+            knobs={"__tile_i__": 3, "__tile_j__": 4, "__interchange__": 1},
+            labels=_SEGMENTS + ["rule1[vec:tiled]"] * 16 + _TAIL,
+            deps=[(), (), (), (1,), ()]
+            + [(tid,) for tid in range(4, 19)]
+            + [(3,), ()],
+            parents=[None, 0, 1, 0] + [3] * 16 + [0, 20],
+            # tiles outermost: each tile runs its whole 4-step chain
+            work=[0.0, 0.0, 34.625, 0.0]
+            + ([34.25] * 4 + [33.6875] * 4) * 2
+            + [0.0, 34.625],
+            counters=(18, 252, 16),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_vector_driver_golden_task_graph(self, case):
+        golden = self.GOLDEN[case]
+        mm = compiled(MATMUL_CHAIN, "MatMulChain")
+        config = config_with("MatMulChain", __leaf_path__=2, **golden["knobs"])
+        sink = TraceSink()
+        result = mm.run(mm_inputs(5, n=6, p=4, m=7), config, sink=sink)
+        tasks = result.graph.tasks
+        assert [t.label for t in tasks] == golden["labels"]
+        assert [t.deps for t in tasks] == golden["deps"]
+        assert [t.parent for t in tasks] == golden["parents"]
+        assert [t.work for t in tasks] == golden["work"]
+        assert result.rule_applications == 252
+        assert (
+            sink.counter("exec.vectorized_blocks"),
+            sink.counter("exec.vectorized_cells"),
+            sink.counter("exec.tiled_blocks"),
+        ) == golden["counters"]
 
     def test_tiled_blocks_counter(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
