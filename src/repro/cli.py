@@ -601,7 +601,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             continue
         config = default_config
         if payload.get("config") is not None:
-            config = ChoiceConfig.from_json(json.dumps(payload["config"]))
+            config = ChoiceConfig.from_dict(payload["config"])
         entries.append(
             (
                 "result",
@@ -782,18 +782,15 @@ def cmd_client(args: argparse.Namespace) -> int:
 def _client_run(client, args: argparse.Namespace) -> int:
     phash = _client_source(client, args.source)
     if args.input:
-        inputs = [_load_input(path).tolist() for path in args.input]
+        inputs = [_load_input(path) for path in args.input]
     elif args.random_input is not None:
         # Random generation needs the transform's declared shapes, so the
         # convenience path compiles locally; served execution is unchanged.
         program = _load_program(args.source)
         rng = random.Random(args.seed)
-        inputs = [
-            array.tolist()
-            for array in _random_inputs(
-                program, args.transform, args.random_input
-            )(args.random_input, rng)
-        ]
+        inputs = _random_inputs(program, args.transform, args.random_input)(
+            args.random_input, rng
+        )
     else:
         inputs = None
     config = None

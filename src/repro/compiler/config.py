@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 INFINITE = None  # marker: level applies to all sizes
 
@@ -201,7 +201,11 @@ class ChoiceConfig:
 
     @staticmethod
     def from_json(text: str) -> "ChoiceConfig":
-        payload = json.loads(text)
+        return ChoiceConfig.from_dict(json.loads(text))
+
+    @staticmethod
+    def from_dict(payload: Mapping) -> "ChoiceConfig":
+        """A config from the parsed form of :meth:`to_json`."""
         config = ChoiceConfig()
 
         def parse_levels(levels) -> Selector:

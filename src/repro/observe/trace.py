@@ -39,7 +39,9 @@ interesting transition is captured three ways:
   ``serve.program_hits`` (cold-start vs warm program accounting),
   ``serve.config_hits`` / ``serve.config_misses`` (registry lookups),
   ``serve.version_bumps``, ``serve.runs``, ``serve.batches``,
-  ``serve.batch_requests``, and ``serve.tune_jobs``; the serving
+  ``serve.batch_requests``, ``serve.tune_jobs``, ``serve.connections``
+  (sockets accepted) and ``serve.wire.packed`` / ``serve.wire.plain``
+  (reply form asked for, per ``/run`` and ``/batch``); the serving
   resilience layer adds ``serve.shed.capacity`` /
   ``serve.shed.queue_timeout`` / ``serve.shed.draining`` /
   ``serve.shed.injected`` (admission sheds by reason),

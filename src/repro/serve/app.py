@@ -13,16 +13,21 @@ endpoint     method  semantics
 /health      GET     liveness + registry sizes
 /compile     POST    ``{source}`` → compile-once registration
 /run         POST    ``{program, transform, inputs, sizes?, machine?,
-                     config?}`` → outputs (registry config on the hot
-                     path; inline ``config`` overrides)
-/batch       POST    ``{program, lines, strict?, config?}`` → the exact
-                     records ``repro batch`` would emit for those lines
+                     config?, arrays?}`` → outputs (registry config on
+                     the hot path; inline ``config`` overrides)
+/batch       POST    ``{program, lines, strict?, config?, arrays?}`` →
+                     the exact records ``repro batch`` would emit for
+                     those lines
 /tune        POST    enqueue a background tuning job → ``{job}``
 /jobs/<id>   GET     job state; ``done`` carries the published version
 /check       POST    ``{program}`` → static-verifier diagnostics
 /stats       GET     counters, histograms, registry + job snapshots
 /shutdown    POST    clean stop (drain jobs, flush artifacts)
 ===========  ======  ====================================================
+
+Every array position (``/run`` inputs, the inputs of a ``/batch`` line)
+takes a nested list or the packed object of :func:`repro.serve.records.
+encode_array`; ``"arrays": "packed"`` asks for packed output arrays.
 
 Hot path (``/run`` and ``/batch`` with a registered config): program
 lookup and config lookup are dict reads of immutable entries, execution
@@ -38,9 +43,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.check import check_source
 from repro.autotuner import GeneticTuner
@@ -51,6 +54,7 @@ from repro.observe import ThreadSafeSink
 from repro.runtime import MACHINES
 
 from repro.serve.jobs import Job, JobQueue, QueueDraining
+from repro.serve.records import WireError, decode_array, encode_array
 from repro.serve.records import malformed_record, result_record
 from repro.serve.registry import (
     ANY_BUCKET,
@@ -182,15 +186,16 @@ class ServeApp:
             forced_shed=self._injected_shed("run", payload),
         ):
             self._inject_dispatch_faults("run", payload)
+            packed = self._packed_reply(payload)
             entry = self._program(payload)
             transform = self._transform(entry, payload)
             machine = self._machine(payload)
-            inputs = self._inputs(payload.get("inputs"))
+            try:
+                inputs, shapes = self._inputs(payload.get("inputs"))
+            except (TypeError, ValueError) as exc:
+                raise ServeError(400, f"bad input arrays: {exc}")
             sizes = payload.get("sizes") or None
-            arrays = (
-                list(inputs.values()) if isinstance(inputs, dict) else inputs
-            ) or []
-            bucket = bucket_for([a.shape for a in arrays], sizes)
+            bucket = bucket_for(shapes, sizes)
 
             config, version, hit = self._resolve_config(
                 payload, entry.phash, machine, bucket
@@ -210,7 +215,7 @@ class ServeApp:
         self.sink.count("serve.runs")
         return {
             "outputs": {
-                name: matrix.data.tolist()
+                name: encode_array(matrix.data, packed)
                 for name, matrix in result.outputs.items()
             },
             "meta": {
@@ -251,6 +256,7 @@ class ServeApp:
         deadline: Optional[Deadline],
         started: float,
     ) -> Dict[str, Any]:
+        packed = self._packed_reply(payload)
         entry = self._program(payload)
         machine = self._machine(payload)
         strict = bool(payload.get("strict"))
@@ -267,6 +273,7 @@ class ServeApp:
             try:
                 request = json.loads(line)
                 transform = entry.program.transform(request["transform"])
+                inputs, shapes = self._line_inputs(request.get("inputs"))
             except Exception as exc:
                 if strict:
                     raise ServeError(400, f"request line {lineno}: {exc}")
@@ -289,7 +296,7 @@ class ServeApp:
                 registered = self.registry.lookup(
                     entry.phash,
                     machine,
-                    self._request_bucket(transform, request),
+                    bucket_for(shapes, request.get("sizes")),
                 )
                 config = registered.config if registered else None
                 if registered is not None:
@@ -300,7 +307,7 @@ class ServeApp:
                 (
                     "submit",
                     transform,
-                    request.get("inputs"),
+                    inputs,
                     config,
                     request.get("sizes"),
                     digest,
@@ -332,7 +339,9 @@ class ServeApp:
                 records.append(malformed_record(item[1], item[2]))
             else:
                 records.append(
-                    result_record(results[submitted[position]], position)
+                    result_record(
+                        results[submitted[position]], position, packed
+                    )
                 )
                 position += 1
 
@@ -651,31 +660,46 @@ class ServeApp:
             raise ServeError(400, f"unknown machine profile {machine!r}")
         return machine
 
+    def _packed_reply(self, payload: Mapping[str, Any]) -> bool:
+        """Whether a work request's ``arrays`` field asks for packed
+        output arrays (absent means ``"plain"``: nested lists)."""
+        form = payload.get("arrays", "plain")
+        if form not in ("plain", "packed"):
+            raise ServeError(
+                400, f"bad input arrays: unknown 'arrays' form {form!r}"
+            )
+        self.sink.count(f"serve.wire.{form}")
+        return form == "packed"
+
     @staticmethod
-    def _inputs(
-        raw: Union[Mapping[str, Any], Sequence[Any], None]
-    ) -> Union[Dict[str, np.ndarray], List[np.ndarray], None]:
-        """JSON input payloads as float64 arrays (converted once; the
-        engine's asarray on an ndarray is then a no-op)."""
+    def _inputs(raw: Any) -> Tuple[Any, List[Tuple[int, ...]]]:
+        """Input payloads as float64 arrays plus their shapes (decoded
+        once; the engine's asarray on an ndarray is then a no-op)."""
         if raw is None:
-            return None
-        try:
-            if isinstance(raw, Mapping):
-                return {
-                    name: np.asarray(value, dtype=np.float64)
-                    for name, value in raw.items()
-                }
-            if isinstance(raw, (list, tuple)):
-                return [
-                    np.asarray(value, dtype=np.float64) for value in raw
-                ]
-        except Exception as exc:
-            raise ServeError(400, f"bad input arrays: {exc}")
+            return None, []
+        if isinstance(raw, Mapping):
+            inputs: Any = {k: decode_array(v) for k, v in raw.items()}
+            return inputs, [array.shape for array in inputs.values()]
+        if isinstance(raw, (list, tuple)):
+            inputs = [decode_array(value) for value in raw]
+            return inputs, [array.shape for array in inputs]
         raise ServeError(400, "inputs must be an object, a list, or null")
+
+    def _line_inputs(self, raw: Any) -> Tuple[Any, List[Tuple[int, ...]]]:
+        """One ``/batch`` line's inputs, decoded once for the bucket
+        lookup and the engine alike.  Plain values numpy rejects stay
+        raw, so the engine reports them exactly as ``repro batch`` does;
+        a broken packed object makes the line malformed."""
+        try:
+            return self._inputs(raw)
+        except WireError as exc:
+            raise ValueError(f"bad input arrays: {exc}")
+        except (TypeError, ValueError, ServeError):
+            return raw, []
 
     def _parse_config(self, raw: Any) -> ChoiceConfig:
         try:
-            return ChoiceConfig.from_json(json.dumps(raw))
+            return ChoiceConfig.from_dict(raw)
         except Exception as exc:
             raise ServeError(400, f"bad config: {exc}")
 
@@ -690,21 +714,6 @@ class ServeApp:
         if entry is None:
             return None, None, False
         return entry.config, entry.version, True
-
-    def _request_bucket(self, transform, request: Mapping[str, Any]) -> str:
-        raw = request.get("inputs")
-        values = (
-            list(raw.values())
-            if isinstance(raw, Mapping)
-            else (raw if isinstance(raw, (list, tuple)) else [])
-        )
-        shapes = []
-        for value in values:
-            try:
-                shapes.append(np.asarray(value, dtype=np.float64).shape)
-            except Exception:
-                shapes.append(())
-        return bucket_for(shapes, request.get("sizes"))
 
     def _observe(self, name: str, started: float) -> None:
         elapsed_ms = (time.perf_counter() - started) * 1000.0

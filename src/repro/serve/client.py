@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.serve.daemon import DEFAULT_PORT
+from repro.serve.records import decode_array, encode_array
 from repro.serve.registry import program_digest
 from repro.serve.resilience import RetryPolicy
 
@@ -83,8 +85,15 @@ class ServeClientError(Exception):
 
 
 class ServeClient:
-    """One daemon address; connections are per-request (keep-alive adds
-    statefulness the thin client doesn't need)."""
+    """One daemon address and one kept-alive connection per calling
+    thread (a TCP connection per request measured 0.5 ms of a 2.2 ms
+    warm ``/run``).  A transport error or a ``Connection: close`` reply
+    drops the connection and the retry loop's next attempt reconnects.
+
+    Arrays cross the wire packed (:func:`~repro.serve.records.
+    encode_array`: decimal text cost 3.3 ms of a 34x34 round trip, the
+    packed form 0.4 ms); ``run`` and ``batch`` unpack the replies, so
+    callers still pass and receive nested lists."""
 
     def __init__(
         self,
@@ -99,6 +108,7 @@ class ServeClient:
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.sink = sink
+        self._local = threading.local()  # .connection, per thread
 
     # -- transport ----------------------------------------------------------
 
@@ -161,15 +171,17 @@ class ServeClient:
         path: str,
         payload: Optional[Mapping[str, Any]],
     ) -> Dict[str, Any]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             connection.request(method, path, body=body, headers=headers)
             response = connection.getresponse()
             raw = response.read()
@@ -179,27 +191,30 @@ class ServeClient:
                 # A truncated body on a 2xx is a dropped connection in
                 # JSON clothing — classify it as such so it retries.
                 raise http.client.IncompleteRead(raw)
-            if response.status >= 300:
-                retry_after: Optional[float] = None
-                header = response.getheader("Retry-After")
-                if header is not None:
-                    try:
-                        retry_after = float(header)
-                    except ValueError:
-                        retry_after = None
-                if isinstance(data, dict):
-                    retry_after = data.get("retry_after", retry_after)
-                    reason = data.get("reason")
-                    message = data.get("error", "unknown error")
-                else:
-                    reason, message = None, "unknown error"
-                raise ServeClientError(
-                    response.status, message,
-                    reason=reason, retry_after=retry_after,
-                )
-            return data
-        finally:
+        except BaseException:
+            # Whatever state the exchange died in, never reuse it.
             connection.close()
+            del self._local.connection
+            raise
+        if response.status >= 300:
+            retry_after: Optional[float] = None
+            header = response.getheader("Retry-After")
+            if header is not None:
+                try:
+                    retry_after = float(header)
+                except ValueError:
+                    retry_after = None
+            if isinstance(data, dict):
+                retry_after = data.get("retry_after", retry_after)
+                reason = data.get("reason")
+                message = data.get("error", "unknown error")
+            else:
+                reason, message = None, "unknown error"
+            raise ServeClientError(
+                response.status, message,
+                reason=reason, retry_after=retry_after,
+            )
+        return data
 
     def _count(self, name: str) -> None:
         if self.sink is not None:
@@ -247,10 +262,15 @@ class ServeClient:
         deadline_ms: Optional[float] = None,
         rid: Optional[str] = None,
     ) -> Dict[str, Any]:
+        if isinstance(inputs, Mapping):
+            inputs = {name: _pack(value) for name, value in inputs.items()}
+        elif isinstance(inputs, (list, tuple)):
+            inputs = [_pack(value) for value in inputs]
         payload: Dict[str, Any] = {
             "program": program,
             "transform": transform,
             "inputs": inputs,
+            "arrays": "packed",
         }
         if sizes:
             payload["sizes"] = dict(sizes)
@@ -262,7 +282,7 @@ class ServeClient:
             payload["deadline_ms"] = deadline_ms
         if rid is not None:
             payload["rid"] = rid
-        return self.request("POST", "/run", payload)
+        return _unpack(self.request("POST", "/run", payload))
 
     def batch(
         self,
@@ -278,6 +298,7 @@ class ServeClient:
             "program": program,
             "lines": list(lines),
             "strict": strict,
+            "arrays": "packed",
         }
         if machine:
             payload["machine"] = machine
@@ -287,7 +308,7 @@ class ServeClient:
             payload["deadline_ms"] = deadline_ms
         if rid is not None:
             payload["rid"] = rid
-        return self.request("POST", "/batch", payload)
+        return _unpack(self.request("POST", "/batch", payload))
 
     def tune(
         self, program: str, transform: str, **options: Any
@@ -325,3 +346,21 @@ class ServeClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self.request("POST", "/shutdown")
+
+
+def _pack(value: Any) -> Any:
+    """One array position packed; what numpy rejects travels as it is,
+    for the daemon's 400 to describe."""
+    try:
+        return encode_array(value, True)
+    except (TypeError, ValueError):
+        return value
+
+
+def _unpack(response: Dict[str, Any]) -> Dict[str, Any]:
+    """The packed output arrays of a ``/run`` reply, or of the records
+    of a ``/batch`` reply, back to nested lists (in place)."""
+    for record in response.get("results", [response]):
+        for name, value in (record.get("outputs") or {}).items():
+            record["outputs"][name] = decode_array(value).tolist()
+    return response

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -53,6 +54,18 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
     app: ServeApp  # injected by ServeDaemon via the handler subclass
+    # Clients keep their connection; with Nagle on, a reply's body
+    # would wait ~40 ms behind its header for the peer's delayed ACK.
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.app.sink.count("serve.connections")
+        self.server.connections.add(self.connection)
+
+    def finish(self) -> None:
+        self.server.connections.discard(self.connection)
+        super().finish()
 
     # -- routing ------------------------------------------------------------
 
@@ -187,9 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._count_conn_dropped()
 
     def _count_conn_dropped(self) -> None:
-        sink = getattr(self.app, "sink", None)
-        if sink is not None:
-            sink.count("serve.conn_dropped")
+        self.app.sink.count("serve.conn_dropped")
 
     def log_message(self, fmt: str, *args: Any) -> None:
         """Per-request access logging is the sink's job (counters and
@@ -219,6 +230,7 @@ class ServeDaemon:
             {"request_queue_size": max(1, int(backlog))},
         )
         self.server = server_cls((host, port), handler)
+        self.server.connections = set()  # open sockets, idle or busy
         self.server.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
@@ -236,6 +248,14 @@ class ServeDaemon:
             self.server.serve_forever(poll_interval=0.1)
         finally:
             self.server.server_close()
+            # Idle keep-alive handlers sit in a blocking read: end their
+            # input so each exits after the reply it may be writing, and
+            # a client's next request reconnects (to our successor).
+            for connection in list(self.server.connections):
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
             self.app.close()
 
     def start_background(self) -> "ServeDaemon":

@@ -9,13 +9,59 @@ one place.  Records serialize with ``json.dumps(record, sort_keys=True)``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+import base64
+import math
+from typing import Any, Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.batch.request import BatchResult
 
 
+class WireError(ValueError):
+    """A packed array object that breaks the wire format."""
+
+
+def encode_array(array: Any, packed: bool) -> Any:
+    """One array position of a request or reply: the nested list, or
+    packed ``{"f8": <base64 of the C-order little-endian float64
+    bytes>, "shape": [...]}`` — the same bits at 10.7 bytes per element
+    with no decimal printing or parsing on either side."""
+    if not packed:
+        return array.tolist()
+    data = np.asarray(array, dtype="<f8", order="C")
+    return {
+        "f8": base64.b64encode(data).decode("ascii"),
+        "shape": list(data.shape),
+    }
+
+
+def decode_array(value: Any) -> np.ndarray:
+    """Either form of :func:`encode_array` as a float64 array.  A packed
+    object is checked before anything is sized from it: its bytes must
+    number exactly ``8 * prod(shape)``."""
+    if not isinstance(value, Mapping):
+        return np.asarray(value, dtype=np.float64)
+    data, shape = value.get("f8"), value.get("shape")
+    try:
+        if not isinstance(data, str):
+            raise ValueError("'f8' must be a base64 string")
+        if not isinstance(shape, list) or not all(
+            type(dim) is int and dim >= 0 for dim in shape
+        ):
+            raise ValueError("'shape' must list non-negative integers")
+        raw = base64.b64decode(data, validate=True)
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{len(raw)} bytes for shape {shape}")
+        return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    except (ValueError, OverflowError) as exc:
+        raise WireError(f"packed array: {exc}")
+
+
 def result_record(
-    result: BatchResult, record_id: Optional[int] = None
+    result: BatchResult,
+    record_id: Optional[int] = None,
+    packed: bool = False,
 ) -> Dict[str, Any]:
     """One JSONL-able record for a batch result.
 
@@ -32,7 +78,7 @@ def result_record(
             "ok": True,
             "stacked": result.stacked,
             "outputs": {
-                name: matrix.data.tolist()
+                name: encode_array(matrix.data, packed)
                 for name, matrix in result.outputs.items()
             },
         }
