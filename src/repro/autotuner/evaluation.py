@@ -245,18 +245,3 @@ class Evaluator:
         this."""
         _, schedule = self.run_once(config, size)
         return schedule.sequential_time
-
-    def with_machine(
-        self, machine: Machine, workers: Optional[int] = None
-    ) -> "Evaluator":
-        """A sibling evaluator targeting a different machine (fresh cache)."""
-        return Evaluator(
-            program=self.program,
-            transform=self.transform.name,
-            input_generator=self.input_generator,
-            machine=machine,
-            workers=workers,
-            trials=self.trials,
-            seed=self.seed,
-            sink=self.sink,
-        )

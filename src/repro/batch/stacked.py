@@ -3,13 +3,13 @@
 ``plan_stacked`` consumes the same schedule walk the serial engine
 executes (:meth:`CompiledTransform.scheduled_segments` — same size
 binding, same size guards, same option selection, same cached geometry)
-and asks the batch-axis vector planner
-(:func:`repro.engine_fast.vectorize.plan_vector_leaf`
-with ``batch=True``) for every nonempty segment the configuration
-selects.  If every segment qualifies, the whole transform runs as a
-sequence of batched NumPy steps over arrays carrying a leading
-request axis; otherwise the plan reports the first blocking reason and
-the engine falls back to per-request serial execution.
+and reads, for every nonempty segment the configuration selects, the
+site's one vector plan (``CompiledTransform._vector_plan`` — the same
+object the serial vector leaf runs at batch 1; its step takes arrays
+with a leading batch axis).  If every segment qualifies, the whole
+transform runs as a sequence of those steps over the stacked requests;
+otherwise the plan reports the first blocking reason and the engine
+falls back to per-request serial execution.
 
 Eligibility for stacking is strictly narrower than PB501 vector
 eligibility: a segment whose selected option carries a where-clause
@@ -194,9 +194,9 @@ def batch_eligibility(
 def _site_plan(
     transform, segment, rule, has_fallback: bool
 ) -> Tuple[Optional[VectorPlan], str]:
-    """The batch-axis vector plan of one (segment, rule) site, or why
-    it cannot stack — the one predicate behind both the bucket planner
-    and PB503, so the diagnostic cannot disagree with the engine."""
+    """The vector plan of one (segment, rule) site, or why it cannot
+    stack — the one predicate behind both the bucket planner and PB503,
+    so the diagnostic cannot disagree with the engine."""
     if has_fallback:
         return None, "option has a where-clause fallback"
     if rule.native_body is not None:
@@ -206,6 +206,6 @@ def _site_plan(
     if rule.residual_where:
         return None, "rule has a where clause"
     try:
-        return transform._vector_plan(segment, rule, False, batch=True)
+        return transform._vector_plan(segment, rule, False)
     except Exception as error:
         return None, str(error)

@@ -72,6 +72,7 @@ import numpy as np
 from repro.autotuner import GeneticTuner
 from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
+from repro.engine_fast import LEAF_PATH_NAMES
 from repro.faults import FaultInjector, FaultSpecError
 from repro.observe import TraceSink
 from repro.runtime import MACHINES, WorkStealingScheduler
@@ -380,9 +381,6 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-_LEAF_PATHS = {"interp": 0, "closure": 1, "vector": 2}
-
-
 def _apply_leaf_path(
     config: ChoiceConfig, args: argparse.Namespace
 ) -> ChoiceConfig:
@@ -391,7 +389,13 @@ def _apply_leaf_path(
     if leaf is None:
         return config
     config = config or ChoiceConfig()
-    config.tunables[f"{args.transform}.__leaf_path__"] = _LEAF_PATHS[leaf]
+    key = f"{args.transform}.__leaf_path__"
+    config.set_tunable(
+        key, next(v for v, name in LEAF_PATH_NAMES.items() if name == leaf)
+    )
+    # A size-leveled entry of the same name would shadow the flat one
+    # (``ChoiceConfig.tunable_at``); the override replaces it too.
+    config.leveled_tunables.pop(key, None)
     return config
 
 
@@ -563,8 +567,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    import json
-
     from repro.batch import BatchEngine
 
     program = _load_program(args.source)
@@ -718,8 +720,6 @@ def _client_source(client, path: str) -> str:
 
 
 def cmd_client(args: argparse.Namespace) -> int:
-    import json
-
     from repro.serve.client import ServeClient, ServeClientError
     from repro.serve.resilience import RetryPolicy
 
@@ -795,8 +795,6 @@ def _client_run(client, args: argparse.Namespace) -> int:
         inputs = None
     config = None
     if args.config:
-        import json
-
         with open(args.config, "r", encoding="utf-8") as handle:
             config = json.loads(handle.read())
     response = client.run(
@@ -832,7 +830,7 @@ def _client_run(client, args: argparse.Namespace) -> int:
 
 
 def _client_batch(client, args: argparse.Namespace) -> int:
-    import json
+    from repro.serve.client import ServeClientError
 
     phash = _client_source(client, args.source)
     if args.requests == "-":
@@ -852,10 +850,8 @@ def _client_batch(client, args: argparse.Namespace) -> int:
             machine=args.machine,
             config=config,
         )
-    except Exception as exc:
-        from repro.serve.client import ServeClientError
-
-        if isinstance(exc, ServeClientError) and exc.status == 400:
+    except ServeClientError as exc:
+        if exc.status == 400:
             print(f"error: {exc.message}", file=sys.stderr)
             return 2
         raise
@@ -1006,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="save outputs as .npy")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument(
-        "--leaf-path", choices=sorted(_LEAF_PATHS),
+        "--leaf-path", choices=sorted(LEAF_PATH_NAMES.values()),
         help="leaf execution path override (default: closure)",
     )
     p_run.set_defaults(func=cmd_run)
@@ -1037,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL trace file (omit to stream JSONL to stdout)",
     )
     p_trace.add_argument(
-        "--leaf-path", choices=sorted(_LEAF_PATHS),
+        "--leaf-path", choices=sorted(LEAF_PATH_NAMES.values()),
         help="leaf execution path override (default: closure)",
     )
     p_trace.set_defaults(func=cmd_trace)

@@ -247,7 +247,7 @@ class CompiledTransform:
             Tuple[str, int], Tuple[Dict[str, int], List[str]]
         ] = {}
         self._vector_plans: Dict[
-            Tuple[str, int, bool, bool], Tuple[Optional[VectorPlan], str]
+            Tuple[str, int, bool], Tuple[Optional[VectorPlan], str]
         ] = {}
         # PB604 schedule verdicts per (segment, rule): legal when
         # tiling/interchange of the site is provably exact.
@@ -742,12 +742,10 @@ class CompiledTransform:
         """The rule's compiled closure kernel (lowered on first use)."""
         if rule.rule_id in self._kernels:
             return self._kernels[rule.rule_id]
-        kernel = None
-        if rule.is_instance_rule:
-            try:
-                kernel = lower_rule(rule, self.ir)
-            except Exception:
-                kernel = None
+        try:
+            kernel = lower_rule(rule, self.ir)
+        except Exception:
+            kernel = None
         self._kernels[rule.rule_id] = kernel
         return kernel
 
@@ -763,20 +761,14 @@ class CompiledTransform:
         return cached
 
     def _vector_plan(
-        self,
-        segment: Segment,
-        rule: RuleIR,
-        has_fallback: bool,
-        batch: bool = False,
+        self, segment: Segment, rule: RuleIR, has_fallback: bool
     ) -> Tuple[Optional[VectorPlan], str]:
         """The (cached) vector leaf plan or rejection reason for this
-        (segment, rule) site; also the backing store for the PB501/PB502
-        diagnostics (see :func:`repro.analysis.races.vector_leaf_status`).
-
-        ``batch=True`` compiles/caches the batch-axis variant of the
-        same plan (leading stacked-request axis on every matrix), used
-        by :mod:`repro.batch` and the PB503 diagnostic."""
-        key = (segment.key, rule.rule_id, bool(has_fallback), bool(batch))
+        (segment, rule) site — the one plan object the serial engine
+        (at batch 1), the bucket planner of :mod:`repro.batch` and the
+        PB501/PB502/PB503 diagnostics all read (see
+        :func:`repro.analysis.races.vector_leaf_status`)."""
+        key = (segment.key, rule.rule_id, bool(has_fallback))
         cached = self._vector_plans.get(key)
         if cached is None:
             from repro.engine_fast.vectorize import plan_vector_leaf
@@ -789,12 +781,7 @@ class CompiledTransform:
                 cached = (None, str(error))
             else:
                 cached = plan_vector_leaf(
-                    self.ir,
-                    rule,
-                    directions,
-                    var_order,
-                    has_fallback,
-                    batch=batch,
+                    self.ir, rule, directions, var_order, has_fallback
                 )
             self._vector_plans[key] = cached
         return cached
@@ -971,13 +958,6 @@ class CompiledTransform:
         free_pos = [position[v] for v in geometry.free_vars]
         args: List[int] = [0] * len(kernel.params)
 
-        residual = None
-        if rule.residual_where and kernel.residual_maker is not None:
-            residual = kernel.residual_maker(env)
-        # Fallback instances (and un-lowerable residuals) go through the
-        # interpreter's `_apply_once`, sharing one mutable env.
-        residual_env = dict(env) if rule.residual_where else None
-
         def apply_block(
             chain_values: Tuple[int, ...],
             block_instances: Sequence[Tuple[int, ...]],
@@ -986,35 +966,24 @@ class CompiledTransform:
                 args[pos] = value
             total = 0.0
             count = 0
-            if rule.residual_where:
-                for var, value in zip(geometry.chain_vars, chain_values):
-                    residual_env[var] = value
-                for values in block_instances:
-                    for pos, value in zip(free_pos, values):
-                        args[pos] = value
-                    for var, value in zip(geometry.free_vars, values):
-                        residual_env[var] = value
-                    if residual is not None:
-                        ok = bool(residual(*args))
-                    else:
-                        ok = self._residual_ok(rule, residual_env)
-                    if ok:
-                        total += base_work + instance(*args)
-                        count += 1
-                        continue
+            for values in block_instances:
+                for pos, value in zip(free_pos, values):
+                    args[pos] = value
+                ops = instance(*args)
+                if ops is None:
+                    # The where-clause rejected the instance: the
+                    # fallback rule runs it on the interpreter.
                     if fallback is None:
                         raise self._where_failure(
                             rule, geometry, chain_values, values
                         )
+                    rejected = {**env, **dict(zip(kernel.params, args))}
                     self._apply_once(
-                        state, fallback, residual_env, views, tunables
+                        state, fallback, rejected, views, tunables
                     )
-            else:
-                for values in block_instances:
-                    for pos, value in zip(free_pos, values):
-                        args[pos] = value
-                    total += base_work + instance(*args)
-                    count += 1
+                    continue
+                total += base_work + ops
+                count += 1
             if count:
                 state.applications += count
                 recorder.charge(total)
@@ -1083,8 +1052,11 @@ class CompiledTransform:
         (cheaper) task graph and work model than the per-cell paths —
         that difference is exactly what makes the leaf path worth
         tuning.  Tasks form a single sequential chain, which is always a
-        legal schedule of the recorded graph."""
-        arrays = {name: views[name].to_numpy() for name in plan.matrices}
+        legal schedule of the recorded graph.  The step is the site's
+        one batch-axis kernel, run here at batch 1."""
+        arrays = {
+            name: views[name].to_numpy()[None] for name in plan.matrices
+        }
         step = plan.maker(env, tunables, arrays)
         tile_sizes, interchange = tiles or ((), False)
         label = f"{rule.label}[vec:tiled]" if tiles else f"{rule.label}[vec]"
@@ -1388,8 +1360,8 @@ def specialize(
     """
 
     class _StaticTransform(CompiledTransform):
-        def run(self, inputs=None, config_override=None, sizes=None, **kw):  # type: ignore[override]
-            return CompiledTransform.run(self, inputs, config, sizes)
+        def run(self, inputs=None, config_override=None, sizes=None, sink=None):  # type: ignore[override]
+            return CompiledTransform.run(self, inputs, config, sizes, sink)
 
     static = CompiledProgram.__new__(CompiledProgram)
     static.ir = program.ir

@@ -8,7 +8,7 @@ like any other):
 * ``LEAF_INTERP`` (0) — the reference tree-walking interpreter in
   :mod:`repro.language.interp`.  Always available, always correct.
 * ``LEAF_CLOSURE`` (1) — :mod:`repro.engine_fast.closure` generates Python
-  source from the body AST once per rule at compile time and ``exec``\\ s it
+  source from the where-clause and body AST once per rule and ``exec``\\ s it
   into a closure; per-instance cost drops from a tree walk plus dict/view
   churn to one direct call.  Bit-for-bit identical to the interpreter,
   including work accounting, so it is the default.
@@ -17,6 +17,9 @@ like any other):
   straight-line elementwise math over affine cell accesses and the
   dependency analysis proves the free-variable instances independent.
 
+Both lowerers emit through one source builder
+(:mod:`repro.engine_fast.builder`), so a rule has exactly two generated
+kernels: the scalar closure and the (batch-axis) vector step.
 :mod:`repro.engine_fast.geometry` caches the per-(segment, rule, size-env)
 iteration geometry so affine bounds are not re-solved per application.
 """

@@ -2,15 +2,16 @@
 
 The interpreter walks the body AST for every cell instance, rebuilding an
 environment dict and eager region views each time — the dominant cost of
-every benchmark.  This module walks the AST *once*, at
-``compile_program`` time, and emits Python source of the shape::
+every benchmark.  This module walks the AST *once*, on the rule's
+first use, and emits through the shared source builder
+(:mod:`repro.engine_fast.builder`) one kernel of the shape::
 
     def _maker(_env, _tunables, _arrays, _call):
-        _e_n = _env['n']              # hoisted size variables
-        _m_B = _arrays['B']           # hoisted backing arrays (numpy windows)
-        _d_B_0 = _m_B.shape[0]        # hoisted extents for bounds checks
+        ...                           # hoisted sizes, arrays, extents
         def _instance(_s_i):          # one parameter per rule variable
             _ops = 0
+            if <where-clause> == 0:   # only for restricted (meta-)rules
+                return None
             _i_b_0 = _s_i             # region bindings, lowered eagerly
             if not (0 <= _i_b_0 < _d_B_0):
                 raise IndexError(...)
@@ -20,6 +21,10 @@ every benchmark.  This module walks the AST *once*, at
 
 which ``exec`` runs into a *maker*; the engine calls the maker once per
 segment application and the returned ``_instance`` closure once per cell.
+The where-clause sits at the top of ``_instance`` — before the region
+bindings, where the interpreter evaluates it, with op counting off — and
+a rejected instance returns ``None`` for the engine to hand to the
+fallback rule.
 
 Semantics contract — the closure path must be **bit-for-bit identical** to
 the interpreter, including the ``ops`` work accounting the simulated
@@ -53,13 +58,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.engine_fast.builder import KernelBuilder
 from repro.language import ast_nodes as ast
 from repro.language.interp import BUILTINS, EvalError
-from repro.symbolic import Affine
 
 if TYPE_CHECKING:  # typing only — keeps engine_fast free of compiler deps
     from repro.compiler.ir import RegionIR, RuleIR, TransformIR
@@ -116,18 +121,16 @@ class RuleKernel:
     ``maker(env, tunables, arrays, call)`` returns the per-instance
     closure; ``arrays`` maps matrix names to the numpy windows of the
     engine's views (so coordinates stay view-relative).  ``params`` is the
-    positional argument order of the closure (the rule's variables).
-    ``residual_maker(env)``, when lowered, returns a boolean predicate
-    over the same parameters implementing the rule's where-clause.
+    positional argument order of the closure (the rule's variables).  The
+    closure returns the instance's op count, or ``None`` when the rule's
+    where-clause rejects the instance (nothing was read or written).
     """
 
     params: Tuple[str, ...]
     matrices: Tuple[str, ...]
     maker: Callable
-    residual_maker: Optional[Callable]
     uses_call: bool
     source: str
-    residual_source: str = ""
 
 
 class _Val:
@@ -150,52 +153,41 @@ _ARITH = {"+": "+", "-": "-", "*": "*"}
 _COMPARE = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-class _Lowerer:
-    """Compiles one rule body (or its residual where-clause) to source."""
+#: The matrix dimension a row/column binding pins to an index (the
+#: other one is kept whole).
+_FIXED_DIM = {"row": 1, "column": 0}
 
-    def __init__(
-        self, rule: RuleIR, transform: TransformIR, residual: bool = False
-    ) -> None:
-        self.rule = rule
-        self.transform = transform
-        self.residual = residual
-        self.count_ops = not residual
-        self.lines: List[str] = []
-        self.maker_lines: List[str] = []
-        self.depth = 2
+
+class _Lowerer(KernelBuilder):
+    """Compiles one rule — where-clause, bindings, body — to source."""
+
+    tag = "kernel"
+    maker_args = "_env, _tunables, _arrays, _call"
+    kernel_name = "_instance"
+
+    def __init__(self, rule: RuleIR, transform: TransformIR) -> None:
+        super().__init__(transform, rule, rule.rule_vars)
         self.pending = 0
         self.counter = 0
-        self.used_env: Set[str] = set()
-        self.used_tunables: Set[str] = set()
-        self.used_matrices: Set[str] = set()
-        self.used_dims: Dict[str, Set[int]] = {}
         self.used_builtins: Set[str] = set()
         self.uses_call = False
-        self.params: Tuple[str, ...] = tuple(rule.rule_vars)
-        self.param_set = set(rule.rule_vars)
-        self.tunable_names = (
-            set() if residual else {t.name for t in transform.tunables}
-        )
-        self.bindings: Dict[str, RegionIR] = {}
-        if not residual:
-            for region in rule.all_regions:
-                self.bindings[region.bind_name] = region
+        # The where-clause is lowered first, in the interpreter's bare
+        # ``Scope(env)``: region bindings and tunables come into scope,
+        # and op counting and transform calls start, with the body.
+        self.in_body = False
 
     # -- emission ----------------------------------------------------------
-
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.depth + text)
 
     def tmp(self) -> str:
         self.counter += 1
         return f"_t{self.counter}"
 
     def add_ops(self, count: int) -> None:
-        if self.count_ops:
+        if self.in_body:
             self.pending += count
 
     def add_ops_code(self, code: str) -> None:
-        if self.count_ops:
+        if self.in_body:
             self.flush_ops()
             self.line(f"_ops += {code}")
 
@@ -206,53 +198,15 @@ class _Lowerer:
 
     # -- name resolution ---------------------------------------------------
 
-    def _matrix_ref(self, name: str) -> str:
-        self.used_matrices.add(name)
-        return f"_m_{name}"
-
-    def _dim_ref(self, matrix: str, dim: int) -> str:
-        self.used_matrices.add(matrix)
-        self.used_dims.setdefault(matrix, set()).add(dim)
-        return f"_d_{matrix}_{dim}"
-
-    def _affine(self, expr: Affine) -> str:
-        """Exact integer lowering of ``expr.eval_ceil(env)``.
-
-        With ``L = denominator_lcm``, the scaled numerator is an integer
-        expression and ``ceil(num/L) == -((-num) // L)``; for ``L == 1``
-        this collapses to plain integer arithmetic.
-        """
-        lcm = expr.denominator_lcm()
-        parts: List[str] = []
-        constant = expr.constant * lcm
-        if constant.denominator != 1:
-            raise _NotLowerable(f"non-integral constant in {expr}")
-        if constant or not expr.coefficients:
-            parts.append(str(int(constant)))
-        for var, coeff in sorted(expr.coefficients.items()):
-            scaled = coeff * lcm
-            if scaled.denominator != 1:
-                raise _NotLowerable(f"non-integral coefficient in {expr}")
-            if var in self.param_set:
-                name = f"_s_{var}"
-            else:
-                self.used_env.add(var)
-                name = f"_e_{var}"
-            parts.append(f"{int(scaled)} * {name}")
-        code = " + ".join(parts)
-        if lcm == 1:
-            return f"({code})"
-        return f"(-((-({code})) // {lcm}))"
-
     def _resolve_var(self, name: str) -> _Val:
         # Resolution order mirrors the interpreter's scope merge:
         # bindings shadow tunables shadow rule/size variables.
-        if name in self.bindings:
+        if self.in_body and name in self.bindings:
             return self._binding_value(self.bindings[name])
-        if name in self.tunable_names:
+        if self.in_body and name in self.tunable_names:
             self.used_tunables.add(name)
             return _Val("s", f"_u_{name}")
-        if name in self.param_set:
+        if name in self.scalar_vars:
             return _Val("s", f"_s_{name}")
         if name in self.transform.size_vars:
             self.used_env.add(name)
@@ -286,71 +240,44 @@ class _Lowerer:
         """Lower every region binding eagerly, in declaration order
         (to-regions then from-regions, matching the interpreter), with the
         same bounds checks ``MatrixView`` performs."""
+        label = f"{self.transform.name}.{self.rule.label}"
         for region in self.rule.all_regions:
             kind = region.view_kind
             name = region.bind_name
             mat = self._matrix_ref(region.matrix)
             intervals = region.box.intervals
-            label = f"{self.transform.name}.{self.rule.label}"
-            if kind == "cell":
-                checks = []
-                for dim, interval in enumerate(intervals):
-                    self.line(f"_i_{name}_{dim} = {self._affine(interval.lo)}")
-                    extent = self._dim_ref(region.matrix, dim)
-                    checks.append(f"0 <= _i_{name}_{dim} < {extent}")
-                self.line(f"if not ({' and '.join(checks)}):")
-                self.line(
-                    f"    raise IndexError('{label}: cell binding "
-                    f"{name} outside view')"
-                )
-            elif kind == "region":
-                checks = []
-                slices = []
-                for dim, interval in enumerate(intervals):
-                    self.line(
-                        f"_lo_{name}_{dim} = {self._affine(interval.lo)}"
-                    )
-                    self.line(
-                        f"_hi_{name}_{dim} = {self._affine(interval.hi)}"
-                    )
-                    extent = self._dim_ref(region.matrix, dim)
-                    checks.append(
-                        f"0 <= _lo_{name}_{dim} <= _hi_{name}_{dim} "
-                        f"<= {extent}"
-                    )
-                    slices.append(f"_lo_{name}_{dim}:_hi_{name}_{dim}")
-                self.line(f"if not ({' and '.join(checks)}):")
-                self.line(
-                    f"    raise IndexError('{label}: region binding "
-                    f"{name} outside view')"
-                )
-                self.line(f"_b_{name} = {mat}[{', '.join(slices)}]")
-            elif kind == "row":
-                if len(intervals) != 2:
-                    raise _NotLowerable("row binding on non-2-D region")
-                self.line(f"_i_{name}_y = {self._affine(intervals[1].lo)}")
-                extent = self._dim_ref(region.matrix, 1)
-                self.line(f"if not (0 <= _i_{name}_y < {extent}):")
-                self.line(
-                    f"    raise IndexError('{label}: row binding "
-                    f"{name} outside view')"
-                )
-                self.line(f"_b_{name} = {mat}[:, _i_{name}_y]")
-            elif kind == "column":
-                if len(intervals) != 2:
-                    raise _NotLowerable("column binding on non-2-D region")
-                self.line(f"_i_{name}_x = {self._affine(intervals[0].lo)}")
-                extent = self._dim_ref(region.matrix, 0)
-                self.line(f"if not (0 <= _i_{name}_x < {extent}):")
-                self.line(
-                    f"    raise IndexError('{label}: column binding "
-                    f"{name} outside view')"
-                )
-                self.line(f"_b_{name} = {mat}[_i_{name}_x, :]")
-            elif kind == "all":
+            if kind == "all":
                 self.maker_lines.append(f"    _b_{name} = {mat}")
-            else:
+                continue
+            if kind not in ("cell", "region", "row", "column"):
                 raise _NotLowerable(f"unknown view kind {kind!r}")
+            if kind in _FIXED_DIM and len(intervals) != 2:
+                raise _NotLowerable(f"{kind} binding on non-2-D region")
+            checks = []
+            slices = []
+            for dim, interval in enumerate(intervals):
+                if kind == "region":
+                    lo, hi = f"_lo_{name}_{dim}", f"_hi_{name}_{dim}"
+                    self.line(f"{lo} = {self._affine(interval.lo)}")
+                    self.line(f"{hi} = {self._affine(interval.hi)}")
+                    extent = self._dim_ref(region.matrix, dim)
+                    checks.append(f"0 <= {lo} <= {hi} <= {extent}")
+                    slices.append(f"{lo}:{hi}")
+                elif kind == "cell" or dim == _FIXED_DIM[kind]:
+                    index = f"_i_{name}_{dim}"
+                    self.line(f"{index} = {self._affine(interval.lo)}")
+                    extent = self._dim_ref(region.matrix, dim)
+                    checks.append(f"0 <= {index} < {extent}")
+                    slices.append(index)
+                else:
+                    slices.append(":")
+            self.line(f"if not ({' and '.join(checks)}):")
+            self.line(
+                f"    raise IndexError('{label}: {kind} binding "
+                f"{name} outside view')"
+            )
+            if kind != "cell":  # cells are read/written through _cell_ref
+                self.line(f"_b_{name} = {mat}[{', '.join(slices)}]")
 
     # -- expressions -------------------------------------------------------
 
@@ -439,8 +366,11 @@ class _Lowerer:
             if_true.kind, result, if_true.is_float and if_false.is_float
         )
 
-    def _compile_cell_access(self, node: ast.CellAccess) -> _Val:
-        if node.base not in self.bindings:
+    def _cell_access_ref(self, node: ast.CellAccess) -> str:
+        """Lower the coordinates of ``base.cell(...)`` (with the view's
+        bounds check) and return the element reference — a read loads
+        through it, ``x.cell(i) = ...`` stores through it."""
+        if not self.in_body or node.base not in self.bindings:
             raise _NotLowerable(f"cell access on unknown base {node.base!r}")
         region = self.bindings[node.base]
         base = self._binding_value(region)
@@ -469,8 +399,12 @@ class _Lowerer:
             f"    raise IndexError('cell({', '.join(coords)}) outside "
             f"view of {node.base}')"
         )
+        return f"{base.code}[{', '.join(coords)}]"
+
+    def _compile_cell_access(self, node: ast.CellAccess) -> _Val:
+        ref = self._cell_access_ref(node)
         result = self.tmp()
-        self.line(f"{result} = float({base.code}[{', '.join(coords)}])")
+        self.line(f"{result} = float({ref})")
         return _Val("s", result, True)
 
     def _compile_call(self, node: ast.Call) -> _Val:
@@ -487,7 +421,7 @@ class _Lowerer:
             call_args = ", ".join(a.code for a in args)
             self.line(f"{result} = _bi_{node.name}({call_args})")
             return _Val("s", result, True)
-        if self.residual:
+        if not self.in_body:
             raise _NotLowerable("transform call in where-clause")
         if any(a.kind != "a" for a in args):
             raise _NotLowerable("transform call with scalar arguments")
@@ -517,11 +451,7 @@ class _Lowerer:
             return
         if isinstance(stmt.target, ast.CellAccess):
             # The interpreter resolves the target *after* the value.
-            target = self._compile_cell_access(stmt.target)
-            # target.code is `_tN`; recover the indexed reference from the
-            # emitted read line to store through the same element.
-            read_line = self.lines.pop()
-            ref = read_line.split(" = float(", 1)[1].rstrip(")")
+            ref = self._cell_access_ref(stmt.target)
             self._store_scalar(ref, stmt.op, value)
             return
         raise _NotLowerable("invalid assignment target")
@@ -554,111 +484,47 @@ class _Lowerer:
         self.add_ops_code(f"{ref}.size")
         self.line(f"{ref}[...] = {result}")
 
-    # -- drivers -----------------------------------------------------------
+    # -- driver ------------------------------------------------------------
 
-    def lower_body(self) -> str:
+    def lower(self) -> Tuple[Callable, str]:
+        self.line("_ops = 0")
+        for cond in self.rule.residual_where:
+            value = self._compile(cond)
+            self.line(f"if {self.scal(value)} == 0:")
+            self.line("    return None")
+        self.in_body = True
         self.emit_bindings()
         for stmt in self.rule.body:
             self._compile_statement(stmt)
         self.flush_ops()
-        return self._assemble(
-            maker_name="_maker",
-            maker_args="_env, _tunables, _arrays, _call",
-            inner_name="_instance",
-            footer="return _ops",
-            counter_init=True,
+        self.line("return _ops")
+        return self.build(
+            [f"_s_{var}" for var in self.rule.rule_vars],
+            _base_namespace(self.used_builtins),
         )
-
-    def lower_residual(self) -> str:
-        for cond in self.rule.residual_where:
-            value = self._compile(cond)
-            self.line(f"if {self.scal(value)} == 0:")
-            self.line("    return False")
-        self.line("return True")
-        return self._assemble(
-            maker_name="_residual_maker",
-            maker_args="_env",
-            inner_name="_residual",
-            footer=None,
-            counter_init=False,
-        )
-
-    def _assemble(
-        self,
-        maker_name: str,
-        maker_args: str,
-        inner_name: str,
-        footer: Optional[str],
-        counter_init: bool,
-    ) -> str:
-        out: List[str] = [f"def {maker_name}({maker_args}):"]
-        for name in sorted(self.used_env):
-            out.append(f"    _e_{name} = _env[{name!r}]")
-        for name in sorted(self.used_tunables):
-            out.append(f"    _u_{name} = _tunables[{name!r}]")
-        for name in sorted(self.used_matrices):
-            out.append(f"    _m_{name} = _arrays[{name!r}]")
-        for matrix in sorted(self.used_dims):
-            for dim in sorted(self.used_dims[matrix]):
-                out.append(f"    _d_{matrix}_{dim} = _m_{matrix}.shape[{dim}]")
-        out.extend(self.maker_lines)
-        args = ", ".join(f"_s_{v}" for v in self.params)
-        out.append(f"    def {inner_name}({args}):")
-        if counter_init:
-            out.append("        _ops = 0")
-        out.extend(self.lines)
-        if footer:
-            out.append(f"        {footer}")
-        out.append(f"    return {inner_name}")
-        return "\n".join(out) + "\n"
 
 
 def lower_rule(rule: RuleIR, transform: TransformIR) -> Optional[RuleKernel]:
     """Lower one instance rule to a :class:`RuleKernel`.
 
     Returns ``None`` when the rule has a native body, no DSL body, no rule
-    variables, or uses a construct the lowerer cannot prove equivalent to
-    the interpreter — the engine then interprets that rule as before.
+    variables, or uses a construct — in its body or its where-clause — the
+    lowerer cannot prove equivalent to the interpreter; the engine then
+    interprets that rule as before.
     """
     if rule.native_body is not None or not rule.body:
         return None
     if not rule.is_instance_rule:
         return None
+    lowerer = _Lowerer(rule, transform)
     try:
-        lowerer = _Lowerer(rule, transform)
-        source = lowerer.lower_body()
+        maker, source = lowerer.lower()
     except _NotLowerable:
         return None
-    namespace = _base_namespace(lowerer.used_builtins)
-    exec(  # noqa: S102 - compiling our own generated source
-        compile(source, f"<kernel {transform.name}.{rule.label}>", "exec"),
-        namespace,
-    )
-    residual_maker = None
-    residual_source = ""
-    if rule.residual_where:
-        try:
-            res_lowerer = _Lowerer(rule, transform, residual=True)
-            residual_source = res_lowerer.lower_residual()
-            res_namespace = _base_namespace(res_lowerer.used_builtins)
-            exec(  # noqa: S102
-                compile(
-                    residual_source,
-                    f"<residual {transform.name}.{rule.label}>",
-                    "exec",
-                ),
-                res_namespace,
-            )
-            residual_maker = res_namespace["_residual_maker"]
-        except _NotLowerable:
-            residual_maker = None
-            residual_source = ""
     return RuleKernel(
         params=tuple(rule.rule_vars),
         matrices=tuple(sorted(lowerer.used_matrices)),
-        maker=namespace["_maker"],
-        residual_maker=residual_maker,
+        maker=maker,
         uses_call=lowerer.uses_call,
         source=source,
-        residual_source=residual_source,
     )

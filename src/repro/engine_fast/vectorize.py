@@ -37,17 +37,18 @@ ternaries, region reductions, and ``/=`` (whose scalar path raises
 step leaves different partial state than the cell-by-cell loop — error
 paths abort the run either way.
 
-Batch axis (``repro.batch``): with ``batch=True`` the same lowering is
-planned one axis wider — every matrix operand carries a leading *batch*
-dimension stacking B same-shaped requests, so one slice expression
-serves the whole bucket.  The batch axis is a pure broadcast axis: index
-expressions, strides, and bounds checks are functions of the (shared)
-size environment only, so the batched step computes, per batch lane,
-exactly the bytes the unbatched step computes — elementwise IEEE ops
-have no cross-lane interaction.  ``_vdiv``'s zero check spans the whole
-stack; a division by zero anywhere demotes the *bucket* to per-request
-execution (see :mod:`repro.batch.engine`), which reproduces the failing
-request's exact serial error without poisoning its neighbours.
+Batch axis: there is one vector step per site, and every matrix operand
+it takes carries a leading *batch* dimension.  The serial engine runs it
+at batch 1 (``array[None]``, a view); :mod:`repro.batch` hands it B
+same-shaped requests stacked, so one slice expression serves the whole
+bucket.  The batch axis is a pure broadcast axis: index expressions,
+strides, and bounds checks are functions of the (shared) size
+environment only, so each batch lane computes exactly the bytes a
+batch-1 step computes — elementwise IEEE ops have no cross-lane
+interaction.  ``_vdiv``'s zero check spans the whole stack; a division
+by zero anywhere demotes the *bucket* to per-request execution (see
+:mod:`repro.batch.engine`), which reproduces the failing request's exact
+serial error without poisoning its neighbours.
 """
 
 from __future__ import annotations
@@ -69,29 +70,31 @@ from typing import (
 
 import numpy as np
 
+from repro.engine_fast.builder import KernelBuilder
 from repro.engine_fast.geometry import Geometry, split_chain_free
 from repro.language import ast_nodes as ast
 from repro.language.interp import EvalError
 from repro.symbolic import Affine
 
 if TYPE_CHECKING:  # typing only — keeps engine_fast free of compiler deps
-    from repro.compiler.ir import RegionIR, RuleIR, TransformIR
+    from repro.compiler.ir import RuleIR, TransformIR
 
 __all__ = ["VECTOR_STABLE_CALLS", "VectorPlan", "plan_vector_leaf"]
 
-#: builtins whose NumPy lowering is bit-identical to the scalar path.
-_VECTOR_BUILTINS = {
+#: calls whose vector lowering is bit-identical to the scalar path, with
+#: the function that lowers them (``_vmin``/``_vmax`` are defined below).
+_VECTOR_CALLS = {
     "abs": "np.abs",
     "sqrt": "np.sqrt",
     "floor": "np.floor",
     "ceil": "np.ceil",
+    "min": "_vmin",
+    "max": "_vmax",
 }
 
-#: every call name whose vector lowering matches the scalar path exactly
-#: (the builtins above plus the variadic min/max reductions).  The fusion
-#: legality gate (repro.analysis.depend) only inlines producer bodies
-#: built from these, so a fused body stays on the same numeric ops.
-VECTOR_STABLE_CALLS = frozenset(_VECTOR_BUILTINS) | {"min", "max"}
+#: The fusion legality gate (repro.analysis.depend) only inlines producer
+#: bodies built from these, so a fused body stays on the same numeric ops.
+VECTOR_STABLE_CALLS = frozenset(_VECTOR_CALLS)
 
 
 # -- runtime helpers -------------------------------------------------------
@@ -133,24 +136,24 @@ def _vmax(*args):
 _ALL = slice(None)
 
 
-def _base_namespace() -> Dict[str, object]:
-    return {
-        "np": np,
-        "_sl": _sl,
-        "_vdiv": _vdiv,
-        "_vmin": _vmin,
-        "_vmax": _vmax,
-        "_ALL": _ALL,
-    }
+_NAMESPACE = {
+    "np": np,
+    "_sl": _sl,
+    "_vdiv": _vdiv,
+    "_vmin": _vmin,
+    "_vmax": _vmax,
+    "_ALL": _ALL,
+}
 
 
 @dataclass
 class VectorPlan:
     """A compiled vector leaf for one (segment, rule) pair.
 
-    ``maker(env, tunables, arrays)`` returns a step function taking the
+    ``maker(env, tunables, arrays)`` — every array carrying a leading
+    batch axis of one common extent — returns a step function taking the
     chain-variable values followed by ``(lo, count)`` per free variable;
-    one call executes the whole data-parallel step.  ``static_ops`` is the
+    one call executes the whole data-parallel step in every batch lane.  ``static_ops`` is the
     interpreter's exact per-instance op count (the body is branch-free, so
     it is a constant), used by the engine's work model.
 
@@ -172,8 +175,6 @@ class VectorPlan:
     matrices: Tuple[str, ...]
     maker: Callable
     source: str
-    #: planned for arrays with a leading batch axis (``repro.batch``)
-    batch: bool = False
 
     def sweep(
         self,
@@ -223,68 +224,30 @@ class _NotVectorizable(Exception):
     """Internal: carries the human-readable rejection reason."""
 
 
-class _VectorLowerer:
+class _VectorLowerer(KernelBuilder):
+    """Compiles one rule to a step over arrays with a leading batch axis
+    (axis 0 of every operand; matrix dimension ``d`` is array axis
+    ``d + 1``)."""
+
+    tag = "vector"
+    maker_args = "_env, _tunables, _arrays"
+    kernel_name = "_step"
+    axis_shift = 1
+
     def __init__(
         self,
         transform: TransformIR,
         rule: RuleIR,
         chain_vars: Sequence[str],
         free_vars: Sequence[str],
-        batch: bool = False,
     ) -> None:
-        self.transform = transform
-        self.rule = rule
-        self.batch = batch
+        super().__init__(transform, rule, chain_vars)
         self.chain_vars = tuple(chain_vars)
         self.free_vars = tuple(free_vars)
         self.free_set = set(free_vars)
-        self.chain_set = set(chain_vars)
-        self.lines: List[str] = []
-        self.used_env: Set[str] = set()
-        self.used_tunables: Set[str] = set()
-        self.used_matrices: Set[str] = set()
-        self.used_dims: Dict[str, Set[int]] = {}
         self.used_axis_vars: Set[str] = set()
-        self.tunable_names = {t.name for t in transform.tunables}
-        self.bindings: Dict[str, RegionIR] = {}
-        for region in rule.all_regions:
-            self.bindings[region.bind_name] = region
         self.writable = {r.bind_name for r in rule.to_regions}
         self.static_ops = 0
-
-    # -- helpers -----------------------------------------------------------
-
-    def line(self, text: str) -> None:
-        self.lines.append("        " + text)
-
-    def _dim_ref(self, matrix: str, dim: int) -> str:
-        self.used_matrices.add(matrix)
-        self.used_dims.setdefault(matrix, set()).add(dim)
-        return f"_d_{matrix}_{dim}"
-
-    def _scalar_affine(self, expr: Affine) -> str:
-        """Integer ceil-lowering of an affine over chain/size vars only."""
-        lcm = expr.denominator_lcm()
-        parts: List[str] = []
-        constant = expr.constant * lcm
-        if constant or not expr.coefficients:
-            parts.append(str(int(constant)))
-        for var, coeff in sorted(expr.coefficients.items()):
-            scaled = coeff * lcm
-            if scaled.denominator != 1:
-                raise _NotVectorizable(
-                    f"non-integral coefficient in coordinate {expr}"
-                )
-            if var in self.chain_set:
-                name = f"_s_{var}"
-            else:
-                self.used_env.add(var)
-                name = f"_e_{var}"
-            parts.append(f"{int(scaled)} * {name}")
-        code = " + ".join(parts)
-        if lcm == 1:
-            return f"({code})"
-        return f"(-((-({code})) // {lcm}))"
 
     # -- region operands ---------------------------------------------------
 
@@ -304,7 +267,6 @@ class _VectorLowerer:
                     f"(only cell reads/writes vectorize)"
                 )
             mat = region.matrix
-            self.used_matrices.add(mat)
             present: List[str] = []  # free var per kept axis, in dim order
             index_parts: List[str] = []
             checks: List[str] = []
@@ -320,7 +282,7 @@ class _VectorLowerer:
                 extent = self._dim_ref(mat, dim)
                 if not frees:
                     ref = f"_x_{name}_{dim}"
-                    self.line(f"{ref} = {self._scalar_affine(expr)}")
+                    self.line(f"{ref} = {self._affine(expr)}")
                     checks.append(f"0 <= {ref} < {extent}")
                     index_parts.append(ref)
                     continue
@@ -340,7 +302,7 @@ class _VectorLowerer:
                 first = f"_f_{name}_{dim}"
                 last = f"_l_{name}_{dim}"
                 self.line(
-                    f"{first} = {self._scalar_affine(rest)} "
+                    f"{first} = {self._affine(rest)} "
                     f"+ {step} * _lo_{var}"
                 )
                 self.line(f"{last} = {first} + {step} * (_cnt_{var} - 1)")
@@ -360,40 +322,25 @@ class _VectorLowerer:
                     f"write coordinates of {name!r} do not cover "
                     f"parallel variable(s) {', '.join(missing)}"
                 )
-            if self.batch:
-                index_parts.insert(0, "_ALL")
-            self.line(f"_b_{name} = _m_{mat}[{', '.join(index_parts)}]")
-            if present:
-                wanted = [v for v in self.free_vars if v in present]
-                perm = tuple(present.index(v) for v in wanted)
-                if perm != tuple(range(len(perm))):
-                    if self.batch:
-                        # Axis 0 is the batch axis; kept axes shift by 1.
-                        shifted = (0,) + tuple(p + 1 for p in perm)
-                        self.line(
-                            f"_b_{name} = _b_{name}.transpose({shifted})"
-                        )
-                    else:
-                        self.line(
-                            f"_b_{name} = _b_{name}.transpose({perm})"
-                        )
+            index = ", ".join(["_ALL"] + index_parts)
+            self.line(f"_b_{name} = {self._matrix_ref(mat)}[{index}]")
+            wanted = [v for v in self.free_vars if v in present]
+            perm = tuple(present.index(v) for v in wanted)
+            if perm != tuple(range(len(perm))):
+                # Axis 0 is the batch axis; kept axes shift by 1.
+                shifted = (0,) + tuple(p + 1 for p in perm)
+                self.line(f"_b_{name} = _b_{name}.transpose({shifted})")
             if len(present) != len(self.free_vars):
                 expander = ", ".join(
                     "_ALL" if v in present else "None"
                     for v in self.free_vars
                 )
-                if self.batch:
-                    # Without free axes a batched operand is shape (B,):
-                    # right-aligned broadcasting would bind B to the
-                    # innermost free axis, so the expander is mandatory
-                    # (the batch axis stays leftmost, missing free axes
-                    # become explicit broadcast axes).
-                    self.line(f"_b_{name} = _b_{name}[_ALL, {expander}, ]")
-                elif present:
-                    # Unbatched scalar reads (present empty) broadcast
-                    # as 0-d arrays without help, matching the original
-                    # generated source byte-for-byte.
-                    self.line(f"_b_{name} = _b_{name}[{expander}, ]")
+                # Without free axes an operand is shape (B,): right-
+                # aligned broadcasting would bind B to the innermost
+                # free axis, so the expander is mandatory (the batch
+                # axis stays leftmost, missing free axes become explicit
+                # broadcast axes).
+                self.line(f"_b_{name} = _b_{name}[_ALL, {expander}, ]")
 
     def _axis_ref(self, var: str) -> str:
         """A broadcastable float64 coordinate array for a free variable
@@ -406,7 +353,6 @@ class _VectorLowerer:
         for var in self.free_vars:
             if var not in self.used_axis_vars:
                 continue
-            position = self.free_vars.index(var)
             shape = ", ".join(
                 "-1" if v == var else "1" for v in self.free_vars
             )
@@ -433,7 +379,7 @@ class _VectorLowerer:
                 return f"_u_{name}"
             if name in self.free_set:
                 return self._axis_ref(name)
-            if name in self.chain_set:
+            if name in self.scalar_vars:
                 return f"_s_{name}"
             if name in self.transform.size_vars:
                 self.used_env.add(name)
@@ -469,15 +415,10 @@ class _VectorLowerer:
         if isinstance(node, ast.CellAccess):
             raise _NotVectorizable("computed cell access in body")
         if isinstance(node, ast.Call):
-            if node.name in ("min", "max"):
+            if node.name in _VECTOR_CALLS:
                 args = [self._expr(a) for a in node.args]
                 self.static_ops += len(args)
-                fn = "_vmin" if node.name == "min" else "_vmax"
-                return f"{fn}({', '.join(args)})"
-            if node.name in _VECTOR_BUILTINS:
-                args = [self._expr(a) for a in node.args]
-                self.static_ops += len(args)
-                return f"{_VECTOR_BUILTINS[node.name]}({', '.join(args)})"
+                return f"{_VECTOR_CALLS[node.name]}({', '.join(args)})"
             raise _NotVectorizable(
                 f"builtin {node.name!r} is not bit-stable under "
                 f"vectorization"
@@ -511,30 +452,16 @@ class _VectorLowerer:
                     f"assignment operator {stmt.op!r}"
                 )
 
-    # -- assembly ----------------------------------------------------------
+    # -- driver ------------------------------------------------------------
 
-    def assemble(self) -> str:
-        out: List[str] = ["def _maker(_env, _tunables, _arrays):"]
-        for name in sorted(self.used_env):
-            out.append(f"    _e_{name} = _env[{name!r}]")
-        for name in sorted(self.used_tunables):
-            out.append(f"    _u_{name} = _tunables[{name!r}]")
-        for name in sorted(self.used_matrices):
-            out.append(f"    _m_{name} = _arrays[{name!r}]")
-        axis_shift = 1 if self.batch else 0
-        for matrix in sorted(self.used_dims):
-            for dim in sorted(self.used_dims[matrix]):
-                out.append(
-                    f"    _d_{matrix}_{dim} = "
-                    f"_m_{matrix}.shape[{dim + axis_shift}]"
-                )
+    def lower(self) -> Tuple[Callable, str]:
+        self.emit_regions()
+        self.emit_body()
+        self.emit_axis_arrays()
         params = [f"_s_{v}" for v in self.chain_vars]
         for var in self.free_vars:
             params.extend((f"_lo_{var}", f"_cnt_{var}"))
-        out.append(f"    def _step({', '.join(params)}):")
-        out.extend(self.lines)
-        out.append("    return _step")
-        return "\n".join(out) + "\n"
+        return self.build(params, dict(_NAMESPACE))
 
 
 def plan_vector_leaf(
@@ -543,19 +470,15 @@ def plan_vector_leaf(
     directions: Dict[str, int],
     var_order: Sequence[str],
     has_fallback: bool = False,
-    batch: bool = False,
 ) -> Tuple[Optional[VectorPlan], str]:
     """Compile a vector leaf for ``rule``, or explain why it cannot be.
 
     ``directions``/``var_order`` come from the engine's dependency
     analysis for the (segment, rule) pair (``_var_directions``); the
     canonical query is :func:`repro.analysis.races.vector_leaf_status`.
-    Returns ``(plan, "")`` on success, else ``(None, reason)``.
-
-    With ``batch=True`` the maker expects every matrix in ``arrays`` to
-    carry a leading batch axis of one common extent; eligibility is
-    unchanged (the batch axis adds no dependence), so a rule is
-    batch-stackable exactly when it is vectorizable.
+    Returns ``(plan, "")`` on success, else ``(None, reason)``.  The
+    batch axis adds no dependence, so a site is batch-stackable exactly
+    when it is vectorizable.
     """
     if rule.native_body is not None or not rule.body:
         return None, "native (Python) rule body"
@@ -569,29 +492,17 @@ def plan_vector_leaf(
             None,
             "no data-parallel variables; instances form a sequential chain",
         )
-    lowerer = _VectorLowerer(transform, rule, chain_vars, free_vars, batch)
+    lowerer = _VectorLowerer(transform, rule, chain_vars, free_vars)
     try:
-        lowerer.emit_regions()
-        lowerer.emit_body()
-        lowerer.emit_axis_arrays()
-        source = lowerer.assemble()
+        maker, source = lowerer.lower()
     except _NotVectorizable as reason:
         return None, str(reason)
-    namespace = _base_namespace()
-    tag = "vector-batch" if batch else "vector"
-    exec(  # noqa: S102 - compiling our own generated source
-        compile(
-            source, f"<{tag} {transform.name}.{rule.label}>", "exec"
-        ),
-        namespace,
-    )
     plan = VectorPlan(
         chain_vars=chain_vars,
         free_vars=free_vars,
         static_ops=lowerer.static_ops,
         matrices=tuple(sorted(lowerer.used_matrices)),
-        maker=namespace["_maker"],
+        maker=maker,
         source=source,
-        batch=batch,
     )
     return plan, ""

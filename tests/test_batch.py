@@ -346,3 +346,56 @@ def test_stacked_plan_walks_the_serial_schedule(shape):
     assert serial, "the serial run took no vector leaf"
     assert sink.counter("exec.vector_fallbacks") == 0
     assert [(s.segment_key, s.rule_label) for s in plan.steps] == serial
+
+
+def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
+    """One generated vector kernel per site: the serial vector leaf (at
+    batch 1) and a stacked bucket run the *same* cached plan objects,
+    and a lowered rule body has a single maker."""
+    import dataclasses
+
+    import repro.batch.engine as batch_engine
+    from repro.compiler.codegen import CompiledTransform
+    from repro.engine_fast import RuleKernel, VectorPlan
+
+    serial_plans = []
+    run_vector_steps = CompiledTransform._run_vector_steps
+
+    def spy_vector_steps(self, *args):
+        serial_plans.extend(a for a in args if isinstance(a, VectorPlan))
+        return run_vector_steps(self, *args)
+
+    stacked_plans = []
+    run_stacked = batch_engine.run_stacked
+
+    def spy_run_stacked(transform, plan, *args, **kwargs):
+        stacked_plans.extend(step.plan for step in plan.steps)
+        return run_stacked(transform, plan, *args, **kwargs)
+
+    monkeypatch.setattr(CompiledTransform, "_run_vector_steps", spy_vector_steps)
+    monkeypatch.setattr(batch_engine, "run_stacked", spy_run_stacked)
+
+    stages = compile_program(STAGES).transform("Stages")
+    config = ChoiceConfig()
+    config.set_tunable("Stages.__leaf_path__", 2)
+    a = np.arange(12.0).reshape(3, 4)
+    serial = stages.run({"A": a}, config)
+    engine = BatchEngine()
+    for _ in range(3):
+        engine.submit(stages, {"A": a}, config)
+    results = engine.gather()
+    assert all(result.stacked for result in results)
+    assert results[0].output().tobytes() == serial.output().tobytes()
+
+    assert len(serial_plans) == 3  # T, B row 0, B chain
+    assert len(stacked_plans) == len(serial_plans)
+    assert all(s is b for s, b in zip(serial_plans, stacked_plans))
+    # One cache entry per (segment, rule, fallback?) site, no batch twin.
+    assert len(stages._vector_plans) == len(serial_plans)
+    assert all(len(key) == 3 for key in stages._vector_plans)
+    makers = [
+        field.name
+        for field in dataclasses.fields(RuleKernel)
+        if "maker" in field.name
+    ]
+    assert makers == ["maker"]

@@ -128,6 +128,26 @@ class TestTrace:
     def test_trace_missing_inputs_errors(self, source, capsys):
         assert main(["trace", source, "-t", "RollingSum"]) == 2
 
+    def test_leaf_path_overrides_leveled_config_entry(
+        self, source, tmp_path, capsys
+    ):
+        """``--leaf-path`` wins even when the config levels the leaf
+        path by size (a leveled entry shadows the flat tunable)."""
+        config = ChoiceConfig()
+        config.set_leveled_tunable(
+            "RollingSum.__leaf_path__", Selector.static(1)
+        )
+        cfg_path = tmp_path / "cfg.json"
+        config.save(str(cfg_path))
+        base = [
+            "trace", source, "-t", "RollingSum", "--random-input", "16",
+            "--config", str(cfg_path), "-o", str(tmp_path / "t.jsonl"),
+        ]
+        assert main(base) == 0
+        assert "exec.closure_calls" in capsys.readouterr().out
+        assert main(base + ["--leaf-path", "interp"]) == 0
+        assert "exec.closure_calls" not in capsys.readouterr().out
+
 
 class TestTuneAndReport:
     def test_tune_writes_config(self, source, tmp_path, capsys):

@@ -294,11 +294,19 @@ class TestChoiceIntegration:
         config = _leaf_config("Elementwise", 2)
         static = specialize(program, config)
         a = np.random.default_rng(4).uniform(-1, 1, (8, 9))
-        result = static.transform("Elementwise").run({"A": a})
+        sink = TraceSink()
+        result = static.transform("Elementwise").run({"A": a}, sink=sink)
         reference = program.transform("Elementwise").run(
             {"A": a}, _leaf_config("Elementwise", 0)
         )
         assert result.output().tobytes() == reference.output().tobytes()
+        # Tracing a specialized transform records like the dynamic run.
+        dynamic = TraceSink()
+        program.transform("Elementwise").run({"A": a}, config, sink=dynamic)
+        assert sink.counter("exec.vectorized_cells") > 0
+        assert sink.counter("exec.vectorized_cells") == dynamic.counter(
+            "exec.vectorized_cells"
+        )
 
     def test_check_reports_leaf_path_diagnostics(self):
         report = check_source(ELEMENTWISE)

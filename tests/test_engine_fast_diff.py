@@ -7,8 +7,15 @@ interpreter, closure, and vector leaf paths and must produce
 * bit-identical outputs (exact ``tobytes`` equality, no tolerance), and
 * identical observable write sets — output/through matrices are
   sentinel-filled at allocation, so "written" is detectable per cell.
+
+Programs with a residual where-clause (meta-rules) run the closure with
+the predicate lowered *inside* it; for those the paths must also agree
+on ``rule_applications``, total work, and — when an instance is rejected
+with no fallback rule — on the error text and the cells written up to
+the abort.
 """
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -16,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler import ChoiceConfig, Selector, compile_program
+from repro.language.errors import PetaBricksError
 from repro.runtime.matrix import Matrix
 
 #: A value no generated program can produce from the bounded inputs.
@@ -32,39 +40,69 @@ def sentinel_alloc():
     """Allocate output/through matrices filled with SENTINEL instead of
     zeros, making the write set observable.  A context manager rather
     than a pytest fixture: hypothesis re-runs the test body, not
-    function-scoped fixtures."""
+    function-scoped fixtures.  Yields the matrices allocated so far, so
+    a run that raises can still be inspected at its abort point."""
+    allocated = []
 
     def filled(shape, name="", dtype=np.float64):
-        return Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
+        matrix = Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
+        allocated.append(matrix)
+        return matrix
 
     original = Matrix.zeros
     Matrix.zeros = staticmethod(filled)
     try:
-        yield
+        yield allocated
     finally:
         Matrix.zeros = original
 
 
-def _run_paths(source, transform_name, inputs, choices=None):
-    """(output bytes, write-set bytes) per leaf path."""
+def _run_paths(
+    source,
+    transform_name,
+    inputs,
+    choices=None,
+    prepare=None,
+    allow_errors=False,
+):
+    """(output bytes, write-set bytes, (rule applications, total work,
+    error)) per leaf path.  ``prepare`` may edit the compiled transform
+    before the first run.  A run that raises fails the test, unless
+    ``allow_errors``: then it reports every matrix it had allocated, as
+    of the abort, and the caller must compare the summaries."""
     program = compile_program(source)
     transform = program.transform(transform_name)
+    if prepare is not None:
+        prepare(transform)
     observed = {}
     for leaf in LEAF_PATHS:
         config = ChoiceConfig()
         config.set_tunable(f"{transform_name}.__leaf_path__", leaf)
         for site, option in (choices or {}).items():
             config.set_choice(site, Selector.static(option))
-        with sentinel_alloc():
-            result = transform.run(
-                {k: v.copy() for k, v in inputs.items()}, config
-            )
+        with sentinel_alloc() as allocated:
+            try:
+                result = transform.run(
+                    {k: v.copy() for k, v in inputs.items()}, config
+                )
+            except (PetaBricksError, IndexError) as error:
+                if not allow_errors:
+                    raise
+                matrices = {matrix.name: matrix for matrix in allocated}
+                summary = (None, None, f"{type(error).__name__}: {error}")
+            else:
+                matrices = result.outputs
+                summary = (
+                    result.rule_applications,
+                    result.graph.total_work(),
+                    None,
+                )
         outputs = {}
         writes = {}
-        for name, matrix in result.outputs.items():
+        for name, matrix in matrices.items():
             outputs[name] = matrix.data.tobytes()
             writes[name] = (matrix.data != SENTINEL).tobytes()
-        observed[leaf] = (outputs, writes)
+        observed[leaf] = (outputs, writes, summary)
     return observed
 
 
@@ -82,9 +120,28 @@ def _assert_paths_agree(observed):
 # -- random elementwise programs ------------------------------------------
 
 
+#: Non-affine predicates over the instance variables: each stays a
+#: *residual* where-clause the engine must evaluate per instance.
+_PREDICATES = (
+    "(x + y) % 2 == 0",
+    "x % 3 != 1",
+    "x * y < 4",
+    "x % 2 == 0 && y % 2 == 1",
+    "x * x > 100",  # rejects everything
+    "x * y >= 0",  # accepts everything
+)
+
+
 @st.composite
-def elementwise_programs(draw):
-    """A random straight-line elementwise 2-D stencil program."""
+def elementwise_programs(draw, where=False):
+    """A random straight-line elementwise 2-D stencil program.
+
+    With ``where`` the rule becomes a meta-rule: it carries a residual
+    where-clause and a second, unrestricted rule catches the instances
+    the predicate rejects.  It may also read ``A.cell(x + y, y)`` — a
+    coordinate coupling both variables, which the compiler guards with
+    an implicit residual clause (``x + y < n + 2``); lowering that
+    binding before the clause would read out of bounds."""
     n_reads = draw(st.integers(1, 3))
     reads = []
     for idx in range(n_reads):
@@ -95,6 +152,16 @@ def elementwise_programs(draw):
         f"A.cell(x+{dx}, y+{dy}) {name}" if dx or dy else f"A.cell(x, y) {name}"
         for name, dx, dy in reads
     )
+    clause = ""
+    if where:
+        predicate = draw(st.sampled_from(_PREDICATES))
+        if draw(st.booleans()):
+            reads.append(("g", None, None))
+            froms += ", A.cell(x + y, y) g"
+            if draw(st.booleans()):
+                predicate = ""  # the implicit guard is the only clause
+        if predicate:
+            clause = f" where {predicate}"
 
     def expr(depth):
         if depth == 0 or draw(st.booleans()):
@@ -123,12 +190,19 @@ def elementwise_programs(draw):
         op = draw(st.sampled_from(("+=", "-=", "*=")))
         statements.append(f"b {op} {expr(1)};")
     body = " ".join(statements)
+    rules = f"  to (B.cell(x, y) b) from ({froms}){clause} {{ {body} }}\n"
+    if where:
+        del reads[1:]  # the fallback rule binds r0 only
+        rules += (
+            "  to (B.cell(x, y) b) from (A.cell(x, y) r0) "
+            f"{{ b = {expr(1)} - 0.5; }}\n"
+        )
     source = (
         "transform Stencil\n"
         "from A[n+2, m+2]\n"
         "to B[n, m]\n"
         "{\n"
-        f"  to (B.cell(x, y) b) from ({froms}) {{ {body} }}\n"
+        f"{rules}"
         "}\n"
     )
     return source
@@ -146,6 +220,52 @@ def test_random_elementwise_programs_agree(source, n, m, seed):
     inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
     observed = _run_paths(source, "Stencil", inputs)
     _assert_paths_agree(observed)
+
+
+# -- residual where-clauses (meta-rules) -----------------------------------
+
+
+def _drop_fallbacks(transform):
+    """Strip the fallback rule off every meta-rule option.  No DSL source
+    compiles to this (PB301 demands coverage), but the engine defines
+    the outcome: the first rejected instance aborts the run."""
+    for segment in transform.grid.all_segments():
+        segment.options = tuple(
+            dataclasses.replace(option, fallback=None)
+            for option in segment.options
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=elementwise_programs(where=True),
+    fallback=st.booleans(),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_where_clause_programs_agree(source, fallback, n, m, seed):
+    """Meta-rules: the closure evaluates the where-clause itself (before
+    its bindings, like the interpreter) and hands rejected instances to
+    the fallback — or, with none, aborts where the interpreter does."""
+    rng = np.random.default_rng(seed)
+    inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
+    observed = _run_paths(
+        source,
+        "Stencil",
+        inputs,
+        choices={"Stencil.B.0": 1},  # option 0 is the fallback on its own
+        prepare=None if fallback else _drop_fallbacks,
+        allow_errors=not fallback,
+    )
+    _assert_paths_agree(observed)
+    error = observed[0][2][2]
+    # The only legitimate abort is the engine's own rejection report.
+    assert error is None or (
+        error.startswith("ExecutionError: ") and "where-clause fails" in error
+    )
+    for leaf in LEAF_PATHS[1:]:  # vector demotes to the closure here
+        assert observed[leaf][2] == observed[0][2]
 
 
 # -- the RollingSum choice space ------------------------------------------
