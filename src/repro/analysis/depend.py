@@ -73,6 +73,7 @@ from repro.compiler.codegen import ExecutionError
 from repro.compiler.ir import ROLE_INPUT, RegionIR, RuleIR, TransformIR
 from repro.engine_fast.geometry import split_chain_free
 from repro.language import ast_nodes as ast
+from repro.symbolic import Affine
 from repro.symbolic.solve import unit_stride_offset
 
 #: Per-dimension dependence distance; ``None`` renders as ``*``.
@@ -234,11 +235,7 @@ def _structural_block(
     for interval in to.box.intervals:
         lo = interval.lo
         names = lo.variables()
-        if (
-            len(names) != 1
-            or lo.coefficient(names[0]) != 1
-            or lo.constant != 0
-        ):
+        if len(names) != 1 or lo != Affine.var(names[0]):
             return (
                 f"producer {p.label} write coordinates are not an "
                 f"identity map over its instance variables"

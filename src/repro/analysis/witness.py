@@ -19,7 +19,6 @@ already reject.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,10 +71,10 @@ def size_envs(compiled, budget: WitnessBudget = DEFAULT_BUDGET) -> List[SizeEnv]
     ranges: List[List[int]] = []
     for var in variables:
         lo, hi = ir.assumptions.range_of(var)
-        start = 0 if lo is None else max(0, math.ceil(lo))
+        start = 0 if lo is None else max(0, lo)
         stop = start + span
         if hi is not None:
-            stop = min(stop, math.floor(hi))
+            stop = min(stop, hi)
         ranges.append(list(range(start, stop + 1)))
     combos = sorted(
         itertools.product(*ranges), key=lambda combo: (sum(combo), combo)
@@ -94,13 +93,13 @@ def size_envs(compiled, budget: WitnessBudget = DEFAULT_BUDGET) -> List[SizeEnv]
 def order_guards_hold(compiled, env: SizeEnv) -> bool:
     """Would the engine accept these sizes? (mirrors `_execute`)."""
     return all(
-        guard.evaluate(env) >= 0 for guard in compiled.grid.order_guards
+        guard.eval_floor(env) >= 0 for guard in compiled.grid.order_guards
     )
 
 
 def size_guards_hold(rule, env: SizeEnv) -> bool:
     """Would `_check_size_guards` accept this rule at these sizes?"""
-    return all(guard.evaluate(env) >= 0 for guard in rule.size_guards)
+    return all(guard.eval_floor(env) >= 0 for guard in rule.size_guards)
 
 
 def matrix_shape(compiled, matrix_name: str, env: SizeEnv) -> Tuple[int, ...]:

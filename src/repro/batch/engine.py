@@ -47,7 +47,7 @@ from repro.batch.request import (
     input_arrays,
 )
 from repro.batch.stacked import StackedPlan, plan_stacked, run_stacked
-from repro.compiler.codegen import CompiledTransform
+from repro.compiler.codegen import CompiledTransform, normalize_sizes
 from repro.compiler.config import ChoiceConfig
 from repro.engine_fast import LRUCache
 from repro.runtime.batchqueue import BucketQueue
@@ -121,6 +121,7 @@ class BatchEngine:
         try:
             arrays = input_arrays(transform, inputs)
             shapes = tuple(array.shape for array in arrays)
+            sizes = normalize_sizes(sizes) or None
         except Exception:
             # malformed: serial fallback reports the error
             arrays = None

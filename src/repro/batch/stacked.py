@@ -85,7 +85,7 @@ def plan_stacked(
 def _plan(transform, shapes, config, explicit_sizes):
     env = transform.bind_sizes_from_shapes(shapes, explicit_sizes)
     for guard in transform.grid.order_guards:
-        if guard.evaluate(env) < 0:
+        if guard.eval_floor(env) < 0:
             return None, f"order guard {guard} fails at {dict(env)}"
 
     allocations, problem_size = transform.frame_layout(env, shapes)

@@ -22,7 +22,6 @@ such rules as restricted (bounding-box + meta-rule semantics, §3.1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from repro.language import ast_nodes as ast
@@ -81,9 +80,9 @@ def _analyze_rule(transform: TransformIR, rule: RuleIR) -> None:
         """Record constraint expr >= 0 (or > 0), splitting by rule vars."""
         if strict:
             # Integer-valued variables make expr a multiple of 1/L, so
-            # e > 0  <=>  e >= 1/L  <=>  e - 1/L >= 0 (exact; the old
-            # "e - 1" form over-tightened fractional expressions).
-            expr = expr - Fraction(1, expr.denominator_lcm())
+            # e > 0  <=>  e >= 1/L  <=>  e - 1/L >= 0 (exact; an "e - 1"
+            # form would over-tighten fractional expressions).
+            expr = expr.stepped(-1)
         rule_var_list = [v for v in expr.variables() if v in bounds]
         if not rule_var_list:
             if expr.always_ge(0, assumptions):
@@ -107,21 +106,17 @@ def _analyze_rule(transform: TransformIR, rule: RuleIR) -> None:
             residual.append(_ge_zero_node(expr))
             return
         var = rule_var_list[0]
-        coeff = expr.coefficient(var)
-        rest = expr - Affine(0, {var: coeff})
-        bound = (-rest) / coeff
-        if coeff > 0:
+        bound = expr.solved_for(var)
+        if expr.coefficient_sign(var) > 0:
             bounds[var].add_lower(_ceil_for_integers(bound), assumptions)
         else:
-            # var <= bound over integers is var < bound + 1/L where L is
-            # the LCM of bound's denominators: concrete evaluation rounds
-            # the half-open hi with ceil, and ceil(bound + 1/L) is exactly
-            # floor(bound) + 1.  (The previous flat +1 shift admitted one
-            # extra instance whenever bound evaluated to a non-integer —
-            # an out-of-bounds read at even sizes for strides like 2*i.)
-            bounds[var].add_upper(
-                bound + Fraction(1, bound.denominator_lcm()), assumptions
-            )
+            # var <= bound over integers is var < bound + 1/L: concrete
+            # evaluation rounds the half-open hi with ceil, and
+            # ceil(bound + 1/L) is exactly floor(bound) + 1.  (A flat +1
+            # shift admits one extra instance whenever bound evaluates to
+            # a non-integer — an out-of-bounds read at even sizes for
+            # strides like 2*i.)
+            bounds[var].add_upper(bound.stepped(1), assumptions)
 
     residual: List[ast.ExprNode] = []
 

@@ -15,7 +15,6 @@ rejects (the paper's meta-rule construction).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -103,11 +102,10 @@ def build_choice_grid(transform: TransformIR) -> ChoiceGrid:
         if len(variables) != 1:
             continue
         var = variables[0]
-        coeff = guard.coefficient(var)
-        if coeff > 0:
-            minimum = math.ceil(-guard.constant / coeff)
+        if guard.coefficient_sign(var) > 0:
+            # c*var + r >= 0 with c > 0: var >= ceil(-r/c).
             transform.assumptions = transform.assumptions.with_at_least(
-                var, int(minimum)
+                var, guard.solved_for(var).eval_ceil({})
             )
     grids: Dict[str, List[Segment]] = {}
     for matrix in computed:

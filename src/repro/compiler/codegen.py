@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -113,6 +114,39 @@ class RunResult:
                 raise ValueError("transform has multiple outputs; pass a name")
             name = next(iter(self.outputs))
         return self.outputs[name].data
+
+
+def normalize_sizes(sizes: object) -> Dict[str, int]:
+    """Explicit ``sizes=`` bindings as ``{variable: non-negative int}``.
+
+    The one gate between caller-supplied sizes (library arguments, CLI
+    flags, JSON request bodies) and the integer evaluator: integral
+    values of any numeric type (``int``, NumPy ints, ``3.0``) become
+    ``int``; anything else — a non-mapping, a string, ``2.7``, a negative
+    — raises :class:`ExecutionError` naming the variable.
+    """
+    if sizes is None:
+        return {}
+    if not isinstance(sizes, Mapping):
+        raise ExecutionError(
+            f"sizes must map size variables to integers, got "
+            f"{type(sizes).__name__}"
+        )
+    normalized: Dict[str, int] = {}
+    for var, value in sizes.items():
+        number = None
+        if isinstance(value, numbers.Real):
+            try:
+                number = int(value)
+            except (ValueError, OverflowError):  # nan, inf
+                pass
+        if number is None or number != value or number < 0:
+            raise ExecutionError(
+                f"size variable {var!r} must be a non-negative integer, "
+                f"got {value!r}"
+            )
+        normalized[var] = number
+    return normalized
 
 
 #: "fused variant not planned yet" marker (None is a valid cached plan).
@@ -290,7 +324,7 @@ class CompiledTransform:
         return RunResult(
             outputs=outputs,
             graph=recorder.graph(),
-            sizes={k: int(v) for k, v in env.items()},
+            sizes=dict(env),
             rule_applications=state.applications,
         )
 
@@ -333,10 +367,8 @@ class CompiledTransform:
         explicit: Optional[Mapping[str, int]],
     ) -> Dict[str, int]:
         """Size variables from the input shapes (declared order)."""
-        key = (
-            tuple(shapes),
-            tuple(sorted(explicit.items())) if explicit else (),
-        )
+        explicit = normalize_sizes(explicit)
+        key = (tuple(shapes), tuple(sorted(explicit.items())))
         cached = self._size_cache.get(key)
         if cached is not None:
             return dict(cached)
@@ -370,9 +402,9 @@ class CompiledTransform:
     def _bind_sizes_uncached(
         self,
         shapes: Sequence[Tuple[int, ...]],
-        explicit: Optional[Mapping[str, int]],
+        explicit: Dict[str, int],
     ) -> Dict[str, int]:
-        env: Dict[str, int] = dict(explicit or {})
+        env: Dict[str, int] = dict(explicit)
         # Iteratively bind size variables from dimension equations.
         equations: List[Tuple[Affine, int, str]] = []
         for mat, shape in zip(self.ir.inputs, shapes):
@@ -390,15 +422,14 @@ class CompiledTransform:
                 unknown = [v for v in expr.variables() if v not in env]
                 if len(unknown) == 1:
                     var = unknown[0]
-                    coeff = expr.coefficient(var)
-                    rest = expr - Affine(0, {var: coeff})
-                    value = (extent - rest.evaluate(env)) / coeff
-                    if value.denominator != 1 or value < 0:
+                    solved = (expr - extent).solved_for(var)
+                    value = solved.eval_floor(env)
+                    if value < 0 or solved.eval_ceil(env) != value:
                         raise ExecutionError(
                             f"{self.name}: input {mat_name!r} extent "
                             f"{extent} does not satisfy {expr}"
                         )
-                    env[var] = int(value)
+                    env[var] = value
                     progress = True
         for expr, extent, mat_name in equations:
             if any(v not in env for v in expr.variables()):
@@ -501,7 +532,7 @@ class CompiledTransform:
         )
 
         for guard in self.grid.order_guards:
-            if guard.evaluate(env) < 0:
+            if guard.eval_floor(env) < 0:
                 raise ExecutionError(
                     f"{self.name}: sizes {dict(env)} violate the assumed "
                     f"region ordering {guard} >= 0 (input too small for "
@@ -660,7 +691,7 @@ class CompiledTransform:
 
     def _check_size_guards(self, rule: RuleIR, env: Dict[str, int]) -> None:
         for guard in rule.size_guards:
-            if guard.evaluate(env) < 0:
+            if guard.eval_floor(env) < 0:
                 raise ExecutionError(
                     f"{self.name} {rule.label}: size constraint "
                     f"{guard} >= 0 fails for {dict(env)}"
@@ -1150,8 +1181,7 @@ class CompiledTransform:
                     controlling_dim.setdefault(var, dim)
                     if order.signs[dim] == 0:
                         continue
-                    coeff = interval.lo.coefficient(var)
-                    sign = 1 if coeff > 0 else -1
+                    sign = interval.lo.coefficient_sign(var)
                     required = order.signs[dim] * sign
                     if directions.get(var, required) != required:
                         raise ExecutionError(

@@ -227,8 +227,7 @@ def _sweep_expr(
         bounds = var_bounds.get(var)
         if bounds is None:
             continue
-        coeff = swept.coefficient(var)
-        take_low = (coeff > 0) == minimize
+        take_low = (swept.coefficient_sign(var) > 0) == minimize
         swept = swept.subs({var: bounds.lo if take_low else bounds.hi - 1})
     return swept
 

@@ -70,23 +70,22 @@ class KernelBuilder:
     def _affine(self, expr: Affine) -> str:
         """Exact integer lowering of ``expr.eval_ceil(env)``.
 
-        With ``L = denominator_lcm`` (which covers the constant and every
-        coefficient), the scaled numerator is an integer expression and
+        An :class:`Affine` *is* an integer numerator over one common
+        denominator ``L`` (:meth:`Affine.as_integers`), and
         ``ceil(num/L) == -((-num) // L)``; for ``L == 1`` this collapses
         to plain integer arithmetic.
         """
-        lcm = expr.denominator_lcm()
+        constant, terms, lcm = expr.as_integers()
         parts: List[str] = []
-        constant = expr.constant * lcm
-        if constant or not expr.coefficients:
-            parts.append(str(int(constant)))
-        for var, coeff in sorted(expr.coefficients.items()):
+        if constant or not terms:
+            parts.append(str(constant))
+        for var, numerator in terms:
             if var in self.scalar_vars:
                 name = f"_s_{var}"
             else:
                 self.used_env.add(var)
                 name = f"_e_{var}"
-            parts.append(f"{int(coeff * lcm)} * {name}")
+            parts.append(f"{numerator} * {name}")
         code = " + ".join(parts)
         if lcm == 1:
             return f"({code})"

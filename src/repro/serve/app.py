@@ -50,6 +50,7 @@ from repro.autotuner import GeneticTuner
 from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
 from repro.batch.request import config_digest
 from repro.compiler import ChoiceConfig
+from repro.compiler.codegen import ExecutionError, normalize_sizes
 from repro.observe import ThreadSafeSink
 from repro.runtime import MACHINES
 
@@ -194,7 +195,10 @@ class ServeApp:
                 inputs, shapes = self._inputs(payload.get("inputs"))
             except (TypeError, ValueError) as exc:
                 raise ServeError(400, f"bad input arrays: {exc}")
-            sizes = payload.get("sizes") or None
+            try:
+                sizes = normalize_sizes(payload.get("sizes")) or None
+            except ExecutionError as exc:
+                raise ServeError(400, f"bad sizes: {exc}")
             bucket = bucket_for(shapes, sizes)
 
             config, version, hit = self._resolve_config(
@@ -274,6 +278,7 @@ class ServeApp:
                 request = json.loads(line)
                 transform = entry.program.transform(request["transform"])
                 inputs, shapes = self._line_inputs(request.get("inputs"))
+                sizes = normalize_sizes(request.get("sizes")) or None
             except Exception as exc:
                 if strict:
                     raise ServeError(400, f"request line {lineno}: {exc}")
@@ -296,7 +301,7 @@ class ServeApp:
                 registered = self.registry.lookup(
                     entry.phash,
                     machine,
-                    bucket_for(shapes, request.get("sizes")),
+                    bucket_for(shapes, sizes),
                 )
                 config = registered.config if registered else None
                 if registered is not None:
@@ -309,7 +314,7 @@ class ServeApp:
                     transform,
                     inputs,
                     config,
-                    request.get("sizes"),
+                    sizes,
                     digest,
                 )
             )

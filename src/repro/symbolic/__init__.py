@@ -8,10 +8,19 @@ rational affine arithmetic, inequality reasoning under variable bounds,
 half-open interval algebra, and solving affine constraints for a single
 variable — is provided natively by this package.
 
+Representation invariant, shared by the whole package: an expression is
+integer numerators over one positive, gcd-normalised common denominator
+— ``(n0 + n1*v1 + ...) / den`` — and assumption ranges are plain ints, so
+arithmetic, substitution, inequality reasoning and floor/ceil evaluation
+are integer arithmetic throughout.  The form is canonical (``==`` and
+``hash`` compare the stored fields) and is the one the generated kernels
+evaluate.  :class:`fractions.Fraction` appears only in the exact read-out
+accessors (``constant``, ``coefficient``, ``evaluate``, ``bounds`` ...).
+
 Public surface:
 
 * :class:`~repro.symbolic.expr.Affine` — exact affine expression
-  ``c0 + c1*v1 + ...`` with :class:`fractions.Fraction` coefficients.
+  ``c0 + c1*v1 + ...`` with rational coefficients.
 * :class:`~repro.symbolic.assumptions.Assumptions` — per-variable integer
   bounds used to decide symbolic inequalities.
 * :class:`~repro.symbolic.interval.Interval` /

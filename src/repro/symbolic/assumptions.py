@@ -2,21 +2,27 @@
 
 The compiler reasons about region bounds like ``0 <= 1 <= n`` which only
 hold under assumptions such as ``n >= 1``.  An :class:`Assumptions` object
-records an inclusive integer range per variable.  By default every
-variable is assumed non-negative (coordinates and sizes are never
-negative in PetaBricks), and transform *size* variables are typically
-registered with a minimum of 1 by the compiler frontend.
+records an inclusive integer range per variable, stored as plain ints so
+that :class:`~repro.symbolic.expr.Affine` folds them into its integer
+numerators without leaving the integers.  By default every variable is
+assumed non-negative (coordinates and sizes are never negative in
+PetaBricks), and transform *size* variables are typically registered
+with a minimum of 1 by the compiler frontend.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 from typing import Dict, Mapping, Optional, Tuple, Union
 
-Bound = Optional[Fraction]
+Bound = Optional[int]
 AssumptionsLike = Union["Assumptions", Mapping[str, Tuple[int, Optional[int]]], None]
 
-_DEFAULT_RANGE: Tuple[Bound, Bound] = (Fraction(0), None)
+_DEFAULT_RANGE: Tuple[Bound, Bound] = (0, None)
+
+
+def _bound(value: Optional[int]) -> Bound:
+    return None if value is None else index(value)
 
 
 class Assumptions:
@@ -31,10 +37,7 @@ class Assumptions:
         self._ranges: Dict[str, Tuple[Bound, Bound]] = {}
         if ranges:
             for var, (lo, hi) in ranges.items():
-                self._ranges[var] = (
-                    None if lo is None else Fraction(lo),
-                    None if hi is None else Fraction(hi),
-                )
+                self._ranges[var] = (_bound(lo), _bound(hi))
 
     @staticmethod
     def coerce(value: AssumptionsLike) -> "Assumptions":
@@ -51,7 +54,7 @@ class Assumptions:
     def with_at_least(self, var: str, minimum: int) -> "Assumptions":
         """A copy with ``var >= minimum`` added (tightening only)."""
         lo, hi = self.range_of(var)
-        new_lo = Fraction(minimum) if lo is None else max(lo, Fraction(minimum))
+        new_lo = index(minimum) if lo is None else max(lo, index(minimum))
         copy = Assumptions()
         copy._ranges = dict(self._ranges)
         copy._ranges[var] = (new_lo, hi)
@@ -61,10 +64,7 @@ class Assumptions:
         """A copy with the range of ``var`` replaced."""
         copy = Assumptions()
         copy._ranges = dict(self._ranges)
-        copy._ranges[var] = (
-            None if lo is None else Fraction(lo),
-            None if hi is None else Fraction(hi),
-        )
+        copy._ranges[var] = (_bound(lo), _bound(hi))
         return copy
 
     def __repr__(self) -> str:

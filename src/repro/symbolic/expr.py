@@ -1,15 +1,36 @@
 """Exact affine symbolic expressions.
 
 An :class:`Affine` is an expression of the form ``c0 + c1*v1 + c2*v2 + ...``
-where the coefficients are exact :class:`fractions.Fraction` values and the
-variables are strings.  This is the only expression family the PetaBricks
-compiler needs: every region bound in the language (``n``, ``n/2``, ``i-1``,
-``c/2 + 1`` ...) is affine in the transform's free variables.
+with exact rational coefficients over string-named variables.  This is the
+only expression family the PetaBricks compiler needs: every region bound in
+the language (``n``, ``n/2``, ``i-1``, ``c/2 + 1`` ...) is affine in the
+transform's free variables.
+
+**Representation invariant.**  An expression is stored as integer
+numerators over one common denominator,
+
+    ``(n0 + n1*v1 + n2*v2 + ...) / den``
+
+with the terms sorted by variable name, every ``ni != 0``, ``den > 0`` and
+``gcd(n0, n1, ..., den) == 1``.  That form is canonical — two expressions
+are equal exactly when the three stored fields are — so ``==`` and ``hash``
+are tuple compares, arithmetic is integer arithmetic (numerators merge when
+the denominators match, which is almost always ``den == 1``), and the
+inequality reasoning tests the sign of an integer numerator.  It is also
+the form the generated kernels evaluate (``KernelBuilder._affine`` emits
+``-((-num) // den)``), read off here through :meth:`Affine.as_integers`
+rather than re-derived.
 
 Division keeps exact rational coefficients; integral semantics (C-style
 flooring) are applied only when an expression is *evaluated* against a
 concrete environment, which matches how the original compiler deferred
-integer rounding to the runtime.
+integer rounding to the runtime.  ``eval_floor``/``eval_ceil`` are
+``num // den`` and ``-((-num) // den)`` and never leave the integers.
+``evaluate`` (and ``constant``, ``coefficient(s)``, ``as_constant``,
+``bounds``) still return :class:`fractions.Fraction`: they are the exact
+rational *read-out* of the public surface, built on demand for callers
+that compare or print a value, and nothing on the compile or run path
+needs them.
 """
 
 from __future__ import annotations
@@ -19,8 +40,11 @@ import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
+from repro.symbolic.assumptions import Assumptions, AssumptionsLike
+
 Number = Union[int, Fraction]
 AffineLike = Union["Affine", int, Fraction, str]
+Terms = Tuple[Tuple[str, int], ...]
 
 
 class SymbolicCompareError(Exception):
@@ -28,11 +52,12 @@ class SymbolicCompareError(Exception):
     under the available assumptions."""
 
 
-def _as_fraction(value: Number) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: Number) -> Tuple[int, int]:
+    """``(numerator, denominator)`` of an int or Fraction, in lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
@@ -44,31 +69,36 @@ class Affine:
     one constant operand, since the result must stay affine).
     """
 
-    __slots__ = ("_coeffs", "_const", "_hash")
+    __slots__ = ("_n0", "_terms", "_den", "_hash")
 
     def __init__(
         self,
         const: Number = 0,
         coeffs: Optional[Mapping[str, Number]] = None,
     ) -> None:
-        self._const = _as_fraction(const)
-        items: Dict[str, Fraction] = {}
+        n0, den = _ratio(const)
+        terms: Terms = ()
         if coeffs:
-            for var, c in coeffs.items():
-                frac = _as_fraction(c)
-                if frac != 0:
-                    items[var] = frac
-        self._coeffs: Tuple[Tuple[str, Fraction], ...] = tuple(
-            sorted(items.items())
-        )
-        self._hash = hash((self._const, self._coeffs))
+            ratios = [(var, *_ratio(c)) for var, c in coeffs.items()]
+            common = math.lcm(den, *(d for _, _, d in ratios))
+            n0 *= common // den
+            den = common
+            # Every input is in lowest terms and ``den`` is their lcm, so
+            # the scaled numerators already share no factor with it.
+            terms = tuple(
+                sorted((var, n * (den // d)) for var, n, d in ratios if n)
+            )
+        self._n0 = n0
+        self._terms = terms
+        self._den = den
+        self._hash: Optional[int] = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def var(name: str) -> "Affine":
         """The expression consisting of a single variable."""
-        return Affine(0, {name: 1})
+        return _raw(0, ((name, 1),), 1)
 
     @staticmethod
     def const(value: Number) -> "Affine":
@@ -91,79 +121,138 @@ class Affine:
     @property
     def constant(self) -> Fraction:
         """The constant term."""
-        return self._const
+        return Fraction(self._n0, self._den)
 
     @property
     def coefficients(self) -> Dict[str, Fraction]:
         """A fresh dict of variable coefficients (non-zero only)."""
-        return dict(self._coeffs)
+        den = self._den
+        return {var: Fraction(n, den) for var, n in self._terms}
 
     def coefficient(self, var: str) -> Fraction:
         """The coefficient of ``var`` (zero if absent)."""
-        for name, coeff in self._coeffs:
+        return Fraction(self._numerator_of(var), self._den)
+
+    def coefficient_sign(self, var: str) -> int:
+        """-1, 0 or +1: the sign of the coefficient of ``var``."""
+        n = self._numerator_of(var)
+        return (n > 0) - (n < 0)
+
+    def _numerator_of(self, var: str) -> int:
+        for name, n in self._terms:
             if name == var:
-                return coeff
-        return Fraction(0)
+                return n
+        return 0
 
     def variables(self) -> Tuple[str, ...]:
         """The variables with non-zero coefficient, sorted."""
-        return tuple(name for name, _ in self._coeffs)
+        return tuple(name for name, _ in self._terms)
 
     def is_constant(self) -> bool:
-        return not self._coeffs
+        return not self._terms
+
+    def as_integers(self) -> Tuple[int, Terms, int]:
+        """The stored form ``(n0, ((var, n), ...), den)``: the expression is
+        ``(n0 + sum(n * var)) / den`` with terms sorted by variable and the
+        integers sharing no common factor (see the module docstring)."""
+        return self._n0, self._terms, self._den
 
     def denominator_lcm(self) -> int:
-        """LCM of all coefficient/constant denominators.
+        """LCM of all coefficient/constant denominators — the stored
+        common denominator.
 
         Under any integer assignment of the variables, the expression's
         value is a multiple of ``1/L`` where ``L`` is this LCM.  That
         granularity is what converts inclusive integer bounds to exact
-        half-open form: ``v <= q`` over integers is ``v < q + 1/L``, and
-        ``ceil(q + 1/L) == floor(q) + 1`` exactly (for integral ``q`` both
-        sides are ``q + 1``).  The previous ``q + 1`` shift over-counted by
-        one whenever ``q`` evaluated to a non-integer.
+        half-open form, see :meth:`stepped`.
         """
-        lcm = self._const.denominator
-        for _, coeff in self._coeffs:
-            lcm = math.lcm(lcm, coeff.denominator)
-        return lcm
+        return self._den
+
+    def stepped(self, steps: int) -> "Affine":
+        """``self + steps/L`` with ``L = denominator_lcm()``: the next
+        (``steps=1``) or previous (``steps=-1``) value the expression can
+        take under integer variables.
+
+        This is how integer strictness is encoded in half-open bounds:
+        ``v <= q`` over integers is ``v < q + 1/L``, and ``ceil(q + 1/L)
+        == floor(q) + 1`` exactly (for integral ``q`` both sides are
+        ``q + 1``); likewise ``e > 0`` is ``e - 1/L >= 0``.  A flat ``± 1``
+        shift is off by one whenever ``q`` evaluates to a non-integer.
+        """
+        return _reduced(self._n0 + steps, self._terms, self._den)
 
     def as_constant(self) -> Fraction:
         """The value of a constant expression (raises if not constant)."""
-        if self._coeffs:
+        if self._terms:
             raise ValueError(f"{self} is not constant")
-        return self._const
+        return Fraction(self._n0, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: AffineLike) -> "Affine":
-        other = Affine.coerce(other)
-        coeffs = dict(self._coeffs)
-        for var, coeff in other._coeffs:
-            coeffs[var] = coeffs.get(var, Fraction(0)) + coeff
-        return Affine(self._const + other._const, coeffs)
+    def _plus(self, other: AffineLike, k: int) -> "Affine":
+        """``self + k*other`` (``k`` is ±1), in integers."""
+        den = self._den
+        if other.__class__ is not Affine:
+            if other.__class__ is int:
+                # n0 ± m*den keeps the gcd with den, the terms unchanged.
+                return _raw(self._n0 + k * other * den, self._terms, den)
+            other = Affine.coerce(other)
+        mine: Iterable[Tuple[str, int]] = self._terms
+        theirs: Iterable[Tuple[str, int]] = other._terms
+        if den == other._den:
+            n0 = self._n0 + k * other._n0
+        else:
+            common = math.lcm(den, other._den)
+            a, b = common // den, common // other._den
+            n0 = a * self._n0 + k * b * other._n0
+            mine = tuple((var, a * n) for var, n in mine)
+            theirs = [(var, b * n) for var, n in theirs]
+            den = common
+        if theirs:
+            merged = dict(mine)
+            for var, n in theirs:
+                total = merged.get(var, 0) + k * n
+                if total:
+                    merged[var] = total
+                else:
+                    del merged[var]
+            mine = tuple(sorted(merged.items()))
+        return _reduced(n0, mine, den)
 
-    def __radd__(self, other: AffineLike) -> "Affine":
-        return self.__add__(other)
+    def __add__(self, other: AffineLike) -> "Affine":
+        return self._plus(other, 1)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "Affine":
-        return Affine(-self._const, {v: -c for v, c in self._coeffs})
+        return _raw(
+            -self._n0, tuple((var, -n) for var, n in self._terms), self._den
+        )
 
     def __sub__(self, other: AffineLike) -> "Affine":
-        return self + (-Affine.coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other: AffineLike) -> "Affine":
-        return (-self) + Affine.coerce(other)
+        return Affine.coerce(other)._plus(self, -1)
+
+    def _scaled(self, num: int, den: int) -> "Affine":
+        """``self * num/den`` for ``den > 0``."""
+        if num == 0:
+            return _raw(0, (), 1)
+        return _reduced(
+            self._n0 * num,
+            tuple((var, n * num) for var, n in self._terms),
+            self._den * den,
+        )
 
     def __mul__(self, other: AffineLike) -> "Affine":
+        if other.__class__ is int:
+            return self._scaled(other, 1)
         other = Affine.coerce(other)
-        if other.is_constant():
-            scale = other._const
-            return Affine(
-                self._const * scale, {v: c * scale for v, c in self._coeffs}
-            )
-        if self.is_constant():
-            return other.__mul__(self)
+        if not other._terms:
+            return self._scaled(other._n0, other._den)
+        if not self._terms:
+            return other._scaled(self._n0, self._den)
         raise ValueError(
             f"product of {self} and {other} is not affine"
         )
@@ -173,77 +262,122 @@ class Affine:
 
     def __truediv__(self, other: AffineLike) -> "Affine":
         other = Affine.coerce(other)
-        if not other.is_constant():
+        if other._terms:
             raise ValueError(f"cannot divide by symbolic {other}")
-        if other._const == 0:
+        num, den = other._den, other._n0
+        if den == 0:
             raise ZeroDivisionError("affine division by zero")
-        return Affine(
-            self._const / other._const,
-            {v: c / other._const for v, c in self._coeffs},
-        )
+        if den < 0:
+            num, den = -num, -den
+        return self._scaled(num, den)
 
-    # -- substitution and evaluation ----------------------------------------
+    # -- substitution, solving and evaluation --------------------------------
 
     def subs(self, env: Mapping[str, AffineLike]) -> "Affine":
         """Substitute variables with affine expressions or numbers."""
-        result = Affine(self._const)
-        for var, coeff in self._coeffs:
-            if var in env:
-                result = result + Affine.coerce(env[var]) * coeff
-            else:
-                result = result + Affine(0, {var: coeff})
-        return result
+        if not any(var in env for var, _ in self._terms):
+            return self
+        replaced = [
+            (n, Affine.coerce(env[var]) if var in env else Affine.var(var))
+            for var, n in self._terms
+        ]
+        # One pass over a common denominator: self's, times the lcm of the
+        # replacements' (1 in nearly every substitution the compiler makes).
+        scale = math.lcm(*(by._den for _, by in replaced))
+        n0 = self._n0 * scale
+        terms: Dict[str, int] = {}
+        for n, by in replaced:
+            k = n * (scale // by._den)
+            n0 += k * by._n0
+            for inner, m in by._terms:
+                terms[inner] = terms.get(inner, 0) + k * m
+        return _reduced(
+            n0,
+            tuple(sorted((var, n) for var, n in terms.items() if n)),
+            self._den * scale,
+        )
+
+    def solved_for(self, var: str) -> "Affine":
+        """The value of ``var`` at which this expression is zero: with
+        ``self = c*var + rest`` that is ``-rest/c``.  ``var`` must occur
+        (``coefficient_sign(var) != 0``)."""
+        c = self._numerator_of(var)
+        if c == 0:
+            raise ValueError(f"{self} does not depend on {var!r}")
+        sign = -1 if c > 0 else 1
+        return _reduced(
+            sign * self._n0,
+            tuple((name, sign * n) for name, n in self._terms if name != var),
+            abs(c),
+        )
+
+    def _numerator(self, env: Mapping[str, Number]) -> Number:
+        """``den`` times the value under a full assignment: an int when
+        every value is an int, an exact Fraction otherwise."""
+        total: Number = self._n0
+        try:
+            for var, n in self._terms:
+                value = env[var]
+                if not isinstance(value, (int, Fraction)):
+                    raise TypeError(
+                        f"expected int or Fraction, got {type(value).__name__}"
+                    )
+                total += n * value
+        except KeyError:
+            raise KeyError(
+                f"no value for variable {var!r} in {self}"
+            ) from None
+        return total
 
     def evaluate(self, env: Mapping[str, Number]) -> Fraction:
         """Exact rational value under a full variable assignment."""
-        total = self._const
-        for var, coeff in self._coeffs:
-            if var not in env:
-                raise KeyError(f"no value for variable {var!r} in {self}")
-            total += coeff * _as_fraction(env[var])
-        return total
+        return Fraction(self._numerator(env), self._den)
 
     def eval_floor(self, env: Mapping[str, Number]) -> int:
         """Integer value with C-style flooring (``n/2`` -> ``n // 2``)."""
-        return math.floor(self.evaluate(env))
+        return self._numerator(env) // self._den
 
     def eval_ceil(self, env: Mapping[str, Number]) -> int:
         """Integer value rounded up; used for lower bounds of intervals."""
-        return math.ceil(self.evaluate(env))
+        return -((-self._numerator(env)) // self._den)
 
     # -- inequality reasoning ------------------------------------------------
 
+    def _extreme(self, assumptions: AssumptionsLike, side: int) -> Optional[int]:
+        """The largest (``side=1``) or smallest (``side=-1``) value the
+        numerator takes over the assumed variable ranges; ``None`` when
+        unbounded on that side."""
+        range_of = Assumptions.coerce(assumptions).range_of
+        total = self._n0
+        for var, n in self._terms:
+            lo, hi = range_of(var)
+            end = hi if n * side > 0 else lo
+            if end is None:
+                return None
+            total += n * end
+        return total
+
     def bounds(
-        self, assumptions: "AssumptionsLike" = None
+        self, assumptions: AssumptionsLike = None
     ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
         """Smallest interval ``[lo, hi]`` guaranteed to contain this
         expression's value, given per-variable bounds.  ``None`` means
         unbounded on that side."""
-        from repro.symbolic.assumptions import Assumptions
-
-        asm = Assumptions.coerce(assumptions)
-        lo: Optional[Fraction] = self._const
-        hi: Optional[Fraction] = self._const
-        for var, coeff in self._coeffs:
-            var_lo, var_hi = asm.range_of(var)
-            if coeff > 0:
-                lo = None if (lo is None or var_lo is None) else lo + coeff * var_lo
-                hi = None if (hi is None or var_hi is None) else hi + coeff * var_hi
-            else:
-                lo = None if (lo is None or var_hi is None) else lo + coeff * var_hi
-                hi = None if (hi is None or var_lo is None) else hi + coeff * var_lo
-        return lo, hi
+        lo = self._extreme(assumptions, -1)
+        hi = self._extreme(assumptions, 1)
+        return (
+            None if lo is None else Fraction(lo, self._den),
+            None if hi is None else Fraction(hi, self._den),
+        )
 
     def compare(
-        self, other: AffineLike, assumptions: "AssumptionsLike" = None
+        self, other: AffineLike, assumptions: AssumptionsLike = None
     ) -> Optional[int]:
         """Return -1, 0, or +1 if ``self`` is always <, ==, or > ``other``
         under the assumptions; ``None`` if undecidable."""
-        diff = self - Affine.coerce(other)
-        if diff.is_constant():
-            value = diff.as_constant()
-            return (value > 0) - (value < 0)
-        lo, hi = diff.bounds(assumptions)
+        diff = self - other
+        lo = diff._extreme(assumptions, -1)
+        hi = diff._extreme(assumptions, 1)
         if lo is not None and lo > 0:
             return 1
         if hi is not None and hi < 0:
@@ -252,60 +386,57 @@ class Affine:
             return 0
         return None
 
-    def always_le(self, other: AffineLike, assumptions: "AssumptionsLike" = None) -> bool:
-        diff = self - Affine.coerce(other)
-        if diff.is_constant():
-            return diff.as_constant() <= 0
-        _, hi = diff.bounds(assumptions)
+    def always_le(self, other: AffineLike, assumptions: AssumptionsLike = None) -> bool:
+        hi = (self - other)._extreme(assumptions, 1)
         return hi is not None and hi <= 0
 
-    def always_ge(self, other: AffineLike, assumptions: "AssumptionsLike" = None) -> bool:
+    def always_ge(self, other: AffineLike, assumptions: AssumptionsLike = None) -> bool:
         return Affine.coerce(other).always_le(self, assumptions)
 
-    def always_lt(self, other: AffineLike, assumptions: "AssumptionsLike" = None) -> bool:
-        diff = self - Affine.coerce(other)
-        if diff.is_constant():
-            return diff.as_constant() < 0
-        _, hi = diff.bounds(assumptions)
+    def always_lt(self, other: AffineLike, assumptions: AssumptionsLike = None) -> bool:
+        hi = (self - other)._extreme(assumptions, 1)
         return hi is not None and hi < 0
-
-    def order_key(self, assumptions: "AssumptionsLike" = None):
-        """A callable-friendly helper for sorting bound expressions.
-
-        Sorting mixed symbolic bounds requires a total order; we use
-        :func:`sort_bounds` which performs pairwise comparisons and raises
-        :class:`SymbolicCompareError` on undecidable pairs.
-        """
-        raise NotImplementedError("use sort_bounds() to order expressions")
 
     # -- dunder plumbing -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, Affine):
+            return (
+                self._n0 == other._n0
+                and self._terms == other._terms
+                and self._den == other._den
+            )
         if isinstance(other, (int, Fraction)):
-            other = Affine(other)
-        if not isinstance(other, Affine):
-            return NotImplemented
-        return self._const == other._const and self._coeffs == other._coeffs
+            return not self._terms and (self._n0, self._den) == _ratio(other)
+        return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            if self._terms:
+                value = hash((self._n0, self._terms, self._den))
+            else:
+                # A constant equals its number, so it must hash like it
+                # (hash(Fraction(n, 1)) == hash(n)).
+                value = hash(self._n0 if self._den == 1 else self.constant)
+            self._hash = value
+        return value
 
     def __repr__(self) -> str:
         return f"Affine({self})"
 
     def __str__(self) -> str:
+        den = self._den
         parts = []
-        if self._const != 0 or not self._coeffs:
-            parts.append(_format_fraction(self._const))
-        for var, coeff in self._coeffs:
-            if coeff == 1:
+        if self._n0 != 0 or not self._terms:
+            parts.append(_format_ratio(self._n0, den))
+        for var, n in self._terms:
+            if n == den:
                 term = var
-            elif coeff == -1:
+            elif n == -den:
                 term = f"-{var}"
-            elif coeff.denominator == 1:
-                term = f"{coeff.numerator}*{var}"
             else:
-                term = f"{coeff.numerator}*{var}/{coeff.denominator}"
+                term = _format_ratio(n, den, f"*{var}")
             if parts and not term.startswith("-"):
                 parts.append(f"+{term}")
             else:
@@ -313,14 +444,42 @@ class Affine:
         return "".join(parts) if len(parts) == 1 else " ".join(parts)
 
 
-def _format_fraction(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+_new = object.__new__
+
+
+def _raw(n0: int, terms: Terms, den: int) -> Affine:
+    """An :class:`Affine` from fields already in canonical form."""
+    expr = _new(Affine)
+    expr._n0 = n0
+    expr._terms = terms
+    expr._den = den
+    expr._hash = None
+    return expr
+
+
+def _reduced(n0: int, terms: Terms, den: int) -> Affine:
+    """An :class:`Affine` from sorted non-zero ``terms`` over ``den > 0``,
+    divided through by the common factor."""
+    if den != 1:
+        factor = math.gcd(den, n0, *(n for _, n in terms))
+        if factor != 1:
+            n0 //= factor
+            den //= factor
+            terms = tuple((var, n // factor) for var, n in terms)
+    return _raw(n0, terms, den)
+
+
+def _format_ratio(num: int, den: int, suffix: str = "") -> str:
+    """``num/den`` in lowest terms, the way ``Fraction`` prints: the
+    ``suffix`` (a ``*var`` factor) goes between numerator and ``/den``."""
+    factor = math.gcd(num, den)
+    num //= factor
+    den //= factor
+    return f"{num}{suffix}" if den == 1 else f"{num}{suffix}/{den}"
 
 
 def sort_bounds(
-    exprs: Iterable[Affine], assumptions: "AssumptionsLike" = None
+    exprs: Iterable[Affine], assumptions: AssumptionsLike = None
 ) -> Tuple[Affine, ...]:
     """Sort affine expressions into non-decreasing order under assumptions.
 
@@ -436,6 +595,3 @@ def parse_affine(text: str) -> Affine:
         raise ValueError(f"trailing tokens in affine expression {text!r}")
     return result
 
-
-# Imported late to avoid a cycle; used only in type positions above.
-from repro.symbolic.assumptions import AssumptionsLike  # noqa: E402

@@ -9,9 +9,8 @@ inequality: with ``e = c*i + r`` (``r`` free of ``i``),
 * ``c < 0``:  the inequalities flip; the interval endpoints come from the
   opposite constraint sides.  Over the integers ``i > q`` is
   ``i >= floor(q) + 1`` — we encode that exactly as the affine bound
-  ``q + 1/L`` where ``L`` is the LCM of ``q``'s denominators: every
-  integer assignment makes ``q`` a multiple of ``1/L``, so
-  ``ceil(q + 1/L) == floor(q) + 1`` (concrete evaluation rounds interval
+  ``q.stepped(1)`` (``q + 1/L`` over ``q``'s common denominator ``L``,
+  see :meth:`Affine.stepped`; concrete evaluation rounds interval
   endpoints with ceil).  The same shift turns the inclusive upper bound
   ``i <= q`` into the half-open ``i < q + 1/L``.
 * ``c == 0``: the constraint does not restrict ``i``; it is either always
@@ -52,10 +51,8 @@ def solve_bounds_for(
     expr = Affine.coerce(expr)
     lo = Affine.coerce(lo)
     hi = Affine.coerce(hi)
-    coeff = expr.coefficient(var)
-    rest = expr - Affine(0, {var: coeff})
-
-    if coeff == 0:
+    sign = expr.coefficient_sign(var)
+    if sign == 0:
         # The constraint is independent of var: check satisfiability.
         if expr.always_lt(lo, assumptions) or hi.always_le(expr, assumptions):
             raise UnsatisfiableConstraint(
@@ -63,19 +60,15 @@ def solve_bounds_for(
             )
         return None
 
-    lower = (lo - rest) / coeff
-    upper = (hi - rest) / coeff
-    if coeff > 0:
-        return Interval(lower, upper)
+    # With expr = c*v + r: where expr meets lo, and where it meets hi.
+    at_lo = (expr - lo).solved_for(var)
+    at_hi = (expr - hi).solved_for(var)
+    if sign > 0:
+        return Interval(at_lo, at_hi)
     # Negative coefficient: lo <= c*v + r < hi  <=>
     #   (lo - r)/c >= v  and  v > (hi - r)/c.
     # expr decreasing in var: v ranges over ( (hi-r)/c , (lo-r)/c ].
-    strict_low = upper  # exclusive lower bound
-    incl_high = lower  # inclusive upper bound
-    return Interval(
-        strict_low + Fraction(1, strict_low.denominator_lcm()),
-        incl_high + Fraction(1, incl_high.denominator_lcm()),
-    )
+    return Interval(at_hi.stepped(1), at_lo.stepped(1))
 
 
 def solve_equal(var: str, lhs: AffineLike, rhs: AffineLike) -> Optional[Affine]:
@@ -83,11 +76,9 @@ def solve_equal(var: str, lhs: AffineLike, rhs: AffineLike) -> Optional[Affine]:
     cancels out (the equation is then either an identity or inconsistent,
     which the caller must check)."""
     diff = Affine.coerce(lhs) - Affine.coerce(rhs)
-    coeff = diff.coefficient(var)
-    if coeff == 0:
+    if diff.coefficient_sign(var) == 0:
         return None
-    rest = diff - Affine(0, {var: coeff})
-    return (-rest) / coeff
+    return diff.solved_for(var)
 
 
 def unit_stride_offset(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import ChoiceConfig, Selector, compile_program
+from repro.compiler.codegen import ExecutionError
 from repro.compiler.config import site_key
 from repro.language.errors import CompileError
 from repro.symbolic import Affine, Box, Interval
@@ -312,3 +313,132 @@ class TestCompileErrors:
         assert [opt.primary for opt in segments[1].options] == [0]
         result = t.run([np.array([5.0, 6.0, 7.0])])
         np.testing.assert_allclose(result.output("B"), [-1.0, 5.0, 6.0])
+
+
+BLUR = """
+transform Blur
+from A[n+2, m+2]
+to B[n, m]
+{
+  to (B.cell(x, y) b)
+  from (A.cell(x, y) nw, A.cell(x+1, y+1) c, A.cell(x+2, y+2) se) {
+    b = c * 0.5 + nw * 0.25 + se * 0.25;
+  }
+}
+"""
+
+HEAT = """
+transform Heat
+from A[n]
+to B[n]
+through U<0..k>[n]
+{
+  to (U.cell(0, i) u) from (A.cell(i) a) { u = a; }
+  to (U.cell(t, i) u)
+  from (U.cell(t-1, i-1) l, U.cell(t-1, i) m, U.cell(t-1, i+1) r)
+  {
+    u = (l + 2 * m + r) / 4;
+  }
+  secondary to (U.cell(t, i) u) from (U.cell(t-1, i) m) { u = m; }
+  to (B.cell(i) b) from (U.cell(k, i) u) { b = u; }
+}
+"""
+
+
+class TestExplicitSizes:
+    """``sizes=`` is normalised and validated once, at size binding."""
+
+    @pytest.fixture(scope="class")
+    def heat(self):
+        return compile_program(HEAT).transform("Heat")
+
+    @pytest.mark.parametrize(
+        "steps", [3, 3.0, np.int64(3), np.float32(3.0), np.uint8(3)]
+    )
+    def test_integral_values_become_int(self, heat, steps):
+        data = np.linspace(0.0, 1.0, 9)
+        expected = heat.run([data], sizes={"k": 3})
+        result = heat.run([data], sizes={"k": steps})
+        assert result.sizes == {"k": 3, "n": 9}
+        assert all(type(value) is int for value in result.sizes.values())
+        np.testing.assert_array_equal(result.output("B"), expected.output("B"))
+
+    @pytest.mark.parametrize(
+        "bad", ["3", 2.7, -1, None, float("nan"), float("inf"), [3]]
+    )
+    def test_other_values_name_the_variable(self, heat, bad):
+        with pytest.raises(ExecutionError, match="size variable 'k'"):
+            heat.run([np.ones(9)], sizes={"k": bad})
+        with pytest.raises(ExecutionError, match="size variable 'k'"):
+            heat.bind_sizes_from_shapes([(9,)], {"k": bad})
+
+    @pytest.mark.parametrize("bad", [[3], "k=3", 3])
+    def test_non_mapping_rejected(self, heat, bad):
+        with pytest.raises(ExecutionError, match="sizes must map"):
+            heat.run([np.ones(9)], sizes=bad)
+
+
+class TestNoFractionsOnTheRunPath:
+    """A count, not a timing: ``repro.symbolic`` stores integers, so a warm
+    run builds no ``Fraction`` at all and a compile builds only the few the
+    dependency annotations read out on purpose."""
+
+    @pytest.fixture
+    def fractions_built(self, monkeypatch):
+        import fractions
+
+        built = []
+        original = fractions.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        return built
+
+    def warm(self, transform, inputs, config, sizes, built):
+        expected = transform.run(inputs, config, sizes=sizes)  # cold: fills caches
+        del built[:]
+        result = transform.run(inputs, config, sizes=sizes)
+        assert built == []
+        assert result.rule_applications == expected.rule_applications > 0
+        return result
+
+    @pytest.mark.parametrize("leaf_path", [1, 2], ids=["closure", "vector"])
+    def test_warm_blur_run(self, fractions_built, leaf_path):
+        blur = compile_program(BLUR).transform("Blur")
+        config = ChoiceConfig()
+        config.set_tunable("Blur.__leaf_path__", leaf_path)
+        image = np.arange(34.0 * 34.0).reshape(34, 34)
+        result = self.warm(blur, [image], config, None, fractions_built)
+        np.testing.assert_array_equal(
+            result.output("B"),
+            image[1:-1, 1:-1] * 0.5 + image[:-2, :-2] * 0.25
+            + image[2:, 2:] * 0.25,
+        )
+
+    def test_warm_heat_run(self, fractions_built):
+        heat = compile_program(HEAT).transform("Heat")
+        data = np.linspace(-1.0, 1.0, 41)
+        self.warm(heat, [data], ChoiceConfig(), {"k": 10}, fractions_built)
+
+    def test_warm_sort_ladder(self, fractions_built):
+        from repro.apps import sort
+
+        transform = sort.build_program().transform("Sort")
+        # insertion sort below 64 keys, 4-way merge below 1024, 2-way above
+        ladder = ChoiceConfig()
+        ladder.set_choice(
+            sort.SORT_SITE, Selector(((128, 0), (2048, 3), (None, 2)))
+        )
+        keys = np.random.default_rng(7).uniform(0.0, 1.0, 4096)
+        result = self.warm(transform, [keys], ladder, None, fractions_built)
+        np.testing.assert_array_equal(result.output("B"), np.sort(keys))
+
+    def test_compile_with_analysis_builds_a_handful(self, fractions_built):
+        compile_program(BLUR, analyze=True)
+        # 14 today: six dependency offsets and eight unit-stride checks
+        # read through the exact-Fraction accessors.  The Fraction-per-
+        # coefficient representation built about 2000 here.
+        assert len(fractions_built) <= 20

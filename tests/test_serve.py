@@ -196,6 +196,50 @@ class TestServeApp:
         second = app.batch({"program": phash, "lines": lines})
         assert [r["id"] for r in second["results"] if r["ok"]] == [0, 1]
 
+    @pytest.mark.parametrize(
+        "sizes", [{"k": "abc"}, {"k": 2.7}, {"k": -1}, [3], "k=3"]
+    )
+    def test_run_malformed_sizes_is_400(self, app, phash, sizes):
+        with pytest.raises(ServeError) as excinfo:
+            app.run(
+                {
+                    "program": phash,
+                    "transform": "Scale",
+                    "inputs": {"A": [[1.0]]},
+                    "sizes": sizes,
+                }
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("bad sizes: ")
+
+    def test_run_integral_sizes_are_normalised(self, app, phash):
+        meta = app.run(
+            {
+                "program": phash,
+                "transform": "Scale",
+                "inputs": {"A": [[1.0]]},
+                "sizes": {"k": 12.0},
+            }
+        )["meta"]
+        assert meta["sizes"]["k"] == 12 and meta["bucket"] == "b16"
+
+    def test_batch_malformed_sizes_is_that_lines_record(self, app, phash):
+        good = {"transform": "Scale", "inputs": {"A": [[1.0]]}}
+        lines = [json.dumps(good) for _ in range(4)]
+        lines[1] = json.dumps(dict(good, sizes={"k": "abc"}))
+        lines[2] = json.dumps(dict(good, sizes=[3]))
+        response = app.batch({"program": phash, "lines": lines})
+        records = response["results"]
+        assert [record["ok"] for record in records] == [True, False, False, True]
+        assert [records[1]["line"], records[2]["line"]] == [2, 3]
+        assert "size variable 'k'" in records[1]["error"]
+        assert "sizes must map" in records[2]["error"]
+        assert response["failed"] == 2
+        with pytest.raises(ServeError) as excinfo:
+            app.batch({"program": phash, "lines": lines, "strict": True})
+        assert excinfo.value.status == 400
+        assert "request line 2" in excinfo.value.message
+
     def test_tune_job_publishes_version(self, app, phash):
         job_id = app.tune(
             {
@@ -415,6 +459,22 @@ class TestHTTP:
         with pytest.raises(ServeClientError) as excinfo:
             client.request("GET", "/no/such/route")
         assert excinfo.value.status == 404
+
+    def test_malformed_sizes_never_surface_as_500(self, client):
+        phash = client.compile(SCALE)["program"]
+        good = {"transform": "Scale", "inputs": {"A": [[1.0]]}}
+        for sizes in ({"k": "abc"}, [3]):
+            with pytest.raises(ServeClientError) as excinfo:
+                client.request(
+                    "POST", "/run", dict(good, program=phash, sizes=sizes)
+                )
+            assert excinfo.value.status == 400
+            assert "bad sizes" in str(excinfo.value)
+            batch = client.batch(
+                phash,
+                [json.dumps(good), json.dumps(dict(good, sizes=sizes))] * 2,
+            )
+            assert [r["ok"] for r in batch["results"]] == [True, False] * 2
 
     def test_shutdown_route_stops_server(self):
         daemon = ServeDaemon(ServeApp(), port=0).start_background()

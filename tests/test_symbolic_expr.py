@@ -1,5 +1,6 @@
 """Unit and property tests for repro.symbolic.expr."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -234,3 +235,403 @@ class TestProperties:
     def test_hash_consistent_with_eq(self, a, b):
         if a == b:
             assert hash(a) == hash(b)
+
+
+class TestHashEqContract:
+    """A constant expression equals its number, so it must hash like it."""
+
+    def test_numbers_found_in_affine_sets(self):
+        members = {Affine(3), Affine(Fraction(1, 2)), n / 2 - n / 2}
+        assert 3 in members
+        assert Fraction(3) in members
+        assert Fraction(1, 2) in members
+        assert 0 in members
+        assert 4 not in members
+
+    def test_affines_found_under_number_keys(self):
+        table = {3: "int", Fraction(5, 2): "fraction"}
+        assert table[Affine(3)] == "int"
+        assert table[(n + 5) / 2 - n / 2] == "fraction"
+        assert Affine(4) not in table
+
+    def test_hash_matches_number(self):
+        for value in (0, 1, -7, 2**70, Fraction(-9, 4), Fraction(6, 3)):
+            assert Affine(value) == value
+            assert hash(Affine(value)) == hash(value)
+
+    def test_symbolic_expressions_do_not_equal_numbers(self):
+        assert n != 0 and n + 1 != 1
+        assert n not in {0, 1}
+
+
+class TestIntegerForm:
+    """The stored common-denominator form and the helpers built on it."""
+
+    def test_as_integers_is_canonical(self):
+        expr = (n * 2 - i) / 6 + Fraction(1, 4)
+        n0, terms, den = expr.as_integers()
+        assert (n0, terms, den) == (3, (("i", -2), ("n", 4)), 12)
+        assert expr.denominator_lcm() == den
+        assert ((n * 2 + 4) / 2).as_integers() == (2, (("n", 1),), 1)
+
+    def test_stepped_is_the_integer_successor(self):
+        for expr in (n, n / 2, (n + 1) / 3 - i, Affine(Fraction(5, 2))):
+            unit = Fraction(1, expr.denominator_lcm())
+            assert expr.stepped(1) == expr + unit
+            assert expr.stepped(-1) == expr - unit
+        # ceil(q + 1/L) == floor(q) + 1 at every integer assignment
+        q = (n - 1) / 2
+        for size in range(12):
+            env = {"n": size}
+            assert q.stepped(1).eval_ceil(env) == q.eval_floor(env) + 1
+
+    def test_solved_for(self):
+        expr = 3 * n - 2 * i + 5
+        assert expr.solved_for("i") == (3 * n + 5) / 2
+        assert expr.solved_for("n") == (2 * i - 5) / 3
+        assert expr.coefficient_sign("i") == -1
+        assert expr.coefficient_sign("n") == 1
+        assert expr.coefficient_sign("j") == 0
+        with pytest.raises(ValueError):
+            expr.solved_for("j")
+
+    def test_fraction_env_still_exact(self):
+        expr = n / 3 + 2 * i
+        env = {"n": Fraction(1, 2), "i": -4}
+        assert expr.evaluate(env) == Fraction(1, 6) - 8
+        assert expr.eval_floor(env) == -8
+        assert expr.eval_ceil(env) == -7
+
+    def test_non_number_env_rejected(self):
+        for bad in ("3", 2.5, None):
+            with pytest.raises(TypeError):
+                (n + 1).eval_floor({"n": bad})
+
+
+# -- model-based differential test ---------------------------------------------
+#
+# ``RefAffine`` is the representation ``Affine`` had before it became
+# integer-backed: one exact Fraction per coefficient, re-normalised on every
+# operation.  It is kept here as the executable specification — every
+# observable of the new class must agree with it on random expression trees.
+
+
+class RefAffine:
+    def __init__(self, const=0, coeffs=None):
+        self.const = Fraction(const)
+        self.coeffs = tuple(
+            sorted(
+                (var, Fraction(c))
+                for var, c in (coeffs or {}).items()
+                if c != 0
+            )
+        )
+
+    @staticmethod
+    def coerce(value):
+        return value if isinstance(value, RefAffine) else RefAffine(value)
+
+    def variables(self):
+        return tuple(var for var, _ in self.coeffs)
+
+    def coefficient(self, var):
+        return dict(self.coeffs).get(var, Fraction(0))
+
+    def denominator_lcm(self):
+        return math.lcm(
+            self.const.denominator, *(c.denominator for _, c in self.coeffs)
+        )
+
+    def __add__(self, other):
+        other = RefAffine.coerce(other)
+        coeffs = dict(self.coeffs)
+        for var, c in other.coeffs:
+            coeffs[var] = coeffs.get(var, Fraction(0)) + c
+        return RefAffine(self.const + other.const, coeffs)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + (-RefAffine.coerce(other))
+
+    def __rsub__(self, other):
+        return RefAffine.coerce(other) - self
+
+    def __mul__(self, scale):
+        return RefAffine(
+            self.const * scale, {var: c * scale for var, c in self.coeffs}
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scale):
+        return self * (1 / Fraction(scale))
+
+    def subs(self, env):
+        result = RefAffine(self.const)
+        for var, c in self.coeffs:
+            if var in env:
+                result = result + RefAffine.coerce(env[var]) * c
+            else:
+                result = result + RefAffine(0, {var: c})
+        return result
+
+    def evaluate(self, env):
+        return self.const + sum(c * Fraction(env[var]) for var, c in self.coeffs)
+
+    def bounds(self, ranges):
+        lo = hi = self.const
+        for var, c in self.coeffs:
+            var_lo, var_hi = ranges.get(var, (0, None))
+            if c < 0:
+                var_lo, var_hi = var_hi, var_lo
+            lo = None if lo is None or var_lo is None else lo + c * var_lo
+            hi = None if hi is None or var_hi is None else hi + c * var_hi
+        return lo, hi
+
+    def compare(self, other, ranges):
+        lo, hi = (self - other).bounds(ranges)
+        if lo is not None and lo > 0:
+            return 1
+        if hi is not None and hi < 0:
+            return -1
+        if lo is not None and hi is not None and lo == hi == 0:
+            return 0
+        return None
+
+    def always_le(self, other, ranges):
+        _, hi = (self - other).bounds(ranges)
+        return hi is not None and hi <= 0
+
+    def always_lt(self, other, ranges):
+        _, hi = (self - other).bounds(ranges)
+        return hi is not None and hi < 0
+
+    def __eq__(self, other):
+        other = RefAffine.coerce(other)
+        return self.const == other.const and self.coeffs == other.coeffs
+
+    __hash__ = None  # equality classes are compared pairwise
+
+    def __str__(self):
+        def ratio(value, suffix=""):
+            text = f"{value.numerator}{suffix}"
+            return text if value.denominator == 1 else f"{text}/{value.denominator}"
+
+        parts = []
+        if self.const != 0 or not self.coeffs:
+            parts.append(ratio(self.const))
+        for var, c in self.coeffs:
+            term = var if c == 1 else f"-{var}" if c == -1 else ratio(c, f"*{var}")
+            parts.append(term if not parts or term.startswith("-") else f"+{term}")
+        return "".join(parts) if len(parts) == 1 else " ".join(parts)
+
+
+MODEL_VARS = ("a", "b", "n", "x")
+RATIONALS = st.fractions(
+    min_value=-6, max_value=6, max_denominator=6
+) | st.integers(-8, 8).map(Fraction)
+NONZERO = RATIONALS.filter(lambda q: q != 0)
+LEAVES = st.tuples(st.just("const"), RATIONALS) | st.tuples(
+    st.just("var"), st.sampled_from(MODEL_VARS)
+)
+
+
+def _arith(children):
+    return (
+        st.tuples(st.sampled_from(["add", "sub"]), children, children)
+        | st.tuples(st.just("neg"), children)
+        | st.tuples(st.sampled_from(["mul", "rmul"]), children, RATIONALS)
+        | st.tuples(st.just("div"), children, NONZERO)
+        | st.tuples(
+            st.sampled_from(["addint", "subint", "rsubint"]),
+            children,
+            st.integers(-9, 9),
+        )
+    )
+
+
+#: pure-arithmetic trees: also rendered to text and fed to ``parse_affine``
+ARITH_TREES = st.recursive(LEAVES, _arith, max_leaves=8)
+TREES = st.recursive(
+    LEAVES | st.tuples(st.just("parse"), ARITH_TREES),
+    lambda children: _arith(children)
+    | st.tuples(
+        st.just("subs"),
+        children,
+        st.dictionaries(st.sampled_from(MODEL_VARS), children, max_size=2),
+    ),
+    max_leaves=10,
+)
+
+
+def render(tree):
+    """A pure-arithmetic tree as fully parenthesised ``parse_affine`` text
+    (rationals as ``(p/q)``: the grammar has integer literals only)."""
+
+    def number(q):
+        q = Fraction(q)
+        if q < 0:
+            return f"((0 - {-q.numerator})/{q.denominator})"
+        return f"({q.numerator}/{q.denominator})"
+
+    kind, *args = tree
+    if kind == "const":
+        return number(args[0])
+    if kind == "var":
+        return args[0]
+    if kind == "neg":
+        return f"(-{render(args[0])})"
+    left = render(args[0])
+    right = number(args[1]) if kind not in ("add", "sub") else render(args[1])
+    if kind == "rsubint":
+        left, right = right, left
+    op = {
+        "add": "+", "addint": "+", "sub": "-", "subint": "-", "rsubint": "-",
+        "mul": "*", "rmul": "*", "div": "/",
+    }[kind]
+    if kind == "rmul":
+        left, right = right, left
+    return f"({left} {op} {right})"
+
+
+def build(tree, cls, parse):
+    """Evaluate an expression tree with one of the two classes."""
+    kind, *args = tree
+    if kind == "const":
+        return cls(args[0])
+    if kind == "var":
+        return cls(0, {args[0]: 1})
+    if kind == "parse":
+        return parse(args[0])
+    node = build(args[0], cls, parse)
+    if kind == "neg":
+        return -node
+    if kind == "subs":
+        return node.subs(
+            {var: build(sub, cls, parse) for var, sub in args[1].items()}
+        )
+    if kind in ("add", "sub"):
+        other = build(args[1], cls, parse)
+        return node + other if kind == "add" else node - other
+    value = args[1]
+    return {
+        "mul": lambda: node * value,
+        "rmul": lambda: value * node,
+        "div": lambda: node / value,
+        "addint": lambda: node + value,
+        "subint": lambda: node - value,
+        "rsubint": lambda: value - node,
+    }[kind]()
+
+
+def build_both(tree):
+    new = build(tree, Affine, lambda sub: parse_affine(render(sub)))
+    ref = build(tree, RefAffine, lambda sub: build(sub, RefAffine, None))
+    return new, ref
+
+
+MODEL_ENVS = st.fixed_dictionaries(
+    {
+        var: st.integers(-30, 30) | st.fractions(-9, 9, max_denominator=5)
+        for var in MODEL_VARS
+    }
+)
+MODEL_RANGES = st.dictionaries(
+    st.sampled_from(MODEL_VARS),
+    st.tuples(
+        st.none() | st.integers(-6, 6), st.none() | st.integers(0, 9)
+    ).map(lambda r: r if None in r else (r[0], r[0] + r[1])),
+)
+
+
+def assert_same(new, ref):
+    """``new`` is ``ref``'s value, held in the canonical stored form."""
+    assert str(new) == str(ref)
+    n0, terms, den = new.as_integers()
+    assert den > 0 and math.gcd(n0, den, *(k for _, k in terms)) == 1
+    assert list(terms) == sorted(terms) and all(k for _, k in terms)
+    assert ref == RefAffine(
+        Fraction(n0, den), {var: Fraction(k, den) for var, k in terms}
+    )
+    rebuilt = Affine(ref.const, dict(ref.coeffs))
+    assert new == rebuilt and hash(new) == hash(rebuilt)
+    assert new.as_integers() == rebuilt.as_integers()
+
+
+class TestAgainstFractionModel:
+    @given(TREES)
+    def test_structure_agrees(self, tree):
+        new, ref = build_both(tree)
+        assert_same(new, ref)
+        assert repr(new) == f"Affine({ref})"
+        assert new.variables() == ref.variables()
+        assert new.is_constant() == (not ref.variables())
+        assert new.denominator_lcm() == ref.denominator_lcm()
+        assert new.constant == ref.const
+        assert new.coefficients == dict(ref.coeffs)
+        for var in MODEL_VARS:
+            coeff = new.coefficient(var)
+            assert coeff == ref.coefficient(var)
+            assert new.coefficient_sign(var) == (coeff > 0) - (coeff < 0)
+        assert parse_affine(str(new)) == new
+        for steps in (1, -1):
+            assert_same(
+                new.stepped(steps),
+                ref + Fraction(steps, ref.denominator_lcm()),
+            )
+        for var in new.variables():
+            rest = ref - RefAffine(0, {var: ref.coefficient(var)})
+            assert_same(new.solved_for(var), -rest / ref.coefficient(var))
+
+    @given(st.lists(TREES, min_size=2, max_size=5))
+    def test_equality_classes_and_hashes_agree(self, trees):
+        pairs = [build_both(tree) for tree in trees]
+        pairs.append(build_both(trees[0]))  # at least one equal pair
+        for new_a, ref_a in pairs:
+            for new_b, ref_b in pairs:
+                assert (new_a == new_b) == (ref_a == ref_b)
+                if ref_a == ref_b:
+                    assert hash(new_a) == hash(new_b)
+            if new_a.is_constant():
+                assert new_a == ref_a.const
+                assert hash(new_a) == hash(ref_a.const)
+
+    @given(TREES, MODEL_ENVS)
+    def test_evaluation_agrees(self, tree, env):
+        new, ref = build_both(tree)
+        value = ref.evaluate(env)
+        result = new.evaluate(env)
+        assert result == value and isinstance(result, Fraction)
+        assert new.eval_floor(env) == math.floor(value)
+        assert new.eval_ceil(env) == math.ceil(value)
+        ints = {var: math.floor(q) for var, q in env.items()}
+        assert new.eval_floor(ints) == math.floor(ref.evaluate(ints))
+        assert new.eval_ceil(ints) == math.ceil(ref.evaluate(ints))
+
+    @given(TREES, TREES, MODEL_RANGES)
+    def test_inequality_reasoning_agrees(self, left, right, ranges):
+        new_a, ref_a = build_both(left)
+        new_b, ref_b = build_both(right)
+        asm = Assumptions(ranges)
+        assert new_a.bounds(asm) == ref_a.bounds(ranges)
+        assert new_a.bounds(ranges) == ref_a.bounds(ranges)
+        assert new_a.compare(new_b, asm) == ref_a.compare(ref_b, ranges)
+        assert new_a.always_le(new_b, asm) == ref_a.always_le(ref_b, ranges)
+        assert new_a.always_lt(new_b, asm) == ref_a.always_lt(ref_b, ranges)
+        assert new_a.always_ge(new_b, asm) == ref_b.always_le(ref_a, ranges)
+
+    @given(st.lists(TREES, min_size=1, max_size=5), MODEL_RANGES)
+    def test_sort_bounds_order_agrees(self, trees, ranges):
+        pairs = [build_both(tree) for tree in trees]
+        try:
+            expected = [
+                str(ref) for ref in sort_bounds([r for _, r in pairs], ranges)
+            ]
+        except SymbolicCompareError:
+            with pytest.raises(SymbolicCompareError):
+                sort_bounds([new for new, _ in pairs], Assumptions(ranges))
+            return
+        ordered = sort_bounds([new for new, _ in pairs], Assumptions(ranges))
+        assert [str(new) for new in ordered] == expected
