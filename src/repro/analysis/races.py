@@ -230,7 +230,7 @@ def vector_leaf_status(
     assigns direction 0 exactly to the instance variables whose instances
     carry no cross-instance dependence (and the race passes above check
     their writes are disjoint), so a whole data-parallel step may execute
-    as one slice expression.  Wraps the engine's cached planner — the
+    as bulk slice arithmetic.  Wraps the engine's cached planner — the
     same decision the executor makes at run time, so the PB501/PB502
     diagnostics can never disagree with actual behavior.
     """

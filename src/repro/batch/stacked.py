@@ -134,6 +134,9 @@ def run_stacked(
     and through storage is allocated via ``Matrix.zeros`` so unwritten
     cells match serial allocation bit-for-bit (the differential suite
     monkeypatches allocation to sentinel-fill and compares write sets).
+    Each step call is the serial leaf's own strip-mined ufunc chain —
+    its strips count the batch axis, its scratch belongs to the
+    ``maker`` call made here.
     """
     arrays: Dict[str, np.ndarray] = dict(stacked_inputs)
     outputs: Dict[str, Matrix] = {}

@@ -1074,8 +1074,9 @@ class CompiledTransform:
         tunables: Dict[str, int],
         tiles: Optional[Tuple[List[int], bool]],
     ) -> None:
-        """Vector path: one task and one NumPy slice expression per
-        (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
+        """Vector path: one task and one call of the site's step — an
+        in-place ufunc chain the step itself runs in cache-sized strips —
+        per (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
         (``tiles`` is ``None``) the sweep is the single full-extent tile
         — one task per chain step; with the ``(tile sizes, interchange)``
         of :meth:`_tile_spec` the free space is cut into cache-sized

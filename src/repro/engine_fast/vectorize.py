@@ -1,4 +1,5 @@
-"""Vectorized leaf execution: one NumPy expression per data-parallel step.
+"""Vectorized leaf execution: one in-place ufunc chain per data-parallel
+step, run over cache-sized strips.
 
 When a rule body is straight-line elementwise arithmetic over affine
 *cell* accesses and the dependency analysis has proved the free-variable
@@ -26,6 +27,27 @@ Legality argument (see DESIGN.md "Execution paths"):
   (reversed slices); non-free dimensions lower to the same exact
   ceil-of-affine indices the interpreter computes.
 
+Kernel form: every assignment lowers to a three-address chain of ufunc
+calls with ``out=`` (``np.multiply(c, 0.5, out=t0); np.multiply(nw,
+0.25, out=t1); np.add(t0, t1, out=t0); ... np.add(t0, t1, out=dst)``) in
+the interpreter's operation order.  Intermediates live in a few scratch
+buffers reused Sethi–Ullman style; sub-expressions without an array
+operand stay Python scalars; only a statement's *last* operation writes
+the destination view, so every read of the statement happens before (or
+elementwise with) its one write, and NumPy's overlap handling keeps
+``+=`` targets and rules that read the matrix they write exact.  The
+chain runs over *strips* of the outermost free variable, each covering
+about :data:`STRIP_BYTES` of one operand (batch axis included): operand
+views and bounds checks are built once per step, the strip loop only
+re-slices axis 1 and reshapes a flat scratch prefix, so a scratch buffer
+written by one ufunc is still cache-resident when the next reads it.
+Strips need no legality verdict of their own: the instances of one step
+are independent by the proof that made the site vectorizable, and a
+strip is just a sub-range of one free variable — the ``(lo, count)``
+contract of :class:`VectorPlan` already says any partition of the free
+space writes the same cells.  Scratch belongs to one ``maker`` call (one
+segment application), so threads sharing a plan share nothing mutable.
+
 IEEE-754 note: elementwise ``+ - * / %`` and the whitelisted builtins
 (``abs``/``sqrt``/``floor``/``ceil``/``min``/``max``) are computed by
 NumPy with the same double rounding as the scalar path, so results are
@@ -33,20 +55,21 @@ bit-identical for non-NaN data.  Builtins with library-dependent rounding
 (``exp``/``log``/``pow``), stateful ``rand()``, short-circuit operators,
 ternaries, region reductions, and ``/=`` (whose scalar path raises
 ``ZeroDivisionError``) are rejected rather than risk divergence.  A
-``/`` by zero still raises the interpreter's ``EvalError``, but a failing
-step leaves different partial state than the cell-by-cell loop — error
-paths abort the run either way.
+``/`` by zero still raises the interpreter's ``EvalError`` (a non-zero
+literal divisor needs no check and lowers to a bare ``np.divide``), but
+a failing step — now a failing strip — leaves different partial state
+than the cell-by-cell loop; error paths abort the run either way.
 
 Batch axis: there is one vector step per site, and every matrix operand
 it takes carries a leading *batch* dimension.  The serial engine runs it
 at batch 1 (``array[None]``, a view); :mod:`repro.batch` hands it B
-same-shaped requests stacked, so one slice expression serves the whole
+same-shaped requests stacked, so one ufunc chain serves the whole
 bucket.  The batch axis is a pure broadcast axis: index expressions,
 strides, and bounds checks are functions of the (shared) size
 environment only, so each batch lane computes exactly the bytes a
 batch-1 step computes — elementwise IEEE ops have no cross-lane
-interaction.  ``_vdiv``'s zero check spans the whole stack; a division
-by zero anywhere demotes the *bucket* to per-request execution (see
+interaction.  ``_vdiv``'s zero check spans every lane of a strip; a
+division by zero anywhere demotes the *bucket* to per-request execution (see
 :mod:`repro.batch.engine`), which reproduces the failing request's exact
 serial error without poisoning its neighbours.
 """
@@ -66,6 +89,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -108,33 +132,66 @@ def _sl(first: int, step: int, count: int) -> slice:
     return slice(first, stop if stop >= 0 else None, step)
 
 
-def _vdiv(left, right):
-    right = np.asarray(right)
-    if (right == 0).any():
+def _vdiv(left, right, out=None):
+    """``left / right`` for a divisor that is not a non-zero literal."""
+    if (np.asarray(right) == 0).any():
         raise EvalError("division by zero in rule body")
-    return left / right
+    return np.divide(left, right, out=out)
 
 
-def _vmin(*args):
-    # Not np.minimum: on signed-zero ties it keeps its SECOND operand,
-    # while Python's min (the interpreter semantics) keeps the first.
-    # np.where(arg < result, ...) keeps the earliest minimum, matching
-    # the builtin bit-for-bit (including -0.0/+0.0 and NaN ordering).
+def _select(better, args, out):
+    # Not np.minimum/np.maximum: on signed-zero ties they keep their
+    # SECOND operand, while Python's min/max (the interpreter semantics)
+    # keep the first.  np.where(better(arg, result), ...) keeps the
+    # earliest extreme, matching the builtins bit-for-bit (including
+    # -0.0/+0.0 and NaN ordering).  The result is complete before
+    # ``out`` is written, so ``out`` may be one of the arguments.
     result = np.asarray(args[0])
     for arg in args[1:]:
-        result = np.where(np.less(arg, result), arg, result)
-    return result
+        result = np.where(better(arg, result), arg, result)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
-def _vmax(*args):
-    result = np.asarray(args[0])
-    for arg in args[1:]:
-        result = np.where(np.greater(arg, result), arg, result)
-    return result
+def _vmin(*args, out=None):
+    return _select(np.less, args, out)
+
+
+def _vmax(*args, out=None):
+    return _select(np.greater, args, out)
+
+
+#: Bytes of ONE operand (batch axis included) a strip of the outermost
+#: free variable covers.  A body's scratch buffers and the operand rows
+#: it streams then stay cache-resident from the first ufunc of the chain
+#: to the last.  Measured optimum 128-512 KiB on Blur/Pipeline/Heat with
+#: a 4 MiB L2 (DESIGN.md "Execution paths").
+STRIP_BYTES = 256 * 1024
+
+
+def _strip_rows(count: int, row_cells: int) -> int:
+    """Indices of the strip axis per strip, for rows of ``row_cells``
+    float64 cells each."""
+    return max(1, min(count, STRIP_BYTES // (8 * max(1, row_cells))))
 
 
 _ALL = slice(None)
 
+#: DSL operator -> the ufunc that computes it (comparisons store 0.0 /
+#: 1.0 through a float64 ``out``).
+_UFUNCS = {
+    "+": "np.add",
+    "-": "np.subtract",
+    "*": "np.multiply",
+    "==": "np.equal",
+    "!=": "np.not_equal",
+    "<": "np.less",
+    "<=": "np.less_equal",
+    ">": "np.greater",
+    ">=": "np.greater_equal",
+}
 
 _NAMESPACE = {
     "np": np,
@@ -142,6 +199,7 @@ _NAMESPACE = {
     "_vdiv": _vdiv,
     "_vmin": _vmin,
     "_vmax": _vmax,
+    "_strip_rows": _strip_rows,
     "_ALL": _ALL,
 }
 
@@ -150,12 +208,14 @@ _NAMESPACE = {
 class VectorPlan:
     """A compiled vector leaf for one (segment, rule) pair.
 
-    ``maker(env, tunables, arrays)`` — every array carrying a leading
-    batch axis of one common extent — returns a step function taking the
-    chain-variable values followed by ``(lo, count)`` per free variable;
-    one call executes the whole data-parallel step in every batch lane.  ``static_ops`` is the
-    interpreter's exact per-instance op count (the body is branch-free, so
-    it is a constant), used by the engine's work model.
+    ``maker(env, tunables, arrays)`` returns a step function; every
+    array carries a leading batch axis of one common extent.  The step
+    takes the chain-variable values followed by ``(lo, count)`` per free
+    variable, and one call executes the whole data-parallel step in
+    every batch lane (internally in strips, see the module docstring).
+    ``static_ops`` is the interpreter's exact per-instance op count (the
+    body is branch-free, so it is a constant), used by the engine's work
+    model.
 
     The ``(lo, count)`` calling convention is also the tiling contract:
     cache-blocked execution (``__tile_i__``/``__tile_j__`` on a
@@ -224,10 +284,25 @@ class _NotVectorizable(Exception):
     """Internal: carries the human-readable rejection reason."""
 
 
+@dataclass(frozen=True)
+class _Node:
+    """An array-valued sub-expression: a leaf operand (``ref`` names its
+    view) or a call ``func(*args, out=...)`` awaiting its destination.
+    Scalar-only sub-expressions never become nodes — they stay Python
+    source strings.  ``need`` is the Sethi–Ullman label: scratch buffers
+    held while the node is evaluated."""
+
+    ref: str = ""
+    func: str = ""
+    args: Tuple[Union[str, "_Node"], ...] = ()
+    need: int = 0
+
+
 class _VectorLowerer(KernelBuilder):
     """Compiles one rule to a step over arrays with a leading batch axis
     (axis 0 of every operand; matrix dimension ``d`` is array axis
-    ``d + 1``)."""
+    ``d + 1``; free variable ``free_vars[k]`` is operand axis ``k + 1``,
+    the strip axis being axis 1)."""
 
     tag = "vector"
     maker_args = "_env, _tunables, _arrays"
@@ -245,9 +320,16 @@ class _VectorLowerer(KernelBuilder):
         self.chain_vars = tuple(chain_vars)
         self.free_vars = tuple(free_vars)
         self.free_set = set(free_vars)
-        self.used_axis_vars: Set[str] = set()
         self.writable = {r.bind_name for r in rule.to_regions}
         self.static_ops = 0
+        #: bindings whose operand keeps the strip axis (``free_vars[0]``)
+        self.stripped: Set[str] = set()
+        self.used_axis_vars: Set[str] = set()
+        #: per-strip view -> the step-level operand it re-slices
+        self.strip_views: Dict[str, str] = {}
+        #: scratch buffers holding a live value / most ever held at once
+        self.held: Set[str] = set()
+        self.n_slots = 0
 
     # -- region operands ---------------------------------------------------
 
@@ -308,7 +390,10 @@ class _VectorLowerer(KernelBuilder):
                 self.line(f"{last} = {first} + {step} * (_cnt_{var} - 1)")
                 checks.append(f"0 <= {first} < {extent}")
                 checks.append(f"0 <= {last} < {extent}")
-                index_parts.append(f"_sl({first}, {step}, _cnt_{var})")
+                if step == 1:  # the common case, without a helper call
+                    index_parts.append(f"{first}:{last} + 1")
+                else:
+                    index_parts.append(f"_sl({first}, {step}, _cnt_{var})")
                 present.append(var)
             if checks:
                 self.line(f"if not ({' and '.join(checks)}):")
@@ -341,39 +426,66 @@ class _VectorLowerer(KernelBuilder):
                 # axis stays leftmost, missing free axes become explicit
                 # broadcast axes).
                 self.line(f"_b_{name} = _b_{name}[_ALL, {expander}, ]")
+            if self.free_vars[0] in present:
+                self.stripped.add(name)
 
-    def _axis_ref(self, var: str) -> str:
+    def _operand(self, name: str) -> _Node:
+        """The per-strip view of a binding (the operand itself when it
+        broadcasts along the strip axis)."""
+        if name not in self.stripped:
+            return _Node(ref=f"_b_{name}")
+        self.strip_views[f"_v_{name}"] = f"_b_{name}"
+        return _Node(ref=f"_v_{name}")
+
+    def _axis_ref(self, var: str) -> _Node:
         """A broadcastable float64 coordinate array for a free variable
         referenced by value in the body (e.g. ``b = i * 2``)."""
         self.used_axis_vars.add(var)
-        return f"_ax_{var}"
+        if var != self.free_vars[0]:
+            return _Node(ref=f"_ax_{var}")
+        self.strip_views[f"_w_{var}"] = f"_ax_{var}"
+        return _Node(ref=f"_w_{var}")
 
-    def emit_axis_arrays(self) -> None:
-        axis_lines: List[str] = []
+    def axis_lines(self) -> List[str]:
+        """Axis arrays depend only on the step parameters, so they lead
+        the step body (region operands never reference them)."""
+        lines: List[str] = []
         for var in self.free_vars:
             if var not in self.used_axis_vars:
                 continue
             shape = ", ".join(
                 "-1" if v == var else "1" for v in self.free_vars
             )
-            axis_lines.append(
+            lines.append(
                 "        "
                 + f"_ax_{var} = np.arange(_lo_{var}, _lo_{var} "
-                + f"+ _cnt_{var}, dtype=np.float64).reshape(({shape},))"
+                + f"+ _cnt_{var}, dtype=np.float64).reshape((1, {shape}))"
             )
-        # Axis arrays depend only on the step parameters, so they can
-        # lead the step body (region operands never reference them).
-        self.lines[0:0] = axis_lines
+        return lines
 
     # -- expressions -------------------------------------------------------
 
-    def _expr(self, node: ast.ExprNode) -> str:
+    def _op(
+        self, func: str, scalar: str, *args: Union[str, _Node]
+    ) -> Union[str, _Node]:
+        """``func`` over ``args``: the ``scalar`` template filled in when
+        no argument is an array, else a node."""
+        if all(isinstance(arg, str) for arg in args):
+            return scalar.format(*args)
+        needs = sorted(
+            (arg.need for arg in args if not isinstance(arg, str)),
+            reverse=True,
+        )
+        need = max([1] + [n + kept for kept, n in enumerate(needs)])
+        return _Node(func=func, args=args, need=need)
+
+    def _expr(self, node: ast.ExprNode) -> Union[str, _Node]:
         if isinstance(node, ast.Num):
             return repr(float(node.value))
         if isinstance(node, ast.Var):
             name = node.name
             if name in self.bindings:
-                return f"_b_{name}"
+                return self._operand(name)
             if name in self.tunable_names:
                 self.used_tunables.add(name)
                 return f"_u_{name}"
@@ -389,9 +501,11 @@ class _VectorLowerer(KernelBuilder):
             operand = self._expr(node.operand)
             self.static_ops += 1
             if node.op == "-":
-                return f"(-({operand}))"
+                return self._op("np.negative", "(-({0}))", operand)
             if node.op == "!":
-                return f"np.where(np.asarray({operand}) != 0, 0.0, 1.0)"
+                return self._op(
+                    "np.equal", "(0.0 if ({0}) != 0 else 1.0)", operand, "0.0"
+                )
             raise _NotVectorizable(f"unary operator {node.op!r}")
         if isinstance(node, ast.BinOp):
             if node.op in ("&&", "||"):
@@ -402,13 +516,26 @@ class _VectorLowerer(KernelBuilder):
             right = self._expr(node.right)
             self.static_ops += 1
             if node.op in ("+", "-", "*"):
-                return f"(({left}) {node.op} ({right}))"
+                return self._op(
+                    _UFUNCS[node.op], f"(({{0}}) {node.op} ({{1}}))",
+                    left, right,
+                )
             if node.op == "/":
-                return f"_vdiv({left}, {right})"
+                if isinstance(node.right, ast.Num) and float(node.right.value):
+                    # a non-zero literal divisor needs no zero check
+                    return self._op(
+                        "np.divide", "(({0}) / ({1}))", left, right
+                    )
+                return self._op("_vdiv", "_vdiv({0}, {1})", left, right)
             if node.op == "%":
-                return f"np.fmod({left}, {right})"
+                return self._op("np.fmod", "np.fmod({0}, {1})", left, right)
             if node.op in ("==", "!=", "<", "<=", ">", ">="):
-                return f"((({left}) {node.op} ({right})) * 1.0)"
+                # a comparison ufunc writing a float64 ``out`` stores
+                # exactly the 0.0 / 1.0 the interpreter computes
+                return self._op(
+                    _UFUNCS[node.op], f"((({{0}}) {node.op} ({{1}})) * 1.0)",
+                    left, right,
+                )
             raise _NotVectorizable(f"operator {node.op!r}")
         if isinstance(node, ast.Ternary):
             raise _NotVectorizable("ternary in body")
@@ -418,12 +545,51 @@ class _VectorLowerer(KernelBuilder):
             if node.name in _VECTOR_CALLS:
                 args = [self._expr(a) for a in node.args]
                 self.static_ops += len(args)
-                return f"{_VECTOR_CALLS[node.name]}({', '.join(args)})"
+                func = _VECTOR_CALLS[node.name]
+                holes = ", ".join(f"{{{i}}}" for i in range(len(args)))
+                return self._op(func, f"{func}({holes})", *args)
             raise _NotVectorizable(
                 f"builtin {node.name!r} is not bit-stable under "
                 f"vectorization"
             )
         raise _NotVectorizable(f"expression {type(node).__name__}")
+
+    def _emit(self, value: Union[str, _Node], dest: str = "") -> str:
+        """Emit ``value`` as a three-address chain and return the name
+        holding the result: ``dest`` when given, else a scratch buffer.
+
+        Arguments needing more scratch are evaluated first
+        (Sethi–Ullman), an operation writes over one of its own scratch
+        arguments when it has one (every ``func`` reads all inputs
+        before, or elementwise with, writing ``out``), and buffers are
+        released the moment their value is consumed — so a body holds
+        at most ``n_slots`` strip-sized temporaries at once."""
+        if isinstance(value, str):
+            return value
+        if not value.func:
+            return value.ref
+        order = sorted(
+            range(len(value.args)),
+            key=lambda i: -getattr(value.args[i], "need", 0),
+        )
+        names = {index: self._emit(value.args[index]) for index in order}
+        args = [names[index] for index in range(len(value.args))]
+        scratch = [name for name in args if name in self.held]
+        if not dest and scratch:
+            dest = scratch.pop(0)
+        elif not dest:
+            dest = next(
+                name
+                for name in map("_t{}".format, itertools.count())
+                if name not in self.held
+            )
+            self.held.add(dest)
+            # lowest free index first: slot k is taken only while
+            # 0..k-1 are held
+            self.n_slots = max(self.n_slots, len(self.held))
+        self.held.difference_update(scratch)
+        self.line(f"{value.func}({', '.join(args)}, out={dest})")
+        return dest
 
     # -- statements --------------------------------------------------------
 
@@ -441,23 +607,67 @@ class _VectorLowerer(KernelBuilder):
                     f"assignment to non-output binding {name!r}"
                 )
             value = self._expr(stmt.value)
-            target = f"_b_{name}"
-            if stmt.op == "=":
-                self.line(f"{target}[...] = {value}")
-            elif stmt.op in ("+=", "-=", "*="):
+            target = self._operand(name)
+            if stmt.op in ("+=", "-=", "*="):
                 self.static_ops += 1  # target is a cell: size 1
-                self.line(f"{target}[...] = {target} {stmt.op[0]} ({value})")
-            else:
+                value = self._op(_UFUNCS[stmt.op[0]], "", target, value)
+            elif stmt.op != "=":
                 raise _NotVectorizable(
                     f"assignment operator {stmt.op!r}"
                 )
+            # Only this last operation of the statement writes the
+            # destination; every earlier one lands in scratch.
+            if isinstance(value, _Node) and value.func:
+                self._emit(value, dest=target.ref)
+            else:
+                self.line(f"{target.ref}[...] = {self._emit(value)}")
 
     # -- driver ------------------------------------------------------------
 
+    def strip_lines(self) -> List[str]:
+        """The strip loop header: strip height, the scratch pool (grown
+        on demand, owned by this maker call) and the per-strip views."""
+        count, *inner = (f"_cnt_{var}" for var in self.free_vars)
+        self.maker_lines.append(
+            f"    _batch = _m_{min(self.used_matrices)}.shape[0]"
+        )
+        head = [
+            f"_row = {' * '.join(['_batch'] + inner)}",
+            f"_rows = _strip_rows({count}, _row)",
+        ]
+        loop = [
+            f"for _s in range(0, {count}, _rows):",
+            f"    _e = min(_s + _rows, {count})",
+        ]
+        if self.n_slots:
+            pool = f"np.empty(({self.n_slots}, {{}}))"
+            self.maker_lines.append(f"    _pool = {pool.format(0)}")
+            head += [
+                "nonlocal _pool",
+                "if _pool.shape[1] < _rows * _row:",
+                f"    _pool = {pool.format('_rows * _row')}",
+            ]
+            loop += [
+                "    _n = _e - _s",
+                f"    _shape = ({', '.join(['_batch', '_n'] + inner)})",
+            ]
+            loop += [
+                f"    _t{slot} = _pool[{slot}, :_n * _row].reshape(_shape)"
+                for slot in range(self.n_slots)
+            ]
+        loop += [
+            f"    {view} = {operand}[_ALL, _s:_e]"
+            for view, operand in self.strip_views.items()
+        ]
+        return ["        " + text for text in head + loop]
+
     def lower(self) -> Tuple[Callable, str]:
         self.emit_regions()
+        operands, self.lines, self.depth = self.lines, [], 3
         self.emit_body()
-        self.emit_axis_arrays()
+        self.lines = (
+            self.axis_lines() + operands + self.strip_lines() + self.lines
+        )
         params = [f"_s_{v}" for v in self.chain_vars]
         for var in self.free_vars:
             params.extend((f"_lo_{var}", f"_cnt_{var}"))

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.batch import BatchEngine
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.runtime.matrix import Matrix
+from tests.test_engine_fast_diff import tiny_strips
 
 #: A value no generated program can produce from the bounded inputs.
 SENTINEL = -987654321.25
@@ -64,7 +65,7 @@ def _signature(outputs):
 def _assert_batch_matches_serial(transform, requests):
     """``requests``: (inputs dict, config) pairs.  Runs the mix batched
     and serially; asserts identical outputs/write sets/errors per
-    request."""
+    request.  Returns the batched results."""
     engine = BatchEngine()
     for inputs, config in requests:
         engine.submit(
@@ -100,6 +101,7 @@ def _assert_batch_matches_serial(transform, requests):
                 f"serial succeeded"
             )
             assert _signature(result.outputs) == _signature(serial_outputs)
+    return batched
 
 
 # -- random elementwise programs × random request mixes ---------------------
@@ -296,3 +298,111 @@ def test_malformed_request_is_isolated():
     reference = transform.run({k: v.copy() for k, v in good.items()})
     assert first.output().tobytes() == reference.output().tobytes()
     assert last.output().tobytes() == reference.output().tobytes()
+
+
+# -- strip boundaries at batch > 1 ------------------------------------------
+#
+# Strips count the batch axis, so under ``tiny_strips`` even small
+# stacked buckets cross strip boundaries.
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    source=elementwise_programs(),
+    mix=request_mixes(),
+    cells=st.sampled_from((1, 5, 8)),
+    seed=st.integers(0, 2**16),
+)
+def test_random_mixes_batch_equals_serial_across_strips(
+    source, mix, cells, seed
+):
+    """Requests configured for the interpreter (leaf 0) still stack, so
+    this compares strip-mined stacked steps with the reference
+    interpreter directly, lane by lane."""
+    program = compile_program(source)
+    transform = program.transform("Stencil")
+    rng = np.random.default_rng(seed)
+    requests = []
+    for (n, m), leaf in mix:
+        inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
+        requests.append((inputs, _leaf_config("Stencil", leaf)))
+    with tiny_strips(cells):
+        _assert_batch_matches_serial(transform, requests)
+
+
+MOMENTUM = """
+transform Momentum
+from A[n, p], B[p, m]
+through S[p + 2, n, m]
+to C[n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 0.0; }
+  to (S.cell(1, i, j) s) from () { s = 0.0; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i, j) r1, S.cell(k - 2, i, j) r2,
+        A.cell(i, k - 2) a, B.cell(k - 2, j) b)
+  {
+    s = r1 * 0.625 + r2 * 0.375 + a * b;
+  }
+  to (C.cell(n - 1 - i, j) c) from (S.cell(p + 1, i, j) s) { c = s; c += c; }
+}
+"""
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lanes=st.integers(2, 5),
+    cells=st.sampled_from((1, 5, 8)),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_chain_and_broadcast_stack_across_strips(lanes, cells, n, m, p, seed):
+    """A chain rule reading the matrix it writes, broadcast (outer
+    product) operands, a reversed write and a compound target, stacked
+    at batch > 1 with strips that split lanes' rows unevenly."""
+    transform = compile_program(MOMENTUM).transform("Momentum")
+    rng = np.random.default_rng(seed)
+    requests = [
+        (
+            {
+                "A": rng.uniform(-1.0, 1.0, (n, p)),
+                "B": rng.uniform(-1.0, 1.0, (p, m)),
+            },
+            _leaf_config("Momentum", 0),
+        )
+        for _ in range(lanes)
+    ]
+    with tiny_strips(cells):
+        results = _assert_batch_matches_serial(transform, requests)
+    assert all(result.stacked for result in results)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    total=st.integers(2, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_one_zero_lane_demotes_the_bucket_across_strips(n, total, seed):
+    """One lane with a zero divisor in some strip: the stacked sweep's
+    check fires, the bucket demotes to per-request execution, the bad
+    request reports the interpreter's error text and its neighbours
+    their exact serial results."""
+    transform = compile_program(DIVIDE).transform("Divide")
+    rng = np.random.default_rng(seed)
+    requests = []
+    for position in range(total):
+        divisor = rng.uniform(1.0, 2.0, n)
+        if position == total - 1:
+            divisor[rng.integers(0, n)] = 0.0
+        requests.append(
+            ({"A": rng.uniform(-2.0, 2.0, n), "D": divisor},
+             _leaf_config("Divide", 0))
+        )
+    with tiny_strips(3):
+        results = _assert_batch_matches_serial(transform, requests)
+    assert [result.ok for result in results] == [True] * (total - 1) + [False]
+    assert "division by zero in rule body" in str(results[-1].error)
+    assert not any(result.stacked for result in results)

@@ -272,6 +272,69 @@ class TestVectorLeaf:
         assert sink2.counter("exec.geom_cache_hits") == misses
 
 
+BLUR = """
+transform Blur
+from A[n+2, m+2]
+to B[n, m]
+{
+  to (B.cell(x, y) b)
+  from (A.cell(x, y) nw, A.cell(x+1, y+1) c, A.cell(x+2, y+2) se) {
+    b = c * 0.5 + nw * 0.25 + se * 0.25;
+  }
+}
+"""
+
+PIPELINE = """
+transform Pipeline
+from A[n, m]
+through T[n, m]
+to B[n, m]
+{
+  to (T.cell(x, y) t) from (A.cell(x, y) a) { t = a * 2.0 + 1.0; }
+  to (B.cell(x, y) b) from (T.cell(x, y) t) { b = t * 1.5 - 0.5; }
+}
+"""
+
+
+class TestAllocationDiscipline:
+    """A warm vector-leaf run allocates its output and a few strip-sized
+    scratch buffers — never a full-extent temporary per sub-expression.
+    Measured with tracemalloc (NumPy reports its buffers), not timed."""
+
+    #: most scratch buffers either body holds at once
+    SLOTS = 2
+    #: task graph, views, result object
+    SLACK = 128 * 1024
+
+    @pytest.mark.parametrize(
+        "source, name, side, knobs",
+        [
+            pytest.param(BLUR, "Blur", 514, {}, id="blur"),
+            pytest.param(
+                PIPELINE, "Pipeline", 512, {"__fuse__": 1}, id="fused-pipeline"
+            ),
+        ],
+    )
+    def test_peak_is_output_plus_strip_scratch(self, source, name, side, knobs):
+        import tracemalloc
+
+        from repro.engine_fast.vectorize import STRIP_BYTES
+
+        t = compile_program(source).transform(name)
+        config = _leaf_config(name, LEAF_VECTOR, **knobs)
+        inputs = [np.random.default_rng(7).uniform(-4.0, 4.0, (side, side))]
+        t.run(inputs, config)  # warm: plans, geometry, fused variant
+        tracemalloc.start()
+        try:
+            result = t.run(inputs, config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output_bytes = sum(m.data.nbytes for m in result.outputs.values())
+        assert output_bytes == 512 * 512 * 8
+        assert peak <= output_bytes + self.SLOTS * STRIP_BYTES + self.SLACK
+
+
 class TestChoiceIntegration:
     def test_leveled_leaf_path_switches_by_size(self):
         """The leaf path is a per-size algorithmic choice: a leveled

@@ -328,3 +328,196 @@ def test_window_programs_agree(lo, width, n, seed):
     inputs = {"A": rng.uniform(-2.0, 2.0, n + hi)}
     observed = _run_paths(source, "Window", inputs)
     _assert_paths_agree(observed)
+
+
+# -- strip boundaries -------------------------------------------------------
+#
+# The vector step runs each rule body over strips of the outermost free
+# variable (``vectorize.STRIP_BYTES``).  At the real constant a generated
+# program is one strip; shrunk to a handful of cells, tiny programs
+# cross strip boundaries with ragged last strips, and every path must
+# still match the interpreter exactly.
+
+
+@contextmanager
+def tiny_strips(cells=8):
+    """Strip-mine every vector step into ``cells``-cell strips."""
+    from repro.engine_fast import vectorize
+
+    original = vectorize.STRIP_BYTES
+    vectorize.STRIP_BYTES = 8 * cells
+    try:
+        yield
+    finally:
+        vectorize.STRIP_BYTES = original
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=elementwise_programs(),
+    cells=st.sampled_from((1, 3, 8)),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+)
+def test_random_elementwise_programs_agree_across_strips(
+    source, cells, n, m, seed
+):
+    rng = np.random.default_rng(seed)
+    inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
+    with tiny_strips(cells):
+        observed = _run_paths(source, "Stencil", inputs)
+    _assert_paths_agree(observed)
+
+
+#: name -> (source, transform, input shapes given (n, m)).  One operand
+#: form each: the strip loop re-slices axis 1 of whatever view
+#: ``emit_regions`` built, so each form must survive the re-slice.
+STRIP_PROGRAMS = {
+    "reversed": (
+        """
+transform Reversed
+from A[n, m]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(n - 1 - x, y) a, A.cell(x, m - 1 - y) c) {
+    b = a * 2 + c * 0.5 - 1;
+  }
+}
+""",
+        "Reversed",
+        lambda n, m: {"A": (n, m)},
+    ),
+    "transposed": (
+        """
+transform Transposed
+from A[m, n]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(y, x) a) { b = a * 0.5 + a * a; }
+}
+""",
+        "Transposed",
+        lambda n, m: {"A": (m, n)},
+    ),
+    "outer": (
+        """
+transform Outer
+from U[n], V[m]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (U.cell(x) u, V.cell(y) v) {
+    b = u * v + u * 2 - min(v, u);
+  }
+}
+""",
+        "Outer",
+        lambda n, m: {"U": (n,), "V": (m,)},
+    ),
+    "compound": (
+        """
+transform Compound
+from A[n, m]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(x, y) a) {
+    b = a + 1; b *= a - 0.5; b += b * 2; b -= a;
+  }
+}
+""",
+        "Compound",
+        lambda n, m: {"A": (n, m)},
+    ),
+    "chain": (
+        """
+transform Chain
+from A[n, m]
+to B[n, m]
+{
+  to (B.cell(0, y) b) from (A.cell(0, y) a) { b = a; }
+  to (B.cell(x, y) b) from (B.cell(x - 1, y) up, A.cell(x, y) a) {
+    b = up * 0.625 + a * 0.375;
+  }
+}
+""",
+        "Chain",
+        lambda n, m: {"A": (n, m)},
+    ),
+    "by-value": (
+        """
+transform ByValue
+from A[n, m]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(x, y) a) {
+    b = (a + x * 2 - y) * (x < y) + !(a > 0) + (a % 3) / (y + 1);
+  }
+}
+""",
+        "ByValue",
+        lambda n, m: {"A": (n, m)},
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STRIP_PROGRAMS)),
+    cells=st.sampled_from((1, 3, 8)),
+    n=st.integers(1, 9),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_operand_forms_agree_across_strips(name, cells, n, m, seed):
+    """Reversed (negative-stride) and transposed reads, broadcast
+    operands, compound targets, a chain rule reading the matrix it
+    writes, and free variables used by value — each across ragged
+    strip boundaries."""
+    source, transform, shapes = STRIP_PROGRAMS[name]
+    rng = np.random.default_rng(seed)
+    inputs = {
+        matrix: rng.uniform(-4.0, 4.0, shape)
+        for matrix, shape in shapes(n, m).items()
+    }
+    with tiny_strips(cells):
+        observed = _run_paths(source, transform, inputs)
+    _assert_paths_agree(observed)
+
+
+# -- division by zero -------------------------------------------------------
+
+DIVIDE_PROGRAMS = {
+    "literal": "b = a / 0;",
+    "folded-literal": "b = a / 4 + a / 0.0;",
+    "array": "b = a / d;",
+    "scalar": "b = a / (n - n);",
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(DIVIDE_PROGRAMS)),
+    cells=st.sampled_from((3, 1 << 15)),
+    n=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_division_by_zero_raises_the_interpreter_error(kind, cells, n, seed):
+    """A non-zero literal divisor lowers to a bare ``np.divide``; every
+    other divisor is checked, and a zero — literal, scalar, or one cell
+    of an array divisor, in any strip — raises the interpreter's exact
+    error on every leaf path."""
+    source = (
+        "transform Divide\nfrom A[n], D[n]\nto B[n]\n{\n"
+        "  to (B.cell(i) b) from (A.cell(i) a, D.cell(i) d) "
+        f"{{ {DIVIDE_PROGRAMS[kind]} }}\n}}\n"
+    )
+    rng = np.random.default_rng(seed)
+    divisor = rng.uniform(1.0, 2.0, n)
+    divisor[rng.integers(0, n)] = 0.0
+    inputs = {"A": rng.uniform(-2.0, 2.0, n), "D": divisor}
+    with tiny_strips(cells):
+        observed = _run_paths(source, "Divide", inputs, allow_errors=True)
+    errors = {leaf: observed[leaf][2][2] for leaf in LEAF_PATHS}
+    assert errors[0] is not None
+    assert "division by zero in rule body" in errors[0]
+    assert errors[1] == errors[2] == errors[0]
