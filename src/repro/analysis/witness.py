@@ -91,14 +91,14 @@ def size_envs(compiled, budget: WitnessBudget = DEFAULT_BUDGET) -> List[SizeEnv]
 
 
 def order_guards_hold(compiled, env: SizeEnv) -> bool:
-    """Would the engine accept these sizes? (mirrors `_execute`)."""
+    """Would the engine accept these sizes? (mirrors the plan builder)."""
     return all(
         guard.eval_floor(env) >= 0 for guard in compiled.grid.order_guards
     )
 
 
 def size_guards_hold(rule, env: SizeEnv) -> bool:
-    """Would `_check_size_guards` accept this rule at these sizes?"""
+    """Would the schedule walk accept this rule at these sizes?"""
     return all(guard.eval_floor(env) >= 0 for guard in rule.size_guards)
 
 

@@ -29,7 +29,6 @@ from repro.batch.request import (
     request_shapes,
 )
 from repro.batch.stacked import (
-    StackedPlan,
     batch_eligibility,
     plan_stacked,
     run_stacked,
@@ -39,7 +38,6 @@ __all__ = [
     "BatchEngine",
     "BatchRequest",
     "BatchResult",
-    "StackedPlan",
     "batch_eligibility",
     "bucket_key",
     "config_digest",

@@ -46,8 +46,8 @@ from repro.batch.request import (
     config_digest,
     input_arrays,
 )
-from repro.batch.stacked import StackedPlan, plan_stacked, run_stacked
-from repro.compiler.codegen import CompiledTransform, normalize_sizes
+from repro.batch.stacked import plan_stacked, run_stacked
+from repro.compiler.codegen import CompiledTransform, RunPlan, normalize_sizes
 from repro.compiler.config import ChoiceConfig
 from repro.engine_fast import LRUCache
 from repro.runtime.batchqueue import BucketQueue
@@ -87,7 +87,7 @@ class BatchEngine:
         self._results: Dict[int, BatchResult] = {}
         self._tokens: Dict[int, str] = {}
         self._token_refs: List[CompiledTransform] = []  # keep ids alive
-        #: BucketKey -> (StackedPlan or None, fallback reason)
+        #: BucketKey -> (stackable RunPlan or None, fallback reason)
         self._plans = LRUCache(plan_cache_size)
         self._next_id = 0
 
@@ -238,7 +238,7 @@ class BatchEngine:
             self._run_chunk(plan, chunk)
 
     def _run_chunk(
-        self, plan: StackedPlan, chunk: List[BatchRequest]
+        self, plan: RunPlan, chunk: List[BatchRequest]
     ) -> None:
         transform = chunk[0].transform
         declared = [mat.name for mat in transform.ir.inputs]

@@ -1,15 +1,15 @@
 """Stacked execution: one bucket of same-shaped requests, one sweep.
 
-``plan_stacked`` consumes the same schedule walk the serial engine
-executes (:meth:`CompiledTransform.scheduled_segments` — same size
-binding, same size guards, same option selection, same cached geometry)
-and reads, for every nonempty segment the configuration selects, the
-site's one vector plan (``CompiledTransform._vector_plan`` — the same
-object the serial vector leaf runs at batch 1; its step takes arrays
-with a leading batch axis).  If every segment qualifies, the whole
-transform runs as a sequence of those steps over the stacked requests;
-otherwise the plan reports the first blocking reason and the engine
-falls back to per-request serial execution.
+``plan_stacked`` takes the transform's :class:`RunPlan` for the bucket's
+(config, shapes, sizes) — the very plan a serial run replays: same size
+binding, same size guards, same option selection, same cached geometry,
+same ``__fuse__`` redirect — and reads, for every step, the site's one
+vector plan (``CompiledTransform._vector_plan`` — the same object the
+serial vector leaf runs at batch 1; its step takes arrays with a leading
+batch axis).  If every step qualifies, the whole transform runs as a
+sequence of those vector steps over the stacked requests; otherwise the
+first blocking reason is reported and the engine falls back to
+per-request serial execution.
 
 Eligibility for stacking is strictly narrower than PB501 vector
 eligibility: a segment whose selected option carries a where-clause
@@ -25,40 +25,16 @@ reproduces each request's exact serial outcome.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.codegen import CompiledTransform
+from repro.compiler.codegen import CompiledTransform, RunPlan
 from repro.compiler.config import ChoiceConfig
-from repro.engine_fast import Geometry
 from repro.engine_fast.vectorize import VectorPlan
 from repro.runtime.matrix import Matrix
-
-
-@dataclass
-class StackedStep:
-    """One data-parallel segment application, batched."""
-
-    segment_key: str
-    rule_label: str
-    plan: VectorPlan
-    #: The (cached, shared with the serial engine) iteration geometry
-    #: ``plan.sweep`` turns into step-function calls.
-    geometry: Geometry
-
-
-@dataclass
-class StackedPlan:
-    """Everything needed to run a bucket: shared env, tunables, steps."""
-
-    env: Dict[str, int]
-    tunables: Dict[str, int]
-    #: (name, shape, is_output) per allocated matrix, schedule order.
-    allocations: Tuple[Tuple[str, Tuple[int, ...], bool], ...]
-    steps: Tuple[StackedStep, ...]
 
 
 def plan_stacked(
@@ -66,67 +42,46 @@ def plan_stacked(
     shapes: Sequence[Tuple[int, ...]],
     config: Optional[ChoiceConfig],
     explicit_sizes=None,
-) -> Tuple[Optional[StackedPlan], str]:
+) -> Tuple[Optional[RunPlan], str]:
     """Plan one bucket, or explain why it must run serially.
 
-    Returns ``(plan, "")`` when every nonempty scheduled segment under
-    ``config`` admits a batched vector step, else ``(None, reason)``.
-    Planning failures include anything the serial engine would raise at
-    this (shapes, config) point — guard violations, bad option indices —
-    because the serial fallback reproduces those errors per request.
+    Returns ``(plan, "")`` when every step of the transform's run plan
+    under ``config`` admits a batched vector step, else ``(None,
+    reason)``.  The plan is the serial :class:`RunPlan` with every
+    step's ``plan`` set to its site's vector plan, whatever leaf the
+    configuration picks for serial runs.  Planning failures include
+    anything the serial engine would raise at this (shapes, config)
+    point — guard violations, bad option indices — because the serial
+    fallback reproduces those errors per request.
     """
-    config = config or ChoiceConfig()
     try:
-        return _plan(transform, shapes, config, explicit_sizes)
+        plan = transform.plan(config, shapes, explicit_sizes)
+        steps = []
+        for step in plan.steps:
+            vector, reason = _site_plan(
+                plan.transform,
+                plan.transform._segments[step.segment_key],
+                step.rule,
+                step.fallback is not None,
+            )
+            if vector is None:
+                return None, f"{step.segment_key}: {reason}"
+            steps.append(dataclasses.replace(step, plan=vector))
+        return dataclasses.replace(plan, steps=tuple(steps)), ""
     except Exception as error:  # serial fallback reproduces the error
         return None, str(error)
 
 
-def _plan(transform, shapes, config, explicit_sizes):
-    env = transform.bind_sizes_from_shapes(shapes, explicit_sizes)
-    for guard in transform.grid.order_guards:
-        if guard.eval_floor(env) < 0:
-            return None, f"order guard {guard} fails at {dict(env)}"
-
-    allocations, problem_size = transform.frame_layout(env, shapes)
-    tunables = transform.tunables_at(config, problem_size)
-
-    steps: List[StackedStep] = []
-    for segment, rule, fallback, bounds in transform.scheduled_segments(
-        env, config, problem_size
-    ):
-        plan, reason = _site_plan(
-            transform, segment, rule, fallback is not None
-        )
-        if plan is None:
-            return None, f"{segment.key}: {reason}"
-        steps.append(
-            StackedStep(
-                segment_key=segment.key,
-                rule_label=rule.label,
-                plan=plan,
-                geometry=transform.geometry_for(segment, rule, env, bounds),
-            )
-        )
-    return (
-        StackedPlan(
-            env=env,
-            tunables=tunables,
-            allocations=allocations,
-            steps=tuple(steps),
-        ),
-        "",
-    )
-
-
 def run_stacked(
     transform: CompiledTransform,
-    plan: StackedPlan,
+    plan: RunPlan,
     stacked_inputs: Dict[str, np.ndarray],
     batch: int,
     sink=None,
 ) -> Dict[str, Matrix]:
-    """Execute one planned bucket over ``batch`` stacked requests.
+    """Replay one planned bucket over ``batch`` stacked requests
+    (``plan`` names the transform that runs — ``transform`` itself, or
+    its fused variant under ``__fuse__``).
 
     ``stacked_inputs`` maps each declared input to an array of shape
     ``(batch,) + serial_shape``.  Outputs come back batched the same
@@ -140,10 +95,8 @@ def run_stacked(
     """
     arrays: Dict[str, np.ndarray] = dict(stacked_inputs)
     outputs: Dict[str, Matrix] = {}
-    for name, shape, is_output in plan.allocations:
-        storage = Matrix.zeros(
-            (batch,) + shape, name=f"{transform.name}.{name}"
-        )
+    for name, shape, is_output, label in plan.allocations:
+        storage = Matrix.zeros((batch,) + shape, name=label)
         arrays[name] = storage.data
         if is_output:
             outputs[name] = storage

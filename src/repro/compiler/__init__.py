@@ -16,10 +16,12 @@ Pipeline (paper §3.1), operating on symbolic regions of unknown size:
    between segments annotated with (rule, direction, offset); cycle
    detection doubles as the deadlock-freedom guarantee of §3.6.
 5. **Code generation** (:mod:`repro.compiler.codegen`) — an executable
-   :class:`CompiledTransform`.  Dynamic mode consults a
-   :class:`~repro.compiler.config.ChoiceConfig` at run time; static mode
-   (:func:`~repro.compiler.codegen.specialize`) bakes the configuration
-   in and strips unused choices.
+   :class:`CompiledTransform` whose every call replays a cached
+   :class:`~repro.compiler.codegen.RunPlan`.  Dynamic mode keys plans by
+   the content of the :class:`~repro.compiler.config.ChoiceConfig`
+   given at run time; static mode
+   (:func:`~repro.compiler.codegen.specialize`) bakes one configuration
+   in and never reads a config again.
 """
 
 from repro.compiler.builder import TransformBuilder, NativeContext

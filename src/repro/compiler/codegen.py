@@ -1,30 +1,38 @@
 """Code generation and the execution engine (paper §3.1 phase 5, §3.2).
 
 A :class:`CompiledTransform` is the executable artifact: the analogue of
-the generated C++.  Running one:
+the generated C++.  Everything a call decides *before* it touches data —
+size binding, order and size guards, allocations, which option each
+choice-grid segment takes under the :class:`ChoiceConfig` (possibly a
+different rule per region size, which is how autotuned recursive
+compositions arise), iteration geometry, leaf path, tiling, task labels,
+dependency edges — is a pure function of (program, configuration
+content, input shapes, explicit sizes).  :meth:`CompiledTransform.plan`
+computes it once into an immutable, cached :class:`RunPlan`; running a
+transform is then:
 
-1. binds the transform's size variables from the concrete input shapes,
-2. allocates output and ``through`` matrices,
-3. walks the choice dependency graph in schedule order; for each
-   choice-grid segment it consults the :class:`ChoiceConfig` selector for
-   that site (dynamic mode) to pick an option — possibly a different rule
-   per region size, which is how autotuned recursive compositions arise,
-4. applies the chosen rule: per-instance with the iteration order and
-   blocking dictated by the dependency analysis, or once for whole-region
-   rules, recursing into other transforms for calls in the body,
-5. records the task graph a work-stealing runtime would execute — each
+1. look the frame's plan up (build it on a miss), check the recursion
+   guard, allocate output and ``through`` matrices as the plan lists,
+2. replay the plan's steps in schedule order: per-instance with the
+   iteration order and blocking dictated by the dependency analysis, or
+   once for whole-region rules, recursing into other transforms (each
+   frame replaying its own plan) for calls in the body,
+3. record the task graph a work-stealing runtime would execute — each
    block/application is a task with its dependency edges; below the
    tuned sequential cutoff, code switches to the sequential version
    (tasks are inlined, no spawn overhead), mirroring the dual code paths
    of §3.2.
 
-Static mode (:func:`specialize`) bakes a configuration in: selectors are
-frozen, unreachable options are stripped, and the result no longer
-consults a config at run time.
+Dynamic mode keys plans by the content of the config handed to ``run``:
+one compiled program serves any number of configurations, and a mutated
+config simply misses.  Static mode (:func:`specialize`) bakes one
+configuration in: the static program carries a frozen copy and its key,
+computed once, and no longer consults a config at run time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -92,6 +100,15 @@ _VECTOR_STEP_WORK = 32.0
 #: distinct size-envs; cap the cache rather than grow without bound.
 _GEOM_CACHE_LIMIT = 4096
 
+#: Run plans per transform.  A tuner evaluates thousands of (config,
+#: shape) pairs it never revisits, so the bound is what a warm workload
+#: re-uses (a daemon's live shapes, the frames of one recursion), not
+#: ``_GEOM_CACHE_LIMIT``: 4096 plans took ``tune_search`` peak RSS from
+#: 47 to 76 MiB, 256 leave it at 48.
+_PLAN_CACHE_LIMIT = 256
+
+Bounds = Tuple[Tuple[int, int], ...]
+
 
 class ExecutionError(PetaBricksError):
     """Raised for failures while running generated code (bad input
@@ -153,27 +170,88 @@ def normalize_sizes(sizes: object) -> Dict[str, int]:
 _FUSED_UNSET = object()
 
 
+@dataclass(frozen=True, slots=True)
+class PlanStep:
+    """One non-empty scheduled segment of a :class:`RunPlan`: the rule
+    the configuration selected and everything applying it needs that
+    does not depend on matrix contents.  A whole-region (or native) rule
+    carries ``region_bounds``; an instance rule its ``geometry`` and
+    resolved leaf — vector (``plan``, ``tiles``, ``leaf_label``,
+    ``cell_work``) or per-cell (``kernel``, ``None`` = interpreter, and
+    ``block``).  Rules and the vector plan are held by reference, so
+    ``rule.native_body`` and ``plan.maker`` are read when the step runs.
+    """
+
+    segment_key: str
+    rule_label: str
+    label: str  # of the segment's task
+    #: positions in ``RunPlan.steps`` of the segments this one's
+    #: dependency edges come from (ascending, so are their task ids)
+    deps: Tuple[int, ...]
+    rule: RuleIR
+    fallback: Optional[RuleIR]
+    #: concrete ``[lo, hi)`` bounds per ``rule.all_regions``
+    region_bounds: Optional[Tuple[Bounds, ...]] = None
+    geometry: Optional[Geometry] = None
+    plan: Optional[VectorPlan] = None
+    #: ``(tile sizes per free var, interchange?)``, ``None`` = untiled
+    tiles: Optional[Tuple[Tuple[int, ...], bool]] = None
+    leaf_label: str = ""
+    cell_work: float = 0.0
+    kernel: Optional[RuleKernel] = None
+    block: int = 1
+    #: the vector leaf was configured and the site (or its step volume)
+    #: refused it: counted as ``exec.vector_fallbacks`` per run
+    demoted: bool = False
+
+
+@dataclass(frozen=True, slots=True)
+class RunPlan:
+    """One frame of one transform, decided — see
+    :meth:`CompiledTransform.plan`.  Immutable and free of matrix data:
+    scalars plus references into the transform's shared
+    :class:`Geometry`/:class:`VectorPlan`/:class:`RuleIR` objects, so
+    any number of threads may replay one plan at once and a cached plan
+    costs no memory proportional to its iteration count."""
+
+    #: whose frame this is: the planned transform, or its
+    #: ``fused_variant()`` when ``__fuse__`` redirects the call
+    transform: "CompiledTransform"
+    env: Dict[str, int]
+    frame: Tuple[str, Tuple[Tuple[str, int], ...]]  # recursion-guard key
+    #: (name, shape, is_output, storage label) per allocated matrix
+    allocations: Tuple[Tuple[str, Tuple[int, ...], bool, str], ...]
+    problem_size: int
+    #: this frame is below the sequential cutoff (a caller's verdict is
+    #: inherited at run time on top of it)
+    inline: bool
+    tunables: Dict[str, int]
+    steps: Tuple[PlanStep, ...]
+
+
 class _EngineState:
     """Mutable state threaded through one top-level run."""
 
     __slots__ = (
         "config",
+        "config_key",
         "recorder",
         "inline",
         "call_stack",
         "applications",
-        "problem_size",
     )
 
-    def __init__(self, config: ChoiceConfig, recorder: TaskRecorder) -> None:
+    def __init__(
+        self, config: ChoiceConfig, config_key: Tuple, recorder: TaskRecorder
+    ) -> None:
         self.config = config
+        #: ``config.key()``, built once per top-level run for every
+        #: frame's plan lookup
+        self.config_key = config_key
         self.recorder = recorder
         self.inline = False
         self.call_stack: List[Tuple[str, Tuple[int, ...]]] = []
         self.applications = 0
-        #: footprint of the innermost transform frame; used to resolve
-        #: size-leveled tunables.
-        self.problem_size = 0
 
 
 class CompiledProgram:
@@ -181,6 +259,8 @@ class CompiledProgram:
 
     def __init__(self, ir: ProgramIR) -> None:
         self.ir = ir
+        #: ``(frozen config, its key)`` on a :func:`specialize`d program
+        self.static: Optional[Tuple[ChoiceConfig, Tuple]] = None
         self.transforms: Dict[str, CompiledTransform] = {}
         for name, tir in ir.transforms.items():
             self.transforms[name] = CompiledTransform(tir, self)
@@ -265,18 +345,19 @@ class CompiledTransform:
         # rules).  Rules the lowerer cannot prove bit-for-bit equivalent
         # keep the interpreter, so a failed lowering is a lost
         # optimization, never a wrong answer.
-        self._kernels: Dict[int, Optional[RuleKernel]] = {}
+        self._kernels: Dict[
+            Tuple[int, Tuple[str, ...]], Optional[RuleKernel]
+        ] = {}
         # Lazily-populated caches: iteration geometry per (segment, rule,
         # size-env), direction analysis per (segment, rule), and vector
         # plans per (segment, rule, fallback?).  The size-keyed caches
         # are LRU-bounded: a long-lived serve daemon sees arbitrarily
         # many distinct input shapes.
         self._geom_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
-        # Size-binding solutions per (input shapes, explicit sizes):
-        # recursive transforms re-enter with a handful of distinct
-        # shapes thousands of times, and the iterative affine solve in
-        # _bind_sizes is pure in this key.
+        # Size-binding solutions per (input shapes, explicit sizes) and
+        # run plans per (config content, input shapes, explicit sizes).
         self._size_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
+        self._plan_cache: LRUCache = LRUCache(_PLAN_CACHE_LIMIT)
         self._dir_cache: Dict[
             Tuple[str, int], Tuple[Dict[str, int], List[str]]
         ] = {}
@@ -315,10 +396,17 @@ class CompiledTransform:
 
         ``sink`` (a :class:`repro.observe.trace.TraceSink`) receives the
         recorder's ``task_recorded`` events and counters when given.
+        On a :func:`specialize`d program ``config`` is ignored: the
+        program's frozen configuration runs.
         """
-        config = config or ChoiceConfig()
+        static = self.program.static
+        if static is not None:
+            config, config_key = static
+        else:
+            config = config or ChoiceConfig()
+            config_key = config.key()
         recorder = TaskRecorder(sink=sink)
-        state = _EngineState(config, recorder)
+        state = _EngineState(config, config_key, recorder)
         input_views = self._coerce_inputs(inputs)
         outputs, env = self._execute(state, input_views, sizes)
         return RunResult(
@@ -361,43 +449,32 @@ class CompiledTransform:
                 views[mat.name] = _as_view(value)
         return views
 
-    def _bind_sizes(
-        self,
-        shapes: Sequence[Tuple[int, ...]],
-        explicit: Optional[Mapping[str, int]],
-    ) -> Dict[str, int]:
-        """Size variables from the input shapes (declared order)."""
-        explicit = normalize_sizes(explicit)
-        key = (tuple(shapes), tuple(sorted(explicit.items())))
-        cached = self._size_cache.get(key)
-        if cached is not None:
-            return dict(cached)
-        env = self._bind_sizes_uncached(shapes, explicit)
-        self._size_cache[key] = dict(env)
-        return env
-
     def bind_sizes_from_shapes(
         self,
         shapes: Sequence[Tuple[int, ...]],
         explicit: Optional[Mapping[str, int]] = None,
     ) -> Dict[str, int]:
-        """Size-variable binding from input *shapes* alone.
-
-        Public handle for the batch request grouper (:mod:`repro.batch`):
-        one bucket of same-shaped requests binds sizes once, through the
-        same ``_size_cache`` the serial engine fills — the cache key is a
-        function of shapes only, so serial and batched lookups share
-        entries.  ``shapes`` follow the declared input order.
-        """
+        """Size variables from the input *shapes* (declared order) and
+        explicit ``sizes=`` — the first step of planning a frame, and a
+        public handle for callers that only need the binding.  Cached
+        per (shapes, sizes): the iterative affine solve is pure in that
+        key, and every configuration a tuner tries re-plans the same
+        handful of shapes."""
         declared = self.ir.inputs
         if len(shapes) != len(declared):
             raise ExecutionError(
                 f"{self.name}: expected {len(declared)} input shapes, "
                 f"got {len(shapes)}"
             )
-        return self._bind_sizes(
-            [tuple(int(d) for d in shape) for shape in shapes], explicit
-        )
+        shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
+        explicit = normalize_sizes(explicit)
+        key = (shapes, tuple(sorted(explicit.items())))
+        cached = self._size_cache.get(key)
+        if cached is None:
+            cached = self._size_cache[key] = self._bind_sizes_uncached(
+                shapes, explicit
+            )
+        return dict(cached)
 
     def _bind_sizes_uncached(
         self,
@@ -516,21 +593,54 @@ class CompiledTransform:
             )
         return cached
 
-    def _execute(
+    def plan(
         self,
-        state: _EngineState,
-        input_views: Dict[str, MatrixView],
-        explicit_sizes: Optional[Mapping[str, int]] = None,
-    ) -> Tuple[Dict[str, Matrix], Dict[str, int]]:
-        if state.config.fuse_enabled(self.name):
-            variant = self.fused_variant()
-            if variant is not None:
-                return variant._execute(state, input_views, explicit_sizes)
-        env = self._bind_sizes(
-            [input_views[mat.name].shape for mat in self.ir.inputs],
-            explicit_sizes,
-        )
+        config: Optional[ChoiceConfig],
+        shapes: Sequence[Sequence[int]],
+        sizes: Optional[Mapping[str, int]] = None,
+    ) -> RunPlan:
+        """The :class:`RunPlan` of one call under ``config`` on inputs of
+        ``shapes`` (declared order) — what ``run`` looks up and replays
+        and :mod:`repro.batch.stacked` replays at batch B.
 
+        The cache key is (config *content*, shapes, normalised
+        ``sizes``), so a mutated config simply misses.  Planning is
+        *eager*: size binding, the order guards and every scheduled
+        segment's option index, size guards and geometry are resolved
+        before the frame's first segment runs, so a bad option index or
+        failing size guard on a late segment raises (the same
+        :class:`ExecutionError`) before the earlier segments have run,
+        not after.  A plan that fails to build is not cached.
+        """
+        config = config or ChoiceConfig()
+        shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
+        return self._frame_plan(config, config.key(), shapes, sizes)[0]
+
+    def _frame_plan(
+        self, config, config_key, shapes, explicit_sizes, sink=None
+    ) -> Tuple[RunPlan, bool]:
+        """``(plan, served from cache?)``.  Unlocked on purpose: plans
+        are immutable and equal for equal keys, so two threads that miss
+        together build twice and either insert wins."""
+        explicit = normalize_sizes(explicit_sizes)
+        key = (config_key, shapes, tuple(sorted(explicit.items())))
+        plan = self._plan_cache.get(key)
+        if plan is not None:
+            return plan, True
+        variant = (
+            self.fused_variant() if config.fuse_enabled(self.name) else None
+        )
+        if variant is not None:
+            plan, hit = variant._frame_plan(
+                config, config_key, shapes, explicit, sink
+            )
+        else:
+            plan, hit = self._build_plan(config, shapes, explicit, sink), False
+        self._plan_cache[key] = plan
+        return plan, hit
+
+    def _build_plan(self, config, shapes, explicit, sink) -> RunPlan:
+        env = self.bind_sizes_from_shapes(shapes, explicit)
         for guard in self.grid.order_guards:
             if guard.eval_floor(env) < 0:
                 raise ExecutionError(
@@ -538,117 +648,190 @@ class CompiledTransform:
                     f"region ordering {guard} >= 0 (input too small for "
                     f"this program's choice grid)"
                 )
-
-        frame = (self.name, tuple(sorted(env.items())))
-        if frame in state.call_stack:
-            raise ExecutionError(
-                f"{self.name}: infinite recursion — the configuration "
-                f"selects a recursive rule at sizes {dict(env)}"
-            )
-        state.call_stack.append(frame)
-        try:
-            return self._execute_frame(state, input_views, env), env
-        finally:
-            state.call_stack.pop()
-
-    def _execute_frame(
-        self,
-        state: _EngineState,
-        input_views: Dict[str, MatrixView],
-        env: Dict[str, int],
-    ) -> Dict[str, Matrix]:
-        allocations, problem_size = self.frame_layout(
-            env, [view.shape for view in input_views.values()]
-        )
-        views: Dict[str, MatrixView] = dict(input_views)
-        outputs: Dict[str, Matrix] = {}
-        for name, shape, is_output in allocations:
-            storage = Matrix.zeros(shape, name=f"{self.name}.{name}")
-            views[name] = storage.whole()
-            if is_output:
-                outputs[name] = storage
-
-        cutoff = state.config.seq_cutoff(self.name)
-        outer_inline = state.inline
-        outer_problem_size = state.problem_size
-        state.problem_size = problem_size
-        if problem_size < cutoff:
-            state.inline = True
-
-        try:
-            with state.recorder.task(label=self.name, inline=state.inline):
-                # Segment tasks by node; inputs, empty and inlined
-                # segments have none and contribute no dependency edge.
-                node_tasks: Dict[str, Optional[int]] = {}
-                for segment, rule, fallback, bounds in self.scheduled_segments(
-                    env, state.config, problem_size
-                ):
-                    deps = sorted(
-                        {
-                            node_tasks[edge.src]
-                            for edge in self.depgraph.edges_into(segment.key)
-                            if edge.src != segment.key
-                            and node_tasks.get(edge.src) is not None
-                        }
-                    )
-                    with state.recorder.task(
-                        deps=deps,
-                        label=f"{self.name}.{segment.key}",
-                        inline=state.inline,
-                    ) as segment_task:
-                        if rule.is_instance_rule:
-                            self._apply_instance_rule(
-                                state, segment, rule, fallback, env, views, bounds
-                            )
-                        else:
-                            self._apply_once(state, rule, dict(env), views)
-                    node_tasks[segment.key] = segment_task
-        finally:
-            state.inline = outer_inline
-            state.problem_size = outer_problem_size
-        return outputs
-
-    def frame_layout(
-        self, env: Mapping[str, int], input_shapes: Sequence[Tuple[int, ...]]
-    ) -> Tuple[Tuple[Tuple[str, Tuple[int, ...], bool], ...], int]:
-        """What one call of this transform allocates and how big it is:
-        ``(name, shape, is_output)`` for every output and ``through``
-        matrix, plus the problem size steering choice selection and the
-        sequential cutoff — total cells across every matrix of the call.
-        Using the whole call footprint (not just outputs) makes the
-        metric shrink under *any* recursive decomposition, including
-        splits along reduction dimensions that keep the output size
-        constant.  Shared by the serial frame and the batch planner."""
         allocations = tuple(
             (
                 mat.name,
                 tuple(dim.eval_floor(env) for dim in mat.dims),
                 mat.role == ROLE_OUTPUT,
+                f"{self.name}.{mat.name}",
             )
             for mat in self.ir.outputs + self.ir.throughs
         )
-        problem_size = sum(math.prod(shape) for shape in input_shapes) + sum(
-            math.prod(shape) for _name, shape, _is_output in allocations
+        # The problem size steering choice selection and the sequential
+        # cutoff is the total cells across every matrix of the call.
+        # The whole call footprint (not just outputs) shrinks under
+        # *any* recursive decomposition, including splits along
+        # reduction dimensions that keep the output size constant.
+        problem_size = sum(math.prod(shape) for shape in shapes) + sum(
+            math.prod(allocation[1]) for allocation in allocations
         )
-        return allocations, problem_size
+        steps: List[PlanStep] = []
+        position: Dict[str, int] = {}
+        for site in self.scheduled_segments(env, config, problem_size):
+            # Inputs and empty segments have no step (no task) and
+            # contribute no dependency edge.
+            key = site[0].key
+            deps = {
+                position[edge.src]
+                for edge in self.depgraph.edges_into(key)
+                if edge.src != key and edge.src in position
+            }
+            position[key] = len(steps)
+            steps.append(
+                self._plan_step(
+                    config, problem_size, env, site, tuple(sorted(deps)), sink
+                )
+            )
+        return RunPlan(
+            transform=self,
+            env=env,
+            frame=(self.name, tuple(sorted(env.items()))),
+            allocations=allocations,
+            problem_size=problem_size,
+            inline=problem_size < config.seq_cutoff(self.name),
+            tunables=self.tunables_at(config, problem_size),
+            steps=tuple(steps),
+        )
+
+    def _plan_step(
+        self, config, problem_size, env, site, deps, sink
+    ) -> PlanStep:
+        segment, rule, fallback, bounds = site
+        common = dict(
+            segment_key=segment.key,
+            rule_label=rule.label,
+            label=f"{self.name}.{segment.key}",
+            deps=deps,
+            rule=rule,
+            fallback=fallback,
+        )
+        if not rule.is_instance_rule:
+            return PlanStep(
+                **common,
+                region_bounds=tuple(
+                    region.box.concrete(env) for region in rule.all_regions
+                ),
+            )
+        geometry = self.geometry_for(segment, rule, env, bounds, sink=sink)
+        # The configured leaf degrades gracefully: vector falls back to
+        # closure when the site is not vectorizable (or below the
+        # cutoff), closure to the interpreter when the rule has no
+        # kernel.  The interpreter is always legal.
+        leaf = config.leaf_path(self.name, problem_size)
+        if leaf == LEAF_VECTOR:
+            plan, _reason = self._vector_plan(
+                segment, rule, fallback is not None
+            )
+            if plan is not None and geometry.step_volume >= max(
+                1, config.vectorize_cutoff(self.name, problem_size)
+            ):
+                tiles = self._tile_spec(config, segment, rule, geometry)
+                return PlanStep(
+                    **common,
+                    geometry=geometry,
+                    plan=plan,
+                    tiles=tiles,
+                    leaf_label=rule.label + ("[vec:tiled]" if tiles else "[vec]"),
+                    cell_work=rule.base_work + plan.static_ops,
+                )
+        return PlanStep(
+            **common,
+            geometry=geometry,
+            kernel=None
+            if leaf == LEAF_INTERP
+            else self._kernel(rule, geometry.chain_vars + geometry.free_vars),
+            block=max(1, config.block_size(self.name)),
+            demoted=leaf == LEAF_VECTOR,
+        )
+
+    def _execute(
+        self,
+        state: _EngineState,
+        input_views: Dict[str, MatrixView],
+        explicit_sizes: Optional[Mapping[str, int]] = None,
+    ) -> Tuple[Dict[str, Matrix], Dict[str, int]]:
+        """One frame: look up (or build) its plan, guard the recursion,
+        replay.  ``input_views`` is in declared order."""
+        sink = state.recorder.sink
+        shapes = tuple([view.shape for view in input_views.values()])
+        plan, hit = self._frame_plan(
+            state.config, state.config_key, shapes, explicit_sizes, sink
+        )
+        if sink is not None:
+            sink.count("exec.plan_hits" if hit else "exec.plan_misses")
+        if plan.frame in state.call_stack:
+            raise ExecutionError(
+                f"{self.name}: infinite recursion — the configuration "
+                f"selects a recursive rule at sizes {dict(plan.env)}"
+            )
+        state.call_stack.append(plan.frame)
+        try:
+            return plan.transform._replay(state, plan, input_views, hit), plan.env
+        finally:
+            state.call_stack.pop()
+
+    def _replay(
+        self, state: _EngineState, plan: RunPlan, input_views, hit: bool
+    ) -> Dict[str, Matrix]:
+        """Allocate, then run ``plan``'s steps, recording their tasks.
+        The one execution path: a plan built a moment ago (``hit``
+        false: its geometry lookups were counted while it was built) and
+        one replayed for the millionth time run this same loop."""
+        views: Dict[str, MatrixView] = dict(input_views)
+        outputs: Dict[str, Matrix] = {}
+        for name, shape, is_output, label in plan.allocations:
+            storage = Matrix.zeros(shape, name=label)
+            views[name] = storage.whole()
+            if is_output:
+                outputs[name] = storage
+
+        outer_inline = state.inline
+        inline = state.inline = outer_inline or plan.inline
+        recorder = state.recorder
+        sink = recorder.sink
+        try:
+            with recorder.task(label=self.name, inline=inline):
+                tasks: List[int] = []
+                for step in plan.steps:
+                    with recorder.task(
+                        deps=[tasks[index] for index in step.deps],
+                        label=step.label,
+                        inline=inline,
+                    ) as segment_task:
+                        if step.geometry is None:
+                            self._apply_once(
+                                state, step.rule, plan.env, views,
+                                plan.tunables, step.region_bounds,
+                            )
+                        else:
+                            if sink is not None:
+                                if hit:  # its geometry came from cache
+                                    sink.count("exec.geom_cache_hits")
+                                if step.demoted:
+                                    sink.count("exec.vector_fallbacks")
+                            if step.plan is not None:
+                                self._run_vector_steps(
+                                    state, plan, step, step.plan, views
+                                )
+                            else:
+                                self._run_instance_steps(
+                                    state, plan, step, views
+                                )
+                    tasks.append(segment_task)
+        finally:
+            state.inline = outer_inline
+        return outputs
 
     def scheduled_segments(
         self, env: Dict[str, int], config: ChoiceConfig, problem_size: int
-    ) -> Iterator[
-        Tuple[Segment, RuleIR, Optional[RuleIR], Tuple[Tuple[int, int], ...]]
-    ]:
+    ) -> Iterator[Tuple[Segment, RuleIR, Optional[RuleIR], Bounds]]:
         """The schedule walk: ``(segment, rule, fallback, bounds)`` for
         every non-empty choice-grid segment in dependency (schedule)
         order, with the configuration's option selected for
         ``problem_size``, its primary/fallback rules resolved, the
         primary's size guards checked and the segment's concrete
-        ``[lo, hi)`` bounds computed.
-
-        Lazy on purpose: the serial frame executes each segment before
-        the next one is resolved, so a bad option index or failing size
-        guard surfaces exactly where it always did.  The one consumer
-        of ``depgraph.schedule_order`` — the serial engine and the
-        batch planner (:mod:`repro.batch.stacked`) both walk this."""
+        ``[lo, hi)`` bounds computed.  The one consumer of
+        ``depgraph.schedule_order``, walked once per plan built."""
         for node in self.depgraph.schedule_order:
             segment = self._segments.get(node)
             if segment is None:
@@ -656,30 +839,28 @@ class CompiledTransform:
             bounds = segment.box.concrete(env)
             if any(hi <= lo for lo, hi in bounds):
                 continue
-            option = self._select_option(config, segment, problem_size)
+            key = site_key(self.name, segment.matrix, segment.index)
+            selector = config.choice_for(key) or self._default_selector(segment)
+            index = selector.pick(problem_size)
+            if not (0 <= index < len(segment.options)):
+                raise ExecutionError(
+                    f"{self.name}: configuration picks option {index} at "
+                    f"{key}, but the site has {len(segment.options)} options"
+                )
+            option = segment.options[index]
             rule = self.ir.rules[option.primary]
             fallback = (
                 self.ir.rules[option.fallback]
                 if option.fallback is not None
                 else None
             )
-            self._check_size_guards(rule, env)
+            for guard in rule.size_guards:
+                if guard.eval_floor(env) < 0:
+                    raise ExecutionError(
+                        f"{self.name} {rule.label}: size constraint "
+                        f"{guard} >= 0 fails for {dict(env)}"
+                    )
             yield segment, rule, fallback, bounds
-
-    def _select_option(
-        self, config: ChoiceConfig, segment: Segment, volume: int
-    ) -> ChoiceOption:
-        key = site_key(self.name, segment.matrix, segment.index)
-        selector = config.choice_for(key)
-        if selector is None:
-            selector = self._default_selector(segment)
-        index = selector.pick(volume)
-        if not (0 <= index < len(segment.options)):
-            raise ExecutionError(
-                f"{self.name}: configuration picks option {index} at "
-                f"{key}, but the site has {len(segment.options)} options"
-            )
-        return segment.options[index]
 
     def _default_selector(self, segment: Segment) -> Selector:
         """Untuned default: the first non-recursive option (guaranteed to
@@ -689,68 +870,20 @@ class CompiledTransform:
                 return Selector.static(index)
         return Selector.static(0)
 
-    def _check_size_guards(self, rule: RuleIR, env: Dict[str, int]) -> None:
-        for guard in rule.size_guards:
-            if guard.eval_floor(env) < 0:
-                raise ExecutionError(
-                    f"{self.name} {rule.label}: size constraint "
-                    f"{guard} >= 0 fails for {dict(env)}"
-                )
-
     # -- instance rules --------------------------------------------------------
-
-    def _apply_instance_rule(
-        self,
-        state: _EngineState,
-        segment: Segment,
-        rule: RuleIR,
-        fallback: Optional[RuleIR],
-        env: Dict[str, int],
-        views: Dict[str, MatrixView],
-        segment_bounds: Tuple[Tuple[int, int], ...],
-    ) -> None:
-        geometry = self.geometry_for(
-            segment, rule, env, segment_bounds, sink=state.recorder.sink
-        )
-        # User tunables at the current problem size, computed once per
-        # segment application (not once per cell).
-        tunables = self.tunables_at(state.config, state.problem_size)
-        leaf, plan = self._resolve_leaf(state, segment, rule, fallback, geometry)
-        if leaf == LEAF_VECTOR:
-            self._run_vector_steps(
-                state,
-                rule,
-                env,
-                views,
-                geometry,
-                plan,
-                tunables,
-                self._tile_spec(state, segment, rule, geometry),
-            )
-            return
-        if leaf == LEAF_CLOSURE:
-            apply_block = self._closure_block_runner(
-                state, rule, fallback, env, views, geometry, tunables
-            )
-        else:
-            apply_block = self._interp_block_runner(
-                state, rule, fallback, env, views, geometry, tunables
-            )
-        self._run_instance_steps(state, rule, geometry, apply_block)
 
     def geometry_for(
         self,
         segment: Segment,
         rule: RuleIR,
         env: Dict[str, int],
-        segment_bounds: Tuple[Tuple[int, int], ...],
+        segment_bounds: Bounds,
         sink=None,
     ) -> Geometry:
         """Iteration geometry, cached per (segment, rule, size-env) —
         ``segment_bounds`` is itself a function of ``env``, so it does
-        not enter the key.  Public handle: the batch execution engine
-        (:mod:`repro.batch`) plans against the same cache, so one bucket
-        of requests re-solves nothing the serial engine already solved."""
+        not enter the key.  Called while a plan is built; a replayed
+        plan holds the geometry it found here."""
         key = geometry_key(segment.key, rule.rule_id, env)
         geometry = self._geom_cache.get(key)
         if geometry is not None:
@@ -769,15 +902,22 @@ class CompiledTransform:
                 sink.count("exec.geom_cache_evictions", evicted)
         return geometry
 
-    def _kernel(self, rule: RuleIR) -> Optional[RuleKernel]:
-        """The rule's compiled closure kernel (lowered on first use)."""
-        if rule.rule_id in self._kernels:
-            return self._kernels[rule.rule_id]
+    def _kernel(
+        self, rule: RuleIR, params: Optional[Tuple[str, ...]] = None
+    ) -> Optional[RuleKernel]:
+        """The rule's compiled closure kernel taking ``params`` (a
+        site's iteration order; default: declaration order), lowered on
+        first use.  Two sites that iterate one rule in different orders
+        get two kernels."""
+        params = params or tuple(rule.rule_vars)
+        key = (rule.rule_id, params)
+        if key in self._kernels:
+            return self._kernels[key]
         try:
-            kernel = lower_rule(rule, self.ir)
+            kernel = lower_rule(rule, self.ir, params)
         except Exception:
             kernel = None
-        self._kernels[rule.rule_id] = kernel
+        self._kernels[key] = kernel
         return kernel
 
     def _var_directions_cached(
@@ -820,8 +960,7 @@ class CompiledTransform:
     def tunables_at(
         self, config: ChoiceConfig, problem_size: int
     ) -> Dict[str, int]:
-        """Resolved user tunables at a problem size (public handle —
-        the batch planner resolves them once per bucket)."""
+        """Resolved user tunables at a problem size (once per plan)."""
         return {
             t.name: config.tunable_at(
                 f"{self.name}.{t.name}",
@@ -831,68 +970,40 @@ class CompiledTransform:
             for t in self.ir.tunables
         }
 
-    def _resolve_leaf(
-        self,
-        state: _EngineState,
-        segment: Segment,
-        rule: RuleIR,
-        fallback: Optional[RuleIR],
-        geometry: Geometry,
-    ) -> Tuple[int, Optional[VectorPlan]]:
-        """Pick the leaf execution path for this segment application.
-
-        The configured path degrades gracefully: vector falls back to
-        closure when the site is not vectorizable (or below the cutoff),
-        closure falls back to the interpreter when the rule has no
-        kernel.  The interpreter is always legal.
-        """
-        leaf = state.config.leaf_path(self.name, state.problem_size)
-        if leaf == LEAF_VECTOR:
-            plan, _reason = self._vector_plan(
-                segment, rule, fallback is not None
-            )
-            if plan is not None:
-                cutoff = state.config.vectorize_cutoff(
-                    self.name, state.problem_size
-                )
-                if geometry.step_volume >= max(1, cutoff):
-                    return LEAF_VECTOR, plan
-            sink = state.recorder.sink
-            if sink is not None:
-                sink.count("exec.vector_fallbacks")
-            leaf = LEAF_CLOSURE
-        if leaf == LEAF_CLOSURE and self._kernel(rule) is None:
-            leaf = LEAF_INTERP
-        return leaf, None
-
     def _run_instance_steps(
         self,
         state: _EngineState,
-        rule: RuleIR,
-        geometry: Geometry,
-        apply_block: Callable[[Tuple[int, ...], Sequence[Tuple[int, ...]]], None],
+        plan: RunPlan,
+        step: PlanStep,
+        views: Dict[str, MatrixView],
     ) -> None:
-        """The shared per-instance driver: sequential chain steps, each a
+        """The per-cell leaves' driver: sequential chain steps, each a
         set of blocked data-parallel tasks.  Task labels, block deps, and
         barrier structure are identical for the interpreter and closure
-        paths (and identical to the pre-kernel engine)."""
-        block = max(1, state.config.block_size(self.name))
-        instances = geometry.free_products
+        paths."""
+        geometry = step.geometry
+        apply_block = (
+            self._interp_block_runner
+            if step.kernel is None
+            else self._closure_block_runner
+        )(state, plan, step, views)
+        instances, block = geometry.free_products, step.block
+        blocks = [
+            (f"{step.rule_label}[{start}]", instances[start : start + block])
+            for start in range(0, len(instances), block)
+        ]
+        recorder = state.recorder
+        inline = state.inline
         previous: List[int] = []
         # product() of no chain variables is the one unchained step.
         for chain_values in itertools.product(*geometry.chain_value_lists):
             step_tasks: List[int] = []
-            for start in range(0, len(instances), block):
-                with state.recorder.task(
-                    deps=previous,
-                    label=f"{rule.label}[{start}]",
-                    inline=state.inline,
+            for label, instances in blocks:
+                with recorder.task(
+                    deps=previous, label=label, inline=inline
                 ) as block_task:
-                    apply_block(
-                        chain_values, instances[start : start + block]
-                    )
-                if block_task is not None:
-                    step_tasks.append(block_task)
+                    apply_block(chain_values, instances)
+                step_tasks.append(block_task)
             if step_tasks:
                 previous = step_tasks
 
@@ -915,22 +1026,21 @@ class CompiledTransform:
     def _interp_block_runner(
         self,
         state: _EngineState,
-        rule: RuleIR,
-        fallback: Optional[RuleIR],
-        env: Dict[str, int],
+        plan: RunPlan,
+        step: PlanStep,
         views: Dict[str, MatrixView],
-        geometry: Geometry,
-        tunables: Dict[str, int],
     ) -> Callable[[Tuple[int, ...], Sequence[Tuple[int, ...]]], None]:
         """Reference path: the rule-body interpreter, one call per cell.
 
-        One mutable instance env is reused across all instances (the old
-        engine copied ``dict(env)`` per cell); ``_apply_once`` never
-        leaks it into anything that outlives the call.
+        One mutable instance env is reused across all instances;
+        ``_apply_once`` never leaks it into anything that outlives the
+        call.
         """
+        rule, fallback, geometry = step.rule, step.fallback, step.geometry
         chain_vars = geometry.chain_vars
         free_vars = geometry.free_vars
-        instance_env = dict(env)
+        tunables = plan.tunables
+        instance_env = dict(plan.env)
 
         def apply_block(
             chain_values: Tuple[int, ...],
@@ -959,19 +1069,19 @@ class CompiledTransform:
     def _closure_block_runner(
         self,
         state: _EngineState,
-        rule: RuleIR,
-        fallback: Optional[RuleIR],
-        env: Dict[str, int],
+        plan: RunPlan,
+        step: PlanStep,
         views: Dict[str, MatrixView],
-        geometry: Geometry,
-        tunables: Dict[str, int],
     ) -> Callable[[Tuple[int, ...], Sequence[Tuple[int, ...]]], None]:
         """Lowered path: one direct call into the rule's compiled closure
-        per cell; work is charged in one batch per block (identical task
-        totals, since per-instance charges are summed within the block's
-        task either way)."""
-        kernel = self._kernel(rule)
-        assert kernel is not None
+        per cell — its parameters are in the site's iteration order, so
+        the chain and free values are the argument list; work is charged
+        in one batch per block (identical task totals, since
+        per-instance charges are summed within the block's task either
+        way)."""
+        rule, fallback, geometry = step.rule, step.fallback, step.geometry
+        kernel = step.kernel
+        env, tunables = plan.env, plan.tunables
         arrays = {
             name: views[name].to_numpy() for name in kernel.matrices
         }
@@ -984,23 +1094,22 @@ class CompiledTransform:
         recorder = state.recorder
         sink = recorder.sink
         base_work = rule.base_work
-        position = {var: i for i, var in enumerate(kernel.params)}
-        chain_pos = [position[v] for v in geometry.chain_vars]
-        free_pos = [position[v] for v in geometry.free_vars]
-        args: List[int] = [0] * len(kernel.params)
 
         def apply_block(
             chain_values: Tuple[int, ...],
             block_instances: Sequence[Tuple[int, ...]],
         ) -> None:
-            for pos, value in zip(chain_pos, chain_values):
-                args[pos] = value
+            # One positional list per cell is the loop's only overhead:
+            # bind the block's chain values once, splat the free ones.
+            cell = (
+                functools.partial(instance, *chain_values)
+                if chain_values
+                else instance
+            )
             total = 0.0
             count = 0
             for values in block_instances:
-                for pos, value in zip(free_pos, values):
-                    args[pos] = value
-                ops = instance(*args)
+                ops = cell(*values)
                 if ops is None:
                     # The where-clause rejected the instance: the
                     # fallback rule runs it on the interpreter.
@@ -1008,7 +1117,9 @@ class CompiledTransform:
                         raise self._where_failure(
                             rule, geometry, chain_values, values
                         )
-                    rejected = {**env, **dict(zip(kernel.params, args))}
+                    rejected = {
+                        **env, **dict(zip(kernel.params, chain_values + values))
+                    }
                     self._apply_once(
                         state, fallback, rejected, views, tunables
                     )
@@ -1025,13 +1136,13 @@ class CompiledTransform:
 
     def _tile_spec(
         self,
-        state: _EngineState,
+        config: ChoiceConfig,
         segment: Segment,
         rule: RuleIR,
         geometry: Geometry,
-    ) -> Optional[Tuple[List[int], bool]]:
-        """The effective (tile sizes per free var, interchange?) for this
-        segment application, or ``None`` to run the untiled sweep.
+    ) -> Optional[Tuple[Tuple[int, ...], bool]]:
+        """The effective (tile sizes per free var, interchange?) of a
+        vector step, or ``None`` to run the untiled sweep.
 
         Sizes come from the ``__tile_i__``/``__tile_j__`` tunables, with
         the rule's declared ``tile(...)`` annotation as the default; a
@@ -1040,69 +1151,63 @@ class CompiledTransform:
         other site the knobs are a verified no-op."""
         if not geometry.chain_vars or not geometry.free_vars:
             return None
-        config = state.config
         declared = rule.schedule or ScheduleIR()
         declared_tiles = dict(declared.tile)
         tile_sizes: List[int] = []
-        tiled = False
         for dim, var in enumerate(geometry.free_vars):
             size = declared_tiles.get(var, 0)
             if dim < 2:
                 size = config.tile_size(self.name, dim, size)
             lo, hi = geometry.var_ranges[var]
-            if size <= 0 or size >= hi - lo:
-                tile_sizes.append(0)
-            else:
-                tile_sizes.append(size)
-                tiled = True
-        if not tiled:
+            tile_sizes.append(size if 0 < size < hi - lo else 0)
+        if not any(tile_sizes):
             return None
         if not self._schedule_verdict(segment, rule).legal:
             return None
-        return tile_sizes, bool(
+        return tuple(tile_sizes), bool(
             config.interchange_enabled(self.name, int(declared.interchange))
         )
 
     def _run_vector_steps(
         self,
         state: _EngineState,
-        rule: RuleIR,
-        env: Dict[str, int],
+        plan: RunPlan,
+        step: PlanStep,
+        vector: VectorPlan,
         views: Dict[str, MatrixView],
-        geometry: Geometry,
-        plan: VectorPlan,
-        tunables: Dict[str, int],
-        tiles: Optional[Tuple[List[int], bool]],
     ) -> None:
         """Vector path: one task and one call of the site's step — an
         in-place ufunc chain the step itself runs in cache-sized strips —
         per (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
-        (``tiles`` is ``None``) the sweep is the single full-extent tile
-        — one task per chain step; with the ``(tile sizes, interchange)``
-        of :meth:`_tile_spec` the free space is cut into cache-sized
-        blocks.  Bit-identical results either way; a *different*
-        (cheaper) task graph and work model than the per-cell paths —
-        that difference is exactly what makes the leaf path worth
-        tuning.  Tasks form a single sequential chain, which is always a
-        legal schedule of the recorded graph.  The step is the site's
-        one batch-axis kernel, run here at batch 1."""
+        (``step.tiles`` is ``None``) the sweep is the single full-extent
+        tile — one task per chain step; with the ``(tile sizes,
+        interchange)`` of :meth:`_tile_spec` the free space is cut into
+        cache-sized blocks.  Bit-identical results either way; a
+        *different* (cheaper) task graph and work model than the
+        per-cell paths — that difference is exactly what makes the leaf
+        path worth tuning.  Tasks form a single sequential chain, which
+        is always a legal schedule of the recorded graph.  ``vector``
+        (``step.plan``) is the site's one batch-axis kernel, run here at
+        batch 1."""
         arrays = {
-            name: views[name].to_numpy()[None] for name in plan.matrices
+            name: views[name].to_numpy()[None] for name in vector.matrices
         }
-        step = plan.maker(env, tunables, arrays)
+        run_step = vector.maker(plan.env, plan.tunables, arrays)
+        tiles = step.tiles
         tile_sizes, interchange = tiles or ((), False)
-        label = f"{rule.label}[vec:tiled]" if tiles else f"{rule.label}[vec]"
-        cell_work = rule.base_work + plan.static_ops
+        label = step.leaf_label
+        cell_work = step.cell_work
         recorder = state.recorder
         sink = recorder.sink
+        inline = state.inline
         previous: List[int] = []
-        for chain_values, free_args, volume in plan.sweep(
-            geometry, tile_sizes, interchange
+        for chain_values, free_args, volume in vector.sweep(
+            step.geometry, tile_sizes, interchange
         ):
             with recorder.task(
-                deps=previous, label=label, inline=state.inline
+                deps=previous, label=label, inline=inline
             ) as step_task:
-                step(*chain_values, *free_args)
+                run_step(*chain_values, *free_args)
                 # The honest cost model: per-call slice setup is a real
                 # fixed cost, so over-tiling loses simulated work even
                 # though each sweep is smaller.  (The factor is a power
@@ -1117,8 +1222,7 @@ class CompiledTransform:
                 sink.count("exec.vectorized_cells", volume)
                 if tiles:
                     sink.count("exec.tiled_blocks")
-            if step_task is not None:
-                previous = [step_task]
+            previous = [step_task]
 
     def _instance_ranges(
         self,
@@ -1213,16 +1317,24 @@ class CompiledTransform:
         rule: RuleIR,
         env: Dict[str, int],
         views: Dict[str, MatrixView],
-        tunables: Optional[Dict[str, int]] = None,
+        tunables: Dict[str, int],
+        region_bounds: Optional[Tuple[Bounds, ...]] = None,
     ) -> None:
+        """Run ``rule`` once under ``env``.  ``region_bounds`` are the
+        concrete bounds of ``rule.all_regions`` when a plan already holds
+        them (whole rules: a function of the sizes only); per-instance
+        applications derive them from ``env`` here."""
         state.applications += 1
-        bindings: Dict[str, object] = {}
-        for region in rule.all_regions:
-            bindings[region.bind_name] = _region_view(
-                region, env, views[region.matrix]
+        if region_bounds is None:
+            region_bounds = [
+                region.box.concrete(env) for region in rule.all_regions
+            ]
+        bindings: Dict[str, object] = {
+            region.bind_name: _region_view(
+                region, bounds, views[region.matrix]
             )
-        if tunables is None:
-            tunables = self.tunables_at(state.config, state.problem_size)
+            for region, bounds in zip(rule.all_regions, region_bounds)
+        }
 
         if rule.native_body is not None:
             context = NativeContext(
@@ -1385,24 +1497,27 @@ def specialize(
 ) -> CompiledProgram:
     """Static code generation mode: bake ``config`` into the program.
 
-    The returned program ignores configs passed at run time (matching the
-    original's statically-compiled binaries, where the C++ compiler could
-    optimize away dead choices).
+    The returned program carries a frozen copy of ``config`` and its
+    content key, computed here once; its transforms' ``run`` ignores
+    any config passed at run time (matching the original's
+    statically-compiled binaries, where the C++ compiler could optimize
+    away dead choices) and keys run plans by that one key, so a warm
+    call never reads the configuration at all: input shapes → cached
+    :class:`RunPlan` → replay.
     """
-
-    class _StaticTransform(CompiledTransform):
-        def run(self, inputs=None, config_override=None, sizes=None, sink=None):  # type: ignore[override]
-            return CompiledTransform.run(self, inputs, config, sizes, sink)
-
     static = CompiledProgram.__new__(CompiledProgram)
     static.ir = program.ir
+    frozen = config.copy()
+    static.static = (frozen, frozen.key())
     static.transforms = {}
     for name, compiled in program.transforms.items():
-        # Same IR, analyses and (shared) caches; only the call graph
-        # the clone recurses through is the static program's.
-        clone = _StaticTransform.__new__(_StaticTransform)
+        # Same IR, analyses and (shared) caches; the call graph the
+        # clone recurses through — and so the plans, which name their
+        # transform — are the static program's.
+        clone = CompiledTransform.__new__(CompiledTransform)
         clone.__dict__.update(compiled.__dict__)
         clone.program = static
+        clone._plan_cache = LRUCache(_PLAN_CACHE_LIMIT)
         static.transforms[name] = clone
     return static
 
@@ -1421,9 +1536,9 @@ def _as_view(value: ArrayLike) -> MatrixView:
 
 
 def _region_view(
-    region: RegionIR, env: Dict[str, int], base: MatrixView
+    region: RegionIR, bounds: Bounds, base: MatrixView
 ) -> MatrixView:
-    bounds = region.box.concrete(env)
+    """``base`` narrowed to ``region`` at its concrete ``bounds``."""
     if region.view_kind == "cell":
         return base.cell(*(lo for lo, _ in bounds))
     if region.view_kind == "row":

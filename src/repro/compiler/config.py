@@ -179,6 +179,22 @@ class ChoiceConfig:
         PB604 legality proof."""
         return 1 if self.tunable(f"{transform}.__interchange__", default) else 0
 
+    # -- identity ----------------------------------------------------------------
+
+    def key(self) -> Tuple:
+        """The configuration's content as a hashable value: the sorted
+        items of the three dicts.  Equal exactly when two configs would
+        drive the engine identically, whatever their insertion order —
+        the in-process cache key (run plans), about a microsecond to
+        build.  Persisted identities (:func:`repro.batch.config_digest`,
+        the tuner's ``config_signature``) stay digests of
+        :meth:`to_json`."""
+        return (
+            tuple(sorted(self.choices.items())),
+            tuple(sorted(self.tunables.items())),
+            tuple(sorted(self.leveled_tunables.items())),
+        )
+
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -121,7 +121,8 @@ class RuleKernel:
     ``maker(env, tunables, arrays, call)`` returns the per-instance
     closure; ``arrays`` maps matrix names to the numpy windows of the
     engine's views (so coordinates stay view-relative).  ``params`` is the
-    positional argument order of the closure (the rule's variables).  The
+    positional argument order of the closure (the rule's variables, in
+    the order :func:`lower_rule` was asked for).  The
     closure returns the instance's op count, or ``None`` when the rule's
     where-clause rejects the instance (nothing was read or written).
     """
@@ -165,8 +166,11 @@ class _Lowerer(KernelBuilder):
     maker_args = "_env, _tunables, _arrays, _call"
     kernel_name = "_instance"
 
-    def __init__(self, rule: RuleIR, transform: TransformIR) -> None:
-        super().__init__(transform, rule, rule.rule_vars)
+    def __init__(
+        self, rule: RuleIR, transform: TransformIR, params: Sequence[str]
+    ) -> None:
+        super().__init__(transform, rule, params)
+        self.params = tuple(params)
         self.pending = 0
         self.counter = 0
         self.used_builtins: Set[str] = set()
@@ -499,13 +503,23 @@ class _Lowerer(KernelBuilder):
         self.flush_ops()
         self.line("return _ops")
         return self.build(
-            [f"_s_{var}" for var in self.rule.rule_vars],
+            [f"_s_{var}" for var in self.params],
             _base_namespace(self.used_builtins),
         )
 
 
-def lower_rule(rule: RuleIR, transform: TransformIR) -> Optional[RuleKernel]:
+def lower_rule(
+    rule: RuleIR,
+    transform: TransformIR,
+    params: Optional[Sequence[str]] = None,
+) -> Optional[RuleKernel]:
     """Lower one instance rule to a :class:`RuleKernel`.
+
+    ``params`` orders the closure's parameters — a permutation of the
+    rule's variables, by default their declaration order.  The engine
+    asks for a site's *iteration* order (chain variables, then free), so
+    its instance loop calls ``instance(*chain_values, *values)`` with no
+    per-cell argument scatter.
 
     Returns ``None`` when the rule has a native body, no DSL body, no rule
     variables, or uses a construct — in its body or its where-clause — the
@@ -516,13 +530,13 @@ def lower_rule(rule: RuleIR, transform: TransformIR) -> Optional[RuleKernel]:
         return None
     if not rule.is_instance_rule:
         return None
-    lowerer = _Lowerer(rule, transform)
+    lowerer = _Lowerer(rule, transform, params or rule.rule_vars)
     try:
         maker, source = lowerer.lower()
     except _NotLowerable:
         return None
     return RuleKernel(
-        params=tuple(rule.rule_vars),
+        params=lowerer.params,
         matrices=tuple(sorted(lowerer.used_matrices)),
         maker=maker,
         uses_call=lowerer.uses_call,

@@ -11,6 +11,7 @@ hits and misses through the ``exec.geom_cache_*`` observe counters.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -26,6 +27,11 @@ class LRUCache:
     shapes would otherwise grow them without bound.  Lookups refresh
     recency; inserting past ``limit`` evicts the stalest entry and
     increments ``evictions`` (surfaced as ``exec.geom_cache_evictions``).
+
+    Shared by the daemon's handler threads: lookups take no lock (each
+    ``OrderedDict`` call is atomic under the interpreter lock, and a key
+    evicted between the read and the recency refresh is simply not
+    refreshed); inserts evict under one, so ``evictions`` stays exact.
     """
 
     def __init__(self, limit: int):
@@ -34,21 +40,25 @@ class LRUCache:
         self.limit = limit
         self.evictions = 0
         self._data: OrderedDict = OrderedDict()
+        self._insert_lock = threading.Lock()
 
     def get(self, key, default=None):
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             return default
-        self._data.move_to_end(key)
+        try:
+            self._data.move_to_end(key)
+        except KeyError:  # evicted by another thread since the read
+            pass
         return value
 
     def __setitem__(self, key, value) -> None:
-        if key in self._data:
+        with self._insert_lock:
+            self._data[key] = value
             self._data.move_to_end(key)
-        self._data[key] = value
-        while len(self._data) > self.limit:
-            self._data.popitem(last=False)
-            self.evictions += 1
+            while len(self._data) > self.limit:
+                self._data.popitem(last=False)
+                self.evictions += 1
 
     def __contains__(self, key) -> bool:
         return key in self._data

@@ -26,10 +26,15 @@ interesting transition is captured three ways:
   code plus ``analysis.errors`` / ``analysis.warnings`` /
   ``analysis.infos`` totals when a sink is passed to
   :func:`repro.analysis.run_check` or
-  :func:`repro.analysis.record_report`; the lowered execution paths add
+  :func:`repro.analysis.record_report`; the execution engine adds
+  ``exec.plan_hits`` / ``exec.plan_misses`` (one per transform frame:
+  its run plan was replayed from cache / built first),
   ``exec.closure_calls``, ``exec.vectorized_blocks``,
   ``exec.vectorized_cells``, ``exec.vector_fallbacks``, and
-  ``exec.geom_cache_hits`` / ``exec.geom_cache_misses`` when a sink is
+  ``exec.geom_cache_hits`` / ``exec.geom_cache_misses`` /
+  ``exec.geom_cache_evictions`` (one lookup per instance-rule step —
+  counted by the geometry cache while a plan is built and by the replay
+  on a plan hit, whose geometry *was* served from cache) when a sink is
   passed to ``CompiledTransform.run``; the batch execution engine adds
   ``batch.requests``, ``batch.buckets``, ``batch.stacked_steps``,
   ``batch.stacked_requests``, ``batch.fallbacks``, and

@@ -52,16 +52,22 @@ class TaskGraph:
 
     def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks: Tuple[Task, ...] = tuple(tasks)
-        self._children: Dict[int, List[int]] = {}
-        for task in self.tasks:
-            if task.parent is not None:
-                self._children.setdefault(task.parent, []).append(task.tid)
+        #: spawn tree, built by the first ``children_of`` — only the
+        #: scheduler simulation reads it, most recorded graphs never are
+        self._children: Optional[Dict[int, List[int]]] = None
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     def children_of(self, tid: int) -> Tuple[int, ...]:
-        return tuple(self._children.get(tid, ()))
+        children = self._children
+        if children is None:
+            children = {}
+            for task in self.tasks:
+                if task.parent is not None:
+                    children.setdefault(task.parent, []).append(task.tid)
+            self._children = children
+        return tuple(children.get(tid, ()))
 
     def total_work(self) -> float:
         """Sum of all task work: the sequential execution time in work

@@ -185,6 +185,118 @@ class TestClosureLowering:
             assert lower_rule(rule, t.ir) is None
 
 
+#: One program, three iteration orders.  ``rule_vars`` are (i, j, k)
+#: everywhere (first appearance in the to-coordinates), but: rule1 in
+#: the k = 1 slab reads only the k = 0 slab — no self-dependency, all
+#: three variables free, iterated (i, j, k); rule1 for k >= 2 chains on
+#: k, iterated (k; i, j); rule2 reads both i - 1 and i + 1 of the
+#: previous plane, so dimension 0 cannot lead the lexicographic order
+#: and the depgraph priority (1, 2, 0) iterates it (k; j, i).  Every
+#: body uses the variable *values*, so a swapped argument shows in the
+#: output bytes.
+WAVE = """
+transform Wave
+from A[n, m]
+to S[n, m, p]
+{
+  to (S.cell(i, j, 0) s) from (A.cell(i, j) a) { s = a; }
+  to (S.cell(i, j, k) s) from (S.cell(i, j, k - 1) c) {
+    s = c + i * 100 + j * 10 + k;
+  }
+  primary to (S.cell(i, j, k) s)
+  from (S.cell(i - 1, j, k - 1) l, S.cell(i + 1, j, k - 1) r,
+        S.cell(i, j, k - 2) o) %s{
+    s = (l + r) / 2 + o + i * 100 + j * 10 + k;
+  }
+}
+"""
+WAVE_PLAIN = WAVE % ""
+#: rule2 as a meta-rule: rejected instances fall back to rule1, which
+#: must be handed an env naming i, j and k correctly
+WAVE_WHERE = WAVE % "where (i + j * 2 + k) % 3 != 0 "
+
+
+class TestClosureParameterOrder:
+    """The closure's parameters follow each site's iteration order
+    (chain variables, then free), not the rule's declaration order."""
+
+    INPUT = np.arange(20.0).reshape(5, 4)
+
+    def observe(self, transform, leaf):
+        config = _leaf_config("Wave", leaf, __seq_cutoff__=0)
+        try:
+            result = transform.run({"A": self.INPUT}, config, sizes={"p": 5})
+        except PetaBricksError as error:
+            return f"{type(error).__name__}: {error}"
+        return (
+            result.output().tobytes(),
+            result.rule_applications,
+            [task.label for task in result.graph.tasks],
+        )
+
+    def test_iteration_orders_differ_from_declaration_order(self):
+        t = compile_program(WAVE_PLAIN).transform("Wave")
+        self.observe(t, LEAF_CLOSURE)
+        orders = {}
+        for (rule_id, params), kernel in t._kernels.items():
+            assert kernel is not None and kernel.params == params
+            orders.setdefault(t.ir.rules[rule_id].label, set()).add(params)
+        assert orders == {
+            "rule0": {("i", "j")},
+            # one rule, two sites, two orders: two kernels
+            "rule1": {("i", "j", "k"), ("k", "i", "j")},
+            "rule2": {("k", "j", "i")},
+        }
+        for rule in t.ir.rules:
+            assert tuple(rule.rule_vars) == ("i", "j", "k")[: len(rule.rule_vars)]
+
+    @pytest.mark.parametrize("source", [WAVE_PLAIN, WAVE_WHERE])
+    def test_three_paths_agree(self, source):
+        t = compile_program(source).transform("Wave")
+        interp = self.observe(t, LEAF_INTERP)
+        closure = self.observe(t, LEAF_CLOSURE)
+        vector = self.observe(t, LEAF_VECTOR)
+        assert closure == interp  # bytes, applications, task labels
+        assert vector[:2] == interp[:2]
+        # the reference, computed directly from the recurrences
+        a, p = self.INPUT, 5
+        n, m = a.shape
+        s = np.zeros((n, m, p))
+        s[:, :, 0] = a
+        for k in range(1, p):
+            for i in range(n):
+                for j in range(m):
+                    tag = i * 100 + j * 10 + k
+                    interior = k >= 2 and 0 < i < n - 1
+                    if interior and (
+                        source is WAVE_PLAIN or (i + j * 2 + k) % 3 != 0
+                    ):
+                        s[i, j, k] = (
+                            (s[i - 1, j, k - 1] + s[i + 1, j, k - 1]) / 2
+                            + s[i, j, k - 2]
+                            + tag
+                        )
+                    else:
+                        s[i, j, k] = s[i, j, k - 1] + tag
+        assert interp[0] == s.tobytes()
+
+    def test_where_failure_names_the_instance_on_every_path(self):
+        import dataclasses
+
+        t = compile_program(WAVE_WHERE).transform("Wave")
+        for segment in t.grid.all_segments():
+            segment.options = tuple(
+                dataclasses.replace(option, fallback=None)
+                for option in segment.options
+            )
+        expected = (
+            "ExecutionError: Wave rule2: where-clause fails at "
+            "{'k': 2, 'j': 0, 'i': 1} and no fallback exists"
+        )
+        for leaf in (LEAF_INTERP, LEAF_CLOSURE, LEAF_VECTOR):
+            assert self.observe(t, leaf) == expected
+
+
 class TestVectorLeaf:
     def test_vector_bitwise_equal_and_counters(self):
         t = compile_program(ELEMENTWISE).transform("Elementwise")

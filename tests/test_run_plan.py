@@ -1,0 +1,483 @@
+"""Run plans: a replayed (cached) plan is indistinguishable from the one
+just built, and both from the engine before plans existed.
+
+A first ``run`` of a (config, shapes) point builds the frame's
+:class:`RunPlan` and replays it; a second one only replays.  Everything
+observable must agree between the two — output bytes, write sets, the
+recorded task graph, rule-application counts, errors, counters — over
+the programs the four differential suites already generate, every leaf
+path, fusion on/off and the tile knobs.  The ladder Sort's numbers were
+captured on the commit before plans.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps import sort
+from repro.compiler import ChoiceConfig, Selector, compile_program
+from repro.compiler.codegen import (
+    _PLAN_CACHE_LIMIT,
+    PlanStep,
+    RunPlan,
+    specialize,
+)
+from repro.engine_fast import Geometry
+from repro.language.errors import PetaBricksError
+from repro.observe import TraceSink
+from repro.runtime.matrix import Matrix, MatrixView
+from repro.symbolic import Affine
+from repro.symbolic.interval import Box
+from tests import test_batch_diff, test_engine_fast_diff, test_rewrite_diff
+from tests.test_engine_fast_diff import SENTINEL, _drop_fallbacks, sentinel_alloc
+from tests.test_schedule_diff import chain_source
+
+BLUR = """
+transform Blur
+from A[n+2, m+2]
+to B[n, m]
+{
+  to (B.cell(x, y) b)
+  from (A.cell(x, y) nw, A.cell(x+1, y+1) c, A.cell(x+2, y+2) se) {
+    b = c * 0.5 + nw * 0.25 + se * 0.25;
+  }
+}
+"""
+
+ROLLINGSUM = """
+transform RollingSum
+from A[n]
+to B[n]
+{
+  to (B.cell(i) b) from (A.region(0, i+1) in) { b = sum(in); }
+  to (B.cell(i) b) from (A.cell(i) a, B.cell(i-1) leftSum) { b = a + leftSum; }
+}
+"""
+
+HEAT = """
+transform Heat
+from A[n]
+to B[n]
+through U<0..k>[n]
+{
+  to (U.cell(0, i) u) from (A.cell(i) a) { u = a; }
+  to (U.cell(t, i) u)
+  from (U.cell(t-1, i-1) l, U.cell(t-1, i) m, U.cell(t-1, i+1) r)
+  {
+    u = (l + 2 * m + r) / 4;
+  }
+  secondary to (U.cell(t, i) u) from (U.cell(t-1, i) m) { u = m; }
+  to (B.cell(i) b) from (U.cell(k, i) u) { b = u; }
+}
+"""
+
+
+def task_list(graph):
+    return [
+        (t.tid, t.work, t.deps, t.parent, t.label, t.spawns)
+        for t in graph.tasks
+    ]
+
+
+def ladder_config():
+    config = ChoiceConfig()
+    config.set_choice(
+        sort.SORT_SITE, Selector(((128, 0), (2048, 3), (None, 2)))
+    )
+    return config
+
+
+# -- (i) the ladder Sort against the pre-plan engine ----------------------
+
+
+def test_ladder_sort_matches_the_pre_plan_golden():
+    """534 tasks / 175 applications / work / span and the digest of the
+    full task list were captured on the parent commit; a first run
+    (plan miss), a second (hit) and a specialized run all reproduce it."""
+    program = sort.build_program()
+    transform = program.transform("Sort")
+    keys = np.random.default_rng(7).uniform(0, 1, 4096)
+    miss = transform.run([keys], ladder_config())
+    hit = transform.run([keys], ladder_config())
+    static = specialize(program, ladder_config()).transform("Sort").run([keys])
+    for result in (miss, hit, static):
+        assert len(result.graph) == 534
+        assert result.rule_applications == 175
+        assert result.graph.total_work() == 81499.2
+        assert result.graph.critical_path() == 1552.0
+        np.testing.assert_array_equal(result.output(), np.sort(keys))
+    assert task_list(hit.graph) == task_list(miss.graph)
+    assert task_list(static.graph) == task_list(miss.graph)
+    digest = hashlib.sha256(repr(task_list(miss.graph)).encode()).hexdigest()
+    assert digest == (
+        "47acde5456b3c85d2c64dcf39aa46385dcc6b2335d0771e6dcea2a74f4aa53a5"
+    )
+
+
+# -- (ii) hit ≡ miss over the differential suites' programs ---------------
+
+
+def observe(transform, inputs, config, sizes):
+    """Everything a run shows the outside, errors included."""
+    sink = TraceSink(capture_events=False)
+    with sentinel_alloc() as allocated:
+        try:
+            result = transform.run(
+                {k: v.copy() for k, v in inputs.items()},
+                config,
+                sizes=sizes,
+                sink=sink,
+            )
+        except (PetaBricksError, IndexError) as error:
+            matrices = {matrix.name: matrix for matrix in allocated}
+            summary = f"{type(error).__name__}: {error}"
+        else:
+            matrices = result.outputs
+            summary = (result.rule_applications, task_list(result.graph))
+    counters = {
+        name: value
+        for name, value in sink.counters.items()
+        if name.startswith("exec.")
+        and not name.startswith(("exec.plan_", "exec.geom_cache_"))
+    }
+    return (
+        {name: m.data.tobytes() for name, m in matrices.items()},
+        {name: (m.data != SENTINEL).tobytes() for name, m in matrices.items()},
+        summary,
+        counters,
+    )
+
+
+def assert_replay_invisible(transform, inputs, config, sizes=None):
+    """Run twice (miss, then hit), then under an equal-content copy of
+    the config; all three observations must be equal.  Returns one."""
+    name = transform.name
+    config.set_tunable(f"{name}.__seq_cutoff__", 0)  # record every task
+    first = observe(transform, inputs, config, sizes)
+    assert observe(transform, inputs, config, sizes) == first
+    assert observe(transform, inputs, config.copy(), sizes) == first
+    return first
+
+
+def knobs(name, **values):
+    config = ChoiceConfig()
+    for knob, value in values.items():
+        config.set_tunable(f"{name}.__{knob}__", value)
+    return config
+
+
+LEAVES = st.sampled_from([0, 1, 2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.one_of(
+        test_engine_fast_diff.elementwise_programs(),
+        test_engine_fast_diff.elementwise_programs(where=True),
+        test_batch_diff.elementwise_programs(),
+    ),
+    leaf=LEAVES,
+    option=st.integers(0, 1),
+    drop_fallbacks=st.booleans(),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_replay_is_invisible_on_elementwise_programs(
+    source, leaf, option, drop_fallbacks, n, m, seed
+):
+    """Single rules and meta-rules (option 1 of a ``where`` program;
+    without its fallback the first rejected instance aborts the run, on
+    a hit exactly as on a miss); on a single-option program option 1 is
+    a bad index, which fails the plan build both times."""
+    transform = compile_program(source).transform("Stencil")
+    if drop_fallbacks:
+        _drop_fallbacks(transform)
+    config = knobs("Stencil", leaf_path=leaf)
+    config.set_choice("Stencil.B.0", Selector.static(option))
+    rng = np.random.default_rng(seed)
+    inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
+    assert_replay_invisible(transform, inputs, config)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    source=test_rewrite_diff.fusible_chains(),
+    leaf=LEAVES,
+    fuse=st.integers(0, 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_replay_is_invisible_with_and_without_fusion(
+    source, leaf, fuse, n, m, seed
+):
+    transform = compile_program(source).transform("Chain")
+    rng = np.random.default_rng(seed)
+    inputs = {"A": rng.uniform(-4.0, 4.0, (n + 4, m + 4))}
+    unfused = assert_replay_invisible(
+        transform, inputs, knobs("Chain", leaf_path=leaf)
+    )
+    fused = assert_replay_invisible(
+        transform, inputs, knobs("Chain", leaf_path=leaf, fuse=1)
+    )
+    assert fused[0] == unfused[0]
+    assert fused[2][0] < unfused[2][0]  # the redirect did run fewer rules
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dx=st.integers(-1, 1),
+    dy=st.integers(-1, 1),
+    leaf=LEAVES,
+    tile=st.sampled_from([(2, 0, 0), (0, 2, 1), (2, 3, 1), (1, 1, 0)]),
+    n=st.integers(2, 5),
+    m=st.integers(2, 5),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_replay_is_invisible_under_the_tile_knobs(
+    dx, dy, leaf, tile, n, m, steps, seed
+):
+    transform = compile_program(chain_source(dx, dy, 0.75)).transform("RChain")
+    config = knobs(
+        "RChain", leaf_path=leaf, tile_i=tile[0], tile_j=tile[1],
+        interchange=tile[2],
+    )
+    rng = np.random.default_rng(seed)
+    inputs = {"A": rng.uniform(-2.0, 2.0, (n + 2, m + 2))}
+    observed = assert_replay_invisible(
+        transform, inputs, config, {"t_end": steps}
+    )
+    if leaf == 2 and dx <= 0 and dy <= 0 and n > 2 and tile[0] == 2:
+        assert observed[3]["exec.tiled_blocks"] > 0  # tiling did engage
+
+
+GUARDED = """
+transform Guarded
+from A[n, m]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(x, y) a) where (x + y) % 3 != 2 { b = a; }
+  to (B.cell(x, y) b) from (A.cell(x, y) a) { b = 0 - a; }
+}
+"""
+
+
+@pytest.mark.parametrize("leaf", [0, 1, 2])
+def test_a_replayed_plan_raises_what_the_built_one_did(leaf):
+    transform = compile_program(GUARDED).transform("Guarded")
+    _drop_fallbacks(transform)
+    config = knobs("Guarded", leaf_path=leaf)
+    config.set_choice("Guarded.B.0", Selector.static(1))
+    observed = assert_replay_invisible(
+        transform, {"A": np.ones((3, 3))}, config
+    )
+    assert observed[2] == (
+        "ExecutionError: Guarded rule0: where-clause fails at "
+        "{'x': 0, 'y': 2} and no fallback exists"
+    )
+    assert len(transform._plan_cache) == 1  # the *plan* was fine
+
+
+# -- (iii) the key is the config's content --------------------------------
+
+
+def fingerprint(result):
+    return (
+        result.output().tobytes(),
+        result.rule_applications,
+        task_list(result.graph),
+    )
+
+
+#: mutation -> (source, transform, input shape, the change)
+MUTATIONS = {
+    "set_choice": (
+        ROLLINGSUM, "RollingSum", (40,),
+        lambda c: c.set_choice("RollingSum.B.1", Selector.static(1)),
+    ),
+    "set_tunable": (
+        ROLLINGSUM, "RollingSum", (40,),
+        lambda c: c.set_tunable("RollingSum.__block_size__", 5),
+    ),
+    "set_leveled_tunable": (
+        BLUR, "Blur", (8, 9),
+        lambda c: c.set_leveled_tunable(
+            "Blur.__leaf_path__", Selector(((8, 0), (None, 2)))
+        ),
+    ),
+    "direct": (
+        BLUR, "Blur", (8, 9),
+        lambda c: c.tunables.__setitem__("Blur.__seq_cutoff__", 1000),
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_mutating_a_config_between_runs_misses(mutation):
+    """The same config *object*, changed between two runs, behaves like
+    a fresh config of the new content (no stale plan)."""
+    source, name, shape, change = MUTATIONS[mutation]
+    transform = compile_program(source).transform(name)
+    inputs = [np.random.default_rng(3).uniform(-1, 1, shape)]
+    config = ChoiceConfig()
+    config.set_choice("RollingSum.B.1", Selector.static(0))
+    config.set_tunable(f"{name}.__seq_cutoff__", 0)
+    before = fingerprint(transform.run(inputs, config))
+    change(config)
+    after = fingerprint(transform.run(inputs, config))
+    fresh = compile_program(source).transform(name)
+    same_content = ChoiceConfig.from_json(config.to_json())
+    assert after == fingerprint(fresh.run(inputs, same_content))
+    assert after[2] != before[2]  # the mutation is visible in the graph
+
+
+def test_equal_content_shares_one_plan_whatever_the_insertion_order():
+    transform = compile_program(ROLLINGSUM).transform("RollingSum")
+    one, two = ChoiceConfig(), ChoiceConfig()
+    one.set_tunable("RollingSum.__block_size__", 4)
+    one.set_tunable("RollingSum.__leaf_path__", 1)
+    one.set_choice("RollingSum.B.1", Selector.static(1))
+    two.set_choice("RollingSum.B.1", Selector.static(1))
+    two.set_tunable("RollingSum.__leaf_path__", 1)
+    two.set_tunable("RollingSum.__block_size__", 4)
+    assert list(one.tunables) != list(two.tunables)
+    assert one.key() == two.key()
+    assert transform.plan(one, [(12,)]) is transform.plan(two, [(12,)])
+    assert len(transform._plan_cache) == 1
+    two.set_tunable("RollingSum.__block_size__", 5)
+    assert transform.plan(two, [(12,)]) is not transform.plan(one, [(12,)])
+
+
+# -- (iv) failures are not cached -----------------------------------------
+
+
+def test_a_failing_plan_is_rebuilt_and_never_cached():
+    transform = compile_program(HEAT).transform("Heat")
+    expected = (
+        "Heat: sizes {'k': 3, 'n': 1} violate the assumed region ordering "
+        "-2 +n >= 0 (input too small for this program's choice grid)"
+    )
+    for _ in range(2):
+        with pytest.raises(PetaBricksError) as info:
+            transform.run([np.zeros(1)], ChoiceConfig(), sizes={"k": 3})
+        assert str(info.value) == expected
+        assert type(info.value).__name__ == "ExecutionError"
+        assert len(transform._plan_cache) == 0
+    # malformed sizes fail before anything is looked up, both times too
+    for _ in range(2):
+        with pytest.raises(PetaBricksError, match="non-negative integer"):
+            transform.run([np.zeros(5)], ChoiceConfig(), sizes={"k": 2.5})
+    assert len(transform._plan_cache) == 0
+    transform.run([np.zeros(5)], ChoiceConfig(), sizes={"k": 3})
+    assert len(transform._plan_cache) == 1
+
+
+# -- (v) a hit does no symbolic work --------------------------------------
+
+
+def dispatch_cases():
+    """The six ``dispatch_small`` cases of ``benchmarks/e2e``."""
+    rng = np.random.default_rng(1)
+    blur = compile_program(BLUR).transform("Blur")
+    rolling = compile_program(ROLLINGSUM).transform("RollingSum")
+    heat = compile_program(HEAT).transform("Heat")
+    vector = ChoiceConfig()
+    vector.set_tunable("Blur.__leaf_path__", 2)
+    image = [rng.uniform(-4.0, 4.0, (34, 34))]
+    series = [rng.uniform(-1.0, 1.0, 96)]
+    cases = {
+        "blur32_closure": (blur, ChoiceConfig(), image, None),
+        "blur32_vector": (blur, vector, image, None),
+        "heat41": (heat, ChoiceConfig(), [rng.uniform(-1, 1, 41)], {"k": 10}),
+        "sort4096": (
+            sort.build_program().transform("Sort"),
+            ladder_config(),
+            [rng.uniform(0.0, 1.0, 4096)],
+            None,
+        ),
+    }
+    for rule in (0, 1):
+        config = ChoiceConfig()
+        config.set_choice("RollingSum.B.1", Selector.static(rule))
+        cases[f"rollingsum_r{rule}"] = (rolling, config, series, None)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(dispatch_cases()))
+def test_a_warm_run_does_no_symbolic_work(name, monkeypatch):
+    transform, config, inputs, sizes = dispatch_cases()[name]
+    transform.run(inputs, config, sizes=sizes)
+    calls = []
+    for owner, method in (
+        (Affine, "eval_floor"),
+        (Affine, "eval_ceil"),
+        (Box, "concrete"),
+    ):
+        original = getattr(owner, method)
+
+        def counted(self, *args, _original=original, _method=method):
+            calls.append(_method)
+            return _original(self, *args)
+
+        monkeypatch.setattr(owner, method, counted)
+    sink = TraceSink(capture_events=False)
+    transform.run(inputs, config, sizes=sizes, sink=sink)
+    assert calls == []
+    assert sink.counter("exec.plan_misses") == 0
+    assert sink.counter("exec.plan_hits") >= 1
+    assert sink.counter("exec.geom_cache_misses") == 0
+
+
+# -- (vi) bounded, and free of matrix data ---------------------------------
+
+
+def test_the_plan_cache_is_bounded():
+    transform = sort.build_program().transform("Sort")
+    config = ChoiceConfig()
+    for n in range(1, 10 * _PLAN_CACHE_LIMIT + 1):
+        transform.plan(config, [(n,)])
+    assert len(transform._plan_cache) == _PLAN_CACHE_LIMIT
+    assert transform._plan_cache.evictions == 9 * _PLAN_CACHE_LIMIT
+
+
+def held_values(value, seen):
+    """Everything a plan holds: its own slots and the containers in
+    them, plus the shared geometry — stopping at the program objects it
+    only points to (rules, kernels, vector plans, the transform)."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    yield value
+    if isinstance(value, (RunPlan, PlanStep)):
+        children = [getattr(value, slot) for slot in value.__slots__]
+    elif isinstance(value, Geometry):
+        children = list(vars(value).values())
+    elif isinstance(value, dict):
+        children = [*value.keys(), *value.values()]
+    elif isinstance(value, (tuple, list)):
+        children = value
+    else:
+        return
+    for child in children:
+        yield from held_values(child, seen)
+
+
+@pytest.mark.parametrize("name", sorted(dispatch_cases()))
+def test_plans_hold_no_matrix_data(name):
+    transform, config, inputs, sizes = dispatch_cases()[name]
+    transform.run(inputs, config, sizes=sizes)
+    plans = list(transform._plan_cache._data.values())
+    assert plans
+    for plan in plans:
+        held = list(held_values(plan, set()))
+        assert not [
+            v for v in held if isinstance(v, (np.ndarray, Matrix, MatrixView))
+        ]
+        with pytest.raises(AttributeError):  # frozen
+            plan.steps = ()
+        assert not hasattr(plan, "__dict__")

@@ -545,6 +545,53 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(0)
 
+    def test_concurrent_lookups_survive_concurrent_evictions(self):
+        """The serve daemon's handler threads share these caches with no
+        lock around ``get``: an eviction landing between its read and
+        its recency refresh must not raise (it did: ``KeyError`` out of
+        ``move_to_end``), and ``evictions`` must count exactly the
+        entries that left."""
+        import sys
+        import threading
+
+        cache = LRUCache(1)
+        inserts, threads = 20000, 4
+        latest = [None]  # the key most likely to be present right now
+        errors = []
+        start = threading.Barrier(threads)
+
+        def hammer(worker):
+            try:
+                start.wait(timeout=30)
+                for step in range(inserts):
+                    key = (worker, step)
+                    cache[key] = key
+                    latest[0] = key
+                    for _ in range(3):
+                        probe = latest[0]
+                        value = cache.get(probe)
+                        assert value is None or value == probe
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(worker,))
+                for worker in range(threads)
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        assert errors == []
+        assert len(cache) == 1
+        assert cache.evictions == threads * inserts - 1
+
     def test_geom_cache_eviction_counter_flows_to_sink(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
         mm._geom_cache = LRUCache(1)  # force churn across segments
