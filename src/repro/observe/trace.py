@@ -46,8 +46,11 @@ interesting transition is captured three ways:
   ``serve.version_bumps``, ``serve.runs``, ``serve.batches``,
   ``serve.batch_requests``, ``serve.tune_jobs``, ``serve.connections``
   (sockets accepted) and ``serve.wire.packed`` / ``serve.wire.plain``
-  (reply form asked for, per ``/run`` and ``/batch``); the serving
-  resilience layer adds ``serve.shed.capacity`` /
+  (``/run`` and ``/batch`` requests asking for out-of-band reply arrays
+  — a framed reply — or for nested lists), ``serve.bad_requests`` (a
+  ``Content-Length`` the daemon refused to read by: not a non-negative
+  integer, or above the body limit); the serving resilience layer adds
+  ``serve.shed.capacity`` /
   ``serve.shed.queue_timeout`` / ``serve.shed.draining`` /
   ``serve.shed.injected`` (admission sheds by reason),
   ``serve.deadline.expired`` / ``serve.deadline.batch_requests``,

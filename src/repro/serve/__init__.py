@@ -26,8 +26,9 @@ store behind it for restart recovery.
   (bounded retries with deterministic backoff, Retry-After honoring,
   idempotency keys for ``/tune``).
 * :mod:`repro.serve.records` — the canonical result records shared with
-  ``repro batch`` (bit-parity between served and direct execution) and
-  the structured error-body shape.
+  ``repro batch`` (bit-parity between served and direct execution), the
+  structured error-body shape, and the wire codec: arrays travel out of
+  band as the float64 blobs of a frame behind the JSON.
 """
 
 from repro.serve.app import ServeApp, ServeError, ShedError

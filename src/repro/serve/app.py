@@ -26,8 +26,12 @@ endpoint     method  semantics
 ===========  ======  ====================================================
 
 Every array position (``/run`` inputs, the inputs of a ``/batch`` line)
-takes a nested list or the packed object of :func:`repro.serve.records.
-encode_array`; ``"arrays": "packed"`` asks for packed output arrays.
+takes a nested list or an ndarray — the view a frame's array reference
+was resolved to before the payload got here (:mod:`repro.serve.records`;
+this module never sees bytes).  ``"arrays": "packed"`` asks for output
+arrays as ndarrays, which the transport moves out of band; without it
+they are nested lists.  A ``/batch`` line is a JSONL string or the
+request mapping itself.
 
 Hot path (``/run`` and ``/batch`` with a registered config): program
 lookup and config lookup are dict reads of immutable entries, execution
@@ -271,11 +275,14 @@ class ServeApp:
         # Parse outside the engine lock; only submit/gather hold it.
         entries: List[Tuple] = []  # ("submit", t, inputs, cfg, sizes, digest)
         for lineno, line in enumerate(lines, start=1):
-            line = line.strip() if isinstance(line, str) else json.dumps(line)
-            if not line or line.startswith("#"):
-                continue
+            if isinstance(line, str):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
             try:
-                request = json.loads(line)
+                # A mapping line is the request (its inputs may be frame
+                # views); any other value fails below as its own record.
+                request = json.loads(line) if isinstance(line, str) else line
                 transform = entry.program.transform(request["transform"])
                 inputs, shapes = self._line_inputs(request.get("inputs"))
                 sizes = normalize_sizes(request.get("sizes")) or None
@@ -667,7 +674,8 @@ class ServeApp:
 
     def _packed_reply(self, payload: Mapping[str, Any]) -> bool:
         """Whether a work request's ``arrays`` field asks for packed
-        output arrays (absent means ``"plain"``: nested lists)."""
+        (out-of-band) output arrays (absent means ``"plain"``: nested
+        lists)."""
         form = payload.get("arrays", "plain")
         if form not in ("plain", "packed"):
             raise ServeError(
@@ -694,7 +702,7 @@ class ServeApp:
         """One ``/batch`` line's inputs, decoded once for the bucket
         lookup and the engine alike.  Plain values numpy rejects stay
         raw, so the engine reports them exactly as ``repro batch`` does;
-        a broken packed object makes the line malformed."""
+        a broken array reference makes the line malformed."""
         try:
             return self._inputs(raw)
         except WireError as exc:

@@ -1,8 +1,11 @@
 """HTTP/JSON front end for :class:`~repro.serve.app.ServeApp`.
 
 Pure marshaling over the stdlib: a :class:`ThreadingHTTPServer` (one
-thread per connection, no new dependencies) that parses JSON bodies,
-dispatches to the app method for the route, and serializes the response.
+thread per connection, no new dependencies) that parses JSON bodies —
+plain, or the header of a frame whose arrays follow it as raw float64
+(:mod:`repro.serve.records`; told apart by the body's first bytes) —
+dispatches to the app method for the route, and serializes the response
+the same way: a frame exactly when the response holds arrays.
 All domain errors arrive as :class:`~repro.serve.app.ServeError` and map
 to the structured body of :func:`repro.serve.records.error_body` at the
 error's status (sheds and deadline errors carry a machine-readable
@@ -25,6 +28,9 @@ Resilience at the transport layer:
   (``shutdown()`` deadlocks when called from a handler thread).
 * The listen backlog is bounded (``request_queue_size``) so overload
   pushes back at the kernel instead of accumulating unbounded sockets.
+* ``Content-Length`` is validated before anything is read by it: not a
+  non-negative decimal integer is a 400, above :data:`MAX_BODY_BYTES` a
+  413; either way the body stays unread and the connection closes.
 * The deterministic ``conn-drop`` fault kind truncates a response
   mid-body here — declared ``Content-Length``, half the bytes, close —
   which is what a retrying client sees as an ``IncompleteRead``.
@@ -40,10 +46,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.app import ServeApp, ServeError
-from repro.serve.records import error_body
+from repro.serve.records import FrameWriter, error_body, split_frame
 
 #: Default daemon port (spells "PB" on a phone keypad, near enough).
 DEFAULT_PORT = 7209
+
+#: Largest request body the daemon will read (the benchmark's 256-line
+#: ``/batch`` body is 3.4 MB); a larger ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 256 * 1024 * 1024
 
 #: Write-side socket failures meaning "the client went away", not "the
 #: daemon is broken".
@@ -139,7 +149,24 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing -----------------------------------------------------------
 
     def _payload(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        digits = declared.lstrip("0") or "0"
+        refusal = None
+        if not (declared.isascii() and declared.isdigit()):
+            refusal = ServeError(400, f"bad Content-Length {declared!r}")
+        elif len(digits) > 18 or int(digits) > MAX_BODY_BYTES:
+            refusal = ServeError(
+                413,
+                f"body of {digits} bytes exceeds the limit of "
+                f"{MAX_BODY_BYTES}",
+            )
+        if refusal is not None:
+            # Nothing is read on a length we cannot trust, so whatever
+            # the peer sends next is not a request: answer and hang up.
+            self.close_connection = True
+            self.app.sink.count("serve.bad_requests")
+            raise refusal
+        length = int(digits)
         if length == 0:
             return {}
         # A client vanishing mid-upload raises a connection error here,
@@ -147,7 +174,8 @@ class _Handler(BaseHTTPRequestHandler):
         # half-read body.
         raw = self.rfile.read(length)
         try:
-            payload = json.loads(raw)
+            header, arrays = split_frame(raw)
+            payload = json.loads(header, object_hook=arrays)
         except ValueError as exc:
             raise ServeError(400, f"bad JSON body: {exc}")
         if not isinstance(payload, dict):
@@ -169,10 +197,11 @@ class _Handler(BaseHTTPRequestHandler):
         retry_after: Optional[float] = None,
         drop: bool = False,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        frame = FrameWriter()
+        body = frame.body(json.dumps(payload, sort_keys=True, default=frame))
         try:
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", frame.content_type)
             self.send_header("Content-Length", str(len(body)))
             if retry_after is not None:
                 # HTTP wants integral seconds; never round a positive
@@ -180,7 +209,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(
                     "Retry-After", str(max(1, math.ceil(retry_after)))
                 )
-            if drop:
+            if drop or self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
             if drop:

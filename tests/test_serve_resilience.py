@@ -6,11 +6,13 @@ Covers admission control (weighted sheds, bounded queueing, structured
 semantics (in-flight work completes byte-identically while new work
 sheds), liveness vs readiness probes, the event-based job queue with
 idempotent enqueue, client-side bounded retries against injected
-transport faults, and the dropped-connection tolerance of the HTTP
-handler.
+transport faults, the dropped-connection tolerance of the HTTP handler,
+a ``Content-Length`` the daemon cannot trust, and error pages that are
+not the daemon's own JSON.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -33,7 +35,7 @@ from repro.serve import (
     ServeError,
     ShedError,
 )
-from repro.serve.daemon import _Handler
+from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.observe.trace import ThreadSafeSink
 
 SCALE = """
@@ -565,3 +567,113 @@ class TestConnDropHandling:
             assert app.sink.counters["serve.conn_dropped"] == 1
         finally:
             app.close()
+
+
+# ---------------------------------------------------------------------------
+# a Content-Length that cannot be trusted
+
+
+class TestContentLength:
+    @pytest.fixture()
+    def daemon(self):
+        server = ServeDaemon(_app(), port=0).start_background()
+        yield server
+        server.stop()
+
+    @staticmethod
+    def _exchange(daemon, content_length, body=b"{}"):
+        """POST /run over a raw socket with the header exactly as given;
+        returns (seconds to the reply, status, headers, JSON body).  The
+        socket times out after 1 s: no reply within it fails the test."""
+        with socket.create_connection(
+            ("127.0.0.1", daemon.port), timeout=1.0
+        ) as sock:
+            started = time.monotonic()
+            sock.sendall(
+                b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + content_length + b"\r\n\r\n" + body
+            )
+            reply = b""
+            while True:  # the daemon hangs up after each of these
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+            elapsed = time.monotonic() - started
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        status = int(status_line.split()[1])
+        return elapsed, status, headers, json.loads(payload)
+
+    @pytest.mark.parametrize("value", [b"abc", b"1e3", b"+2", b"0x10", b"2 2"])
+    def test_not_a_number_is_400(self, daemon, value):
+        elapsed, status, headers, body = self._exchange(daemon, value)
+        assert status == 400 and elapsed < 1.0
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert body["error"].startswith("bad Content-Length")
+        assert daemon.app.sink.counters["serve.bad_requests"] == 1
+
+    def test_negative_is_400_not_a_read_to_eof(self, daemon):
+        """``rfile.read(-1)`` would wait for the peer to hang up."""
+        elapsed, status, headers, body = self._exchange(daemon, b"-1")
+        assert status == 400 and elapsed < 1.0
+        assert headers["Connection"] == "close"
+        assert body == {"error": "bad Content-Length '-1'"}
+        assert daemon.app.sink.counters["serve.bad_requests"] == 1
+
+    @pytest.mark.parametrize(
+        "length", [str(MAX_BODY_BYTES + 1), "99999999999999", "9" * 5000]
+    )
+    def test_oversized_is_413_with_the_body_unread(self, daemon, length):
+        elapsed, status, headers, body = self._exchange(
+            daemon, length.encode("ascii")
+        )
+        assert status == 413 and elapsed < 1.0
+        assert headers["Connection"] == "close"
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert daemon.app.sink.counters["serve.bad_requests"] == 1
+
+
+# ---------------------------------------------------------------------------
+# error pages that are not ours
+
+
+class TestForeignErrorBodies:
+    """The stdlib answers what it rejects itself with an HTML page: a
+    status to report, not a cut connection to re-send."""
+
+    @pytest.fixture()
+    def served(self):
+        daemon = ServeDaemon(_app(), port=0).start_background()
+        sink = ThreadSafeSink()
+        client = ServeClient(
+            port=daemon.port,
+            retry=RetryPolicy(retries=3, backoff_s=0.2),
+            sink=sink,
+        )
+        yield client, sink
+        daemon.stop()
+
+    def test_unsupported_method_is_a_501_once(self, served):
+        client, sink = served
+        started = time.monotonic()
+        with pytest.raises(ServeClientError) as excinfo:
+            client.request("PUT", "/run", {"program": "x"})
+        assert excinfo.value.status == 501
+        assert "Unsupported method" in excinfo.value.message
+        assert not excinfo.value.shed
+        assert sink.counters.get("serve.retry.attempts", 0) == 0
+        assert time.monotonic() - started < 0.2  # no backoff was slept
+        assert client.health()["ok"] is True
+
+    def test_oversized_request_line_is_a_414_once(self, served):
+        client, sink = served
+        with pytest.raises(ServeClientError) as excinfo:
+            client.request("GET", "/" + "x" * 70000)
+        assert excinfo.value.status == 414
+        assert excinfo.value.message == "Request-URI Too Long"
+        assert sink.counters.get("serve.retry.attempts", 0) == 0
+        assert client.health()["ok"] is True

@@ -1,18 +1,20 @@
-"""The serve daemon's wire: packed float64 arrays and kept-alive
-connections.
+"""The serve daemon's wire: float64 arrays out of band in a frame, and
+kept-alive connections.
 
-Covers the one codec pair (:func:`encode_array` / :func:`decode_array`)
-— bit-exactness of IEEE edge values through both forms over real HTTP
-against a direct :meth:`CompiledTransform.run`, a round-trip property
-over shapes and memory layouts, structured 400s for every malformed
-packed object — plus the connection policy (one socket per client
-thread, reconnect after a daemon restart or an injected drop, no stop
-delay from idle sockets) and a timer-free pin of the packed body size.
+Covers the one codec (:class:`FrameWriter` / :func:`split_frame` around
+:func:`encode_array` / :func:`decode_array`) — bit-exactness of IEEE
+edge values through both forms over real HTTP against a direct
+:meth:`CompiledTransform.run`, a round-trip property over shapes and
+memory layouts, structured 400s for every malformed frame and array
+reference — plus the connection policy (one socket per client thread,
+reconnect after a daemon restart or an injected drop, no stop delay
+from idle sockets) and a timer-free pin of the framed body size.
 """
 
 import base64
 import http.client
 import json
+import struct
 import threading
 import time
 import tracemalloc
@@ -27,7 +29,8 @@ from repro import compile_program
 from repro.faults import FaultInjector
 from repro.observe import ThreadSafeSink
 from repro.serve import ServeApp, ServeClient, ServeClientError, ServeDaemon
-from repro.serve.records import WireError, decode_array, encode_array
+from repro.serve.records import FRAME_MAGIC, FrameWriter, WireError
+from repro.serve.records import decode_array, encode_array, split_frame
 from repro.serve.resilience import RetryPolicy
 
 PROGRAM = """
@@ -64,9 +67,45 @@ EDGE_VALUES = [
     1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2,
 ]
 
+#: the documented first bytes, spelled out so a change of the constant
+#: is a change of the wire and fails here
+MAGIC = b"\x89PBF"
+
 
 def _bits(value):
     return np.asarray(value, dtype="<f8").tobytes()
+
+
+def _frame(header, blobs=b""):
+    """A frame put together by hand from the documented layout — magic,
+    big-endian header length, header, padding to 8, blobs — so the
+    decoder is tested against the format, not against the encoder."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return b"".join([
+        MAGIC, struct.pack(">I", len(header)), header,
+        bytes(-(8 + len(header)) % 8), blobs,
+    ])
+
+
+def _dumps(payload):
+    """What a framing client sends for ``payload``: plain JSON, or a
+    frame when it holds ndarrays."""
+    writer = FrameWriter()
+    return writer.body(json.dumps(payload, default=writer))
+
+
+def _loads(body):
+    """Either body form as the payload, arrays as views into ``body``."""
+    header, arrays = split_frame(body)
+    return json.loads(header, object_hook=arrays)
+
+
+def _owner(array):
+    """The object whose memory ``array`` views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
 
 
 @pytest.fixture(scope="module")
@@ -88,17 +127,24 @@ def phash(daemon):
 
 def _post(daemon, path, payload):
     """One raw HTTP exchange: (status, body bytes) — no ServeClient, so
-    the request is exactly the JSON given."""
+    the request is exactly the bytes given (a dict is dumped as
+    :func:`_dumps` does: a frame only if it holds ndarrays)."""
+    body = payload if isinstance(payload, bytes) else _dumps(payload)
     connection = http.client.HTTPConnection(
         "127.0.0.1", daemon.port, timeout=30
     )
     try:
-        connection.request(
-            "POST", path, body=json.dumps(payload).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-        )
+        connection.request("POST", path, body=body)
         response = connection.getresponse()
-        return response.status, response.read()
+        raw = response.read()
+        # the reply's form is in its first bytes and mirrored, for
+        # humans, in the content type; errors are never frames
+        framed = raw.startswith(MAGIC)
+        assert response.getheader("Content-Type") == (
+            "application/octet-stream" if framed else "application/json"
+        )
+        assert not (framed and response.status >= 300)
+        return response.status, raw
     finally:
         connection.close()
 
@@ -133,12 +179,17 @@ class TestCodec:
             array = np.repeat(array, 2, axis=0)[::2]
         want = np.ascontiguousarray(array, dtype="<f8").tobytes()
         for packed in (True, False):
-            wire = json.loads(json.dumps(encode_array(array, packed)))
-            back = decode_array(wire)
+            body = _dumps({"pad": "x" * array.size,
+                           "a": encode_array(array, packed)})
+            assert body.startswith(MAGIC) == packed
+            back = decode_array(_loads(body)["a"])
             assert back.dtype == np.float64
             if packed:
                 assert back.shape == array.shape
                 assert back.tobytes() == want
+                # a view into the received body, not a copy
+                assert _owner(back) is body
+                assert not back.flags.writeable and back.flags.aligned
             elif array.size == 0:
                 assert back.size == 0  # ``[]`` cannot say 0 x n
             else:
@@ -150,75 +201,175 @@ class TestCodec:
                 )
 
     def test_packed_object_shape(self):
-        wire = encode_array(np.arange(6.0).reshape(2, 3), True)
-        assert sorted(wire) == ["f8", "shape"]
-        assert wire["shape"] == [2, 3]
-        assert base64.b64decode(wire["f8"]) == _bits(np.arange(6.0))
+        """The bytes, against the documented layout."""
+        assert FRAME_MAGIC == MAGIC
+        first, second = np.arange(6.0).reshape(2, 3), np.array([7.0, -0.0])
+        packed = encode_array(first.astype(">f8").T, True)
+        assert isinstance(packed, np.ndarray) and packed.dtype == "<f8"
+        assert packed.flags.c_contiguous
         assert encode_array(np.arange(2.0), False) == [0.0, 1.0]
+        writer = FrameWriter()
+        text = json.dumps({"a": first, "b": [second]}, default=writer)
+        assert json.loads(text) == {
+            "a": {"f8": 0, "shape": [2, 3]},
+            "b": [{"f8": 48, "shape": [2]}],
+        }
+        body = writer.body(text)
+        (length,) = struct.unpack(">I", body[4:8])
+        assert body[:4] == MAGIC and length == len(text)
+        assert body[8:8 + length] == text.encode("utf-8")
+        blobs = (8 + length + 7) // 8 * 8
+        assert body[blobs:] == _bits(first) + _bits(second)
+        assert body == _frame(text.encode("utf-8"), body[blobs:])
+
+    def test_body_without_arrays_is_plain_json(self):
+        text = json.dumps({"a": [1.0, 2.0], "b": {"c": None}})
+        assert FrameWriter().body(text) == text.encode("utf-8")
+        assert split_frame(text.encode("utf-8")) == (
+            text.encode("utf-8"), None
+        )
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"a": {1, 2}}, default=FrameWriter())
 
     def test_empty_and_zero_d(self):
-        empty = decode_array(encode_array(np.zeros((0, 4)), True))
-        assert empty.shape == (0, 4)
-        scalar = decode_array(encode_array(np.float64(-0.0), True))
+        back = _loads(_dumps({
+            "empty": encode_array(np.zeros((0, 4)), True),
+            "scalar": encode_array(np.float64(-0.0), True),
+        }))
+        empty, scalar = back["empty"], decode_array(back["scalar"])
+        assert decode_array(empty).shape == (0, 4)
         assert scalar.shape == () and _bits(scalar) == _bits(-0.0)
 
+    def test_overlapping_references_read_the_same_bytes(self):
+        """References are read-only views, so they may share bytes."""
+        blobs = _bits([1.0, 2.0, 3.0])
+        back = _loads(_frame({
+            "whole": {"f8": 0, "shape": [3]},
+            "again": {"f8": 0, "shape": [3]},
+            "tail": {"f8": 8, "shape": [2, 1]},
+        }, blobs))
+        assert back["whole"].tolist() == back["again"].tolist() == [
+            1.0, 2.0, 3.0
+        ]
+        assert back["tail"].tolist() == [[2.0], [3.0]]
+        assert np.shares_memory(back["whole"], back["tail"])
 
-def _f8(count):
+
+def _b64(count):
     return base64.b64encode(bytes(8 * count)).decode("ascii")
 
 
-#: every way a packed object can be wrong
+#: every way an array reference can be wrong: name -> (the object at
+#: the array position, the frame's blob section)
 BAD_PACKED = {
-    "invalid base64": {"f8": "@@@@", "shape": [1]},
-    "truncated base64": {"f8": _f8(1)[:-2], "shape": [1]},
-    "f8 not a string": {"f8": [0, 0], "shape": [1]},
-    "f8 missing": {"shape": [1]},
-    "shape missing": {"f8": _f8(1)},
-    "too few bytes": {"f8": _f8(3), "shape": [2, 2]},
-    "too many bytes": {"f8": _f8(5), "shape": [2, 2]},
-    "negative dim": {"f8": _f8(1), "shape": [-1, -1]},
-    "non-integer dim": {"f8": _f8(2), "shape": [2.0]},
-    "boolean dim": {"f8": _f8(1), "shape": [True]},
-    "nested shape": {"f8": _f8(2), "shape": [[2]]},
-    "shape not a list": {"f8": _f8(2), "shape": 2},
-    "overflowing shape": {"f8": _f8(0), "shape": [2 ** 40, 2 ** 40]},
-    "overflowing empty shape": {"f8": "", "shape": [0, 2 ** 70]},
-    "huge claimed shape": {"f8": _f8(1), "shape": [2 ** 34]},
+    # the base64 object this format replaced is one more bad offset
+    "invalid base64": ({"f8": "@@@@", "shape": [1]}, bytes(8)),
+    "truncated base64": ({"f8": _b64(1)[:-2], "shape": [1]}, bytes(8)),
+    "valid base64": ({"f8": _b64(1), "shape": [1]}, bytes(8)),
+    "f8 not a string": ({"f8": [0, 0], "shape": [1]}, bytes(8)),
+    "f8 missing": ({"shape": [1]}, bytes(8)),
+    "shape missing": ({"f8": 0}, bytes(8)),
+    "extra key": ({"f8": 0, "shape": [1], "dtype": "f4"}, bytes(8)),
+    "negative offset": ({"f8": -8, "shape": [1]}, bytes(16)),
+    "unaligned offset": ({"f8": 4, "shape": [1]}, bytes(16)),
+    "boolean offset": ({"f8": False, "shape": [1]}, bytes(8)),
+    "float offset": ({"f8": 0.0, "shape": [1]}, bytes(8)),
+    "offset past the blobs": ({"f8": 16, "shape": [1]}, bytes(16)),
+    "too few bytes": ({"f8": 0, "shape": [2, 2]}, bytes(24)),
+    "no blob section": ({"f8": 0, "shape": [1]}, b""),
+    "negative dim": ({"f8": 0, "shape": [-1, -1]}, bytes(8)),
+    "non-integer dim": ({"f8": 0, "shape": [2.0]}, bytes(16)),
+    "boolean dim": ({"f8": 0, "shape": [True]}, bytes(8)),
+    "nested shape": ({"f8": 0, "shape": [[2]]}, bytes(16)),
+    "shape not a list": ({"f8": 0, "shape": 2}, bytes(16)),
+    "overflowing shape": ({"f8": 0, "shape": [2 ** 40, 2 ** 40]}, b""),
+    "overflowing empty shape": ({"f8": 0, "shape": [0, 2 ** 70]}, b""),
+    "huge claimed shape": ({"f8": 0, "shape": [2 ** 34]}, bytes(8)),
+}
+
+#: every way the frame around the references can be wrong
+BAD_FRAMES = {
+    "bad magic": b"\x89PBX" + _frame({"inputs": None})[4:],
+    "magic only": MAGIC,
+    "truncated length": MAGIC + b"\x00\x00",
+    "header length past the body": MAGIC + struct.pack(">I", 1000) + b"{}",
+    "huge header length": MAGIC + struct.pack(">I", 2 ** 32 - 1) + b"{}",
+    "header not utf-8": _frame(b'{"a": "\xff\xfe"}'),
+    "header not json": _frame(b'{"program": '),
+    "empty header": _frame(b""),
 }
 
 
 class TestMalformedPacked:
     @pytest.mark.parametrize("name", sorted(BAD_PACKED))
     def test_decode_rejects_without_allocating(self, name):
+        reference, blobs = BAD_PACKED[name]
+        body = _frame({"A": reference}, blobs)
         tracemalloc.start()
         try:
-            with pytest.raises(WireError, match="packed array"):
-                decode_array(BAD_PACKED[name])
+            value = _loads(body)["A"]
+            with pytest.raises(WireError, match="packed array") as excinfo:
+                decode_array(value)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024  # never sized from the claimed shape
+        if "base64" in name:
+            assert "base64" in str(excinfo.value)
+            assert "removed" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", sorted(BAD_FRAMES))
+    def test_split_rejects_without_allocating(self, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):  # WireError or a JSON error
+                _loads(BAD_FRAMES[name])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # never sized from the claimed length
 
     @pytest.mark.parametrize("name", sorted(BAD_PACKED))
     def test_run_answers_400(self, daemon, phash, name):
-        for inputs in ({"A": BAD_PACKED[name]}, [BAD_PACKED[name]]):
-            status, body = _post(daemon, "/run", {
+        reference, blobs = BAD_PACKED[name]
+        for inputs in ({"A": reference}, [reference]):
+            status, body = _post(daemon, "/run", _frame({
                 "program": phash, "transform": "Copy", "inputs": inputs,
-            })
+            }, blobs))
             assert status == 400, body
             assert json.loads(body)["error"].startswith("bad input arrays")
+
+    @pytest.mark.parametrize("name", sorted(BAD_FRAMES))
+    def test_bad_frame_answers_400(self, daemon, name):
+        for path in ("/run", "/batch"):
+            status, body = _post(daemon, path, BAD_FRAMES[name])
+            assert status == 400, body
+            assert json.loads(body)["error"].startswith("bad JSON body")
+
+    def test_reference_outside_a_frame_is_400(self, daemon, phash):
+        """In plain JSON an object at an array position is never an
+        array — the base64 form is gone, not a third form."""
+        for reference in (
+            {"f8": _b64(1), "shape": [1]}, {"f8": 0, "shape": [1]},
+        ):
+            status, body = _post(daemon, "/run", {
+                "program": phash, "transform": "Copy",
+                "inputs": {"A": reference},
+            })
+            assert status == 400, body
+            error = json.loads(body)["error"]
+            assert error.startswith("bad input arrays: packed array")
+            assert "removed" in error
 
     @pytest.mark.parametrize("name", sorted(BAD_PACKED))
     def test_batch_line_degrades_to_malformed_record(
         self, daemon, phash, name
     ):
+        reference, blobs = BAD_PACKED[name]
         good = {"transform": "Copy", "inputs": {"A": [1.0, 2.0]}}
-        bad = {"transform": "Copy", "inputs": {"A": BAD_PACKED[name]}}
-        payload = {
-            "program": phash,
-            "lines": [json.dumps(good), json.dumps(bad), json.dumps(good)],
-        }
-        status, body = _post(daemon, "/batch", payload)
+        bad = {"transform": "Copy", "inputs": {"A": reference}}
+        payload = {"program": phash, "lines": [json.dumps(good), bad, good]}
+        status, body = _post(daemon, "/batch", _frame(payload, blobs))
         assert status == 200, body
         first, middle, last = json.loads(body)["results"]
         assert (first["id"], last["id"]) == (0, 1)
@@ -226,7 +377,9 @@ class TestMalformedPacked:
         assert middle["ok"] is False and middle["id"] is None
         assert middle["line"] == 2
         assert "bad input arrays" in middle["error"]
-        status, body = _post(daemon, "/batch", dict(payload, strict=True))
+        status, body = _post(
+            daemon, "/batch", _frame(dict(payload, strict=True), blobs)
+        )
         assert status == 400
         error = json.loads(body)["error"]
         assert error.startswith("request line 2: bad input arrays")
@@ -287,9 +440,19 @@ class TestWireExactness:
             payload["arrays"] = reply
         status, body = _post(daemon, "/run", payload)
         assert status == 200, body
-        got = json.loads(body)["outputs"]["B"]
-        assert isinstance(got, dict) == (reply == "packed")
+        assert body.startswith(MAGIC) == (reply == "packed")
+        got = _loads(body)["outputs"]["B"]
+        assert isinstance(got, np.ndarray) == (reply == "packed")
         assert decode_array(got).tobytes() == want.tobytes()
+
+    def _batch_lines(self, grid, packed):
+        """Two request lines: JSONL text, or (packed) the mappings
+        themselves with their arrays out of band."""
+        lines = [
+            {"transform": "Copy", "inputs": self._wire_inputs(packed)},
+            {"transform": "Scale", "inputs": [encode_array(grid, packed)]},
+        ]
+        return lines if packed else [json.dumps(line) for line in lines]
 
     @pytest.mark.parametrize("reply", ["plain", "packed", None])
     @pytest.mark.parametrize("packed_inputs", [False, True])
@@ -299,29 +462,28 @@ class TestWireExactness:
             direct.transform("Copy").run([self.A]).output(),
             direct.transform("Scale").run([grid]).output(),
         ]
-        lines = [
-            json.dumps({"transform": "Copy",
-                        "inputs": self._wire_inputs(packed_inputs)}),
-            json.dumps({"transform": "Scale",
-                        "inputs": [encode_array(grid, packed_inputs)]}),
-        ]
-        payload = {"program": phash, "lines": lines}
+        payload = {
+            "program": phash, "lines": self._batch_lines(grid, packed_inputs),
+        }
         if reply is not None:
             payload["arrays"] = reply
         status, body = _post(daemon, "/batch", payload)
         assert status == 200, body
-        records = json.loads(body)["results"]
+        assert body.startswith(MAGIC) == (reply == "packed")
+        records = _loads(body)["results"]
         assert [r["ok"] for r in records] == [True, True]
         for record, expected in zip(records, want):
             got = record["outputs"]["B"]
-            assert isinstance(got, dict) == (reply == "packed")
+            assert isinstance(got, np.ndarray) == (reply == "packed")
             assert decode_array(got).tobytes() == expected.tobytes()
 
     def test_plain_reply_bytes_do_not_depend_on_input_form(
-        self, daemon, phash
+        self, daemon, phash, direct
     ):
         """Without the ``arrays`` field the body is the nested-list JSON
-        it always was, whichever form the inputs came in."""
+        it always was — ``json.dumps(sort_keys=True)`` of the direct
+        run's ``tolist()`` — whichever form the inputs came in."""
+        want = direct.transform("Copy").run([self.A]).output()
         bodies = set()
         for packed in (False, True):
             status, body = _post(daemon, "/run", {
@@ -333,6 +495,32 @@ class TestWireExactness:
         (body,) = bodies
         assert json.loads(body)["outputs"]["B"][:3] == [-0.0, 0.0, 5e-324]
         assert b'"f8"' not in body
+        assert body == json.dumps({
+            "meta": json.loads(body)["meta"],
+            "outputs": {"B": want.tolist()},
+        }, sort_keys=True).encode("utf-8")
+
+        grid = np.resize(self.A, (3, 4))
+        scaled = direct.transform("Scale").run([grid]).output()
+        bodies = set()
+        for packed in (False, True):
+            status, body = _post(daemon, "/batch", {
+                "program": phash, "lines": self._batch_lines(grid, packed),
+            })
+            assert status == 200
+            bodies.add(body)
+        (body,) = bodies
+        stacked = [r["stacked"] for r in json.loads(body)["results"]]
+        assert body == json.dumps({
+            "failed": 0,
+            "machine": "xeon8",
+            "results": [
+                {"id": 0, "ok": True, "stacked": stacked[0],
+                 "outputs": {"B": want.tolist()}},
+                {"id": 1, "ok": True, "stacked": stacked[1],
+                 "outputs": {"B": scaled.tolist()}},
+            ],
+        }, sort_keys=True).encode("utf-8")
 
     def test_client_returns_nested_lists(self, daemon, phash, direct):
         """ServeClient packs and unpacks: given lists or arrays in any
@@ -359,6 +547,67 @@ class TestWireExactness:
         with pytest.raises(ServeClientError) as excinfo:
             client.run(phash, "Scale", {"A": [[1.0], [2.0, 3.0]]})
         assert excinfo.value.status == 400
+
+    def test_batch_lines_as_text_lists_and_arrays_agree(
+        self, daemon, phash, direct
+    ):
+        """The same 12 requests as JSONL text, as mappings holding
+        lists and as mappings holding ndarrays: identical records, and
+        one broken reference degrades alone."""
+        rng = np.random.default_rng(11)
+        requests = []
+        for index in range(12):
+            if index % 4 == 3:
+                requests.append(("Copy", rng.uniform(-1.0, 1.0, 5)))
+            else:
+                side = (3, 4)[index % 2]
+                requests.append(("Scale", rng.uniform(-1.0, 1.0, (side, 6))))
+        client = ServeClient(port=daemon.port)
+        forms = {
+            "text": [
+                json.dumps({"transform": name, "inputs": {"A": a.tolist()}})
+                for name, a in requests
+            ],
+            "lists": [
+                {"transform": name, "inputs": {"A": a.tolist()}}
+                for name, a in requests
+            ],
+            "arrays": [
+                {"transform": name, "inputs": [np.asfortranarray(a)]}
+                for name, a in requests
+            ],
+        }
+        replies = {
+            form: client.batch(phash, lines) for form, lines in forms.items()
+        }
+        assert replies["text"] == replies["lists"] == replies["arrays"]
+        records = replies["text"]["results"]
+        assert [r["id"] for r in records] == list(range(12))
+        assert any(r["stacked"] for r in records)
+        for record, (name, a) in zip(records, requests):
+            want = direct.transform(name).run([a]).output()
+            assert _bits(record["outputs"]["B"]) == want.tobytes()
+        # mapping lines hold arrays, not text: nothing was printed
+        assert daemon.app.sink.counters["serve.batches"] == 3
+
+        # over the raw wire, line 2 of 3 points past the blob section
+        a = requests[0][1]
+        status, body = _post(daemon, "/batch", _frame({
+            "program": phash,
+            "lines": [
+                {"transform": "Scale",
+                 "inputs": {"A": {"f8": 0, "shape": list(a.shape)}}},
+                {"transform": "Scale",
+                 "inputs": {"A": {"f8": 8, "shape": list(a.shape)}}},
+                forms["text"][0],
+            ],
+        }, _bits(a)))
+        assert status == 200, body
+        first, broken, last = json.loads(body)["results"]
+        assert first["outputs"] == last["outputs"] == records[0]["outputs"]
+        assert (first["id"], last["id"]) == (0, 1)
+        assert broken["line"] == 2 and not broken["ok"]
+        assert "bad input arrays: packed array" in broken["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +700,61 @@ class TestConnections:
         finally:
             daemon.stop()
 
+    def test_conn_drop_inside_a_frame_is_retried(self, direct):
+        """The injected drop cuts a framed reply in its blob section;
+        the retry still lands the right answer, for /run and /batch."""
+        app = ServeApp(injector=FaultInjector.parse("conn-drop:1x1"))
+        daemon = ServeDaemon(app, port=0).start_background()
+        try:
+            sink = ThreadSafeSink()
+            client = ServeClient(
+                port=daemon.port,
+                retry=RetryPolicy(retries=2, backoff_s=0.01),
+                sink=sink,
+            )
+            phash = client.compile(PROGRAM)["program"]
+            a = np.random.default_rng(3).uniform(-4.0, 4.0, (34, 34))
+            want = direct.transform("Blur").run([a]).output()
+            response = client.run(phash, "Blur", {"A": a}, rid="r1")
+            assert _bits(response["outputs"]["B"]) == want.tobytes()
+            line = {"transform": "Blur", "inputs": {"A": a}}
+            (record,) = client.batch(phash, [line], rid="b1")["results"]
+            assert _bits(record["outputs"]["B"]) == want.tobytes()
+            assert sink.counters["serve.retry.attempts"] == 2
+            assert sink.counters["serve.retry.recoveries"] == 2
+            assert app.sink.counters["serve.conn_dropped"] == 2
+            assert app.sink.counters["serve.wire.packed"] == 4
+        finally:
+            daemon.stop()
+
+    def test_broken_reply_frame_is_a_dropped_connection(
+        self, daemon, phash, monkeypatch
+    ):
+        """A 2xx frame whose reference does not check out is transport
+        damage like truncated JSON: re-sent, never handed to the caller."""
+        damaged = []
+
+        class _DamagedOnce(FrameWriter):
+            def __call__(self, value):
+                reference = super().__call__(value)
+                if not damaged:
+                    damaged.append(reference)
+                    reference["f8"] += 8 * value.size
+                return reference
+
+        monkeypatch.setattr("repro.serve.daemon.FrameWriter", _DamagedOnce)
+        sink = ThreadSafeSink()
+        client = ServeClient(
+            port=daemon.port,
+            retry=RetryPolicy(retries=1, backoff_s=0.01),
+            sink=sink,
+        )
+        response = client.run(phash, "Copy", {"A": [1.0, 2.0, 3.0]})
+        assert response["outputs"]["B"] == [1.0, 2.0, 3.0]
+        assert len(damaged) == 1
+        assert sink.counters["serve.retry.attempts"] == 1
+        assert sink.counters["serve.retry.recoveries"] == 1
+
     def test_idle_socket_does_not_delay_stop(self):
         daemon = ServeDaemon(ServeApp(), port=0).start_background()
         client = ServeClient(
@@ -485,19 +789,38 @@ class _CountingJson:
         return json.loads(raw, **kwargs)
 
 
-def test_packed_bodies_stay_under_11_bytes_per_float(
+def test_framed_bodies_are_8_bytes_per_float(
     daemon, phash, direct, monkeypatch
 ):
+    """A framed 34x34 ``/run``: 8 bytes per float plus a small header
+    each way, and only the header goes through the client's ``json``."""
     counting = _CountingJson()
+    bodies = {}
+
+    class _SizedWriter(FrameWriter):
+        def body(self, text):
+            bodies["up"] = super().body(text)
+            return bodies["up"]
+
+    def sized_split(raw):
+        bodies["down"] = raw
+        return split_frame(raw)
+
     monkeypatch.setattr("repro.serve.client.json", counting)
-    side = 130
+    monkeypatch.setattr("repro.serve.client.FrameWriter", _SizedWriter)
+    monkeypatch.setattr("repro.serve.client.split_frame", sized_split)
+    side = 34
     a = np.random.default_rng(7).uniform(-4.0, 4.0, (side, side))
     client = ServeClient(port=daemon.port)
     response = client.run(phash, "Blur", {"A": a.tolist()})
     want = direct.transform("Blur").run([a]).output()
     assert _bits(response["outputs"]["B"]) == want.tobytes()
-    (request_bytes,), (response_bytes,) = counting.sent, counting.received
-    assert request_bytes <= 11 * a.size + 512
-    assert response_bytes <= 11 * want.size + 512
-    # the text form this replaced: about 20 bytes per float
+    assert (a.size, want.size) == (1156, 1024)
+    assert 8 * a.size < len(bodies["up"]) <= 8 * a.size + 512
+    assert 8 * want.size < len(bodies["down"]) <= 8 * want.size + 512
+    assert bodies["up"].endswith(a.tobytes())
+    assert bodies["down"].endswith(want.tobytes())
+    (request_json,), (response_json,) = counting.sent, counting.received
+    assert 0 < request_json <= 512 and 0 < response_json <= 512
+    # the text form: about 20 bytes per float
     assert len(json.dumps(a.tolist())) > 18 * a.size
