@@ -8,12 +8,16 @@ while ``__tile_i__``/``__tile_j__`` + ``__interchange__`` (PB604-legal:
 all free-variable dependence offsets are zero) runs the entire chain
 over one L2-resident tile at a time.  Since the vector step strip-mines
 its own temporaries (``vectorize.STRIP_BYTES``), the untiled sweep no
-longer pays for full-extent intermediates, and what the knobs still buy
-is cross-step reuse of the chain planes only: about 1.2x with row-band
-tiles (``__tile_j__ = 0``, operand views stay contiguous), while a
-square tile narrower than the row now *costs* 5-15 % because every
-ufunc's inner loop shrinks to one tile row — not the 1.4-1.75x any tile
-bought over the expression-form kernels.  Outputs are checked
+longer pays for full-extent intermediates, and since ``S`` is stored as
+its three-plane dependence window (PB606) no schedule first-touches a
+fresh plane per step any more — every row of the table fell by 10-30 %.
+What the knobs still buy is cross-step reuse of the chain planes only:
+about 1.2x with row-band tiles (``__tile_j__ = 0``, operand views stay
+contiguous), while a square tile narrower than the row still *costs*
+about 10 % because every ufunc's inner loop shrinks to one tile row —
+not the 1.4-1.75x any tile bought over the expression-form kernels
+(same session, all planes kept: untiled 0.302 s, bands 0.312, 128 x 128
+tiles 0.438; folded: 0.265, 0.224, 0.292).  Outputs are checked
 bit-for-bit at every tile shape — the legality proof's claim.  For
 contrast, a PB605-blocked wavefront stencil is also timed with the
 knobs on: the engine's own re-proof refuses to tile it, so its

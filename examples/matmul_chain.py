@@ -13,6 +13,17 @@ tuner searches alongside the leaf path:
 * ``__interchange__`` — run the whole ``k`` chain per tile while the
   tile is cache-hot, instead of streaming every tile per ``k`` step.
 
+Writing the reduction with ``p + 1`` planes is how the program *names*
+its steps, not a request to keep them.  The same analyzer proves the
+storage foldable (PB606): each cell of ``S[k]`` reads only its own cell
+of ``S[k - 1]``, planes are produced in ascending order, and the one
+outside reader wants the last plane — so the engine allocates ``S`` as
+two planes whatever ``p`` is, plane ``k`` living in slot ``k % 2``.  The
+rolling reduction then costs what a hand-written ``acc += outer(a, b)``
+with one spare buffer costs: no fresh plane is first-touched per step,
+and a tile's whole chain works on two tile-sized pieces of memory.
+There is nothing to switch on; a ``through`` matrix that may fold does.
+
 Run:  python examples/matmul_chain.py
 """
 
@@ -47,7 +58,7 @@ def main() -> None:
     program = compile_program(MATMUL_CHAIN)
     mm = program.transform("MatMulChain")
 
-    from repro.analysis.depend import schedule_candidates
+    from repro.analysis.depend import schedule_candidates, storage_verdict
 
     print("schedule candidates (PB604/PB605 verdicts):")
     for cand in schedule_candidates(mm):
@@ -62,6 +73,24 @@ def main() -> None:
     n, p, m = 48, 6, 40
     A = rng.uniform(-1.0, 1.0, (n, p))
     B = rng.uniform(-1.0, 1.0, (p, m))
+
+    storage = storage_verdict(mm, "S")
+    print("storage verdict (PB606/PB607):")
+    print(
+        f"  S: folds to {storage.window} planes along axis {storage.axis}"
+        if storage.folds
+        else f"  S: not folded ({storage.reason})"
+    )
+    for depth in (p, 100):
+        shapes = [(n, depth), (depth, m)]
+        allocated = dict(
+            (name, shape)
+            for name, shape, *_ in mm.plan(None, shapes).allocations
+        )
+        print(
+            f"  p = {depth}: S declared {(depth + 1, n, m)}, "
+            f"allocated {allocated['S']}"
+        )
 
     def run(**tunables):
         config = ChoiceConfig()

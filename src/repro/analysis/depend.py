@@ -52,6 +52,14 @@ vectors; a refusal is only reported as ``blocked`` (PB605) with a
 replay-validated :class:`ScheduleWitness` — a concrete pair of
 applications of the rule that a tiled interchange would run in the
 wrong order — mirroring the PB602 contract.
+
+The third family is *storage* legality (PB606/PB607): may the engine
+keep only a window of a ``through`` matrix's planes, plane ``q`` living
+in slot ``q % window``?  :func:`storage_verdict` proves it symbolically
+(conditions (a)–(e) there; DESIGN.md "Storage folding") and the engine
+folds every matrix it is proven for; PB607 states the refusal and, when
+the refusal is an overwrite the schedule really performs, carries a
+replay-validated :class:`StorageWitness`.
 """
 
 from __future__ import annotations
@@ -70,7 +78,13 @@ from repro.analysis.witness import (
     size_envs,
 )
 from repro.compiler.codegen import ExecutionError
-from repro.compiler.ir import ROLE_INPUT, RegionIR, RuleIR, TransformIR
+from repro.compiler.ir import (
+    ROLE_INPUT,
+    ROLE_THROUGH,
+    RegionIR,
+    RuleIR,
+    TransformIR,
+)
 from repro.engine_fast.geometry import split_chain_free
 from repro.language import ast_nodes as ast
 from repro.symbolic import Affine
@@ -424,15 +438,17 @@ def _touches(regions, witness, instance) -> bool:
     """Does some region over the witness's matrix, at this application
     (``instance`` on top of the witness's sizes), contain its cell?"""
     instance_env = {**dict(witness.sizes), **instance}
-    for reg in regions:
-        if reg.matrix != witness.matrix:
-            continue
-        bounds = reg.box.concrete(instance_env)
-        if len(bounds) == len(witness.cell) and all(
-            lo <= coord < hi for coord, (lo, hi) in zip(witness.cell, bounds)
-        ):
-            return True
-    return False
+    return any(
+        _in_box(witness.cell, reg.box.concrete(instance_env))
+        for reg in regions
+        if reg.matrix == witness.matrix
+    )
+
+
+def _in_box(cell, bounds) -> bool:
+    return len(bounds) == len(cell) and all(
+        lo <= coord < hi for coord, (lo, hi) in zip(cell, bounds)
+    )
 
 
 # -- schedule legality: tiling and interchange (PB604/PB605) ----------------
@@ -820,6 +836,352 @@ def schedule_candidates(
     return out
 
 
+# -- storage legality: folding a through matrix (PB606/PB607) ---------------
+
+
+@dataclass(frozen=True)
+class StorageVerdict:
+    """The PB606 decision for one matrix: may the engine keep only
+    ``window`` planes of it along ``axis``, plane ``q`` living in slot
+    ``q % window``?  ``reason`` is empty exactly when that is proven
+    invisible; otherwise ``axis`` is the axis the refusal is about."""
+
+    matrix: str
+    axis: int
+    window: int
+    reason: str = ""
+
+    @property
+    def folds(self) -> bool:
+        return not self.reason
+
+
+def storage_verdict(compiled, matrix: str) -> StorageVerdict:
+    """The single home of the PB606 verdict, read through the cache
+    ``CompiledTransform._storage_verdicts`` by the engine (which folds
+    whatever is legal — there is no knob) and by ``repro check``.
+
+    Folding ``M`` along axis ``d`` is invisible when
+
+    (a) every rule touching ``M`` is a DSL rule binding it through
+        ``cell`` views only, and a rule writing ``M`` writes nothing
+        else: one cell, each coordinate moving one-to-one with its own
+        rule variable (the plane with coefficient +1) or fixed by the
+        sizes, assigned with ``=`` before the body reads it — so every
+        cell of a segment is written and none starts from what its slot
+        held;
+    (b) ``schedule_order`` runs ``M``'s segments in ascending band order
+        along ``d``, no band wider than one plane shared by two of them;
+    (c) a plane coordinate that moves with a rule variable moves with a
+        chain variable of direction +1 at every site — with (b), the
+        planes of any one cell are produced in ascending order;
+    (d) a rule writing ``M`` reads it only at its own cell, a constant
+        ``δ >= 1`` planes behind its write (a per-cell recurrence: the
+        zero distance in every other axis is what makes the fold
+        independent of tile order); ``window = 1 + max δ``;
+    (e) any other rule reads it at a plane fixed by the sizes and
+        provably among the last ``window``.
+
+    Every axis is tried; the first that folds wins, else the refusal
+    that got furthest is reported.  (b) comes first: it reads only the
+    segment boxes, and this runs on the planning path."""
+    mat = compiled.ir.matrices[matrix]
+    if mat.role != ROLE_THROUGH:
+        return StorageVerdict(matrix, 0, 0, f"{matrix} is not a through matrix")
+    best = (-1, 0, f"{matrix} is a scalar")
+    for axis in range(mat.ndim):
+        passed, window, reason = _fold_along(compiled, mat, axis)
+        if not reason:
+            return StorageVerdict(matrix, axis, window)
+        best = max(best, (passed, -axis, reason))
+    return StorageVerdict(matrix, -best[1], 0, best[2])
+
+
+def _moves_with(rule: RuleIR, coord: Affine) -> Tuple[str, ...]:
+    """The rule variables ``coord`` depends on."""
+    return tuple(v for v in coord.variables() if v in rule.var_bounds)
+
+
+def _writer_block(rule: RuleIR, name: str, axis: int) -> str:
+    """Why ``rule`` is not a writer in the sense of (a); empty if it is."""
+    if len(rule.to_regions) != 1:
+        return f"{rule.label} writes {len(rule.to_regions)} regions"
+    to = rule.to_regions[0]
+    seen: List[str] = []
+    for dim, interval in enumerate(to.box.intervals):
+        moving = _moves_with(rule, interval.lo)
+        unit = [1] if dim == axis else [1, -1]
+        if moving and (
+            len(moving) > 1
+            or moving[0] in seen
+            or interval.lo.coefficient(moving[0]) not in unit
+        ):
+            return (
+                f"{rule.label} does not write one cell of {name} per "
+                f"instance, planes ascending (coordinate {interval.lo})"
+            )
+        seen.extend(moving)
+    for stmt in rule.body:
+        if to.bind_name in stmt.value.free_names():
+            break
+        if to.bind_name in stmt.target.free_names():
+            if stmt.op == "=" and isinstance(stmt.target, ast.Var):
+                return ""
+            break
+    return (
+        f"{rule.label} reads its {name} cell before assigning it (a "
+        f"recycled slot is not zero)"
+    )
+
+
+def _self_reads(ir: TransformIR, name: str):
+    """``(rule, written intervals, read intervals)`` per read of
+    ``name`` by a rule that writes it."""
+    for rule in ir.rules:
+        wrote = [reg for reg in rule.to_regions if reg.matrix == name]
+        for reg in rule.from_regions if wrote else ():
+            if reg.matrix == name:
+                yield rule, wrote[0].box.intervals, reg.box.intervals
+
+
+def _plane_window(ir: TransformIR, name: str, axis: int) -> int:
+    """``1 + max δ`` over :func:`_self_reads`, ``δ`` the constant number
+    of planes the read lies behind the write along ``axis``; 0 when some
+    read is at no such distance ``>= 1``."""
+    window = 1
+    for _rule, wrote, read in _self_reads(ir, name):
+        gap = wrote[axis].lo - read[axis].lo
+        if not gap.is_constant() or gap.as_constant() < 1:
+            return 0
+        if gap.as_constant().denominator != 1:
+            return 0
+        window = max(window, 1 + int(gap.as_constant()))
+    return window
+
+
+def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
+    """``(checks passed, window, refusal)`` of folding ``mat`` along
+    ``axis``; the refusal is empty when (a)-(e) of
+    :func:`storage_verdict` all hold."""
+    ir, name, known = compiled.ir, mat.name, compiled.ir.assumptions
+    segments = [
+        compiled._segments[key]
+        for key in compiled.depgraph.schedule_order
+        if key in compiled._segments and compiled._segments[key].matrix == name
+    ]
+    for prev, nxt in zip(segments, segments[1:]):  # (b)
+        earlier, band = prev.box.intervals[axis], nxt.box.intervals[axis]
+        if earlier.hi.always_le(band.lo, known):
+            continue
+        if earlier != band:
+            return 0, 0, (
+                f"segments {prev.key} and {nxt.key} do not run in "
+                f"ascending plane order"
+            )
+        if band.length() != 1:
+            sharing = sorted(
+                seg.key for seg in segments if seg.box.intervals[axis] == band
+            )
+            return 0, 0, (
+                f"segments {', '.join(sharing)} share planes {band} and "
+                f"run one after the other"
+            )
+    for rule in ir.rules:  # (a)
+        views = [r.view_kind for r in rule.all_regions if r.matrix == name]
+        if views and rule.native_body is not None:
+            return 1, 0, f"{rule.label} has a native body"
+        kind = next((kind for kind in views if kind != "cell"), None)
+        if kind:
+            return 1, 0, (
+                f"{rule.label} binds {name} through a {kind} view (only "
+                f"cell bindings fold)"
+            )
+        if name in rule.writes_matrices():
+            reason = _writer_block(rule, name, axis)
+            if reason:
+                return 1, 0, reason
+    for segment in segments:  # (c)
+        for option in segment.options:
+            rule = ir.rules[option.primary]
+            wrote = rule.to_regions[0].box
+            order = compiled.depgraph.rule_directions[segment.key, rule.rule_id]
+            if _moves_with(rule, wrote.intervals[axis].lo) and (
+                order.signs[axis] != 1
+            ):
+                return 2, 0, (
+                    f"{rule.label} does not write the planes of "
+                    f"{segment.key} as an ascending chain"
+                )
+            fallback = option.fallback
+            if fallback is not None and (
+                ir.rules[fallback].to_regions[0].box != wrote
+            ):
+                return 2, 0, (
+                    f"fallback {ir.rules[fallback].label} does not write "
+                    f"the cell {rule.label} rejects"
+                )
+    window = _plane_window(ir, name, axis)  # (d)
+    if not window:
+        return 3, 0, (
+            f"a rule writing {name} reads it at no constant distance "
+            f"behind its own write"
+        )
+    for rule, wrote, read in _self_reads(ir, name):
+        for dim, (w, r) in enumerate(zip(wrote, read)):
+            if dim != axis and w.lo != r.lo:
+                return 3, 0, (
+                    f"{rule.label} reads {name} at another cell ({r.lo} "
+                    f"for {w.lo} in axis {dim}): only a per-cell "
+                    f"recurrence folds"
+                )
+    extent = mat.dims[axis]
+    for rule in ir.rules:  # (e)
+        if name in rule.writes_matrices():
+            continue
+        for reg in rule.from_regions:
+            if reg.matrix != name:
+                continue
+            plane = reg.box.intervals[axis].lo
+            if _moves_with(rule, plane) or not plane.always_ge(
+                extent - window, known
+            ):
+                return 4, 0, (
+                    f"{rule.label} reads plane {plane} of {name}, not "
+                    f"provably one of the last {window}"
+                )
+    if extent.is_constant() and extent.as_constant() <= window:
+        return 4, 0, (
+            f"{name} declares {extent} plane(s), no more than its "
+            f"window of {window}"
+        )
+    return 5, window, ""
+
+
+@dataclass(frozen=True)
+class StorageWitness:
+    """A replayable overwrite under folded storage: with ``window``
+    planes of ``matrix`` kept along ``axis``, the last thing the
+    segments before ``reader_segment`` store in the slot of ``cell`` is
+    the ``writer`` application's plane ``plane`` of that cell — not
+    ``cell[axis]``, which the ``reader`` application then reads."""
+
+    sizes: Tuple[Tuple[str, int], ...]
+    matrix: str
+    axis: int
+    window: int
+    writer_segment: str
+    writer_rule: str
+    writer: Tuple[Tuple[str, int], ...]
+    plane: int
+    reader_segment: str
+    reader_rule: str
+    reader: Tuple[Tuple[str, int], ...]
+    cell: Tuple[int, ...]
+
+    def describe(self) -> str:
+        def box(plane: int) -> str:
+            cell = [*self.cell]
+            cell[self.axis] = plane
+            return describe_bounds(self.matrix, [(c, c + 1) for c in cell])
+
+        old = box(self.cell[self.axis])
+        return (
+            f"{describe_env(dict(self.sizes))}: with {self.window} planes "
+            f"kept, {self.writer_rule} instance "
+            f"({describe_env({}, dict(self.writer))}) of "
+            f"{self.writer_segment} leaves {box(self.plane)} in the slot "
+            f"of {old}; {self.reader_rule} instance "
+            f"({describe_env({}, dict(self.reader))}) of "
+            f"{self.reader_segment} runs later and reads {old}"
+        )
+
+
+def _clobbers(compiled, name: str, axis: int, window: int, env, budget):
+    """Every :class:`StorageWitness` at sizes ``env``, replayed on the
+    races pass's application model at segment granularity: segments run
+    one after the other in schedule order, so when one starts, a slot
+    holds what the last earlier segment to write it left there — its
+    highest plane of the slot if it sweeps the planes ascending, its
+    lowest if descending, unknowable (no witness) otherwise.  A read of
+    any other plane of that slot is an overwrite the engine really
+    performs; reads of cells the reading segment writes itself are not
+    judged."""
+    from repro.analysis.races import _applications
+
+    def slot(cell):
+        return (*cell[:axis], cell[axis] % window, *cell[axis + 1 :])
+
+    holds: Dict[Tuple[int, ...], Optional[Tuple]] = {}
+    for key in compiled.depgraph.schedule_order:
+        segment = compiled._segments.get(key)
+        if segment is None or not segment.options:
+            continue
+        option = segment.options[0]
+        apps = _applications(compiled, segment, option, env, budget)
+        if apps is None:
+            return  # over budget: what later slots hold is unknown
+        own = segment.box.concrete(env) if segment.matrix == name else ()
+        for cell, rule, reader in _touched_cells(
+            apps, name, "from_regions", budget
+        ):
+            held = holds.get(slot(cell))
+            if held and held[0] != cell[axis] and not _in_box(cell, own):
+                plane, wrote, writer_rule, writer = held
+                yield StorageWitness(
+                    tuple(sorted(env.items())), name, axis, window,
+                    wrote, writer_rule, tuple(sorted(writer.items())), plane,
+                    key, rule.label, tuple(sorted(reader.items())), cell,
+                )
+        # the order a segment of ``name`` writes its planes in (none for
+        # a rule that writes ``name`` from another matrix's segment)
+        signs = compiled.depgraph.rule_directions[key, option.primary].signs
+        sign = signs[axis] if own else 0
+        left: Dict[Tuple[int, ...], Optional[Tuple]] = {}
+        for cell, rule, writer in _touched_cells(
+            apps, name, "to_regions", budget
+        ):
+            held = left.get(slot(cell), ())
+            if held is None or (held and not sign):
+                left[slot(cell)] = None  # two planes, no order between them
+            elif not held or (cell[axis] - held[0]) * sign > 0:
+                left[slot(cell)] = (cell[axis], key, rule.label, writer)
+        holds.update(left)
+
+
+def storage_witness(
+    compiled, verdict: StorageVerdict, budget: WitnessBudget = DEFAULT_BUDGET
+) -> Optional[StorageWitness]:
+    """The first overwrite a refused fold would perform at the window
+    its recurrence alone asks for, within budget; ``None`` for a refusal
+    that overwrites nothing (PB607 states what the engine does, so it
+    is true without a witness)."""
+    name, axis = verdict.matrix, verdict.axis
+    window = _plane_window(compiled.ir, name, axis)
+    if verdict.folds or not window:
+        return None
+    return next(
+        (
+            witness
+            for env in size_envs(compiled, budget)
+            for witness in _clobbers(compiled, name, axis, window, env, budget)
+        ),
+        None,
+    )
+
+
+def validate_storage_witness(compiled, witness: StorageWitness) -> bool:
+    """Replay a storage witness: it must be one of the overwrites
+    :func:`_clobbers` derives from the engine's geometry and schedule at
+    the witness's own sizes, axis and window."""
+    mat = compiled.ir.matrices.get(witness.matrix)
+    if mat is None or not 0 <= witness.axis < mat.ndim or witness.window < 1:
+        return False
+    return witness in _clobbers(
+        compiled, witness.matrix, witness.axis, witness.window,
+        dict(witness.sizes), DEFAULT_BUDGET,
+    )
+
+
 def _candidate_for(compiled, mat, budget: WitnessBudget) -> Optional[FusionCandidate]:
     ir = compiled.ir
     name = mat.name
@@ -933,14 +1295,19 @@ def check_depend(
     compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
 ) -> List[Diagnostic]:
     """PB601/PB602 per fusion candidate, PB604/PB605 per schedule
-    candidate, plus the PB603 audit."""
+    candidate, PB606/PB607 per ``through`` matrix, plus the PB603
+    audit."""
     ir = compiled.ir
     deps = rule_dependences(ir)
     candidates = fusion_candidates(compiled, budget)
     sched = schedule_candidates(compiled, budget)
+    storage = [
+        (mat, compiled._storage_verdicts[mat.name])
+        for mat in sorted(ir.throughs, key=lambda m: m.name)
+    ]
     diagnostics: List[Diagnostic] = []
 
-    def emit(code, at, rule, message, hint, witness=None) -> None:
+    def emit(code, at, rule, message, hint, witness=None, region="") -> None:
         diagnostics.append(
             Diagnostic(
                 code=code,
@@ -948,9 +1315,9 @@ def check_depend(
                 message=message,
                 transform=ir.name,
                 rule=rule,
-                region=at.matrix,
-                line=at.line,
-                column=at.column,
+                region=region or at.matrix,
+                line=at.line or ir.line,
+                column=at.column or ir.column,
                 witness=witness.describe() if witness else "",
                 hint=hint,
                 path=path,
@@ -1005,6 +1372,38 @@ def check_depend(
                 "side of the writing one",
                 site.witness,
             )
+    for mat, verdict in storage:
+        if not verdict.folds:
+            emit(
+                "PB607",
+                mat,
+                "",
+                f"storage of {mat.name} is not folded: {verdict.reason}",
+                "every declared plane is kept; DESIGN.md \"Storage "
+                "folding\" lists the conditions",
+                storage_witness(compiled, verdict, budget),
+                region=mat.name,
+            )
+            continue
+        readers = [
+            f"{rule.label} at plane {reg.box.intervals[verdict.axis].lo}"
+            for rule in ir.rules
+            if mat.name not in rule.writes_matrices()
+            for reg in rule.from_regions
+            if reg.matrix == mat.name
+        ]
+        emit(
+            "PB606",
+            mat,
+            "",
+            f"storage of {mat.name} folds to {verdict.window} planes along "
+            f"axis {verdict.axis} (reads reach {verdict.window - 1} "
+            f"plane(s) back; the last reader is "
+            f"{', '.join(readers) or 'nobody'})",
+            "nothing to set: a through matrix that may fold always does, "
+            "and the problem size still counts every declared plane",
+            region=mat.name,
+        )
     kinds = {"flow": 0, "anti": 0, "output": 0}
     for dep in deps:
         kinds[dep.kind] += 1
@@ -1022,6 +1421,11 @@ def check_depend(
             )
         else:
             clauses.append(f"schedule {site.segment}/{site.rule} {site.status}")
+    clauses.extend(
+        f"{mat.name} folds ×{verdict.window}"
+        for mat, verdict in storage
+        if verdict.folds
+    )
     detail = "; ".join(clauses) if clauses else "no fusion candidates"
     diagnostics.append(
         Diagnostic(
@@ -1048,11 +1452,16 @@ __all__ = [
     "ScheduleCandidate",
     "ScheduleWitness",
     "ScheduleVerdict",
+    "StorageVerdict",
+    "StorageWitness",
     "rule_dependences",
     "fusion_candidates",
     "schedule_candidates",
     "schedule_verdict",
+    "storage_verdict",
+    "storage_witness",
     "validate_conflict",
     "validate_schedule_witness",
+    "validate_storage_witness",
     "check_depend",
 ]

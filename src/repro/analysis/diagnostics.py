@@ -51,6 +51,8 @@ CODE_TABLE: Dict[str, Tuple[str, str, str]] = {
     "PB603": (INFO, "depend", "rewrite audit: dependence and fusion summary"),
     "PB604": (INFO, "depend", "tiling/interchange of a rule's schedule is legal"),
     "PB605": (INFO, "depend", "tiling/interchange blocked by a tile-crossing dependence"),
+    "PB606": (INFO, "depend", "storage of a through matrix folds to its dependence window"),
+    "PB607": (INFO, "depend", "storage of a through matrix is not folded (every plane kept)"),
 }
 
 

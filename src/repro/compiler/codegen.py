@@ -96,8 +96,11 @@ ArrayLike = Union[Matrix, MatrixView, np.ndarray, Sequence[float]]
 _VECTOR_WORK_FACTOR = 1.0 / 16.0
 _VECTOR_STEP_WORK = 32.0
 
-#: Geometry entries are small, but recursive transforms can visit many
-#: distinct size-envs; cap the cache rather than grow without bound.
+#: Geometry entries are small — ranges and one value list per variable;
+#: the instance product of a per-cell site is added on its first
+#: replay, a vector site never has one — but recursive transforms can
+#: visit many distinct size-envs; cap the cache rather than grow
+#: without bound.
 _GEOM_CACHE_LIMIT = 4096
 
 #: Run plans per transform.  A tuner evaluates thousands of (config,
@@ -212,15 +215,20 @@ class RunPlan:
     scalars plus references into the transform's shared
     :class:`Geometry`/:class:`VectorPlan`/:class:`RuleIR` objects, so
     any number of threads may replay one plan at once and a cached plan
-    costs no memory proportional to its iteration count."""
+    costs no memory proportional to its iteration count (the one thing
+    that is — a per-cell site's instance product — lives on the shared
+    geometry, built on that site's first replay)."""
 
     #: whose frame this is: the planned transform, or its
     #: ``fused_variant()`` when ``__fuse__`` redirects the call
     transform: "CompiledTransform"
     env: Dict[str, int]
     frame: Tuple[str, Tuple[Tuple[str, int], ...]]  # recursion-guard key
-    #: (name, shape, is_output, storage label) per allocated matrix
+    #: (name, shape, is_output, storage label) per allocated matrix;
+    #: the shape is the *physical* one: a folded ``through`` matrix
+    #: keeps only its window of planes (``_storage_folds``)
     allocations: Tuple[Tuple[str, Tuple[int, ...], bool, str], ...]
+    #: cells of the call's inputs and *declared* matrices
     problem_size: int
     #: this frame is below the sequential cutoff (a caller's verdict is
     #: inherited at run time on top of it)
@@ -593,6 +601,34 @@ class CompiledTransform:
             )
         return cached
 
+    @functools.cached_property
+    def _storage_verdicts(self) -> Dict[str, object]:
+        """Cached PB606 verdict per ``through`` matrix, decided on first
+        use: may the engine keep only a window of its planes?  Like
+        :meth:`_schedule_verdict`, a cache around the analyzer's single
+        verdict (:func:`repro.analysis.depend.storage_verdict`), which
+        ``repro check`` reports through this same cache."""
+        # Local import: repro.analysis sits on top of this module.
+        from repro.analysis.depend import storage_verdict
+
+        return {
+            mat.name: storage_verdict(self, mat.name)
+            for mat in self.ir.throughs
+        }
+
+    @functools.cached_property
+    def _storage_folds(self) -> Dict[str, Tuple[int, int]]:
+        """``{matrix: (axis, window)}`` of the matrices that fold:
+        allocation keeps ``window`` planes along ``axis`` and every
+        access takes its plane ``% window`` (the generated kernels
+        through ``KernelBuilder.point_index``, the tree-walking path in
+        :meth:`_apply_once`).  Not a choice: what may fold always does."""
+        return {
+            name: (verdict.axis, verdict.window)
+            for name, verdict in self._storage_verdicts.items()
+            if verdict.folds
+        }
+
     def plan(
         self,
         config: Optional[ChoiceConfig],
@@ -648,23 +684,32 @@ class CompiledTransform:
                     f"region ordering {guard} >= 0 (input too small for "
                     f"this program's choice grid)"
                 )
-        allocations = tuple(
-            (
-                mat.name,
-                tuple(dim.eval_floor(env) for dim in mat.dims),
-                mat.role == ROLE_OUTPUT,
-                f"{self.name}.{mat.name}",
-            )
-            for mat in self.ir.outputs + self.ir.throughs
-        )
         # The problem size steering choice selection and the sequential
         # cutoff is the total cells across every matrix of the call.
         # The whole call footprint (not just outputs) shrinks under
         # *any* recursive decomposition, including splits along
-        # reduction dimensions that keep the output size constant.
-        problem_size = sum(math.prod(shape) for shape in shapes) + sum(
-            math.prod(allocation[1]) for allocation in allocations
-        )
+        # reduction dimensions that keep the output size constant.  It
+        # counts *declared* cells: folding storage below must not move a
+        # selector, a cutoff or a task graph.
+        problem_size = sum(math.prod(shape) for shape in shapes)
+        folds = self._storage_folds
+        allocations = []
+        for mat in self.ir.outputs + self.ir.throughs:
+            shape = tuple(dim.eval_floor(env) for dim in mat.dims)
+            problem_size += math.prod(shape)
+            if mat.name in folds:
+                axis, window = folds[mat.name]
+                shape = (
+                    *shape[:axis], min(shape[axis], window), *shape[axis + 1:]
+                )
+            allocations.append(
+                (
+                    mat.name,
+                    shape,
+                    mat.role == ROLE_OUTPUT,
+                    f"{self.name}.{mat.name}",
+                )
+            )
         steps: List[PlanStep] = []
         position: Dict[str, int] = {}
         for site in self.scheduled_segments(env, config, problem_size):
@@ -686,7 +731,7 @@ class CompiledTransform:
             transform=self,
             env=env,
             frame=(self.name, tuple(sorted(env.items()))),
-            allocations=allocations,
+            allocations=tuple(allocations),
             problem_size=problem_size,
             inline=problem_size < config.seq_cutoff(self.name),
             tunables=self.tunables_at(config, problem_size),
@@ -914,7 +959,7 @@ class CompiledTransform:
         if key in self._kernels:
             return self._kernels[key]
         try:
-            kernel = lower_rule(rule, self.ir, params)
+            kernel = lower_rule(rule, self.ir, params, self._storage_folds)
         except Exception:
             kernel = None
         self._kernels[key] = kernel
@@ -952,7 +997,8 @@ class CompiledTransform:
                 cached = (None, str(error))
             else:
                 cached = plan_vector_leaf(
-                    self.ir, rule, directions, var_order, has_fallback
+                    self.ir, rule, directions, var_order, has_fallback,
+                    self._storage_folds,
                 )
             self._vector_plans[key] = cached
         return cached
@@ -1329,6 +1375,14 @@ class CompiledTransform:
             region_bounds = [
                 region.box.concrete(env) for region in rule.all_regions
             ]
+        folds = self._storage_folds
+        if folds:
+            region_bounds = [
+                self._slot_bounds(region.matrix, bounds, env)
+                if region.matrix in folds
+                else bounds
+                for region, bounds in zip(rule.all_regions, region_bounds)
+            ]
         bindings: Dict[str, object] = {
             region.bind_name: _region_view(
                 region, bounds, views[region.matrix]
@@ -1360,6 +1414,23 @@ class CompiledTransform:
         )
         execute(rule.body, scope)
         state.recorder.charge(rule.base_work + scope.ops)
+
+    def _slot_bounds(
+        self, matrix: str, bounds: Bounds, env: Dict[str, int]
+    ) -> Bounds:
+        """The bounds of a cell of folded ``matrix`` in its storage: the
+        plane, checked against the declared extent (with the error an
+        unfolded view raises), becomes its slot ``plane % window``."""
+        axis, window = self._storage_folds[matrix]
+        plane = bounds[axis][0]
+        dims = self.ir.matrices[matrix].dims
+        if not 0 <= plane < dims[axis].eval_floor(env):
+            raise IndexError(
+                f"cell{tuple(lo for lo, _ in bounds)} outside view of "
+                f"shape {tuple(dim.eval_floor(env) for dim in dims)}"
+            )
+        slot = plane % window
+        return (*bounds[:axis], (slot, slot + 1), *bounds[axis + 1:])
 
     def _call_sibling(
         self, state: _EngineState, name: str, args: Sequence[MatrixView]

@@ -25,7 +25,9 @@ class KernelBuilder:
 
     ``scalar_vars`` are the rule variables the kernel receives as integer
     parameters ``_s_<var>``; every other variable of an affine coordinate
-    is a size variable read from the hoisted environment.
+    is a size variable read from the hoisted environment.  ``folds`` maps
+    each matrix whose storage is folded to its ``(axis, window)`` (the
+    engine's cached PB606 verdicts, see :meth:`point_index`).
     """
 
     #: per-lowerer constants: the filename tag of the generated source,
@@ -38,11 +40,16 @@ class KernelBuilder:
     axis_shift = 0
 
     def __init__(
-        self, transform: TransformIR, rule: RuleIR, scalar_vars: Iterable[str]
+        self,
+        transform: TransformIR,
+        rule: RuleIR,
+        scalar_vars: Iterable[str],
+        folds: Dict[str, Tuple[int, int]],
     ) -> None:
         self.transform = transform
         self.rule = rule
         self.scalar_vars = frozenset(scalar_vars)
+        self.folds = folds
         self.lines: List[str] = []
         self.maker_lines: List[str] = []
         self.depth = 2
@@ -66,6 +73,24 @@ class KernelBuilder:
         self.used_matrices.add(matrix)
         self.used_dims.setdefault(matrix, set()).add(dim)
         return f"_d_{matrix}_{dim}"
+
+    def point_index(self, matrix: str, dim: int, ref: str) -> Tuple[str, str]:
+        """``(bounds check, subscript)`` for ``ref``, a point coordinate
+        (not a slice) into dimension ``dim`` of ``matrix``.
+
+        The one emitter of folded indices.  On a folded (matrix, axis)
+        the array keeps only ``window`` planes, so the coordinate is
+        checked against the *declared* extent — the same condition, and
+        so the same ``IndexError``, as with every plane kept — and the
+        subscript is the plane's slot ``ref % window``.  Every other
+        dimension checks the array's own extent and subscripts with
+        ``ref`` itself: a rule that touches no folded matrix lowers to
+        the source it always did."""
+        axis, window = self.folds.get(matrix, (None, 0))
+        if axis != dim:
+            return f"0 <= {ref} < {self._dim_ref(matrix, dim)}", ref
+        declared = self._affine(self.transform.matrices[matrix].dims[dim])
+        return f"0 <= {ref} < {declared}", f"{ref} % {window}"
 
     def _affine(self, expr: Affine) -> str:
         """Exact integer lowering of ``expr.eval_ceil(env)``.

@@ -167,10 +167,16 @@ class _Lowerer(KernelBuilder):
     kernel_name = "_instance"
 
     def __init__(
-        self, rule: RuleIR, transform: TransformIR, params: Sequence[str]
+        self,
+        rule: RuleIR,
+        transform: TransformIR,
+        params: Sequence[str],
+        folds: Dict[str, Tuple[int, int]],
     ) -> None:
-        super().__init__(transform, rule, params)
+        super().__init__(transform, rule, params, folds)
         self.params = tuple(params)
+        #: subscripts per cell binding, filled by :meth:`emit_bindings`
+        self.cell_index: Dict[str, Sequence[str]] = {}
         self.pending = 0
         self.counter = 0
         self.used_builtins: Set[str] = set()
@@ -218,10 +224,7 @@ class _Lowerer(KernelBuilder):
         raise _NotLowerable(f"unknown name {name!r} in rule body")
 
     def _cell_ref(self, region: RegionIR) -> str:
-        indices = ", ".join(
-            f"_i_{region.bind_name}_{dim}"
-            for dim in range(len(region.box.intervals))
-        )
+        indices = ", ".join(self.cell_index[region.bind_name])
         return f"{self._matrix_ref(region.matrix)}[{indices}]"
 
     def _binding_value(self, region: RegionIR) -> _Val:
@@ -270,9 +273,11 @@ class _Lowerer(KernelBuilder):
                 elif kind == "cell" or dim == _FIXED_DIM[kind]:
                     index = f"_i_{name}_{dim}"
                     self.line(f"{index} = {self._affine(interval.lo)}")
-                    extent = self._dim_ref(region.matrix, dim)
-                    checks.append(f"0 <= {index} < {extent}")
-                    slices.append(index)
+                    check, subscript = self.point_index(
+                        region.matrix, dim, index
+                    )
+                    checks.append(check)
+                    slices.append(subscript)
                 else:
                     slices.append(":")
             self.line(f"if not ({' and '.join(checks)}):")
@@ -280,7 +285,9 @@ class _Lowerer(KernelBuilder):
                 f"    raise IndexError('{label}: {kind} binding "
                 f"{name} outside view')"
             )
-            if kind != "cell":  # cells are read/written through _cell_ref
+            if kind == "cell":  # read/written through _cell_ref
+                self.cell_index[name] = slices
+            else:
                 self.line(f"_b_{name} = {mat}[{', '.join(slices)}]")
 
     # -- expressions -------------------------------------------------------
@@ -512,6 +519,7 @@ def lower_rule(
     rule: RuleIR,
     transform: TransformIR,
     params: Optional[Sequence[str]] = None,
+    folds: Dict[str, Tuple[int, int]] = {},  # never mutated
 ) -> Optional[RuleKernel]:
     """Lower one instance rule to a :class:`RuleKernel`.
 
@@ -519,7 +527,9 @@ def lower_rule(
     rule's variables, by default their declaration order.  The engine
     asks for a site's *iteration* order (chain variables, then free), so
     its instance loop calls ``instance(*chain_values, *values)`` with no
-    per-cell argument scatter.
+    per-cell argument scatter.  ``folds`` is the transform's folded
+    storage (``{matrix: (axis, window)}``, see
+    :meth:`KernelBuilder.point_index`).
 
     Returns ``None`` when the rule has a native body, no DSL body, no rule
     variables, or uses a construct — in its body or its where-clause — the
@@ -530,7 +540,7 @@ def lower_rule(
         return None
     if not rule.is_instance_rule:
         return None
-    lowerer = _Lowerer(rule, transform, params or rule.rule_vars)
+    lowerer = _Lowerer(rule, transform, params or rule.rule_vars, folds)
     try:
         maker, source = lowerer.lower()
     except _NotLowerable:

@@ -6,14 +6,18 @@ segment application — at every recursion depth and for every chain step.
 All of that is a pure function of ``(segment, rule, env)``, so it is
 computed once and cached under :func:`geometry_key`; the engine counts
 hits and misses through the ``exec.geom_cache_*`` observe counters.
+What is sized by the instance *count* — the product of the free value
+lists — is built only when a per-cell driver first asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 _MISSING = object()
@@ -73,17 +77,30 @@ class Geometry:
 
     ``chain_vars`` iterate as sequential steps (directional, with a task
     barrier between steps); ``free_vars`` are the data-parallel variables
-    within a step.  ``free_products`` is the materialized instance tuple
-    list shared by every step (and every cached lookup), ordered exactly
-    like the original per-application ``itertools.product``.
+    within a step.  A geometry holds one value list per variable and
+    ``step_volume``, the product of the free lists' lengths — nothing
+    sized by the instance count, so a vector site (which sweeps slices)
+    never pays for one.
     """
 
     var_ranges: Dict[str, Tuple[int, int]]
     chain_vars: Tuple[str, ...]
     free_vars: Tuple[str, ...]
     chain_value_lists: Tuple[Tuple[int, ...], ...]
-    free_products: Tuple[Tuple[int, ...], ...]
+    free_value_lists: Tuple[Tuple[int, ...], ...]
     step_volume: int
+
+    @cached_property
+    def free_products(self) -> Tuple[Tuple[int, ...], ...]:
+        """The instance tuples of one step, ordered like
+        ``itertools.product`` over the free value lists: built when the
+        per-cell driver first reads it, then kept on the geometry, so
+        every plan and every step that shares the geometry shares the
+        one tuple.  Unlocked on purpose: two threads racing the first
+        read build equal tuples and either assignment wins."""
+        # product() of zero ranges yields one empty tuple (the single
+        # instance of a chain-only rule); an empty *range* yields none.
+        return tuple(itertools.product(*self.free_value_lists))
 
 
 def split_chain_free(
@@ -119,16 +136,13 @@ def build_geometry(
 
     chain_value_lists = tuple(values_of(v) for v in chain_vars)
     free_value_lists = tuple(values_of(v) for v in free_vars)
-    # product() of zero ranges yields one empty tuple (the single
-    # instance of a chain-only rule); an empty *range* yields none.
-    free_products = tuple(itertools.product(*free_value_lists))
     return Geometry(
         var_ranges=dict(var_ranges),
         chain_vars=chain_vars,
         free_vars=free_vars,
         chain_value_lists=chain_value_lists,
-        free_products=free_products,
-        step_volume=len(free_products),
+        free_value_lists=free_value_lists,
+        step_volume=math.prod(map(len, free_value_lists)),
     )
 
 

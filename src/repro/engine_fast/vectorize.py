@@ -315,8 +315,9 @@ class _VectorLowerer(KernelBuilder):
         rule: RuleIR,
         chain_vars: Sequence[str],
         free_vars: Sequence[str],
+        folds: Dict[str, Tuple[int, int]],
     ) -> None:
-        super().__init__(transform, rule, chain_vars)
+        super().__init__(transform, rule, chain_vars, folds)
         self.chain_vars = tuple(chain_vars)
         self.free_vars = tuple(free_vars)
         self.free_set = set(free_vars)
@@ -361,13 +362,14 @@ class _VectorLowerer(KernelBuilder):
                     raise _NotVectorizable(
                         f"coordinate {expr} couples parallel variables"
                     )
-                extent = self._dim_ref(mat, dim)
                 if not frees:
                     ref = f"_x_{name}_{dim}"
                     self.line(f"{ref} = {self._affine(expr)}")
-                    checks.append(f"0 <= {ref} < {extent}")
-                    index_parts.append(ref)
+                    check, subscript = self.point_index(mat, dim, ref)
+                    checks.append(check)
+                    index_parts.append(subscript)
                     continue
+                extent = self._dim_ref(mat, dim)
                 var = frees[0]
                 if var in present:
                     raise _NotVectorizable(
@@ -680,12 +682,15 @@ def plan_vector_leaf(
     directions: Dict[str, int],
     var_order: Sequence[str],
     has_fallback: bool = False,
+    folds: Dict[str, Tuple[int, int]] = {},  # never mutated
 ) -> Tuple[Optional[VectorPlan], str]:
     """Compile a vector leaf for ``rule``, or explain why it cannot be.
 
     ``directions``/``var_order`` come from the engine's dependency
     analysis for the (segment, rule) pair (``_var_directions``); the
     canonical query is :func:`repro.analysis.races.vector_leaf_status`.
+    ``folds`` is the transform's folded storage (``{matrix: (axis,
+    window)}``, see :meth:`KernelBuilder.point_index`).
     Returns ``(plan, "")`` on success, else ``(None, reason)``.  The
     batch axis adds no dependence, so a site is batch-stackable exactly
     when it is vectorizable.
@@ -702,7 +707,7 @@ def plan_vector_leaf(
             None,
             "no data-parallel variables; instances form a sequential chain",
         )
-    lowerer = _VectorLowerer(transform, rule, chain_vars, free_vars)
+    lowerer = _VectorLowerer(transform, rule, chain_vars, free_vars, folds)
     try:
         maker, source = lowerer.lower()
     except _NotVectorizable as reason:

@@ -306,13 +306,15 @@ class TestCheckDepend:
         transform = compiled(PIPE, "Pipe")
         diags = check_depend(transform, BUDGET)
         codes = [d.code for d in diags]
-        assert codes == ["PB601", "PB603"]
+        # one storage verdict per through matrix: T is written in one
+        # parallel sweep, so every "plane" is kept (PB607)
+        assert codes == ["PB601", "PB607", "PB603"]
         pb601 = diags[0]
         assert pb601.severity == "info"
         assert "is legal" in pb601.message
         assert "__fuse__" in pb601.hint
         assert pb601.region == "T"
-        audit = diags[1]
+        audit = diags[2]
         assert "2 dependence(s) (1 flow, 1 anti, 0 output)" in audit.message
         assert "T legal" in audit.message
 

@@ -446,6 +446,57 @@ class TestAllocationDiscipline:
         assert output_bytes == 512 * 512 * 8
         assert peak <= output_bytes + self.SLOTS * STRIP_BYTES + self.SLACK
 
+    def test_a_vector_site_retains_nothing_sized_by_its_cells(self):
+        """``plan()`` + a first run of vector Blur at 1024 x 1024 leave
+        under 1 MiB behind once the result is dropped: ranges, one value
+        list per variable, the plan and the compiled step.  (The
+        instance product — one tuple per cell, ~70 MiB here — used to
+        be built with the geometry and pinned by the geometry cache,
+        though only the per-cell driver ever read it.)"""
+        import gc
+        import tracemalloc
+
+        t = compile_program(BLUR).transform("Blur")
+        config = _leaf_config("Blur", LEAF_VECTOR)
+        image = np.random.default_rng(7).uniform(-4.0, 4.0, (1026, 1026))
+        tracemalloc.start()
+        try:
+            t.plan(config, [image.shape])
+            result = t.run([image], config)
+            assert result.rule_applications == 1024 * 1024
+            del result
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1024 * 1024
+
+    def test_instance_products_are_built_once_by_the_first_per_cell_run(self):
+        """The product lives on the shared ``Geometry``: a vector run
+        never creates it, the first closure run does, and every later
+        run — under any config's plan — reads that same tuple."""
+        t = compile_program(BLUR).transform("Blur")
+        image = np.random.default_rng(7).uniform(-4.0, 4.0, (66, 66))
+        t.run([image], _leaf_config("Blur", LEAF_VECTOR))
+        (geometry,) = t._geom_cache._data.values()
+        assert geometry.step_volume == 64 * 64
+        assert "free_products" not in vars(geometry)
+        products = []
+        for config in (
+            _leaf_config("Blur", LEAF_CLOSURE),
+            _leaf_config("Blur", LEAF_CLOSURE, __block_size__=7),
+            _leaf_config("Blur", LEAF_INTERP),
+        ):
+            sink = TraceSink(capture_events=False)
+            result = t.run([image], config, sink=sink)
+            assert result.rule_applications == 64 * 64
+            if config.tunables["Blur.__leaf_path__"] == LEAF_CLOSURE:
+                assert sink.counter("exec.closure_calls") == 64 * 64
+            products.append(vars(geometry)["free_products"])
+        assert len(t._geom_cache) == 1 and len(t._plan_cache) == 4
+        assert all(p is products[0] for p in products)
+        assert products[0][:2] == ((0, 0), (0, 1)) and len(products[0]) == 4096
+
 
 class TestChoiceIntegration:
     def test_leveled_leaf_path_switches_by_size(self):

@@ -117,6 +117,34 @@ def test_ladder_sort_matches_the_pre_plan_golden():
     )
 
 
+#: sha256 of ``task_list`` and (tasks, applications, total work) on the
+#: commit before storage folding, for programs that do not fold
+UNFOLDED_GOLDEN = {
+    "rollingsum_r1": (
+        "9b70fe4604482d1732b5bab7598b2db120072e895d32138306aa4dddf4c1bc4b",
+        (99, 96, 192.0),
+    ),
+    "heat41": (
+        "79a77eb62cefbb8b9ca010d768e1bb6feecf6b360f42585c1d724341224c600e",
+        (42, 492, 2052.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNFOLDED_GOLDEN))
+def test_a_program_that_does_not_fold_records_the_parents_graph(name):
+    """Heat declares a ``through`` matrix whose storage verdict is
+    "blocked", RollingSum declares none: both replay the task graph the
+    engine recorded before it could fold anything."""
+    transform, config, inputs, sizes = dispatch_cases()[name]
+    result = transform.run(inputs, config, sizes=sizes)
+    digest = hashlib.sha256(repr(task_list(result.graph)).encode()).hexdigest()
+    assert (digest, (
+        len(result.graph), result.rule_applications, result.graph.total_work()
+    )) == UNFOLDED_GOLDEN[name]
+    assert transform._storage_folds == {}
+
+
 # -- (ii) hit ≡ miss over the differential suites' programs ---------------
 
 

@@ -476,6 +476,34 @@ class TestHTTP:
             )
             assert [r["ok"] for r in batch["results"]] == [True, False] * 2
 
+    def test_a_served_vector_run_pins_nothing_sized_by_its_cells(
+        self, daemon, client
+    ):
+        """A daemon that has served one 512 x 512 vector ``/run`` holds
+        a plan, a geometry of ranges and value lists, and the compiled
+        step: under 256 KiB, not the ~19 MB instance product the
+        geometry cache used to pin per site for the life of the
+        process."""
+        import gc
+        import tracemalloc
+
+        phash = client.compile(SCALE)["program"]
+        config = json.loads(_config(2).to_json())
+        client.run(phash, "Scale", {"A": np.ones((2, 2))}, config=config)
+        image = np.random.default_rng(3).uniform(-1.0, 1.0, (512, 512))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            response = client.run(phash, "Scale", {"A": image}, config=config)
+            served = bool((response["outputs"]["B"] == image * 2.0 + 1.0).all())
+            del response
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert served and daemon.app.sink.counters["serve.runs"] == 2
+        assert retained < 256 * 1024
+
     def test_shutdown_route_stops_server(self):
         daemon = ServeDaemon(ServeApp(), port=0).start_background()
         client = ServeClient(port=daemon.port, timeout=30.0)

@@ -1,0 +1,869 @@
+"""Storage folding is invisible, and only happens where it is proven so.
+
+A ``through`` matrix whose PB606 verdict is legal is allocated as its
+dependence window (plane ``q`` in slot ``q % window``).  The baseline of
+every differential check here is *the same program* compiled while the
+verdict is patched to "blocked" — in the test, there is no product
+switch — so both sides run the same engine and differ only in storage.
+Folded and unfolded must agree on output bytes, rule applications, total
+work and the whole recorded task graph, over every leaf path, tile
+shape, ``__interchange__`` and the batch engine; programs on the
+negative table must *not* fold and must still match a hand-written
+NumPy reference.
+"""
+
+import dataclasses
+import functools
+import hashlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import depend
+from repro.analysis.check import check_source
+from repro.analysis.depend import (
+    StorageVerdict,
+    check_depend,
+    storage_verdict,
+    storage_witness,
+    validate_storage_witness,
+)
+from repro.batch import BatchEngine
+from repro.compiler import ChoiceConfig, compile_program
+from repro.compiler.builder import TransformBuilder
+from repro.compiler.codegen import _EngineState
+from repro.observe import TraceSink
+from repro.runtime.matrix import Matrix
+from repro.runtime.task import TaskRecorder
+from tests.test_run_plan import BLUR, HEAT, ROLLINGSUM, task_list
+
+MATMUL_MOMENTUM = """
+transform MatMulMomentum
+from A[n, p], B[p, m]
+through S[p + 2, n, m]
+to C[n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 0.0; }
+  to (S.cell(1, i, j) s) from () { s = 0.0; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i, j) r1, S.cell(k - 2, i, j) r2,
+        A.cell(i, k - 2) a, B.cell(k - 2, j) b)
+  {
+    s = r1 * 0.625 + r2 * 0.375 + a * b;
+  }
+  to (C.cell(i, j) c) from (S.cell(p + 1, i, j) s) { c = s; }
+}
+"""
+
+PIPELINE = """
+transform Pipeline
+from A[n, m]
+through T[n, m]
+to B[n, m]
+{
+  to (T.cell(x, y) t) from (A.cell(x, y) a) { t = a * 2.0 + 1.0; }
+  to (B.cell(x, y) b) from (T.cell(x, y) t) { b = t * 1.5 - 0.5; }
+}
+"""
+
+
+def chain_source(consumer="S.cell(p, i, j)", extra_from="", extra_term=""):
+    """``MatMulChain`` of ``examples/matmul_chain.py`` (window 2), with
+    hooks the negative table bends: the consumer's plane, one more read
+    of ``S`` by the chain rule."""
+    return f"""
+transform MatMulChain
+from A[n, p], B[p, m]
+through S[p + 1, n, m]
+to C[n, m]
+{{
+  to (S.cell(0, i, j) s) from () {{ s = 1.5; }}
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i, j) prev, A.cell(i, k - 1) a, B.cell(k - 1, j) b
+        {extra_from})
+  {{
+    s = prev + a * b{extra_term};
+  }}
+  to (C.cell(i, j) c) from ({consumer} s) {{ c = s; }}
+}}
+"""
+
+
+def chain_planes(a, b):
+    """Every plane of ``MatMulChain``'s ``S``, hand-written."""
+    planes = [np.full((a.shape[0], b.shape[1]), 1.5)]
+    for k in range(a.shape[1]):
+        planes.append(planes[-1] + np.multiply.outer(a[:, k], b[k, :]))
+    return planes
+
+
+def momentum_ref(a, b):
+    prev = np.zeros((a.shape[0], b.shape[1]))
+    prev2 = np.zeros_like(prev)
+    for k in range(a.shape[1]):
+        cur = prev * 0.625 + prev2 * 0.375 + np.multiply.outer(a[:, k], b[k, :])
+        prev2, prev = prev, cur
+    return prev
+
+
+def unfolded(source, name):
+    """``source`` compiled with the storage verdict patched to blocked:
+    today's engine with every plane kept."""
+    refuse = mock.patch.object(
+        depend,
+        "storage_verdict",
+        lambda compiled, matrix: StorageVerdict(matrix, 0, 0, "baseline"),
+    )
+    with refuse:
+        transform = compile_program(source).transform(name)
+        assert transform._storage_folds == {}
+    return transform
+
+
+@functools.lru_cache(maxsize=None)
+def compiled_pair(source, name):
+    return compile_program(source).transform(name), unfolded(source, name)
+
+
+#: tiles {none, 16 x 16, a row band} x __interchange__ {0, 1}
+KNOB_SETS = [
+    {"__tile_i__": ti, "__tile_j__": tj, "__interchange__": swap}
+    for ti, tj in ((0, 0), (16, 16), (16, 0))
+    for swap in (0, 1)
+]
+
+
+def config_for(name, leaf, knobs):
+    config = ChoiceConfig()
+    config.set_tunable(f"{name}.__leaf_path__", leaf)
+    config.set_tunable(f"{name}.__seq_cutoff__", 0)  # record every task
+    for knob, value in knobs.items():
+        config.set_tunable(f"{name}.{knob}", value)
+    return config
+
+
+def observe(transform, inputs, config):
+    sink = TraceSink(capture_events=False)
+    result = transform.run([a.copy() for a in inputs], config, sink=sink)
+    graph = repr(task_list(result.graph)).encode()
+    counters = {
+        key: value
+        for key, value in sink.counters.items()
+        if key.startswith("exec.")
+        and not key.startswith(("exec.plan_", "exec.geom_cache_"))
+    }
+    return (
+        {name: m.data.tobytes() for name, m in result.outputs.items()},
+        result.rule_applications,
+        result.graph.total_work(),
+        hashlib.sha256(graph).hexdigest(),
+        counters,
+    )
+
+
+def assert_fold_invisible(
+    source, name, inputs, knob_sets=KNOB_SETS, stacks=True
+):
+    """Folded ≡ unfolded at every leaf x knob set, serially and through
+    the batch engine (stacked, unless the program cannot stack); returns
+    the folded transform's output."""
+    folded, baseline = compiled_pair(source, name)
+    assert folded._storage_folds, "the program was expected to fold"
+    shapes = [a.shape for a in inputs]
+    for leaf in (0, 1, 2):
+        for knobs in knob_sets:
+            config = config_for(name, leaf, knobs)
+            assert (
+                folded.plan(config, shapes).problem_size
+                == baseline.plan(config, shapes).problem_size
+            )
+            assert observe(folded, inputs, config) == observe(
+                baseline, inputs, config
+            ), f"leaf {leaf} knobs {knobs}"
+    batched = {}
+    for transform in (folded, baseline):
+        engine = BatchEngine()
+        for lane in range(5):
+            engine.submit(
+                transform,
+                [a * (lane + 1) for a in inputs],
+                config_for(name, 2, {}),
+            )
+        results = engine.gather()
+        assert all(r.ok and r.stacked == stacks for r in results)
+        batched[transform] = [r.output().tobytes() for r in results]
+    assert batched[folded] == batched[baseline]
+    return folded.run(inputs, config_for(name, 2, {})).output()
+
+
+def matmul_inputs(n, p, m, seed=3):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1.0, 1.0, (n, p)), rng.uniform(-1.0, 1.0, (p, m))]
+
+
+# -- programs that fold ----------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_matmul_momentum_folds_to_three_planes(p):
+    inputs = matmul_inputs(40, p, 36)
+    output = assert_fold_invisible(MATMUL_MOMENTUM, "MatMulMomentum", inputs)
+    np.testing.assert_allclose(output, momentum_ref(*inputs), rtol=1e-12)
+    folded, baseline = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
+    assert folded._storage_folds == {"S": (0, 3)}
+    shapes = [a.shape for a in inputs]
+    allocated = dict(
+        (name, shape) for name, shape, *_ in folded.plan(None, shapes).allocations
+    )
+    assert allocated == {"C": (40, 36), "S": (min(p + 2, 3), 40, 36)}
+    declared = dict(
+        (name, shape)
+        for name, shape, *_ in baseline.plan(None, shapes).allocations
+    )
+    assert declared["S"] == (p + 2, 40, 36)
+
+
+@pytest.mark.parametrize("p", [0, 1, 6])
+def test_matmul_chain_folds_to_two_planes(p):
+    inputs = matmul_inputs(36, p, 40)
+    output = assert_fold_invisible(chain_source(), "MatMulChain", inputs)
+    np.testing.assert_array_equal(output, chain_planes(*inputs)[p])
+    folded, _ = compiled_pair(chain_source(), "MatMulChain")
+    plan = folded.plan(None, [a.shape for a in inputs])
+    assert plan.allocations[1][:2] == ("S", (min(p + 1, 2), 36, 40))
+
+
+def test_the_consumer_may_read_any_plane_of_the_last_window():
+    """``p - 1 == extent - window``: still live at the end."""
+    source = chain_source(consumer="S.cell(p - 1, i, j)")
+    inputs = matmul_inputs(20, 4, 18)
+    output = assert_fold_invisible(source, "MatMulChain", inputs)
+    np.testing.assert_array_equal(output, chain_planes(*inputs)[3])
+
+
+FIXED_PLANES = """
+transform Staged
+from A[n]
+through T[3, n]
+to B[n]
+{
+  to (T.cell(0, i) t) from (A.cell(i) a) { t = a * 2.0; }
+  to (T.cell(1, i) t) from (T.cell(0, i) u) { t = u + 1.0; }
+  to (T.cell(2, i) t) from (T.cell(1, i) u) { t = u * u; }
+  to (B.cell(i) b) from (T.cell(2, i) t) { b = t - 0.5; }
+}
+"""
+
+
+def test_fixed_planes_fold_without_a_chain():
+    a = np.random.default_rng(5).uniform(-2.0, 2.0, 50)
+    output = assert_fold_invisible(FIXED_PLANES, "Staged", [a], [{}])
+    np.testing.assert_array_equal(output, (a * 2.0 + 1.0) ** 2 - 0.5)
+    assert compiled_pair(FIXED_PLANES, "Staged")[0]._storage_folds == {
+        "T": (0, 2)
+    }
+
+
+LAST_AXIS = """
+transform Trailing
+from A[n, p], B[p, m]
+through S[n, m, p + 1]
+to C[n, m]
+{
+  to (S.cell(i, j, 0) s) from () { s = 1.5; }
+  to (S.cell(i, j, k) s)
+  from (S.cell(i, j, k - 1) prev, A.cell(i, k - 1) a, B.cell(k - 1, j) b)
+  { s = prev + a * b; }
+  to (C.cell(i, j) c) from (S.cell(i, j, p) s) { c = s; }
+}
+"""
+
+
+def test_the_fold_axis_need_not_be_the_first():
+    """Axes 0 and 1 are refused (one band, written in parallel), axis 2
+    folds — past rules whose other matrices have fewer axes than that."""
+    inputs = matmul_inputs(20, 5, 18)
+    output = assert_fold_invisible(LAST_AXIS, "Trailing", inputs)
+    np.testing.assert_array_equal(output, chain_planes(*inputs)[5])
+    folded, _ = compiled_pair(LAST_AXIS, "Trailing")
+    assert folded._storage_folds == {"S": (2, 2)}
+    plan = folded.plan(None, [a.shape for a in inputs])
+    assert plan.allocations[1][:2] == ("S", (20, 18, 2))
+
+
+WHERE_CHAIN = """
+transform Gated
+from A[n, p]
+through S[p + 1, n]
+to C[n]
+{
+  to (S.cell(0, i) s) from () { s = 0.25; }
+  to (S.cell(k, i) s) from (S.cell(k - 1, i) prev, A.cell(i, k - 1) a)
+  where (i + k) % 3 != 0
+  { s = prev * 0.5 + a; }
+  secondary to (S.cell(k, i) s) from (S.cell(k - 1, i) prev) { s = prev; }
+  to (C.cell(i) c) from (S.cell(p, i) s) { c = s; }
+}
+"""
+
+
+def test_a_where_clause_fallback_writes_the_folded_matrix():
+    """The rejected instances go through ``_apply_once`` — the one
+    place the tree-walking path maps a plane to its slot."""
+    a = np.random.default_rng(9).uniform(-1.0, 1.0, (12, 7))
+    output = assert_fold_invisible(
+        WHERE_CHAIN, "Gated", [a], [{}], stacks=False
+    )
+    expected = np.full(12, 0.25)
+    for k in range(1, 8):
+        gate = (np.arange(12) + k) % 3 != 0
+        expected = np.where(gate, expected * 0.5 + a[:, k - 1], expected)
+    np.testing.assert_array_equal(output, expected)
+    folded, _ = compiled_pair(WHERE_CHAIN, "Gated")
+    assert folded._storage_folds == {"S": (0, 2)}
+    sink = TraceSink(capture_events=False)
+    folded.run([a], config_for("Gated", 1, {}), sink=sink)
+    assert 0 < sink.counter("exec.closure_calls") < 12 * 7  # some fell back
+
+
+def windowed_source(deltas, coefficients):
+    """A per-cell recurrence reading ``deltas`` planes back: window
+    ``1 + max(deltas)``, ``max(deltas)`` constant planes to start from,
+    the consumer at the last plane."""
+    depth = max(deltas)
+    init = "\n".join(
+        f"  to (S.cell({q}, i, j) s) from () {{ s = {0.5 * q + 0.25!r}; }}"
+        for q in range(depth)
+    )
+    reads = ", ".join(f"S.cell(k - {d}, i, j) r{d}" for d in deltas)
+    terms = " + ".join(
+        f"r{d} * {c!r}" for d, c in zip(deltas, coefficients)
+    )
+    return f"""
+transform Windowed
+from A[n, p], B[p, m]
+through S[p + {depth}, n, m]
+to C[n, m]
+{{
+{init}
+  to (S.cell(k, i, j) s)
+  from ({reads}, A.cell(i, k - {depth}) a, B.cell(k - {depth}, j) b)
+  {{ s = {terms} + a * b; }}
+  to (C.cell(i, j) c) from (S.cell(p + {depth - 1}, i, j) s) {{ c = s; }}
+}}
+"""
+
+
+def windowed_ref(deltas, coefficients, a, b):
+    depth = max(deltas)
+    planes = [
+        np.full((a.shape[0], b.shape[1]), 0.5 * q + 0.25) for q in range(depth)
+    ]
+    for k in range(a.shape[1]):
+        total = None
+        for d, c in zip(deltas, coefficients):
+            term = planes[len(planes) - d] * c
+            total = term if total is None else total + term
+        planes.append(total + np.multiply.outer(a[:, k], b[k, :]))
+    return planes[-1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    deltas=st.sets(st.integers(1, 3), min_size=1).map(sorted).map(tuple),
+    scale=st.sampled_from((0.5, -0.25, 0.75)),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    p=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_windowed_chains_fold_invisibly(deltas, scale, n, m, p, seed):
+    """Windows 2-4 (the fixed-plane program above is window 1), sizes
+    down to ``extent <= window``."""
+    coefficients = tuple(scale / (d + 1) for d in deltas)
+    source = windowed_source(deltas, coefficients)
+    inputs = matmul_inputs(n, p, m, seed)
+    knob_sets = [
+        {},
+        {"__tile_i__": 2, "__tile_j__": 2, "__interchange__": 1},
+        {"__tile_i__": 2, "__interchange__": 1},
+        {"__tile_i__": 1, "__tile_j__": 2},
+    ]
+    output = assert_fold_invisible(source, "Windowed", inputs, knob_sets)
+    np.testing.assert_array_equal(
+        output, windowed_ref(deltas, coefficients, *inputs)
+    )
+    folded, _ = compiled_pair(source, "Windowed")
+    assert folded._storage_folds == {"S": (0, 1 + max(deltas))}
+
+
+# -- the negative table: must not fold, must still be right -----------------
+
+OFF_AXIS = """
+transform Skewed
+from A[n, p], B[p, m]
+through S[p + 1, n, m]
+to C[n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 1.5; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i - 1, j) up, A.cell(i, k - 1) a, B.cell(k - 1, j) b)
+  { s = up + a * b; }
+  secondary to (S.cell(k, i, j) s) from (S.cell(k - 1, i, j) prev)
+  { s = prev; }
+  to (C.cell(i, j) c) from (S.cell(p, i, j) s) { c = s; }
+}
+"""
+
+
+def skewed_ref(a, b):
+    plane = np.full((a.shape[0], b.shape[1]), 1.5)
+    for k in range(a.shape[1]):
+        nxt = plane.copy()
+        nxt[1:] = plane[:-1] + np.multiply.outer(a[1:, k], b[k, :])
+        plane = nxt
+    return plane
+
+
+DESCENDING = """
+transform Falling
+from A[n, p]
+through S[p + 1, n]
+to C[n]
+{
+  to (S.cell(p, i) s) from () { s = 1.5; }
+  to (S.cell(k, i) s) from (S.cell(k + 1, i) above, A.cell(i, k) a)
+  { s = above * 0.5 + a; }
+  to (C.cell(i) c) from (S.cell(0, i) s) { c = s; }
+}
+"""
+
+
+def falling_ref(a):
+    plane = np.full(a.shape[0], 1.5)
+    for k in reversed(range(a.shape[1])):
+        plane = plane * 0.5 + a[:, k]
+    return plane
+
+
+STRIDED_READ = """
+transform Strided
+from A[n]
+through S[2 * q + 1, n]
+to C[q + 1, n]
+{
+  to (S.cell(0, i) s) from (A.cell(i) a) { s = a; }
+  to (S.cell(k, i) s) from (S.cell(k - 1, i) prev) { s = prev + 1.0; }
+  to (C.cell(k, i) c) from (S.cell(2 * k, i) s) { c = s; }
+}
+"""
+
+REGION_READ = """
+transform Summed
+from A[n, p]
+through S[p + 1, n]
+to C[n]
+{
+  to (S.cell(0, i) s) from () { s = 1.5; }
+  to (S.cell(k, i) s) from (S.cell(k - 1, i) prev, A.cell(i, k - 1) a)
+  { s = prev + a; }
+  to (C.cell(i) c) from (S.region(0, i, p + 1, i + 1) col) { c = sum(col); }
+}
+"""
+
+SIBLING_CALL = """
+transform Total
+from X[w]
+to T
+{
+  to (T t) from (X x) { t = sum(x); }
+}
+
+transform Called
+from A[n, p]
+through S[p + 1, n]
+to C
+{
+  to (S.cell(0, i) s) from () { s = 1.5; }
+  to (S.cell(k, i) s) from (S.cell(k - 1, i) prev, A.cell(i, k - 1) a)
+  { s = prev + a; }
+  to (C c) from (S.column(p) last) { c = Total(last); }
+}
+"""
+
+OUTPUT_STACK = """
+transform Stack
+from A[n, p], B[p, m]
+to S[p + 1, n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 1.5; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i, j) prev, A.cell(i, k - 1) a, B.cell(k - 1, j) b)
+  { s = prev + a * b; }
+}
+"""
+
+def heat_ref(a, k=6):
+    u = a.copy()
+    for _ in range(k):
+        u[1:-1] = (u[:-2] + 2 * u[1:-1] + u[2:]) / 4
+    return u
+
+
+def edge_fed_ref(a, b):
+    """``MatMulChain`` whose step also adds row 0 of the previous plane."""
+    plane = np.full((a.shape[0], b.shape[1]), 1.5)
+    for k in range(a.shape[1]):
+        plane = plane + np.multiply.outer(a[:, k], b[k, :]) + plane[0]
+    return plane
+
+
+A2 = np.random.default_rng(11).uniform(-1.0, 1.0, (9, 5))
+AB = matmul_inputs(20, 5, 18, seed=11)
+
+
+def strided_ref(a, q=3):
+    return np.stack([a + 2.0 * k for k in range(q + 1)])
+
+
+NEGATIVES = {
+    "Heat shares a band": (
+        HEAT, "Heat", [np.linspace(-1.0, 1.0, 41)], {"k": 6},
+        "share planes", heat_ref,
+    ),
+    "consumer reads plane 0 after the chain": (
+        chain_source(consumer="S.cell(0, i, j)"), "MatMulChain", AB, None,
+        "reads plane 0",
+        lambda a, b: chain_planes(a, b)[0],
+    ),
+    "consumer reads p - window": (
+        chain_source(consumer="S.cell(p - 2, i, j)"), "MatMulChain", AB, None,
+        "reads plane -2 +p",
+        lambda a, b: chain_planes(a, b)[3],
+    ),
+    "writer reads another cell's plane": (
+        OFF_AXIS, "Skewed", AB, None, "share planes", skewed_ref,
+    ),
+    "writer reads one fixed column": (
+        chain_source(
+            extra_from=", S.cell(k - 1, 0, j) edge", extra_term=" + edge"
+        ),
+        "MatMulChain", AB, None,
+        "only a per-cell recurrence folds", edge_fed_ref,
+    ),
+    "writer also reads the fixed plane 0": (
+        chain_source(
+            extra_from=", S.cell(0, i, j) first", extra_term=" + first"
+        ),
+        "MatMulChain", AB, None,
+        "no constant distance",
+        lambda a, b: chain_planes(a, b)[-1] + 1.5 * a.shape[1],
+    ),
+    "consumer strides over the planes": (
+        STRIDED_READ, "Strided", [A2[:, 0]], {"q": 3},
+        "reads plane 2*k", strided_ref,
+    ),
+    "consumer reads a region": (
+        REGION_READ, "Summed", [A2], None,
+        "region view",
+        lambda a: 1.5 * (a.shape[1] + 1)
+        + np.cumsum(a, axis=1).sum(axis=1),
+    ),
+    "a plane goes to a sibling call": (
+        SIBLING_CALL, "Called", [A2], None,
+        "column view",
+        lambda a: np.float64((1.5 + a.sum(axis=1)).sum()),
+    ),
+    "descending chain": (
+        DESCENDING, "Falling", [A2], None, "ascending", falling_ref,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVES))
+def test_negative_table_does_not_fold_and_stays_right(case):
+    source, name, inputs, sizes, why, reference = NEGATIVES[case]
+    # analyze=False: a consumer at plane p - 2 is uncovered at p < 2,
+    # which is the program's business, not this test's
+    transform = compile_program(source, analyze=False).transform(name)
+    (through,) = transform.ir.throughs
+    verdict = transform._storage_verdicts[through.name]
+    assert not verdict.folds and why in verdict.reason, verdict
+    assert transform._storage_folds == {}
+    expected = reference(*inputs)
+    for leaf in (0, 1, 2):
+        # tiled + interchanged is the order a too-generous verdict gets
+        # silently wrong (where the site is not PB604-legal it is a
+        # verified no-op)
+        for knobs in ({}, {"__tile_i__": 4, "__tile_j__": 4, "__interchange__": 1}):
+            result = transform.run(
+                [a.copy() for a in inputs], config_for(name, leaf, knobs),
+                sizes=sizes,
+            )
+            np.testing.assert_allclose(
+                result.output(), expected, rtol=1e-13, atol=1e-13,
+                err_msg=f"{case}: leaf {leaf} knobs {knobs}",
+            )
+
+
+def test_a_too_generous_verdict_is_caught_by_the_tiled_interchanged_run():
+    """Why (d) wants distance 0 in every other axis: force ``Skewed``
+    (whose step reads ``(k - 1, i - 1, j)``) to fold and every run is
+    still right — except tile-major order, where a finished tile has
+    recycled the slot its neighbour's step ``k`` reads.  PB604 calls
+    that site legal, and for full storage it is."""
+    generous = mock.patch.object(
+        depend, "storage_verdict", lambda c, matrix: StorageVerdict(matrix, 0, 2)
+    )
+    with generous:
+        transform = compile_program(OFF_AXIS).transform("Skewed")
+        assert transform._storage_folds == {"S": (0, 2)}
+    tiled = {"__tile_i__": 4, "__tile_j__": 4, "__interchange__": 1}
+    right = {
+        (leaf, bool(knobs)): np.array_equal(
+            transform.run(AB, config_for("Skewed", leaf, knobs)).output(),
+            skewed_ref(*AB),
+        )
+        for leaf in (0, 1, 2)
+        for knobs in ({}, tiled)
+    }
+    assert right == {key: key != (2, True) for key in right}
+
+
+def test_an_output_matrix_is_returned_whole():
+    transform = compile_program(OUTPUT_STACK).transform("Stack")
+    assert not storage_verdict(transform, "S").folds
+    assert transform._storage_folds == {}
+    for leaf in (0, 1, 2):
+        stack = transform.run(AB, config_for("Stack", leaf, {})).output()
+        np.testing.assert_array_equal(stack, np.stack(chain_planes(*AB)))
+
+
+def test_a_native_body_blocks_the_fold():
+    """What a native rule does with its views is not visible, cell
+    bindings or not."""
+
+    def copy_last(ctx):
+        ctx["c"].set(ctx["s"].value)
+
+    def build(native):
+        b = TransformBuilder("NativeTail")
+        b.input("A", "n", "p").through("S", "p + 1", "n").output("C", "n")
+        b.rule(to=[("S", "cell", "0", "i", "s")], body="s = 1.5;")
+        b.rule(
+            to=[("S", "cell", "k", "i", "s")],
+            from_=[("S", "cell", "k - 1", "i", "prev"),
+                   ("A", "cell", "i", "k - 1", "a")],
+            body="s = prev + a;",
+        )
+        b.rule(
+            to=[("C", "cell", "i", "c")],
+            from_=[("S", "cell", "p", "i", "s")],
+            body=copy_last if native else "c = s;",
+        )
+        return compile_program(b.build()).transform("NativeTail")
+
+    assert build(native=False)._storage_folds == {"S": (0, 2)}
+    transform = build(native=True)
+    assert "native body" in transform._storage_verdicts["S"].reason
+    np.testing.assert_allclose(
+        transform.run([A2]).output(), 1.5 + A2.sum(axis=1), rtol=1e-13
+    )
+
+
+@pytest.mark.parametrize(
+    "body", ["s += prev + a * b;", "s = s + prev + a * b;"]
+)
+def test_a_cell_read_before_it_is_assigned_blocks_the_fold(body):
+    """A fresh plane reads 0.0; a recycled slot would not."""
+    source = chain_source().replace("s = prev + a * b;", body)
+    transform = compile_program(source).transform("MatMulChain")
+    assert "before assigning it" in transform._storage_verdicts["S"].reason
+    inputs = matmul_inputs(6, 4, 5)
+    np.testing.assert_array_equal(
+        transform.run(inputs).output(), chain_planes(*inputs)[-1]
+    )
+
+
+# -- what `repro check` says about it ----------------------------------------
+
+
+def test_pb606_explains_the_fold():
+    folded, _ = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
+    diags = {d.code: d for d in check_depend(folded)}
+    assert "PB607" not in diags
+    pb606 = diags["PB606"]
+    assert pb606.severity == "info" and pb606.region == "S"
+    assert (
+        "storage of S folds to 3 planes along axis 0 (reads reach 2 "
+        "plane(s) back; the last reader is rule3 at plane 1 +p)"
+    ) == pb606.message
+    assert diags["PB603"].message.endswith("; S folds ×3")
+    assert storage_witness(folded, folded._storage_verdicts["S"]) is None
+
+
+def test_pb607_carries_a_witness_that_replays():
+    heat = compile_program(HEAT).transform("Heat")
+    pb607 = next(d for d in check_depend(heat) if d.code == "PB607")
+    assert pb607.message == (
+        "storage of U is not folded: segments U.3, U.4, U.5 share planes "
+        "[1, 1 +k) and run one after the other"
+    )
+    witness = storage_witness(heat, heat._storage_verdicts["U"])
+    assert pb607.witness == witness.describe()
+    # the edge chain (U.3) laps cell 0 before the interior (U.4) reads it
+    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "U.4")
+    assert (witness.window, witness.cell, witness.plane) == (2, (0, 0), 2)
+    assert validate_storage_witness(heat, witness)
+    replace = functools.partial(dataclasses.replace, witness)
+    for tampered in (
+        replace(plane=witness.plane + 1),  # another slot
+        replace(plane=witness.cell[0]),  # the plane itself
+        replace(window=3),
+        replace(axis=1),
+        replace(cell=(witness.cell[0], 1)),  # the interior's own column
+        replace(writer_segment="U.4", reader_segment="U.3"),  # later
+        replace(reader=tuple((v, x + 5) for v, x in witness.reader)),
+        replace(writer_rule="rule1"),
+        replace(matrix="B"),
+    ):
+        assert not validate_storage_witness(heat, tampered), tampered
+
+
+def test_a_refusal_without_an_overwrite_has_no_witness():
+    """PB607 states what the engine does, so it is true without one;
+    Pipeline's ``T`` is written in one parallel sweep — nothing is ever
+    overwritten, there is just no plane to recycle."""
+    report = check_source(PIPELINE)
+    pb607 = next(d for d in report if d.code == "PB607")
+    assert "not folded" in pb607.message and not pb607.witness
+    assert report.exit_code(strict=True) == 0
+    assert {d.code for d in check_source(BLUR)}.isdisjoint({"PB606", "PB607"})
+
+
+# -- errors and generated source --------------------------------------------
+
+
+def out_of_range_errors(transform):
+    """The IndexError each path raises one plane before 0 (a read) and
+    one past the declared extent (the write), driven below the schedule
+    walk, which never produces such an instance."""
+    rule = transform.ir.rules[1]  # the chain rule of MatMulChain
+    segment = transform._segments["S.1"]
+    env = {"n": 4, "m": 3, "p": 5}
+    planes = transform.plan(None, [(4, 5), (5, 3)]).allocations[1][1][0]
+    arrays = {
+        "S": np.zeros((planes, 4, 3)), "A": np.zeros((4, 5)),
+        "B": np.zeros((5, 3)),
+    }
+    instance = transform._kernel(rule, ("k", "i", "j")).maker(
+        env, {}, arrays, None
+    )
+    vector = transform._vector_plan(segment, rule, False)[0]
+    step = vector.maker(env, {}, {k: v[None] for k, v in arrays.items()})
+    views = {k: Matrix.from_array(v).whole() for k, v in arrays.items()}
+    state = _EngineState(ChoiceConfig(), (), TaskRecorder())
+    errors = []
+    for k in (0, 6):
+        for call in (
+            lambda: instance(k, 1, 1),
+            lambda: step(k, 0, 4, 0, 3),
+            lambda: transform._apply_once(
+                state, rule, {**env, "k": k, "i": 1, "j": 1}, views, {}
+            ),
+        ):
+            with pytest.raises(IndexError) as excinfo:
+                call()
+            errors.append(str(excinfo.value))
+    return errors
+
+
+def test_out_of_range_errors_read_the_same_folded_and_unfolded():
+    folded, baseline = compiled_pair(chain_source(), "MatMulChain")
+    errors = out_of_range_errors(folded)
+    assert errors == out_of_range_errors(baseline)
+    assert errors == [
+        "MatMulChain.rule1: cell binding prev outside view",
+        "MatMulChain.rule1: binding prev outside view",
+        "cell(-1, 1, 1) outside view of shape (6, 4, 3)",
+        "MatMulChain.rule1: cell binding s outside view",
+        "MatMulChain.rule1: binding s outside view",
+        "cell(6, 1, 1) outside view of shape (6, 4, 3)",
+    ]
+
+
+#: sha256 over every site's vector and closure kernel source, captured
+#: on the commit before storage folding: nothing that does not fold pays
+#: a ``%`` (or anything else).
+PARENT_KERNELS = {
+    "Blur": "455d00400dacda609e2c3244eeaeb535f8b6448f2f2c4993f12f572babafa796",
+    "RollingSum": "657263caac3567225b28bcd04d1d40e0dbefa22424e693fb3d110e0d9a109594",
+    "Heat": "8a6c4db05c7594d76bb662c1d6b888335e6190a44b1c2459379822d6a71c9dca",
+    "Pipeline": "aaec97172f81764faaccb675a5dc30239cc04a9d386271009cfe71def256023a",
+}
+
+
+def kernel_digest(transform):
+    from repro.engine_fast.geometry import split_chain_free
+
+    digest = hashlib.sha256()
+    for segment, option, rule in transform.rule_sites():
+        plan = transform._vector_plan(
+            segment, rule, option.fallback is not None
+        )[0]
+        digest.update((plan.source if plan else "-").encode())
+        chain, free = split_chain_free(
+            *transform._var_directions_cached(segment, rule)
+        )
+        kernel = transform._kernel(rule, chain + free)
+        digest.update((kernel.source if kernel else "-").encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [(BLUR, "Blur"), (ROLLINGSUM, "RollingSum"), (HEAT, "Heat"),
+     (PIPELINE, "Pipeline")],
+)
+def test_unfolded_programs_generate_the_parents_source(source, name):
+    transform = compile_program(source).transform(name)
+    assert transform._storage_folds == {}
+    assert kernel_digest(transform) == PARENT_KERNELS[name]
+
+
+def test_a_folded_index_is_emitted_only_on_the_folded_axis():
+    folded, baseline = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
+    rule, segment = folded.ir.rules[2], folded._segments["S.2"]
+    for source in (
+        folded._vector_plan(segment, rule, False)[0].source,
+        folded._kernel(rule, ("k", "i", "j")).source,
+    ):
+        assert source.count("% 3") == 3  # s, r1, r2 — axis 0 only
+    for source in (
+        baseline._vector_plan(segment, rule, False)[0].source,
+        baseline._kernel(rule, ("k", "i", "j")).source,
+    ):
+        assert "%" not in source
+
+
+def test_the_planning_path_never_enumerates_dependences(monkeypatch):
+    """``rule_dependences`` costs 0.8-0.9 ms on these programs; the
+    storage verdict decides from the segment boxes and the regions."""
+    monkeypatch.setattr(
+        depend, "rule_dependences",
+        lambda ir: pytest.fail("rule_dependences on the planning path"),
+    )
+    for source, name, shapes in (
+        (MATMUL_MOMENTUM, "MatMulMomentum", [(4, 2), (2, 3)]),
+        (PIPELINE, "Pipeline", [(4, 3)]),
+    ):
+        compile_program(source).transform(name).plan(None, shapes)
+    heat = compile_program(HEAT).transform("Heat")
+    heat.plan(None, [(9,)], {"k": 2})
+    assert set(heat._storage_verdicts) == {"U"}
+    blur = compile_program(BLUR).transform("Blur")
+    blur.plan(None, [(6, 6)])
+    assert blur._storage_verdicts == {}  # no through matrix, no verdict
