@@ -85,7 +85,6 @@ from repro.compiler.ir import (
     RuleIR,
     TransformIR,
 )
-from repro.engine_fast.geometry import split_chain_free
 from repro.language import ast_nodes as ast
 from repro.symbolic import Affine
 from repro.symbolic.solve import unit_stride_offset
@@ -668,25 +667,27 @@ class ScheduleVerdict:
         return bool(self.chain_vars and self.free_vars)
 
 
-def schedule_verdict(compiled, segment, rule: RuleIR) -> ScheduleVerdict:
+def schedule_verdict(site) -> ScheduleVerdict:
     """The single home of the PB604 verdict: may the engine run this
-    site's free variables tile-by-tile, the chain inside each tile?
+    :class:`~repro.compiler.codegen.Site`'s free variables tile-by-tile,
+    the chain inside each tile?
 
-    Everything that needs the answer reads it here, through the
-    per-site cache ``CompiledTransform._schedule_verdict`` — the engine,
+    Decided here once per site and stored as ``site.schedule``, where
+    everything that needs the answer reads it — the engine,
     :func:`schedule_candidates` and witness replay — so the knobs, the
-    diagnostics and the rewrites cannot disagree.  Only an :class:`ExecutionError` from the direction
-    analysis (a rule with no consistent iteration order) is a verdict;
-    any other exception is a bug and propagates."""
+    diagnostics and the rewrites cannot disagree.  Only an
+    :class:`ExecutionError` from the direction analysis (a rule with no
+    consistent iteration order) is a verdict; any other exception is a
+    bug and propagates."""
+    rule = site.rule
     if not rule.is_instance_rule or rule.native_body is not None:
         return ScheduleVerdict(
             (), (), {}, f"{rule.label} is not a DSL instance rule"
         )
     try:
-        directions, var_order = compiled._var_directions_cached(segment, rule)
+        directions, (chain_vars, free_vars) = site.order[0], site.split
     except ExecutionError as error:
         return ScheduleVerdict((), (), {}, str(error))
-    chain_vars, free_vars = split_chain_free(directions, var_order)
     carried = False
     if not chain_vars or not free_vars:
         reason = f"{rule.label} has no chain/free split to tile"
@@ -704,22 +705,19 @@ def schedule_verdict(compiled, segment, rule: RuleIR) -> ScheduleVerdict:
 
 
 def _schedule_conflict(
-    compiled,
-    segment,
-    option,
-    rule: RuleIR,
-    budget: WitnessBudget,
+    site, budget: WitnessBudget
 ) -> Optional[ScheduleWitness]:
-    """Hunt a concrete application pair of ``rule`` that a tiled
+    """Hunt a concrete application pair of the site's rule that a tiled
     interchange would run out of order, using the races pass's exact
     application model; every returned witness is replay-validated."""
     from repro.analysis.races import _applications
 
+    compiled, segment, rule = site.transform, site.segment, site.rule
     shared = [m for m in rule.writes_matrices() if m in rule.reads_matrices()]
     if not shared:
         return None
     for env in size_envs(compiled, budget):
-        apps = _applications(compiled, segment, option, env, budget)
+        apps = _applications(compiled, segment, site.option, env, budget)
         if not apps:
             continue
         apps = [app for app in apps if app[0].rule_id == rule.rule_id]
@@ -758,20 +756,12 @@ def validate_schedule_witness(compiled, witness: ScheduleWitness) -> bool:
     tile strictly precedes the writer's while its chain step follows
     (or vice versa), for every tile size that separates them (size-1
     tiles separate any two distinct free coordinates)."""
-    rules = compiled.ir.rules
-    if not 0 <= witness.rule_id < len(rules):
-        return False
-    rule = rules[witness.rule_id]
+    site = compiled.sites.get((witness.segment, witness.rule_id))
     writer = dict(witness.writer)
     reader = dict(witness.reader)
-    if writer == reader:
+    if site is None or writer == reader or not site.schedule.is_site:
         return False
-    segment = compiled._segments.get(witness.segment)
-    if segment is None:
-        return False
-    verdict = compiled._schedule_verdict(segment, rule)
-    if not verdict.is_site:
-        return False
+    rule, verdict = site.rule, site.schedule
     chain_vars, free_vars = verdict.chain_vars, verdict.free_vars
     directions = verdict.directions
     if any(v not in writer or v not in reader for v in chain_vars + free_vars):
@@ -797,15 +787,13 @@ def schedule_candidates(
     that has both a chain and a free instance variable."""
     ir = compiled.ir
     out: List[ScheduleCandidate] = []
-    for segment, option, rule in compiled.rule_sites():
-        verdict = compiled._schedule_verdict(segment, rule)
+    for site in compiled.sites.values():
+        segment, rule, verdict = site.segment, site.rule, site.schedule
         if not verdict.is_site:
             continue
         status, reason, witness = "legal", verdict.reason, None
         if verdict.carried:
-            witness = _schedule_conflict(
-                compiled, segment, option, rule, budget
-            )
+            witness = _schedule_conflict(site, budget)
             if witness is not None:
                 status = "blocked"
             else:
@@ -858,7 +846,7 @@ class StorageVerdict:
 
 def storage_verdict(compiled, matrix: str) -> StorageVerdict:
     """The single home of the PB606 verdict, read through the cache
-    ``CompiledTransform._storage_verdicts`` by the engine (which folds
+    ``CompiledTransform.storage_verdicts`` by the engine (which folds
     whatever is legal — there is no knob) and by ``repro check``.
 
     Folding ``M`` along axis ``d`` is invisible when
@@ -964,11 +952,7 @@ def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
     ``axis``; the refusal is empty when (a)-(e) of
     :func:`storage_verdict` all hold."""
     ir, name, known = compiled.ir, mat.name, compiled.ir.assumptions
-    segments = [
-        compiled._segments[key]
-        for key in compiled.depgraph.schedule_order
-        if key in compiled._segments and compiled._segments[key].matrix == name
-    ]
+    segments = [seg for seg in compiled.segment_order if seg.matrix == name]
     for prev, nxt in zip(segments, segments[1:]):  # (b)
         earlier, band = prev.box.intervals[axis], nxt.box.intervals[axis]
         if earlier.hi.always_le(band.lo, known):
@@ -1112,11 +1096,10 @@ def _clobbers(compiled, name: str, axis: int, window: int, env, budget):
         return (*cell[:axis], cell[axis] % window, *cell[axis + 1 :])
 
     holds: Dict[Tuple[int, ...], Optional[Tuple]] = {}
-    for key in compiled.depgraph.schedule_order:
-        segment = compiled._segments.get(key)
-        if segment is None or not segment.options:
+    for segment in compiled.segment_order:
+        if not segment.options:
             continue
-        option = segment.options[0]
+        key, option = segment.key, segment.options[0]
         apps = _applications(compiled, segment, option, env, budget)
         if apps is None:
             return  # over budget: what later slots hold is unknown
@@ -1302,7 +1285,7 @@ def check_depend(
     candidates = fusion_candidates(compiled, budget)
     sched = schedule_candidates(compiled, budget)
     storage = [
-        (mat, compiled._storage_verdicts[mat.name])
+        (mat, compiled.storage_verdicts[mat.name])
         for mat in sorted(ir.throughs, key=lambda m: m.name)
     ]
     diagnostics: List[Diagnostic] = []

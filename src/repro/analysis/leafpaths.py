@@ -3,9 +3,10 @@
 Informational pass over the choice grid: for every (segment, option)
 site with a DSL instance rule, report whether the engine's vectorized
 leaf path (:mod:`repro.engine_fast.vectorize`) is legal there — and when
-it is not, the exact reason the planner rejected it.  The verdicts come
-from the same cached planner the executor consults, so ``repro check``
-describes precisely what ``__leaf_path__ = 2`` would do at run time.
+it is not, the exact reason the planner rejected it.  The verdicts are
+the sites' own (``Site.vector``, the object the executor runs), so
+``repro check`` describes precisely what ``__leaf_path__ = 2`` would do
+at run time.
 
 PB503 is the batch-axis companion, one per transform: whether the batch
 execution engine (:mod:`repro.batch`) can run buckets of this transform
@@ -24,7 +25,6 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, INFO
-from repro.analysis.races import vector_leaf_status
 
 
 def check_leaf_paths(compiled, budget=None, path: str = "") -> List[Diagnostic]:
@@ -37,26 +37,23 @@ def check_leaf_paths(compiled, budget=None, path: str = "") -> List[Diagnostic]:
     ir = compiled.ir
     diagnostics: List[Diagnostic] = []
     seen: Set[Tuple] = set()
-    for segment, option, rule in compiled.rule_sites():
+    for site in compiled.sites.values():
+        rule = site.rule
         if rule.native_body is not None or not rule.is_instance_rule:
             continue
         if not rule.body:
             continue
-        has_fallback = option.fallback is not None
-        qualifies, reason = vector_leaf_status(
-            compiled, segment, rule, has_fallback
-        )
-        key = (rule.rule_id, qualifies, reason)
+        plan, reason = site.vector
+        key = (rule.rule_id, plan is not None, reason)
         if key in seen:
             continue
         seen.add(key)
-        if qualifies:
-            free_vars = compiled._schedule_verdict(segment, rule).free_vars
-            over = f" over ({', '.join(free_vars)})" if free_vars else ""
+        if plan is not None:
+            over = f" over ({', '.join(plan.free_vars)})"
             code = "PB501"
             message = (
                 f"qualifies for vectorized leaf execution{over} "
-                f"(segment {segment.key})"
+                f"(segment {site.segment.key})"
             )
             hint = (
                 f"set tunable {ir.name}.__leaf_path__ = 2 (or let the "

@@ -218,26 +218,3 @@ def _boxes_overlap(
         if min(hi_a, hi_b) <= max(lo_a, lo_b):
             return False
     return True
-
-
-def vector_leaf_status(
-    compiled, segment, rule, has_fallback: bool = False
-) -> Tuple[bool, str]:
-    """Whether the engine may run ``rule`` at ``segment`` through the
-    vectorized leaf path, and the rejection reason when it may not.
-
-    The legality argument is this pass's own: the dependency analysis
-    assigns direction 0 exactly to the instance variables whose instances
-    carry no cross-instance dependence (and the race passes above check
-    their writes are disjoint), so a whole data-parallel step may execute
-    as bulk slice arithmetic.  Wraps the engine's cached planner — the
-    same decision the executor makes at run time, so the PB501/PB502
-    diagnostics can never disagree with actual behavior.
-    """
-    try:
-        plan, reason = compiled._vector_plan(segment, rule, has_fallback)
-    except Exception as error:  # direction analysis may itself fail
-        return False, str(error)
-    if plan is not None:
-        return True, ""
-    return False, reason

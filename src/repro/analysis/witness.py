@@ -135,7 +135,7 @@ def instance_assignments(
     if any(hi <= lo for lo, hi in seg_bounds):
         return []
     try:
-        ranges = compiled._instance_ranges(segment, rule, env, seg_bounds)
+        ranges = compiled.site(segment, rule).ranges(env, seg_bounds)
     except Exception:
         # Coupled output coordinates / undecidable clips: the engine would
         # fail the same way at run time; not a bounds/coverage finding.

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.autotuner.evaluation import config_signature
 from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig, Selector
 
@@ -31,15 +32,10 @@ class Candidate:
     last_time: float = float("inf")
 
     def clone(self, lineage: str) -> "Candidate":
-        return Candidate(
-            config=ChoiceConfig(
-                dict(self.config.choices), dict(self.config.tunables)
-            ),
-            lineage=lineage,
-        )
+        return Candidate(config=self.config.copy(), lineage=lineage)
 
     def signature(self) -> str:
-        return self.config.to_json()
+        return config_signature(self.config)
 
 
 def choice_sites(transform: CompiledTransform) -> List[Tuple[str, int]]:

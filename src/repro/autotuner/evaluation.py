@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.compiler.codegen import CompiledProgram, CompiledTransform, RunResult
 from repro.compiler.config import ChoiceConfig
 from repro.runtime.machine import Machine
@@ -128,6 +130,26 @@ def generator_inputs(
             sizes={var: size for var in generator.ir.size_vars}
         )
         return [result.outputs[m.name].data for m in generator.ir.outputs]
+
+    return make
+
+
+def random_inputs(
+    program: CompiledProgram, transform_name: str
+) -> InputGenerator:
+    """Uniform random arrays matching the transform's declared inputs,
+    every size variable bound to the training size — the input policy
+    for transforms that declare no ``generator``."""
+    target = program.transform(transform_name)
+
+    def make(size: int, rng: random.Random):
+        np_rng = np.random.default_rng(rng.getrandbits(32))
+        arrays = []
+        env = {var: size for var in target.ir.size_vars}
+        for mat in target.ir.inputs:
+            shape = tuple(dim.eval_floor(env) for dim in mat.dims)
+            arrays.append(np_rng.random(shape))
+        return arrays
 
     return make
 

@@ -373,8 +373,7 @@ def evaluator_from_source(
     where a compiled program is not).  Mirrors the CLI's input policy:
     the transform's ``generator`` declaration when present, uniform
     random inputs otherwise."""
-    from repro.autotuner.evaluation import generator_inputs
-    from repro.cli import _random_inputs
+    from repro.autotuner.evaluation import generator_inputs, random_inputs
     from repro.compiler import compile_program
     from repro.runtime.machine import MACHINES
 
@@ -383,7 +382,7 @@ def evaluator_from_source(
     if compiled.ir.generator:
         inputs = generator_inputs(program, transform)
     else:
-        inputs = _random_inputs(program, transform, max_size)
+        inputs = random_inputs(program, transform)
     return Evaluator(
         program,
         transform,

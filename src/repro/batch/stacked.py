@@ -4,18 +4,18 @@
 (config, shapes, sizes) — the very plan a serial run replays: same size
 binding, same size guards, same option selection, same cached geometry,
 same ``__fuse__`` redirect — and reads, for every step, the site's one
-vector plan (``CompiledTransform._vector_plan`` — the same object the
-serial vector leaf runs at batch 1; its step takes arrays with a leading
-batch axis).  If every step qualifies, the whole transform runs as a
-sequence of those vector steps over the stacked requests; otherwise the
-first blocking reason is reported and the engine falls back to
-per-request serial execution.
+vector plan (``step.site.vector`` — the same object the serial vector
+leaf runs at batch 1; its step takes arrays with a leading batch axis).
+If every step qualifies, the whole transform runs as a sequence of those
+vector steps over the stacked requests; otherwise the first blocking
+reason is reported and the engine falls back to per-request serial
+execution.
 
-Eligibility for stacking is strictly narrower than PB501 vector
-eligibility: a segment whose selected option carries a where-clause
-fallback, a native body, or a whole-matrix rule is rejected even though
-the serial engine handles it fine — those constructs take per-instance
-control-flow decisions that may differ between batch lanes.  The
+A site stacks exactly when it vectorizes (PB501) — there is no second
+predicate here; :func:`repro.engine_fast.vectorize.plan_vector_leaf`
+says why.  A *bucket* is narrower than a serial vector run only in that
+every step of its plan must qualify, where the serial engine runs a
+whole-region, native or where-clause step on another leaf.  The
 correctness contract is unchanged either way: stacked outputs are
 byte-identical to per-request serial outputs (the batch axis is pure
 broadcast; see :mod:`repro.engine_fast.vectorize`), and any error a
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.compiler.codegen import CompiledTransform, RunPlan
 from repro.compiler.config import ChoiceConfig
-from repro.engine_fast.vectorize import VectorPlan
 from repro.runtime.matrix import Matrix
 
 
@@ -58,14 +57,9 @@ def plan_stacked(
         plan = transform.plan(config, shapes, explicit_sizes)
         steps = []
         for step in plan.steps:
-            vector, reason = _site_plan(
-                plan.transform,
-                plan.transform._segments[step.segment_key],
-                step.rule,
-                step.fallback is not None,
-            )
+            vector, reason = step.site.vector
             if vector is None:
-                return None, f"{step.segment_key}: {reason}"
+                return None, f"{step.site.segment.key}: {reason}"
             steps.append(dataclasses.replace(step, plan=vector))
         return dataclasses.replace(plan, steps=tuple(steps)), ""
     except Exception as error:  # serial fallback reproduces the error
@@ -131,12 +125,9 @@ def batch_eligibility(
     """
     any_blocked = ""
     for segment_key, sites in itertools.groupby(
-        transform.rule_sites(), key=lambda site: site[0].key
+        transform.sites.values(), key=lambda site: site.segment.key
     ):
-        statuses = [
-            _site_plan(transform, segment, rule, option.fallback is not None)
-            for segment, option, rule in sites
-        ]
+        statuses = [site.vector for site in sites]
         blocked = [reason for plan, reason in statuses if plan is None]
         if len(blocked) == len(statuses):
             return "none", f"{segment_key}: {blocked[0]}"
@@ -145,23 +136,3 @@ def batch_eligibility(
     if any_blocked:
         return "partial", any_blocked
     return "full", ""
-
-
-def _site_plan(
-    transform, segment, rule, has_fallback: bool
-) -> Tuple[Optional[VectorPlan], str]:
-    """The vector plan of one (segment, rule) site, or why it cannot
-    stack — the one predicate behind both the bucket planner and PB503,
-    so the diagnostic cannot disagree with the engine."""
-    if has_fallback:
-        return None, "option has a where-clause fallback"
-    if rule.native_body is not None:
-        return None, "rule has a native body"
-    if not rule.is_instance_rule:
-        return None, "rule is not an instance rule"
-    if rule.residual_where:
-        return None, "rule has a where clause"
-    try:
-        return transform._vector_plan(segment, rule, False)
-    except Exception as error:
-        return None, str(error)

@@ -70,6 +70,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.autotuner import GeneticTuner
+from repro.autotuner.evaluation import random_inputs
 from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 from repro.engine_fast import LEAF_PATH_NAMES
@@ -83,20 +84,17 @@ def _load_program(path: str) -> CompiledProgram:
         return compile_program(handle.read())
 
 
-def _random_inputs(program: CompiledProgram, transform: str, size: int):
-    """Uniform random arrays matching the transform's declared inputs."""
-    target = program.transform(transform)
-
-    def make(n: int, rng: random.Random):
-        np_rng = np.random.default_rng(rng.getrandbits(32))
-        arrays = []
-        env = {var: n for var in target.ir.size_vars}
-        for mat in target.ir.inputs:
-            shape = tuple(dim.eval_floor(env) for dim in mat.dims)
-            arrays.append(np_rng.random(shape))
-        return arrays
-
-    return make
+def _load_config(path: Optional[str]) -> Optional[ChoiceConfig]:
+    """The ``--config`` file, if one was given; a file that is not a
+    configuration (bad JSON, a key :meth:`ChoiceConfig.from_dict`
+    refuses) ends the command with exit status 2."""
+    if not path:
+        return None
+    try:
+        return ChoiceConfig.load(path)
+    except ValueError as exc:
+        print(f"error: bad config {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _load_input(path: str) -> np.ndarray:
@@ -139,9 +137,7 @@ def _resolve_inputs(
         return [_load_input(path) for path in args.input]
     if args.random_input is not None:
         rng = random.Random(args.seed)
-        return _random_inputs(program, args.transform, args.random_input)(
-            args.random_input, rng
-        )
+        return random_inputs(program, args.transform)(args.random_input, rng)
     if not transform.ir.inputs:
         return None
     raise _MissingInputs
@@ -402,7 +398,7 @@ def _apply_leaf_path(
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.source)
     transform = program.transform(args.transform)
-    config = ChoiceConfig.load(args.config) if args.config else None
+    config = _load_config(args.config)
     config = _apply_leaf_path(config, args)
     sizes = _parse_sizes(args)
 
@@ -433,7 +429,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     program = _load_program(args.source)
     transform = program.transform(args.transform)
-    config = ChoiceConfig.load(args.config) if args.config else None
+    config = _load_config(args.config)
     config = _apply_leaf_path(config, args)
     machine = MACHINES[args.machine]
     workers = args.workers if args.workers else machine.cores
@@ -570,7 +566,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     from repro.batch import BatchEngine
 
     program = _load_program(args.source)
-    default_config = ChoiceConfig.load(args.config) if args.config else None
+    default_config = _load_config(args.config)
     sink = TraceSink(capture_events=False)
     engine = BatchEngine(sink=sink, max_stack=args.max_stack)
 
@@ -579,10 +575,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
     else:
         with open(args.requests, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
-    # Under --strict an unparseable line (bad JSON, unknown transform)
-    # fails the whole invocation immediately, naming the offending line;
-    # without --strict it degrades to a per-line error record so the
-    # rest of the stream still runs.
+    # Under --strict an unparseable line (bad JSON, unknown transform,
+    # a config ``from_dict`` refuses) fails the whole invocation
+    # immediately, naming the offending line; without --strict it
+    # degrades to a per-line error record so the rest of the stream
+    # still runs.
     entries = []  # ("result", request_id) | ("malformed", lineno, message)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -591,6 +588,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         try:
             payload = json.loads(line)
             transform = program.transform(payload["transform"])
+            config = default_config
+            if payload.get("config") is not None:
+                config = ChoiceConfig.from_dict(payload["config"])
         except Exception as exc:
             if args.strict:
                 print(
@@ -601,9 +601,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 ("malformed", lineno, f"{type(exc).__name__}: {exc}")
             )
             continue
-        config = default_config
-        if payload.get("config") is not None:
-            config = ChoiceConfig.from_dict(payload["config"])
         entries.append(
             (
                 "result",
@@ -788,9 +785,7 @@ def _client_run(client, args: argparse.Namespace) -> int:
         # convenience path compiles locally; served execution is unchanged.
         program = _load_program(args.source)
         rng = random.Random(args.seed)
-        inputs = _random_inputs(program, args.transform, args.random_input)(
-            args.random_input, rng
-        )
+        inputs = random_inputs(program, args.transform)(args.random_input, rng)
     else:
         inputs = None
     config = None
@@ -905,7 +900,7 @@ def _client_tune(client, args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = ChoiceConfig.load(args.config)
+    config = _load_config(args.config)
     print("choice sites:")
     for site, selector in sorted(config.choices.items()):
         print(f"  {site}: {selector.describe()}")

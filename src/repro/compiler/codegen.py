@@ -63,6 +63,7 @@ from repro.engine_fast import (
     geometry_key,
     lower_rule,
 )
+from repro.engine_fast.geometry import split_chain_free
 from repro.language import parse_program
 from repro.language.errors import CompileError, PetaBricksError
 from repro.language.interp import Scope, evaluate, execute
@@ -181,17 +182,15 @@ class PlanStep:
     carries ``region_bounds``; an instance rule its ``geometry`` and
     resolved leaf — vector (``plan``, ``tiles``, ``leaf_label``,
     ``cell_work``) or per-cell (``kernel``, ``None`` = interpreter, and
-    ``block``).  Rules and the vector plan are held by reference, so
+    ``block``).  The site and the vector plan are held by reference, so
     ``rule.native_body`` and ``plan.maker`` are read when the step runs.
     """
 
-    segment_key: str
-    rule_label: str
+    site: "Site"  # the (segment, selected primary rule) pair
     label: str  # of the segment's task
     #: positions in ``RunPlan.steps`` of the segments this one's
     #: dependency edges come from (ascending, so are their task ids)
     deps: Tuple[int, ...]
-    rule: RuleIR
     fallback: Optional[RuleIR]
     #: concrete ``[lo, hi)`` bounds per ``rule.all_regions``
     region_bounds: Optional[Tuple[Bounds, ...]] = None
@@ -206,6 +205,10 @@ class PlanStep:
     #: the vector leaf was configured and the site (or its step volume)
     #: refused it: counted as ``exec.vector_fallbacks`` per run
     demoted: bool = False
+
+    @property
+    def rule(self) -> RuleIR:
+        return self.site.rule
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,6 +332,189 @@ def compile_program(
     return program
 
 
+class Site:
+    """One ``(segment, primary rule)`` pair of the choice grid — the key
+    of ``depgraph.rule_directions`` — and the one home of what the
+    engine may do there.  A restricted rule packaged with several
+    fallbacks is one site (nothing here depends on which fallback
+    catches the rejected cells); fallback rules only ever run through
+    ``_apply_once`` and have none.
+
+    Created empty with the transform; each fact is computed on first
+    read and then stored — lazily, so only sites that execute pay
+    analysis and lowering and IR rewritten before the first run is
+    seen; unlocked like ``_frame_plan``, racing threads build equal
+    values.  The plan builder, :mod:`repro.batch`, the tuner and the
+    PB501–PB503/PB604/PB605 diagnostics read these same objects, so
+    none of them can disagree with the engine."""
+
+    def __init__(self, transform, segment: Segment, option: ChoiceOption):
+        self.transform: CompiledTransform = transform
+        self.segment = segment
+        #: the first option of the segment that selects ``rule``
+        self.option = option
+        self.rule: RuleIR = transform.ir.rules[option.primary]
+
+    @functools.cached_property
+    def order(self) -> Tuple[Dict[str, int], List[str]]:
+        """Iteration direction per rule variable, plus the loop-nesting
+        order (outermost first), from the dependency analysis.  Raises
+        :class:`ExecutionError` (and stores nothing) for a rule with no
+        consistent direction."""
+        segment, rule = self.segment, self.rule
+        order = self.transform.depgraph.rule_directions[
+            segment.key, rule.rule_id
+        ]
+        directions: Dict[str, int] = {}
+        controlling_dim: Dict[str, int] = {}
+        for region in rule.to_regions:
+            if region.matrix != segment.matrix:
+                continue
+            for dim, interval in enumerate(region.box.intervals):
+                for var in interval.lo.variables():
+                    if var not in rule.var_bounds:
+                        continue
+                    controlling_dim.setdefault(var, dim)
+                    if order.signs[dim] == 0:
+                        continue
+                    sign = interval.lo.coefficient_sign(var)
+                    required = order.signs[dim] * sign
+                    if directions.get(var, required) != required:
+                        raise ExecutionError(
+                            f"{self.transform.name} {rule.label}: variable "
+                            f"{var!r} has conflicting iteration directions"
+                        )
+                    directions[var] = required
+        # Nest loops by the dependency analysis' dimension priority.
+        rank = {dim: pos for pos, dim in enumerate(order.priority)}
+        var_order = sorted(
+            rule.rule_vars,
+            key=lambda v: rank.get(controlling_dim.get(v, 0), 0),
+        )
+        return directions, var_order
+
+    @functools.cached_property
+    def split(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """``(chain_vars, free_vars)`` of :attr:`order`, in iteration
+        order: what the geometry, the vector planner and the PB604
+        verdict are handed."""
+        return split_chain_free(*self.order)
+
+    @functools.cached_property
+    def schedule(self):
+        """The PB604 verdict: may the engine run the free variables
+        tile-by-tile (and the chain per tile)?  The analyzer's
+        :func:`repro.analysis.depend.schedule_verdict`, the one ``repro
+        check`` reports; where it cannot prove safety the tile knobs are
+        a verified no-op."""
+        # Local import: repro.analysis sits on top of this module.
+        from repro.analysis.depend import schedule_verdict
+
+        return schedule_verdict(self)
+
+    @functools.cached_property
+    def vector(self) -> Tuple[Optional[VectorPlan], str]:
+        """``(plan, "")`` or ``(None, reason)``: the site's one vector
+        leaf — run by the serial engine at batch 1 and by
+        :mod:`repro.batch` at batch B, reported as PB501/PB502/PB503."""
+        # Looked up at call time: a tracer replaces the module's name.
+        from repro.engine_fast import vectorize
+
+        try:
+            chain_vars, free_vars = self.split
+        except ExecutionError as error:
+            return None, str(error)
+        return vectorize.plan_vector_leaf(
+            self.transform.ir, self.rule, chain_vars, free_vars,
+            self.transform._storage_folds,
+        )
+
+    @functools.cached_property
+    def kernel(self) -> Optional[RuleKernel]:
+        """The rule's closure kernel, its parameters in the site's
+        iteration order (one rule iterated in two orders by two sites
+        has two), or ``None``: a rule the lowerer cannot prove
+        bit-for-bit equivalent keeps the interpreter — a failed
+        lowering is a lost optimization, never a wrong answer."""
+        chain_vars, free_vars = self.split
+        try:
+            return lower_rule(
+                self.rule, self.transform.ir, chain_vars + free_vars,
+                self.transform._storage_folds,
+            )
+        except Exception:
+            return None
+
+    def ranges(
+        self, env: Dict[str, int], segment_bounds: Bounds
+    ) -> Dict[str, Tuple[int, int]]:
+        """Concrete [lo, hi) per rule variable at sizes ``env``: the
+        preimage of the segment (``segment_bounds`` is its concrete box)
+        under the to-binding, intersected with the applicable variable
+        bounds."""
+        segment, rule = self.segment, self.rule
+        ranges: Dict[str, Tuple[int, int]] = {}
+        for var in rule.rule_vars:
+            interval = rule.var_bounds[var]
+            ranges[var] = interval.concrete(env)
+
+        for region in rule.to_regions:
+            if region.matrix != segment.matrix:
+                continue
+            for dim, interval in enumerate(region.box.intervals):
+                expr = interval.lo  # cell bindings: lo is the coordinate
+                seg_lo, seg_hi = segment_bounds[dim]
+                rule_vars_here = [
+                    v for v in expr.variables() if v in rule.var_bounds
+                ]
+                if not rule_vars_here:
+                    continue
+                if len(rule_vars_here) > 1:
+                    raise ExecutionError(
+                        f"{self.transform.name} {rule.label}: output "
+                        f"coordinate {expr} couples rule variables"
+                    )
+                var = rule_vars_here[0]
+                solved = solve_bounds_for(var, expr, seg_lo, seg_hi)
+                if solved is None:
+                    continue
+                lo, hi = solved.concrete(env)
+                old_lo, old_hi = ranges[var]
+                ranges[var] = (max(lo, old_lo), min(hi, old_hi))
+        return ranges
+
+    def tiles(
+        self, config: ChoiceConfig, geometry: Geometry
+    ) -> Optional[Tuple[Tuple[int, ...], bool]]:
+        """The effective (tile sizes per free var, interchange?) of a
+        vector step, or ``None`` to run the untiled sweep.
+
+        Sizes come from the ``__tile_i__``/``__tile_j__`` tunables, with
+        the rule's declared ``tile(...)`` annotation as the default; a
+        size of 0 (or one covering the whole extent) leaves that
+        variable unblocked.  Engages only on PB604-legal sites — on any
+        other site the knobs are a verified no-op."""
+        if not geometry.chain_vars or not geometry.free_vars:
+            return None
+        name = self.transform.name
+        declared = self.rule.schedule or ScheduleIR()
+        declared_tiles = dict(declared.tile)
+        tile_sizes: List[int] = []
+        for dim, var in enumerate(geometry.free_vars):
+            size = declared_tiles.get(var, 0)
+            if dim < 2:
+                size = config.tile_size(name, dim, size)
+            lo, hi = geometry.var_ranges[var]
+            tile_sizes.append(size if 0 < size < hi - lo else 0)
+        if not any(tile_sizes):
+            return None
+        if not self.schedule.legal:
+            return None
+        return tuple(tile_sizes), bool(
+            config.interchange_enabled(name, int(declared.interchange))
+        )
+
+
 class CompiledTransform:
     """One executable transform: IR + analyses + execution engine."""
 
@@ -343,38 +529,30 @@ class CompiledTransform:
         # edges.
         self.grid: ChoiceGrid = build_choice_grid(ir)
         self.depgraph: ChoiceDepGraph = build_dep_graph(ir, self.grid)
-        self._segments: Dict[str, Segment] = {
-            seg.key: seg for seg in self.grid.all_segments()
-        }
-        # Rule-kernel compilation (repro.engine_fast): each DSL body is
-        # lowered to a closure once, on first use (lazily, so only rules
-        # that actually execute pay lowering, and tooling that rewrites
-        # rule IR after compilation still gets kernels for the rewritten
-        # rules).  Rules the lowerer cannot prove bit-for-bit equivalent
-        # keep the interpreter, so a failed lowering is a lost
-        # optimization, never a wrong answer.
-        self._kernels: Dict[
-            Tuple[int, Tuple[str, ...]], Optional[RuleKernel]
-        ] = {}
-        # Lazily-populated caches: iteration geometry per (segment, rule,
-        # size-env), direction analysis per (segment, rule), and vector
-        # plans per (segment, rule, fallback?).  The size-keyed caches
-        # are LRU-bounded: a long-lived serve daemon sees arbitrarily
-        # many distinct input shapes.
+        segments = {seg.key: seg for seg in self.grid.all_segments()}
+        #: the grid's segments in schedule (dependency) order; the
+        #: graph's other nodes are the input matrices
+        self.segment_order: Tuple[Segment, ...] = tuple(
+            segments[key]
+            for key in self.depgraph.schedule_order
+            if key in segments
+        )
+        #: one :class:`Site` per distinct (segment key, primary rule id)
+        #: of the grid, in grid order
+        self.sites: Dict[Tuple[str, int], Site] = {}
+        for segment in segments.values():
+            for option in segment.options:
+                key = (segment.key, option.primary)
+                if key not in self.sites:
+                    self.sites[key] = Site(self, segment, option)
+        # Size-keyed caches — iteration geometry per (segment, rule,
+        # size-env), size-binding solutions per (input shapes, explicit
+        # sizes), run plans per (config content, input shapes, explicit
+        # sizes) — are LRU-bounded: a long-lived serve daemon sees
+        # arbitrarily many distinct input shapes.
         self._geom_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
-        # Size-binding solutions per (input shapes, explicit sizes) and
-        # run plans per (config content, input shapes, explicit sizes).
         self._size_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
         self._plan_cache: LRUCache = LRUCache(_PLAN_CACHE_LIMIT)
-        self._dir_cache: Dict[
-            Tuple[str, int], Tuple[Dict[str, int], List[str]]
-        ] = {}
-        self._vector_plans: Dict[
-            Tuple[str, int, bool], Tuple[Optional[VectorPlan], str]
-        ] = {}
-        # PB604 schedule verdicts per (segment, rule): legal when
-        # tiling/interchange of the site is provably exact.
-        self._sched_cache: Dict[Tuple[str, int], object] = {}
         # The legality-gated fused rewrite (repro.rewrite), planned and
         # verified lazily on first request; None once planning decides
         # there is nothing (or nothing provably safe) to fuse.
@@ -392,6 +570,10 @@ class CompiledTransform:
             (site_key(self.name, seg.matrix, seg.index), seg)
             for seg in self.grid.all_segments()
         ]
+
+    def site(self, segment: Segment, rule: RuleIR) -> Site:
+        """The :class:`Site` of a primary ``rule`` of ``segment``."""
+        return self.sites[segment.key, rule.rule_id]
 
     def run(
         self,
@@ -549,7 +731,10 @@ class CompiledTransform:
         if self._fused is _FUSED_UNSET:
             from repro.rewrite.fuse import build_fused_variant
 
-            self._fused = build_fused_variant(self)
+            variant = self._fused = build_fused_variant(self)
+            if variant is not None:
+                # A fused variant never re-fuses (or re-plans) itself.
+                variant._fused = None
         return self._fused  # type: ignore[return-value]
 
     def has_fusion(self) -> bool:
@@ -558,56 +743,21 @@ class CompiledTransform:
 
     def has_tiling(self) -> bool:
         """Whether the ``__tile_i__``/``__tile_j__``/``__interchange__``
-        tunables can change anything: some (segment, rule) site is both
-        PB604 schedule-legal and vectorizable.  Mirrors
+        tunables can change anything: some site is both PB604
+        schedule-legal and vectorizable.  Mirrors
         :meth:`has_fusion` — the tuner only searches knobs that exist."""
         return any(
-            self._schedule_verdict(segment, rule).legal
-            and self._vector_plan(segment, rule, option.fallback is not None)[0]
-            is not None
-            for segment, option, rule in self.rule_sites()
+            site.schedule.legal and site.vector[0] is not None
+            for site in self.sites.values()
         )
 
-    def rule_sites(self) -> Iterator[Tuple[Segment, ChoiceOption, RuleIR]]:
-        """Every distinct (segment, primary rule) site of the choice
-        grid, in grid order, with the first option that selects it —
-        the one iteration the per-site analyses (PB501–PB503,
-        PB604/PB605, :meth:`has_tiling`) share.  A restricted rule
-        packaged with several fallbacks is one site: its verdicts do
-        not depend on which fallback catches the rejected cells."""
-        seen = set()
-        for segment in self.grid.all_segments():
-            for option in segment.options:
-                if (segment.key, option.primary) not in seen:
-                    seen.add((segment.key, option.primary))
-                    yield segment, option, self.ir.rules[option.primary]
-
-    def _schedule_verdict(self, segment: Segment, rule: RuleIR):
-        """Cached PB604 verdict for one (segment, rule) site: may the
-        engine run the site's free variables tile-by-tile (and the chain
-        per tile)?  A cache around the analyzer's single verdict
-        (:func:`repro.analysis.depend.schedule_verdict`) — the one
-        ``repro check`` reports, and reads through this cache — so the
-        knobs are a verified no-op everywhere the analyzer cannot prove
-        safety."""
-        key = (segment.key, rule.rule_id)
-        cached = self._sched_cache.get(key)
-        if cached is None:
-            # Local import: repro.analysis sits on top of this module.
-            from repro.analysis.depend import schedule_verdict
-
-            cached = self._sched_cache[key] = schedule_verdict(
-                self, segment, rule
-            )
-        return cached
-
     @functools.cached_property
-    def _storage_verdicts(self) -> Dict[str, object]:
-        """Cached PB606 verdict per ``through`` matrix, decided on first
+    def storage_verdicts(self) -> Dict[str, object]:
+        """The PB606 verdict per ``through`` matrix, decided on first
         use: may the engine keep only a window of its planes?  Like
-        :meth:`_schedule_verdict`, a cache around the analyzer's single
-        verdict (:func:`repro.analysis.depend.storage_verdict`), which
-        ``repro check`` reports through this same cache."""
+        :attr:`Site.schedule`, the analyzer's single verdict
+        (:func:`repro.analysis.depend.storage_verdict`) kept where the
+        engine and ``repro check`` both read it."""
         # Local import: repro.analysis sits on top of this module.
         from repro.analysis.depend import storage_verdict
 
@@ -625,7 +775,7 @@ class CompiledTransform:
         :meth:`_apply_once`).  Not a choice: what may fold always does."""
         return {
             name: (verdict.axis, verdict.window)
-            for name, verdict in self._storage_verdicts.items()
+            for name, verdict in self.storage_verdicts.items()
             if verdict.folds
         }
 
@@ -712,10 +862,12 @@ class CompiledTransform:
             )
         steps: List[PlanStep] = []
         position: Dict[str, int] = {}
-        for site in self.scheduled_segments(env, config, problem_size):
+        for site, fallback, bounds in self.scheduled_segments(
+            env, config, problem_size
+        ):
             # Inputs and empty segments have no step (no task) and
             # contribute no dependency edge.
-            key = site[0].key
+            key = site.segment.key
             deps = {
                 position[edge.src]
                 for edge in self.depgraph.edges_into(key)
@@ -724,7 +876,8 @@ class CompiledTransform:
             position[key] = len(steps)
             steps.append(
                 self._plan_step(
-                    config, problem_size, env, site, tuple(sorted(deps)), sink
+                    config, problem_size, env, site, fallback, bounds,
+                    tuple(sorted(deps)), sink,
                 )
             )
         return RunPlan(
@@ -739,15 +892,13 @@ class CompiledTransform:
         )
 
     def _plan_step(
-        self, config, problem_size, env, site, deps, sink
+        self, config, problem_size, env, site, fallback, bounds, deps, sink
     ) -> PlanStep:
-        segment, rule, fallback, bounds = site
+        segment, rule = site.segment, site.rule
         common = dict(
-            segment_key=segment.key,
-            rule_label=rule.label,
+            site=site,
             label=f"{self.name}.{segment.key}",
             deps=deps,
-            rule=rule,
             fallback=fallback,
         )
         if not rule.is_instance_rule:
@@ -764,13 +915,11 @@ class CompiledTransform:
         # kernel.  The interpreter is always legal.
         leaf = config.leaf_path(self.name, problem_size)
         if leaf == LEAF_VECTOR:
-            plan, _reason = self._vector_plan(
-                segment, rule, fallback is not None
-            )
+            plan, _reason = site.vector
             if plan is not None and geometry.step_volume >= max(
                 1, config.vectorize_cutoff(self.name, problem_size)
             ):
-                tiles = self._tile_spec(config, segment, rule, geometry)
+                tiles = site.tiles(config, geometry)
                 return PlanStep(
                     **common,
                     geometry=geometry,
@@ -782,9 +931,7 @@ class CompiledTransform:
         return PlanStep(
             **common,
             geometry=geometry,
-            kernel=None
-            if leaf == LEAF_INTERP
-            else self._kernel(rule, geometry.chain_vars + geometry.free_vars),
+            kernel=None if leaf == LEAF_INTERP else site.kernel,
             block=max(1, config.block_size(self.name)),
             demoted=leaf == LEAF_VECTOR,
         )
@@ -869,18 +1016,15 @@ class CompiledTransform:
 
     def scheduled_segments(
         self, env: Dict[str, int], config: ChoiceConfig, problem_size: int
-    ) -> Iterator[Tuple[Segment, RuleIR, Optional[RuleIR], Bounds]]:
-        """The schedule walk: ``(segment, rule, fallback, bounds)`` for
-        every non-empty choice-grid segment in dependency (schedule)
-        order, with the configuration's option selected for
-        ``problem_size``, its primary/fallback rules resolved, the
-        primary's size guards checked and the segment's concrete
-        ``[lo, hi)`` bounds computed.  The one consumer of
-        ``depgraph.schedule_order``, walked once per plan built."""
-        for node in self.depgraph.schedule_order:
-            segment = self._segments.get(node)
-            if segment is None:
-                continue  # an input matrix
+    ) -> Iterator[Tuple[Site, Optional[RuleIR], Bounds]]:
+        """The schedule walk: ``(site, fallback, bounds)`` for every
+        non-empty choice-grid segment in dependency (schedule) order,
+        with the configuration's option selected for ``problem_size``,
+        the :class:`Site` of its primary rule and its fallback rule
+        resolved, the primary's size guards checked and the segment's
+        concrete ``[lo, hi)`` bounds computed.  Walked once per plan
+        built."""
+        for segment in self.segment_order:
             bounds = segment.box.concrete(env)
             if any(hi <= lo for lo, hi in bounds):
                 continue
@@ -893,19 +1037,19 @@ class CompiledTransform:
                     f"{key}, but the site has {len(segment.options)} options"
                 )
             option = segment.options[index]
-            rule = self.ir.rules[option.primary]
+            site = self.sites[segment.key, option.primary]
             fallback = (
                 self.ir.rules[option.fallback]
                 if option.fallback is not None
                 else None
             )
-            for guard in rule.size_guards:
+            for guard in site.rule.size_guards:
                 if guard.eval_floor(env) < 0:
                     raise ExecutionError(
-                        f"{self.name} {rule.label}: size constraint "
+                        f"{self.name} {site.rule.label}: size constraint "
                         f"{guard} >= 0 fails for {dict(env)}"
                     )
-            yield segment, rule, fallback, bounds
+            yield site, fallback, bounds
 
     def _default_selector(self, segment: Segment) -> Selector:
         """Untuned default: the first non-recursive option (guaranteed to
@@ -935,9 +1079,10 @@ class CompiledTransform:
             if sink is not None:
                 sink.count("exec.geom_cache_hits")
             return geometry
-        var_ranges = self._instance_ranges(segment, rule, env, segment_bounds)
-        directions, var_order = self._var_directions_cached(segment, rule)
-        geometry = build_geometry(var_ranges, directions, var_order)
+        site = self.site(segment, rule)
+        geometry = build_geometry(
+            site.ranges(env, segment_bounds), site.order[0], *site.split
+        )
         before = self._geom_cache.evictions
         self._geom_cache[key] = geometry
         if sink is not None:
@@ -946,62 +1091,6 @@ class CompiledTransform:
             if evicted:
                 sink.count("exec.geom_cache_evictions", evicted)
         return geometry
-
-    def _kernel(
-        self, rule: RuleIR, params: Optional[Tuple[str, ...]] = None
-    ) -> Optional[RuleKernel]:
-        """The rule's compiled closure kernel taking ``params`` (a
-        site's iteration order; default: declaration order), lowered on
-        first use.  Two sites that iterate one rule in different orders
-        get two kernels."""
-        params = params or tuple(rule.rule_vars)
-        key = (rule.rule_id, params)
-        if key in self._kernels:
-            return self._kernels[key]
-        try:
-            kernel = lower_rule(rule, self.ir, params, self._storage_folds)
-        except Exception:
-            kernel = None
-        self._kernels[key] = kernel
-        return kernel
-
-    def _var_directions_cached(
-        self, segment: Segment, rule: RuleIR
-    ) -> Tuple[Dict[str, int], List[str]]:
-        key = (segment.key, rule.rule_id)
-        cached = self._dir_cache.get(key)
-        if cached is None:
-            cached = self._dir_cache[key] = self._var_directions(
-                segment, rule
-            )
-        return cached
-
-    def _vector_plan(
-        self, segment: Segment, rule: RuleIR, has_fallback: bool
-    ) -> Tuple[Optional[VectorPlan], str]:
-        """The (cached) vector leaf plan or rejection reason for this
-        (segment, rule) site — the one plan object the serial engine
-        (at batch 1), the bucket planner of :mod:`repro.batch` and the
-        PB501/PB502/PB503 diagnostics all read (see
-        :func:`repro.analysis.races.vector_leaf_status`)."""
-        key = (segment.key, rule.rule_id, bool(has_fallback))
-        cached = self._vector_plans.get(key)
-        if cached is None:
-            from repro.engine_fast.vectorize import plan_vector_leaf
-
-            try:
-                directions, var_order = self._var_directions_cached(
-                    segment, rule
-                )
-            except ExecutionError as error:
-                cached = (None, str(error))
-            else:
-                cached = plan_vector_leaf(
-                    self.ir, rule, directions, var_order, has_fallback,
-                    self._storage_folds,
-                )
-            self._vector_plans[key] = cached
-        return cached
 
     def tunables_at(
         self, config: ChoiceConfig, problem_size: int
@@ -1034,8 +1123,9 @@ class CompiledTransform:
             else self._closure_block_runner
         )(state, plan, step, views)
         instances, block = geometry.free_products, step.block
+        rule_label = step.rule.label
         blocks = [
-            (f"{step.rule_label}[{start}]", instances[start : start + block])
+            (f"{rule_label}[{start}]", instances[start : start + block])
             for start in range(0, len(instances), block)
         ]
         recorder = state.recorder
@@ -1180,40 +1270,6 @@ class CompiledTransform:
 
         return apply_block
 
-    def _tile_spec(
-        self,
-        config: ChoiceConfig,
-        segment: Segment,
-        rule: RuleIR,
-        geometry: Geometry,
-    ) -> Optional[Tuple[Tuple[int, ...], bool]]:
-        """The effective (tile sizes per free var, interchange?) of a
-        vector step, or ``None`` to run the untiled sweep.
-
-        Sizes come from the ``__tile_i__``/``__tile_j__`` tunables, with
-        the rule's declared ``tile(...)`` annotation as the default; a
-        size of 0 (or one covering the whole extent) leaves that
-        variable unblocked.  Engages only on PB604-legal sites — on any
-        other site the knobs are a verified no-op."""
-        if not geometry.chain_vars or not geometry.free_vars:
-            return None
-        declared = rule.schedule or ScheduleIR()
-        declared_tiles = dict(declared.tile)
-        tile_sizes: List[int] = []
-        for dim, var in enumerate(geometry.free_vars):
-            size = declared_tiles.get(var, 0)
-            if dim < 2:
-                size = config.tile_size(self.name, dim, size)
-            lo, hi = geometry.var_ranges[var]
-            tile_sizes.append(size if 0 < size < hi - lo else 0)
-        if not any(tile_sizes):
-            return None
-        if not self._schedule_verdict(segment, rule).legal:
-            return None
-        return tuple(tile_sizes), bool(
-            config.interchange_enabled(self.name, int(declared.interchange))
-        )
-
     def _run_vector_steps(
         self,
         state: _EngineState,
@@ -1227,7 +1283,7 @@ class CompiledTransform:
         per (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
         (``step.tiles`` is ``None``) the sweep is the single full-extent
         tile — one task per chain step; with the ``(tile sizes,
-        interchange)`` of :meth:`_tile_spec` the free space is cut into
+        interchange)`` of :meth:`Site.tiles` the free space is cut into
         cache-sized blocks.  Bit-identical results either way; a
         *different* (cheaper) task graph and work model than the
         per-cell paths — that difference is exactly what makes the leaf
@@ -1269,84 +1325,6 @@ class CompiledTransform:
                 if tiles:
                     sink.count("exec.tiled_blocks")
             previous = [step_task]
-
-    def _instance_ranges(
-        self,
-        segment: Segment,
-        rule: RuleIR,
-        env: Dict[str, int],
-        segment_bounds: Tuple[Tuple[int, int], ...],
-    ) -> Dict[str, Tuple[int, int]]:
-        """Concrete [lo, hi) per rule variable: the preimage of the
-        segment under the to-binding, intersected with the applicable
-        variable bounds."""
-        ranges: Dict[str, Tuple[int, int]] = {}
-        for var in rule.rule_vars:
-            interval = rule.var_bounds[var]
-            ranges[var] = interval.concrete(env)
-
-        for region in rule.to_regions:
-            if region.matrix != segment.matrix:
-                continue
-            for dim, interval in enumerate(region.box.intervals):
-                expr = interval.lo  # cell bindings: lo is the coordinate
-                seg_lo, seg_hi = segment_bounds[dim]
-                rule_vars_here = [
-                    v for v in expr.variables() if v in rule.var_bounds
-                ]
-                if not rule_vars_here:
-                    continue
-                if len(rule_vars_here) > 1:
-                    raise ExecutionError(
-                        f"{self.name} {rule.label}: output coordinate "
-                        f"{expr} couples rule variables"
-                    )
-                var = rule_vars_here[0]
-                solved = solve_bounds_for(var, expr, seg_lo, seg_hi)
-                if solved is None:
-                    continue
-                lo, hi = solved.concrete(env)
-                old_lo, old_hi = ranges[var]
-                ranges[var] = (max(lo, old_lo), min(hi, old_hi))
-        return ranges
-
-    def _var_directions(
-        self, segment: Segment, rule: RuleIR
-    ) -> Tuple[Dict[str, int], List[str]]:
-        """Iteration direction per rule variable, plus the loop-nesting
-        order (outermost first), from the dependency analysis."""
-        order = self.depgraph.rule_directions.get(
-            (segment.key, rule.rule_id)
-        )
-        if order is None:
-            return {}, list(rule.rule_vars)
-        directions: Dict[str, int] = {}
-        controlling_dim: Dict[str, int] = {}
-        for region in rule.to_regions:
-            if region.matrix != segment.matrix:
-                continue
-            for dim, interval in enumerate(region.box.intervals):
-                for var in interval.lo.variables():
-                    if var not in rule.var_bounds:
-                        continue
-                    controlling_dim.setdefault(var, dim)
-                    if order.signs[dim] == 0:
-                        continue
-                    sign = interval.lo.coefficient_sign(var)
-                    required = order.signs[dim] * sign
-                    if directions.get(var, required) != required:
-                        raise ExecutionError(
-                            f"{self.name} {rule.label}: variable {var!r} "
-                            f"has conflicting iteration directions"
-                        )
-                    directions[var] = required
-        # Nest loops by the dependency analysis' dimension priority.
-        rank = {dim: pos for pos, dim in enumerate(order.priority)}
-        var_order = sorted(
-            rule.rule_vars,
-            key=lambda v: rank.get(controlling_dim.get(v, 0), 0),
-        )
-        return directions, var_order
 
     def _residual_ok(self, rule: RuleIR, env: Dict[str, int]) -> bool:
         # Scope only reads its bindings, so no defensive copy is needed.

@@ -18,11 +18,26 @@ back into the compiler for static specialization.
 
 from __future__ import annotations
 
+import difflib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 INFINITE = None  # marker: level applies to all sizes
+
+#: The reserved tunables, keyed ``"Transform.<name>"`` — the only
+#: ``__dunder__`` names a configuration may carry, in the order the
+#: tuner searches them.
+RESERVED_TUNABLES = (
+    "__seq_cutoff__",  # region size below which tasks are inlined (§3.2)
+    "__block_size__",  # cells per data-parallel task
+    "__leaf_path__",  # 0 interp / 1 closure / 2 vector
+    "__vectorize_cutoff__",  # step volume below which vector demotes
+    "__fuse__",  # run the verified fused rewrite when one exists
+    "__tile_i__",  # tile size of the first data-parallel variable; 0 = off
+    "__tile_j__",  # ... of the second
+    "__interchange__",  # run the sequential chain per tile
+)
 
 
 @dataclass(frozen=True)
@@ -79,15 +94,9 @@ class ChoiceConfig:
 
     Keys are flat strings (the paper's flat configuration space):
     choice sites are ``"Transform.Matrix.segment"``, tunables are
-    ``"Transform.name"`` plus the reserved runtime tunables
-    ``"Transform.__seq_cutoff__"``, ``"Transform.__block_size__"``,
-    ``"Transform.__leaf_path__"`` (0 interp / 1 closure / 2 vector),
-    ``"Transform.__vectorize_cutoff__"``, ``"Transform.__fuse__"``
-    (run the verified fused rewrite when one exists), and the schedule
-    tunables ``"Transform.__tile_i__"`` / ``"Transform.__tile_j__"``
-    (tile sizes for the first/second data-parallel instance variable;
-    0 disables tiling) and ``"Transform.__interchange__"`` (run the
-    sequential chain per tile instead of every tile per chain step).
+    ``"Transform.name"`` plus the reserved runtime and schedule
+    tunables ``"Transform.__name__"`` of :data:`RESERVED_TUNABLES`,
+    each read through its accessor below.
     """
 
     choices: Dict[str, Selector] = field(default_factory=dict)
@@ -235,9 +244,11 @@ class ChoiceConfig:
         for site, levels in payload.get("choices", {}).items():
             config.choices[site] = parse_levels(levels)
         for name, value in payload.get("tunables", {}).items():
-            config.tunables[name] = int(value)
+            config.tunables[_checked_tunable(name)] = int(value)
         for name, levels in payload.get("leveled_tunables", {}).items():
-            config.leveled_tunables[name] = parse_levels(levels)
+            config.leveled_tunables[_checked_tunable(name)] = parse_levels(
+                levels
+            )
         return config
 
     def save(self, path: str) -> None:
@@ -267,6 +278,24 @@ class ChoiceConfig:
             dict(self.tunables),
             dict(self.leveled_tunables),
         )
+
+
+def _checked_tunable(name: str) -> str:
+    """``name``, unless it has the reserved ``X.__y__`` shape without
+    being reserved: a misspelt knob arriving from outside (a request's
+    ``config`` field, a ``--config`` file) would be accepted and
+    silently ignored."""
+    prefix, dot, knob = name.rpartition(".")
+    reserved_shape = knob.startswith("__") and knob.endswith("__")
+    if reserved_shape and knob not in RESERVED_TUNABLES:
+        nearest = difflib.get_close_matches(
+            knob.lower(), RESERVED_TUNABLES, n=1, cutoff=0.0
+        )[0]
+        raise ValueError(
+            f"unknown reserved tunable {name!r} (nearest valid name: "
+            f"{prefix + dot + nearest!r})"
+        )
+    return name
 
 
 def site_key(transform: str, matrix: str, segment_index: int) -> str:

@@ -108,8 +108,9 @@ def split_chain_free(
 ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """``var_order`` split into (chain, free) variables: a variable the
     dependency analysis gives a direction iterates as a sequential
-    chain, every other one is data parallel.  The one home of the
-    split — geometry, the vector planner and the PB604 verdict share it."""
+    chain, every other one is data parallel.  Called once per site
+    (``Site.split``); geometry, the vector planner and the PB604 verdict
+    are handed the result."""
     chain_vars = tuple(v for v in var_order if directions.get(v, 0) != 0)
     return chain_vars, tuple(v for v in var_order if v not in chain_vars)
 
@@ -117,15 +118,16 @@ def split_chain_free(
 def build_geometry(
     var_ranges: Mapping[str, Tuple[int, int]],
     directions: Mapping[str, int],
-    var_order: Sequence[str],
+    chain_vars: Tuple[str, ...],
+    free_vars: Tuple[str, ...],
 ) -> Geometry:
-    """Build the geometry from the engine's range/direction analyses.
+    """Build the geometry from the engine's range/direction analyses
+    and the site's chain/free split.
 
     Value ordering matches the engine exactly: ascending per variable,
     reversed when the dependency analysis demands a negative direction
     (free variables always have direction 0, hence always ascend).
     """
-    chain_vars, free_vars = split_chain_free(directions, var_order)
 
     def values_of(var: str) -> Tuple[int, ...]:
         lo, hi = var_ranges[var]

@@ -95,7 +95,7 @@ from typing import (
 import numpy as np
 
 from repro.engine_fast.builder import KernelBuilder
-from repro.engine_fast.geometry import Geometry, split_chain_free
+from repro.engine_fast.geometry import Geometry
 from repro.language import ast_nodes as ast
 from repro.language.interp import EvalError
 from repro.symbolic import Affine
@@ -679,29 +679,32 @@ class _VectorLowerer(KernelBuilder):
 def plan_vector_leaf(
     transform: TransformIR,
     rule: RuleIR,
-    directions: Dict[str, int],
-    var_order: Sequence[str],
-    has_fallback: bool = False,
+    chain_vars: Tuple[str, ...],
+    free_vars: Tuple[str, ...],
     folds: Dict[str, Tuple[int, int]] = {},  # never mutated
 ) -> Tuple[Optional[VectorPlan], str]:
     """Compile a vector leaf for ``rule``, or explain why it cannot be.
 
-    ``directions``/``var_order`` come from the engine's dependency
-    analysis for the (segment, rule) pair (``_var_directions``); the
-    canonical query is :func:`repro.analysis.races.vector_leaf_status`.
+    ``chain_vars``/``free_vars`` are the (segment, rule) site's split of
+    the rule's variables; the canonical query — the one everything
+    reads — is ``Site.vector`` (:mod:`repro.compiler.codegen`).
     ``folds`` is the transform's folded storage (``{matrix: (axis,
     window)}``, see :meth:`KernelBuilder.point_index`).
-    Returns ``(plan, "")`` on success, else ``(None, reason)``.  The
-    batch axis adds no dependence, so a site is batch-stackable exactly
-    when it is vectorizable.
+    Returns ``(plan, "")`` on success, else ``(None, reason)``.  A site
+    is batch-stackable exactly when it is vectorizable: the batch axis
+    is pure broadcast and adds no dependence, and everything that takes
+    a per-instance decision which could differ between batch lanes — a
+    native body, a whole-region rule, a where-clause that needs a
+    fallback — is refused here for the serial leaf already.  An option
+    with a fallback therefore never has a plan: the choice grid attaches
+    fallbacks only to rules with a residual where-clause.
     """
     if rule.native_body is not None or not rule.body:
         return None, "native (Python) rule body"
     if not rule.is_instance_rule:
         return None, "whole-region rule (no instance space)"
-    if has_fallback or rule.residual_where:
+    if rule.residual_where:
         return None, "meta-rule with a where-clause fallback"
-    chain_vars, free_vars = split_chain_free(directions, var_order)
     if not free_vars:
         return (
             None,

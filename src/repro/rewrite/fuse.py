@@ -260,6 +260,4 @@ def build_fused_variant(
             return None
     except (PetaBricksError, FusionError):
         return None
-    # A fused variant never re-fuses (or re-plans) itself.
-    variant._fused = None
     return variant

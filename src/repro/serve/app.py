@@ -286,6 +286,9 @@ class ServeApp:
                 transform = entry.program.transform(request["transform"])
                 inputs, shapes = self._line_inputs(request.get("inputs"))
                 sizes = normalize_sizes(request.get("sizes")) or None
+                config = default_config
+                if request.get("config") is not None:
+                    config = ChoiceConfig.from_dict(request["config"])
             except Exception as exc:
                 if strict:
                     raise ServeError(400, f"request line {lineno}: {exc}")
@@ -298,23 +301,16 @@ class ServeApp:
                 )
                 continue
             digest = None
-            if request.get("config") is not None:
-                config: Optional[ChoiceConfig] = self._parse_config(
-                    request["config"]
-                )
-            elif default_config is not None:
-                config = default_config
-            else:
+            if config is None:
                 registered = self.registry.lookup(
                     entry.phash,
                     machine,
                     bucket_for(shapes, sizes),
                 )
-                config = registered.config if registered else None
                 if registered is not None:
                     # Registry configs are immutable: reuse the digest
                     # computed at publish (zero serialization).
-                    digest = registered.digest
+                    config, digest = registered.config, registered.digest
             entries.append(
                 (
                     "submit",

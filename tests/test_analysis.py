@@ -542,7 +542,7 @@ PB503_GOLDEN = {
     "stack_partial": (
         STACK_PARTIAL,
         "batch-stackable under some configurations "
-        "(B.0: option has a where-clause fallback)",
+        "(B.0: meta-rule with a where-clause fallback)",
     ),
     "stack_none": (
         STACK_NONE,

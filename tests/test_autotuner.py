@@ -25,6 +25,7 @@ from repro.autotuner import (
 )
 from repro.autotuner.accuracy import Scored, accuracy_ratio
 from repro.autotuner.candidates import dedupe, set_tunable
+from repro.autotuner.evaluation import config_signature
 from repro.compiler import ChoiceConfig, Selector, TransformBuilder, compile_program
 from repro.compiler.config import site_key
 from repro.runtime import MACHINES
@@ -216,6 +217,27 @@ class TestCandidates:
         clone = base.clone("child")
         clone.config.set_tunable("x", 2)
         assert base.config.tunable("x", 0) == 1
+
+    def test_mutations_keep_leveled_tunables(self):
+        """``clone`` used to rebuild the config from choices and flat
+        tunables only, so any mutation of a candidate carrying a
+        size-leveled tunable silently dropped it."""
+        base = Candidate(config=ChoiceConfig())
+        base.config.set_choice(SITE, Selector.static(0))
+        leveled = Selector(((64, 2), (None, 5)))
+        base.config.set_leveled_tunable("TreeSum.iters", leveled)
+        for mutated in (
+            set_tunable(base, "TreeSum.__block_size__", 16),
+            add_level(base, SITE, 1, 64),
+        ):
+            assert mutated.config.leveled_tunables == {"TreeSum.iters": leveled}
+            assert mutated.signature() != base.signature()
+        same = base.clone("copy")
+        assert same.config.key() == base.config.key()
+        assert same.signature() == base.signature()
+        assert same.signature() == config_signature(base.config)
+        same.config.leveled_tunables.clear()  # a copy, not an alias
+        assert base.config.leveled_tunables == {"TreeSum.iters": leveled}
 
     def test_dedupe(self):
         a = Candidate(config=ChoiceConfig())

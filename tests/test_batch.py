@@ -345,7 +345,9 @@ def test_stacked_plan_walks_the_serial_schedule(shape):
                 serial.append(step)
     assert serial, "the serial run took no vector leaf"
     assert sink.counter("exec.vector_fallbacks") == 0
-    assert [(s.segment_key, s.rule_label) for s in plan.steps] == serial
+    assert [
+        (s.site.segment.key, s.site.rule.label) for s in plan.steps
+    ] == serial
 
 
 def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
@@ -390,9 +392,11 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
     assert len(serial_plans) == 3  # T, B row 0, B chain
     assert len(stacked_plans) == len(serial_plans)
     assert all(s is b for s, b in zip(serial_plans, stacked_plans))
-    # One cache entry per (segment, rule, fallback?) site, no batch twin.
-    assert len(stages._vector_plans) == len(serial_plans)
-    assert all(len(key) == 3 for key in stages._vector_plans)
+    # One plan object per site, stored on the site: no batch twin.
+    assert len(stages.sites) == len(serial_plans)
+    assert {id(site.vector[0]) for site in stages.sites.values()} == {
+        id(plan) for plan in serial_plans
+    }
     makers = [
         field.name
         for field in dataclasses.fields(RuleKernel)

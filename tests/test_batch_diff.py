@@ -14,39 +14,17 @@ batch engine with the *same* exception type and message, without
 poisoning the other requests in its bucket.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import BatchEngine
 from repro.compiler import ChoiceConfig, Selector, compile_program
-from repro.runtime.matrix import Matrix
+from tests.conftest import SENTINEL, sentinel_alloc
 from tests.test_engine_fast_diff import tiny_strips
-
-#: A value no generated program can produce from the bounded inputs.
-SENTINEL = -987654321.25
 
 _OPS = ("+", "-", "*")
 _CALLS = ("min", "max", "abs")
-
-
-@contextmanager
-def sentinel_alloc():
-    """Sentinel-fill output/through allocation so write sets are
-    observable (same trick as test_engine_fast_diff; covers the batched
-    allocation path too, which also goes through ``Matrix.zeros``)."""
-
-    def filled(shape, name="", dtype=np.float64):
-        return Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
-
-    original = Matrix.zeros
-    Matrix.zeros = staticmethod(filled)
-    try:
-        yield
-    finally:
-        Matrix.zeros = original
 
 
 def _leaf_config(transform_name, leaf):

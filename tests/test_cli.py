@@ -80,6 +80,25 @@ class TestRun:
     def test_run_missing_inputs_errors(self, source, capsys):
         assert main(["run", source, "-t", "RollingSum"]) == 2
 
+    def test_run_with_misspelt_reserved_tunable_exits_2(
+        self, source, tmp_path, capsys
+    ):
+        """``__Leaf_Path__`` used to load fine and run on the default
+        leaf, silently."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps({"tunables": {"RollingSum.__Leaf_Path__": 2}})
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", source, "-t", "RollingSum", "--random-input", "8",
+                "--config", str(cfg_path),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown reserved tunable 'RollingSum.__Leaf_Path__'" in err
+        assert "'RollingSum.__leaf_path__'" in err
+
 
 class TestTrace:
     def test_trace_writes_jsonl(self, source, tmp_path, capsys):

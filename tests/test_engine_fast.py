@@ -76,8 +76,12 @@ def _run_all_paths(transform, inputs, base_config=None):
 class TestClosureLowering:
     def test_dsl_rules_get_kernels(self):
         t = compile_program(ROLLINGSUM).transform("RollingSum")
-        for rule in t.ir.rules:
-            kernel = t._kernel(rule)
+        # every rule is the primary of some site
+        assert {s.rule.label for s in t.sites.values()} == {
+            rule.label for rule in t.ir.rules
+        }
+        for site in t.sites.values():
+            kernel = site.kernel
             assert kernel is not None
             assert "def _maker" in kernel.source
 
@@ -238,9 +242,10 @@ class TestClosureParameterOrder:
         t = compile_program(WAVE_PLAIN).transform("Wave")
         self.observe(t, LEAF_CLOSURE)
         orders = {}
-        for (rule_id, params), kernel in t._kernels.items():
+        for site in t.sites.values():
+            kernel, params = site.kernel, sum(site.split, ())
             assert kernel is not None and kernel.params == params
-            orders.setdefault(t.ir.rules[rule_id].label, set()).add(params)
+            orders.setdefault(site.rule.label, set()).add(params)
         assert orders == {
             "rule0": {("i", "j")},
             # one rule, two sites, two orders: two kernels
@@ -341,13 +346,11 @@ class TestVectorLeaf:
 
     def test_region_reduction_rejected(self):
         t = compile_program(ROLLINGSUM).transform("RollingSum")
-        from repro.analysis.races import vector_leaf_status
-
-        segment = t._segments["B.1"]
-        ok, reason = vector_leaf_status(t, segment, t.ir.rules[0])
-        assert not ok and "region" in reason
-        ok, reason = vector_leaf_status(t, segment, t.ir.rules[1])
-        assert not ok and "sequential chain" in reason
+        segment = t.grid.segments["B"][1]
+        plan, reason = t.site(segment, t.ir.rules[0]).vector
+        assert plan is None and "region" in reason
+        plan, reason = t.site(segment, t.ir.rules[1]).vector
+        assert plan is None and "sequential chain" in reason
 
     def test_negative_direction_chain_with_vector_free_vars(self):
         """A rule with one sequential axis and one parallel axis

@@ -24,37 +24,12 @@ from hypothesis import strategies as st
 
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.language.errors import PetaBricksError
-from repro.runtime.matrix import Matrix
-
-#: A value no generated program can produce from the bounded inputs.
-SENTINEL = -987654321.25
+from tests.conftest import SENTINEL, sentinel_alloc
 
 LEAF_PATHS = (0, 1, 2)
 
 _OPS = ("+", "-", "*")
 _CALLS = ("min", "max", "abs")
-
-
-@contextmanager
-def sentinel_alloc():
-    """Allocate output/through matrices filled with SENTINEL instead of
-    zeros, making the write set observable.  A context manager rather
-    than a pytest fixture: hypothesis re-runs the test body, not
-    function-scoped fixtures.  Yields the matrices allocated so far, so
-    a run that raises can still be inspected at its abort point."""
-    allocated = []
-
-    def filled(shape, name="", dtype=np.float64):
-        matrix = Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
-        allocated.append(matrix)
-        return matrix
-
-    original = Matrix.zeros
-    Matrix.zeros = staticmethod(filled)
-    try:
-        yield allocated
-    finally:
-        Matrix.zeros = original
 
 
 def _run_paths(

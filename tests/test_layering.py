@@ -1,0 +1,135 @@
+"""The layering, pinned without a timer.
+
+``repro.compiler`` owns the compiled transform; every other package
+reads it through public members — the per-site facts through
+``CompiledTransform.sites`` (:class:`repro.compiler.codegen.Site`).
+An ``ast`` walk of ``src/repro`` holds that line, and one behavioural
+test holds what the site object is for: a fact is derived once and the
+same object is read by every consumer.
+"""
+
+import ast
+import pathlib
+
+import repro
+from repro.compiler import ChoiceConfig, compile_program
+from tests.test_batch import STAGES
+
+SRC = pathlib.Path(repro.__file__).parent
+
+#: names the code base binds compiled transforms to
+TRANSFORM_NAMES = {"compiled", "transform", "variant", "current", "callee"}
+
+#: members this PR removed from ``CompiledTransform`` (and the wrappers
+#: around them); nothing under ``src/`` may bring one back
+REMOVED = {
+    "_vector_plan", "_vector_plans", "_schedule_verdict", "_sched_cache",
+    "_var_directions_cached", "_dir_cache", "_kernels", "_segments",
+    "rule_sites", "vector_leaf_status", "_site_plan",
+}
+
+#: packages that sit below the command line
+LIBRARY = (
+    "compiler", "engine_fast", "analysis", "rewrite", "batch", "autotuner",
+    "runtime",
+)
+
+
+def modules():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC), ast.parse(path.read_text())
+
+
+def names_a_transform(node):
+    """``compiled`` / ``transform`` / ... or any ``<x>.transform``."""
+    if isinstance(node, ast.Name):
+        return node.id in TRANSFORM_NAMES
+    return isinstance(node, ast.Attribute) and node.attr == "transform"
+
+
+def test_no_private_member_of_a_compiled_transform_is_read_outside_compiler():
+    offenders = []
+    for path, tree in modules():
+        if path.parts[0] == "compiler":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and names_a_transform(node.value)
+            ):
+                offenders.append(f"{path}:{node.lineno} .{node.attr}")
+    assert offenders == []
+
+
+def test_the_removed_accessors_stay_removed():
+    offenders = []
+    for path, tree in modules():
+        for node in ast.walk(tree):
+            name = (
+                node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.FunctionDef)
+                else None
+            )
+            if name in REMOVED:
+                offenders.append(f"{path}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_the_library_does_not_import_the_command_line():
+    offenders = []
+    for path, tree in modules():
+        if path.parts[0] not in LIBRARY:
+            continue
+        for node in ast.walk(tree):
+            imported = []
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            if any(
+                name == "repro.cli" or name.startswith("repro.cli.")
+                for name in imported
+            ):
+                offenders.append(f"{path}:{node.lineno}")
+    assert offenders == []
+
+
+def test_a_sites_kernel_is_lowered_once_however_many_configs_plan_it(
+    monkeypatch,
+):
+    """Plans are per configuration, the closure kernel is per site: it
+    is lowered by the first plan that needs it and every later plan
+    holds the same object.  (The vector half of the same pin — serial
+    step ``is`` stacked step ``is`` ``site.vector[0]`` — sits with its
+    spies in ``test_batch.py``.)"""
+    import repro.compiler.codegen as codegen
+
+    lowered = []
+    lower_rule = codegen.lower_rule
+
+    def spy_lower_rule(rule, *args):
+        lowered.append(rule.label)
+        return lower_rule(rule, *args)
+
+    monkeypatch.setattr(codegen, "lower_rule", spy_lower_rule)
+    stages = compile_program(STAGES).transform("Stages")
+    shapes = [(3, 4)]
+    kernels = []
+    for block in (1, 2, 3, 4):
+        config = ChoiceConfig()
+        config.set_tunable("Stages.__block_size__", block)
+        plan = stages.plan(config, shapes)
+        kernels.append([step.kernel for step in plan.steps])
+    assert len(stages._plan_cache) == 4
+    assert sorted(lowered) == ["rule0", "rule1", "rule2"]
+    for per_plan in kernels:
+        assert all(a is b for a, b in zip(per_plan, kernels[0]))
+        assert [k is not None for k in per_plan] == [True] * 3
+    assert {id(site.kernel) for site in stages.sites.values()} == {
+        id(kernel) for kernel in kernels[0]
+    }

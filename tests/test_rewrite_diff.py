@@ -14,8 +14,6 @@ produce
 Blocked chains (PB602) must run as graceful no-ops under ``__fuse__``.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,31 +22,12 @@ from hypothesis import strategies as st
 from repro.analysis.depend import fusion_candidates
 from repro.compiler import ChoiceConfig, compile_program
 from repro.rewrite import REWRITE_BUDGET
-from repro.runtime.matrix import Matrix
-
-#: A value no generated program can produce from the bounded inputs.
-SENTINEL = -987654321.25
+from tests.conftest import SENTINEL, sentinel_alloc
 
 LEAF_PATHS = (0, 1, 2)
 
 _OPS = ("+", "-", "*")
 _CALLS = ("min", "max", "abs")
-
-
-@contextmanager
-def sentinel_alloc():
-    """Allocate output/through matrices filled with SENTINEL instead of
-    zeros, making the write set observable."""
-
-    def filled(shape, name="", dtype=np.float64):
-        return Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
-
-    original = Matrix.zeros
-    Matrix.zeros = staticmethod(filled)
-    try:
-        yield
-    finally:
-        Matrix.zeros = original
 
 
 def _observe(transform, inputs, config):

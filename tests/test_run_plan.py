@@ -32,7 +32,8 @@ from repro.runtime.matrix import Matrix, MatrixView
 from repro.symbolic import Affine
 from repro.symbolic.interval import Box
 from tests import test_batch_diff, test_engine_fast_diff, test_rewrite_diff
-from tests.test_engine_fast_diff import SENTINEL, _drop_fallbacks, sentinel_alloc
+from tests.conftest import SENTINEL, sentinel_alloc
+from tests.test_engine_fast_diff import _drop_fallbacks
 from tests.test_schedule_diff import chain_source
 
 BLUR = """

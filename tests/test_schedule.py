@@ -248,7 +248,7 @@ class TestOneVerdict:
             for segment in transform.grid.all_segments():
                 for option in segment.options:
                     rule = transform.ir.rules[option.primary]
-                    verdict = transform._schedule_verdict(segment, rule)
+                    verdict = transform.site(segment, rule).schedule
                     assert verdict.legal == (
                         (segment.key, rule.rule_id) in legal
                     ), (transform.name, segment.key, rule.label)

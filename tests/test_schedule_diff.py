@@ -19,8 +19,6 @@ Write sets are observable because output/through matrices are sentinel
 neighbor tile would consume the sentinel and corrupt the output.
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +30,7 @@ from repro.analysis.depend import (
 )
 from repro.compiler import ChoiceConfig, compile_program
 from repro.observe import TraceSink
-from repro.runtime.matrix import Matrix
-
-#: A value no generated program can produce from the bounded inputs.
-SENTINEL = -987654321.25
+from tests.conftest import SENTINEL, sentinel_alloc
 
 LEAF_PATHS = (0, 1, 2)
 
@@ -46,22 +41,6 @@ KNOB_SETS = (
     {"__tile_i__": 2, "__tile_j__": 2},
     {"__tile_i__": 2, "__tile_j__": 1, "__interchange__": 1},
 )
-
-
-@contextmanager
-def sentinel_alloc():
-    """Allocate output/through matrices filled with SENTINEL instead of
-    zeros, making the write set (and any premature read) observable."""
-
-    def filled(shape, name="", dtype=np.float64):
-        return Matrix(np.full(tuple(shape), SENTINEL, dtype=dtype), name)
-
-    original = Matrix.zeros
-    Matrix.zeros = staticmethod(filled)
-    try:
-        yield
-    finally:
-        Matrix.zeros = original
 
 
 def _observe(transform, inputs, sizes, config, sink=None):

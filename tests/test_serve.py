@@ -45,7 +45,7 @@ def _config(leaf=0, salt=None):
     config = ChoiceConfig()
     config.set_tunable("Scale.__leaf_path__", leaf)
     if salt is not None:
-        config.set_tunable("Scale.__salt__", salt)
+        config.set_tunable("Scale.salt", salt)
     return config
 
 
@@ -239,6 +239,35 @@ class TestServeApp:
             app.batch({"program": phash, "lines": lines, "strict": True})
         assert excinfo.value.status == 400
         assert "request line 2" in excinfo.value.message
+
+    def test_misspelt_reserved_tunable_is_400_or_that_lines_record(
+        self, app, phash
+    ):
+        """``ChoiceConfig.from_dict`` used to accept ``__Leaf_Path__``
+        and the run silently took the default leaf."""
+        good = {"transform": "Scale", "inputs": {"A": [[1.0]]}}
+        bad = {"tunables": {"Scale.__Leaf_Path__": 2}}
+        with pytest.raises(ServeError) as excinfo:
+            app.run(dict(good, program=phash, config=bad))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == (
+            "bad config: unknown reserved tunable 'Scale.__Leaf_Path__' "
+            "(nearest valid name: 'Scale.__leaf_path__')"
+        )
+        lines = [json.dumps(good) for _ in range(3)]
+        lines[1] = json.dumps(dict(good, config=bad))
+        response = app.batch({"program": phash, "lines": lines})
+        records = response["results"]
+        assert [record["ok"] for record in records] == [True, False, True]
+        assert records[1]["line"] == 2 and response["failed"] == 1
+        assert "unknown reserved tunable" in records[1]["error"]
+        with pytest.raises(ServeError) as excinfo:
+            app.batch({"program": phash, "lines": lines, "config": bad})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith("bad config: ")
+        # user tunables and the reserved names themselves are untouched
+        fine = {"tunables": {"Scale.salt": 1, "Scale.__leaf_path__": 2}}
+        assert "outputs" in app.run(dict(good, program=phash, config=fine))
 
     def test_tune_job_publishes_version(self, app, phash):
         job_id = app.tune(
@@ -523,6 +552,13 @@ class TestByteParity:
             json.dumps({"transform": "Scale", "inputs": {"A": [[5.0, 6.0]]}}),
             "not json at all",
             json.dumps({"transform": "Nope", "inputs": {}}),
+            json.dumps(
+                {
+                    "transform": "Scale",
+                    "inputs": {"A": [[1.0]]},
+                    "config": {"tunables": {"Scale.__Leaf_Path__": 2}},
+                }
+            ),
         ]
         source_path = tmp_path / "scale.pbcc"
         source_path.write_text(SCALE)

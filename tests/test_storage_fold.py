@@ -590,7 +590,7 @@ def test_negative_table_does_not_fold_and_stays_right(case):
     # which is the program's business, not this test's
     transform = compile_program(source, analyze=False).transform(name)
     (through,) = transform.ir.throughs
-    verdict = transform._storage_verdicts[through.name]
+    verdict = transform.storage_verdicts[through.name]
     assert not verdict.folds and why in verdict.reason, verdict
     assert transform._storage_folds == {}
     expected = reference(*inputs)
@@ -668,7 +668,7 @@ def test_a_native_body_blocks_the_fold():
 
     assert build(native=False)._storage_folds == {"S": (0, 2)}
     transform = build(native=True)
-    assert "native body" in transform._storage_verdicts["S"].reason
+    assert "native body" in transform.storage_verdicts["S"].reason
     np.testing.assert_allclose(
         transform.run([A2]).output(), 1.5 + A2.sum(axis=1), rtol=1e-13
     )
@@ -681,7 +681,7 @@ def test_a_cell_read_before_it_is_assigned_blocks_the_fold(body):
     """A fresh plane reads 0.0; a recycled slot would not."""
     source = chain_source().replace("s = prev + a * b;", body)
     transform = compile_program(source).transform("MatMulChain")
-    assert "before assigning it" in transform._storage_verdicts["S"].reason
+    assert "before assigning it" in transform.storage_verdicts["S"].reason
     inputs = matmul_inputs(6, 4, 5)
     np.testing.assert_array_equal(
         transform.run(inputs).output(), chain_planes(*inputs)[-1]
@@ -702,7 +702,7 @@ def test_pb606_explains_the_fold():
         "plane(s) back; the last reader is rule3 at plane 1 +p)"
     ) == pb606.message
     assert diags["PB603"].message.endswith("; S folds ×3")
-    assert storage_witness(folded, folded._storage_verdicts["S"]) is None
+    assert storage_witness(folded, folded.storage_verdicts["S"]) is None
 
 
 def test_pb607_carries_a_witness_that_replays():
@@ -712,7 +712,7 @@ def test_pb607_carries_a_witness_that_replays():
         "storage of U is not folded: segments U.3, U.4, U.5 share planes "
         "[1, 1 +k) and run one after the other"
     )
-    witness = storage_witness(heat, heat._storage_verdicts["U"])
+    witness = storage_witness(heat, heat.storage_verdicts["U"])
     assert pb607.witness == witness.describe()
     # the edge chain (U.3) laps cell 0 before the interior (U.4) reads it
     assert (witness.writer_segment, witness.reader_segment) == ("U.3", "U.4")
@@ -752,17 +752,16 @@ def out_of_range_errors(transform):
     one past the declared extent (the write), driven below the schedule
     walk, which never produces such an instance."""
     rule = transform.ir.rules[1]  # the chain rule of MatMulChain
-    segment = transform._segments["S.1"]
+    site = transform.site(transform.grid.segments["S"][1], rule)
     env = {"n": 4, "m": 3, "p": 5}
     planes = transform.plan(None, [(4, 5), (5, 3)]).allocations[1][1][0]
     arrays = {
         "S": np.zeros((planes, 4, 3)), "A": np.zeros((4, 5)),
         "B": np.zeros((5, 3)),
     }
-    instance = transform._kernel(rule, ("k", "i", "j")).maker(
-        env, {}, arrays, None
-    )
-    vector = transform._vector_plan(segment, rule, False)[0]
+    assert site.kernel.params == ("k", "i", "j")
+    instance = site.kernel.maker(env, {}, arrays, None)
+    vector = site.vector[0]
     step = vector.maker(env, {}, {k: v[None] for k, v in arrays.items()})
     views = {k: Matrix.from_array(v).whole() for k, v in arrays.items()}
     state = _EngineState(ChoiceConfig(), (), TaskRecorder())
@@ -807,18 +806,10 @@ PARENT_KERNELS = {
 
 
 def kernel_digest(transform):
-    from repro.engine_fast.geometry import split_chain_free
-
     digest = hashlib.sha256()
-    for segment, option, rule in transform.rule_sites():
-        plan = transform._vector_plan(
-            segment, rule, option.fallback is not None
-        )[0]
+    for site in transform.sites.values():
+        plan, kernel = site.vector[0], site.kernel
         digest.update((plan.source if plan else "-").encode())
-        chain, free = split_chain_free(
-            *transform._var_directions_cached(segment, rule)
-        )
-        kernel = transform._kernel(rule, chain + free)
         digest.update((kernel.source if kernel else "-").encode())
     return digest.hexdigest()
 
@@ -836,16 +827,13 @@ def test_unfolded_programs_generate_the_parents_source(source, name):
 
 def test_a_folded_index_is_emitted_only_on_the_folded_axis():
     folded, baseline = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
-    rule, segment = folded.ir.rules[2], folded._segments["S.2"]
-    for source in (
-        folded._vector_plan(segment, rule, False)[0].source,
-        folded._kernel(rule, ("k", "i", "j")).source,
-    ):
+    site = folded.site(folded.grid.segments["S"][2], folded.ir.rules[2])
+    assert site.kernel.params == ("k", "i", "j")
+    for source in (site.vector[0].source, site.kernel.source):
         assert source.count("% 3") == 3  # s, r1, r2 — axis 0 only
-    for source in (
-        baseline._vector_plan(segment, rule, False)[0].source,
-        baseline._kernel(rule, ("k", "i", "j")).source,
-    ):
+    site = baseline.sites[site.segment.key, site.rule.rule_id]
+    assert site.kernel.params == ("k", "i", "j")
+    for source in (site.vector[0].source, site.kernel.source):
         assert "%" not in source
 
 
@@ -863,7 +851,7 @@ def test_the_planning_path_never_enumerates_dependences(monkeypatch):
         compile_program(source).transform(name).plan(None, shapes)
     heat = compile_program(HEAT).transform("Heat")
     heat.plan(None, [(9,)], {"k": 2})
-    assert set(heat._storage_verdicts) == {"U"}
+    assert set(heat.storage_verdicts) == {"U"}
     blur = compile_program(BLUR).transform("Blur")
     blur.plan(None, [(6, 6)])
-    assert blur._storage_verdicts == {}  # no through matrix, no verdict
+    assert blur.storage_verdicts == {}  # no through matrix, no verdict
