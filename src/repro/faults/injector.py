@@ -54,7 +54,7 @@ key off the request's ``rid`` payload field and the client's retry
 ``attempt`` counter, so HTTP fault plans replay identically too):
 
 * ``conn-drop`` — the daemon truncates a response mid-body and closes
-  the connection: exercises client retry on ``IncompleteRead``.
+  the connection: exercises client retry on ``BrokenReply``.
 * ``slow-handler`` — an admitted request sleeps in its handler:
   exercises deadline budgets and queue backpressure.
 * ``shed-storm`` — admission force-sheds the request with a structured

@@ -6,8 +6,8 @@ once, keeps hot :class:`~repro.compiler.codegen.CompiledTransform`\\ s
 and tuned :class:`~repro.compiler.config.ChoiceConfig`\\ s in a
 versioned in-memory registry keyed by ``(program blake2b hash, machine
 profile, input-size bucket)``, and answers run / batch / tune / check
-requests over an HTTP/JSON API (stdlib only), with an on-disk artifact
-store behind it for restart recovery.
+requests over an HTTP/JSON API (no dependencies), with an on-disk
+artifact store behind it for restart recovery.
 
 * :mod:`repro.serve.registry` — the versioned registry (O(1) lock-free
   hot-path lookup, atomic version bumps).
@@ -19,12 +19,15 @@ store behind it for restart recovery.
   structured load shedding, drain state, and the client retry policy.
 * :mod:`repro.serve.jobs` — background workers for tuning requests
   (event-based waits, idempotent enqueue, drain-aware).
-* :mod:`repro.serve.daemon` — the stdlib HTTP front end (liveness vs
+* :mod:`repro.serve.transport` — all the HTTP/1.1 there is: one head
+  reader and one single-call message writer, shared by both sides.
+* :mod:`repro.serve.daemon` — the HTTP front end (liveness vs
   readiness probes, graceful ``/shutdown`` drain, Retry-After headers,
-  dropped-connection tolerance).
+  structured refusals, dropped-connection tolerance).
 * :mod:`repro.serve.client` — the thin client behind ``repro client``
-  (bounded retries with deterministic backoff, Retry-After honoring,
-  idempotency keys for ``/tune``).
+  (one kept-alive connection per thread, bounded retries with
+  deterministic backoff, Retry-After honoring, idempotency keys for
+  ``/tune``).
 * :mod:`repro.serve.records` — the canonical result records shared with
   ``repro batch`` (bit-parity between served and direct execution), the
   structured error-body shape, and the wire codec: arrays travel out of

@@ -1,4 +1,4 @@
-"""Thin client for the serve daemon — stdlib ``http.client`` only.
+"""Thin client for the serve daemon, over one kept-alive socket.
 
 :class:`ServeClient` is the programmatic API; the ``repro client`` CLI
 subcommand (:mod:`repro.cli`) wraps it.  The client is deliberately
@@ -10,10 +10,12 @@ compile-once handshake costs one extra request, once.
 Wire: a request that carries arrays is one frame (JSON header + raw
 float64 blobs, :mod:`repro.serve.records`), built and split here around
 this module's own ``json.dumps``/``json.loads`` calls; everything else
-is plain JSON.  A reply is classified by status first: a non-2xx is a
-:class:`ServeClientError` whatever its body (the daemon's structured
-error, or the status line's reason phrase for a page that is not ours),
-and only a 2xx body that fails to decode counts as a cut connection.
+is plain JSON; the HTTP around either is
+:class:`repro.serve.transport.Connection`.  A reply is classified by
+status first: a non-2xx is a :class:`ServeClientError` whatever its body
+(the daemon's structured error, or the status line's reason phrase for a
+page that is not ours — a proxy's), and only a 2xx body that fails to
+decode counts as a cut connection.
 
 Client-side resilience (the other half of the serving contract):
 
@@ -40,7 +42,6 @@ Retry accounting lands on an optional sink: ``serve.retry.attempts``
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
@@ -52,6 +53,7 @@ from repro.serve.records import FrameWriter, WireError, decode_array
 from repro.serve.records import encode_array, split_frame
 from repro.serve.registry import program_digest
 from repro.serve.resilience import RetryPolicy
+from repro.serve.transport import BrokenReply, Connection
 
 #: Routes safe to replay (see module docstring); everything POSTed
 #: outside this set gets exactly one attempt unless it carries an
@@ -62,11 +64,7 @@ IDEMPOTENT_POSTS = frozenset(
 
 #: Transport-level failures worth a retry: the request may never have
 #: reached the daemon, or the response was cut off mid-body.
-_RETRYABLE_TRANSPORT = (
-    ConnectionError,
-    http.client.HTTPException,
-    TimeoutError,
-)
+_RETRYABLE_TRANSPORT = (ConnectionError, TimeoutError)
 
 
 class ServeClientError(Exception):
@@ -183,58 +181,58 @@ class ServeClient:
     ) -> Dict[str, Any]:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = self._local.connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
+            connection = self._local.connection = Connection(
+                self.host, self.port, self.timeout
             )
-        body = None
-        headers = {}
+        body = content_type = None
         if payload is not None:
             frame = FrameWriter()
             body = frame.body(json.dumps(payload, default=frame))
-            headers["Content-Type"] = frame.content_type
+            content_type = frame.content_type
         try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
+            reply = connection.request(method, path, body, content_type)
             try:
-                header, arrays = split_frame(raw or b"{}")
+                header, arrays = split_frame(reply.body or b"{}")
                 data = json.loads(header, object_hook=arrays)
                 if arrays is not None and arrays.broken:
                     raise WireError("frame: broken array reference")
             except ValueError:
-                if response.status < 300:
+                if reply.status < 300:
                     # A truncated or garbled body on a 2xx is a dropped
                     # connection in JSON clothing — classify it as such
                     # so it retries.
-                    raise http.client.IncompleteRead(raw)
-                # Not one of ours (the stdlib's HTML error pages, a
-                # proxy): the status still says what happened.
+                    raise BrokenReply("undecodable 2xx reply") from None
+                # Not one of ours (a proxy's HTML error page): the
+                # status still says what happened.
                 data = None
         except BaseException:
             # Whatever state the exchange died in, never reuse it.
-            connection.close()
-            del self._local.connection
+            self._drop_connection()
             raise
-        if response.status >= 300:
+        if reply.closing:
+            self._drop_connection()
+        if reply.status >= 300:
             retry_after: Optional[float] = None
-            header = response.getheader("Retry-After")
-            if header is not None:
-                try:
-                    retry_after = float(header)
-                except ValueError:
-                    retry_after = None
+            try:
+                retry_after = float(reply.headers["retry-after"])
+            except (KeyError, ValueError):
+                pass
             if isinstance(data, dict):
                 retry_after = data.get("retry_after", retry_after)
                 reason = data.get("reason")
                 message = data.get("error", "unknown error")
             else:
                 reason = None
-                message = response.reason or "unknown error"
+                message = reply.reason or "unknown error"
             raise ServeClientError(
-                response.status, message,
+                reply.status, message,
                 reason=reason, retry_after=retry_after,
             )
         return data
+
+    def _drop_connection(self) -> None:
+        self._local.connection.close()
+        del self._local.connection
 
     def _count(self, name: str) -> None:
         if self.sink is not None:

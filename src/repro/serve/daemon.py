@@ -1,7 +1,8 @@
 """HTTP/JSON front end for :class:`~repro.serve.app.ServeApp`.
 
-Pure marshaling over the stdlib: a :class:`ThreadingHTTPServer` (one
-thread per connection, no new dependencies) that parses JSON bodies —
+Pure marshaling: a ``socketserver`` TCP server (one thread per
+connection, no new dependencies) whose handler reads and writes
+HTTP/1.1 through :mod:`repro.serve.transport`, parses JSON bodies —
 plain, or the header of a frame whose arrays follow it as raw float64
 (:mod:`repro.serve.records`; told apart by the body's first bytes) —
 dispatches to the app method for the route, and serializes the response
@@ -30,10 +31,15 @@ Resilience at the transport layer:
   pushes back at the kernel instead of accumulating unbounded sockets.
 * ``Content-Length`` is validated before anything is read by it: not a
   non-negative decimal integer is a 400, above :data:`MAX_BODY_BYTES` a
-  413; either way the body stays unread and the connection closes.
+  413, and a request with a ``Transfer-Encoding`` (chunked bodies are
+  not read) a 501; each way the body stays unread and the connection
+  closes.  So does a head the transport cannot read (400 / 414 / 431)
+  and a method that has no routes (501) — every refusal is the
+  structured JSON body, none leaves bytes behind to be parsed as the
+  next request.
 * The deterministic ``conn-drop`` fault kind truncates a response
   mid-body here — declared ``Content-Length``, half the bytes, close —
-  which is what a retrying client sees as an ``IncompleteRead``.
+  which is what a retrying client sees as a ``BrokenReply``.
 """
 
 from __future__ import annotations
@@ -41,12 +47,14 @@ from __future__ import annotations
 import json
 import math
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.app import ServeApp, ServeError
 from repro.serve.records import FrameWriter, error_body, split_frame
+from repro.serve.transport import REASONS, HeadError, ends_connection
+from repro.serve.transport import read_head, send_message
 
 #: Default daemon port (spells "PB" on a phone keypad, near enough).
 DEFAULT_PORT = 7209
@@ -60,12 +68,10 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 _CONN_ERRORS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
+class _Handler(socketserver.StreamRequestHandler):
     app: ServeApp  # injected by ServeDaemon via the handler subclass
-    # Clients keep their connection; with Nagle on, a reply's body
-    # would wait ~40 ms behind its header for the peer's delayed ACK.
+    # Clients keep their connection; with Nagle on, a small reply could
+    # wait ~40 ms for the peer's delayed ACK of the one before it.
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -77,68 +83,109 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.connections.discard(self.connection)
         super().finish()
 
-    # -- routing ------------------------------------------------------------
+    def handle(self) -> None:
+        """The keep-alive loop: requests off this connection, in order,
+        until either side asks to close or framing is lost."""
+        self.close_connection = False
+        while not self.close_connection:
+            self._handle_one()
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
+    def _handle_one(self) -> None:
         try:
-            if self.path == "/health":
-                self._reply(200, self.app.health())
-            elif self.path == "/ready":
-                verdict = self.app.ready_probe()
-                self._reply(200 if verdict["ready"] else 503, verdict)
-            elif self.path == "/stats":
-                self._reply(200, self.app.stats())
-            elif self.path.startswith("/jobs/"):
-                self._reply(200, self.app.job(self.path[len("/jobs/"):]))
-            elif self.path.startswith("/programs/"):
-                self._reply(
-                    200,
-                    self.app.program_info(self.path[len("/programs/"):]),
-                )
-            else:
-                self._reply(404, error_body(f"no route {self.path!r}"))
+            head = read_head(self.rfile)
+            if head is None:  # the peer is done with the connection
+                self.close_connection = True
+                return
+            line, self.headers = head
+            words = line.split()
+            if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+                raise HeadError(400, f"malformed request line {line[:80]!r}")
+            method, self.path, version = words
+            self.close_connection = ends_connection(version, self.headers)
+            if "transfer-encoding" in self.headers:
+                raise self._unread(ServeError(
+                    501,
+                    "Transfer-Encoding is not supported: send the body "
+                    "with a Content-Length",
+                ))
+            route = self._ROUTES.get(method)
+            if route is None:
+                raise self._unread(ServeError(
+                    501, f"unsupported method {method[:80]!r}"
+                ))
+            route(self)
+        except HeadError as exc:
+            self._reply_error(
+                self._unread(ServeError(exc.status, exc.message))
+            )
         except _CONN_ERRORS:
+            # Reset while idle, mid-upload or mid-reply: nobody is left
+            # to answer.
+            self.close_connection = True
             self._count_conn_dropped()
         except ServeError as exc:
             self._reply_error(exc)
         except Exception as exc:  # never kill the connection thread
             self._reply(500, error_body(f"{type(exc).__name__}: {exc}"))
 
-    def do_POST(self) -> None:  # noqa: N802
-        try:
-            payload = self._payload()
-            if self.path == "/compile":
-                self._reply(200, self.app.compile(payload))
-            elif self.path == "/run":
-                self._reply(
-                    200,
-                    self.app.run(payload),
-                    drop=self.app.injected_conn_drop("run", payload),
-                )
-            elif self.path == "/batch":
-                self._reply(
-                    200,
-                    self.app.batch(payload),
-                    drop=self.app.injected_conn_drop("batch", payload),
-                )
-            elif self.path == "/tune":
-                self._reply(200, self.app.tune(payload))
-            elif self.path == "/check":
-                self._reply(200, self.app.check(payload))
-            elif self.path == "/shutdown":
-                self.app.begin_drain()
-                self._reply(200, {"ok": True, "state": "draining"})
-                threading.Thread(
-                    target=self._drain_then_stop, daemon=True
-                ).start()
-            else:
-                self._reply(404, error_body(f"no route {self.path!r}"))
-        except _CONN_ERRORS:
-            self._count_conn_dropped()
-        except ServeError as exc:
-            self._reply_error(exc)
-        except Exception as exc:
-            self._reply(500, error_body(f"{type(exc).__name__}: {exc}"))
+    def _unread(self, refusal: ServeError) -> ServeError:
+        """``refusal``, ready to raise, of a request whose body (if any)
+        stays unread: whatever the peer sends next is not a request, so
+        the reply to this one says ``Connection: close``."""
+        self.close_connection = True
+        self.app.sink.count("serve.bad_requests")
+        return refusal
+
+    # -- routing ------------------------------------------------------------
+
+    def _get(self) -> None:
+        if self.path == "/health":
+            self._reply(200, self.app.health())
+        elif self.path == "/ready":
+            verdict = self.app.ready_probe()
+            self._reply(200 if verdict["ready"] else 503, verdict)
+        elif self.path == "/stats":
+            self._reply(200, self.app.stats())
+        elif self.path.startswith("/jobs/"):
+            self._reply(200, self.app.job(self.path[len("/jobs/"):]))
+        elif self.path.startswith("/programs/"):
+            self._reply(
+                200,
+                self.app.program_info(self.path[len("/programs/"):]),
+            )
+        else:
+            self._reply(404, error_body(f"no route {self.path!r}"))
+
+    def _post(self) -> None:
+        payload = self._payload()
+        if self.path == "/compile":
+            self._reply(200, self.app.compile(payload))
+        elif self.path == "/run":
+            self._reply(
+                200,
+                self.app.run(payload),
+                drop=self.app.injected_conn_drop("run", payload),
+            )
+        elif self.path == "/batch":
+            self._reply(
+                200,
+                self.app.batch(payload),
+                drop=self.app.injected_conn_drop("batch", payload),
+            )
+        elif self.path == "/tune":
+            self._reply(200, self.app.tune(payload))
+        elif self.path == "/check":
+            self._reply(200, self.app.check(payload))
+        elif self.path == "/shutdown":
+            self.app.begin_drain()
+            self._reply(200, {"ok": True, "state": "draining"})
+            threading.Thread(
+                target=self._drain_then_stop, daemon=True
+            ).start()
+        else:
+            self._reply(404, error_body(f"no route {self.path!r}"))
+
+    _ROUTES = {"GET": _get, "POST": _post}
 
     def _drain_then_stop(self) -> None:
         """Graceful stop: finish admitted work (bounded by the drain
@@ -149,29 +196,27 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing -----------------------------------------------------------
 
     def _payload(self) -> Dict[str, Any]:
-        declared = (self.headers.get("Content-Length") or "0").strip()
+        declared = self.headers.get("content-length") or "0"
         digits = declared.lstrip("0") or "0"
-        refusal = None
+        # Nothing is read on a length we cannot trust.
         if not (declared.isascii() and declared.isdigit()):
-            refusal = ServeError(400, f"bad Content-Length {declared!r}")
-        elif len(digits) > 18 or int(digits) > MAX_BODY_BYTES:
-            refusal = ServeError(
+            raise self._unread(
+                ServeError(400, f"bad Content-Length {declared!r}")
+            )
+        if len(digits) > 18 or int(digits) > MAX_BODY_BYTES:
+            raise self._unread(ServeError(
                 413,
                 f"body of {digits} bytes exceeds the limit of "
                 f"{MAX_BODY_BYTES}",
-            )
-        if refusal is not None:
-            # Nothing is read on a length we cannot trust, so whatever
-            # the peer sends next is not a request: answer and hang up.
-            self.close_connection = True
-            self.app.sink.count("serve.bad_requests")
-            raise refusal
+            ))
         length = int(digits)
         if length == 0:
             return {}
+        if self.headers.get("expect", "").lower() == "100-continue":
+            # The peer holds its body back until told the head was fine.
+            send_message(self.connection, b"HTTP/1.1 100 Continue\r\n\r\n")
         # A client vanishing mid-upload raises a connection error here,
-        # caught by the route dispatcher so the handler never runs on a
-        # half-read body.
+        # caught by ``_handle_one`` so no route runs on a half-read body.
         raw = self.rfile.read(length)
         try:
             header, arrays = split_frame(raw)
@@ -199,41 +244,37 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         frame = FrameWriter()
         body = frame.body(json.dumps(payload, sort_keys=True, default=frame))
+        head = (
+            f"HTTP/1.1 {status} {REASONS.get(status, '')}\r\n"
+            "Server: repro-serve\r\n"
+            f"Content-Type: {frame.content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+        )
+        if retry_after is not None:
+            # HTTP wants integral seconds; never round a positive hint
+            # down to "retry immediately".
+            head += f"Retry-After: {max(1, math.ceil(retry_after))}\r\n"
+        if drop or self.close_connection:
+            head += "Connection: close\r\n"
+        if drop:
+            # Injected conn-drop: declared length, half the bytes, then
+            # hang up — the client sees a BrokenReply.
+            body = body[: len(body) // 2]
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", frame.content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if retry_after is not None:
-                # HTTP wants integral seconds; never round a positive
-                # hint down to "retry immediately".
-                self.send_header(
-                    "Retry-After", str(max(1, math.ceil(retry_after)))
-                )
-            if drop or self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            if drop:
-                # Injected conn-drop: declared length, half the bytes,
-                # then hang up — the client sees an IncompleteRead.
-                self.wfile.write(body[: len(body) // 2])
-                self.wfile.flush()
-                self.close_connection = True
-                self._count_conn_dropped()
-                return
-            self.wfile.write(body)
+            send_message(
+                self.connection, (head + "\r\n").encode("latin-1"), body
+            )
         except _CONN_ERRORS:
             # The peer hung up while we were answering.  Writing again
             # (e.g. an error reply) would just raise on the same dead
             # socket; count it and let the handler thread end quietly.
+            drop = True
+        if drop:
             self.close_connection = True
             self._count_conn_dropped()
 
     def _count_conn_dropped(self) -> None:
         self.app.sink.count("serve.conn_dropped")
-
-    def log_message(self, fmt: str, *args: Any) -> None:
-        """Per-request access logging is the sink's job (counters and
-        latency histograms); keep stderr quiet."""
 
 
 class ServeDaemon:
@@ -255,12 +296,15 @@ class ServeDaemon:
         handler = type("_BoundHandler", (_Handler,), {"app": app})
         server_cls = type(
             "_BoundServer",
-            (ThreadingHTTPServer,),
-            {"request_queue_size": max(1, int(backlog))},
+            (socketserver.ThreadingTCPServer,),
+            {
+                "request_queue_size": max(1, int(backlog)),
+                "allow_reuse_address": True,
+                "daemon_threads": True,
+            },
         )
         self.server = server_cls((host, port), handler)
         self.server.connections = set()  # open sockets, idle or busy
-        self.server.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
     @property

@@ -78,24 +78,48 @@ def test_the_removed_accessors_stay_removed():
     assert offenders == []
 
 
+def imports(tree):
+    """``(line, dotted name)`` of everything ``tree`` imports; a
+    ``from a import b`` names both ``a`` and ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, node.module or ""
+            for alias in node.names:
+                yield node.lineno, f"{node.module}.{alias.name}"
+
+
+def is_under(name, package):
+    return name == package or name.startswith(package + ".")
+
+
 def test_the_library_does_not_import_the_command_line():
-    offenders = []
-    for path, tree in modules():
-        if path.parts[0] not in LIBRARY:
-            continue
-        for node in ast.walk(tree):
-            imported = []
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                imported = [node.module or ""] + [
-                    f"{node.module}.{alias.name}" for alias in node.names
-                ]
-            if any(
-                name == "repro.cli" or name.startswith("repro.cli.")
-                for name in imported
-            ):
-                offenders.append(f"{path}:{node.lineno}")
+    offenders = [
+        f"{path}:{line}"
+        for path, tree in modules()
+        if path.parts[0] in LIBRARY
+        for line, name in imports(tree)
+        if is_under(name, "repro.cli")
+    ]
+    assert offenders == []
+
+
+def test_serve_speaks_http_through_its_own_transport_only():
+    """Nothing under ``repro/serve`` goes back to the stdlib's HTTP
+    stack, and the transport stands alone: no import from ``repro``."""
+    offenders = [
+        f"{path}:{line} {name}"
+        for path, tree in modules()
+        if path.parts[0] == "serve"
+        for line, name in imports(tree)
+        if any(
+            is_under(name, banned)
+            for banned in ("http.server", "http.client", "email")
+        )
+        or (path.name == "transport.py" and is_under(name, "repro"))
+    ]
     assert offenders == []
 
 

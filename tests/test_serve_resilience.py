@@ -12,7 +12,9 @@ not the daemon's own JSON.
 """
 
 import json
+import select
 import socket
+import struct
 import threading
 import time
 
@@ -37,6 +39,7 @@ from repro.serve import (
 )
 from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.observe.trace import ThreadSafeSink
+from tests.test_serve_wire import converse
 
 SCALE = """
 transform Scale
@@ -455,7 +458,7 @@ class TestClientRetries:
                 port=daemon.port, retry=RetryPolicy(retries=0)
             )
             phash = client.compile(SCALE)["program"]
-            with pytest.raises(Exception):
+            with pytest.raises(ConnectionError, match="reply cut off at"):
                 client.run(phash, "Scale", {"A": [[2.0]]}, rid="r1")
         finally:
             daemon.stop()
@@ -522,55 +525,65 @@ class TestClientRetries:
 
 
 class TestConnDropHandling:
-    def _bare_handler(self, app):
+    """``_Handler._reply`` writing to a real socket whose peer is gone."""
+
+    def _handler_on(self, app, connection):
         handler_cls = type("_TestHandler", (_Handler,), {"app": app})
         handler = object.__new__(handler_cls)
+        handler.connection = connection
         handler.close_connection = False
-        handler.send_response = lambda *a, **k: None
-        handler.send_header = lambda *a, **k: None
-        handler.end_headers = lambda: None
         return handler
 
     def test_reply_swallows_broken_pipe(self):
         app = _app()
+        ours, peer = socket.socketpair()
         try:
-            handler = self._bare_handler(app)
-
-            class _DeadSocket:
-                def write(self, data):
-                    raise BrokenPipeError("peer went away")
-
-                def flush(self):
-                    pass
-
-            handler.wfile = _DeadSocket()
+            peer.close()
+            handler = self._handler_on(app, ours)
             handler._reply(200, {"ok": True})  # must not raise
             assert handler.close_connection is True
             assert app.sink.counters["serve.conn_dropped"] == 1
         finally:
+            ours.close()
             app.close()
 
     def test_reply_swallows_connection_reset(self):
+        """A TCP peer that closes with linger 0 sends a RST."""
         app = _app()
+        listener = socket.create_server(("127.0.0.1", 0))
+        peer = socket.create_connection(listener.getsockname())
+        ours, _ = listener.accept()
         try:
-            handler = self._bare_handler(app)
-
-            class _ResetSocket:
-                def write(self, data):
-                    raise ConnectionResetError("reset by peer")
-
-                def flush(self):
-                    pass
-
-            handler.wfile = _ResetSocket()
+            peer.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            peer.close()
+            # the RST has arrived once our end polls readable
+            assert select.select([ours], [], [], 5.0)[0]
+            handler = self._handler_on(app, ours)
             handler._reply(500, {"error": "boom"})
+            assert handler.close_connection is True
             assert app.sink.counters["serve.conn_dropped"] == 1
         finally:
+            ours.close()
+            listener.close()
             app.close()
 
 
 # ---------------------------------------------------------------------------
 # a Content-Length that cannot be trusted
+
+
+def _refused(daemon, request, half_close=False):
+    """``request`` bytes over a raw socket, answered by exactly one
+    reply and a hang-up inside a second (a daemon still waiting to read
+    more fails here): (status, headers, JSON body)."""
+    started = time.monotonic()
+    ((status, headers, body),) = converse(
+        daemon, request, half_close=half_close
+    )
+    assert time.monotonic() - started < 1.0
+    return status, headers, json.loads(body)
 
 
 class TestContentLength:
@@ -582,45 +595,28 @@ class TestContentLength:
 
     @staticmethod
     def _exchange(daemon, content_length, body=b"{}"):
-        """POST /run over a raw socket with the header exactly as given;
-        returns (seconds to the reply, status, headers, JSON body).  The
-        socket times out after 1 s: no reply within it fails the test."""
-        with socket.create_connection(
-            ("127.0.0.1", daemon.port), timeout=1.0
-        ) as sock:
-            started = time.monotonic()
-            sock.sendall(
-                b"POST /run HTTP/1.1\r\nHost: test\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: " + content_length + b"\r\n\r\n" + body
-            )
-            reply = b""
-            while True:  # the daemon hangs up after each of these
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                reply += chunk
-            elapsed = time.monotonic() - started
-        head, _, payload = reply.partition(b"\r\n\r\n")
-        status_line, *header_lines = head.decode("latin-1").split("\r\n")
-        headers = dict(line.split(": ", 1) for line in header_lines)
-        status = int(status_line.split()[1])
-        return elapsed, status, headers, json.loads(payload)
+        """POST /run with the header exactly as given."""
+        return _refused(
+            daemon,
+            b"POST /run HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + content_length + b"\r\n\r\n" + body,
+        )
 
     @pytest.mark.parametrize("value", [b"abc", b"1e3", b"+2", b"0x10", b"2 2"])
     def test_not_a_number_is_400(self, daemon, value):
-        elapsed, status, headers, body = self._exchange(daemon, value)
-        assert status == 400 and elapsed < 1.0
-        assert headers["Connection"] == "close"
-        assert headers["Content-Type"] == "application/json"
+        status, headers, body = self._exchange(daemon, value)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
         assert body["error"].startswith("bad Content-Length")
         assert daemon.app.sink.counters["serve.bad_requests"] == 1
 
     def test_negative_is_400_not_a_read_to_eof(self, daemon):
         """``rfile.read(-1)`` would wait for the peer to hang up."""
-        elapsed, status, headers, body = self._exchange(daemon, b"-1")
-        assert status == 400 and elapsed < 1.0
-        assert headers["Connection"] == "close"
+        status, headers, body = self._exchange(daemon, b"-1")
+        assert status == 400
+        assert headers["connection"] == "close"
         assert body == {"error": "bad Content-Length '-1'"}
         assert daemon.app.sink.counters["serve.bad_requests"] == 1
 
@@ -628,22 +624,109 @@ class TestContentLength:
         "length", [str(MAX_BODY_BYTES + 1), "99999999999999", "9" * 5000]
     )
     def test_oversized_is_413_with_the_body_unread(self, daemon, length):
-        elapsed, status, headers, body = self._exchange(
+        status, headers, body = self._exchange(
             daemon, length.encode("ascii")
         )
-        assert status == 413 and elapsed < 1.0
-        assert headers["Connection"] == "close"
+        assert status == 413
+        assert headers["connection"] == "close"
         assert str(MAX_BODY_BYTES) in body["error"]
         assert daemon.app.sink.counters["serve.bad_requests"] == 1
 
 
 # ---------------------------------------------------------------------------
-# error pages that are not ours
+# requests refused before routing
+
+
+#: name -> (request bytes, status, start of the error message)
+REFUSED = {
+    "chunked body": (
+        b"POST /compile HTTP/1.1\r\nHost: t\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b"10\r\n{\"source\": \"x\"}\r\n0\r\n\r\n",
+        501, "Transfer-Encoding is not supported",
+    ),
+    "chunked and a length": (
+        b"POST /run HTTP/1.1\r\nContent-Length: 2\r\n"
+        b"transfer-encoding: gzip, chunked\r\n\r\n{}",
+        501, "Transfer-Encoding is not supported",
+    ),
+    "unsupported method": (
+        b"DELETE /programs/x HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+        501, "unsupported method 'DELETE'",
+    ),
+    "request line too long": (
+        b"GET /" + b"x" * 70000 + b" HTTP/1.1\r\n\r\n",
+        414, "start line exceeds 65536 bytes",
+    ),
+    "header line too long": (
+        b"GET /health HTTP/1.1\r\nX-Pad: " + b"x" * 70000 + b"\r\n\r\n",
+        431, "header line exceeds 65536 bytes",
+    ),
+    "too many headers": (
+        b"GET /health HTTP/1.1\r\n"
+        + b"".join(b"X-%d: y\r\n" % n for n in range(101)) + b"\r\n",
+        431, "more than 100 headers",
+    ),
+    "two-word request line": (
+        b"GET /health\r\n\r\n", 400, "malformed request line",
+    ),
+    "not http at all": (
+        b"\x16\x03\x01\x02\x00\x01\x00\x01\xfc\x03\x03\r\n\r\n",
+        400, "malformed request line",
+    ),
+    "http/2 preface": (
+        b"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n", 400, "malformed request line",
+    ),
+    "header without a colon": (
+        b"GET /health HTTP/1.1\r\nno colon here\r\n\r\n",
+        400, "malformed header line",
+    ),
+    "folded header": (
+        b"GET /health HTTP/1.1\r\nX-A: 1\r\n  continued\r\n\r\n",
+        400, "malformed header line",
+    ),
+    "head cut off": (
+        b"GET /health HTTP/1.1\r\nHost: t\r\n", 400, "message head cut off",
+    ),
+}
+
+
+class TestRefusedBeforeRouting:
+    """Whatever the transport or the handler refuses without reading a
+    body: one structured JSON error, ``Connection: close``, the rest of
+    the stream never parsed as a second request."""
+
+    @pytest.fixture()
+    def daemon(self):
+        server = ServeDaemon(_app(), port=0).start_background()
+        yield server
+        server.stop()
+
+    @pytest.mark.parametrize("name", sorted(REFUSED))
+    def test_one_structured_reply_then_close(self, daemon, name):
+        request, want_status, message = REFUSED[name]
+        # a head that just stops is only refused once the stream ends
+        status, headers, body = _refused(
+            daemon, request, half_close=(name == "head cut off")
+        )
+        assert headers["connection"] == "close"
+        assert headers["content-type"] == "application/json"
+        assert status == want_status
+        assert set(body) == {"error"} and body["error"].startswith(message)
+        assert daemon.app.sink.counters["serve.bad_requests"] == 1
+        # and the daemon is none the worse for it
+        assert ServeClient(port=daemon.port).health()["ok"] is True
+
+
+# ---------------------------------------------------------------------------
+# refusals: the daemon's own are structured, a proxy's are not
 
 
 class TestForeignErrorBodies:
-    """The stdlib answers what it rejects itself with an HTML page: a
-    status to report, not a cut connection to re-send."""
+    """A request the daemon refuses before routing gets the structured
+    JSON error like any other; a non-2xx whose body is not ours (a
+    proxy's HTML page) is still a status to report, not a cut
+    connection to re-send."""
 
     @pytest.fixture()
     def served(self):
@@ -654,26 +737,63 @@ class TestForeignErrorBodies:
             retry=RetryPolicy(retries=3, backoff_s=0.2),
             sink=sink,
         )
-        yield client, sink
+        yield client, sink, daemon.app.sink
         daemon.stop()
 
     def test_unsupported_method_is_a_501_once(self, served):
-        client, sink = served
+        client, sink, daemon_sink = served
         started = time.monotonic()
         with pytest.raises(ServeClientError) as excinfo:
             client.request("PUT", "/run", {"program": "x"})
         assert excinfo.value.status == 501
-        assert "Unsupported method" in excinfo.value.message
+        assert excinfo.value.message == "unsupported method 'PUT'"
         assert not excinfo.value.shed
         assert sink.counters.get("serve.retry.attempts", 0) == 0
         assert time.monotonic() - started < 0.2  # no backoff was slept
+        assert daemon_sink.counters["serve.bad_requests"] == 1
         assert client.health()["ok"] is True
 
     def test_oversized_request_line_is_a_414_once(self, served):
-        client, sink = served
+        client, sink, daemon_sink = served
         with pytest.raises(ServeClientError) as excinfo:
             client.request("GET", "/" + "x" * 70000)
         assert excinfo.value.status == 414
-        assert excinfo.value.message == "Request-URI Too Long"
+        assert excinfo.value.message == "start line exceeds 65536 bytes"
         assert sink.counters.get("serve.retry.attempts", 0) == 0
+        assert daemon_sink.counters["serve.bad_requests"] == 1
         assert client.health()["ok"] is True
+
+    def test_html_error_page_is_status_and_reason_phrase(self):
+        """Ten lines of a server that is not ours: one HTML 502."""
+        page = b"<html><body><h1>Bad Gateway</h1></body></html>"
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_once():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)
+                connection.sendall(
+                    b"HTTP/1.1 502 Bad Gateway\r\nContent-Type: text/html\r\n"
+                    b"Content-Length: %d\r\nConnection: close\r\n\r\n%s"
+                    % (len(page), page)
+                )
+
+        proxy = threading.Thread(target=answer_once, daemon=True)
+        proxy.start()
+        try:
+            sink = ThreadSafeSink()
+            client = ServeClient(
+                port=listener.getsockname()[1],
+                retry=RetryPolicy(retries=3, backoff_s=0.2),
+                sink=sink,
+            )
+            with pytest.raises(ServeClientError) as excinfo:
+                client.health()
+            assert excinfo.value.status == 502
+            assert excinfo.value.message == "Bad Gateway"
+            assert excinfo.value.reason is None and not excinfo.value.shed
+            assert sink.counters.get("serve.retry.attempts", 0) == 0
+        finally:
+            proxy.join(timeout=5.0)
+            listener.close()
+        assert not proxy.is_alive()

@@ -1,5 +1,5 @@
-"""The serve daemon's wire: float64 arrays out of band in a frame, and
-kept-alive connections.
+"""The serve daemon's wire: float64 arrays out of band in a frame,
+kept-alive connections, and the HTTP/1.1 under both.
 
 Covers the one codec (:class:`FrameWriter` / :func:`split_frame` around
 :func:`encode_array` / :func:`decode_array`) — bit-exactness of IEEE
@@ -8,16 +8,20 @@ edge values through both forms over real HTTP against a direct
 memory layouts, structured 400s for every malformed frame and array
 reference — plus the connection policy (one socket per client thread,
 reconnect after a daemon restart or an injected drop, no stop delay
-from idle sockets) and a timer-free pin of the framed body size.
+from idle sockets), a timer-free pin of the framed body size, and the
+transport table: what :mod:`repro.serve.transport` accepts from clients
+that are not ours, partial sends, and one send call per message.
 """
 
 import base64
 import http.client
 import json
+import socket
 import struct
 import threading
 import time
 import tracemalloc
+import urllib.request
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from repro.serve import ServeApp, ServeClient, ServeClientError, ServeDaemon
 from repro.serve.records import FRAME_MAGIC, FrameWriter, WireError
 from repro.serve.records import decode_array, encode_array, split_frame
 from repro.serve.resilience import RetryPolicy
+from repro.serve.transport import send_message
 
 PROGRAM = """
 transform Scale
@@ -617,12 +622,12 @@ class TestWireExactness:
 class TestConnections:
     def test_sequential_calls_share_one_connection(self, daemon, phash):
         client = ServeClient(port=daemon.port)
-        for index in range(50):
+        for index in range(200):
             response = client.run(phash, "Copy", {"A": [float(index)]})
             assert response["outputs"]["B"] == [float(index)]
         stats = client.stats()
         assert stats["counters"]["serve.connections"] == 1
-        assert stats["counters"]["serve.wire.packed"] == 50
+        assert stats["counters"]["serve.wire.packed"] == 200
 
     def test_each_thread_gets_its_own_connection(self, daemon, phash):
         client = ServeClient(port=daemon.port)
@@ -767,6 +772,215 @@ class TestConnections:
         # nobody is left behind that socket to answer for a stopped daemon
         with pytest.raises(OSError):
             client.health()
+
+
+# ---------------------------------------------------------------------------
+# the HTTP/1.1 under it
+
+
+def converse(daemon, *steps, half_close=True):
+    """Raw bytes to the daemon, in ``steps`` (each sent once the reply
+    to the one before has started to arrive), then — ``half_close`` —
+    the end of the stream; returns everything sent back until the
+    daemon hangs up, split into ``(status, headers with lower-cased
+    names, body)`` per reply."""
+    received = b""
+    with socket.create_connection(
+        ("127.0.0.1", daemon.port), timeout=5.0
+    ) as sock:
+        for index, step in enumerate(steps):
+            if index:
+                received += sock.recv(65536)
+            sock.sendall(step)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        received += b"".join(iter(lambda: sock.recv(65536), b""))
+    replies = []
+    while received:
+        head, _, received = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.lower(): value
+            for name, value in (line.split(": ", 1) for line in lines)
+        }
+        length = int(headers.get("content-length", 0))
+        replies.append(
+            (int(status_line.split()[1]), headers, received[:length])
+        )
+        received = received[length:]
+    return replies
+
+
+class _SendCalls:
+    """Every Python-level send call on any socket, filed under the
+    sending side: ``"daemon"`` for a socket bound to the daemon's port,
+    else ``"client"``."""
+
+    def __init__(self, monkeypatch, port):
+        self.port = port
+        self.calls = {"client": [], "daemon": []}
+        for name in ("send", "sendall", "sendmsg"):
+            monkeypatch.setattr(
+                socket.socket, name, self._counting(name), raising=True
+            )
+
+    def _counting(self, name):
+        original = getattr(socket.socket, name)
+
+        def counted(sock, *args):
+            local = sock.getsockname()[1]
+            side = "daemon" if local == self.port else "client"
+            self.calls[side].append(name)
+            return original(sock, *args)
+
+        return counted
+
+    def reset(self):
+        for calls in self.calls.values():
+            del calls[:]
+
+
+class _ShortSends:
+    """A socket that takes at most ``quota`` bytes per call."""
+
+    def __init__(self, quota):
+        self.quota = quota
+        self.wire = b""
+        self.calls = 0
+
+    def sendmsg(self, buffers):
+        self.calls += 1
+        taken = b"".join(bytes(b) for b in buffers)[: self.quota]
+        self.wire += taken
+        return len(taken)
+
+    def sendall(self, data):
+        self.calls += 1
+        self.wire += bytes(data)
+
+
+class TestTransport:
+    def test_header_names_in_any_case(self, daemon, phash):
+        body = json.dumps({
+            "program": phash, "transform": "Copy", "inputs": {"A": [3.0]},
+        }).encode("utf-8")
+        ((status, headers, reply),) = converse(
+            daemon,
+            b"POST /run HTTP/1.1\r\nhOsT: t\r\ncontent-LENGTH:%d\r\n"
+            b"CONNECTION:   Close  \r\n\r\n%s" % (len(body), body),
+        )
+        assert status == 200 and headers["connection"] == "close"
+        assert json.loads(reply)["outputs"] == {"B": [3.0]}
+
+    def test_http_1_0_client_gets_connection_close(self, daemon):
+        replies = converse(
+            daemon,
+            b"GET /health HTTP/1.0\r\n\r\nGET /health HTTP/1.0\r\n\r\n",
+        )
+        ((status, headers, reply),) = replies  # the second was not read
+        assert status == 200 and headers["connection"] == "close"
+        assert headers["server"] == "repro-serve"
+        assert json.loads(reply)["ok"] is True
+
+    def test_expect_100_continue(self, daemon, phash):
+        body = json.dumps({
+            "program": phash, "transform": "Copy", "inputs": {"A": [4.0]},
+        }).encode("utf-8")
+        interim, final = converse(
+            daemon,
+            b"POST /run HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body),
+            body,  # held back until the 100 has arrived
+        )
+        assert interim == (100, {}, b"")
+        assert final[0] == 200
+        assert json.loads(final[2])["outputs"] == {"B": [4.0]}
+        # a length the daemon refuses gets the refusal, not a go-ahead
+        ((status, headers, _),) = converse(
+            daemon,
+            b"POST /run HTTP/1.1\r\nExpect: 100-continue\r\n"
+            b"Content-Length: 99999999999999\r\n\r\n",
+        )
+        assert status == 413 and headers["connection"] == "close"
+
+    def test_pipelined_requests_get_their_replies_in_order(self, daemon):
+        first, second, third = converse(
+            daemon,
+            b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /nowhere HTTP/1.1\r\nHost: t\r\n\r\n"
+            b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert (first[0], second[0], third[0]) == (200, 404, 200)
+        assert "connection" not in first[1]  # kept alive
+        assert json.loads(first[2]) == json.loads(third[2])
+        assert daemon.app.sink.counters["serve.connections"] == 1
+
+    def test_stdlib_clients_are_still_served(self, daemon, phash):
+        """``urllib.request`` here, ``http.client`` in :func:`_post`."""
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{daemon.port}/run",
+            data=json.dumps({
+                "program": phash, "transform": "Copy", "inputs": [[5.0]],
+            }).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as reply:
+            assert reply.status == 200 and reply.reason == "OK"
+            assert reply.headers["Content-Type"] == "application/json"
+            assert json.load(reply)["outputs"] == {"B": [5.0]}
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(
+                f"http://127.0.0.1:{daemon.port}/nowhere", timeout=30
+            )
+        assert excinfo.value.code == 404
+        assert json.load(excinfo.value) == {"error": "no route '/nowhere'"}
+
+    @pytest.mark.parametrize("quota", [1, 7, 16, 17, 40, 10 ** 6])
+    def test_send_message_finishes_a_partial_send(self, quota):
+        """Cut inside the head, at its end, inside the body, nowhere."""
+        head, body = b"H" * 16, bytes(range(64))
+        sock = _ShortSends(quota)
+        send_message(sock, head, body)
+        assert sock.wire == head + body
+        assert sock.calls == (1 if quota >= 80 else 2 if quota >= 16 else 3)
+
+    def test_bodies_larger_than_the_socket_buffer(
+        self, daemon, phash, direct, monkeypatch
+    ):
+        """8 MB each way: the request leaves the client's socket (it
+        has a timeout, so a full buffer returns a partial ``sendmsg``)
+        in more than one call, and both frames arrive whole."""
+        sends = _SendCalls(monkeypatch, daemon.port)
+        a = np.random.default_rng(5).uniform(-4.0, 4.0, (1024, 1024))
+        want = direct.transform("Scale").run([a]).output()
+        client = ServeClient(port=daemon.port)
+        client.health()
+        sends.reset()
+        response = client.request("POST", "/run", {
+            "program": phash, "transform": "Scale", "inputs": {"A": a},
+            "arrays": "packed",
+        })
+        assert response["outputs"]["B"].tobytes() == want.tobytes()
+        assert want.nbytes == 8 * 2 ** 20
+        assert sends.calls["client"][0] == "sendmsg"
+        assert set(sends.calls["client"][1:]) == {"sendall"}
+        assert sends.calls["daemon"][0] == "sendmsg"
+
+    @pytest.mark.parametrize("side", [34, 130])
+    def test_one_send_call_per_message(
+        self, daemon, phash, direct, monkeypatch, side
+    ):
+        """A count, not a timer: a warm ``/run`` is one send call on
+        the client and one on the daemon — head and body together."""
+        sends = _SendCalls(monkeypatch, daemon.port)
+        a = np.random.default_rng(side).uniform(-4.0, 4.0, (side, side))
+        want = direct.transform("Blur").run([a]).output()
+        client = ServeClient(port=daemon.port)
+        client.run(phash, "Blur", {"A": a})  # connect, warm
+        sends.reset()
+        response = client.run(phash, "Blur", {"A": a})
+        assert _bits(response["outputs"]["B"]) == want.tobytes()
+        assert sends.calls == {"client": ["sendmsg"], "daemon": ["sendmsg"]}
 
 
 # ---------------------------------------------------------------------------
