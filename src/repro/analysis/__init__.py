@@ -19,7 +19,7 @@ from repro.analysis.diagnostics import (
     WARNING,
     default_severity,
 )
-from repro.analysis.witness import WitnessBudget, DEFAULT_BUDGET
+from repro.analysis.witness import DEFAULT_BUDGET, Replay, WitnessBudget
 from repro.analysis.bounds import check_bounds
 from repro.analysis.races import check_races
 from repro.analysis.coverage import check_coverage
@@ -56,6 +56,7 @@ __all__ = [
     "ConflictWitness",
     "Dependence",
     "FusionCandidate",
+    "Replay",
     "analyze_program",
     "analyze_transform",
     "check_bounds",

@@ -18,27 +18,15 @@ conditional on the guard, not proven for all sizes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, ERROR, INFO
-from repro.analysis.witness import (
-    WitnessBudget,
-    DEFAULT_BUDGET,
-    describe_bounds,
-    describe_env,
-    instance_assignments,
-    matrix_shape,
-    residual_ok,
-    size_envs,
-    size_guards_hold,
-)
+from repro.analysis.witness import Replay, describe_bounds, describe_env
 
 
-def check_bounds(
-    compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
-) -> List[Diagnostic]:
+def check_bounds(replay: Replay, path: str = "") -> List[Diagnostic]:
+    compiled = replay.compiled
     ir = compiled.ir
-    envs = size_envs(compiled, budget)
     diagnostics: List[Diagnostic] = []
     seen: Set[Tuple[int, str, int]] = set()
 
@@ -73,37 +61,16 @@ def check_bounds(
             )
         )
 
-    for segment, option in _segment_rule_pairs(compiled):
-        rule = ir.rules[option.primary]
-        fallback = (
-            ir.rules[option.fallback] if option.fallback is not None else None
-        )
-        for env in envs:
-            if not size_guards_hold(rule, env):
-                continue
-            assignments = instance_assignments(
-                compiled, segment, rule, env, budget
-            )
-            if assignments is None:
-                continue
-            for assignment in assignments:
-                instance_env = dict(env)
-                instance_env.update(assignment)
-                chosen = rule
-                if rule.residual_where and not residual_ok(rule, instance_env):
-                    if fallback is None:
-                        continue  # engine raises; not a bounds violation
-                    chosen = fallback
-                    if not size_guards_hold(chosen, env):
-                        continue
-                for index, region in enumerate(
-                    chosen.to_regions + chosen.from_regions
-                ):
-                    shape = matrix_shape(compiled, region.matrix, env)
-                    bounds = region.box.concrete(instance_env)
+    for segment, option in replay.options():
+        for e, env in enumerate(replay.envs):
+            for app in replay.applications(segment, option, e) or ():
+                for index, region in enumerate(app.rule.all_regions):
+                    shape = replay.shape(region.matrix, e)
+                    bounds = region.box.concrete(app.env)
                     if _out_of_bounds(bounds, shape):
                         report_violation(
-                            chosen, region, index, env, assignment, bounds, shape
+                            app.rule, region, index, env, app.assignment,
+                            bounds, shape,
                         )
 
     diagnostics.extend(_guard_notes(compiled, path))
@@ -119,12 +86,6 @@ def _out_of_bounds(
         if not (0 <= lo <= hi <= extent):
             return True
     return False
-
-
-def _segment_rule_pairs(compiled):
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            yield segment, option
 
 
 def _guard_notes(compiled, path: str) -> List[Diagnostic]:

@@ -36,7 +36,7 @@ from repro.analysis.diagnostics import (
 from repro.analysis.leafpaths import check_leaf_paths
 from repro.analysis.lints import check_lints
 from repro.analysis.races import check_races
-from repro.analysis.witness import WitnessBudget, DEFAULT_BUDGET
+from repro.analysis.witness import DEFAULT_BUDGET, Replay, WitnessBudget
 from repro.language.errors import PetaBricksError
 
 
@@ -46,15 +46,17 @@ def analyze_transform(
     path: str = "",
     errors_only: bool = False,
 ) -> List[Diagnostic]:
-    """All four pass families over one compiled transform."""
+    """Every pass family over one compiled transform, the witness
+    passes reading one :class:`Replay` that lives for this call."""
+    replay = Replay(compiled, budget)
     diagnostics = []
-    diagnostics.extend(check_bounds(compiled, budget, path))
-    diagnostics.extend(check_races(compiled, budget, path))
-    diagnostics.extend(check_coverage(compiled, budget, path))
+    diagnostics.extend(check_bounds(replay, path))
+    diagnostics.extend(check_races(replay, path))
+    diagnostics.extend(check_coverage(replay, path))
     if not errors_only:
-        diagnostics.extend(check_lints(compiled, budget, path))
+        diagnostics.extend(check_lints(replay, path))
         diagnostics.extend(check_leaf_paths(compiled, budget, path))
-        diagnostics.extend(check_depend(compiled, budget, path))
+        diagnostics.extend(check_depend(replay, path))
     if errors_only:
         diagnostics = [d for d in diagnostics if d.is_error]
     return diagnostics

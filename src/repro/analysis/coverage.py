@@ -23,41 +23,25 @@ from __future__ import annotations
 from typing import List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, ERROR, INFO
-from repro.analysis.races import _applications
-from repro.analysis.witness import (
-    Cell,
-    WitnessBudget,
-    DEFAULT_BUDGET,
-    describe_bounds,
-    describe_env,
-    region_cells,
-    size_envs,
-)
+from repro.analysis.witness import Cell, Replay, describe_bounds, describe_env
 from repro.compiler.ir import ROLE_INPUT
 
 
-def check_coverage(
-    compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
-) -> List[Diagnostic]:
-    ir = compiled.ir
-    envs = size_envs(compiled, budget)
+def check_coverage(replay: Replay, path: str = "") -> List[Diagnostic]:
+    ir = replay.compiled.ir
     diagnostics: List[Diagnostic] = []
     seen: Set[Tuple] = set()
 
-    for segment in compiled.grid.all_segments():
+    for segment in replay.compiled.grid.all_segments():
         for option in segment.options:
-            for env in envs:
-                diag = _check_segment_option(
-                    compiled, segment, option, env, budget
-                )
+            for e in range(len(replay.envs)):
+                diag = _check_segment_option(replay, segment, option, e, path)
                 if diag is None:
                     continue
                 key = (diag.code, segment.matrix, segment.index, diag.rule)
                 if key not in seen:
                     seen.add(key)
-                    diagnostics.append(
-                        Diagnostic(**{**diag.to_dict(), "path": path})
-                    )
+                    diagnostics.append(diag)
         if len(segment.options) > 1:
             mat = ir.matrices[segment.matrix]
             diagnostics.append(
@@ -80,18 +64,18 @@ def check_coverage(
                 )
             )
 
-    diagnostics.extend(_matrix_partition(compiled, envs, budget, path))
+    diagnostics.extend(_matrix_partition(replay, path))
     return diagnostics
 
 
-def _check_segment_option(compiled, segment, option, env, budget):
-    """One PB301 (or None) for this segment/option at these sizes."""
-    ir = compiled.ir
-    seg_bounds = segment.box.concrete(env)
-    target = region_cells(seg_bounds, budget)
-    if target is None or not target:
+def _check_segment_option(replay, segment, option, e: int, path: str):
+    """One PB301 (or None) for this segment/option at sizes ``e``."""
+    ir = replay.compiled.ir
+    seg_bounds = replay.box(segment, e)
+    target = replay.cells(seg_bounds)
+    if not target:
         return None
-    apps = _applications(compiled, segment, option, env, budget)
+    apps = replay.applications(segment, option, e)
     if apps is None:
         return None
     written: Set[Cell] = set()
@@ -99,7 +83,7 @@ def _check_segment_option(compiled, segment, option, env, budget):
         for region in chosen.to_regions:
             if region.matrix != segment.matrix:
                 continue
-            cells = region_cells(region.box.concrete(instance_env), budget)
+            cells = replay.cells(region.box.concrete(instance_env))
             if cells is None:
                 return None
             written.update(cells)
@@ -126,32 +110,25 @@ def _check_segment_option(compiled, segment, option, env, budget):
             "widen the rule's to-region or add a rule covering the "
             "skipped cells"
         ),
-        witness=describe_env(env),
+        witness=describe_env(replay.envs[e]),
+        path=path,
     )
 
 
-def _matrix_partition(compiled, envs, budget, path: str) -> List[Diagnostic]:
+def _matrix_partition(replay, path: str) -> List[Diagnostic]:
     """PB301 when a matrix's segments do not add up to its whole box."""
-    ir = compiled.ir
+    ir = replay.compiled.ir
     diagnostics: List[Diagnostic] = []
-    for name, segments in compiled.grid.segments.items():
+    for name, segments in replay.compiled.grid.segments.items():
         mat = ir.matrices[name]
         if mat.role == ROLE_INPUT:
             continue
-        for env in envs:
-            whole = region_cells(mat.whole_box().concrete(env), budget)
-            if whole is None:
-                continue
-            covered: Set[Cell] = set()
-            over_budget = False
-            for segment in segments:
-                cells = region_cells(segment.box.concrete(env), budget)
-                if cells is None:
-                    over_budget = True
-                    break
-                covered.update(cells)
-            if over_budget:
-                continue
+        for e, env in enumerate(replay.envs):
+            whole = replay.cells(mat.whole_box().concrete(env))
+            boxes = [replay.cells(replay.box(seg, e)) for seg in segments]
+            if whole is None or None in boxes:
+                continue  # over budget
+            covered: Set[Cell] = set().union(*boxes)
             missing = [cell for cell in whole if cell not in covered]
             if missing:
                 cell = missing[0]

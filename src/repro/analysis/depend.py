@@ -71,11 +71,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.diagnostics import Diagnostic, INFO
 from repro.analysis.witness import (
     DEFAULT_BUDGET,
+    Replay,
     WitnessBudget,
     describe_bounds,
     describe_env,
-    region_cells,
-    size_envs,
 )
 from repro.compiler.codegen import ExecutionError
 from repro.compiler.ir import (
@@ -341,77 +340,37 @@ def _structural_block(
     return ""
 
 
-def _carried_conflict(
-    compiled, matrix: str, budget: WitnessBudget
-) -> Optional[ConflictWitness]:
+def _carried_conflict(replay: Replay, matrix: str) -> Optional[ConflictWitness]:
     """Hunt a concrete flow conflict carried by ``matrix``: under the
-    engine's default option selection, one application writes a cell
-    that a different application of a *writer rule* reads.  Enumeration
-    reuses the races pass's application model (size guards, residual
-    fallbacks), so every returned witness describes applications the
-    engine really runs."""
-    from repro.analysis.races import _applications
-
-    segments = compiled.grid.segments.get(matrix, ())
-    for env in size_envs(compiled, budget):
-        apps = []
-        for segment in segments:
-            if not segment.options:
-                continue
-            segment_apps = _applications(
-                compiled, segment, segment.options[0], env, budget
-            )
-            if segment_apps is None:
-                apps = None
-                break
-            apps.extend(segment_apps)
-        if not apps:
+    engine's default option selection, the first application to write a
+    cell is not the application of a *writer rule* that reads it."""
+    compiled = replay.compiled
+    segments = [s for s in compiled.grid.segments.get(matrix, ()) if s.options]
+    for e, env in enumerate(replay.envs):
+        per_segment = [
+            replay.applications(seg, seg.options[0], e) for seg in segments
+        ]
+        if None in per_segment:
             continue
-        writes: Dict[Tuple[int, ...], Tuple[RuleIR, Dict[str, int]]] = {}
-        for cell, chosen, assignment in _touched_cells(
-            apps, matrix, "to_regions", budget
-        ):
-            writes.setdefault(cell, (chosen, assignment))
-        for cell, chosen, assignment in _touched_cells(
-            apps, matrix, "from_regions", budget
-        ):
-            hit = writes.get(cell)
-            if hit is None:
-                continue
-            writer_rule, writer_assignment = hit
-            if (
-                writer_rule.rule_id == chosen.rule_id
-                and writer_assignment == assignment
-            ):
+        apps = [app for segment_apps in per_segment for app in segment_apps]
+        first: Dict[Tuple[int, ...], object] = {}
+        for cell, writer, reader in replay.flows(apps, matrix):
+            if first.setdefault(cell, writer) is not writer or writer.same_as(reader):
                 continue
             witness = ConflictWitness(
                 sizes=tuple(sorted(env.items())),
-                writer_rule=writer_rule.label,
-                writer_rule_id=writer_rule.rule_id,
-                writer=tuple(sorted(writer_assignment.items())),
-                reader_rule=chosen.label,
-                reader_rule_id=chosen.rule_id,
-                reader=tuple(sorted(assignment.items())),
+                writer_rule=writer.rule.label,
+                writer_rule_id=writer.rule.rule_id,
+                writer=tuple(sorted(writer.assignment.items())),
+                reader_rule=reader.rule.label,
+                reader_rule_id=reader.rule.rule_id,
+                reader=tuple(sorted(reader.assignment.items())),
                 cell=cell,
                 matrix=matrix,
             )
             if validate_conflict(compiled, witness):
                 return witness
     return None
-
-
-def _touched_cells(apps, matrix: str, side: str, budget: WitnessBudget):
-    """``(cell, rule, assignment)`` for every cell of ``matrix`` the
-    applications touch through their ``side`` (``"to_regions"`` or
-    ``"from_regions"``), in application order; regions over the witness
-    budget contribute nothing."""
-    for chosen, instance_env, assignment in apps:
-        for reg in getattr(chosen, side):
-            if reg.matrix != matrix:
-                continue
-            cells = region_cells(reg.box.concrete(instance_env), budget)
-            for cell in cells or ():
-                yield cell, chosen, assignment
 
 
 def validate_conflict(compiled, witness: ConflictWitness) -> bool:
@@ -704,47 +663,34 @@ def schedule_verdict(site) -> ScheduleVerdict:
     return ScheduleVerdict(chain_vars, free_vars, directions, reason, carried)
 
 
-def _schedule_conflict(
-    site, budget: WitnessBudget
-) -> Optional[ScheduleWitness]:
+def _schedule_conflict(replay: Replay, site) -> Optional[ScheduleWitness]:
     """Hunt a concrete application pair of the site's rule that a tiled
-    interchange would run out of order, using the races pass's exact
-    application model; every returned witness is replay-validated."""
-    from repro.analysis.races import _applications
-
+    interchange would run out of order; every returned witness is
+    replay-validated."""
     compiled, segment, rule = site.transform, site.segment, site.rule
     shared = [m for m in rule.writes_matrices() if m in rule.reads_matrices()]
-    if not shared:
-        return None
-    for env in size_envs(compiled, budget):
-        apps = _applications(compiled, segment, site.option, env, budget)
-        if not apps:
-            continue
-        apps = [app for app in apps if app[0].rule_id == rule.rule_id]
+    for e, env in enumerate(replay.envs):
+        apps = [
+            app
+            for app in replay.applications(segment, site.option, e) or ()
+            if app.rule.rule_id == rule.rule_id
+        ]
         for matrix in shared:
-            writes: Dict[Tuple[int, ...], List[Dict[str, int]]] = {}
-            for cell, _rule, assignment in _touched_cells(
-                apps, matrix, "to_regions", budget
-            ):
-                writes.setdefault(cell, []).append(assignment)
-            for cell, _rule, assignment in _touched_cells(
-                apps, matrix, "from_regions", budget
-            ):
-                for writer_assignment in writes.get(cell, ()):
-                    if writer_assignment == assignment:
-                        continue
-                    witness = ScheduleWitness(
-                        sizes=tuple(sorted(env.items())),
-                        segment=segment.key,
-                        rule=rule.label,
-                        rule_id=rule.rule_id,
-                        writer=tuple(sorted(writer_assignment.items())),
-                        reader=tuple(sorted(assignment.items())),
-                        cell=cell,
-                        matrix=matrix,
-                    )
-                    if validate_schedule_witness(compiled, witness):
-                        return witness
+            for cell, writer, reader in replay.flows(apps, matrix):
+                if writer.same_as(reader):
+                    continue
+                witness = ScheduleWitness(
+                    sizes=tuple(sorted(env.items())),
+                    segment=segment.key,
+                    rule=rule.label,
+                    rule_id=rule.rule_id,
+                    writer=tuple(sorted(writer.assignment.items())),
+                    reader=tuple(sorted(reader.assignment.items())),
+                    cell=cell,
+                    matrix=matrix,
+                )
+                if validate_schedule_witness(compiled, witness):
+                    return witness
     return None
 
 
@@ -785,6 +731,11 @@ def schedule_candidates(
 ) -> List[ScheduleCandidate]:
     """The tiling/interchange verdict of every (segment, rule) site
     that has both a chain and a free instance variable."""
+    return _schedule_candidates(Replay(compiled, budget))
+
+
+def _schedule_candidates(replay: Replay) -> List[ScheduleCandidate]:
+    compiled = replay.compiled
     ir = compiled.ir
     out: List[ScheduleCandidate] = []
     for site in compiled.sites.values():
@@ -793,7 +744,7 @@ def schedule_candidates(
             continue
         status, reason, witness = "legal", verdict.reason, None
         if verdict.carried:
-            witness = _schedule_conflict(site, budget)
+            witness = _schedule_conflict(replay, site)
             if witness is not None:
                 status = "blocked"
             else:
@@ -1080,17 +1031,16 @@ class StorageWitness:
         )
 
 
-def _clobbers(compiled, name: str, axis: int, window: int, env, budget):
-    """Every :class:`StorageWitness` at sizes ``env``, replayed on the
-    races pass's application model at segment granularity: segments run
-    one after the other in schedule order, so when one starts, a slot
-    holds what the last earlier segment to write it left there — its
-    highest plane of the slot if it sweeps the planes ascending, its
-    lowest if descending, unknowable (no witness) otherwise.  A read of
-    any other plane of that slot is an overwrite the engine really
-    performs; reads of cells the reading segment writes itself are not
-    judged."""
-    from repro.analysis.races import _applications
+def _clobbers(replay: Replay, name: str, axis: int, window: int, e: int):
+    """Every :class:`StorageWitness` at sizes ``replay.envs[e]``, at
+    segment granularity: segments run one after the other in schedule
+    order, so when one starts, a slot holds what the last earlier
+    segment to write it left there — its highest plane of the slot if
+    it sweeps the planes ascending, its lowest if descending, unknowable
+    (no witness) otherwise.  A read of any other plane of that slot is
+    an overwrite the engine really performs; reads of cells the reading
+    segment writes itself are not judged."""
+    compiled, env = replay.compiled, replay.envs[e]
 
     def slot(cell):
         return (*cell[:axis], cell[axis] % window, *cell[axis + 1 :])
@@ -1100,34 +1050,31 @@ def _clobbers(compiled, name: str, axis: int, window: int, env, budget):
         if not segment.options:
             continue
         key, option = segment.key, segment.options[0]
-        apps = _applications(compiled, segment, option, env, budget)
+        apps = replay.applications(segment, option, e)
         if apps is None:
             return  # over budget: what later slots hold is unknown
-        own = segment.box.concrete(env) if segment.matrix == name else ()
-        for cell, rule, reader in _touched_cells(
-            apps, name, "from_regions", budget
-        ):
+        own = replay.box(segment, e) if segment.matrix == name else ()
+        for cell, reader in replay.touched(apps, name, "from_regions"):
             held = holds.get(slot(cell))
             if held and held[0] != cell[axis] and not _in_box(cell, own):
-                plane, wrote, writer_rule, writer = held
+                plane, wrote, writer = held
                 yield StorageWitness(
-                    tuple(sorted(env.items())), name, axis, window,
-                    wrote, writer_rule, tuple(sorted(writer.items())), plane,
-                    key, rule.label, tuple(sorted(reader.items())), cell,
+                    tuple(sorted(env.items())), name, axis, window, wrote,
+                    writer.rule.label, tuple(sorted(writer.assignment.items())),
+                    plane, key, reader.rule.label,
+                    tuple(sorted(reader.assignment.items())), cell,
                 )
         # the order a segment of ``name`` writes its planes in (none for
         # a rule that writes ``name`` from another matrix's segment)
         signs = compiled.depgraph.rule_directions[key, option.primary].signs
         sign = signs[axis] if own else 0
         left: Dict[Tuple[int, ...], Optional[Tuple]] = {}
-        for cell, rule, writer in _touched_cells(
-            apps, name, "to_regions", budget
-        ):
+        for cell, writer in replay.touched(apps, name, "to_regions"):
             held = left.get(slot(cell), ())
             if held is None or (held and not sign):
                 left[slot(cell)] = None  # two planes, no order between them
             elif not held or (cell[axis] - held[0]) * sign > 0:
-                left[slot(cell)] = (cell[axis], key, rule.label, writer)
+                left[slot(cell)] = (cell[axis], key, writer)
         holds.update(left)
 
 
@@ -1138,15 +1085,19 @@ def storage_witness(
     its recurrence alone asks for, within budget; ``None`` for a refusal
     that overwrites nothing (PB607 states what the engine does, so it
     is true without a witness)."""
+    return _storage_witness(Replay(compiled, budget), verdict)
+
+
+def _storage_witness(replay: Replay, verdict) -> Optional[StorageWitness]:
     name, axis = verdict.matrix, verdict.axis
-    window = _plane_window(compiled.ir, name, axis)
+    window = _plane_window(replay.compiled.ir, name, axis)
     if verdict.folds or not window:
         return None
     return next(
         (
             witness
-            for env in size_envs(compiled, budget)
-            for witness in _clobbers(compiled, name, axis, window, env, budget)
+            for e in range(len(replay.envs))
+            for witness in _clobbers(replay, name, axis, window, e)
         ),
         None,
     )
@@ -1159,14 +1110,14 @@ def validate_storage_witness(compiled, witness: StorageWitness) -> bool:
     mat = compiled.ir.matrices.get(witness.matrix)
     if mat is None or not 0 <= witness.axis < mat.ndim or witness.window < 1:
         return False
+    replay = Replay(compiled, envs=[dict(witness.sizes)])
     return witness in _clobbers(
-        compiled, witness.matrix, witness.axis, witness.window,
-        dict(witness.sizes), DEFAULT_BUDGET,
+        replay, witness.matrix, witness.axis, witness.window, 0
     )
 
 
-def _candidate_for(compiled, mat, budget: WitnessBudget) -> Optional[FusionCandidate]:
-    ir = compiled.ir
+def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
+    ir = replay.compiled.ir
     name = mat.name
     writers = [r for r in ir.rules if name in r.writes_matrices()]
     readers = [r for r in ir.rules if name in r.reads_matrices()]
@@ -1195,7 +1146,7 @@ def _candidate_for(compiled, mat, budget: WitnessBudget) -> Optional[FusionCandi
         # A writer reads the matrix it helps compute: cells of `name`
         # may depend on other cells of `name`, which substitution cannot
         # express.  Blocked only with a concrete, replayed conflict.
-        conflict = _carried_conflict(compiled, name, budget)
+        conflict = _carried_conflict(replay, name)
         if conflict is not None:
             producer = ir.rules[conflict.writer_rule_id]
             consumer = external_readers[0] if external_readers else None
@@ -1265,25 +1216,33 @@ def fusion_candidates(
     compiled, budget: WitnessBudget = DEFAULT_BUDGET
 ) -> List[FusionCandidate]:
     """The fusion verdict of every ``through`` matrix, name order."""
-    ir = compiled.ir
-    out = []
-    for mat in sorted(ir.throughs, key=lambda m: m.name):
-        candidate = _candidate_for(compiled, mat, budget)
-        if candidate is not None:
-            out.append(candidate)
-    return out
+    return _fusion_candidates(Replay(compiled, budget))
 
 
-def check_depend(
-    compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
-) -> List[Diagnostic]:
+def _fusion_candidates(replay: Replay) -> List[FusionCandidate]:
+    throughs = sorted(replay.compiled.ir.throughs, key=lambda m: m.name)
+    candidates = (_candidate_for(replay, mat) for mat in throughs)
+    return [cand for cand in candidates if cand is not None]
+
+
+def check_depend(replay: Replay, path: str = "") -> List[Diagnostic]:
     """PB601/PB602 per fusion candidate, PB604/PB605 per schedule
     candidate, PB606/PB607 per ``through`` matrix, plus the PB603
     audit."""
+    return rewrite_audit(replay, path)[2]
+
+
+def rewrite_audit(
+    replay: Replay, path: str = ""
+) -> Tuple[List[FusionCandidate], List[ScheduleCandidate], List[Diagnostic]]:
+    """One hunt per PB6xx family: the fusion candidates, the schedule
+    candidates, and :func:`check_depend`'s diagnostics rendered from
+    them (``repro rewrite`` lists the former beside the latter)."""
+    compiled = replay.compiled
     ir = compiled.ir
     deps = rule_dependences(ir)
-    candidates = fusion_candidates(compiled, budget)
-    sched = schedule_candidates(compiled, budget)
+    candidates = _fusion_candidates(replay)
+    sched = _schedule_candidates(replay)
     storage = [
         (mat, compiled.storage_verdicts[mat.name])
         for mat in sorted(ir.throughs, key=lambda m: m.name)
@@ -1364,7 +1323,7 @@ def check_depend(
                 f"storage of {mat.name} is not folded: {verdict.reason}",
                 "every declared plane is kept; DESIGN.md \"Storage "
                 "folding\" lists the conditions",
-                storage_witness(compiled, verdict, budget),
+                _storage_witness(replay, verdict),
                 region=mat.name,
             )
             continue
@@ -1425,7 +1384,7 @@ def check_depend(
             path=path,
         )
     )
-    return diagnostics
+    return candidates, sched, diagnostics
 
 
 __all__ = [
@@ -1447,4 +1406,5 @@ __all__ = [
     "validate_schedule_witness",
     "validate_storage_witness",
     "check_depend",
+    "rewrite_audit",
 ]

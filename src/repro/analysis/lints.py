@@ -13,23 +13,14 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, WARNING
-from repro.analysis.witness import (
-    WitnessBudget,
-    DEFAULT_BUDGET,
-    describe_env,
-    instance_assignments,
-    residual_ok,
-    size_envs,
-    size_guards_hold,
-)
+from repro.analysis.witness import Replay, describe_env
 from repro.compiler.ir import ROLE_INPUT
 
 
-def check_lints(
-    compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
-) -> List[Diagnostic]:
+def check_lints(replay: Replay, path: str = "") -> List[Diagnostic]:
+    compiled = replay.compiled
     diagnostics: List[Diagnostic] = []
-    diagnostics.extend(_unsatisfiable_wheres(compiled, budget, path))
+    diagnostics.extend(_unsatisfiable_wheres(replay, path))
     diagnostics.extend(_unused_tunables(compiled, path))
     diagnostics.extend(_unused_matrices(compiled, path))
     diagnostics.extend(_dead_and_shadowed_rules(compiled, path))
@@ -52,71 +43,51 @@ def _rule_used_names(rule) -> Set[str]:
     return names
 
 
-def _unsatisfiable_wheres(compiled, budget, path: str) -> List[Diagnostic]:
+def _unsatisfiable_wheres(replay, path: str) -> List[Diagnostic]:
     """PB401: a residual where-predicate that is false at every instance
     of every admitted size (the rule's body can never run as primary).
 
     Only reported when the instance space was enumerated exhaustively at
     at least one admitted size — a budget-truncated sweep stays silent.
     """
-    ir = compiled.ir
-    envs = size_envs(compiled, budget)
+    ir, envs = replay.compiled.ir, replay.envs
     diagnostics: List[Diagnostic] = []
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            rule = ir.rules[option.primary]
-            if not rule.residual_where:
-                continue
-            satisfiable = False
-            probed = 0
-            for env in envs:
-                if not size_guards_hold(rule, env):
-                    continue
-                assignments = instance_assignments(
-                    compiled, segment, rule, env, budget
-                )
-                if assignments is None:
-                    probed = 0  # incomplete evidence: stay silent
-                    satisfiable = True
-                    break
-                for assignment in assignments:
-                    instance_env = dict(env)
-                    instance_env.update(assignment)
-                    probed += 1
-                    if residual_ok(rule, instance_env):
-                        satisfiable = True
-                        break
-                if satisfiable:
-                    break
-            if satisfiable or probed == 0:
-                continue
-            line, column = rule.line, rule.column
-            if rule.residual_where and rule.where:
-                try:
-                    index = list(rule.where).index(rule.residual_where[0])
-                except ValueError:
-                    index = -1
-                if index >= 0:
-                    pos = rule.where_position(index)
-                    if pos:
-                        line, column = pos
-            diagnostics.append(
-                Diagnostic(
-                    code="PB401",
-                    severity=WARNING,
-                    message=(
-                        f"where-clause is false at every admitted instance "
-                        f"({probed} probed); the rule never fires as primary"
-                    ),
-                    transform=ir.name,
-                    rule=rule.label,
-                    line=line,
-                    column=column,
-                    hint="loosen the predicate or delete the rule",
-                    witness=describe_env(envs[-1]) if envs else "",
-                    path=path,
-                )
+    for segment, option in replay.options():
+        rule = ir.rules[option.primary]
+        if not rule.residual_where:
+            continue
+        probed = 0
+        for e, env in enumerate(envs):
+            apps = replay.applications(segment, option, e)
+            if apps is None or any(app.rule is rule for app in apps):
+                probed = 0  # fires, or incomplete evidence: stay silent
+                break
+            if rule.failed_size_guard(env) is None:
+                probed += len(replay.instances(segment, rule, e))
+        if probed == 0:
+            continue
+        line, column = rule.line, rule.column
+        if rule.residual_where[0] in rule.where:
+            pos = rule.where_position(rule.where.index(rule.residual_where[0]))
+            if pos:
+                line, column = pos
+        diagnostics.append(
+            Diagnostic(
+                code="PB401",
+                severity=WARNING,
+                message=(
+                    f"where-clause is false at every admitted instance "
+                    f"({probed} probed); the rule never fires as primary"
+                ),
+                transform=ir.name,
+                rule=rule.label,
+                line=line,
+                column=column,
+                hint="loosen the predicate or delete the rule",
+                witness=describe_env(envs[-1]) if envs else "",
+                path=path,
             )
+        )
     # Dedup per rule (the same meta-rule option can recur across segments).
     unique: Dict[Tuple[str, str], Diagnostic] = {}
     for diag in diagnostics:

@@ -22,28 +22,14 @@ the check driver converts those CompileErrors into diagnostics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, ERROR
-from repro.analysis.witness import (
-    Cell,
-    WitnessBudget,
-    DEFAULT_BUDGET,
-    describe_bounds,
-    describe_env,
-    instance_assignments,
-    region_cells,
-    residual_ok,
-    size_envs,
-    size_guards_hold,
-)
+from repro.analysis.witness import Cell, Replay, describe_bounds, describe_env
 
 
-def check_races(
-    compiled, budget: WitnessBudget = DEFAULT_BUDGET, path: str = ""
-) -> List[Diagnostic]:
-    ir = compiled.ir
-    envs = size_envs(compiled, budget)
+def check_races(replay: Replay, path: str = "") -> List[Diagnostic]:
+    ir = replay.compiled.ir
     diagnostics: List[Diagnostic] = []
     seen: Set[Tuple] = set()
 
@@ -66,52 +52,22 @@ def check_races(
             )
         )
 
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            for env in envs:
-                _check_option_writes(
-                    compiled, segment, option, env, budget, emit
-                )
+    for segment, option in replay.options():
+        for e, env in enumerate(replay.envs):
+            apps = replay.applications(segment, option, e)
+            _check_option_writes(replay, apps or (), env, emit)
 
-    diagnostics.extend(_cross_segment_overlaps(compiled, envs, path, seen))
+    diagnostics.extend(_cross_segment_overlaps(replay, path, seen))
     return diagnostics
 
 
-def _applications(compiled, segment, option, env, budget):
-    """(rule, instance_env, assignment) triples the engine would run for
-    this option, or None when the instance space exceeds the budget."""
-    ir = compiled.ir
-    rule = ir.rules[option.primary]
-    fallback = ir.rules[option.fallback] if option.fallback is not None else None
-    if not size_guards_hold(rule, env):
-        return []
-    assignments = instance_assignments(compiled, segment, rule, env, budget)
-    if assignments is None:
-        return None
-    apps = []
-    for assignment in assignments:
-        instance_env = dict(env)
-        instance_env.update(assignment)
-        chosen = rule
-        if rule.residual_where and not residual_ok(rule, instance_env):
-            if fallback is None or not size_guards_hold(fallback, env):
-                continue
-            chosen = fallback
-        apps.append((chosen, instance_env, assignment))
-    return apps
-
-
-def _check_option_writes(compiled, segment, option, env, budget, emit) -> None:
-    apps = _applications(compiled, segment, option, env, budget)
-    if not apps:
-        return
+def _check_option_writes(replay, apps, env, emit) -> None:
     # cell -> (rule, assignment) of its first writer, per matrix
     writers: Dict[str, Dict[Cell, Tuple]] = {}
     for chosen, instance_env, assignment in apps:
         app_cells: Dict[str, Set[Cell]] = {}
         for region in chosen.to_regions:
-            bounds = region.box.concrete(instance_env)
-            cells = region_cells(bounds, budget)
+            cells = replay.cells(region.box.concrete(instance_env))
             if cells is None:
                 return  # over budget: skip this option/env entirely
             mine = app_cells.setdefault(region.matrix, set())
@@ -165,18 +121,16 @@ def _check_option_writes(compiled, segment, option, env, budget, emit) -> None:
 
 
 def _cross_segment_overlaps(
-    compiled, envs, path: str, seen: Set[Tuple]
+    replay, path: str, seen: Set[Tuple]
 ) -> List[Diagnostic]:
     """PB203 for two segments of one matrix whose concrete boxes overlap
     (the grid should partition each matrix; overlap means two segment
     schedules would write the same cells)."""
-    ir = compiled.ir
+    ir = replay.compiled.ir
     diagnostics: List[Diagnostic] = []
-    for matrix, segments in compiled.grid.segments.items():
-        for env in envs:
-            boxes = [
-                (seg, seg.box.concrete(env)) for seg in segments
-            ]
+    for matrix, segments in replay.compiled.grid.segments.items():
+        for e, env in enumerate(replay.envs):
+            boxes = [(seg, replay.box(seg, e)) for seg in segments]
             for i, (seg_a, box_a) in enumerate(boxes):
                 for seg_b, box_b in boxes[i + 1 :]:
                     if _boxes_overlap(box_a, box_b):

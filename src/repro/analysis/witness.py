@@ -1,18 +1,16 @@
 """Witness enumeration shared by the verifier passes.
 
-The error-severity checks (bounds, races, coverage) are *witness-based*:
-instead of proving properties over all sizes symbolically — where any
-over-approximation would flag correct programs — they enumerate the
-small size environments admitted by the transform's assumptions and
-runtime guards, replay the engine's exact geometry (segment boxes,
-instance ranges, residual-predicate fallbacks, region views) at each,
-and report only violations that come with a concrete (sizes, instance)
+The witness-carrying checks (PB101, PB201-203, PB301, PB401, PB602,
+PB605, PB607) do not prove properties over all sizes symbolically —
+where any over-approximation would flag correct programs.  They read one
+:class:`Replay` of the engine's exact geometry (segment boxes, instance
+ranges, residual-predicate fallbacks, region views) at the small size
+environments the transform's assumptions and runtime guards admit, and
+report only violations that come with a concrete (sizes, instance)
 witness.  Soundness follows by construction: every error names an input
 size at which the runtime itself would fault or double-write; a
 transform whose executions are well-behaved at the probed sizes is
-never flagged.  The symbolic layer still does the admitting: assumption
-ranges, choice-grid order guards, and per-rule size guards decide which
-environments count, so guarded programs are not blamed for sizes they
+never flagged, and guarded programs are not blamed for sizes they
 already reject.
 """
 
@@ -20,12 +18,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-from repro.language.interp import Scope, evaluate
+from functools import cached_property, wraps
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 SizeEnv = Dict[str, int]
 Cell = Tuple[int, ...]
+Bounds = Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,116 +62,213 @@ class WitnessBudget:
 DEFAULT_BUDGET = WitnessBudget()
 
 
-def size_envs(compiled, budget: WitnessBudget = DEFAULT_BUDGET) -> List[SizeEnv]:
-    """Admitted size environments, smallest total size first.
+class Application(NamedTuple):
+    """One rule application the engine would run: ``rule`` — an option's
+    primary, or its fallback where the residual where-clause rejects the
+    instance — at ``assignment`` of its instance variables; ``env`` is
+    the sizes plus that assignment."""
 
-    Starts each variable at its assumed minimum (transform assumptions
-    already include the choice grid's folded order guards) and filters
-    out environments the engine would reject at run time via the grid's
-    remaining order guards.
-    """
-    ir = compiled.ir
-    variables = list(ir.size_vars)
-    if not variables:
-        return [{}]
-    span = budget.per_var_span(len(variables))
-    ranges: List[List[int]] = []
-    for var in variables:
-        lo, hi = ir.assumptions.range_of(var)
-        start = 0 if lo is None else max(0, lo)
-        stop = start + span
-        if hi is not None:
-            stop = min(stop, hi)
-        ranges.append(list(range(start, stop + 1)))
-    combos = sorted(
-        itertools.product(*ranges), key=lambda combo: (sum(combo), combo)
-    )
-    envs: List[SizeEnv] = []
-    for combo in combos:
-        env = dict(zip(variables, combo))
-        if not order_guards_hold(compiled, env):
-            continue
-        envs.append(env)
-        if len(envs) >= budget.max_envs:
-            break
-    return envs
+    rule: object
+    env: SizeEnv
+    assignment: Dict[str, int]
+
+    def same_as(self, other: "Application") -> bool:
+        return (
+            self.rule.rule_id == other.rule.rule_id
+            and self.assignment == other.assignment
+        )
 
 
-def order_guards_hold(compiled, env: SizeEnv) -> bool:
-    """Would the engine accept these sizes? (mirrors the plan builder)."""
-    return all(
-        guard.eval_floor(env) >= 0 for guard in compiled.grid.order_guards
-    )
+def _memoised(key):
+    """A :class:`Replay` method answered once per ``key(*args)`` for the
+    object's lifetime (``None`` — over budget — is an answer too)."""
+
+    def wrap(method):
+        @wraps(method)
+        def cached(self, *args):
+            memo_key = (method.__name__, *key(*args))
+            try:
+                return self._memo[memo_key]
+            except KeyError:
+                answer = self._memo[memo_key] = method(self, *args)
+                return answer
+
+        return cached
+
+    return wrap
 
 
-def size_guards_hold(rule, env: SizeEnv) -> bool:
-    """Would the schedule walk accept this rule at these sizes?"""
-    return all(guard.eval_floor(env) >= 0 for guard in rule.size_guards)
+class Replay:
+    """The engine's geometry of one compiled transform at every admitted
+    size — the application model every witness pass reads.
 
+    Admitted ``envs`` (smallest total size first; a method's ``e`` is an
+    index into them), each segment's concrete box, instance spaces,
+    applications and expanded cell boxes are derived once and memoised
+    on the object (answers are shared: read them, never mutate them).  A
+    ``Replay`` lives for one driver call: it is never stored on the
+    compiled transform or in a module-level table.  Anything over
+    ``budget`` is ``None`` — "not checked", never a finding.  ``envs``
+    pins the sizes instead of enumerating them (validation replays a
+    witness at its own sizes)."""
 
-def matrix_shape(compiled, matrix_name: str, env: SizeEnv) -> Tuple[int, ...]:
-    """Concrete extents, exactly as the engine allocates them."""
-    mat = compiled.ir.matrices[matrix_name]
-    return tuple(dim.eval_floor(env) for dim in mat.dims)
+    def __init__(
+        self,
+        compiled,
+        budget: WitnessBudget = DEFAULT_BUDGET,
+        envs: Optional[List[SizeEnv]] = None,
+    ) -> None:
+        self.compiled = compiled
+        self.budget = budget
+        self._memo: Dict[Tuple, object] = {}
+        if envs is not None:
+            self.envs = envs
 
+    @cached_property
+    def envs(self) -> List[SizeEnv]:
+        """Admitted sizes: each variable starts at its assumed minimum
+        (transform assumptions already include the choice grid's folded
+        order guards); environments the engine would reject at run time
+        via the grid's remaining order guards are filtered out."""
+        ir, grid, budget = self.compiled.ir, self.compiled.grid, self.budget
+        variables = list(ir.size_vars)
+        if not variables:
+            return [{}]
+        span = budget.per_var_span(len(variables))
+        ranges: List[List[int]] = []
+        for var in variables:
+            lo, hi = ir.assumptions.range_of(var)
+            start = 0 if lo is None else max(0, lo)
+            stop = start + span
+            if hi is not None:
+                stop = min(stop, hi)
+            ranges.append(list(range(start, stop + 1)))
+        combos = sorted(
+            itertools.product(*ranges), key=lambda combo: (sum(combo), combo)
+        )
+        envs: List[SizeEnv] = []
+        for combo in combos:
+            env = dict(zip(variables, combo))
+            if grid.failed_order_guard(env) is not None:
+                continue
+            envs.append(env)
+            if len(envs) >= budget.max_envs:
+                break
+        return envs
 
-def residual_ok(rule, env: Dict[str, int]) -> bool:
-    """The engine's residual-where predicate (see `_residual_ok`)."""
-    scope = Scope(dict(env))
-    return all(
-        float(evaluate(cond, scope)) != 0 for cond in rule.residual_where
-    )
+    def options(self) -> Iterator[Tuple[object, object]]:
+        """(segment, option) pairs across all grids of the transform."""
+        for segment in self.compiled.grid.all_segments():
+            for option in segment.options:
+                yield segment, option
 
+    @_memoised(lambda segment, e: (segment.key, e))
+    def box(self, segment, e: int) -> Bounds:
+        """The segment's concrete box."""
+        return segment.box.concrete(self.envs[e])
 
-def instance_assignments(
-    compiled,
-    segment,
-    rule,
-    env: SizeEnv,
-    budget: WitnessBudget = DEFAULT_BUDGET,
-) -> Optional[List[Dict[str, int]]]:
-    """Every instance assignment the engine would run for ``rule`` in
-    ``segment`` at sizes ``env``; ``None`` when the space exceeds the
-    budget or cannot be solved (skip, never report).
+    @_memoised(lambda matrix, e: (matrix, e))
+    def shape(self, matrix: str, e: int) -> Tuple[int, ...]:
+        """Concrete extents, exactly as the engine allocates them."""
+        env = self.envs[e]
+        mat = self.compiled.ir.matrices[matrix]
+        return tuple(dim.eval_floor(env) for dim in mat.dims)
 
-    Whole-region rules apply once: the result is ``[{}]``.
-    """
-    if not rule.is_instance_rule:
-        return [{}]
-    seg_bounds = segment.box.concrete(env)
-    if any(hi <= lo for lo, hi in seg_bounds):
-        return []
-    try:
-        ranges = compiled.site(segment, rule).ranges(env, seg_bounds)
-    except Exception:
-        # Coupled output coordinates / undecidable clips: the engine would
-        # fail the same way at run time; not a bounds/coverage finding.
-        return None
-    volume = 1
-    for var in rule.rule_vars:
-        lo, hi = ranges[var]
-        volume *= max(0, hi - lo)
-        if volume > budget.max_instances:
+    @_memoised(lambda segment, rule, e: (segment.key, rule.rule_id, e))
+    def instances(self, segment, rule, e: int) -> Optional[List[Dict[str, int]]]:
+        """Every instance assignment the engine would run for ``rule``
+        in ``segment``; ``None`` when the space exceeds the budget or
+        cannot be solved (skip, never report).  Whole-region rules apply
+        once: ``[{}]``."""
+        if not rule.is_instance_rule:
+            return [{}]
+        seg_bounds = self.box(segment, e)
+        if any(hi <= lo for lo, hi in seg_bounds):
+            return []
+        try:
+            ranges = self.compiled.site(segment, rule).ranges(
+                self.envs[e], seg_bounds
+            )
+        except Exception:
+            # Coupled output coordinates / undecidable clips: the engine
+            # would fail the same way at run time; not a finding.
             return None
-    assignments = []
-    for values in itertools.product(
-        *(range(*ranges[var]) for var in rule.rule_vars)
-    ):
-        assignments.append(dict(zip(rule.rule_vars, values)))
-    return assignments
+        volume = 1
+        for var in rule.rule_vars:
+            lo, hi = ranges[var]
+            volume *= max(0, hi - lo)
+            if volume > self.budget.max_instances:
+                return None
+        return [
+            dict(zip(rule.rule_vars, values))
+            for values in itertools.product(
+                *(range(*ranges[var]) for var in rule.rule_vars)
+            )
+        ]
 
-
-def region_cells(
-    bounds: Sequence[Tuple[int, int]],
-    budget: WitnessBudget = DEFAULT_BUDGET,
-) -> Optional[List[Cell]]:
-    """All cells of a concrete box; ``None`` when over budget."""
-    volume = 1
-    for lo, hi in bounds:
-        volume *= max(0, hi - lo)
-        if volume > budget.max_cells:
+    @_memoised(
+        lambda segment, option, e: (
+            segment.key, option.primary, option.fallback, e
+        )
+    )
+    def applications(self, segment, option, e: int) -> Optional[List[Application]]:
+        """The applications the engine would run for this option (size
+        guards, residual-where fallbacks), or ``None`` when the instance
+        space exceeds the budget."""
+        rules, env = self.compiled.ir.rules, self.envs[e]
+        rule = rules[option.primary]
+        fallback = rules[option.fallback] if option.fallback is not None else None
+        if rule.failed_size_guard(env) is not None:
+            return []
+        assignments = self.instances(segment, rule, e)
+        if assignments is None:
             return None
-    return list(itertools.product(*(range(lo, hi) for lo, hi in bounds)))
+        apps = []
+        for assignment in assignments:
+            instance_env = {**env, **assignment}
+            chosen = rule
+            if rule.residual_where and not rule.residual_ok(instance_env):
+                if fallback is None or fallback.failed_size_guard(env) is not None:
+                    continue
+                chosen = fallback
+            apps.append(Application(chosen, instance_env, assignment))
+        return apps
+
+    @_memoised(lambda bounds: (bounds,))
+    def cells(self, bounds: Bounds) -> Optional[List[Cell]]:
+        """All cells of a concrete box; ``None`` when over budget."""
+        volume = 1
+        for lo, hi in bounds:
+            volume *= max(0, hi - lo)
+            if volume > self.budget.max_cells:
+                return None
+        return list(itertools.product(*(range(lo, hi) for lo, hi in bounds)))
+
+    def touched(
+        self, apps: Iterable[Application], matrix: str, side: str
+    ) -> Iterator[Tuple[Cell, Application]]:
+        """``(cell, application)`` for every cell of ``matrix`` the
+        applications touch through their ``side`` (``"to_regions"`` or
+        ``"from_regions"``), in application order; regions over the cell
+        budget contribute nothing."""
+        for app in apps:
+            for region in getattr(app.rule, side):
+                if region.matrix == matrix:
+                    for cell in self.cells(region.box.concrete(app.env)) or ():
+                        yield cell, app
+
+    def flows(
+        self, apps: List[Application], matrix: str
+    ) -> Iterator[Tuple[Cell, Application, Application]]:
+        """``(cell, writer, reader)`` for every cell of ``matrix`` one of
+        the applications reads and one writes — reads in application
+        order, each against its cell's writers in application order."""
+        writers: Dict[Cell, List[Application]] = {}
+        for cell, app in self.touched(apps, matrix, "to_regions"):
+            writers.setdefault(cell, []).append(app)
+        for cell, reader in self.touched(apps, matrix, "from_regions"):
+            for writer in writers.get(cell, ()):
+                yield cell, writer, reader
 
 
 def describe_env(env: SizeEnv, assignment: Optional[Dict[str, int]] = None) -> str:
@@ -181,10 +285,3 @@ def describe_bounds(name: str, bounds: Sequence[Tuple[int, int]]) -> str:
         return f"{name}[scalar]"
     inner = ", ".join(f"{lo}:{hi}" for lo, hi in bounds)
     return f"{name}[{inner}]"
-
-
-def iter_segment_options(compiled) -> Iterator[Tuple[object, object]]:
-    """(segment, option) pairs across all grids of a compiled transform."""
-    for segment in compiled.grid.all_segments():
-        for option in segment.options:
-            yield segment, option

@@ -75,6 +75,7 @@ from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 from repro.engine_fast import LEAF_PATH_NAMES
 from repro.faults import FaultInjector, FaultSpecError
+from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
 from repro.runtime import MACHINES, WorkStealingScheduler
 
@@ -188,13 +189,9 @@ def _load_rewrite_program(path: str) -> CompiledProgram:
 def cmd_rewrite(args: argparse.Namespace) -> int:
     """List proven rewrite opportunities, or apply them and emit DSL."""
     from repro.analysis.check import diagnostic_from_error
-    from repro.analysis.depend import (
-        check_depend,
-        fusion_candidates,
-        schedule_candidates,
-    )
+    from repro.analysis.depend import rewrite_audit
     from repro.analysis.diagnostics import Diagnostic
-    from repro.language.errors import PetaBricksError
+    from repro.analysis.witness import Replay
     from repro.rewrite import (
         REWRITE_BUDGET,
         UnparseError,
@@ -234,10 +231,11 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     schedules = {}
     diagnostics = []
     for name in names:
-        compiled = program.transform(name)
-        candidates[name] = fusion_candidates(compiled, REWRITE_BUDGET)
-        schedules[name] = schedule_candidates(compiled, REWRITE_BUDGET)
-        diagnostics.extend(check_depend(compiled, REWRITE_BUDGET, args.source))
+        replay = Replay(program.transform(name), REWRITE_BUDGET)
+        candidates[name], schedules[name], found = rewrite_audit(
+            replay, args.source
+        )
+        diagnostics.extend(found)
 
     applied = {}
     rewritten = None
@@ -1272,7 +1270,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PetaBricksError as exc:
+        # A user error (unknown transform, refused sizes, a tile size the
+        # rewrite's ScheduleError rejects): one line, like the daemon's
+        # structured 4xx — never a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

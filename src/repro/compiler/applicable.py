@@ -28,7 +28,7 @@ from repro.language import ast_nodes as ast
 from repro.language.errors import CompileError
 from repro.symbolic import Affine, Assumptions, Box, Interval
 from repro.symbolic.expr import SymbolicCompareError
-from repro.symbolic.interval import _symbolic_max, _symbolic_min
+from repro.symbolic.interval import symbolic_max, symbolic_min
 
 from repro.compiler.ir import RuleIR, TransformIR
 
@@ -48,10 +48,10 @@ class _Bounds:
         self.hi: Optional[Affine] = None
 
     def add_lower(self, bound: Affine, assumptions: Assumptions) -> None:
-        self.lo = bound if self.lo is None else _symbolic_max(self.lo, bound, assumptions)
+        self.lo = bound if self.lo is None else symbolic_max(self.lo, bound, assumptions)
 
     def add_upper(self, bound: Affine, assumptions: Assumptions) -> None:
-        self.hi = bound if self.hi is None else _symbolic_min(self.hi, bound, assumptions)
+        self.hi = bound if self.hi is None else symbolic_min(self.hi, bound, assumptions)
 
     def interval(self, var: str, line: int = 0, column: int = 0) -> Interval:
         if self.lo is None or self.hi is None:
@@ -270,8 +270,8 @@ def _bounding_box(a: Box, b: Box, assumptions: Assumptions) -> Box:
     for iv_a, iv_b in zip(a.intervals, b.intervals):
         intervals.append(
             Interval(
-                _symbolic_min(iv_a.lo, iv_b.lo, assumptions),
-                _symbolic_max(iv_a.hi, iv_b.hi, assumptions),
+                symbolic_min(iv_a.lo, iv_b.lo, assumptions),
+                symbolic_max(iv_a.hi, iv_b.hi, assumptions),
             )
         )
     return Box(intervals)

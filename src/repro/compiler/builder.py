@@ -46,7 +46,7 @@ from repro.compiler.ir import (
     NativeBody,
     ProgramIR,
     TransformIR,
-    _build_transform,
+    build_transform,
 )
 
 RegionSpec = Sequence[str]
@@ -153,7 +153,7 @@ class TransformBuilder:
             tunables=tuple(self._tunables),
             generator=self._generator,
         )
-        transform = _build_transform(decl)
+        transform = build_transform(decl)
         for index, native in self._native_bodies.items():
             transform.rules[index].native_body = native
         for index, work in self._base_work.items():

@@ -74,6 +74,13 @@ class ChoiceGrid:
     segments: Dict[str, List[Segment]]
     order_guards: List[Affine]
 
+    def failed_order_guard(self, env) -> Optional[Affine]:
+        """The first ordering guard violated at sizes ``env`` (the engine
+        rejects such inputs), or None."""
+        return next(
+            (g for g in self.order_guards if g.eval_floor(env) < 0), None
+        )
+
     def all_segments(self) -> List[Segment]:
         return [seg for segs in self.segments.values() for seg in segs]
 

@@ -66,7 +66,7 @@ from repro.engine_fast import (
 from repro.engine_fast.geometry import split_chain_free
 from repro.language import parse_program
 from repro.language.errors import CompileError, PetaBricksError
-from repro.language.interp import Scope, evaluate, execute
+from repro.language.interp import Scope, execute
 from repro.runtime.matrix import Matrix, MatrixView
 from repro.runtime.task import TaskGraph, TaskRecorder
 from repro.symbolic import Affine, solve_bounds_for
@@ -827,13 +827,13 @@ class CompiledTransform:
 
     def _build_plan(self, config, shapes, explicit, sink) -> RunPlan:
         env = self.bind_sizes_from_shapes(shapes, explicit)
-        for guard in self.grid.order_guards:
-            if guard.eval_floor(env) < 0:
-                raise ExecutionError(
-                    f"{self.name}: sizes {dict(env)} violate the assumed "
-                    f"region ordering {guard} >= 0 (input too small for "
-                    f"this program's choice grid)"
-                )
+        guard = self.grid.failed_order_guard(env)
+        if guard is not None:
+            raise ExecutionError(
+                f"{self.name}: sizes {dict(env)} violate the assumed "
+                f"region ordering {guard} >= 0 (input too small for "
+                f"this program's choice grid)"
+            )
         # The problem size steering choice selection and the sequential
         # cutoff is the total cells across every matrix of the call.
         # The whole call footprint (not just outputs) shrinks under
@@ -1043,12 +1043,12 @@ class CompiledTransform:
                 if option.fallback is not None
                 else None
             )
-            for guard in site.rule.size_guards:
-                if guard.eval_floor(env) < 0:
-                    raise ExecutionError(
-                        f"{self.name} {site.rule.label}: size constraint "
-                        f"{guard} >= 0 fails for {dict(env)}"
-                    )
+            guard = site.rule.failed_size_guard(env)
+            if guard is not None:
+                raise ExecutionError(
+                    f"{self.name} {site.rule.label}: size constraint "
+                    f"{guard} >= 0 fails for {dict(env)}"
+                )
             yield site, fallback, bounds
 
     def _default_selector(self, segment: Segment) -> Selector:
@@ -1188,8 +1188,8 @@ class CompiledTransform:
                 for var, value in zip(free_vars, values):
                     instance_env[var] = value
                 chosen = rule
-                if rule.residual_where and not self._residual_ok(
-                    rule, instance_env
+                if rule.residual_where and not rule.residual_ok(
+                    instance_env
                 ):
                     if fallback is None:
                         raise self._where_failure(
@@ -1325,13 +1325,6 @@ class CompiledTransform:
                 if tiles:
                     sink.count("exec.tiled_blocks")
             previous = [step_task]
-
-    def _residual_ok(self, rule: RuleIR, env: Dict[str, int]) -> bool:
-        # Scope only reads its bindings, so no defensive copy is needed.
-        scope = Scope(env)
-        return all(
-            float(evaluate(cond, scope)) != 0 for cond in rule.residual_where
-        )
 
     # -- rule application ------------------------------------------------------------
 

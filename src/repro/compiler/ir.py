@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.language import ast_nodes as ast
 from repro.language.errors import CompileError
+from repro.language.interp import Scope, evaluate
 from repro.symbolic import Affine, Assumptions, Box, Interval
 
 ROLE_INPUT = "from"
@@ -151,6 +152,21 @@ class RuleIR:
                 return (line, column)
         return None
 
+    def failed_size_guard(self, env: Mapping[str, int]) -> Optional[Affine]:
+        """The first size guard violated at sizes ``env`` (the rule may
+        not run there), or None."""
+        return next(
+            (g for g in self.size_guards if g.eval_floor(env) < 0), None
+        )
+
+    def residual_ok(self, env: Dict[str, int]) -> bool:
+        """Do the residual where-clauses accept the instance ``env``
+        (sizes plus rule variables)?"""
+        scope = Scope(env)  # only reads its bindings: no defensive copy
+        return all(
+            float(evaluate(cond, scope)) != 0 for cond in self.residual_where
+        )
+
     def writes_matrices(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(r.matrix for r in self.to_regions))
 
@@ -227,11 +243,11 @@ def build_ir(
                     raise CompileError(
                         f"duplicate transform {instance.name!r}"
                     )
-                transforms[instance.name] = _build_transform(instance)
+                transforms[instance.name] = build_transform(instance)
             continue
         if decl.name in transforms:
             raise CompileError(f"duplicate transform {decl.name!r}")
-        transforms[decl.name] = _build_transform(decl)
+        transforms[decl.name] = build_transform(decl)
     return ProgramIR(transforms)
 
 
@@ -331,7 +347,8 @@ def instantiate_template(
     )
 
 
-def _build_transform(decl: ast.TransformDecl) -> TransformIR:
+def build_transform(decl: ast.TransformDecl) -> TransformIR:
+    """Semantic analysis of one (template-free) transform declaration."""
     matrices: Dict[str, MatrixIR] = {}
     for role, decls in (
         (ROLE_INPUT, decl.from_matrices),

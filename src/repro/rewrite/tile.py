@@ -25,6 +25,7 @@ from typing import Callable, List, Mapping, Tuple, Union
 from repro.analysis.depend import ScheduleCandidate, schedule_candidates
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import ScheduleIR, TransformIR
+from repro.language.errors import PetaBricksError
 from repro.rewrite.fuse import REWRITE_BUDGET, unanalyzed
 
 __all__ = [
@@ -42,7 +43,7 @@ DEFAULT_TILE = 32
 Sizes = Union[int, Mapping[str, int]]
 
 
-class ScheduleError(Exception):
+class ScheduleError(PetaBricksError):
     """A schedule rewrite was attempted on a candidate the analyzer
     did not prove (or with unusable tile sizes)."""
 

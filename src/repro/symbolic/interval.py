@@ -65,8 +65,8 @@ class Interval:
         """
         other = Interval.coerce(other)
         return Interval(
-            _symbolic_max(self.lo, other.lo, assumptions),
-            _symbolic_min(self.hi, other.hi, assumptions),
+            symbolic_max(self.lo, other.lo, assumptions),
+            symbolic_min(self.hi, other.hi, assumptions),
         )
 
     def shift(self, offset: AffineLike) -> "Interval":
@@ -108,7 +108,8 @@ class Interval:
         return f"[{self.lo}, {self.hi})"
 
 
-def _symbolic_max(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> Affine:
+def symbolic_max(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> Affine:
+    """Whichever of ``a``, ``b`` is provably the larger under ``assumptions``."""
     if a.always_ge(b, assumptions):
         return a
     if b.always_ge(a, assumptions):
@@ -116,7 +117,8 @@ def _symbolic_max(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> 
     raise SymbolicCompareError(f"cannot compute max({a}, {b}) symbolically")
 
 
-def _symbolic_min(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> Affine:
+def symbolic_min(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> Affine:
+    """Whichever of ``a``, ``b`` is provably the smaller under ``assumptions``."""
     if a.always_le(b, assumptions):
         return a
     if b.always_le(a, assumptions):

@@ -7,6 +7,7 @@ in-bounds is never flagged), and a sweep asserts every bundled app and
 example passes ``repro check --strict``.
 """
 
+import collections
 import dataclasses
 import glob
 import json
@@ -20,6 +21,8 @@ from repro.analysis import (
     AnalysisReport,
     CODE_TABLE,
     Diagnostic,
+    Replay,
+    WitnessBudget,
     analyze_transform,
     check_bounds,
     check_file,
@@ -33,6 +36,7 @@ from repro.compiler.ir import RegionIR
 from repro.language.errors import CompileError, PetaBricksError
 from repro.observe import TraceSink
 from repro.symbolic import Box, Interval
+from tests.test_schedule import HEAT, MATMUL_CHAIN
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -212,7 +216,7 @@ def _compiled_with_shifted_read():
 
 def test_bounds_checker_reports_oob_read_with_witness():
     compiled = _compiled_with_shifted_read()
-    diagnostics = check_bounds(compiled)
+    diagnostics = check_bounds(Replay(compiled))
     oob = [d for d in diagnostics if d.code == "PB101"]
     assert len(oob) == 1
     diag = oob[0]
@@ -225,7 +229,7 @@ def test_bounds_checker_reports_oob_read_with_witness():
 def test_bounds_witness_names_a_real_crash():
     """The PB101 witness must be a size at which execution faults."""
     compiled = _compiled_with_shifted_read()
-    diag = [d for d in check_bounds(compiled) if d.code == "PB101"][0]
+    diag = [d for d in check_bounds(Replay(compiled)) if d.code == "PB101"][0]
     env = dict(
         part.split("=") for part in diag.witness.split(", ")
     )
@@ -298,7 +302,7 @@ def test_bounds_checker_soundness(lo, width):
         return  # rejected by the pipeline: nothing to check
     compiled = program.transforms["Window"]
     flagged = [
-        d for d in check_bounds(compiled) if d.code == "PB101"
+        d for d in check_bounds(Replay(compiled)) if d.code == "PB101"
     ]
     crashed = False
     for n in range(1, 7):
@@ -359,6 +363,68 @@ def test_compile_hook_ignores_warnings():
     # hygiene findings are warnings: compilation must still succeed
     program = compile_program(UNUSED_DECLS)
     assert "Unused" in program.transforms
+
+
+# ---------------------------------------------------------------------------
+# The seam: every witness pass reads one Replay, memoised per object
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def ranges_calls(monkeypatch):
+    """Calls of ``Site.ranges`` per (segment, rule, sizes)."""
+    from repro.compiler.codegen import Site
+
+    calls = collections.Counter()
+    solve = Site.ranges
+
+    def spy(site, env, segment_bounds):
+        key = (site.segment.key, site.rule.rule_id, tuple(sorted(env.items())))
+        calls[key] += 1
+        return solve(site, env, segment_bounds)
+
+    monkeypatch.setattr(Site, "ranges", spy)
+    return calls
+
+
+def test_analysis_solves_each_instance_space_once(ranges_calls):
+    heat = compile_program(HEAT, analyze=False).transform("Heat")
+    analyze_transform(heat)
+    assert len(ranges_calls) > 100  # every (segment, rule, env) of Heat
+    assert set(ranges_calls.values()) == {1}
+
+
+def test_compile_hook_solves_each_instance_space_once(ranges_calls):
+    compile_program(HEAT)
+    assert ranges_calls and set(ranges_calls.values()) == {1}
+
+
+def test_replay_memo_is_per_object_not_a_cache():
+    """What one Replay learned at a large budget must not answer a
+    second one at a small budget: that one reads exactly what a run that
+    never saw the large budget reads, over-budget cut-offs included."""
+    small = WitnessBudget(max_size=3, max_envs=4, max_instances=5, max_cells=6)
+    cut_short = []
+    for source in (HEAT, MATMUL_CHAIN, UNSAT_WHERE, META_FALLBACK_OVERLAP):
+        (fresh,) = compile_program(source, analyze=False).transforms.values()
+        (warm,) = compile_program(source, analyze=False).transforms.values()
+        at_default = analyze_transform(warm)
+        at_small = analyze_transform(warm, small)
+        assert at_small == analyze_transform(fresh, small)
+        assert analyze_transform(warm) == at_default
+        cut_short.append(at_small != at_default)
+    assert cut_short[0] and any(cut_short[1:])  # the budgets do differ
+
+    heat = compile_program(HEAT, analyze=False).transform("Heat")
+    big, little = Replay(heat), Replay(heat, WitnessBudget(max_instances=2))
+    assert little.envs == big.envs
+    e = len(big.envs) - 1
+    segment, option = max(
+        big.options(), key=lambda pair: len(big.applications(*pair, e))
+    )
+    apps = big.applications(segment, option, e)
+    assert len(apps) > 2 and big.applications(segment, option, e) is apps
+    assert little.applications(segment, option, e) is None
 
 
 # ---------------------------------------------------------------------------

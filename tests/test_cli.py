@@ -100,6 +100,53 @@ class TestRun:
         assert "'RollingSum.__leaf_path__'" in err
 
 
+# k is a chain over free (i, j): the one bundled shape `--tile` applies to.
+MATMUL_CHAIN = """
+transform MatMulChain
+from A[n, p], B[p, m]
+through S[p + 1, n, m]
+to C[n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 0.0; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, i, j) prev, A.cell(i, k - 1) a, B.cell(k - 1, j) b)
+  {
+    s = prev + a * b;
+  }
+  to (C.cell(i, j) c) from (S.cell(p, i, j) s) { c = s; }
+}
+"""
+
+
+class TestUserErrorsAreOneLine:
+    """A user's mistake ends in ``error: ...`` and exit 2 — the daemon's
+    structured 4xx — never in a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "-t", "Nope", "--random-input", "8"],
+             "unknown transform 'Nope'"),
+            (["run", "-t", "RollingSum", "--random-input", "8",
+              "--size", "n=-1"],
+             "size variable 'n' must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_run(self, source, capsys, argv, message):
+        assert main([argv[0], source, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_rewrite_refused_tile_size(self, tmp_path, capsys):
+        path = tmp_path / "matmul.pbcc"
+        path.write_text(MATMUL_CHAIN)
+        assert main(["rewrite", str(path), "--apply", "--tile", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: tile size for i must be >= 1, got -3\n"
+        assert "Traceback" not in captured.out
+
+
 class TestTrace:
     def test_trace_writes_jsonl(self, source, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"

@@ -17,7 +17,7 @@ from repro.analysis.depend import (
     rule_dependences,
     validate_conflict,
 )
-from repro.analysis.witness import WitnessBudget
+from repro.analysis.witness import Replay, WitnessBudget
 from repro.compiler import compile_program
 from repro.symbolic import Affine
 from repro.symbolic.solve import unit_stride_offset
@@ -304,7 +304,7 @@ class TestConflictWitness:
 class TestCheckDepend:
     def test_pipe_emits_pb601_and_audit(self):
         transform = compiled(PIPE, "Pipe")
-        diags = check_depend(transform, BUDGET)
+        diags = check_depend(Replay(transform, BUDGET))
         codes = [d.code for d in diags]
         # one storage verdict per through matrix: T is written in one
         # parallel sweep, so every "plane" is kept (PB607)
@@ -320,7 +320,7 @@ class TestCheckDepend:
 
     def test_rolling_emits_pb602_with_witness(self):
         transform = compiled(ROLLING, "Rolling")
-        diags = check_depend(transform, BUDGET)
+        diags = check_depend(Replay(transform, BUDGET))
         pb602 = next(d for d in diags if d.code == "PB602")
         assert pb602.severity == "info"
         assert pb602.witness, "PB602 must carry a replayable witness"
@@ -328,12 +328,12 @@ class TestCheckDepend:
         assert "S blocked" in audit.message
 
     def test_audit_always_emitted(self):
-        diags = check_depend(compiled(COPY, "Copy"), BUDGET)
+        diags = check_depend(Replay(compiled(COPY, "Copy"), BUDGET))
         assert [d.code for d in diags] == ["PB603"]
         assert "no fusion candidates" in diags[0].message
 
     def test_ineligible_reason_lands_in_audit(self):
-        diags = check_depend(compiled(TWO_WRITERS, "TwoWriters"), BUDGET)
+        diags = check_depend(Replay(compiled(TWO_WRITERS, "TwoWriters"), BUDGET))
         audit = next(d for d in diags if d.code == "PB603")
         assert "T ineligible (2 rules write T" in audit.message
 

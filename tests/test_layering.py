@@ -106,6 +106,20 @@ def test_the_library_does_not_import_the_command_line():
     assert offenders == []
 
 
+def test_no_module_imports_another_modules_private_name():
+    """``from repro.x.y import _z`` reaches behind a module's interface:
+    what a second module needs is public, and named for what it is."""
+    offenders = [
+        f"{path}:{line} {name}"
+        for path, tree in modules()
+        for line, name in imports(tree)
+        if is_under(name, "repro")
+        and name.rpartition(".")[2].startswith("_")
+        and not name.endswith("__")
+    ]
+    assert offenders == []
+
+
 def test_serve_speaks_http_through_its_own_transport_only():
     """Nothing under ``repro/serve`` goes back to the stdlib's HTTP
     stack, and the transport stands alone: no import from ``repro``."""

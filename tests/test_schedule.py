@@ -19,6 +19,7 @@ from repro.analysis.depend import (
     schedule_candidates,
     validate_schedule_witness,
 )
+from repro.analysis.witness import Replay
 from repro.cli import main
 from repro.compiler import ChoiceConfig, compile_program
 from repro.engine_fast import LRUCache
@@ -180,9 +181,9 @@ class TestScheduleCandidates:
         assert not validate_schedule_witness(heat, bad_rule)
 
     def test_check_depend_emits_pb604_and_pb605(self):
-        mm_codes = [d.code for d in check_depend(compiled(MATMUL_CHAIN, "MatMulChain"))]
+        mm_codes = [d.code for d in check_depend(Replay(compiled(MATMUL_CHAIN, "MatMulChain")))]
         assert "PB604" in mm_codes and "PB605" not in mm_codes
-        heat_diags = check_depend(compiled(HEAT, "Heat"))
+        heat_diags = check_depend(Replay(compiled(HEAT, "Heat")))
         heat_codes = [d.code for d in heat_diags]
         assert "PB604" in heat_codes and "PB605" in heat_codes
         pb605 = next(d for d in heat_diags if d.code == "PB605")

@@ -31,6 +31,7 @@ from repro.analysis.depend import (
     storage_witness,
     validate_storage_witness,
 )
+from repro.analysis.witness import Replay
 from repro.batch import BatchEngine
 from repro.compiler import ChoiceConfig, compile_program
 from repro.compiler.builder import TransformBuilder
@@ -693,7 +694,7 @@ def test_a_cell_read_before_it_is_assigned_blocks_the_fold(body):
 
 def test_pb606_explains_the_fold():
     folded, _ = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
-    diags = {d.code: d for d in check_depend(folded)}
+    diags = {d.code: d for d in check_depend(Replay(folded))}
     assert "PB607" not in diags
     pb606 = diags["PB606"]
     assert pb606.severity == "info" and pb606.region == "S"
@@ -707,7 +708,7 @@ def test_pb606_explains_the_fold():
 
 def test_pb607_carries_a_witness_that_replays():
     heat = compile_program(HEAT).transform("Heat")
-    pb607 = next(d for d in check_depend(heat) if d.code == "PB607")
+    pb607 = next(d for d in check_depend(Replay(heat)) if d.code == "PB607")
     assert pb607.message == (
         "storage of U is not folded: segments U.3, U.4, U.5 share planes "
         "[1, 1 +k) and run one after the other"
