@@ -98,10 +98,10 @@ _VECTOR_WORK_FACTOR = 1.0 / 16.0
 _VECTOR_STEP_WORK = 32.0
 
 #: Geometry entries are small — ranges and one value list per variable;
-#: the instance product of a per-cell site is added on its first
-#: replay, a vector site never has one — but recursive transforms can
-#: visit many distinct size-envs; cap the cache rather than grow
-#: without bound.
+#: the instance product of a per-cell site is added when its first
+#: step is planned, a vector site never has one — but recursive
+#: transforms can visit many distinct size-envs; cap the cache rather
+#: than grow without bound.
 _GEOM_CACHE_LIMIT = 4096
 
 #: Run plans per transform.  A tuner evaluates thousands of (config,
@@ -182,7 +182,7 @@ class PlanStep:
     carries ``region_bounds``; an instance rule its ``geometry`` and
     resolved leaf — vector (``plan``, ``tiles``, ``leaf_label``,
     ``cell_work``) or per-cell (``kernel``, ``None`` = interpreter, and
-    ``block``).  The site and the vector plan are held by reference, so
+    ``blocks``).  The site and the vector plan are held by reference, so
     ``rule.native_body`` and ``plan.maker`` are read when the step runs.
     """
 
@@ -201,7 +201,9 @@ class PlanStep:
     leaf_label: str = ""
     cell_work: float = 0.0
     kernel: Optional[RuleKernel] = None
-    block: int = 1
+    #: a per-cell step's block tasks, ``(label, instance tuples)``: the
+    #: ``__block_size__`` slices of ``geometry.free_products``
+    blocks: Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...] = ()
     #: the vector leaf was configured and the site (or its step volume)
     #: refused it: counted as ``exec.vector_fallbacks`` per run
     demoted: bool = False
@@ -217,10 +219,11 @@ class RunPlan:
     :meth:`CompiledTransform.plan`.  Immutable and free of matrix data:
     scalars plus references into the transform's shared
     :class:`Geometry`/:class:`VectorPlan`/:class:`RuleIR` objects, so
-    any number of threads may replay one plan at once and a cached plan
-    costs no memory proportional to its iteration count (the one thing
-    that is — a per-cell site's instance product — lives on the shared
-    geometry, built on that site's first replay)."""
+    any number of threads may replay one plan at once.  Only a per-cell
+    step holds anything proportional to its iteration count: the block
+    slices (one reference per instance) of the instance product that
+    lives on the shared geometry, built when the first such step is
+    planned."""
 
     #: whose frame this is: the planned transform, or its
     #: ``fused_variant()`` when ``__fuse__`` redirects the call
@@ -431,15 +434,14 @@ class Site:
 
     @functools.cached_property
     def kernel(self) -> Optional[RuleKernel]:
-        """The rule's closure kernel, its parameters in the site's
-        iteration order (one rule iterated in two orders by two sites
-        has two), or ``None``: a rule the lowerer cannot prove
-        bit-for-bit equivalent keeps the interpreter — a failed
-        lowering is a lost optimization, never a wrong answer."""
-        chain_vars, free_vars = self.split
+        """The rule's closure kernel, looping in the site's iteration
+        order (one rule iterated in two orders by two sites has two),
+        or ``None``: a rule the lowerer cannot prove bit-for-bit
+        equivalent keeps the interpreter — a failed lowering is a lost
+        optimization, never a wrong answer."""
         try:
             return lower_rule(
-                self.rule, self.transform.ir, chain_vars + free_vars,
+                self.rule, self.transform.ir, *self.split,
                 self.transform._storage_folds,
             )
         except Exception:
@@ -928,11 +930,16 @@ class CompiledTransform:
                     leaf_label=rule.label + ("[vec:tiled]" if tiles else "[vec]"),
                     cell_work=rule.base_work + plan.static_ops,
                 )
+        instances = geometry.free_products
+        block = max(1, config.block_size(self.name))
         return PlanStep(
             **common,
             geometry=geometry,
             kernel=None if leaf == LEAF_INTERP else site.kernel,
-            block=max(1, config.block_size(self.name)),
+            blocks=tuple(
+                (f"{rule.label}[{start}]", instances[start : start + block])
+                for start in range(0, len(instances), block)
+            ),
             demoted=leaf == LEAF_VECTOR,
         )
 
@@ -1115,30 +1122,41 @@ class CompiledTransform:
         """The per-cell leaves' driver: sequential chain steps, each a
         set of blocked data-parallel tasks.  Task labels, block deps, and
         barrier structure are identical for the interpreter and closure
-        paths."""
-        geometry = step.geometry
+        paths.  A closure block returns its work where the interpreter
+        has charged its own; one that can open no task inside — no
+        sibling call, no fallback rule — is recorded after the fact."""
+        kernel = step.kernel
         apply_block = (
             self._interp_block_runner
-            if step.kernel is None
+            if kernel is None
             else self._closure_block_runner
         )(state, plan, step, views)
-        instances, block = geometry.free_products, step.block
-        rule_label = step.rule.label
-        blocks = [
-            (f"{rule_label}[{start}]", instances[start : start + block])
-            for start in range(0, len(instances), block)
-        ]
+        fused = (
+            kernel is not None
+            and not kernel.uses_call
+            and step.fallback is None
+        )
         recorder = state.recorder
         inline = state.inline
         previous: List[int] = []
         # product() of no chain variables is the one unchained step.
-        for chain_values in itertools.product(*geometry.chain_value_lists):
+        for chain_values in itertools.product(
+            *step.geometry.chain_value_lists
+        ):
             step_tasks: List[int] = []
-            for label, instances in blocks:
-                with recorder.task(
-                    deps=previous, label=label, inline=inline
-                ) as block_task:
-                    apply_block(chain_values, instances)
+            for label, instances in step.blocks:
+                if fused:
+                    block_task = recorder.record_leaf(
+                        previous, label, inline,
+                        apply_block(chain_values, instances),
+                    )
+                else:
+                    with recorder.task(
+                        deps=previous, label=label, inline=inline
+                    ) as block_task:
+                        work = apply_block(chain_values, instances)
+                        if work is not None:
+                            recorder.charge(work)
                 step_tasks.append(block_task)
             if step_tasks:
                 previous = step_tasks
@@ -1208,65 +1226,51 @@ class CompiledTransform:
         plan: RunPlan,
         step: PlanStep,
         views: Dict[str, MatrixView],
-    ) -> Callable[[Tuple[int, ...], Sequence[Tuple[int, ...]]], None]:
-        """Lowered path: one direct call into the rule's compiled closure
-        per cell — its parameters are in the site's iteration order, so
-        the chain and free values are the argument list; work is charged
-        in one batch per block (identical task totals, since
+    ) -> Callable[
+        [Tuple[int, ...], Sequence[Tuple[int, ...]]], Optional[float]
+    ]:
+        """Lowered path: one call per block into the site's generated
+        loop, which hands each cell its where-clause rejects back here,
+        in place, for the fallback rule to run on the interpreter.  The
+        block's work comes back as one sum (identical task totals, since
         per-instance charges are summed within the block's task either
-        way)."""
+        way), ``None`` when it accepted no cell."""
         rule, fallback, geometry = step.rule, step.fallback, step.geometry
         kernel = step.kernel
         env, tunables = plan.env, plan.tunables
-        arrays = {
-            name: views[name].to_numpy() for name in kernel.matrices
-        }
-        call = (
-            (lambda name, args: self._call_sibling(state, name, args))
-            if kernel.uses_call
-            else None
+        n_chain = len(geometry.chain_vars)
+
+        def reject(*values: int) -> None:
+            if fallback is None:
+                raise self._where_failure(
+                    rule, geometry, values[:n_chain], values[n_chain:]
+                )
+            self._apply_once(
+                state, fallback, {**env, **dict(zip(kernel.params, values))},
+                views, tunables,
+            )
+
+        block = kernel.maker(
+            env,
+            tunables,
+            {name: views[name].to_numpy() for name in kernel.matrices},
+            lambda name, args: self._call_sibling(state, name, args),
+            reject,
+            geometry.var_ranges,
         )
-        instance = kernel.maker(env, tunables, arrays, call)
-        recorder = state.recorder
-        sink = recorder.sink
-        base_work = rule.base_work
+        sink = state.recorder.sink
 
         def apply_block(
             chain_values: Tuple[int, ...],
             block_instances: Sequence[Tuple[int, ...]],
-        ) -> None:
-            # One positional list per cell is the loop's only overhead:
-            # bind the block's chain values once, splat the free ones.
-            cell = (
-                functools.partial(instance, *chain_values)
-                if chain_values
-                else instance
-            )
-            total = 0.0
-            count = 0
-            for values in block_instances:
-                ops = cell(*values)
-                if ops is None:
-                    # The where-clause rejected the instance: the
-                    # fallback rule runs it on the interpreter.
-                    if fallback is None:
-                        raise self._where_failure(
-                            rule, geometry, chain_values, values
-                        )
-                    rejected = {
-                        **env, **dict(zip(kernel.params, chain_values + values))
-                    }
-                    self._apply_once(
-                        state, fallback, rejected, views, tunables
-                    )
-                    continue
-                total += base_work + ops
-                count += 1
-            if count:
-                state.applications += count
-                recorder.charge(total)
-                if sink is not None:
-                    sink.count("exec.closure_calls", count)
+        ) -> Optional[float]:
+            work, accepted = block(*chain_values, block_instances)
+            if not accepted:
+                return None
+            state.applications += accepted
+            if sink is not None:
+                sink.count("exec.closure_calls", accepted)
+            return work
 
         return apply_block
 
@@ -1306,18 +1310,15 @@ class CompiledTransform:
         for chain_values, free_args, volume in vector.sweep(
             step.geometry, tile_sizes, interchange
         ):
-            with recorder.task(
-                deps=previous, label=label, inline=inline
-            ) as step_task:
-                run_step(*chain_values, *free_args)
-                # The honest cost model: per-call slice setup is a real
-                # fixed cost, so over-tiling loses simulated work even
-                # though each sweep is smaller.  (The factor is a power
-                # of two, so the product is exact in any association.)
-                recorder.charge(
-                    volume * cell_work * _VECTOR_WORK_FACTOR
-                    + _VECTOR_STEP_WORK
-                )
+            run_step(*chain_values, *free_args)
+            # The honest cost model: per-call slice setup is a real
+            # fixed cost, so over-tiling loses simulated work even
+            # though each sweep is smaller.  (The factor is a power
+            # of two, so the product is exact in any association.)
+            step_task = recorder.record_leaf(
+                previous, label, inline,
+                volume * cell_work * _VECTOR_WORK_FACTOR + _VECTOR_STEP_WORK,
+            )
             state.applications += volume
             if sink is not None:
                 sink.count("exec.vectorized_blocks")

@@ -23,11 +23,13 @@ if TYPE_CHECKING:  # typing only — keeps engine_fast free of compiler deps
 class KernelBuilder:
     """Usage tracking, affine lowering and maker assembly for one rule.
 
-    ``scalar_vars`` are the rule variables the kernel receives as integer
-    parameters ``_s_<var>``; every other variable of an affine coordinate
-    is a size variable read from the hoisted environment.  ``folds`` maps
-    each matrix whose storage is folded to its ``(axis, window)`` (the
-    engine's cached PB606 verdicts, see :meth:`point_index`).
+    ``scalar_vars`` are the rule variables the kernel holds as integers
+    ``_s_<var>``; every other variable of an affine coordinate is a size
+    variable read from the hoisted environment.  ``box_vars`` are those
+    a kernel loops over itself, between ``_first_<var>`` and
+    ``_last_<var>`` (see :meth:`_affine`).  ``folds`` maps each matrix
+    whose storage is folded to its ``(axis, window)`` (the engine's
+    cached PB606 verdicts, see :meth:`point_index`).
     """
 
     #: per-lowerer constants: the filename tag of the generated source,
@@ -38,6 +40,7 @@ class KernelBuilder:
     maker_args: str
     kernel_name: str
     axis_shift = 0
+    box_vars: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -54,6 +57,7 @@ class KernelBuilder:
         self.maker_lines: List[str] = []
         self.depth = 2
         self.used_env: Set[str] = set()
+        self.used_box: Set[str] = set()
         self.used_tunables: Set[str] = set()
         self.used_matrices: Set[str] = set()
         self.used_dims: Dict[str, Set[int]] = {}
@@ -75,8 +79,9 @@ class KernelBuilder:
         return f"_d_{matrix}_{dim}"
 
     def point_index(self, matrix: str, dim: int, ref: str) -> Tuple[str, str]:
-        """``(bounds check, subscript)`` for ``ref``, a point coordinate
-        (not a slice) into dimension ``dim`` of ``matrix``.
+        """``(extent, subscript)`` for ``ref``, a point coordinate (not
+        a slice) into dimension ``dim`` of ``matrix``: the coordinate is
+        in the view when ``0 <= ref < extent``.
 
         The one emitter of folded indices.  On a folded (matrix, axis)
         the array keeps only ``window`` planes, so the coordinate is
@@ -85,32 +90,42 @@ class KernelBuilder:
         subscript is the plane's slot ``ref % window``.  Every other
         dimension checks the array's own extent and subscripts with
         ``ref`` itself: a rule that touches no folded matrix lowers to
-        the source it always did."""
+        the source it would without folding."""
         axis, window = self.folds.get(matrix, (None, 0))
         if axis != dim:
-            return f"0 <= {ref} < {self._dim_ref(matrix, dim)}", ref
+            return self._dim_ref(matrix, dim), ref
         declared = self._affine(self.transform.matrices[matrix].dims[dim])
-        return f"0 <= {ref} < {declared}", f"{ref} % {window}"
+        return declared, f"{ref} % {window}"
 
-    def _affine(self, expr: Affine) -> str:
+    def _affine(self, expr: Affine, bound: int = 0) -> str:
         """Exact integer lowering of ``expr.eval_ceil(env)``.
 
         An :class:`Affine` *is* an integer numerator over one common
         denominator ``L`` (:meth:`Affine.as_integers`), and
         ``ceil(num/L) == -((-num) // L)``; for ``L == 1`` this collapses
         to plain integer arithmetic.
+
+        ``bound`` -1 / +1 lowers the least / greatest value the
+        expression takes over the box of ``box_vars`` instead: ``ceil``
+        of an affine form is monotone in every variable, so the extreme
+        sits where each box variable is at the end of its range the sign
+        of its coefficient selects.
         """
         constant, terms, lcm = expr.as_integers()
         parts: List[str] = []
         if constant or not terms:
             parts.append(str(constant))
         for var, numerator in terms:
-            if var in self.scalar_vars:
+            if bound and var in self.box_vars:
+                self.used_box.add(var)
+                end = "first" if (numerator > 0) == (bound < 0) else "last"
+                name = f"_{end}_{var}"
+            elif var in self.scalar_vars:
                 name = f"_s_{var}"
             else:
                 self.used_env.add(var)
                 name = f"_e_{var}"
-            parts.append(f"{numerator} * {name}")
+            parts.append(name if numerator == 1 else f"{numerator} * {name}")
         code = " + ".join(parts)
         if lcm == 1:
             return f"({code})"

@@ -1,57 +1,76 @@
-"""Closure lowering: compile a rule body to a Python closure once per rule.
+"""Closure lowering: compile a rule to its loop nest once per site.
 
 The interpreter walks the body AST for every cell instance, rebuilding an
 environment dict and eager region views each time — the dominant cost of
-every benchmark.  This module walks the AST *once*, on the rule's
-first use, and emits through the shared source builder
+every benchmark.  This module walks the AST *once*, on the site's first
+use, and emits through the shared source builder
 (:mod:`repro.engine_fast.builder`) one kernel of the shape::
 
-    def _maker(_env, _tunables, _arrays, _call):
+    def _maker(_env, _tunables, _arrays, _call, _reject, _box):
         ...                           # hoisted sizes, arrays, extents
-        def _instance(_s_i):          # one parameter per rule variable
-            _ops = 0
-            if <where-clause> == 0:   # only for restricted (meta-)rules
-                return None
-            _i_b_0 = _s_i             # region bindings, lowered eagerly
-            if not (0 <= _i_b_0 < _d_B_0):
-                raise IndexError(...)
-            ...                       # body statements
-            return _ops
-        return _instance
+        _first_i, _last_i = ...       # the free variables' range ends
+        def _block(_s_t, _instances): # one parameter per chain variable
+            if not (0 <= (-1 + _s_t) < _d_U_0 and 0 <= (-1 + _first_i)
+                    and (-1 + _last_i) < _d_U_1):
+                raise IndexError(...) # a binding's check, once per call
+            _work = 0.0
+            for (_s_i, ) in _instances:
+                ...                   # body statements, indices inline
+                _work += 5.0          # base work + the body's op count
+            return _work, len(_instances)
+        return _block
 
 which ``exec`` runs into a *maker*; the engine calls the maker once per
-segment application and the returned ``_instance`` closure once per cell.
-The where-clause sits at the top of ``_instance`` — before the region
-bindings, where the interpreter evaluates it, with op counting off — and
-a rejected instance returns ``None`` for the engine to hand to the
-fallback rule.
+segment application and the returned ``_block`` once per block task, with
+the step's chain values and the block's tuples of free-variable values.
+
+Every index is the ``ceil`` of an affine form of the rule variables, so
+monotone in each.  A rule without a residual where-clause runs every
+point of the step's box (``_box`` is ``Geometry.var_ranges``), so "every
+cell binds inside the view" is decided at the box's extremes
+(:meth:`KernelBuilder._affine`), ahead of the loop — on every call, and
+never for an empty box, which has no block to call.  No check is
+dropped: a region whose ``lo <= hi`` is not one affine form (a rounded
+bound), and every binding of a where-restricted rule — whose rejected
+cells bind nothing, so may lie outside any view — keep their check in
+the loop.  There the where-clause comes first, where the interpreter
+evaluates it (bare scope, op counting off), and a rejected instance goes
+to the engine's ``_reject`` at once — ``_reject(_s_i); continue`` — so
+the fallback's writes and ``rand()`` draws interleave with the accepted
+cells' as on the interpreter; accepted cells are counted in ``_n``.
 
 Semantics contract — the closure path must be **bit-for-bit identical** to
 the interpreter, including the ``ops`` work accounting the simulated
 scheduler charges:
 
-* every scalar read is wrapped in ``float(...)`` so values are true Python
-  floats (matching ``_as_scalar``), division by a zero operand raises the
-  interpreter's exact ``EvalError``, ``%`` is ``math.fmod``, comparisons
-  yield ``1.0``/``0.0``, and ``&&``/``||``/ternaries lower to real ``if``
-  statements so short-circuiting (and any side effects guarded by it, e.g.
-  ``rand()``) is preserved;
+* every scalar read is a true Python float (``ndarray.item`` on the
+  float64 arrays the engine allocates, matching ``_as_scalar``), division
+  by a zero operand raises the interpreter's exact ``EvalError``, ``%`` is
+  ``math.fmod``, comparisons yield ``1.0``/``0.0``, and
+  ``&&``/``||``/ternaries lower to real ``if`` statements so
+  short-circuiting (and any side effects guarded by it, e.g. ``rand()``)
+  is preserved;
 * builtins dispatch to the *same* functions as the interpreter
   (:data:`repro.language.interp.BUILTINS`), so stateful builtins like
   ``rand()`` consume the shared RNG stream in the same per-instance order;
 * ops accounting mirrors the interpreter exactly: +1 per non-logical
   binary/unary op, +Σ(argument sizes) per builtin call, +target size per
   compound assignment, with branch-local counts flushed inside their
-  branch.
+  branch (a body whose count is one constant adds it as a literal); the
+  block's work is the interpreter's per-cell charges added in cell order.
 
 Any construct the lowerer cannot prove equivalent (unknown names, region
 arguments to builtins it cannot type, mismatched ternary kinds, ...) makes
 :func:`lower_rule` return ``None`` and the engine keeps interpreting that
 rule — lowering is an optimization, never a semantics change.
 
-The only tolerated divergence is the *ordering between two failure paths*:
-a run that raises aborts identically, but which of two possible errors
-fires first may differ from the interpreter.  Successful runs are exact.
+The only tolerated divergence is on *failure paths*: a run that raises
+aborts with an error the interpreter can raise on the same input, but
+which of two possible errors fires first may differ, and so may what was
+written before it — a hoisted check covers the step's whole box, so an
+out-of-view step aborts in its first block, before its first cell is
+written (what the vector leaf does per step), where the interpreter stops
+at the first offending cell.  Successful runs are exact.
 """
 
 from __future__ import annotations
@@ -116,15 +135,18 @@ def _base_namespace(used_builtins: Set[str]) -> Dict[str, object]:
 
 @dataclass
 class RuleKernel:
-    """A lowered rule body: generated source plus the exec'd maker.
+    """A lowered rule: generated source plus the exec'd maker.
 
-    ``maker(env, tunables, arrays, call)`` returns the per-instance
-    closure; ``arrays`` maps matrix names to the numpy windows of the
-    engine's views (so coordinates stay view-relative).  ``params`` is the
-    positional argument order of the closure (the rule's variables, in
-    the order :func:`lower_rule` was asked for).  The
-    closure returns the instance's op count, or ``None`` when the rule's
-    where-clause rejects the instance (nothing was read or written).
+    ``maker(env, tunables, arrays, call, reject, box)`` returns the block
+    kernel of one segment application; ``arrays`` maps matrix names to
+    the numpy windows of the engine's views (so coordinates stay
+    view-relative), ``box`` is the ``[lo, hi)`` range of every rule
+    variable (``Geometry.var_ranges``), ``reject`` is called with the
+    values of ``params`` for each instance the where-clause rejects.
+    ``params`` is the rule's variables in the order :func:`lower_rule`
+    was asked for, chain variables first: ``block(*chain_values,
+    instances)`` runs the rule on every tuple of free-variable values in
+    ``instances`` and returns ``(work to charge, instances accepted)``.
     """
 
     params: Tuple[str, ...]
@@ -150,6 +172,17 @@ class _Val:
         self.is_float = is_float
 
 
+#: One matrix element, ``(array, subscript)``.
+_Ref = Tuple[str, str]
+
+
+def _load(ref: _Ref) -> str:
+    """The element as a Python float: on the float64 arrays the engine
+    allocates (``Matrix.zeros`` / ``from_array``), ``item`` returns the
+    bits of ``float(array[subscript])`` at a third of the cost."""
+    return f"{ref[0]}.item({ref[1]})"
+
+
 _ARITH = {"+": "+", "-": "-", "*": "*"}
 _COMPARE = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -163,21 +196,29 @@ class _Lowerer(KernelBuilder):
     """Compiles one rule — where-clause, bindings, body — to source."""
 
     tag = "kernel"
-    maker_args = "_env, _tunables, _arrays, _call"
-    kernel_name = "_instance"
+    maker_args = "_env, _tunables, _arrays, _call, _reject, _box"
+    kernel_name = "_block"
 
     def __init__(
         self,
         rule: RuleIR,
         transform: TransformIR,
-        params: Sequence[str],
+        chain_vars: Sequence[str],
+        free_vars: Sequence[str],
         folds: Dict[str, Tuple[int, int]],
     ) -> None:
-        super().__init__(transform, rule, params, folds)
-        self.params = tuple(params)
+        self.params = (*chain_vars, *free_vars)
+        super().__init__(transform, rule, self.params, folds)
+        self.chain_vars = tuple(chain_vars)
+        self.box_vars = tuple(free_vars)  # the kernel's own loop
+        self.step_lines = []  # the hoisted checks, ahead of the loop
+        self.depth = 3  # of the loop body
         #: subscripts per cell binding, filled by :meth:`emit_bindings`
         self.cell_index: Dict[str, Sequence[str]] = {}
         self.pending = 0
+        #: an ``_ops +=`` was emitted: the cell's op count is not the
+        #: one constant still ``pending`` when its body ends
+        self.counts_ops = False
         self.counter = 0
         self.used_builtins: Set[str] = set()
         self.uses_call = False
@@ -199,10 +240,12 @@ class _Lowerer(KernelBuilder):
     def add_ops_code(self, code: str) -> None:
         if self.in_body:
             self.flush_ops()
+            self.counts_ops = True
             self.line(f"_ops += {code}")
 
     def flush_ops(self) -> None:
         if self.pending:
+            self.counts_ops = True
             self.line(f"_ops += {self.pending}")
             self.pending = 0
 
@@ -223,13 +266,13 @@ class _Lowerer(KernelBuilder):
             return _Val("s", f"_e_{name}")
         raise _NotLowerable(f"unknown name {name!r} in rule body")
 
-    def _cell_ref(self, region: RegionIR) -> str:
+    def _cell_ref(self, region: RegionIR) -> _Ref:
         indices = ", ".join(self.cell_index[region.bind_name])
-        return f"{self._matrix_ref(region.matrix)}[{indices}]"
+        return self._matrix_ref(region.matrix), indices
 
     def _binding_value(self, region: RegionIR) -> _Val:
         if region.view_kind == "cell":
-            return _Val("s", f"float({self._cell_ref(region)})", True)
+            return _Val("s", _load(self._cell_ref(region)), True)
         return _Val("a", f"_b_{region.bind_name}")
 
     # -- scalar / array contexts ------------------------------------------
@@ -245,8 +288,10 @@ class _Lowerer(KernelBuilder):
 
     def emit_bindings(self) -> None:
         """Lower every region binding eagerly, in declaration order
-        (to-regions then from-regions, matching the interpreter), with the
-        same bounds checks ``MatrixView`` performs."""
+        (to-regions then from-regions, matching the interpreter), with
+        the bounds checks ``MatrixView`` performs — ahead of the loop,
+        at the extremes of the step's box, for a rule no where-clause
+        restricts."""
         label = f"{self.transform.name}.{self.rule.label}"
         for region in self.rule.all_regions:
             kind = region.view_kind
@@ -260,28 +305,52 @@ class _Lowerer(KernelBuilder):
                 raise _NotLowerable(f"unknown view kind {kind!r}")
             if kind in _FIXED_DIM and len(intervals) != 2:
                 raise _NotLowerable(f"{kind} binding on non-2-D region")
+            # The box's extremes speak for every cell only if every
+            # point of it runs; ``lo <= hi`` of a region is monotone only
+            # as the affine ``hi - lo``: when neither bound is rounded.
+            hoist = not self.rule.residual_where and (
+                kind != "region"
+                or all(
+                    bound.denominator_lcm() == 1
+                    for interval in intervals
+                    for bound in (interval.lo, interval.hi)
+                )
+            )
+            end = 1 if hoist else 0  # of the box; 0: the cell's own value
             checks = []
             slices = []
             for dim, interval in enumerate(intervals):
+                lo = self._affine(interval.lo)
                 if kind == "region":
-                    lo, hi = f"_lo_{name}_{dim}", f"_hi_{name}_{dim}"
-                    self.line(f"{lo} = {self._affine(interval.lo)}")
-                    self.line(f"{hi} = {self._affine(interval.hi)}")
+                    hi = self._affine(interval.hi)
                     extent = self._dim_ref(region.matrix, dim)
-                    checks.append(f"0 <= {lo} <= {hi} <= {extent}")
+                    span = (
+                        f"0 <= {self._affine(interval.hi - interval.lo, -1)}"
+                        if hoist
+                        else f"{lo} <= {hi}"
+                    )
+                    checks.append(
+                        f"0 <= {self._affine(interval.lo, -end)} and {span}"
+                        f" and {self._affine(interval.hi, end)} <= {extent}"
+                    )
                     slices.append(f"{lo}:{hi}")
                 elif kind == "cell" or dim == _FIXED_DIM[kind]:
-                    index = f"_i_{name}_{dim}"
-                    self.line(f"{index} = {self._affine(interval.lo)}")
-                    check, subscript = self.point_index(
-                        region.matrix, dim, index
+                    extent, subscript = self.point_index(
+                        region.matrix, dim, lo
                     )
-                    checks.append(check)
+                    least = self._affine(interval.lo, -end)
+                    greatest = self._affine(interval.lo, end)
+                    checks.append(
+                        f"0 <= {least} < {extent}"
+                        if least == greatest
+                        else f"0 <= {least} and {greatest} < {extent}"
+                    )
                     slices.append(subscript)
                 else:
                     slices.append(":")
-            self.line(f"if not ({' and '.join(checks)}):")
-            self.line(
+            emit = self.step_lines.append if hoist else self.line
+            emit(f"if not ({' and '.join(checks)}):")
+            emit(
                 f"    raise IndexError('{label}: {kind} binding "
                 f"{name} outside view')"
             )
@@ -377,7 +446,7 @@ class _Lowerer(KernelBuilder):
             if_true.kind, result, if_true.is_float and if_false.is_float
         )
 
-    def _cell_access_ref(self, node: ast.CellAccess) -> str:
+    def _cell_access_ref(self, node: ast.CellAccess) -> _Ref:
         """Lower the coordinates of ``base.cell(...)`` (with the view's
         bounds check) and return the element reference — a read loads
         through it, ``x.cell(i) = ...`` stores through it."""
@@ -410,12 +479,12 @@ class _Lowerer(KernelBuilder):
             f"    raise IndexError('cell({', '.join(coords)}) outside "
             f"view of {node.base}')"
         )
-        return f"{base.code}[{', '.join(coords)}]"
+        return base.code, ", ".join(coords)
 
     def _compile_cell_access(self, node: ast.CellAccess) -> _Val:
         ref = self._cell_access_ref(node)
         result = self.tmp()
-        self.line(f"{result} = float({ref})")
+        self.line(f"{result} = {_load(ref)}")
         return _Val("s", result, True)
 
     def _compile_call(self, node: ast.Call) -> _Val:
@@ -467,18 +536,19 @@ class _Lowerer(KernelBuilder):
             return
         raise _NotLowerable("invalid assignment target")
 
-    def _store_scalar(self, ref: str, op: str, value: _Val) -> None:
+    def _store_scalar(self, ref: _Ref, op: str, value: _Val) -> None:
+        target = f"{ref[0]}[{ref[1]}]"
         if op == "=":
-            self.line(f"{ref} = {self.scal(value)}")
+            self.line(f"{target} = {self.scal(value)}")
             return
         current = self.tmp()
-        self.line(f"{current} = float({ref})")
+        self.line(f"{current} = {_load(ref)}")
         if op == "/=":
             # Plain Python division: a zero operand raises
             # ZeroDivisionError exactly like the interpreter's 0-D path.
-            self.line(f"{ref} = {current} / {self.scal(value)}")
+            self.line(f"{target} = {current} / {self.scal(value)}")
         elif op in ("+=", "-=", "*="):
-            self.line(f"{ref} = {current} {op[0]} {self.scal(value)}")
+            self.line(f"{target} = {current} {op[0]} {self.scal(value)}")
         else:
             raise _NotLowerable(f"assignment operator {op!r}")
         self.add_ops(1)
@@ -498,19 +568,45 @@ class _Lowerer(KernelBuilder):
     # -- driver ------------------------------------------------------------
 
     def lower(self) -> Tuple[Callable, str]:
-        self.line("_ops = 0")
+        params = ", ".join(f"_s_{var}" for var in self.params)
         for cond in self.rule.residual_where:
             value = self._compile(cond)
             self.line(f"if {self.scal(value)} == 0:")
-            self.line("    return None")
+            self.line(f"    _reject({params})")
+            self.line("    continue")
         self.in_body = True
         self.emit_bindings()
         for stmt in self.rule.body:
             self._compile_statement(stmt)
-        self.flush_ops()
-        self.line("return _ops")
+        # Summed cell by cell like the interpreter's charges: the same
+        # additions in the same order, so the same float.
+        base = float(self.rule.base_work)
+        head = ["_work = 0.0"]
+        if self.counts_ops:
+            self.flush_ops()
+            self.lines.insert(0, "            _ops = 0")
+            self.line(f"_work += {base!r} + _ops")
+        else:
+            self.line(f"_work += {base + self.pending!r}")
+        accepted = "len(_instances)"
+        if self.rule.residual_where:
+            head.append("_n = 0")
+            self.line("_n += 1")
+            accepted = "_n"
+        free = "".join(f"_s_{var}, " for var in self.box_vars)
+        head.append(f"for ({free}) in _instances:")
+        self.lines = (
+            ["        " + text for text in self.step_lines + head]
+            + self.lines
+            + [f"        return _work, {accepted}"]
+        )
+        for var in sorted(self.used_box):
+            self.maker_lines.append(
+                f"    _first_{var}, _last_{var} = "
+                f"_box[{var!r}][0], _box[{var!r}][1] - 1"
+            )
         return self.build(
-            [f"_s_{var}" for var in self.params],
+            [f"_s_{var}" for var in self.chain_vars] + ["_instances"],
             _base_namespace(self.used_builtins),
         )
 
@@ -518,18 +614,18 @@ class _Lowerer(KernelBuilder):
 def lower_rule(
     rule: RuleIR,
     transform: TransformIR,
-    params: Optional[Sequence[str]] = None,
+    chain_vars: Sequence[str] = (),
+    free_vars: Optional[Sequence[str]] = None,
     folds: Dict[str, Tuple[int, int]] = {},  # never mutated
 ) -> Optional[RuleKernel]:
     """Lower one instance rule to a :class:`RuleKernel`.
 
-    ``params`` orders the closure's parameters — a permutation of the
-    rule's variables, by default their declaration order.  The engine
-    asks for a site's *iteration* order (chain variables, then free), so
-    its instance loop calls ``instance(*chain_values, *values)`` with no
-    per-cell argument scatter.  ``folds`` is the transform's folded
-    storage (``{matrix: (axis, window)}``, see
-    :meth:`KernelBuilder.point_index`).
+    ``chain_vars`` / ``free_vars`` are a site's split of the rule's
+    variables, in its iteration order (``Site.split``); by default every
+    variable is free, in declaration order.  The kernel takes the chain
+    values as arguments and loops over tuples of free values itself.
+    ``folds`` is the transform's folded storage (``{matrix: (axis,
+    window)}``, see :meth:`KernelBuilder.point_index`).
 
     Returns ``None`` when the rule has a native body, no DSL body, no rule
     variables, or uses a construct — in its body or its where-clause — the
@@ -540,7 +636,9 @@ def lower_rule(
         return None
     if not rule.is_instance_rule:
         return None
-    lowerer = _Lowerer(rule, transform, params or rule.rule_vars, folds)
+    if free_vars is None:
+        free_vars = rule.rule_vars
+    lowerer = _Lowerer(rule, transform, chain_vars, free_vars, folds)
     try:
         maker, source = lowerer.lower()
     except _NotLowerable:

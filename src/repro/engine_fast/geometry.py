@@ -7,7 +7,7 @@ All of that is a pure function of ``(segment, rule, env)``, so it is
 computed once and cached under :func:`geometry_key`; the engine counts
 hits and misses through the ``exec.geom_cache_*`` observe counters.
 What is sized by the instance *count* — the product of the free value
-lists — is built only when a per-cell driver first asks for it.
+lists — is built only when a per-cell step first asks for it.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ class Geometry:
     def free_products(self) -> Tuple[Tuple[int, ...], ...]:
         """The instance tuples of one step, ordered like
         ``itertools.product`` over the free value lists: built when the
-        per-cell driver first reads it, then kept on the geometry, so
-        every plan and every step that shares the geometry shares the
-        one tuple.  Unlocked on purpose: two threads racing the first
+        first per-cell step is planned over it, then kept on the
+        geometry, so every plan that blocks it slices the one tuple.  Unlocked on purpose: two threads racing the first
         read build equal tuples and either assignment wins."""
         # product() of zero ranges yields one empty tuple (the single
         # instance of a chain-only rule); an empty *range* yields none.

@@ -365,8 +365,8 @@ class _VectorLowerer(KernelBuilder):
                 if not frees:
                     ref = f"_x_{name}_{dim}"
                     self.line(f"{ref} = {self._affine(expr)}")
-                    check, subscript = self.point_index(mat, dim, ref)
-                    checks.append(check)
+                    extent, subscript = self.point_index(mat, dim, ref)
+                    checks.append(f"0 <= {ref} < {extent}")
                     index_parts.append(subscript)
                     continue
                 extent = self._dim_ref(mat, dim)

@@ -131,7 +131,6 @@ class TaskRecorder:
     def __init__(self, sink: Optional["TraceSink"] = None) -> None:
         self._tasks: List[Task] = []
         self._stack: List[int] = []
-        self._inline_depth = 0
         #: optional observability sink; None (the default) costs one
         #: ``is None`` test per recorded task and nothing else.
         self.sink = sink
@@ -146,7 +145,7 @@ class TaskRecorder:
             raise RuntimeError("charge() outside any open task")
         self._tasks[self._stack[-1]].work += work
         if self.sink is not None:
-            self.sink.count("recorder.work_charged", int(work))
+            self.sink.count("recorder.work_charged", work)
 
     def task(
         self,
@@ -160,6 +159,28 @@ class TaskRecorder:
         no node is created and the scope's work folds into the parent.
         """
         return _TaskContext(self, tuple(deps), label, inline)
+
+    def record_leaf(
+        self, deps: Iterable[int], label: str, inline: bool, work: float
+    ) -> int:
+        """``with self.task(deps, label, inline): self.charge(work)`` as
+        one call, for a scope that has already run and opened no task of
+        its own: same task, same sink traffic.  Returns the id the
+        ``with`` would yield."""
+        if work < 0:
+            raise ValueError("work must be non-negative")
+        stack, sink = self._stack, self.sink
+        if inline and stack:
+            tid = stack[-1]
+            if sink is not None:
+                sink.count("recorder.inlined")
+        else:
+            tid = self._open(tuple(deps), label)
+            stack.pop()
+        self._tasks[tid].work += work
+        if sink is not None:
+            sink.count("recorder.work_charged", work)
+        return tid
 
     def current_task(self) -> Optional[int]:
         return self._stack[-1] if self._stack else None
@@ -224,7 +245,6 @@ class _TaskContext:
     def __enter__(self) -> Optional[int]:
         recorder = self._recorder
         if self._inline and recorder._stack:
-            recorder._inline_depth += 1
             if recorder.sink is not None:
                 recorder.sink.count("recorder.inlined")
             return recorder._stack[-1]
@@ -235,9 +255,6 @@ class _TaskContext:
         return self.tid
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        recorder = self._recorder
-        if self._inline:
-            recorder._inline_depth -= 1
-            return
-        assert self.tid is not None
-        recorder._close(self.tid)
+        if not self._inline:
+            assert self.tid is not None
+            self._recorder._close(self.tid)

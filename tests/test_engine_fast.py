@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import check_source
 from repro.compiler import ChoiceConfig, Selector, compile_program
-from repro.compiler.codegen import specialize
+from repro.compiler.codegen import Site, specialize
 from repro.engine_fast import (
     LEAF_CLOSURE,
     LEAF_INTERP,
@@ -20,6 +20,7 @@ from repro.engine_fast import (
 )
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
+from tests.conftest import SENTINEL, sentinel_alloc
 
 ELEMENTWISE = """
 transform Elementwise
@@ -300,6 +301,149 @@ class TestClosureParameterOrder:
         )
         for leaf in (LEAF_INTERP, LEAF_CLOSURE, LEAF_VECTOR):
             assert self.observe(t, leaf) == expected
+
+
+SHIFT = """
+transform Shift
+from A[n + 1]
+to B[n]
+{
+  to (B.cell(i) b) from (A.cell(i + 1) a) { b = a * 2; }
+}
+"""
+
+#: a read coupling both variables: the compiler guards it with an
+#: implicit residual clause (``x + y < n + 2``), so the cells it rejects
+#: would bind ``g`` outside ``A``
+GUARDED = """
+transform Guarded
+from A[n + 2, m + 2]
+to B[n, m]
+{
+  to (B.cell(x, y) b) from (A.cell(x + y, y) g) { b = g * 2; }
+  to (B.cell(x, y) b) from (A.cell(x, y) r) { b = r - 0.5; }
+}
+"""
+
+
+class TestHoistedChecks:
+    """Where the closure kernel evaluates a binding's bounds check: at
+    the extremes of the step's box, ahead of the loop, unless a
+    where-clause decides which cells bind at all."""
+
+    def run_shift(self, leaf, lo, hi):
+        """Shift on five cells with the range of ``i`` moved to ``[lo,
+        hi)`` once the program is compiled: the schedule walk never
+        leaves a view, so the geometry is made to.  Returns the error,
+        which cells were written and the step's blocks."""
+        t = compile_program(SHIFT).transform("Shift")
+        config = _leaf_config("Shift", leaf, __block_size__=2)
+        ranges = Site.ranges
+        error = None
+        with pytest.MonkeyPatch.context() as patch, sentinel_alloc() as allocated:
+            patch.setattr(
+                Site, "ranges",
+                lambda site, env, bounds: {
+                    **ranges(site, env, bounds), "i": (lo, hi)
+                },
+            )
+            try:
+                t.run({"A": np.arange(6.0)}, config)
+            except IndexError as caught:
+                error = caught
+            (step,) = t.plan(config, [(6,)]).steps
+        (out,) = allocated
+        return error, (out.data != SENTINEL).tolist(), step.blocks
+
+    def test_source_has_its_checks_ahead_of_the_loop(self):
+        t = compile_program(SHIFT).transform("Shift")
+        (site,) = t.sites.values()
+        head, loop = site.kernel.source.split("for (_s_i, ) in _instances:")
+        assert head.count("raise IndexError") == 2  # b and a
+        assert "_first_i" in head and "_last_i" in head
+        assert "if" not in loop and "raise" not in loop
+
+    def test_an_out_of_view_step_aborts_before_its_first_cell(self):
+        """One cell too many: the interpreter writes the five good cells
+        and stops at the sixth; the closure's hoisted check — the same
+        ``IndexError``, the text its per-cell check always had — stops
+        the step in its first block, nothing written."""
+        error, written, _ = self.run_shift(LEAF_INTERP, 0, 6)
+        assert type(error) is IndexError and written == [True] * 5
+        error, written, _ = self.run_shift(LEAF_CLOSURE, 0, 6)
+        assert type(error) is IndexError
+        assert str(error) == "Shift.rule0: cell binding b outside view"
+        assert written == [False] * 5
+
+    def test_an_empty_box_evaluates_no_check(self):
+        """A zero-extent range far outside the view: no block, so no
+        call, so no check."""
+        for leaf in (LEAF_INTERP, LEAF_CLOSURE):
+            error, written, blocks = self.run_shift(leaf, 12, 12)
+            assert error is None and written == [False] * 5
+            assert blocks == ()
+
+    def test_rejected_cells_may_bind_outside_the_view(self):
+        """A where-restricted rule keeps every check in the loop, behind
+        the clause: the cells it rejects never bind, so they never
+        raise."""
+        t = compile_program(GUARDED).transform("Guarded")
+        base = ChoiceConfig()
+        base.set_choice("Guarded.B.0", Selector.static(1))
+        a = np.arange(64.0).reshape(8, 8)
+        results = _run_all_paths(t, {"A": a}, base)
+        x, y = np.indices((6, 6))
+        inside = x + y < 8
+        expected = np.where(
+            inside, a[np.minimum(x + y, 7), y] * 2, a[:6, :6] - 0.5
+        )
+        assert not inside.all()
+        for leaf, result in results.items():
+            assert np.array_equal(result.output(), expected), leaf
+        site = t.sites["B.0", 0]
+        head, loop = site.kernel.source.split("for (_s_x, _s_y, ) in _instances:")
+        assert "raise" not in head
+        assert loop.index("_reject(_s_x, _s_y)") < loop.index("raise IndexError")
+
+
+class TestWorkCharged:
+    """``recorder.work_charged`` counts each charge itself (it used to
+    count ``int(charge)``, dropping every fractional part), so it sums
+    to the recorded graph's total work."""
+
+    def charged(self, transform, inputs, config):
+        sink = TraceSink(capture_events=False)
+        result = transform.run(inputs, config, sink=sink)
+        return sink.counter("recorder.work_charged"), result.graph.total_work()
+
+    @pytest.mark.parametrize("leaf", [LEAF_INTERP, LEAF_CLOSURE, LEAF_VECTOR])
+    def test_blur_and_rollingsum(self, leaf):
+        rng = np.random.default_rng(3)
+        blur = compile_program(BLUR).transform("Blur")
+        config = _leaf_config("Blur", leaf, __seq_cutoff__=0)
+        counted, total = self.charged(blur, [rng.uniform(-4, 4, (34, 34))], config)
+        assert counted == total > 0
+        rolling = compile_program(ROLLINGSUM).transform("RollingSum")
+        for option in (0, 1):
+            config = _leaf_config("RollingSum", leaf, __seq_cutoff__=0)
+            config.set_choice("RollingSum.B.1", Selector.static(option))
+            counted, total = self.charged(rolling, [rng.uniform(-1, 1, 96)], config)
+            assert counted == total > 0
+
+    def test_sort_charges_fractions(self):
+        from repro.apps import sort
+
+        config = ChoiceConfig()
+        config.set_choice(
+            sort.SORT_SITE, Selector(((128, 0), (2048, 3), (None, 2)))
+        )
+        transform = sort.build_program().transform("Sort")
+        keys = np.random.default_rng(3).uniform(0.0, 1.0, 4096)
+        counted, total = self.charged(transform, [keys], config)
+        assert total != int(total)  # the truncating counter read 81 456
+        # one running sum against a sum of per-task sums: equal up to
+        # the association of the additions
+        assert counted == pytest.approx(total, rel=1e-12)
 
 
 class TestVectorLeaf:

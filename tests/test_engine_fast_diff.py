@@ -8,11 +8,13 @@ interpreter, closure, and vector leaf paths and must produce
 * identical observable write sets — output/through matrices are
   sentinel-filled at allocation, so "written" is detectable per cell.
 
-Programs with a residual where-clause (meta-rules) run the closure with
-the predicate lowered *inside* it; for those the paths must also agree
-on ``rule_applications``, total work, and — when an instance is rejected
-with no fallback rule — on the error text and the cells written up to
-the abort.
+The interpreter and the closure must also record the same task graph —
+every task's label, deps, parent, spawns and work, bit for bit — and the
+same ``rule_applications``.  Programs with a residual where-clause
+(meta-rules) run the closure with the predicate lowered *inside* its
+loop; for those every path must agree on all of that and — when an
+instance is rejected with no fallback rule — on the error text and the
+cells written up to the abort.
 """
 
 import dataclasses
@@ -24,9 +26,14 @@ from hypothesis import strategies as st
 
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.language.errors import PetaBricksError
+from repro.language.interp import BUILTINS, seed_rand
 from tests.conftest import SENTINEL, sentinel_alloc
 
 LEAF_PATHS = (0, 1, 2)
+
+#: reserved tunables under which a tiny program still records one task
+#: per three cells (the defaults inline it whole into its root task)
+BLOCKED = {"__seq_cutoff__": 0, "__block_size__": 3}
 
 _OPS = ("+", "-", "*")
 _CALLS = ("min", "max", "abs")
@@ -39,10 +46,13 @@ def _run_paths(
     choices=None,
     prepare=None,
     allow_errors=False,
+    tunables=None,
 ):
-    """(output bytes, write-set bytes, (rule applications, total work,
-    error)) per leaf path.  ``prepare`` may edit the compiled transform
-    before the first run.  A run that raises fails the test, unless
+    """(output bytes, write-set bytes, (rule applications, recorded
+    graph, error)) per leaf path; the graph is ``(label, deps, parent,
+    spawns, work)`` per task.  ``prepare`` may edit the compiled
+    transform before the first run, ``tunables`` sets reserved
+    ``__knob__`` tunables.  A run that raises fails the test, unless
     ``allow_errors``: then it reports every matrix it had allocated, as
     of the abort, and the caller must compare the summaries."""
     program = compile_program(source)
@@ -53,8 +63,11 @@ def _run_paths(
     for leaf in LEAF_PATHS:
         config = ChoiceConfig()
         config.set_tunable(f"{transform_name}.__leaf_path__", leaf)
+        for knob, value in (tunables or {}).items():
+            config.set_tunable(f"{transform_name}.{knob}", value)
         for site, option in (choices or {}).items():
             config.set_choice(site, Selector.static(option))
+        seed_rand(0x5EED)  # every path draws the same ``rand()`` stream
         with sentinel_alloc() as allocated:
             try:
                 result = transform.run(
@@ -69,7 +82,10 @@ def _run_paths(
                 matrices = result.outputs
                 summary = (
                     result.rule_applications,
-                    result.graph.total_work(),
+                    [
+                        (t.label, t.deps, t.parent, t.spawns, t.work)
+                        for t in result.graph.tasks
+                    ],
                     None,
                 )
         outputs = {}
@@ -90,6 +106,10 @@ def _assert_paths_agree(observed):
         assert observed[leaf][1] == reference[1], (
             f"leaf path {leaf}: write sets differ from interpreter"
         )
+    assert observed[1][2] == reference[2], (
+        "closure: applications, recorded graph or error differ from "
+        "interpreter"
+    )
 
 
 # -- random elementwise programs ------------------------------------------
@@ -189,11 +209,14 @@ def elementwise_programs(draw, where=False):
     n=st.integers(1, 6),
     m=st.integers(1, 6),
     seed=st.integers(0, 2**16),
+    blocked=st.booleans(),
 )
-def test_random_elementwise_programs_agree(source, n, m, seed):
+def test_random_elementwise_programs_agree(source, n, m, seed, blocked):
     rng = np.random.default_rng(seed)
     inputs = {"A": rng.uniform(-4.0, 4.0, (n + 2, m + 2))}
-    observed = _run_paths(source, "Stencil", inputs)
+    observed = _run_paths(
+        source, "Stencil", inputs, tunables=BLOCKED if blocked else None
+    )
     _assert_paths_agree(observed)
 
 
@@ -218,8 +241,9 @@ def _drop_fallbacks(transform):
     n=st.integers(1, 6),
     m=st.integers(1, 6),
     seed=st.integers(0, 2**16),
+    blocked=st.booleans(),
 )
-def test_where_clause_programs_agree(source, fallback, n, m, seed):
+def test_where_clause_programs_agree(source, fallback, n, m, seed, blocked):
     """Meta-rules: the closure evaluates the where-clause itself (before
     its bindings, like the interpreter) and hands rejected instances to
     the fallback — or, with none, aborts where the interpreter does."""
@@ -232,6 +256,7 @@ def test_where_clause_programs_agree(source, fallback, n, m, seed):
         choices={"Stencil.B.0": 1},  # option 0 is the fallback on its own
         prepare=None if fallback else _drop_fallbacks,
         allow_errors=not fallback,
+        tunables=BLOCKED if blocked else None,
     )
     _assert_paths_agree(observed)
     error = observed[0][2][2]
@@ -261,8 +286,9 @@ to B[n]
     option=st.integers(0, 1),
     n=st.integers(1, 24),
     seed=st.integers(0, 2**16),
+    blocked=st.booleans(),
 )
-def test_rollingsum_choices_agree(option, n, seed):
+def test_rollingsum_choices_agree(option, n, seed, blocked):
     """Both algorithmic choices (region reduction and sequential chain)
     agree across all leaf paths at every size."""
     rng = np.random.default_rng(seed)
@@ -272,6 +298,7 @@ def test_rollingsum_choices_agree(option, n, seed):
         "RollingSum",
         inputs,
         choices={"RollingSum.B.0": 0, "RollingSum.B.1": option},
+        tunables=BLOCKED if blocked else None,
     )
     _assert_paths_agree(observed)
 
@@ -496,3 +523,42 @@ def test_division_by_zero_raises_the_interpreter_error(kind, cells, n, seed):
     assert errors[0] is not None
     assert "division by zero in rule body" in errors[0]
     assert errors[1] == errors[2] == errors[0]
+    assert observed[1][2] == observed[0][2]
+
+
+# -- rejection order inside a block ----------------------------------------
+
+NOISE = """
+transform Noise
+from A[n]
+to B[n]
+{
+  to (B.cell(i) b) from (A.cell(i) a) where i % 3 != 1 { b = a + rand(); }
+  to (B.cell(i) b) from (A.cell(i) a) { b = a - rand() * 2; }
+}
+"""
+
+
+def test_rejected_cells_run_their_fallback_in_place():
+    """Both bodies draw from the one ``rand()`` stream, so the outputs
+    agree only if the closure's loop hands every rejected cell to the
+    fallback where the interpreter would — between its neighbours, not
+    after its block — and the graphs only if the fallback's charge
+    lands in the block task that was open at that cell."""
+    inputs = {"A": np.arange(10.0)}
+    observed = _run_paths(
+        NOISE, "Noise", inputs, choices={"Noise.B.0": 1}, tunables=BLOCKED
+    )
+    _assert_paths_agree(observed)
+    applications, graph, error = observed[1][2]
+    assert (applications, error) == (10, None)
+    blocks = [task for task in graph if task[0].startswith("rule0[")]
+    assert [task[0] for task in blocks] == [
+        "rule0[0]", "rule0[3]", "rule0[6]", "rule0[9]"
+    ]
+    seed_rand(0x5EED)
+    draws = [BUILTINS["rand"]() for _ in range(10)]
+    expected = [
+        i - draws[i] * 2 if i % 3 == 1 else i + draws[i] for i in range(10)
+    ]
+    assert observed[1][0]["B"] == np.array(expected).tobytes()

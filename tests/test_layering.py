@@ -171,3 +171,34 @@ def test_a_sites_kernel_is_lowered_once_however_many_configs_plan_it(
     assert {id(site.kernel) for site in stages.sites.values()} == {
         id(kernel) for kernel in kernels[0]
     }
+
+
+def test_a_rule_kernel_has_one_callable_shape():
+    """The closure leaf is a block loop and nothing else: no source
+    under ``src/`` and no generated kernel names a per-cell
+    ``_instance`` closure beside it."""
+    import re
+
+    word = re.compile(r"(?<![A-Za-z0-9_])_instance(?![A-Za-z0-9_])")
+    assert [
+        str(path) for path in sorted(SRC.rglob("*.py"))
+        if word.search(path.read_text())
+    ] == []
+    stages = compile_program(STAGES).transform("Stages")
+    for site in stages.sites.values():
+        source = site.kernel.source
+        assert not word.search(source)
+        assert source.count("    def ") == 1 and "def _block(" in source
+
+
+def test_only_the_engine_records_a_leaf_after_the_fact():
+    """``TaskRecorder.record_leaf`` is for a scope that has already run
+    and opened no task: only the engine's own leaf loops can know that."""
+    offenders = [
+        str(path)
+        for path, tree in modules()
+        if path.parts[0] not in ("compiler", "runtime")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "record_leaf"
+    ]
+    assert offenders == []

@@ -112,6 +112,41 @@ class TestRecorderEvents:
         assert sink.counter("recorder.tasks") == 1
 
 
+    @pytest.mark.parametrize("root", [True, False])
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_record_leaf_is_the_scope_in_one_call(self, inline, root):
+        """Same tasks — field for field — same events, same counters as
+        ``with task(...): charge(...)``, inlined (into a parent, or
+        promoted to a root when there is none) or not."""
+
+        def record(fused):
+            sink = TraceSink()
+            rec = TaskRecorder(sink=sink)
+
+            def leaves():
+                ids = []
+                for work in (2.5, 3):  # a float and an int charge
+                    if fused:
+                        tid = rec.record_leaf(ids, "leaf", inline, work)
+                    else:
+                        with rec.task(ids, "leaf", inline) as tid:
+                            rec.charge(work)
+                    ids.append(tid)
+                return ids
+
+            if root:
+                ids = leaves()
+            else:
+                with rec.task(label="root"):
+                    rec.charge(1.25)
+                    ids = leaves()
+            return ids, rec.graph().tasks, sink.events, sink.counters
+
+        assert record(fused=True) == record(fused=False)
+        with pytest.raises(ValueError):
+            TaskRecorder().record_leaf((), "leaf", False, -1.0)
+
+
 class TestSchedulerEvents:
     def test_event_schema(self):
         graph = fanout_graph()
