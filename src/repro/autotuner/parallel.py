@@ -90,7 +90,7 @@ import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.compiler.config import ChoiceConfig
 from repro.faults import FaultInjector, TransientFault
@@ -100,6 +100,7 @@ from repro.autotuner.evaluation import (
     Measurement,
     config_signature,
 )
+from repro.autotuner.tuner import GeneticTuner, TuneResult
 
 #: cache key: (machine name, workers, trials, seed, signature, size)
 CacheKey = Tuple[str, int, int, int, str, int]
@@ -392,6 +393,45 @@ def evaluator_from_source(
         trials=trials,
         seed=seed,
     )
+
+
+def source_spec(
+    source: str, transform: str, machine_name: str, max_size: int
+) -> EvaluatorSpec:
+    """The picklable recipe of :func:`evaluator_from_source`."""
+    return EvaluatorSpec.make(
+        "repro.autotuner.parallel:evaluator_from_source",
+        source,
+        transform,
+        machine_name,
+        max_size=max_size,
+    )
+
+
+def tune_from_spec(
+    spec: EvaluatorSpec,
+    tuner_kwargs: Mapping[str, Any],
+    jobs: int = 1,
+    sink=None,
+    **evaluator_kwargs: Any,
+) -> Tuple[TuneResult, "ParallelEvaluator"]:
+    """One :class:`GeneticTuner` run over a :class:`ParallelEvaluator`
+    built from ``spec`` — the one wiring behind ``repro tune``, the serve
+    daemon's tune jobs and the fault harness.  ``tuner_kwargs`` go to the
+    tuner (``refine_passes`` defaults to 0: one bottom-up sweep),
+    ``evaluator_kwargs`` (``cache``, ``measure_timeout``, ``injector``,
+    ...) to the evaluator.  The evaluator is closed — pool shut down,
+    cache flushed — however the run ends, so an interrupted run keeps
+    every batch it completed; it is returned beside the result for its
+    ``cache``, ``evaluations`` and ``degraded``."""
+    evaluator = ParallelEvaluator.from_spec(
+        spec, jobs=jobs, sink=sink, **evaluator_kwargs
+    )
+    try:
+        tuner = GeneticTuner(evaluator, **{"refine_passes": 0, **tuner_kwargs})
+        return tuner.tune(), evaluator
+    finally:
+        evaluator.close()
 
 
 # -- parent side -------------------------------------------------------------

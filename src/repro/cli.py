@@ -28,17 +28,18 @@ input matrix, in declaration order) or ``--random-input N`` (uniform
 random data for every declared input).  ``tune`` uses the transform's
 ``generator`` declaration when present, random data otherwise.
 
-``batch`` serves a JSONL request stream through the batch execution
-engine (:mod:`repro.batch`)::
+``batch`` answers a JSONL request stream through the serve daemon's
+``/batch`` (:meth:`repro.serve.ServeApp.batch`), run in process::
 
     python -m repro batch program.pbcc requests.jsonl -o results.jsonl
 
 Each request line is ``{"transform": NAME, "inputs": {...} | [...]}``
 plus optional ``"config"`` (an inline configuration object) and
 ``"sizes"``; requests sharing a transform, exact input shapes, and
-configuration run stacked along a batch axis, everything else falls
-back to per-request execution with identical results.  One JSONL result
-line comes back per request, in submission order.
+configuration run stacked along a batch axis (:mod:`repro.batch`).  One
+JSONL record comes back per request line, in line order — the bytes
+``repro client batch`` gets from a running daemon, because it is the
+same code.
 
 ``tune --jobs N`` evaluates candidate batches on ``N`` worker processes;
 because every measurement is a pure function of ``(seed, configuration
@@ -65,13 +66,12 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autotuner import GeneticTuner
 from repro.autotuner.evaluation import random_inputs
-from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
+from repro.autotuner.parallel import source_spec, tune_from_spec
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 from repro.engine_fast import LEAF_PATH_NAMES
 from repro.faults import FaultInjector, FaultSpecError
@@ -80,28 +80,106 @@ from repro.observe import TraceSink
 from repro.runtime import MACHINES, WorkStealingScheduler
 
 
-def _load_program(path: str) -> CompiledProgram:
+class _UsageError(Exception):
+    """The command cannot go on as invoked; :func:`main` prints the
+    message as one ``error:`` line and exits 2."""
+
+
+def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return compile_program(handle.read())
+        return handle.read()
 
 
-def _load_config(path: Optional[str]) -> Optional[ChoiceConfig]:
-    """The ``--config`` file, if one was given; a file that is not a
-    configuration (bad JSON, a key :meth:`ChoiceConfig.from_dict`
-    refuses) ends the command with exit status 2."""
+def _load_program(path: str) -> CompiledProgram:
+    return compile_program(_read(path))
+
+
+def _read_config(path: Optional[str], parse=None) -> Any:
+    """The ``--config`` file, if one was given: its JSON as a daemon
+    payload carries it, or ``parse(json)``.  A file that is not JSON, or
+    that ``parse`` refuses (a key :meth:`ChoiceConfig.from_dict`
+    rejects), ends the command with exit status 2."""
     if not path:
         return None
     try:
-        return ChoiceConfig.load(path)
+        payload = json.loads(_read(path))
+        return parse(payload) if parse else payload
     except ValueError as exc:
         print(f"error: bad config {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _fault_injector(spec: Optional[str]) -> Optional[FaultInjector]:
+    """``--inject SPEC`` (dev/test only) as a fault injector."""
+    try:
+        return FaultInjector.parse(spec) if spec else None
+    except FaultSpecError as exc:
+        raise _UsageError(f"--inject {exc}")
 
 
 def _load_input(path: str) -> np.ndarray:
     if path.endswith(".npy"):
         return np.load(path)
     return np.loadtxt(path)
+
+
+def _size_binding(text: str) -> Tuple[str, int]:
+    """A ``--size VAR=VALUE`` argument; anything else is a usage error."""
+    var, _, value = text.partition("=")
+    try:
+        if var:
+            return var, int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected VAR=INTEGER, got {text!r}")
+
+
+def _resolve_inputs(
+    args: argparse.Namespace, program: Optional[CompiledProgram] = None
+) -> Optional[List[np.ndarray]]:
+    """Inputs from ``--input`` files or ``--random-input N``.  The
+    program (compiled from ``args.source`` unless given) is needed only
+    for random data or to tell that the transform takes no inputs."""
+    if args.input:
+        return [_load_input(path) for path in args.input]
+    program = program or _load_program(args.source)
+    if args.random_input is not None:
+        rng = random.Random(args.seed)
+        return random_inputs(program, args.transform)(args.random_input, rng)
+    if program.transform(args.transform).ir.inputs:
+        raise _UsageError("provide --input files or --random-input N")
+    return None
+
+
+def _write_outputs(outputs: Mapping[str, np.ndarray], path: Optional[str]):
+    """A run's output arrays: saved as ``.npy`` (``path``, or
+    ``path.NAME.npy`` for several outputs), else previewed on stdout."""
+    for name, data in outputs.items():
+        if path:
+            target = f"{path}.{name}.npy" if len(outputs) > 1 else path
+            np.save(target, data)
+            print(f"{name}: saved to {target} (shape {data.shape})")
+        else:
+            preview = np.array2string(data, threshold=20, precision=6)
+            print(f"{name} (shape {data.shape}):\n{preview}")
+
+
+def _request_lines(path: str) -> List[str]:
+    """A JSONL request stream's lines (``-`` reads stdin)."""
+    return (sys.stdin.read() if path == "-" else _read(path)).splitlines()
+
+
+def _write_records(records: Sequence[Mapping[str, Any]], path: Optional[str]):
+    """One JSON line per record, to ``path`` or stdout; returns the
+    stream the command's summary goes to (the one records did not)."""
+    out = open(path, "w", encoding="utf-8") if path else sys.stdout
+    try:
+        for record in records:
+            out.write(json.dumps(record, sort_keys=True) + "\n")
+    finally:
+        if path:
+            out.close()
+    return sys.stdout if path else sys.stderr
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -123,32 +201,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
             )
             print(f"  size requirements: {guards}")
     return 0
-
-
-class _MissingInputs(Exception):
-    """Raised when a transform needs inputs but none were provided."""
-
-
-def _resolve_inputs(
-    program: CompiledProgram, args: argparse.Namespace
-) -> Optional[List[np.ndarray]]:
-    """Inputs from --input files / --random-input N (shared by run/trace)."""
-    transform = program.transform(args.transform)
-    if args.input:
-        return [_load_input(path) for path in args.input]
-    if args.random_input is not None:
-        rng = random.Random(args.seed)
-        return random_inputs(program, args.transform)(args.random_input, rng)
-    if not transform.ir.inputs:
-        return None
-    raise _MissingInputs
-
-
-def _parse_sizes(args: argparse.Namespace) -> dict:
-    return dict(
-        (key, int(value))
-        for key, _, value in (item.partition("=") for item in args.size or [])
-    )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -375,17 +427,16 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_leaf_path(
-    config: ChoiceConfig, args: argparse.Namespace
-) -> ChoiceConfig:
-    """Fold a ``--leaf-path`` override into the run's configuration."""
-    leaf = getattr(args, "leaf_path", None)
-    if leaf is None:
+def _run_config(args: argparse.Namespace) -> Optional[ChoiceConfig]:
+    """The ``--config`` file with a ``--leaf-path`` override folded in."""
+    config = _read_config(args.config, ChoiceConfig.from_dict)
+    if args.leaf_path is None:
         return config
     config = config or ChoiceConfig()
     key = f"{args.transform}.__leaf_path__"
     config.set_tunable(
-        key, next(v for v, name in LEAF_PATH_NAMES.items() if name == leaf)
+        key,
+        next(v for v, name in LEAF_PATH_NAMES.items() if name == args.leaf_path),
     )
     # A size-leveled entry of the same name would shadow the flat one
     # (``ChoiceConfig.tunable_at``); the override replaces it too.
@@ -396,26 +447,14 @@ def _apply_leaf_path(
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.source)
     transform = program.transform(args.transform)
-    config = _load_config(args.config)
-    config = _apply_leaf_path(config, args)
-    sizes = _parse_sizes(args)
-
-    try:
-        inputs = _resolve_inputs(program, args)
-    except _MissingInputs:
-        print("error: provide --input files or --random-input N", file=sys.stderr)
-        return 2
-
-    result = transform.run(inputs, config, sizes=sizes or None)
-    for name, matrix in result.outputs.items():
-        data = matrix.data
-        if args.output:
-            path = f"{args.output}.{name}.npy" if len(result.outputs) > 1 else args.output
-            np.save(path, data)
-            print(f"{name}: saved to {path} (shape {data.shape})")
-        else:
-            preview = np.array2string(data, threshold=20, precision=6)
-            print(f"{name} (shape {data.shape}):\n{preview}")
+    config = _run_config(args)
+    result = transform.run(
+        _resolve_inputs(args, program), config, sizes=dict(args.size or ()) or None
+    )
+    _write_outputs(
+        {name: matrix.data for name, matrix in result.outputs.items()},
+        args.output,
+    )
     print(
         f"-- {result.rule_applications} rule applications, "
         f"{len(result.graph)} tasks, "
@@ -427,20 +466,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     program = _load_program(args.source)
     transform = program.transform(args.transform)
-    config = _load_config(args.config)
-    config = _apply_leaf_path(config, args)
+    config = _run_config(args)
     machine = MACHINES[args.machine]
     workers = args.workers if args.workers else machine.cores
-    sizes = _parse_sizes(args)
-
-    try:
-        inputs = _resolve_inputs(program, args)
-    except _MissingInputs:
-        print("error: provide --input files or --random-input N", file=sys.stderr)
-        return 2
-
+    inputs = _resolve_inputs(args, program)
     sink = TraceSink()
-    result = transform.run(inputs, config, sizes=sizes or None, sink=sink)
+    result = transform.run(
+        inputs, config, sizes=dict(args.size or ()) or None, sink=sink
+    )
     schedule = WorkStealingScheduler(machine, seed=args.seed, sink=sink).run(
         result.graph, workers=workers
     )
@@ -483,50 +516,28 @@ _RECOVERY_COUNTERS = (
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    with open(args.source, "r", encoding="utf-8") as handle:
-        source_text = handle.read()
+    source_text = _read(args.source)
     # Counters (recovery accounting) are always collected; the event
     # stream — the expensive part — only when --trace asks for it.
     sink = TraceSink(capture_events=bool(args.trace))
-    try:
-        injector = FaultInjector.parse(args.inject) if args.inject else None
-    except FaultSpecError as exc:
-        print(f"error: --inject {exc}", file=sys.stderr)
-        return 2
+    injector = _fault_injector(args.inject)
     # Parent and pool workers build their evaluators from the same
     # picklable spec, so every process measures identically; the result
     # is byte-for-byte the same for any --jobs value.
-    spec = EvaluatorSpec.make(
-        "repro.autotuner.parallel:evaluator_from_source",
-        source_text,
-        args.transform,
-        args.machine,
-        max_size=args.max_size,
-    )
-    evaluator = ParallelEvaluator.from_spec(
-        spec,
+    result, evaluator = tune_from_spec(
+        source_spec(source_text, args.transform, args.machine, args.max_size),
+        {
+            "min_size": args.min_size,
+            "max_size": args.max_size,
+            "population_size": args.population,
+        },
         jobs=args.jobs,
-        cache=args.cache,
         sink=sink,
+        cache=args.cache,
         measure_timeout=args.measure_timeout if args.measure_timeout > 0 else None,
         max_retries=args.max_retries,
         injector=injector,
     )
-    # Everything from here runs under try/finally: close() shuts the
-    # pool down and flushes the cache even when tuning (or reporting)
-    # raises mid-generation, so an interrupted run keeps every batch it
-    # completed.
-    try:
-        tuner = GeneticTuner(
-            evaluator,
-            min_size=args.min_size,
-            max_size=args.max_size,
-            population_size=args.population,
-            refine_passes=0,
-        )
-        result = tuner.tune()
-    finally:
-        evaluator.close()
     print(result.describe())
     for log in result.history:
         print(
@@ -561,86 +572,40 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    from repro.batch import BatchEngine
+    """``/batch`` on a daemon that lives for one call: the records a
+    running daemon returns for the same lines, because it is that code."""
+    from repro.serve import ServeApp, ServeError
 
-    program = _load_program(args.source)
-    default_config = _load_config(args.config)
-    sink = TraceSink(capture_events=False)
-    engine = BatchEngine(sink=sink, max_stack=args.max_stack)
-
-    if args.requests == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.requests, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    # Under --strict an unparseable line (bad JSON, unknown transform,
-    # a config ``from_dict`` refuses) fails the whole invocation
-    # immediately, naming the offending line; without --strict it
-    # degrades to a per-line error record so the rest of the stream
-    # still runs.
-    entries = []  # ("result", request_id) | ("malformed", lineno, message)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            payload = json.loads(line)
-            transform = program.transform(payload["transform"])
-            config = default_config
-            if payload.get("config") is not None:
-                config = ChoiceConfig.from_dict(payload["config"])
-        except Exception as exc:
-            if args.strict:
-                print(
-                    f"error: request line {lineno}: {exc}", file=sys.stderr
-                )
-                return 2
-            entries.append(
-                ("malformed", lineno, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        entries.append(
-            (
-                "result",
-                engine.submit(
-                    transform,
-                    payload.get("inputs"),
-                    config,
-                    payload.get("sizes"),
-                ),
-            )
-        )
-
-    from repro.serve.records import malformed_record, result_record
-
-    results = {result.request_id: result for result in engine.gather()}
-    failed = 0
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    source = _read(args.source)
+    app = ServeApp()
     try:
-        for entry in entries:
-            if entry[0] == "malformed":
-                failed += 1
-                record = malformed_record(entry[1], entry[2])
-            else:
-                record = result_record(results[entry[1]])
-                failed += 0 if record["ok"] else 1
-            out.write(json.dumps(record, sort_keys=True) + "\n")
+        entry, _ = app.registry.register_program(source)
+        response = app.batch(
+            {
+                "program": entry.phash,
+                "lines": _request_lines(args.requests),
+                "strict": args.strict,
+                "config": _read_config(args.config),
+            }
+        )
+    except ServeError as exc:
+        print(f"error: {exc.message}", file=sys.stderr)
+        return 2
     finally:
-        if args.output:
-            out.close()
-
-    report = sys.stderr if not args.output else sys.stdout
+        app.close()
+    report = _write_records(response["results"], args.output)
+    sink = app.sink
     rate = sink.histograms.get("batch.requests_per_sec")
     print(
         f"-- {sink.counter('batch.requests')} requests in "
         f"{sink.counter('batch.buckets')} buckets: "
         f"{sink.counter('batch.stacked_requests')} stacked, "
         f"{sink.counter('batch.fallbacks')} fallbacks, "
-        f"{failed} errors"
+        f"{response['failed']} errors"
         + (f", {rate.mean:.0f} requests/sec" if rate else ""),
         file=report,
     )
-    return 1 if (failed and args.strict) else 0
+    return 1 if (response["failed"] and args.strict) else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -649,15 +614,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ResilienceConfig, ServeApp, ServeDaemon
 
-    injector = None
-    if getattr(args, "inject", None):
-        from repro.faults import FaultInjector, FaultSpecError
-
-        try:
-            injector = FaultInjector.parse(args.inject)
-        except FaultSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    injector = _fault_injector(args.inject)
     resilience = ResilienceConfig(
         max_concurrency=args.max_concurrency,
         max_queue=args.max_queue,
@@ -672,8 +629,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         injector=injector,
     )
     for path in args.preload or []:
-        with open(path, "r", encoding="utf-8") as handle:
-            info = app.compile({"source": handle.read()})
+        info = app.compile({"source": _read(path)})
         print(f"preloaded {path}: program {info['program']}")
     daemon = ServeDaemon(app, host=args.host, port=args.port)
 
@@ -710,8 +666,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _client_source(client, path: str) -> str:
     """Register a source file with the daemon; returns the program hash."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return client.ensure_program(handle.read())
+    return client.ensure_program(_read(path))
 
 
 def cmd_client(args: argparse.Namespace) -> int:
@@ -742,8 +697,7 @@ def cmd_client(args: argparse.Namespace) -> int:
             print("daemon stopping")
             return 0
         if args.client_command == "compile":
-            with open(args.source, "r", encoding="utf-8") as handle:
-                info = client.compile(handle.read())
+            info = client.compile(_read(args.source))
             cached = " (cached)" if info["cached"] else ""
             print(f"program {info['program']}{cached}")
             for name in info["transforms"]:
@@ -769,49 +723,28 @@ def cmd_client(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def _client_run(client, args: argparse.Namespace) -> int:
+    # Random inputs need the transform's declared shapes, so that path
+    # compiles locally; served execution is unchanged.
+    inputs = _resolve_inputs(args)
     phash = _client_source(client, args.source)
-    if args.input:
-        inputs = [_load_input(path) for path in args.input]
-    elif args.random_input is not None:
-        # Random generation needs the transform's declared shapes, so the
-        # convenience path compiles locally; served execution is unchanged.
-        program = _load_program(args.source)
-        rng = random.Random(args.seed)
-        inputs = random_inputs(program, args.transform)(args.random_input, rng)
-    else:
-        inputs = None
-    config = None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.loads(handle.read())
     response = client.run(
         phash,
         args.transform,
         inputs,
-        sizes=_parse_sizes(args) or None,
+        sizes=dict(args.size or ()) or None,
         machine=args.machine,
-        config=config,
+        config=_read_config(args.config),
     )
-    outputs = response["outputs"]
-    for name, data in outputs.items():
-        array = np.asarray(data, dtype=np.float64)
-        if args.output:
-            path = (
-                f"{args.output}.{name}.npy"
-                if len(outputs) > 1
-                else args.output
-            )
-            np.save(path, array)
-            print(f"{name}: saved to {path} (shape {array.shape})")
-        else:
-            preview = np.array2string(array, threshold=20, precision=6)
-            print(f"{name} (shape {array.shape}):\n{preview}")
+    _write_outputs(
+        {
+            name: np.asarray(data, dtype=np.float64)
+            for name, data in response["outputs"].items()
+        },
+        args.output,
+    )
     meta = response["meta"]
     version = meta["version"] if meta["version"] is not None else "-"
     print(
@@ -823,42 +756,16 @@ def _client_run(client, args: argparse.Namespace) -> int:
 
 
 def _client_batch(client, args: argparse.Namespace) -> int:
-    from repro.serve.client import ServeClientError
-
-    phash = _client_source(client, args.source)
-    if args.requests == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.requests, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    config = None
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.loads(handle.read())
-    try:
-        response = client.batch(
-            phash,
-            lines,
-            strict=args.strict,
-            machine=args.machine,
-            config=config,
-        )
-    except ServeClientError as exc:
-        if exc.status == 400:
-            print(f"error: {exc.message}", file=sys.stderr)
-            return 2
-        raise
-    out = (
-        open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+    lines = _request_lines(args.requests)
+    response = client.batch(
+        _client_source(client, args.source),
+        lines,
+        strict=args.strict,
+        machine=args.machine,
+        config=_read_config(args.config),
     )
-    try:
-        for record in response["results"]:
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    report = _write_records(response["results"], args.output)
     failed = response["failed"]
-    report = sys.stderr if not args.output else sys.stdout
     print(
         f"-- served {len(response['results'])} requests, {failed} errors "
         f"(machine {response['machine']})",
@@ -898,7 +805,7 @@ def _client_tune(client, args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _read_config(args.config, ChoiceConfig.from_dict)
     print("choice sites:")
     for site, selector in sorted(config.choices.items()):
         print(f"  {site}: {selector.describe()}")
@@ -980,62 +887,84 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rewrite.set_defaults(func=cmd_rewrite)
 
-    p_run = sub.add_parser("run", help="run a transform")
-    p_run.add_argument("source")
-    p_run.add_argument("-t", "--transform", required=True)
-    p_run.add_argument("--config", help="choice configuration JSON")
-    p_run.add_argument(
+    # Option groups several commands share, each defined once.
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    target = group()
+    target.add_argument("source")
+    target.add_argument("-t", "--transform", required=True)
+    inputs = group()
+    inputs.add_argument(
         "--input", action="append", help=".npy/.txt file per input matrix"
     )
-    p_run.add_argument("--random-input", type=int, metavar="N")
-    p_run.add_argument(
-        "--size", action="append", metavar="VAR=VALUE",
+    inputs.add_argument("--random-input", type=int, metavar="N")
+    inputs.add_argument(
+        "--size", action="append", type=_size_binding, metavar="VAR=VALUE",
         help="bind a free size variable",
     )
-    p_run.add_argument("--output", help="save outputs as .npy")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
+    inputs.add_argument("--seed", type=int, default=0)
+    arrays_out = group()
+    arrays_out.add_argument("--output", help="save outputs as .npy")
+    config = group()
+    config.add_argument(
+        "--config",
+        help="choice configuration JSON file (wins over a daemon's "
+        "registered config; a batch line's own config wins over it)",
+    )
+    leaf = group()
+    leaf.add_argument(
         "--leaf-path", choices=sorted(LEAF_PATH_NAMES.values()),
         help="leaf execution path override (default: closure)",
+    )
+    stream = group()
+    stream.add_argument("source")
+    stream.add_argument(
+        "requests",
+        help="JSONL request file, one request per line ('-' for stdin)",
+    )
+    stream.add_argument(
+        "-o", "--output",
+        help="JSONL results file (omit to stream results to stdout)",
+    )
+    stream.add_argument(
+        "--strict", action="store_true",
+        help="refuse the whole stream on a malformed line (exit 2); "
+        "exit 1 when any request errored",
+    )
+
+    def machine(default: Optional[str]) -> argparse.ArgumentParser:
+        parent = group()
+        fallback = default or "the daemon's"
+        parent.add_argument(
+            "--machine", choices=sorted(MACHINES), default=default,
+            help=f"machine profile (default: {fallback})",
+        )
+        return parent
+
+    local_machine, daemon_machine = machine("xeon8"), machine(None)
+
+    p_run = sub.add_parser(
+        "run", help="run a transform",
+        parents=[target, inputs, config, leaf, arrays_out],
     )
     p_run.set_defaults(func=cmd_run)
 
     p_trace = sub.add_parser(
-        "trace", help="run a transform and export a scheduler trace"
-    )
-    p_trace.add_argument("source")
-    p_trace.add_argument("-t", "--transform", required=True)
-    p_trace.add_argument("--config", help="choice configuration JSON")
-    p_trace.add_argument(
-        "--input", action="append", help=".npy/.txt file per input matrix"
-    )
-    p_trace.add_argument("--random-input", type=int, metavar="N")
-    p_trace.add_argument(
-        "--size", action="append", metavar="VAR=VALUE",
-        help="bind a free size variable",
-    )
-    p_trace.add_argument(
-        "--machine", choices=sorted(MACHINES), default="xeon8"
+        "trace", help="run a transform and export a scheduler trace",
+        parents=[target, inputs, config, leaf, local_machine],
     )
     p_trace.add_argument(
         "--workers", type=int, help="worker count (default: all cores)"
     )
-    p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument(
         "-o", "--output",
         help="JSONL trace file (omit to stream JSONL to stdout)",
     )
-    p_trace.add_argument(
-        "--leaf-path", choices=sorted(LEAF_PATH_NAMES.values()),
-        help="leaf execution path override (default: closure)",
-    )
     p_trace.set_defaults(func=cmd_trace)
 
-    p_tune = sub.add_parser("tune", help="autotune a transform")
-    p_tune.add_argument("source")
-    p_tune.add_argument("-t", "--transform", required=True)
-    p_tune.add_argument(
-        "--machine", choices=sorted(MACHINES), default="xeon8"
+    p_tune = sub.add_parser(
+        "tune", help="autotune a transform", parents=[target, local_machine]
     )
     p_tune.add_argument("--min-size", type=int, default=16)
     p_tune.add_argument("--max-size", type=int, default=4096)
@@ -1077,28 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.set_defaults(func=cmd_tune)
 
     p_batch = sub.add_parser(
-        "batch", help="serve a JSONL request stream through the batch engine"
-    )
-    p_batch.add_argument("source")
-    p_batch.add_argument(
-        "requests",
-        help="JSONL request file, one request per line ('-' for stdin)",
-    )
-    p_batch.add_argument(
-        "--config", help="default choice configuration JSON (per-request "
-        "inline configs override it)",
-    )
-    p_batch.add_argument(
-        "--max-stack", type=int, default=1024, metavar="N",
-        help="max requests per stacked sweep (default: %(default)s)",
-    )
-    p_batch.add_argument(
-        "-o", "--output",
-        help="JSONL results file (omit to stream results to stdout)",
-    )
-    p_batch.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when any request errored",
+        "batch", help="answer a JSONL request stream with the daemon's "
+        "/batch, in process",
+        parents=[stream, config],
     )
     p_batch.set_defaults(func=cmd_batch)
 
@@ -1106,6 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="start the compile-and-serve daemon (HTTP/JSON, see "
              "repro client)",
+        parents=[local_machine],
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument(
@@ -1116,10 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", metavar="DIR",
         help="artifact store directory (programs + tuned configs survive "
              "restarts; omit for in-memory only)",
-    )
-    p_serve.add_argument(
-        "--machine", choices=sorted(MACHINES), default="xeon8",
-        help="default machine profile for registry keys and tuning",
     )
     p_serve.add_argument(
         "--tune-workers", type=int, default=1, metavar="N",
@@ -1197,51 +1104,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_check.add_argument("source")
 
-    c_run = client_sub.add_parser(
-        "run", help="run a transform on the daemon (registry config)"
+    client_sub.add_parser(
+        "run", help="run a transform on the daemon (registry config)",
+        parents=[target, inputs, config, daemon_machine, arrays_out],
     )
-    c_run.add_argument("source")
-    c_run.add_argument("-t", "--transform", required=True)
-    c_run.add_argument(
-        "--input", action="append", help=".npy/.txt file per input matrix"
-    )
-    c_run.add_argument("--random-input", type=int, metavar="N")
-    c_run.add_argument(
-        "--size", action="append", metavar="VAR=VALUE",
-        help="bind a free size variable",
-    )
-    c_run.add_argument(
-        "--config", help="inline config JSON file (overrides the registry)"
-    )
-    c_run.add_argument(
-        "--machine", help="machine profile for the registry lookup"
-    )
-    c_run.add_argument("--output", help="save outputs as .npy")
-    c_run.add_argument("--seed", type=int, default=0)
-
-    c_batch = client_sub.add_parser(
-        "batch", help="serve a JSONL request stream through the daemon"
-    )
-    c_batch.add_argument("source")
-    c_batch.add_argument(
-        "requests", help="JSONL request file ('-' for stdin)"
-    )
-    c_batch.add_argument(
-        "--config", help="default config JSON file for the whole stream"
-    )
-    c_batch.add_argument("--machine")
-    c_batch.add_argument("-o", "--output", help="JSONL results file")
-    c_batch.add_argument(
-        "--strict", action="store_true",
-        help="fail the whole request on an unparseable line / any error",
+    client_sub.add_parser(
+        "batch", help="answer a JSONL request stream with the daemon's /batch",
+        parents=[stream, config, daemon_machine],
     )
 
     c_tune = client_sub.add_parser(
-        "tune", help="enqueue a background tuning job on the daemon"
+        "tune", help="enqueue a background tuning job on the daemon",
+        parents=[target, daemon_machine],
     )
-    c_tune.add_argument("source")
-    c_tune.add_argument("-t", "--transform", required=True)
-    c_tune.add_argument("--machine")
     c_tune.add_argument("--min-size", type=int, default=16)
     c_tune.add_argument("--max-size", type=int, default=64)
     c_tune.add_argument("--population", type=int, default=6)
@@ -1272,10 +1147,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PetaBricksError as exc:
+    except (PetaBricksError, OSError, _UsageError) as exc:
         # A user error (unknown transform, refused sizes, a tile size the
-        # rewrite's ScheduleError rejects): one line, like the daemon's
-        # structured 4xx — never a traceback.
+        # rewrite's ScheduleError rejects, a file that cannot be read or
+        # written): one line, like the daemon's structured 4xx — never a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

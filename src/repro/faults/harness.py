@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
-from repro.autotuner.tuner import GeneticTuner, TuneResult
+from repro.autotuner.parallel import EvaluatorSpec, tune_from_spec
+from repro.autotuner.tuner import TuneResult
 from repro.faults.injector import FaultInjector
 from repro.observe.trace import TraceSink
 
@@ -60,22 +60,6 @@ def _history_rows(result: TuneResult) -> List[tuple]:
     ]
 
 
-def _tune(
-    spec: EvaluatorSpec,
-    jobs: int,
-    tuner_kwargs: Dict[str, Any],
-    sink: Optional[TraceSink] = None,
-    **evaluator_kwargs: Any,
-) -> TuneResult:
-    evaluator = ParallelEvaluator.from_spec(
-        spec, jobs=jobs, sink=sink, **evaluator_kwargs
-    )
-    try:
-        return GeneticTuner(evaluator, **tuner_kwargs).tune()
-    finally:
-        evaluator.close()
-
-
 def check_fault_tolerance(
     spec: EvaluatorSpec,
     inject: str,
@@ -92,23 +76,18 @@ def check_fault_tolerance(
     (including the recovery counters the faulty run emitted) on success.
     """
     tuner_kwargs = dict(DEFAULT_TUNER_KWARGS, **(tuner_kwargs or {}))
-    baseline = _tune(spec, 1, tuner_kwargs)
+    baseline, _ = tune_from_spec(spec, tuner_kwargs)
     sink = TraceSink(capture_events=False)
-    injector = FaultInjector.parse(inject)
-    evaluator = ParallelEvaluator.from_spec(
+    faulty, evaluator = tune_from_spec(
         spec,
+        tuner_kwargs,
         jobs=jobs,
         sink=sink,
         measure_timeout=measure_timeout,
         max_retries=max_retries,
-        injector=injector,
+        injector=FaultInjector.parse(inject),
         **evaluator_kwargs,
     )
-    try:
-        faulty = GeneticTuner(evaluator, **tuner_kwargs).tune()
-        degraded = evaluator.degraded
-    finally:
-        evaluator.close()
     identical = (
         faulty.config.to_json() == baseline.config.to_json()
         and faulty.best_time == baseline.best_time
@@ -124,7 +103,7 @@ def check_fault_tolerance(
         faulty=faulty,
         identical=identical,
         counters=dict(sink.counters),
-        degraded=degraded,
+        degraded=evaluator.degraded,
     )
 
 

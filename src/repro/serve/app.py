@@ -50,8 +50,7 @@ import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.check import check_source
-from repro.autotuner import GeneticTuner
-from repro.autotuner.parallel import EvaluatorSpec, ParallelEvaluator
+from repro.autotuner.parallel import source_spec, tune_from_spec
 from repro.batch.request import config_digest
 from repro.compiler import ChoiceConfig
 from repro.compiler.codegen import ExecutionError, normalize_sizes
@@ -544,24 +543,20 @@ class ServeApp:
             raise ValueError(f"unknown job kind {job.kind!r}")
         payload = job.payload
         entry = self.registry.program(payload["program"])
-        spec = EvaluatorSpec.make(
-            "repro.autotuner.parallel:evaluator_from_source",
-            entry.source,
-            payload["transform"],
-            payload["machine"],
-            max_size=payload["max_size"],
+        result, _ = tune_from_spec(
+            source_spec(
+                entry.source,
+                payload["transform"],
+                payload["machine"],
+                payload["max_size"],
+            ),
+            {
+                "min_size": payload["min_size"],
+                "max_size": payload["max_size"],
+                "population_size": payload["population"],
+            },
+            jobs=payload["jobs"],
         )
-        evaluator = ParallelEvaluator.from_spec(spec, jobs=payload["jobs"])
-        try:
-            result = GeneticTuner(
-                evaluator,
-                min_size=payload["min_size"],
-                max_size=payload["max_size"],
-                population_size=payload["population"],
-                refine_passes=0,
-            ).tune()
-        finally:
-            evaluator.close()
         published = self.publish_config(
             payload["program"],
             payload["machine"],

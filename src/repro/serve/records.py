@@ -1,10 +1,10 @@
-"""Canonical result records and the wire codec, shared by ``repro
-batch`` and the serve daemon.
+"""Canonical result records and the wire codec of the serve daemon.
 
-Both the direct CLI and the daemon's ``/batch`` endpoint must emit the
-*same bytes* for the same requests — the bit-parity acceptance check of
-the serve layer — so the record shape lives here and is built in exactly
-one place.  Records serialize with ``json.dumps(record, sort_keys=True)``.
+``repro batch``, ``repro client batch`` and a daemon's ``/batch`` emit
+the *same bytes* for the same lines by construction: all three are
+:meth:`repro.serve.ServeApp.batch` (the CLI runs it in process), which
+builds every record here.  Records serialize with
+``json.dumps(record, sort_keys=True)``.
 
 An array position of a request or reply is a nested list or, out of
 band, raw float64 behind the JSON.  A body that carries arrays is one
@@ -167,18 +167,14 @@ def split_frame(body: bytes) -> Tuple[bytes, Optional[FrameArrays]]:
 
 
 def result_record(
-    result: BatchResult,
-    record_id: Optional[int] = None,
-    packed: bool = False,
+    result: BatchResult, record_id: int, packed: bool = False
 ) -> Dict[str, Any]:
     """One JSONL-able record for a batch result.
 
-    ``record_id`` overrides the engine-assigned request id — the daemon
-    passes the position within the incoming request list so a long-lived
-    engine (whose internal ids keep growing across calls) still emits
-    the ids a fresh ``repro batch`` process would.
+    ``record_id`` is the request's position among the call's submitted
+    lines, not the engine-assigned request id: a long-lived engine's ids
+    keep growing across calls, and a record must not show it.
     """
-    record_id = result.request_id if record_id is None else record_id
     if result.ok:
         assert result.outputs is not None
         return {
@@ -198,8 +194,8 @@ def result_record(
 
 
 def malformed_record(lineno: int, message: str) -> Dict[str, Any]:
-    """The record a malformed (unparseable / unknown-transform) request
-    line degrades to when ``--strict`` is off."""
+    """The record a malformed request line (bad JSON, unknown transform,
+    refused config or sizes) degrades to when ``strict`` is off."""
     return {"id": None, "line": lineno, "ok": False, "error": message}
 
 

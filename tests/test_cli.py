@@ -138,6 +138,38 @@ class TestUserErrorsAreOneLine:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("binding", ["n", "n=x", "=3"])
+    def test_malformed_size_binding_is_a_usage_error(
+        self, source, capsys, binding
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", source, "-t", "RollingSum", "--random-input", "8",
+                  "--size", binding])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --size: expected VAR=INTEGER, got {binding!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{source}", "-t", "RollingSum", "--input", "{missing}"],
+            ["batch", "{source}", "{missing}"],
+            ["run", "{missing}", "-t", "RollingSum", "--random-input", "8"],
+            # read before any connection is opened
+            ["client", "batch", "{source}", "{missing}"],
+        ],
+    )
+    def test_missing_file(self, source, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.npy")
+        argv = [arg.format(source=source, missing=missing) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
+        assert captured.out == ""
+
     def test_rewrite_refused_tile_size(self, tmp_path, capsys):
         path = tmp_path / "matmul.pbcc"
         path.write_text(MATMUL_CHAIN)

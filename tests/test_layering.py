@@ -137,6 +137,39 @@ def test_serve_speaks_http_through_its_own_transport_only():
     assert offenders == []
 
 
+def test_the_command_line_is_a_client_of_the_daemon_and_the_tuner():
+    """``repro batch`` is ``/batch`` run in process and ``repro tune`` is
+    ``tune_from_spec``: the command line names none of the pieces those
+    own, so it cannot wire them a second way."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    owned = {
+        "BatchEngine", "result_record", "malformed_record", "EvaluatorSpec",
+        "ParallelEvaluator",
+    }
+    named = {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert named & owned == set()
+
+
+def test_only_the_autotuner_constructs_a_genetic_tuner():
+    offenders = [
+        f"{path}:{node.lineno}"
+        for path, tree in modules()
+        if path.parts[0] != "autotuner"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Name, ast.Attribute))
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "GeneticTuner"
+    ]
+    assert offenders == []
+
+
 def test_a_sites_kernel_is_lowered_once_however_many_configs_plan_it(
     monkeypatch,
 ):

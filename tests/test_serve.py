@@ -546,12 +546,22 @@ class TestHTTP:
 
 
 class TestByteParity:
+    BAD_SIZES = json.dumps(
+        {"transform": "Scale", "inputs": {"A": [[1.0]]}, "sizes": {"n": -1}}
+    )
+
     def test_served_batch_matches_cli_bytes(self, app, phash, tmp_path):
         lines = [
             json.dumps({"transform": "Scale", "inputs": {"A": [[1.0, 2.0]]}}),
+            self.BAD_SIZES,
+            "",
             json.dumps({"transform": "Scale", "inputs": {"A": [[5.0, 6.0]]}}),
+            "# a comment line",
             "not json at all",
             json.dumps({"transform": "Nope", "inputs": {}}),
+            json.dumps(
+                {"transform": "Scale", "inputs": {"A": [[2.0]]}, "sizes": "x"}
+            ),
             json.dumps(
                 {
                     "transform": "Scale",
@@ -559,6 +569,7 @@ class TestByteParity:
                     "config": {"tunables": {"Scale.__Leaf_Path__": 2}},
                 }
             ),
+            json.dumps({"transform": "Scale", "inputs": {"A": [[7.0]]}}),
         ]
         source_path = tmp_path / "scale.pbcc"
         source_path.write_text(SCALE)
@@ -584,6 +595,31 @@ class TestByteParity:
             for record in response["results"]
         )
         assert served == direct_path.read_text()
+        # Bad sizes make a line malformed on both sides, so the ids of
+        # the lines after it do not shift.
+        records = response["results"]
+        assert [r["id"] for r in records] == [0, None, 1, None, None, None, None, 2]
+        assert [r.get("line") for r in records if r["id"] is None] == [2, 6, 7, 8, 9]
+
+    def test_strict_bad_sizes_is_the_same_refusal(
+        self, app, phash, tmp_path, capsys
+    ):
+        lines = [
+            json.dumps({"transform": "Scale", "inputs": {"A": [[1.0]]}}),
+            self.BAD_SIZES,
+        ]
+        with pytest.raises(ServeError) as refused:
+            app.batch({"program": phash, "lines": lines, "strict": True})
+        assert refused.value.status == 400
+        assert refused.value.message.startswith("request line 2: ")
+        source_path = tmp_path / "scale.pbcc"
+        source_path.write_text(SCALE)
+        requests_path = tmp_path / "reqs.jsonl"
+        requests_path.write_text("\n".join(lines) + "\n")
+        assert main(["batch", str(source_path), str(requests_path), "--strict"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {refused.value.message}\n"
+        assert captured.out == ""
 
     def test_parity_survives_warm_engine(self, app, phash, tmp_path):
         """A second served batch on the (now warm) engine still emits
