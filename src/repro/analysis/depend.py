@@ -56,7 +56,8 @@ wrong order — mirroring the PB602 contract.
 The third family is *storage* legality (PB606/PB607): may the engine
 keep only a window of a ``through`` matrix's planes, plane ``q`` living
 in slot ``q % window``?  :func:`storage_verdict` proves it symbolically
-(conditions (a)–(e) there; DESIGN.md "Storage folding") and the engine
+(conditions (a)–(e) there; DESIGN.md "Storage folding") — for segments
+that share a band, under the lockstep schedule it names — and the engine
 folds every matrix it is proven for; PB607 states the refusal and, when
 the refusal is an overwrite the schedule really performs, carries a
 replay-validated :class:`StorageWitness`.
@@ -783,12 +784,16 @@ class StorageVerdict:
     """The PB606 decision for one matrix: may the engine keep only
     ``window`` planes of it along ``axis``, plane ``q`` living in slot
     ``q % window``?  ``reason`` is empty exactly when that is proven
-    invisible; otherwise ``axis`` is the axis the refusal is about."""
+    invisible; otherwise ``axis`` is the axis the refusal is about.
+    ``groups`` are the lockstep groups the fold is proven for: runs of
+    segment keys, in schedule order, that share one band along ``axis``
+    and run one plane at a time."""
 
     matrix: str
     axis: int
     window: int
     reason: str = ""
+    groups: Tuple[Tuple[str, ...], ...] = ()
 
     @property
     def folds(self) -> bool:
@@ -810,14 +815,18 @@ def storage_verdict(compiled, matrix: str) -> StorageVerdict:
         cell of a segment is written and none starts from what its slot
         held;
     (b) ``schedule_order`` runs ``M``'s segments in ascending band order
-        along ``d``, no band wider than one plane shared by two of them;
+        along ``d``; segments sharing a band wider than one plane run
+        one after the other in ``schedule_order`` and form a *lockstep
+        group*, which the engine runs one plane at a time;
     (c) a plane coordinate that moves with a rule variable moves with a
-        chain variable of direction +1 at every site — with (b), the
-        planes of any one cell are produced in ascending order;
-    (d) a rule writing ``M`` reads it only at its own cell, a constant
-        ``δ >= 1`` planes behind its write (a per-cell recurrence: the
-        zero distance in every other axis is what makes the fold
-        independent of tile order); ``window = 1 + max δ``;
+        chain variable of direction +1 at every site, the only chain of
+        a group member's site — with (b), the planes of any one cell are
+        produced in ascending order;
+    (d) a rule writing ``M`` reads it a constant ``δ >= 1`` planes
+        behind its write, so never a plane a group member writes in the
+        same step; ``window = 1 + max δ``.  Outside a group only at its
+        own cell (a per-cell recurrence: the zero distance in every
+        other axis is what makes the fold independent of tile order);
     (e) any other rule reads it at a plane fixed by the sizes and
         provably among the last ``window``.
 
@@ -828,10 +837,16 @@ def storage_verdict(compiled, matrix: str) -> StorageVerdict:
     if mat.role != ROLE_THROUGH:
         return StorageVerdict(matrix, 0, 0, f"{matrix} is not a through matrix")
     best = (-1, 0, f"{matrix} is a scalar")
+    segments = [seg for seg in compiled.segment_order if seg.matrix == matrix]
     for axis in range(mat.ndim):
-        passed, window, reason = _fold_along(compiled, mat, axis)
+        groups, reason = _lockstep_groups(compiled, segments, axis)  # (b)
+        passed, window = 0, 0
         if not reason:
-            return StorageVerdict(matrix, axis, window)
+            passed, window, reason = _fold_along(
+                compiled, mat, axis, segments, groups
+            )
+        if not reason:
+            return StorageVerdict(matrix, axis, window, groups=groups)
         best = max(best, (passed, -axis, reason))
     return StorageVerdict(matrix, -best[1], 0, best[2])
 
@@ -898,29 +913,49 @@ def _plane_window(ir: TransformIR, name: str, axis: int) -> int:
     return window
 
 
-def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
-    """``(checks passed, window, refusal)`` of folding ``mat`` along
-    ``axis``; the refusal is empty when (a)-(e) of
-    :func:`storage_verdict` all hold."""
-    ir, name, known = compiled.ir, mat.name, compiled.ir.assumptions
-    segments = [seg for seg in compiled.segment_order if seg.matrix == name]
-    for prev, nxt in zip(segments, segments[1:]):  # (b)
+def _lockstep_groups(compiled, segments, axis: int):
+    """(b): ``(groups, refusal)`` — the runs of ``segments`` (``M``'s, in
+    schedule order) that share a band wider than one plane along
+    ``axis``; refused when the bands do not ascend or another segment
+    runs between two that share one."""
+    known = compiled.ir.assumptions
+    position = {seg.key: pos for pos, seg in enumerate(compiled.segment_order)}
+    groups: List[List[str]] = []
+    for prev, nxt in zip(segments, segments[1:]):
         earlier, band = prev.box.intervals[axis], nxt.box.intervals[axis]
         if earlier.hi.always_le(band.lo, known):
             continue
         if earlier != band:
-            return 0, 0, (
+            return (), (
                 f"segments {prev.key} and {nxt.key} do not run in "
                 f"ascending plane order"
             )
-        if band.length() != 1:
+        if band.length() == 1:
+            continue
+        between = compiled.segment_order[position[prev.key] + 1 : position[nxt.key]]
+        if between:
             sharing = sorted(
                 seg.key for seg in segments if seg.box.intervals[axis] == band
             )
-            return 0, 0, (
+            return (), (
                 f"segments {', '.join(sharing)} share planes {band} and "
-                f"run one after the other"
+                f"{', '.join(seg.key for seg in between)} runs between them"
             )
+        if groups and groups[-1][-1] == prev.key:
+            groups[-1].append(nxt.key)
+        else:
+            groups.append([prev.key, nxt.key])
+    return tuple(map(tuple, groups)), ""
+
+
+def _fold_along(
+    compiled, mat, axis: int, segments, groups
+) -> Tuple[int, int, str]:
+    """``(checks passed, window, refusal)`` of folding ``mat`` along
+    ``axis``, its ``segments`` in schedule order and their lockstep
+    ``groups`` past (b); the refusal is empty when (a) and (c)-(e) of
+    :func:`storage_verdict` all hold."""
+    ir, name, known = compiled.ir, mat.name, compiled.ir.assumptions
     for rule in ir.rules:  # (a)
         views = [r.view_kind for r in rule.all_regions if r.matrix == name]
         if views and rule.native_body is not None:
@@ -935,14 +970,21 @@ def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
             reason = _writer_block(rule, name, axis)
             if reason:
                 return 1, 0, reason
+    grouped = {key for group in groups for key in group}
+    alone = set()  # rules of segments that run outside every group
     for segment in segments:  # (c)
+        member = segment.key in grouped
         for option in segment.options:
             rule = ir.rules[option.primary]
             wrote = rule.to_regions[0].box
             order = compiled.depgraph.rule_directions[segment.key, rule.rule_id]
-            if _moves_with(rule, wrote.intervals[axis].lo) and (
-                order.signs[axis] != 1
-            ):
+            moves = _moves_with(rule, wrote.intervals[axis].lo)
+            ascending = order.signs[axis] == 1
+            if member:  # the plane's variable is the site's one chain
+                ascending = ascending and moves and not any(
+                    sign for dim, sign in enumerate(order.signs) if dim != axis
+                )
+            if (moves or member) and not ascending:
                 return 2, 0, (
                     f"{rule.label} does not write the planes of "
                     f"{segment.key} as an ascending chain"
@@ -955,6 +997,8 @@ def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
                     f"fallback {ir.rules[fallback].label} does not write "
                     f"the cell {rule.label} rejects"
                 )
+            if not member:
+                alone.update((option.primary, option.fallback))
     window = _plane_window(ir, name, axis)  # (d)
     if not window:
         return 3, 0, (
@@ -963,11 +1007,11 @@ def _fold_along(compiled, mat, axis: int) -> Tuple[int, int, str]:
         )
     for rule, wrote, read in _self_reads(ir, name):
         for dim, (w, r) in enumerate(zip(wrote, read)):
-            if dim != axis and w.lo != r.lo:
+            if dim != axis and w.lo != r.lo and rule.rule_id in alone:
                 return 3, 0, (
                     f"{rule.label} reads {name} at another cell ({r.lo} "
-                    f"for {w.lo} in axis {dim}): only a per-cell "
-                    f"recurrence folds"
+                    f"for {w.lo} in axis {dim}): outside a lockstep group "
+                    f"only a per-cell recurrence folds"
                 )
     extent = mat.dims[axis]
     for rule in ir.rules:  # (e)
@@ -1031,26 +1075,60 @@ class StorageWitness:
         )
 
 
-def _clobbers(replay: Replay, name: str, axis: int, window: int, e: int):
-    """Every :class:`StorageWitness` at sizes ``replay.envs[e]``, at
-    segment granularity: segments run one after the other in schedule
-    order, so when one starts, a slot holds what the last earlier
-    segment to write it left there — its highest plane of the slot if
-    it sweeps the planes ascending, its lowest if descending, unknowable
-    (no witness) otherwise.  A read of any other plane of that slot is
-    an overwrite the engine really performs; reads of cells the reading
-    segment writes itself are not judged."""
+def _engine_order(replay: Replay, axis: int, groups, e: int):
+    """``(segment, option, applications)`` in the order the engine runs
+    them at sizes ``replay.envs[e]``, each segment's first option: a
+    segment whole, in schedule order — but a lockstep group one plane at
+    a time, every member's applications writing each plane of the band
+    in turn.  ``applications`` is ``None`` over budget."""
+    group_of = {key: group for group in groups for key in group}
+    pending = []  # the runs of the group being gathered
+    for segment in replay.compiled.segment_order:
+        group = group_of.get(segment.key)
+        if segment.options:
+            option = segment.options[0]
+            run = (segment, option, replay.applications(segment, option, e))
+            if group is None:
+                yield run
+                continue
+            pending.append(run)
+        if group is None or segment.key != group[-1]:
+            continue
+        if any(apps is None for _segment, _option, apps in pending):
+            yield segment, None, None
+            return
+        rows: Dict[int, List[List]] = {}  # plane -> applications per member
+        for index, (_segment, _option, apps) in enumerate(pending):
+            for app in apps:
+                plane = app.rule.to_regions[0].box.intervals[axis].lo
+                rows.setdefault(
+                    plane.eval_floor(app.env), [[] for _ in pending]
+                )[index].append(app)
+        for plane in sorted(rows):
+            for (member, option, _all), apps in zip(pending, rows[plane]):
+                yield member, option, apps
+        pending = []
+
+
+def _clobbers(
+    replay: Replay, name: str, axis: int, window: int, e: int, groups=()
+):
+    """Every :class:`StorageWitness` at sizes ``replay.envs[e]``, in
+    :func:`_engine_order` under the lockstep ``groups``, one segment (or
+    one plane of a group member) at a time: when one starts, a slot
+    holds what the last earlier run to write it left there — its highest
+    plane of the slot if it sweeps the planes ascending, its lowest if
+    descending, unknowable (no witness) otherwise.  A read of any other
+    plane of that slot is an overwrite the engine really performs; reads
+    of cells the reading segment writes itself are not judged."""
     compiled, env = replay.compiled, replay.envs[e]
 
     def slot(cell):
         return (*cell[:axis], cell[axis] % window, *cell[axis + 1 :])
 
     holds: Dict[Tuple[int, ...], Optional[Tuple]] = {}
-    for segment in compiled.segment_order:
-        if not segment.options:
-            continue
-        key, option = segment.key, segment.options[0]
-        apps = replay.applications(segment, option, e)
+    for segment, option, apps in _engine_order(replay, axis, groups, e):
+        key = segment.key
         if apps is None:
             return  # over budget: what later slots hold is unknown
         own = replay.box(segment, e) if segment.matrix == name else ()
@@ -1097,7 +1175,9 @@ def _storage_witness(replay: Replay, verdict) -> Optional[StorageWitness]:
         (
             witness
             for e in range(len(replay.envs))
-            for witness in _clobbers(replay, name, axis, window, e)
+            for witness in _clobbers(
+                replay, name, axis, window, e, verdict.groups
+            )
         ),
         None,
     )
@@ -1105,14 +1185,17 @@ def _storage_witness(replay: Replay, verdict) -> Optional[StorageWitness]:
 
 def validate_storage_witness(compiled, witness: StorageWitness) -> bool:
     """Replay a storage witness: it must be one of the overwrites
-    :func:`_clobbers` derives from the engine's geometry and schedule at
-    the witness's own sizes, axis and window."""
+    :func:`_clobbers` derives from the engine's geometry and schedule —
+    lockstep groups included — at the witness's own sizes, axis and
+    window."""
     mat = compiled.ir.matrices.get(witness.matrix)
     if mat is None or not 0 <= witness.axis < mat.ndim or witness.window < 1:
         return False
+    verdict = compiled.storage_verdicts.get(witness.matrix)
     replay = Replay(compiled, envs=[dict(witness.sizes)])
     return witness in _clobbers(
-        replay, witness.matrix, witness.axis, witness.window, 0
+        replay, witness.matrix, witness.axis, witness.window, 0,
+        verdict.groups if verdict else (),
     )
 
 
@@ -1334,6 +1417,9 @@ def rewrite_audit(
             for reg in rule.from_regions
             if reg.matrix == mat.name
         ]
+        lockstep = "".join(
+            f"; {', '.join(group)} run in lockstep" for group in verdict.groups
+        )
         emit(
             "PB606",
             mat,
@@ -1341,7 +1427,7 @@ def rewrite_audit(
             f"storage of {mat.name} folds to {verdict.window} planes along "
             f"axis {verdict.axis} (reads reach {verdict.window - 1} "
             f"plane(s) back; the last reader is "
-            f"{', '.join(readers) or 'nobody'})",
+            f"{', '.join(readers) or 'nobody'}{lockstep})",
             "nothing to set: a through matrix that may fold always does, "
             "and the problem size still counts every declared plane",
             region=mat.name,

@@ -31,7 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.codegen import CompiledTransform, RunPlan
+from repro.compiler.codegen import CompiledTransform, RunPlan, lockstep
 from repro.compiler.config import ChoiceConfig
 from repro.runtime.matrix import Matrix
 
@@ -47,8 +47,8 @@ def plan_stacked(
     Returns ``(plan, "")`` when every step of the transform's run plan
     under ``config`` admits a batched vector step, else ``(None,
     reason)``.  The plan is the serial :class:`RunPlan` with every
-    step's ``plan`` set to its site's vector plan, whatever leaf the
-    configuration picks for serial runs.  Planning failures include
+    step's ``plan`` set to its site's vector plan, untiled, whatever leaf
+    the configuration picks for serial runs.  Planning failures include
     anything the serial engine would raise at this (shapes, config)
     point — guard violations, bad option indices — because the serial
     fallback reproduces those errors per request.
@@ -60,7 +60,7 @@ def plan_stacked(
             vector, reason = step.site.vector
             if vector is None:
                 return None, f"{step.site.segment.key}: {reason}"
-            steps.append(dataclasses.replace(step, plan=vector))
+            steps.append(dataclasses.replace(step, plan=vector, tiles=None))
         return dataclasses.replace(plan, steps=tuple(steps)), ""
     except Exception as error:  # serial fallback reproduces the error
         return None, str(error)
@@ -85,7 +85,8 @@ def run_stacked(
     monkeypatches allocation to sentinel-fill and compares write sets).
     Each step call is the serial leaf's own strip-mined ufunc chain —
     its strips count the batch axis, its scratch belongs to the
-    ``maker`` call made here.
+    ``maker`` call made here — in the serial replay's order: a plan
+    group's rows of :func:`~repro.compiler.codegen.lockstep`, untiled.
     """
     arrays: Dict[str, np.ndarray] = dict(stacked_inputs)
     outputs: Dict[str, Matrix] = {}
@@ -94,16 +95,23 @@ def run_stacked(
         arrays[name] = storage.data
         if is_output:
             outputs[name] = storage
-    for step in plan.steps:
-        step_fn = step.plan.maker(
-            plan.env,
-            plan.tunables,
-            {name: arrays[name] for name in step.plan.matrices},
-        )
-        for chain_values, free_args, _volume in step.plan.sweep(step.geometry):
-            step_fn(*chain_values, *free_args)
+    for group in plan.groups:
+        steps = plan.steps[group.start : group.stop]
+        step_fns = [
+            step.plan.maker(
+                plan.env,
+                plan.tunables,
+                {name: arrays[name] for name in step.plan.matrices},
+            )
+            for step in steps
+        ]
+        leaves = [
+            lambda item, step_fn=step_fn: step_fn(*item[0], *item[1])
+            for step_fn in step_fns
+        ]
+        for _row in lockstep(steps, leaves):
             if sink is not None:
-                sink.count("batch.stacked_steps")
+                sink.count("batch.stacked_steps", len(steps))
     return outputs
 
 

@@ -14,9 +14,11 @@ transform is then:
 1. look the frame's plan up (build it on a miss), check the recursion
    guard, allocate output and ``through`` matrices as the plan lists,
 2. replay the plan's steps in schedule order: per-instance with the
-   iteration order and blocking dictated by the dependency analysis, or
-   once for whole-region rules, recursing into other transforms (each
-   frame replaying its own plan) for calls in the body,
+   iteration order and blocking dictated by the dependency analysis —
+   the segments of a lockstep group (a folded matrix's segments sharing
+   one band) one plane at a time, interleaved — or once for
+   whole-region rules, recursing into other transforms (each frame
+   replaying its own plan) for calls in the body,
 3. record the task graph a work-stealing runtime would execute — each
    block/application is a task with its dependency edges; below the
    tuned sequential cutoff, code switches to the sequential version
@@ -43,6 +45,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -187,10 +190,6 @@ class PlanStep:
     """
 
     site: "Site"  # the (segment, selected primary rule) pair
-    label: str  # of the segment's task
-    #: positions in ``RunPlan.steps`` of the segments this one's
-    #: dependency edges come from (ascending, so are their task ids)
-    deps: Tuple[int, ...]
     fallback: Optional[RuleIR]
     #: concrete ``[lo, hi)`` bounds per ``rule.all_regions``
     region_bounds: Optional[Tuple[Bounds, ...]] = None
@@ -211,6 +210,41 @@ class PlanStep:
     @property
     def rule(self) -> RuleIR:
         return self.site.rule
+
+    def sweep(self) -> Iterator[Tuple]:
+        """An instance step's items in execution order: its vector plan's
+        :meth:`VectorPlan.sweep` (tiled as ``tiles`` says), or per-cell
+        chain values (no chain variables: the one unchained step)."""
+        if self.plan is not None:
+            return self.plan.sweep(self.geometry, *(self.tiles or ((), False)))
+        return itertools.product(*self.geometry.chain_value_lists)
+
+
+class PlanGroup(NamedTuple):
+    """One task of a :class:`RunPlan`: ``steps[start:stop]``, a lockstep
+    group (a folding PB606 verdict's ``groups``, its members that are
+    not empty at these sizes) or a step on its own."""
+
+    label: str
+    #: positions in ``RunPlan.groups`` of the groups this one's
+    #: dependency edges come from (ascending, so are their task ids)
+    deps: Tuple[int, ...]
+    start: int
+    stop: int
+
+
+def lockstep(
+    steps: Sequence[PlanStep], leaves: Sequence[Callable[[Tuple], object]]
+) -> Iterator[Tuple]:
+    """The one chain iteration of a :class:`PlanGroup`, run by the serial
+    replay and :mod:`repro.batch.stacked`: ``leaves[k]`` takes each
+    :meth:`PlanStep.sweep` item of ``steps[k]``, one row per chain step,
+    members in schedule order (they sweep the same planes, untiled); a
+    step on its own is a group of one."""
+    return zip(
+        *(map(leaf, step.sweep()) for step, leaf in zip(steps, leaves)),
+        strict=True,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,6 +275,7 @@ class RunPlan:
     inline: bool
     tunables: Dict[str, int]
     steps: Tuple[PlanStep, ...]
+    groups: Tuple[PlanGroup, ...]
 
 
 class _EngineState:
@@ -415,6 +450,11 @@ class Site:
 
         return schedule_verdict(self)
 
+    @property
+    def tilable(self) -> bool:
+        """PB604-legal and in no lockstep group (which runs untiled)."""
+        return self.schedule.legal and self.segment.key not in self.transform._lockstep
+
     @functools.cached_property
     def vector(self) -> Tuple[Optional[VectorPlan], str]:
         """``(plan, "")`` or ``(None, reason)``: the site's one vector
@@ -494,8 +534,9 @@ class Site:
         Sizes come from the ``__tile_i__``/``__tile_j__`` tunables, with
         the rule's declared ``tile(...)`` annotation as the default; a
         size of 0 (or one covering the whole extent) leaves that
-        variable unblocked.  Engages only on PB604-legal sites — on any
-        other site the knobs are a verified no-op."""
+        variable unblocked.  Engages only on PB604-legal sites outside a
+        lockstep group — on any other site the knobs are a verified
+        no-op."""
         if not geometry.chain_vars or not geometry.free_vars:
             return None
         name = self.transform.name
@@ -508,9 +549,7 @@ class Site:
                 size = config.tile_size(name, dim, size)
             lo, hi = geometry.var_ranges[var]
             tile_sizes.append(size if 0 < size < hi - lo else 0)
-        if not any(tile_sizes):
-            return None
-        if not self.schedule.legal:
+        if not any(tile_sizes) or not self.tilable:
             return None
         return tuple(tile_sizes), bool(
             config.interchange_enabled(name, int(declared.interchange))
@@ -745,11 +784,11 @@ class CompiledTransform:
 
     def has_tiling(self) -> bool:
         """Whether the ``__tile_i__``/``__tile_j__``/``__interchange__``
-        tunables can change anything: some site is both PB604
-        schedule-legal and vectorizable.  Mirrors
+        tunables can change anything: some site is both
+        :attr:`Site.tilable` and vectorizable.  Mirrors
         :meth:`has_fusion` — the tuner only searches knobs that exist."""
         return any(
-            site.schedule.legal and site.vector[0] is not None
+            site.tilable and site.vector[0] is not None
             for site in self.sites.values()
         )
 
@@ -779,6 +818,18 @@ class CompiledTransform:
             name: (verdict.axis, verdict.window)
             for name, verdict in self.storage_verdicts.items()
             if verdict.folds
+        }
+
+    @functools.cached_property
+    def _lockstep(self) -> Dict[str, Tuple[str, ...]]:
+        """``{segment key: its group}`` over the folding verdicts'
+        lockstep ``groups``: one task each, run one plane at a time."""
+        return {
+            key: group
+            for verdict in self.storage_verdicts.values()
+            if verdict.folds
+            for group in verdict.groups
+            for key in group
         }
 
     def plan(
@@ -863,23 +914,28 @@ class CompiledTransform:
                 )
             )
         steps: List[PlanStep] = []
-        position: Dict[str, int] = {}
+        groups: List[Tuple[List[str], set, int]] = []  # keys, deps, start
+        position: Dict[str, int] = {}  # segment key -> its group
         for site, fallback, bounds in self.scheduled_segments(
             env, config, problem_size
         ):
             # Inputs and empty segments have no step (no task) and
             # contribute no dependency edge.
             key = site.segment.key
-            deps = {
+            group = self._lockstep.get(key, ())
+            if not steps or steps[-1].site.segment.key not in group:
+                groups.append(([], set(), len(steps)))
+            keys, deps, _start = groups[-1]
+            keys.append(key)
+            deps.update(
                 position[edge.src]
                 for edge in self.depgraph.edges_into(key)
-                if edge.src != key and edge.src in position
-            }
-            position[key] = len(steps)
+                if edge.src in position and position[edge.src] != len(groups) - 1
+            )
+            position[key] = len(groups) - 1
             steps.append(
                 self._plan_step(
-                    config, problem_size, env, site, fallback, bounds,
-                    tuple(sorted(deps)), sink,
+                    config, problem_size, env, site, fallback, bounds, sink
                 )
             )
         return RunPlan(
@@ -891,18 +947,20 @@ class CompiledTransform:
             inline=problem_size < config.seq_cutoff(self.name),
             tunables=self.tunables_at(config, problem_size),
             steps=tuple(steps),
+            groups=tuple(
+                PlanGroup(
+                    f"{self.name}.{'+'.join(keys)}", tuple(sorted(deps)),
+                    start, start + len(keys),
+                )
+                for keys, deps, start in groups
+            ),
         )
 
     def _plan_step(
-        self, config, problem_size, env, site, fallback, bounds, deps, sink
+        self, config, problem_size, env, site, fallback, bounds, sink
     ) -> PlanStep:
         segment, rule = site.segment, site.rule
-        common = dict(
-            site=site,
-            label=f"{self.name}.{segment.key}",
-            deps=deps,
-            fallback=fallback,
-        )
+        common = dict(site=site, fallback=fallback)
         if not rule.is_instance_rule:
             return PlanStep(
                 **common,
@@ -987,36 +1045,25 @@ class CompiledTransform:
         outer_inline = state.inline
         inline = state.inline = outer_inline or plan.inline
         recorder = state.recorder
-        sink = recorder.sink
         try:
             with recorder.task(label=self.name, inline=inline):
                 tasks: List[int] = []
-                for step in plan.steps:
+                for group in plan.groups:
                     with recorder.task(
-                        deps=[tasks[index] for index in step.deps],
-                        label=step.label,
+                        deps=[tasks[index] for index in group.deps],
+                        label=group.label,
                         inline=inline,
-                    ) as segment_task:
-                        if step.geometry is None:
+                    ) as group_task:
+                        steps = plan.steps[group.start : group.stop]
+                        if steps[0].geometry is None:
+                            (step,) = steps
                             self._apply_once(
                                 state, step.rule, plan.env, views,
                                 plan.tunables, step.region_bounds,
                             )
                         else:
-                            if sink is not None:
-                                if hit:  # its geometry came from cache
-                                    sink.count("exec.geom_cache_hits")
-                                if step.demoted:
-                                    sink.count("exec.vector_fallbacks")
-                            if step.plan is not None:
-                                self._run_vector_steps(
-                                    state, plan, step, step.plan, views
-                                )
-                            else:
-                                self._run_instance_steps(
-                                    state, plan, step, views
-                                )
-                    tasks.append(segment_task)
+                            self._run_steps(state, plan, steps, views, hit)
+                    tasks.append(group_task)
         finally:
             state.inline = outer_inline
         return outputs
@@ -1112,19 +1159,53 @@ class CompiledTransform:
             for t in self.ir.tunables
         }
 
-    def _run_instance_steps(
+    def _run_steps(
+        self,
+        state: _EngineState,
+        plan: RunPlan,
+        steps: Sequence[PlanStep],
+        views: Dict[str, MatrixView],
+        hit: bool,
+    ) -> None:
+        """The instance steps' one driver: per row of :func:`lockstep`,
+        each step's leaf records its tasks behind every task of the row
+        before — ``rows``, ``[tasks of the row before, tasks of this
+        row]``, is that barrier across a group's members."""
+        sink = state.recorder.sink
+        rows: List[List[int]] = [[], []]
+        leaves = []
+        for step in steps:
+            if sink is not None:
+                if hit:  # its geometry came from cache
+                    sink.count("exec.geom_cache_hits")
+                if step.demoted:
+                    sink.count("exec.vector_fallbacks")
+            leaves.append(
+                self._vector_leaf(state, plan, step, step.plan, views, rows)
+                if step.plan is not None
+                else self._instance_leaf(state, plan, step, views, rows)
+            )
+        for _row in lockstep(steps, leaves):
+            if rows[1]:
+                rows[0] = rows[1]
+                rows[1] = []
+
+    def _instance_leaf(
         self,
         state: _EngineState,
         plan: RunPlan,
         step: PlanStep,
         views: Dict[str, MatrixView],
-    ) -> None:
-        """The per-cell leaves' driver: sequential chain steps, each a
-        set of blocked data-parallel tasks.  Task labels, block deps, and
-        barrier structure are identical for the interpreter and closure
-        paths.  A closure block returns its work where the interpreter
-        has charged its own; one that can open no task inside — no
-        sibling call, no fallback rule — is recorded after the fact."""
+        rows: List[List[int]],
+    ) -> Callable[[Tuple[int, ...]], None]:
+        """The per-cell leaves: ``leaf(chain_values)`` runs one chain
+        step as its blocked data-parallel tasks, each behind the tasks of
+        the row before (``rows[0]``), adding them to this row's
+        (``rows[1]``).  Task labels, block deps, and barrier structure
+        are identical for the interpreter and closure paths.  A closure
+        block returns its work where the interpreter has charged its
+        own; one that can open no task inside — no sibling call, no
+        fallback rule — is recorded after the fact."""
         kernel = step.kernel
         apply_block = (
             self._interp_block_runner
@@ -1138,13 +1219,11 @@ class CompiledTransform:
         )
         recorder = state.recorder
         inline = state.inline
-        previous: List[int] = []
-        # product() of no chain variables is the one unchained step.
-        for chain_values in itertools.product(
-            *step.geometry.chain_value_lists
-        ):
-            step_tasks: List[int] = []
-            for label, instances in step.blocks:
+        blocks = step.blocks
+
+        def leaf(chain_values: Tuple[int, ...]) -> None:
+            previous, tasks = rows
+            for label, instances in blocks:
                 if fused:
                     block_task = recorder.record_leaf(
                         previous, label, inline,
@@ -1157,9 +1236,9 @@ class CompiledTransform:
                         work = apply_block(chain_values, instances)
                         if work is not None:
                             recorder.charge(work)
-                step_tasks.append(block_task)
-            if step_tasks:
-                previous = step_tasks
+                tasks.append(block_task)
+
+        return leaf
 
     def _where_failure(
         self,
@@ -1274,58 +1353,59 @@ class CompiledTransform:
 
         return apply_block
 
-    def _run_vector_steps(
+    def _vector_leaf(
         self,
         state: _EngineState,
         plan: RunPlan,
         step: PlanStep,
         vector: VectorPlan,
         views: Dict[str, MatrixView],
-    ) -> None:
-        """Vector path: one task and one call of the site's step — an
-        in-place ufunc chain the step itself runs in cache-sized strips —
-        per (chain step, tile) pair of :meth:`VectorPlan.sweep`.  Untiled
-        (``step.tiles`` is ``None``) the sweep is the single full-extent
-        tile — one task per chain step; with the ``(tile sizes,
-        interchange)`` of :meth:`Site.tiles` the free space is cut into
-        cache-sized blocks.  Bit-identical results either way; a
-        *different* (cheaper) task graph and work model than the
-        per-cell paths — that difference is exactly what makes the leaf
-        path worth tuning.  Tasks form a single sequential chain, which
-        is always a legal schedule of the recorded graph.  ``vector``
-        (``step.plan``) is the site's one batch-axis kernel, run here at
-        batch 1."""
+        rows: List[List[int]],
+    ) -> Callable[[Tuple], None]:
+        """Vector path: ``leaf(item)`` is one task (behind ``rows[0]``,
+        added to ``rows[1]``, as :meth:`_instance_leaf`) and one call of
+        the site's step — an in-place ufunc chain the step itself runs
+        in cache-sized strips — per (chain step, tile) item of
+        :meth:`VectorPlan.sweep`.  Untiled (``step.tiles`` is
+        ``None``) the sweep is the single full-extent tile — one task per
+        chain step; with the ``(tile sizes, interchange)`` of
+        :meth:`Site.tiles` the free space is cut into cache-sized blocks.
+        Bit-identical results either way; a *different* (cheaper) task
+        graph and work model than the per-cell paths — that difference is
+        exactly what makes the leaf path worth tuning.  A step's own
+        tasks form a single sequential chain, which is always a legal
+        schedule of the recorded graph.  ``vector`` (``step.plan``) is
+        the site's one batch-axis kernel, run here at batch 1."""
         arrays = {
             name: views[name].to_numpy()[None] for name in vector.matrices
         }
         run_step = vector.maker(plan.env, plan.tunables, arrays)
-        tiles = step.tiles
-        tile_sizes, interchange = tiles or ((), False)
+        tiled = step.tiles is not None
         label = step.leaf_label
         cell_work = step.cell_work
         recorder = state.recorder
         sink = recorder.sink
         inline = state.inline
-        previous: List[int] = []
-        for chain_values, free_args, volume in vector.sweep(
-            step.geometry, tile_sizes, interchange
-        ):
+
+        def leaf(item: Tuple) -> None:
+            chain_values, free_args, volume = item
             run_step(*chain_values, *free_args)
             # The honest cost model: per-call slice setup is a real
             # fixed cost, so over-tiling loses simulated work even
             # though each sweep is smaller.  (The factor is a power
             # of two, so the product is exact in any association.)
-            step_task = recorder.record_leaf(
-                previous, label, inline,
+            rows[1].append(recorder.record_leaf(
+                rows[0], label, inline,
                 volume * cell_work * _VECTOR_WORK_FACTOR + _VECTOR_STEP_WORK,
-            )
+            ))
             state.applications += volume
             if sink is not None:
                 sink.count("exec.vectorized_blocks")
                 sink.count("exec.vectorized_cells", volume)
-                if tiles:
+                if tiled:
                     sink.count("exec.tiled_blocks")
-            previous = [step_task]
+
+        return leaf
 
     # -- rule application ------------------------------------------------------------
 

@@ -10,9 +10,10 @@ use, and emits through the shared source builder
         ...                           # hoisted sizes, arrays, extents
         _first_i, _last_i = ...       # the free variables' range ends
         def _block(_s_t, _instances): # one parameter per chain variable
-            if not (0 <= (-1 + _s_t) < _d_U_0 and 0 <= (-1 + _first_i)
+            if not (0 <= (-1 + _s_t) < (1 + _e_k) and 0 <= (-1 + _first_i)
                     and (-1 + _last_i) < _d_U_1):
                 raise IndexError(...) # a binding's check, once per call
+            _q1 = (-1 + _s_t) % 2     # a folded plane's slot, once too
             _work = 0.0
             for (_s_i, ) in _instances:
                 ...                   # body statements, indices inline
@@ -212,6 +213,9 @@ class _Lowerer(KernelBuilder):
         self.chain_vars = tuple(chain_vars)
         self.box_vars = tuple(free_vars)  # the kernel's own loop
         self.step_lines = []  # the hoisted checks, ahead of the loop
+        #: ``ref % window`` of a folded plane -> its ``_q<n>``, computed
+        #: ahead of the loop
+        self.slots: Dict[str, str] = {}
         self.depth = 3  # of the loop body
         #: subscripts per cell binding, filled by :meth:`emit_bindings`
         self.cell_index: Dict[str, Sequence[str]] = {}
@@ -338,6 +342,12 @@ class _Lowerer(KernelBuilder):
                     extent, subscript = self.point_index(
                         region.matrix, dim, lo
                     )
+                    if subscript != lo and not any(
+                        var in self.box_vars for var in interval.lo.variables()
+                    ):  # a folded plane the loop does not move: once per block
+                        subscript = self.slots.setdefault(
+                            subscript, f"_q{len(self.slots)}"
+                        )
                     least = self._affine(interval.lo, -end)
                     greatest = self._affine(interval.lo, end)
                     checks.append(
@@ -595,8 +605,9 @@ class _Lowerer(KernelBuilder):
             accepted = "_n"
         free = "".join(f"_s_{var}, " for var in self.box_vars)
         head.append(f"for ({free}) in _instances:")
+        slots = [f"{name} = {subscript}" for subscript, name in self.slots.items()]
         self.lines = (
-            ["        " + text for text in self.step_lines + head]
+            ["        " + text for text in self.step_lines + slots + head]
             + self.lines
             + [f"        return _work, {accepted}"]
         )

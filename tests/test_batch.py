@@ -361,11 +361,11 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
     from repro.engine_fast import RuleKernel, VectorPlan
 
     serial_plans = []
-    run_vector_steps = CompiledTransform._run_vector_steps
+    vector_leaf = CompiledTransform._vector_leaf
 
-    def spy_vector_steps(self, *args):
+    def spy_vector_leaf(self, *args):
         serial_plans.extend(a for a in args if isinstance(a, VectorPlan))
-        return run_vector_steps(self, *args)
+        return vector_leaf(self, *args)
 
     stacked_plans = []
     run_stacked = batch_engine.run_stacked
@@ -374,7 +374,7 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
         stacked_plans.extend(step.plan for step in plan.steps)
         return run_stacked(transform, plan, *args, **kwargs)
 
-    monkeypatch.setattr(CompiledTransform, "_run_vector_steps", spy_vector_steps)
+    monkeypatch.setattr(CompiledTransform, "_vector_leaf", spy_vector_leaf)
     monkeypatch.setattr(batch_engine, "run_stacked", spy_run_stacked)
 
     stages = compile_program(STAGES).transform("Stages")

@@ -126,6 +126,16 @@ class TestStaticAnalysis:
             for d in pb503
         )
 
+    def test_versions_fold_to_two_planes_in_lockstep(self, heat):
+        """PB606: the edge and interior segments share the band of
+        versions ``[1, 1 + k)`` and run as one lockstep group, so ``U``
+        keeps 2 versions however large ``k`` is."""
+        verdict = heat.storage_verdicts["U"]
+        assert (verdict.folds, verdict.axis, verdict.window) == (True, 0, 2)
+        assert verdict.groups == (("U.3", "U.5", "U.4"),)
+        plan = heat.plan(None, [(12,)], {"k": 50})
+        assert ("U", (2, 12)) in [alloc[:2] for alloc in plan.allocations]
+
     def test_versioned_stencil_blocks_fusion_with_witness(self, heat):
         """The wavefront reads U cells other instances wrote: PB602,
         backed by a replay-valid conflict witness."""
@@ -167,11 +177,20 @@ class TestExecution:
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_versions_stored_and_ordered(self, heat):
-        # Tasks for version t must depend (transitively) on version t-1:
-        # verified behaviourally by correctness; here check the graph has
-        # chained dependencies when blocks are small.
+        # Tasks for version t must depend on every task of version t-1,
+        # edge and interior alike (they share the lockstep group's
+        # barrier): verified behaviourally by correctness; here check
+        # the graph chains the versions when blocks are small.
         config = ChoiceConfig()
         config.set_tunable("Heat.__seq_cutoff__", 1)
         config.set_tunable("Heat.__block_size__", 4)
         result = heat.run([np.ones(16)], config, sizes={"k": 4})
-        assert any(t.deps for t in result.graph.tasks)
+        tasks = result.graph.tasks
+        (group,) = [t for t in tasks if t.label == "Heat.U.3+U.5+U.4"]
+        leaves = [t for t in tasks if t.parent == group.tid]
+        # per version: one block per edge, 14 interior cells in blocks of 4
+        rows = [leaves[i : i + 6] for i in range(0, len(leaves), 6)]
+        assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+        assert all(t.deps == () for t in rows[0])
+        for previous, row in zip(rows, rows[1:]):
+            assert all(t.deps == tuple(p.tid for p in previous) for t in row)

@@ -125,25 +125,48 @@ UNFOLDED_GOLDEN = {
         "9b70fe4604482d1732b5bab7598b2db120072e895d32138306aa4dddf4c1bc4b",
         (99, 96, 192.0),
     ),
-    "heat41": (
-        "79a77eb62cefbb8b9ca010d768e1bb6feecf6b360f42585c1d724341224c600e",
-        (42, 492, 2052.0),
-    ),
 }
+
+
+def graph_golden(result):
+    digest = hashlib.sha256(repr(task_list(result.graph)).encode()).hexdigest()
+    return digest, (
+        len(result.graph), result.rule_applications, result.graph.total_work()
+    )
 
 
 @pytest.mark.parametrize("name", sorted(UNFOLDED_GOLDEN))
 def test_a_program_that_does_not_fold_records_the_parents_graph(name):
-    """Heat declares a ``through`` matrix whose storage verdict is
-    "blocked", RollingSum declares none: both replay the task graph the
-    engine recorded before it could fold anything."""
+    """RollingSum declares no ``through`` matrix: it replays the task
+    graph the engine recorded before it could fold anything."""
     transform, config, inputs, sizes = dispatch_cases()[name]
     result = transform.run(inputs, config, sizes=sizes)
-    digest = hashlib.sha256(repr(task_list(result.graph)).encode()).hexdigest()
-    assert (digest, (
-        len(result.graph), result.rule_applications, result.graph.total_work()
-    )) == UNFOLDED_GOLDEN[name]
+    assert graph_golden(result) == UNFOLDED_GOLDEN[name]
     assert transform._storage_folds == {}
+
+
+def test_heat_records_its_lockstep_graph():
+    """``heat41`` folds ``U``: its three band-sharing segment tasks are
+    one group task (42 → 40 tasks), with the same 492 applications and
+    2052.0 work, on a plan miss, a hit and a specialized program — and
+    the interpreter records the closure's graph, task for task."""
+    transform, config, inputs, sizes = dispatch_cases()["heat41"]
+    assert transform._storage_folds == {"U": (0, 2)}
+    golden = (
+        "ea3350eab03aefc719f77e812c42aeedc5e7a42df9aebd072b0b8b4353543279",
+        (40, 492, 2052.0),
+    )
+    miss = transform.run(inputs, config, sizes=sizes)
+    hit = transform.run(inputs, config, sizes=sizes)
+    static = specialize(transform.program, config).transform("Heat")
+    interp = config.copy()
+    interp.set_tunable("Heat.__leaf_path__", 0)
+    for result in (miss, hit, static.run(inputs, sizes=sizes),
+                   transform.run(inputs, interp, sizes=sizes)):
+        assert graph_golden(result) == golden
+        assert result.output().tobytes() == miss.output().tobytes()
+    labels = [task[4] for task in task_list(miss.graph)]
+    assert "Heat.U.3+U.5+U.4" in labels and "Heat.U.4" not in labels
 
 
 # -- (ii) hit ≡ miss over the differential suites' programs ---------------

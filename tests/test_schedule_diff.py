@@ -88,15 +88,18 @@ def _assert_schedule_invisible(transform, name, inputs, sizes):
 # -- random chain-over-tiles programs --------------------------------------
 
 
-def chain_source(dx: int, dy: int, scale: float) -> str:
+def chain_source(dx: int, dy: int, scale: float, through=False) -> str:
     """A versioned-plane program whose step rule reads the previous
     plane at offset ``(dx, dy)``; a secondary copy rule carries the
-    cells the shifted read cannot reach."""
+    cells the shifted read cannot reach.  ``S`` is an output, returned
+    whole, so the blocked order runs on every plane; a ``through`` S
+    folds instead, its band-sharing segments in an untiled lockstep
+    group when the offset is not ``(0, 0)`` (``test_storage_fold``)."""
+    storage = "to B[n, m]\nthrough S" if through else "to B[n, m], S"
     return (
         "transform RChain\n"
         "from A[n + 2, m + 2]\n"
-        "to B[n, m]\n"
-        "through S<0..t_end>[n + 2, m + 2]\n"
+        f"{storage}<0..t_end>[n + 2, m + 2]\n"
         "{\n"
         "  to (S.cell(0, x, y) s) from (A.cell(x, y) a) { s = a; }\n"
         f"  to (S.cell(t, x, y) s)\n"

@@ -5,16 +5,19 @@ dependence window (plane ``q`` in slot ``q % window``).  The baseline of
 every differential check here is *the same program* compiled while the
 verdict is patched to "blocked" — in the test, there is no product
 switch — so both sides run the same engine and differ only in storage.
-Folded and unfolded must agree on output bytes, rule applications, total
-work and the whole recorded task graph, over every leaf path, tile
-shape, ``__interchange__`` and the batch engine; programs on the
-negative table must *not* fold and must still match a hand-written
-NumPy reference.
+Folded and unfolded must agree on output bytes, sentinel write sets,
+rule applications, total work and the whole recorded task graph, over
+every leaf path, tile shape, ``__interchange__`` and the batch engine —
+except that a lockstep group (segments sharing a band, run one plane at
+a time when folded) records one task where the baseline records one per
+segment, and runs untiled; programs on the negative table must *not*
+fold and must still match a hand-written NumPy reference.
 """
 
 import dataclasses
 import functools
 import hashlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -39,7 +42,9 @@ from repro.compiler.codegen import _EngineState
 from repro.observe import TraceSink
 from repro.runtime.matrix import Matrix
 from repro.runtime.task import TaskRecorder
+from tests.conftest import SENTINEL, sentinel_alloc
 from tests.test_run_plan import BLUR, HEAT, ROLLINGSUM, task_list
+from tests.test_schedule_diff import chain_source as shifted_source
 
 MATMUL_MOMENTUM = """
 transform MatMulMomentum
@@ -146,9 +151,14 @@ def config_for(name, leaf, knobs):
     return config
 
 
-def observe(transform, inputs, config):
+def observe(transform, inputs, config, sizes=None):
+    """Outputs, their sentinel write sets, rule applications, total
+    work, then the task graph's digest and the ``exec.`` counters."""
     sink = TraceSink(capture_events=False)
-    result = transform.run([a.copy() for a in inputs], config, sink=sink)
+    with sentinel_alloc():
+        result = transform.run(
+            [a.copy() for a in inputs], config, sizes=sizes, sink=sink
+        )
     graph = repr(task_list(result.graph)).encode()
     counters = {
         key: value
@@ -158,6 +168,7 @@ def observe(transform, inputs, config):
     }
     return (
         {name: m.data.tobytes() for name, m in result.outputs.items()},
+        {name: (m.data != SENTINEL).tobytes() for name, m in result.outputs.items()},
         result.rule_applications,
         result.graph.total_work(),
         hashlib.sha256(graph).hexdigest(),
@@ -166,38 +177,50 @@ def observe(transform, inputs, config):
 
 
 def assert_fold_invisible(
-    source, name, inputs, knob_sets=KNOB_SETS, stacks=True
+    source, name, inputs, knob_sets=KNOB_SETS, stacks=True, sizes=None,
+    lockstep=False,
 ):
     """Folded ≡ unfolded at every leaf x knob set, serially and through
-    the batch engine (stacked, unless the program cannot stack); returns
-    the folded transform's output."""
+    the batch engine (stacked, unless the program cannot stack), whose
+    lanes ≡ serial runs; returns the folded transform's output.  A
+    ``lockstep`` program records its own graph (one task per group) and
+    runs its members untiled: the knobs are a verified no-op on it, the
+    baseline's outputs, write sets and applications agree — and its
+    work, where no tile is asked for."""
     folded, baseline = compiled_pair(source, name)
     assert folded._storage_folds, "the program was expected to fold"
     shapes = [a.shape for a in inputs]
     for leaf in (0, 1, 2):
+        untiled = None
         for knobs in knob_sets:
             config = config_for(name, leaf, knobs)
             assert (
-                folded.plan(config, shapes).problem_size
-                == baseline.plan(config, shapes).problem_size
+                folded.plan(config, shapes, sizes).problem_size
+                == baseline.plan(config, shapes, sizes).problem_size
             )
-            assert observe(folded, inputs, config) == observe(
-                baseline, inputs, config
-            ), f"leaf {leaf} knobs {knobs}"
+            seen = observe(folded, inputs, config, sizes)
+            base = observe(baseline, inputs, config, sizes)
+            where = f"leaf {leaf} knobs {knobs}"
+            if not lockstep:
+                assert seen == base, where
+                continue
+            untiled = untiled or seen
+            assert seen == untiled and seen[:3] == base[:3], where
+            assert seen[3] == base[3] or any(knobs.values()), where
     batched = {}
+    lanes = [[a * (lane + 1) for a in inputs] for lane in range(5)]
     for transform in (folded, baseline):
         engine = BatchEngine()
-        for lane in range(5):
-            engine.submit(
-                transform,
-                [a * (lane + 1) for a in inputs],
-                config_for(name, 2, {}),
-            )
+        for lane in lanes:
+            engine.submit(transform, lane, config_for(name, 2, {}), sizes)
         results = engine.gather()
         assert all(r.ok and r.stacked == stacks for r in results)
         batched[transform] = [r.output().tobytes() for r in results]
-    assert batched[folded] == batched[baseline]
-    return folded.run(inputs, config_for(name, 2, {})).output()
+    assert batched[folded] == batched[baseline] == [
+        folded.run(lane, config_for(name, 2, {}), sizes).output().tobytes()
+        for lane in lanes
+    ]
+    return folded.run(inputs, config_for(name, 2, {}), sizes).output()
 
 
 def matmul_inputs(n, p, m, seed=3):
@@ -401,7 +424,42 @@ def test_windowed_chains_fold_invisibly(deltas, scale, n, m, p, seed):
     assert folded._storage_folds == {"S": (0, 1 + max(deltas))}
 
 
-# -- the negative table: must not fold, must still be right -----------------
+# -- lockstep groups: segments that share a band fold together --------------
+
+
+def heat_ref(a, k):
+    u = a.copy()
+    for _ in range(k):
+        u[1:-1] = (u[:-2] + 2 * u[1:-1] + u[2:]) / 4
+    return u
+
+
+HEAT_INPUT = np.random.default_rng(13).uniform(-1.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 6])
+@pytest.mark.parametrize("n", [2, 41])
+def test_heat_folds_to_two_planes_in_lockstep(n, k):
+    """``U.3``/``U.5``/``U.4`` (left edge, right edge, interior) share
+    the band ``[1, 1 + k)``: one task, one plane at a time, 2 planes of
+    ``U`` kept — and at ``n = 2`` the interior member is empty."""
+    a = HEAT_INPUT[:n]
+    output = assert_fold_invisible(
+        HEAT, "Heat", [a], sizes={"k": k}, lockstep=True
+    )
+    np.testing.assert_array_equal(output, heat_ref(a, k))
+    folded, _ = compiled_pair(HEAT, "Heat")
+    assert folded._storage_folds == {"U": (0, 2)}
+    assert folded.storage_verdicts["U"].groups == (("U.3", "U.5", "U.4"),)
+    plan = folded.plan(None, [(n,)], {"k": k})
+    assert dict(
+        (name, shape) for name, shape, *_ in plan.allocations
+    )["U"] == (min(k + 1, 2), n)
+    group = "Heat.U.3+U.5" if n == 2 else "Heat.U.3+U.5+U.4"
+    assert [g.label for g in plan.groups if "+" in g.label] == (
+        [group] if k else []
+    )
+
 
 OFF_AXIS = """
 transform Skewed
@@ -428,6 +486,77 @@ def skewed_ref(a, b):
         plane = nxt
     return plane
 
+
+A2 = np.random.default_rng(11).uniform(-1.0, 1.0, (9, 5))
+AB = matmul_inputs(20, 5, 18, seed=11)
+
+
+def test_a_writer_reading_another_cell_folds_in_lockstep():
+    """``Skewed``'s step reads ``(k - 1, i - 1, j)``, the plane before at
+    another cell — row 0's carry rule ``S.2`` shares its band.  Run one
+    plane at a time, every such read finds its plane still in its slot;
+    the PB604-legal ``S.3`` runs untiled, so the tile knobs — which the
+    baseline obeys, at another simulated work — are a verified no-op."""
+    output = assert_fold_invisible(OFF_AXIS, "Skewed", AB, lockstep=True)
+    np.testing.assert_array_equal(output, skewed_ref(*AB))
+    folded, baseline = compiled_pair(OFF_AXIS, "Skewed")
+    assert folded.storage_verdicts["S"].groups == (("S.2", "S.3"),)
+    tiled = config_for("Skewed", 2, KNOB_SETS[-1])
+    assert observe(baseline, AB, tiled)[5]["exec.tiled_blocks"] > 0
+    assert not folded.has_tiling() and baseline.has_tiling()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    dx=st.integers(-1, 1),
+    dy=st.integers(-1, 1),
+    n=st.integers(2, 5),
+    m=st.integers(2, 5),
+    steps=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_shifted_chains_fold_in_lockstep(dx, dy, n, m, steps, seed):
+    """The schedule suite's ``RChain`` with ``S`` declared ``through``:
+    at ``(0, 0)`` a per-cell recurrence, at every other offset — against
+    the blocked order too — a lockstep group; the same ``B`` as with
+    every plane returned."""
+    source = shifted_source(dx, dy, 0.75, through=True)
+    inputs = [np.random.default_rng(seed).uniform(-2.0, 2.0, (n + 2, m + 2))]
+    sizes = {"t_end": steps}
+    output = assert_fold_invisible(
+        source, "RChain", inputs, sizes=sizes, lockstep=(dx, dy) != (0, 0)
+    )
+    whole = compile_program(shifted_source(dx, dy, 0.75)).transform("RChain")
+    assert output.tobytes() == whole.run(
+        inputs, config_for("RChain", 2, {}), sizes
+    ).outputs["B"].data.tobytes()
+    folded, _ = compiled_pair(source, "RChain")
+    assert folded._storage_folds == {"S": (0, 2)}
+    assert bool(folded.storage_verdicts["S"].groups) == ((dx, dy) != (0, 0))
+
+
+def test_heat_folds_with_no_overwrite_only_in_lockstep():
+    """PB606 names the group; replayed one segment after the other (the
+    order the engine ran before groups) the same fold is PB607's lapped
+    slot, replayed one plane at a time it overwrites nothing."""
+    heat, _ = compiled_pair(HEAT, "Heat")
+    verdict = heat.storage_verdicts["U"]
+    diags = {d.code: d for d in check_depend(Replay(heat))}
+    assert "PB607" not in diags
+    assert diags["PB606"].message == (
+        "storage of U folds to 2 planes along axis 0 (reads reach 1 "
+        "plane(s) back; the last reader is rule3 at plane k; U.3, U.5, "
+        "U.4 run in lockstep)"
+    )
+    refused = dataclasses.replace(verdict, reason="refused")
+    assert storage_witness(heat, refused) is None
+    witness = storage_witness(heat, dataclasses.replace(refused, groups=()))
+    # the edge chain (U.3) laps cell 0 before the interior (U.4) reads it
+    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "U.4")
+    assert not validate_storage_witness(heat, witness)  # not what runs
+
+
+# -- the negative table: must not fold, must still be right -----------------
 
 DESCENDING = """
 transform Falling
@@ -507,11 +636,27 @@ to S[p + 1, n, m]
 }
 """
 
-def heat_ref(a, k=6):
-    u = a.copy()
-    for _ in range(k):
-        u[1:-1] = (u[:-2] + 2 * u[1:-1] + u[2:]) / 4
-    return u
+MIRRORED = """
+transform Mirrored
+from A[n, p], B[p, m]
+through S[p + 1, n, m]
+to C[n, m]
+{
+  to (S.cell(0, i, j) s) from () { s = 1.5; }
+  to (S.cell(k, i, j) s)
+  from (S.cell(k - 1, n - 1 - i, j) flip, A.cell(i, k - 1) a,
+        B.cell(k - 1, j) b)
+  { s = flip + a * b; }
+  to (C.cell(i, j) c) from (S.cell(p, i, j) s) { c = s; }
+}
+"""
+
+
+def mirrored_ref(a, b):
+    plane = np.full((a.shape[0], b.shape[1]), 1.5)
+    for k in range(a.shape[1]):
+        plane = plane[::-1] + np.multiply.outer(a[:, k], b[k, :])
+    return plane
 
 
 def edge_fed_ref(a, b):
@@ -522,19 +667,11 @@ def edge_fed_ref(a, b):
     return plane
 
 
-A2 = np.random.default_rng(11).uniform(-1.0, 1.0, (9, 5))
-AB = matmul_inputs(20, 5, 18, seed=11)
-
-
 def strided_ref(a, q=3):
     return np.stack([a + 2.0 * k for k in range(q + 1)])
 
 
 NEGATIVES = {
-    "Heat shares a band": (
-        HEAT, "Heat", [np.linspace(-1.0, 1.0, 41)], {"k": 6},
-        "share planes", heat_ref,
-    ),
     "consumer reads plane 0 after the chain": (
         chain_source(consumer="S.cell(0, i, j)"), "MatMulChain", AB, None,
         "reads plane 0",
@@ -546,7 +683,8 @@ NEGATIVES = {
         lambda a, b: chain_planes(a, b)[3],
     ),
     "writer reads another cell's plane": (
-        OFF_AXIS, "Skewed", AB, None, "share planes", skewed_ref,
+        MIRRORED, "Mirrored", AB, None, "outside a lockstep group",
+        mirrored_ref,
     ),
     "writer reads one fixed column": (
         chain_source(
@@ -611,11 +749,12 @@ def test_negative_table_does_not_fold_and_stays_right(case):
 
 
 def test_a_too_generous_verdict_is_caught_by_the_tiled_interchanged_run():
-    """Why (d) wants distance 0 in every other axis: force ``Skewed``
-    (whose step reads ``(k - 1, i - 1, j)``) to fold and every run is
-    still right — except tile-major order, where a finished tile has
-    recycled the slot its neighbour's step ``k`` reads.  PB604 calls
-    that site legal, and for full storage it is."""
+    """Why (d) wants distance 0 in every other axis outside a lockstep
+    group: force ``Skewed`` (whose step reads ``(k - 1, i - 1, j)``) to
+    fold with no group and every run is still right — row 0 carries
+    1.5, whatever plane its slot holds — except tile-major order, where
+    a finished tile has recycled the slot its neighbour's step ``k``
+    reads.  PB604 calls that site legal, and for full storage it is."""
     generous = mock.patch.object(
         depend, "storage_verdict", lambda c, matrix: StorageVerdict(matrix, 0, 2)
     )
@@ -706,32 +845,57 @@ def test_pb606_explains_the_fold():
     assert storage_witness(folded, folded.storage_verdicts["S"]) is None
 
 
+#: Heat whose interior step also reads ``E``, the left edge's column:
+#: ``E.0`` must run after the edge member ``U.3`` and before the
+#: interior ``U.4``, so the band's segments cannot run in lockstep
+EDGED = """
+transform Edged
+from A[n]
+through U<0..k>[n], E[k + 1]
+to B[n]
+{
+  to (U.cell(0, i) u) from (A.cell(i) a) { u = a; }
+  to (E.cell(t) e) from (U.cell(t, 0) u) { e = u * 0.5; }
+  to (U.cell(t, i) u)
+  from (U.cell(t-1, i-1) l, U.cell(t-1, i) m, U.cell(t-1, i+1) r, E.cell(t-1) e)
+  {
+    u = (l + 2 * m + r) / 4 + e;
+  }
+  secondary to (U.cell(t, i) u) from (U.cell(t-1, i) m) { u = m; }
+  to (B.cell(i) b) from (U.cell(k, i) u) { b = u; }
+}
+"""
+
+
 def test_pb607_carries_a_witness_that_replays():
-    heat = compile_program(HEAT).transform("Heat")
-    pb607 = next(d for d in check_depend(Replay(heat)) if d.code == "PB607")
+    edged = compile_program(EDGED).transform("Edged")
+    pb607 = next(
+        d for d in check_depend(Replay(edged))
+        if d.code == "PB607" and d.region == "U"
+    )
     assert pb607.message == (
         "storage of U is not folded: segments U.3, U.4, U.5 share planes "
-        "[1, 1 +k) and run one after the other"
+        "[1, 1 +k) and E.0 runs between them"
     )
-    witness = storage_witness(heat, heat.storage_verdicts["U"])
+    witness = storage_witness(edged, edged.storage_verdicts["U"])
     assert pb607.witness == witness.describe()
-    # the edge chain (U.3) laps cell 0 before the interior (U.4) reads it
-    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "U.4")
+    # the edge chain (U.3) laps cell 0 before E.0 reads it
+    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "E.0")
     assert (witness.window, witness.cell, witness.plane) == (2, (0, 0), 2)
-    assert validate_storage_witness(heat, witness)
+    assert validate_storage_witness(edged, witness)
     replace = functools.partial(dataclasses.replace, witness)
     for tampered in (
         replace(plane=witness.plane + 1),  # another slot
         replace(plane=witness.cell[0]),  # the plane itself
         replace(window=3),
         replace(axis=1),
-        replace(cell=(witness.cell[0], 1)),  # the interior's own column
-        replace(writer_segment="U.4", reader_segment="U.3"),  # later
+        replace(cell=(witness.cell[0], 1)),  # a column E.0 does not read
+        replace(writer_segment="E.0", reader_segment="U.3"),  # later
         replace(reader=tuple((v, x + 5) for v, x in witness.reader)),
-        replace(writer_rule="rule1"),
+        replace(writer_rule="rule2"),
         replace(matrix="B"),
     ):
-        assert not validate_storage_witness(heat, tampered), tampered
+        assert not validate_storage_witness(edged, tampered), tampered
 
 
 def test_a_refusal_without_an_overwrite_has_no_witness():
@@ -804,7 +968,6 @@ def test_out_of_range_errors_read_the_same_folded_and_unfolded():
 PINNED_KERNELS = {
     "Blur": "bfbf6ba66338a0d84ce3e434cfa4662022e2b6d34529d5254febac171cbf1f45",
     "RollingSum": "b9475dbd6176b0c0eb98ac9ebd54d20a0a8ff57e47ab53f283d049773456c4c0",
-    "Heat": "7db5fc6dbb6d132b4d2394890656104d14528c0d3872d371a9293bd95e10628d",
     "Pipeline": "c228b6f2741b9da2ecc1ab23fe19c30ecf3e9a100039dd7aa3a6e401921f35b3",
 }
 
@@ -820,8 +983,7 @@ def kernel_digest(transform):
 
 @pytest.mark.parametrize(
     "source, name",
-    [(BLUR, "Blur"), (ROLLINGSUM, "RollingSum"), (HEAT, "Heat"),
-     (PIPELINE, "Pipeline")],
+    [(BLUR, "Blur"), (ROLLINGSUM, "RollingSum"), (PIPELINE, "Pipeline")],
 )
 def test_unfolded_programs_generate_the_parents_source(source, name):
     transform = compile_program(source).transform(name)
@@ -831,16 +993,46 @@ def test_unfolded_programs_generate_the_parents_source(source, name):
         assert "%" not in site.kernel.source
 
 
+def cell_loop(kernel):
+    """The closure's per-cell loop: everything after its ``for``."""
+    return kernel.source.split(" in _instances:", 1)[1]
+
+
 def test_a_folded_index_is_emitted_only_on_the_folded_axis():
     folded, baseline = compiled_pair(MATMUL_MOMENTUM, "MatMulMomentum")
     site = folded.site(folded.grid.segments["S"][2], folded.ir.rules[2])
     assert site.kernel.params == ("k", "i", "j")
     for source in (site.vector[0].source, site.kernel.source):
         assert source.count("% 3") == 3  # s, r1, r2 — axis 0 only
+    assert "%" not in cell_loop(site.kernel)  # once per block, not per cell
     site = baseline.sites[site.segment.key, site.rule.rule_id]
     assert site.kernel.params == ("k", "i", "j")
     for source in (site.vector[0].source, site.kernel.source):
         assert "%" not in source
+
+
+def test_heat_takes_the_slot_on_axis_0_only():
+    """Every ``%`` of folded Heat's kernels is a plane's slot: the vector
+    step's first ``U`` subscript, the closure block's ``_q`` names —
+    computed ahead of the cell loop, one per distinct plane (``heat41``
+    would otherwise pay four per cell) and read as the first ``U``
+    subscript only."""
+    heat, _ = compiled_pair(HEAT, "Heat")
+    for site in heat.sites.values():
+        vector, kernel = site.vector[0].source, site.kernel.source
+        assert vector.count("%") == len(
+            re.findall(r"_m_U\[_ALL, _x_\w+_0 % 2, ", vector)
+        )
+        slots = re.findall(r"^ +(_q\d+) = .+ % 2$", kernel, re.M)
+        assert slots and kernel.count("%") == len(slots)
+        assert "%" not in cell_loop(site.kernel)
+        for name in slots:
+            uses = re.findall(rf"[\w.]+[\[(]{name}\b", kernel)
+            assert uses and set(uses) <= {f"_m_U[{name}", f"_m_U.item({name}"}
+    interior = heat.sites["U.4", 1].kernel.source
+    assert re.findall(r"(_q\d+) = (.+) % 2", interior) == [
+        ("_q0", "(_s_t)"), ("_q1", "(-1 + _s_t)"),
+    ]
 
 
 def test_the_planning_path_never_enumerates_dependences(monkeypatch):
