@@ -13,10 +13,8 @@ evaluation section (see DESIGN.md's experiment index).  Conventions:
   ``REPRO_RETUNE=1``) to force retuning.
 """
 
-import json
 import os
 import pathlib
-
 
 from repro.compiler import ChoiceConfig
 
@@ -33,17 +31,6 @@ def write_report(name: str, lines) -> str:
     path.write_text(text, encoding="utf-8")
     print(f"\n=== {name} ===")
     print(text)
-    return str(path)
-
-
-def write_json(name: str, payload) -> str:
-    """Persist a machine-readable result under benchmarks/results/."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     return str(path)
 
 

@@ -7,23 +7,23 @@ drive the daemon — including its concurrency — without sockets.
 
 The contract (see README "Serving" for the client view):
 
-===========  ======  ====================================================
-endpoint     method  semantics
-===========  ======  ====================================================
-/health      GET     liveness + registry sizes
-/compile     POST    ``{source}`` → compile-once registration
-/run         POST    ``{program, transform, inputs, sizes?, machine?,
-                     config?, arrays?}`` → outputs (registry config on
-                     the hot path; inline ``config`` overrides)
-/batch       POST    ``{program, lines, strict?, config?, arrays?}`` →
-                     the exact records ``repro batch`` would emit for
-                     those lines
-/tune        POST    enqueue a background tuning job → ``{job}``
-/jobs/<id>   GET     job state; ``done`` carries the published version
-/check       POST    ``{program}`` → static-verifier diagnostics
-/stats       GET     counters, histograms, registry + job snapshots
-/shutdown    POST    clean stop (drain jobs, flush artifacts)
-===========  ======  ====================================================
+================  ======  ===============================================
+endpoint          method  semantics
+================  ======  ===============================================
+/health           GET     liveness + registry sizes
+/ready            GET     readiness; 503 while draining or saturated
+/compile          POST    ``{source}`` → compile-once registration
+/programs/<hash>  GET     registered? → ``{program, transforms}``, or 404
+/run              POST    ``{program, transform, inputs, sizes?, machine?,
+                          config?, arrays?}`` → outputs; inline ``config`` wins
+/batch            POST    ``{program, lines, strict?, config?, arrays?}``
+                          → the records ``repro batch`` emits for them
+/tune             POST    enqueue a background tuning job → ``{job}``
+/jobs/<id>        GET     job state; ``done`` carries the published version
+/check            POST    ``{program}`` → static-verifier diagnostics
+/stats            GET     counters, histograms, registry + job snapshots
+/shutdown         POST    clean stop (drain jobs, flush artifacts)
+================  ======  ===============================================
 
 Every array position (``/run`` inputs, the inputs of a ``/batch`` line)
 takes a nested list or an ndarray — the view a frame's array reference

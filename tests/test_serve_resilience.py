@@ -502,6 +502,72 @@ class TestClientRetries:
         finally:
             daemon.stop()
 
+    def test_4x_burst_sheds_explicitly_then_retries_land_identical(self):
+        """16 concurrent /run at ``max_concurrency=4`` with slowed handlers:
+        without retries every request is a 200 or a structured 429 (never
+        a hang or a 500); retrying clients then all land byte-identically."""
+        burst, started = 16, time.monotonic()
+        app = _app(
+            injector=FaultInjector.parse("slow-handler:1,hang=0.05"),
+            resilience=ResilienceConfig(
+                max_concurrency=4, max_queue=4, queue_timeout_s=10.0,
+                retry_after_s=0.02,
+            ),
+        )
+        daemon = ServeDaemon(app, port=0).start_background()
+        try:
+            quiet = ServeClient(port=daemon.port, timeout=30.0)
+            phash = quiet.compile(SCALE)["program"]
+
+            def payload(index):
+                return {"A": [[float(index)]]}
+
+            # no rid, so no slowed handler: the uncontended bytes
+            expected = [
+                json.dumps(quiet.run(phash, "Scale", payload(i)), sort_keys=True)
+                for i in range(burst)
+            ]
+
+            def fire(retry):
+                outcomes = [None] * burst
+
+                def one(index):
+                    client = ServeClient(
+                        port=daemon.port, timeout=30.0, retry=retry)
+                    try:
+                        reply = client.run(
+                            phash, "Scale", payload(index), rid=f"b{index}")
+                        outcomes[index] = json.dumps(reply, sort_keys=True)
+                    except ServeClientError as exc:
+                        outcomes[index] = exc
+
+                threads = [
+                    threading.Thread(target=one, args=(i,))
+                    for i in range(burst)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                return outcomes
+
+            shed = fire(RetryPolicy(retries=0))
+            assert any(isinstance(o, ServeClientError) for o in shed)
+            for index, outcome in enumerate(shed):
+                if isinstance(outcome, ServeClientError):
+                    assert outcome.status == 429, outcome
+                    assert outcome.reason in ("capacity", "queue_timeout")
+                    assert outcome.retry_after is not None
+                else:
+                    assert outcome == expected[index]
+            assert fire(
+                RetryPolicy(retries=8, backoff_s=0.02, max_backoff_s=0.5)
+            ) == expected
+            assert time.monotonic() - started < 5.0
+        finally:
+            daemon.stop()
+
     def test_tune_retry_dedupes_via_idempotency_key(self):
         app = _app()
         try:
