@@ -19,8 +19,8 @@ Components:
 * :mod:`repro.autotuner.tuner` — the bottom-up genetic tuner: seeded with
   every single-algorithm implementation, doubling the training input each
   generation, extending the fastest candidates with new levels.
-* :mod:`repro.autotuner.consistency` — automated consistency checking of
-  choices against each other (paper §3.5).
+* :mod:`repro.autotuner.consistency` — the one observer of a run and the
+  consistency check built on it (paper §3.5); no tuner code calls it.
 * :mod:`repro.autotuner.accuracy` — variable-accuracy support: Pareto
   fronts over (time, accuracy) and fastest-per-accuracy-bin selection
   (paper §4.1.3-4.1.4).

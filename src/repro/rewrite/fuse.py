@@ -22,9 +22,9 @@ rules out everything that could perturb this (where-clauses, rule-var
 arithmetic in the body, calls outside the vector-stable set, region
 views).  Defense in depth: :func:`build_fused_variant` re-runs the
 error-severity verifier passes (bounds, races, coverage) on the fused
-IR and refuses the variant on any finding, and the hypothesis
-differential suite (``tests/test_rewrite_diff.py``) asserts fused ≡
-unfused bit-for-bit across all three leaf paths.
+IR and refuses the variant on any finding, and the consistency suite
+(``tests/test_consistency.py``) asserts fused ≡ unfused bit-for-bit
+across all three leaf paths.
 """
 
 from __future__ import annotations

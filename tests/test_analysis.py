@@ -36,7 +36,7 @@ from repro.compiler.ir import RegionIR
 from repro.language.errors import CompileError, PetaBricksError
 from repro.observe import TraceSink
 from repro.symbolic import Box, Interval
-from tests.test_schedule import HEAT, MATMUL_CHAIN
+from tests.strategies import HEAT, MATMUL_CHAIN
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

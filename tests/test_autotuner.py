@@ -2,10 +2,11 @@
 consistency checking, and accuracy utilities.
 
 The genetic-tuner tests use a toy recursive TreeSum transform built with
-the Python builder API (also exercising builder + native bodies end to
-end): a sequential direct rule versus a parallel recursive split.  The
-tuner must discover the paper's signature result — a hybrid composition
-with an architecture-dependent cutoff — from scratch.
+the Python builder API in ``tests/strategies.py`` (also exercising
+builder + native bodies end to end): a sequential direct rule versus a
+parallel recursive split.  The tuner must discover the paper's signature
+result — a hybrid composition with an architecture-dependent cutoff —
+from scratch.
 """
 
 import numpy as np
@@ -26,43 +27,10 @@ from repro.autotuner import (
 from repro.autotuner.accuracy import Scored, accuracy_ratio
 from repro.autotuner.candidates import dedupe, set_tunable
 from repro.autotuner.evaluation import config_signature
-from repro.compiler import ChoiceConfig, Selector, TransformBuilder, compile_program
+from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.compiler.config import site_key
 from repro.runtime import MACHINES
-
-
-def build_treesum():
-    """TreeSum: S = sum(A).  Rule 0 is a sequential direct sum (work n);
-    rule 1 splits in half and recurses in parallel (work ~1 per level)."""
-    b = TransformBuilder("TreeSum")
-    b.input("A", "n")
-    b.output("S")
-
-    def direct(ctx):
-        view = ctx["a"]
-        ctx["s"].set(float(np.sum(view.to_numpy())))
-        ctx.charge(max(1, view.shape[0]))
-
-    def split(ctx):
-        view = ctx["a"]
-        half = view.shape[0] // 2
-        n = view.shape[0]
-        left, right = ctx.parallel(
-            lambda: ctx.call("TreeSum", view.region(0, half)),
-            lambda: ctx.call("TreeSum", view.region(half, n)),
-        )
-        ctx["s"].set(left.value + right.value)
-        ctx.charge(2)
-
-    b.rule(to=[("S", "all", "s")], from_=[("A", "all", "a")], body=direct,
-           label="direct")
-    b.rule(to=[("S", "all", "s")], from_=[("A", "all", "a")], body=split,
-           label="split", recursive=True)
-    return compile_program([b.build()])
-
-
-def treesum_inputs(size, rng):
-    return [np.array([rng.uniform(-1, 1) for _ in range(size)])]
+from tests.strategies import build_treesum, treesum_inputs
 
 
 SITE = site_key("TreeSum", "S", 0)
@@ -462,6 +430,25 @@ class TestConsistency:
     def test_threshold_tolerates_small_differences(self):
         program = compile_program(self.BROKEN)
         check_consistency(program, "Broken", self.gen, sizes=[8], threshold=2.0)
+
+    @pytest.mark.parametrize("first, second, value, threshold", [
+        ("b = a - a;", "b = 0;", np.inf, 0.0),  # NaN against 0
+        ("b = a - a;", "b = 0;", np.inf, 1.0),  # NaN positions differ
+        ("b = 0 - a;", "b = a * -1;", 0.0, 0.0),  # 0.0 against -0.0
+    ])
+    def test_nan_and_signed_zero_disagree(self, first, second, value, threshold):
+        program = compile_program(f"""
+        transform Pair from A[n] to B[n]
+        {{
+          to (B.cell(i) b) from (A.cell(i) a) {{ {first} }}
+          to (B.cell(i) b) from (A.cell(i) a) {{ {second} }}
+        }}
+        """)
+        with pytest.raises(ConsistencyError):
+            check_consistency(
+                program, "Pair", lambda size, rng: [np.full(size, value)],
+                sizes=[4], threshold=threshold,
+            )
 
 
 class TestAccuracyUtilities:

@@ -22,6 +22,7 @@ from repro.batch import BatchEngine, config_digest
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.observe import TraceSink
 from repro.runtime.batchqueue import BucketQueue, scramble
+from tests.strategies import STAGES
 
 SCALE = """
 transform Scale
@@ -301,19 +302,6 @@ def test_gather_order_survives_scrambled_buckets():
         np.testing.assert_array_equal(result.output(), expected[index])
 
 
-# A multi-segment transform: an elementwise stage, a boundary row and a
-# row-by-row chain (i sequential, j data parallel).
-STAGES = """
-transform Stages
-from A[n, m]
-through T[n, m]
-to B[n, m]
-{
-  to (T.cell(i, j) t) from (A.cell(i, j) a) { t = a + 1.0; }
-  to (B.cell(0, j) b) from (T.cell(0, j) t) { b = t; }
-  to (B.cell(i, j) b) from (T.cell(i, j) t, B.cell(i - 1, j) p) { b = t + p; }
-}
-"""
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (3, 2), (5, 6)])

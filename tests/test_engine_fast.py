@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import check_source
+from repro.autotuner.consistency import observe
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.compiler.codegen import Site, specialize
 from repro.engine_fast import (
@@ -22,7 +23,7 @@ from repro.engine_fast import (
 )
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
-from tests.conftest import SENTINEL, sentinel_alloc
+from tests.strategies import drop_fallbacks
 
 ELEMENTWISE = """
 transform Elementwise
@@ -248,15 +249,7 @@ class TestClosureParameterOrder:
 
     def observe(self, transform, leaf):
         config = _leaf_config("Wave", leaf, __seq_cutoff__=0)
-        try:
-            result = transform.run({"A": self.INPUT}, config, sizes={"p": 5})
-        except PetaBricksError as error:
-            return f"{type(error).__name__}: {error}"
-        return (
-            result.output().tobytes(),
-            result.rule_applications,
-            [task.label for task in result.graph.tasks],
-        )
+        return observe(transform, {"A": self.INPUT}, config, {"p": 5})
 
     def test_iteration_orders_differ_from_declaration_order(self):
         t = compile_program(WAVE_PLAIN).transform("Wave")
@@ -281,8 +274,12 @@ class TestClosureParameterOrder:
         interp = self.observe(t, LEAF_INTERP)
         closure = self.observe(t, LEAF_CLOSURE)
         vector = self.observe(t, LEAF_VECTOR)
-        assert closure == interp  # bytes, applications, task labels
-        assert vector[:2] == interp[:2]
+        assert (closure.outputs, closure.rule_applications, closure.graph) == (
+            interp.outputs, interp.rule_applications, interp.graph
+        )
+        assert (vector.outputs, vector.rule_applications) == (
+            interp.outputs, interp.rule_applications
+        )
         # the reference, computed directly from the recurrences
         a, p = self.INPUT, 5
         n, m = a.shape
@@ -303,23 +300,17 @@ class TestClosureParameterOrder:
                         )
                     else:
                         s[i, j, k] = s[i, j, k - 1] + tag
-        assert interp[0] == s.tobytes()
+        assert interp.outputs["S"] == s.tobytes()
 
     def test_where_failure_names_the_instance_on_every_path(self):
-        import dataclasses
-
         t = compile_program(WAVE_WHERE).transform("Wave")
-        for segment in t.grid.all_segments():
-            segment.options = tuple(
-                dataclasses.replace(option, fallback=None)
-                for option in segment.options
-            )
+        drop_fallbacks(t)
         expected = (
             "ExecutionError: Wave rule2: where-clause fails at "
             "{'k': 2, 'j': 0, 'i': 1} and no fallback exists"
         )
         for leaf in (LEAF_INTERP, LEAF_CLOSURE, LEAF_VECTOR):
-            assert self.observe(t, leaf) == expected
+            assert self.observe(t, leaf).error == expected
 
 
 SHIFT = """
@@ -358,21 +349,17 @@ class TestHoistedChecks:
         t = compile_program(SHIFT).transform("Shift")
         config = _leaf_config("Shift", leaf, __block_size__=2)
         ranges = Site.ranges
-        error = None
-        with pytest.MonkeyPatch.context() as patch, sentinel_alloc() as allocated:
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
                 Site, "ranges",
                 lambda site, env, bounds: {
                     **ranges(site, env, bounds), "i": (lo, hi)
                 },
             )
-            try:
-                t.run({"A": np.arange(6.0)}, config)
-            except IndexError as caught:
-                error = caught
+            seen = observe(t, {"A": np.arange(6.0)}, config)
             (step,) = t.plan(config, [(6,)]).steps
-        (out,) = allocated
-        return error, (out.data != SENTINEL).tolist(), step.blocks
+        (written,) = seen.writes.values()
+        return seen.error, np.frombuffer(written, bool).tolist(), step.blocks
 
     def test_source_has_its_checks_ahead_of_the_loop(self):
         t = compile_program(SHIFT).transform("Shift")
@@ -388,10 +375,9 @@ class TestHoistedChecks:
         ``IndexError``, the text its per-cell check always had — stops
         the step in its first block, nothing written."""
         error, written, _ = self.run_shift(LEAF_INTERP, 0, 6)
-        assert type(error) is IndexError and written == [True] * 5
+        assert error.startswith("IndexError: ") and written == [True] * 5
         error, written, _ = self.run_shift(LEAF_CLOSURE, 0, 6)
-        assert type(error) is IndexError
-        assert str(error) == "Shift.rule0: cell binding b outside view"
+        assert error == "IndexError: Shift.rule0: cell binding b outside view"
         assert written == [False] * 5
 
     def test_an_empty_box_evaluates_no_check(self):

@@ -13,7 +13,7 @@ import pathlib
 
 import repro
 from repro.compiler import ChoiceConfig, compile_program
-from tests.test_batch import STAGES
+from tests.strategies import STAGES
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -116,6 +116,17 @@ def test_no_module_imports_another_modules_private_name():
         if is_under(name, "repro")
         and name.rpartition(".")[2].startswith("_")
         and not name.endswith("__")
+    ]
+    assert offenders == []
+
+
+def test_no_test_module_imports_another():
+    """What two test modules share lives in ``tests/strategies.py``."""
+    offenders = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
+        for line, name in imports(ast.parse(path.read_text()))
+        if is_under(name, "tests") and not is_under(name, "tests.strategies")
     ]
     assert offenders == []
 

@@ -148,7 +148,7 @@ class TestParallelEvaluator:
         """A nonviable candidate fails once, is cached (in memory and on
         disk), and every later probe raises without re-simulating."""
         from repro.runtime import MACHINES
-        from tests.test_autotuner import build_treesum, treesum_inputs
+        from tests.strategies import build_treesum, treesum_inputs
 
         path = str(tmp_path / "cache.jsonl")
         program = build_treesum()

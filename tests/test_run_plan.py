@@ -5,7 +5,7 @@ A first ``run`` of a (config, shapes) point builds the frame's
 :class:`RunPlan` and replays it; a second one only replays.  Everything
 observable must agree between the two — output bytes, write sets, the
 recorded task graph, rule-application counts, errors, counters — over
-the programs the four differential suites already generate, every leaf
+the programs of the one generator (``tests/strategies.py``), every leaf
 path, fusion on/off and the tile knobs.  The ladder Sort's numbers were
 captured on the commit before plans.
 """
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import sort
+from repro.autotuner.consistency import observe
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.compiler.codegen import (
     _PLAN_CACHE_LIMIT,
@@ -31,49 +32,14 @@ from repro.observe import TraceSink
 from repro.runtime.matrix import Matrix, MatrixView
 from repro.symbolic import Affine
 from repro.symbolic.interval import Box
-from tests import test_batch_diff, test_engine_fast_diff, test_rewrite_diff
-from tests.conftest import SENTINEL, sentinel_alloc
-from tests.test_engine_fast_diff import _drop_fallbacks
-from tests.test_schedule_diff import chain_source
-
-BLUR = """
-transform Blur
-from A[n+2, m+2]
-to B[n, m]
-{
-  to (B.cell(x, y) b)
-  from (A.cell(x, y) nw, A.cell(x+1, y+1) c, A.cell(x+2, y+2) se) {
-    b = c * 0.5 + nw * 0.25 + se * 0.25;
-  }
-}
-"""
-
-ROLLINGSUM = """
-transform RollingSum
-from A[n]
-to B[n]
-{
-  to (B.cell(i) b) from (A.region(0, i+1) in) { b = sum(in); }
-  to (B.cell(i) b) from (A.cell(i) a, B.cell(i-1) leftSum) { b = a + leftSum; }
-}
-"""
-
-HEAT = """
-transform Heat
-from A[n]
-to B[n]
-through U<0..k>[n]
-{
-  to (U.cell(0, i) u) from (A.cell(i) a) { u = a; }
-  to (U.cell(t, i) u)
-  from (U.cell(t-1, i-1) l, U.cell(t-1, i) m, U.cell(t-1, i+1) r)
-  {
-    u = (l + 2 * m + r) / 4;
-  }
-  secondary to (U.cell(t, i) u) from (U.cell(t-1, i) m) { u = m; }
-  to (B.cell(i) b) from (U.cell(k, i) u) { b = u; }
-}
-"""
+from tests.strategies import (
+    BLUR,
+    HEAT,
+    ROLLINGSUM,
+    chain_source,
+    drop_fallbacks,
+    programs,
+)
 
 
 def task_list(graph):
@@ -169,38 +135,7 @@ def test_heat_records_its_lockstep_graph():
     assert "Heat.U.3+U.5+U.4" in labels and "Heat.U.4" not in labels
 
 
-# -- (ii) hit ≡ miss over the differential suites' programs ---------------
-
-
-def observe(transform, inputs, config, sizes):
-    """Everything a run shows the outside, errors included."""
-    sink = TraceSink(capture_events=False)
-    with sentinel_alloc() as allocated:
-        try:
-            result = transform.run(
-                {k: v.copy() for k, v in inputs.items()},
-                config,
-                sizes=sizes,
-                sink=sink,
-            )
-        except (PetaBricksError, IndexError) as error:
-            matrices = {matrix.name: matrix for matrix in allocated}
-            summary = f"{type(error).__name__}: {error}"
-        else:
-            matrices = result.outputs
-            summary = (result.rule_applications, task_list(result.graph))
-    counters = {
-        name: value
-        for name, value in sink.counters.items()
-        if name.startswith("exec.")
-        and not name.startswith(("exec.plan_", "exec.geom_cache_"))
-    }
-    return (
-        {name: m.data.tobytes() for name, m in matrices.items()},
-        {name: (m.data != SENTINEL).tobytes() for name, m in matrices.items()},
-        summary,
-        counters,
-    )
+# -- (ii) hit ≡ miss over the generated programs ---------------------------
 
 
 def assert_replay_invisible(transform, inputs, config, sizes=None):
@@ -226,28 +161,24 @@ LEAVES = st.sampled_from([0, 1, 2])
 
 @settings(max_examples=40, deadline=None)
 @given(
-    source=st.one_of(
-        test_engine_fast_diff.elementwise_programs(),
-        test_engine_fast_diff.elementwise_programs(where=True),
-        test_batch_diff.elementwise_programs(),
-    ),
+    source=programs("stencil").map(lambda case: case.source),
     leaf=LEAVES,
     option=st.integers(0, 1),
-    drop_fallbacks=st.booleans(),
+    drop=st.booleans(),
     n=st.integers(1, 5),
     m=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
 def test_replay_is_invisible_on_elementwise_programs(
-    source, leaf, option, drop_fallbacks, n, m, seed
+    source, leaf, option, drop, n, m, seed
 ):
     """Single rules and meta-rules (option 1 of a ``where`` program;
     without its fallback the first rejected instance aborts the run, on
     a hit exactly as on a miss); on a single-option program option 1 is
     a bad index, which fails the plan build both times."""
     transform = compile_program(source).transform("Stencil")
-    if drop_fallbacks:
-        _drop_fallbacks(transform)
+    if drop:
+        drop_fallbacks(transform)
     config = knobs("Stencil", leaf_path=leaf)
     config.set_choice("Stencil.B.0", Selector.static(option))
     rng = np.random.default_rng(seed)
@@ -257,7 +188,7 @@ def test_replay_is_invisible_on_elementwise_programs(
 
 @settings(max_examples=25, deadline=None)
 @given(
-    source=test_rewrite_diff.fusible_chains(),
+    source=programs("chain").map(lambda case: case.source),
     leaf=LEAVES,
     fuse=st.integers(0, 1),
     n=st.integers(1, 5),
@@ -276,8 +207,8 @@ def test_replay_is_invisible_with_and_without_fusion(
     fused = assert_replay_invisible(
         transform, inputs, knobs("Chain", leaf_path=leaf, fuse=1)
     )
-    assert fused[0] == unfused[0]
-    assert fused[2][0] < unfused[2][0]  # the redirect did run fewer rules
+    assert fused.outputs == unfused.outputs
+    assert fused.rule_applications < unfused.rule_applications  # the redirect ran fewer
 
 
 @settings(max_examples=25, deadline=None)
@@ -305,7 +236,7 @@ def test_replay_is_invisible_under_the_tile_knobs(
         transform, inputs, config, {"t_end": steps}
     )
     if leaf == 2 and dx <= 0 and dy <= 0 and n > 2 and tile[0] == 2:
-        assert observed[3]["exec.tiled_blocks"] > 0  # tiling did engage
+        assert observed.counters["exec.tiled_blocks"] > 0  # tiling did engage
 
 
 GUARDED = """
@@ -322,13 +253,13 @@ to B[n, m]
 @pytest.mark.parametrize("leaf", [0, 1, 2])
 def test_a_replayed_plan_raises_what_the_built_one_did(leaf):
     transform = compile_program(GUARDED).transform("Guarded")
-    _drop_fallbacks(transform)
+    drop_fallbacks(transform)
     config = knobs("Guarded", leaf_path=leaf)
     config.set_choice("Guarded.B.0", Selector.static(1))
     observed = assert_replay_invisible(
         transform, {"A": np.ones((3, 3))}, config
     )
-    assert observed[2] == (
+    assert observed.error == (
         "ExecutionError: Guarded rule0: where-clause fails at "
         "{'x': 0, 'y': 2} and no fallback exists"
     )

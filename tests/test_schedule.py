@@ -33,44 +33,7 @@ from repro.rewrite import (
     tile_transform,
     transform_src,
 )
-
-# Matrix multiply as a rolling reduction: k is a sequential chain,
-# (i, j) stay data parallel — the canonical PB604-legal shape.
-MATMUL_CHAIN = """
-transform MatMulChain
-from A[n, p], B[p, m]
-through S[p + 1, n, m]
-to C[n, m]
-{
-  to (S.cell(0, i, j) s) from () { s = 0.0; }
-  to (S.cell(k, i, j) s)
-  from (S.cell(k - 1, i, j) prev, A.cell(i, k - 1) a, B.cell(k - 1, j) b)
-  {
-    s = prev + a * b;
-  }
-  to (C.cell(i, j) c) from (S.cell(p, i, j) s) { c = s; }
-}
-"""
-
-# Wavefront stencil: the interior rule reads neighbor columns of the
-# previous step, so an (i)-tile boundary can be crossed against the
-# blocked order — the canonical PB605-blocked shape.
-HEAT = """
-transform Heat
-from A[n]
-to B[n]
-through U<0..k>[n]
-{
-  to (U.cell(0, i) u) from (A.cell(i) a) { u = a; }
-  to (U.cell(t, i) u)
-  from (U.cell(t-1, i-1) l, U.cell(t-1, i) m, U.cell(t-1, i+1) r)
-  {
-    u = (l + 2 * m + r) / 4;
-  }
-  secondary to (U.cell(t, i) u) from (U.cell(t-1, i) m) { u = m; }
-  to (B.cell(i) b) from (U.cell(k, i) u) { b = u; }
-}
-"""
+from tests.strategies import HEAT, MATMUL_CHAIN
 
 # A fusible elementwise producer feeding a chain consumer: fusion
 # eliminates T, and the fused rule still has chain q over free (i, j) —

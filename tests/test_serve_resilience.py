@@ -39,7 +39,7 @@ from repro.serve import (
 )
 from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.observe.trace import ThreadSafeSink
-from tests.test_serve_wire import converse
+from tests.strategies import converse
 
 SCALE = """
 transform Scale

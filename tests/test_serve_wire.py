@@ -37,6 +37,7 @@ from repro.serve.records import FRAME_MAGIC, FrameWriter, WireError
 from repro.serve.records import decode_array, encode_array, split_frame
 from repro.serve.resilience import RetryPolicy
 from repro.serve.transport import send_message
+from tests.strategies import converse
 
 PROGRAM = """
 transform Scale
@@ -776,39 +777,6 @@ class TestConnections:
 
 # ---------------------------------------------------------------------------
 # the HTTP/1.1 under it
-
-
-def converse(daemon, *steps, half_close=True):
-    """Raw bytes to the daemon, in ``steps`` (each sent once the reply
-    to the one before has started to arrive), then — ``half_close`` —
-    the end of the stream; returns everything sent back until the
-    daemon hangs up, split into ``(status, headers with lower-cased
-    names, body)`` per reply."""
-    received = b""
-    with socket.create_connection(
-        ("127.0.0.1", daemon.port), timeout=5.0
-    ) as sock:
-        for index, step in enumerate(steps):
-            if index:
-                received += sock.recv(65536)
-            sock.sendall(step)
-        if half_close:
-            sock.shutdown(socket.SHUT_WR)
-        received += b"".join(iter(lambda: sock.recv(65536), b""))
-    replies = []
-    while received:
-        head, _, received = received.partition(b"\r\n\r\n")
-        status_line, *lines = head.decode("latin-1").split("\r\n")
-        headers = {
-            name.lower(): value
-            for name, value in (line.split(": ", 1) for line in lines)
-        }
-        length = int(headers.get("content-length", 0))
-        replies.append(
-            (int(status_line.split()[1]), headers, received[:length])
-        )
-        received = received[length:]
-    return replies
 
 
 class _SendCalls:

@@ -5,8 +5,8 @@ dependence window (plane ``q`` in slot ``q % window``).  The baseline of
 every differential check here is *the same program* compiled while the
 verdict is patched to "blocked" — in the test, there is no product
 switch — so both sides run the same engine and differ only in storage.
-Folded and unfolded must agree on output bytes, sentinel write sets,
-rule applications, total work and the whole recorded task graph, over
+Folded and unfolded must agree on all ``observe`` sees — output bytes,
+sentinel write sets, rule applications and the recorded graph — over
 every leaf path, tile shape, ``__interchange__`` and the batch engine —
 except that a lockstep group (segments sharing a band, run one plane at
 a time when folded) records one task where the baseline records one per
@@ -35,16 +35,15 @@ from repro.analysis.depend import (
     validate_storage_witness,
 )
 from repro.analysis.witness import Replay
-from repro.batch import BatchEngine
+from repro.autotuner.consistency import observe, observe_batch
 from repro.compiler import ChoiceConfig, compile_program
 from repro.compiler.builder import TransformBuilder
 from repro.compiler.codegen import _EngineState
 from repro.observe import TraceSink
 from repro.runtime.matrix import Matrix
 from repro.runtime.task import TaskRecorder
-from tests.conftest import SENTINEL, sentinel_alloc
-from tests.test_run_plan import BLUR, HEAT, ROLLINGSUM, task_list
-from tests.test_schedule_diff import chain_source as shifted_source
+from tests.strategies import BLUR, HEAT, ROLLINGSUM
+from tests.strategies import chain_source as shifted_source
 
 MATMUL_MOMENTUM = """
 transform MatMulMomentum
@@ -142,6 +141,10 @@ KNOB_SETS = [
 ]
 
 
+def total_work(observation):
+    return sum(work for *_, work in observation.graph)
+
+
 def config_for(name, leaf, knobs):
     config = ChoiceConfig()
     config.set_tunable(f"{name}.__leaf_path__", leaf)
@@ -149,31 +152,6 @@ def config_for(name, leaf, knobs):
     for knob, value in knobs.items():
         config.set_tunable(f"{name}.{knob}", value)
     return config
-
-
-def observe(transform, inputs, config, sizes=None):
-    """Outputs, their sentinel write sets, rule applications, total
-    work, then the task graph's digest and the ``exec.`` counters."""
-    sink = TraceSink(capture_events=False)
-    with sentinel_alloc():
-        result = transform.run(
-            [a.copy() for a in inputs], config, sizes=sizes, sink=sink
-        )
-    graph = repr(task_list(result.graph)).encode()
-    counters = {
-        key: value
-        for key, value in sink.counters.items()
-        if key.startswith("exec.")
-        and not key.startswith(("exec.plan_", "exec.geom_cache_"))
-    }
-    return (
-        {name: m.data.tobytes() for name, m in result.outputs.items()},
-        {name: (m.data != SENTINEL).tobytes() for name, m in result.outputs.items()},
-        result.rule_applications,
-        result.graph.total_work(),
-        hashlib.sha256(graph).hexdigest(),
-        counters,
-    )
 
 
 def assert_fold_invisible(
@@ -200,27 +178,30 @@ def assert_fold_invisible(
             )
             seen = observe(folded, inputs, config, sizes)
             base = observe(baseline, inputs, config, sizes)
-            where = f"leaf {leaf} knobs {knobs}"
+            where = f"leaf {leaf} knobs {knobs}: {seen.error}"
+            assert seen.error is None, where
             if not lockstep:
                 assert seen == base, where
                 continue
             untiled = untiled or seen
-            assert seen == untiled and seen[:3] == base[:3], where
-            assert seen[3] == base[3] or any(knobs.values()), where
+            assert seen == untiled, where
+            assert (seen.outputs, seen.writes, seen.rule_applications) == (
+                base.outputs, base.writes, base.rule_applications
+            ), where
+            assert total_work(seen) == total_work(base) or any(knobs.values()), where
     batched = {}
     lanes = [[a * (lane + 1) for a in inputs] for lane in range(5)]
+    config = config_for(name, 2, {})
     for transform in (folded, baseline):
-        engine = BatchEngine()
-        for lane in lanes:
-            engine.submit(transform, lane, config_for(name, 2, {}), sizes)
-        results = engine.gather()
-        assert all(r.ok and r.stacked == stacks for r in results)
-        batched[transform] = [r.output().tobytes() for r in results]
+        results = observe_batch(transform, [(lane, config, sizes) for lane in lanes])
+        assert all(r.error is None for r in results)
+        assert all(r.counters["batch.stacked"] == stacks for r in results)
+        batched[transform] = [(r.outputs, r.writes) for r in results]
     assert batched[folded] == batched[baseline] == [
-        folded.run(lane, config_for(name, 2, {}), sizes).output().tobytes()
-        for lane in lanes
+        (seen.outputs, seen.writes)
+        for seen in (observe(folded, lane, config, sizes) for lane in lanes)
     ]
-    return folded.run(inputs, config_for(name, 2, {}), sizes).output()
+    return folded.run(inputs, config, sizes).output()
 
 
 def matmul_inputs(n, p, m, seed=3):
@@ -502,7 +483,7 @@ def test_a_writer_reading_another_cell_folds_in_lockstep():
     folded, baseline = compiled_pair(OFF_AXIS, "Skewed")
     assert folded.storage_verdicts["S"].groups == (("S.2", "S.3"),)
     tiled = config_for("Skewed", 2, KNOB_SETS[-1])
-    assert observe(baseline, AB, tiled)[5]["exec.tiled_blocks"] > 0
+    assert observe(baseline, AB, tiled).counters["exec.tiled_blocks"] > 0
     assert not folded.has_tiling() and baseline.has_tiling()
 
 
