@@ -40,9 +40,14 @@ def tuned_cutoff_for(spawn: float, base_config: ChoiceConfig):
     )
     candidate = Candidate(config=base_config)
 
-    def objective(value: int) -> float:
-        probe = set_tunable(candidate, "Sort.__seq_cutoff__", value)
-        return evaluator.time(probe.config, SIZE)
+    def objective(values):
+        return [
+            evaluator.time(
+                set_tunable(candidate, "Sort.__seq_cutoff__", value).config,
+                SIZE,
+            )
+            for value in values
+        ]
 
     best, cost = nary_search(objective, 8, SIZE * 2, arity=5, rounds=4)
     return best, cost

@@ -8,14 +8,16 @@ Components:
 
 * :mod:`repro.autotuner.evaluation` — the objective: run a configuration
   on generated inputs, simulate the recorded task graph on the target
-  :class:`~repro.runtime.machine.Machine`, return the makespan.
+  :class:`~repro.runtime.machine.Machine`, return the makespan; and the
+  one evaluator, whose single measurement loop batches misses in process
+  or over a process pool and survives worker crashes and hangs.
 * :mod:`repro.autotuner.candidates` — candidate algorithms (configs) and
   the level-adding mutation that grows multi-level compositions.
-* :mod:`repro.autotuner.nary` — n-ary search for scalar parameters, with
-  a batch-objective hook for parallel probing.
-* :mod:`repro.autotuner.parallel` — parallel candidate evaluation: a
-  process-pool batch evaluator with deterministic per-task seeding and a
-  persistent (JSONL) measurement cache shared across tuning runs.
+* :mod:`repro.autotuner.nary` — n-ary search for scalar parameters, one
+  batch of probes per round.
+* :mod:`repro.autotuner.parallel` — what crosses process and run
+  boundaries: the picklable evaluator recipe, the persistent (JSONL)
+  measurement cache shared across tuning runs, and the one tune wiring.
 * :mod:`repro.autotuner.tuner` — the bottom-up genetic tuner: seeded with
   every single-algorithm implementation, doubling the training input each
   generation, extending the fastest candidates with new levels.
@@ -29,14 +31,13 @@ Components:
 from repro.autotuner.accuracy import fastest_per_bin, pareto_front
 from repro.autotuner.candidates import Candidate, add_level, seed_population
 from repro.autotuner.consistency import ConsistencyError, check_consistency
-from repro.autotuner.evaluation import Evaluator, measurement_seed
-from repro.autotuner.nary import nary_search
-from repro.autotuner.parallel import (
+from repro.autotuner.evaluation import (
     CandidateFailure,
-    EvaluatorSpec,
-    MeasurementCache,
-    ParallelEvaluator,
+    Evaluator,
+    measurement_seed,
 )
+from repro.autotuner.nary import nary_search
+from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
 from repro.autotuner.tuner import GeneticTuner, TuneResult
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "EvaluatorSpec",
     "GeneticTuner",
     "MeasurementCache",
-    "ParallelEvaluator",
     "TuneResult",
     "measurement_seed",
     "add_level",

@@ -1,4 +1,4 @@
-"""The autotuner's objective function.
+"""The autotuner's objective function and the one loop that measures it.
 
 ``Evaluator.time(config, size)`` executes the target transform on a
 generated input of the requested size, records the task graph, and
@@ -8,36 +8,90 @@ the paper — here the target system is a simulated architecture profile,
 which keeps the objective deterministic and lets the benchmark suite
 retune for Mobile/Xeon/Niagara without the hardware.
 
-Measurements are cached by (configuration signature, size) and averaged
-over ``trials`` generated inputs.  Each individual measurement is a pure
-function of ``(seed, configuration signature, size, trial)``: both the
-input data and the scheduler's victim-selection RNG are derived from
-that tuple alone, never from evaluator state, so measurements are
-order-independent — evaluating candidates interleaved, repeated,
-reordered, or fanned out across worker processes (see
-:mod:`repro.autotuner.parallel`) yields identical values.
+Each measurement is averaged over ``trials`` generated inputs and is a
+pure function of ``(seed, configuration signature, size, trial)``: both
+the input data and the scheduler's victim-selection RNG are derived from
+that tuple alone, never from evaluator state.  So measurements are
+order-independent — interleaved, repeated, reordered, or fanned out
+across worker processes they yield identical values — and one lost to a
+crashed or hung worker is simply re-run.
+
+Every miss resolves through one entry, :meth:`Evaluator.evaluate_batch`
+(``time()`` is a one-pair call of it).  It consults memory, recorded
+failures, quarantine and the persistent
+:class:`~repro.autotuner.parallel.MeasurementCache`, then measures the
+rest in rounds: in process through ``self.measure`` when ``jobs == 1``,
+there is no :class:`~repro.autotuner.parallel.EvaluatorSpec`, or the
+evaluator has degraded; otherwise over a process pool
+whose workers rebuild the evaluator from the spec.  Results merge in
+batch order, so a tuning run is byte-identical for any ``jobs``.  One
+classify/settle pair decides for both places (the paper's tuner works
+because slow or broken candidates are culled cheaply):
+
+* **Failures** — a configuration whose measurement raises (a recursive
+  rule with no base case) becomes a :class:`CandidateFailure`, recorded
+  and persisted like a time, so it is never simulated twice.
+* **Deadlines** — with ``measure_timeout`` set, a pool round is bounded
+  by a per-measurement deadline of ``DEADLINE_FACTOR`` times the best
+  wall clock seen at that size, floored at ``measure_timeout``.  Missing
+  it ``max_retries + 1`` times is a failure; hung workers are killed and
+  the pool rebuilt.
+* **Retries** — transient errors, corrupt result records and crash
+  casualties are retried up to ``max_retries`` times, backing off
+  exponentially from ``RETRY_BACKOFF`` seconds.
+* **Quarantine** — a signature that kills ``QUARANTINE_AFTER``
+  consecutive workers fails fast from then on (never persisted).
+* **Degradation** — after ``DEGRADE_AFTER`` consecutive no-progress pool
+  rounds the evaluator measures in process for good.
+
+Deterministic fault injection (:mod:`repro.faults`) plugs in through
+``injector``: crash, hang and corrupt-record faults fire in pool workers
+only, transient faults on both sides.  Counters (via the optional
+``TraceSink``): ``tuner.evaluations``, ``tuner.cache_hits`` (pairs known
+before the call), ``tuner.cache.misses``, ``tuner.cache.disk_hits``,
+``tuner.pool.batches``, ``tuner.pool.dispatches`` and the recovery
+counters ``tuner.pool.timeouts``, ``.retries``, ``.rebuilds``,
+``.quarantines``, ``tuner.degraded_serial``, ``tuner.cache.corrupt_lines``;
+histograms ``tuner.pool.batch_size`` and ``tuner.pool.batch_latency_ms``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
+import time as _time
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.compiler.codegen import CompiledProgram, CompiledTransform, RunResult
 from repro.compiler.config import ChoiceConfig
+from repro.faults import FaultInjector, TransientFault
 from repro.runtime.machine import Machine
 from repro.runtime.scheduler import ScheduleResult, WorkStealingScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
     from repro.observe.trace import TraceSink
 
 #: Builds inputs for one training size: (size, rng) -> inputs for run().
 InputGenerator = Callable[[int, random.Random], object]
+
+#: A pool measurement's deadline: this multiple of the best wall clock
+#: seen at its size, floored at ``measure_timeout``.
+DEADLINE_FACTOR = 8.0
+#: Base seconds of the exponential backoff between retry rounds.
+RETRY_BACKOFF = 0.05
+#: Consecutive worker crashes that quarantine a signature.
+QUARANTINE_AFTER = 3
+#: Consecutive no-progress pool rounds before measuring in process.
+DEGRADE_AFTER = 5
 
 
 def config_signature(config: ChoiceConfig) -> str:
@@ -57,6 +111,13 @@ def measurement_seed(seed: int, signature: str, size: int, trial: int) -> int:
         f"{seed}|{size}|{trial}|{signature}".encode("utf-8"), digest_size=8
     ).digest()
     return int.from_bytes(digest, "big")
+
+
+class CandidateFailure(RuntimeError):
+    """A candidate configuration failed evaluation (e.g. a recursive
+    rule with no base case, a missed measurement deadline, or a
+    quarantined worker-killer).  Recorded once, so nonviable candidates
+    are culled without re-running the failing simulation."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +144,8 @@ class Measurement:
 
         Raises ``ValueError`` on anything malformed — a non-dict, missing
         fields, non-numeric or non-finite values — which is how the
-        fault-tolerant evaluator detects corrupted worker results and
-        how the cache loader rejects damaged rows.
+        evaluator detects corrupted worker results and how the cache
+        loader rejects damaged rows.
         """
         if not isinstance(record, dict):
             raise ValueError(f"record is {type(record).__name__}, not a dict")
@@ -154,8 +215,99 @@ def random_inputs(
     return make
 
 
+@dataclass(eq=False)
+class _PendingItem:
+    """One unresolved measurement's recovery state during a batch."""
+
+    config: ChoiceConfig
+    signature: str
+    size: int
+    attempts: int = 0       # attempts consumed (feeds injector decisions)
+    timeouts: int = 0       # deadline misses so far
+    strikes: int = 0        # consecutive worker crashes attributed to it
+    record: Optional[Dict[str, Any]] = None
+    persist: bool = True    # whether the resolution goes to the disk cache
+
+    def resolve(self, record: Dict[str, Any], persist: bool = True) -> None:
+        self.record = record
+        self.persist = persist
+
+
+def _attempt(
+    evaluator: "Evaluator",
+    injector: Optional[FaultInjector],
+    config: ChoiceConfig,
+    signature: str,
+    size: int,
+    attempt: int,
+    remote: bool,
+) -> Dict[str, Any]:
+    """One attempt at one measurement, as a record; never raises.
+
+    Errors come back as ``{"error": ...}`` records (``"transient"`` when
+    a retry may succeed) for :meth:`Evaluator._classify`.  Crash, hang
+    and corrupt-record faults model a process boundary and fire only in
+    a pool worker (``remote``); ``attempt`` feeds the injector, so faults
+    replay exactly yet do not re-fire on recovery attempts.
+    """
+    identity = f"{signature}|{size}"
+    if injector is not None:
+        if remote and injector.fires("worker-crash", identity, attempt):
+            os._exit(3)
+        if remote and injector.fires("worker-hang", identity, attempt):
+            _time.sleep(injector.hang_seconds)
+        if injector.fires("transient", identity, attempt):
+            return {
+                "error": "TransientFault: injected transient failure",
+                "transient": True,
+            }
+    try:
+        started = _time.perf_counter()
+        record = evaluator.measure(config, size, signature).to_record()
+    except TransientFault as exc:
+        return {"error": f"TransientFault: {exc}", "transient": True}
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    record["wall_ms"] = (_time.perf_counter() - started) * 1000.0
+    if remote and injector is not None and injector.fires(
+        "corrupt-record", identity, attempt
+    ):
+        return {"time": "<corrupt>", "steals": record["steals"]}
+    return record
+
+
+# -- pool worker side ----------------------------------------------------------
+
+_WORKER_EVALUATOR: Optional["Evaluator"] = None
+_WORKER_INJECTOR: Optional[FaultInjector] = None
+
+
+def _init_worker(
+    spec: "EvaluatorSpec", injector: Optional[FaultInjector] = None
+) -> None:
+    global _WORKER_EVALUATOR, _WORKER_INJECTOR
+    _WORKER_EVALUATOR = spec.build()
+    _WORKER_INJECTOR = injector
+
+
+def _pool_measure(signature: str, size: int, attempt: int) -> Dict[str, Any]:
+    """One pool task: :func:`_attempt` on the worker's own evaluator."""
+    return _attempt(
+        _WORKER_EVALUATOR, _WORKER_INJECTOR, ChoiceConfig.from_json(signature),
+        signature, size, attempt, remote=True,
+    )
+
+
 class Evaluator:
-    """Times configurations of one transform on one (simulated) machine."""
+    """Times configurations of one transform on one (simulated) machine.
+
+    ``jobs > 1`` with a ``spec`` measures batches over that many worker
+    processes; ``cache`` persists every resolution across runs;
+    ``measure_timeout`` (seconds; ``None`` disables) floors the pool's
+    adaptive deadline; ``max_retries`` bounds the retries of transient
+    failures, corrupt records, crash casualties and deadline misses;
+    ``injector`` is a :class:`repro.faults.FaultInjector` (dev/test only).
+    """
 
     def __init__(
         self,
@@ -167,7 +319,19 @@ class Evaluator:
         trials: int = 1,
         seed: int = 20090615,  # PLDI'09 started June 15 2009
         sink: Optional["TraceSink"] = None,
+        jobs: int = 1,
+        cache: Optional["MeasurementCache"] = None,
+        spec: Optional["EvaluatorSpec"] = None,
+        measure_timeout: Optional[float] = None,
+        max_retries: int = 3,
+        injector: Optional[FaultInjector] = None,
     ) -> None:
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        if measure_timeout is not None and measure_timeout <= 0:
+            raise ValueError("measure_timeout must be positive (or None)")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
         self.program = program
         self.transform: CompiledTransform = program.transform(transform)
         self.input_generator = input_generator
@@ -175,12 +339,50 @@ class Evaluator:
         self.workers = workers if workers is not None else machine.cores
         self.trials = trials
         self.seed = seed
-        self._cache: Dict[Tuple[str, int], float] = {}
-        self.evaluations = 0
         #: optional observability sink: every fresh measurement emits a
         #: ``candidate`` record (config, size, fitness) — the candidate
         #: timeline of a tuning run.
         self.sink = sink
+        self.jobs = jobs
+        self.cache = cache
+        self.spec = spec
+        self.measure_timeout = measure_timeout
+        self.max_retries = max_retries
+        self.injector = injector
+        self.evaluations = 0
+        #: True once the evaluator measures in process for good.
+        self.degraded = False
+        #: signatures barred from measurement (signature -> reason).
+        self.quarantined: Dict[str, str] = {}
+        self._times: Dict[Tuple[str, int], float] = {}
+        self._failures: Dict[Tuple[str, int], str] = {}
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_builds = 0
+        self._idle_pool_rounds = 0
+        self._best_wall: Dict[int, float] = {}
+        if cache is not None:
+            self._count("tuner.cache.corrupt_lines", cache.corrupt_lines)
+
+    @classmethod
+    def from_spec(
+        cls, spec: "EvaluatorSpec", sink=None, **kwargs: Any
+    ) -> "Evaluator":
+        """The parent evaluator of a pool, built from the recipe its
+        workers use, so parent and workers measure identically; keyword
+        arguments (``jobs``, ``cache``, ...) go to the constructor."""
+        base = spec.build()
+        return cls(
+            base.program,
+            base.transform.name,
+            base.input_generator,
+            base.machine,
+            workers=base.workers,
+            trials=base.trials,
+            seed=base.seed,
+            sink=sink,
+            spec=spec,
+            **kwargs,
+        )
 
     def run_once(
         self,
@@ -214,9 +416,9 @@ class Evaluator:
     ) -> Measurement:
         """One fresh averaged-over-trials timing, bypassing the cache.
 
-        This is the pure objective shared by :meth:`time` and the
-        process-pool workers of :mod:`repro.autotuner.parallel`: a pure
-        function of ``(seed, signature, size, trial range)``.
+        The pure objective the loop runs, in process and in pool
+        workers alike: a pure function of ``(seed, signature, size,
+        trial range)``.
         """
         if signature is None:
             signature = config_signature(config)
@@ -231,39 +433,358 @@ class Evaluator:
             steals=schedule.steals,
         )
 
-    def _record_fresh(
-        self, signature: str, size: int, measurement: Measurement
-    ) -> None:
-        """Install a fresh measurement: cache, count, emit ``candidate``."""
-        self._cache[(signature, size)] = measurement.time
-        self.evaluations += 1
-        if self.sink is not None:
-            self.sink.count("tuner.evaluations")
-            self.sink.emit(
-                "candidate",
-                size=size,
-                time=measurement.time,
-                tasks=measurement.tasks,
-                steals=measurement.steals,
-                config=signature,
-            )
-
     def time(self, config: ChoiceConfig, size: int) -> float:
-        """Simulated parallel time of ``config`` at input ``size`` (cached
-        by ``(configuration signature, size)``, averaged over ``trials``
-        generated inputs)."""
-        signature = config_signature(config)
-        key = (signature, size)
-        if key not in self._cache:
-            self._record_fresh(signature, size, self.measure(config, size, signature))
-        elif self.sink is not None:
-            self.sink.count("tuner.cache_hits")
-        return self._cache[key]
+        """Simulated parallel time of ``config`` at input ``size``: a
+        one-pair :meth:`evaluate_batch` that raises the
+        :class:`CandidateFailure` of a nonviable configuration."""
+        (outcome,) = self.evaluate_batch([(config, size)])
+        if isinstance(outcome, CandidateFailure):
+            raise outcome
+        return outcome
 
-    def sequential_time(self, config: ChoiceConfig, size: int) -> float:
-        """Simulated single-core time (no scheduling overhead) of trial 0
-        only — sequential work is trial-invariant up to input data, and
-        one generated input suffices for the cutoff analyses that use
-        this."""
-        _, schedule = self.run_once(config, size)
-        return schedule.sequential_time
+    def evaluate_batch(
+        self, batch: Sequence[Tuple[ChoiceConfig, int]]
+    ) -> List[Union[float, CandidateFailure]]:
+        """Each ``(config, size)`` pair's time, or the
+        :class:`CandidateFailure` that culls it, in batch order.
+
+        Known pairs resolve at once; the misses are measured together
+        (see the module docstring) and recorded in batch order, whatever
+        the worker count, completion order or faults recovered.  The
+        disk cache is flushed afterwards, so a killed run loses at most
+        the batch in flight.
+        """
+        keys: List[Tuple[str, int]] = []
+        pending: Dict[Tuple[str, int], _PendingItem] = {}
+        hits = 0
+        for config, size in batch:
+            signature = config_signature(config)
+            key = (signature, size)
+            keys.append(key)
+            if key in self._times:
+                hits += 1
+            elif key in self._failures or key in pending:
+                continue
+            elif signature in self.quarantined:
+                self._failures[key] = self.quarantined[signature]
+            elif not self._consult_disk(key):
+                pending[key] = _PendingItem(config, signature, size)
+        self._count("tuner.cache_hits", hits)
+        if pending:
+            started = _time.perf_counter()
+            items = list(pending.values())
+            self._resolve(items)
+            for item in items:
+                self._install(item)
+            if self.sink is not None:
+                self.sink.count("tuner.pool.batches")
+                self.sink.count("tuner.cache.misses", len(items))
+                self.sink.observe("tuner.pool.batch_size", len(items))
+                self.sink.observe(
+                    "tuner.pool.batch_latency_ms",
+                    (_time.perf_counter() - started) * 1000.0,
+                )
+            self.flush_cache()
+        return [
+            self._times[key] if key in self._times
+            else CandidateFailure(self._failures[key])
+            for key in keys
+        ]
+
+    # -- the one resolution loop -------------------------------------------
+
+    def _resolve(self, pending: List[_PendingItem]) -> None:
+        """Resolve every pending item to a record — measurement or
+        failure — in rounds, each run in process or over the pool."""
+        rounds = 0
+        while True:
+            unresolved = [item for item in pending if item.record is None]
+            if not unresolved:
+                return
+            if rounds:
+                self._count("tuner.pool.retries", len(unresolved))
+                if RETRY_BACKOFF > 0:
+                    _time.sleep(min(2.0, RETRY_BACKOFF * 2 ** (rounds - 1)))
+            if self.jobs == 1 or self.spec is None or self.degraded:
+                outcomes = {
+                    item: self._classify(_attempt(
+                        self, self.injector, item.config, item.signature,
+                        item.size, item.attempts, remote=False,
+                    ))
+                    for item in unresolved
+                }
+            else:
+                outcomes = self._pool_round(unresolved)
+            self._settle_round(unresolved, outcomes)
+            rounds += 1
+
+    @staticmethod
+    def _classify(record: Any) -> Tuple[str, Dict[str, Any]]:
+        """Classify an attempt's record: ``("ok", measurement record)``,
+        ``("ok", failure record)`` for deterministic candidate failures,
+        or ``("retry", failure record)`` for transient/corrupt results."""
+        if isinstance(record, dict) and isinstance(record.get("error"), str):
+            if record.get("transient"):
+                return "retry", {"error": record["error"]}
+            return "ok", {"error": record["error"]}
+        try:
+            measurement = Measurement.from_record(record)
+        except ValueError as exc:
+            return "retry", {"error": f"corrupt result record ({exc})"}
+        clean = measurement.to_record()
+        if isinstance(record, dict) and "wall_ms" in record:
+            clean["wall_ms"] = record["wall_ms"]
+        return "ok", clean
+
+    def _pool_round(
+        self, items: Sequence[_PendingItem]
+    ) -> Dict[_PendingItem, Tuple[str, Any]]:
+        """Dispatch one round over the pool and wait for it under the
+        round budget.
+
+        Returns item -> ("ok" | "retry", record) | ("crash", message) |
+        ("timeout", None).  Items whose submit failed are absent (they
+        retry next round).
+        """
+        futures: Dict[Any, _PendingItem] = {}
+        try:
+            pool = self._ensure_pool()
+            for item in items:
+                future = pool.submit(
+                    _pool_measure, item.signature, item.size, item.attempts
+                )
+                futures[future] = item
+        except Exception:
+            # The pool itself is unusable (failed to spawn, broke on
+            # submit); already-submitted futures still resolve below.
+            self._kill_pool()
+        self._count("tuner.pool.dispatches", len(futures))
+        outcomes: Dict[_PendingItem, Tuple[str, Any]] = {}
+        if not futures:
+            return outcomes
+        budget = self._round_budget(list(futures.values()))
+        started = _time.monotonic()
+        remaining = set(futures)
+        while remaining:
+            timeout = None
+            if budget is not None:
+                timeout = budget - (_time.monotonic() - started)
+                if timeout <= 0:
+                    break
+            done, remaining = wait(remaining, timeout=timeout)
+            for future in done:
+                item = futures[future]
+                try:
+                    record = future.result()
+                except Exception as exc:
+                    # BrokenProcessPool and friends: the worker (or the
+                    # whole pool) died under this measurement.
+                    outcomes[item] = (
+                        "crash", f"{type(exc).__name__}: {exc}"
+                    )
+                else:
+                    outcomes[item] = self._classify(record)
+        for future in remaining:
+            outcomes[futures[future]] = ("timeout", None)
+        return outcomes
+
+    def _settle_round(
+        self,
+        dispatched: Sequence[_PendingItem],
+        outcomes: Dict[_PendingItem, Tuple[str, Any]],
+    ) -> None:
+        """Apply one round's outcomes: resolve successes, account
+        retries/timeouts/strikes, quarantine repeat killers, reclaim a
+        damaged pool, and degrade if the pool keeps failing."""
+        progressed = False
+        pool_damaged = False
+        for item in dispatched:
+            outcome, payload = outcomes.get(item, (None, None))
+            if outcome == "ok":
+                progressed = True
+                item.strikes = 0
+                self._note_wall(item.size, payload.pop("wall_ms", None))
+                item.resolve(payload)
+            elif outcome == "retry":
+                item.attempts += 1
+                if item.attempts > self.max_retries:
+                    item.resolve(payload, persist=False)
+            elif outcome == "crash":
+                pool_damaged = True
+                item.attempts += 1
+                item.strikes += 1
+                if item.strikes >= QUARANTINE_AFTER:
+                    self.quarantined[item.signature] = (
+                        f"quarantined: measurement crashed "
+                        f"{QUARANTINE_AFTER} consecutive workers "
+                        f"(last: {payload})"
+                    )
+                    self._count("tuner.pool.quarantines")
+            elif outcome == "timeout":
+                pool_damaged = True
+                item.attempts += 1
+                item.timeouts += 1
+                self._count("tuner.pool.timeouts")
+                if item.timeouts > self.max_retries:
+                    item.resolve(
+                        {
+                            "error": (
+                                "MeasurementTimeout: exceeded the "
+                                f"measurement deadline on {item.timeouts} "
+                                "consecutive attempts"
+                            )
+                        }
+                    )
+        # Quarantine verdicts apply to every unresolved measurement of
+        # the signature, in this batch and all later ones.
+        for item in dispatched:
+            if item.record is None and item.signature in self.quarantined:
+                item.resolve(
+                    {"error": self.quarantined[item.signature]},
+                    persist=False,
+                )
+        if pool_damaged:
+            # Hung workers hold pool slots and broken pools reject
+            # submits: reclaim by force and rebuild lazily next round.
+            self._kill_pool()
+        if progressed:
+            self._idle_pool_rounds = 0
+        elif pool_damaged or not outcomes:
+            self._idle_pool_rounds += 1
+            if self._idle_pool_rounds >= DEGRADE_AFTER:
+                self.degraded = True
+                self._kill_pool()
+                self._count("tuner.degraded_serial")
+
+    def _install(self, item: _PendingItem) -> None:
+        """Record one resolved item in batch order: a time counts as an
+        evaluation and emits ``candidate``; either kind goes to the disk
+        cache unless it is a session-local verdict."""
+        key = (item.signature, item.size)
+        record = item.record
+        if "error" in record:
+            self._failures[key] = record["error"]
+        else:
+            self._times[key] = record["time"]
+            self.evaluations += 1
+            if self.sink is not None:
+                self.sink.count("tuner.evaluations")
+                self.sink.emit(
+                    "candidate",
+                    size=item.size,
+                    time=record["time"],
+                    tasks=record["tasks"],
+                    steals=record["steals"],
+                    config=item.signature,
+                )
+        if item.persist and self.cache is not None:
+            self.cache.store(self._cache_key(key), record)
+
+    def _consult_disk(self, key: Tuple[str, int]) -> bool:
+        """Pull one resolution from the persistent cache if present."""
+        if self.cache is None:
+            return False
+        record = self.cache.lookup(self._cache_key(key))
+        if record is None:
+            return False
+        if "error" in record:
+            self._failures[key] = record["error"]
+        else:
+            self._times[key] = record["time"]
+        self._count("tuner.cache.disk_hits")
+        return True
+
+    def _cache_key(self, key: Tuple[str, int]) -> Tuple[Any, ...]:
+        return (self.machine.name, self.workers, self.trials, self.seed, *key)
+
+    def _count(self, name: str, delta: int = 1) -> None:
+        if self.sink is not None and delta:
+            self.sink.count(name, delta)
+
+    def _deadline_for(self, size: int) -> float:
+        """Adaptive per-measurement deadline: a multiple of the best
+        wall-clock measurement observed at this size, floored at the
+        configured ``measure_timeout``."""
+        best = self._best_wall.get(size)
+        if best is None:
+            return self.measure_timeout
+        return max(self.measure_timeout, DEADLINE_FACTOR * best)
+
+    def _round_budget(self, items: Sequence[_PendingItem]) -> Optional[float]:
+        """Wall-clock budget for one dispatch round: the worst per-item
+        deadline times the number of worker waves, plus slack."""
+        if self.measure_timeout is None:
+            return None
+        per_item = max(self._deadline_for(item.size) for item in items)
+        waves = math.ceil(len(items) / self.jobs)
+        return per_item * waves + 0.25 * per_item + 0.05
+
+    def _note_wall(self, size: int, wall_ms: Optional[float]) -> None:
+        if wall_ms is None or wall_ms <= 0:
+            return
+        seconds = wall_ms / 1000.0
+        best = self._best_wall.get(size)
+        if best is None or seconds < best:
+            self._best_wall[size] = seconds
+
+    # -- lifecycle -----------------------------------------------------------
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker,
+                initargs=(self.spec, self.injector),
+            )
+            self._pool_builds += 1
+            if self._pool_builds > 1:
+                self._count("tuner.pool.rebuilds")
+        return self._pool
+
+    def _kill_pool(self) -> None:
+        """Force-reclaim the pool: cancel queued work, terminate worker
+        processes (a hung worker never returns on its own), and drop the
+        executor so the next round rebuilds from scratch."""
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        process_map = getattr(pool, "_processes", None) or {}
+        processes = list(process_map.values())
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - shutdown of a broken pool
+            pass
+        for process in processes:
+            try:
+                if process.is_alive():
+                    process.terminate()
+            except Exception:  # pragma: no cover - already-dead process
+                pass
+        for process in processes:
+            try:
+                process.join(timeout=1.0)
+            except Exception:  # pragma: no cover - already-dead process
+                pass
+
+    def flush_cache(self) -> int:
+        """Persist newly added cache records; returns how many."""
+        if self.cache is None:
+            return 0
+        return self.cache.flush()
+
+    def close(self) -> None:
+        """Shut the pool down and persist the cache.  Safe to call on a
+        broken/degraded evaluator and after an exception mid-tuning —
+        the cache flush runs even if pool shutdown fails."""
+        pool, self._pool = self._pool, None
+        try:
+            if pool is not None:
+                pool.shutdown(wait=True)
+        finally:
+            self.flush_cache()
+
+    def __enter__(self) -> "Evaluator":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()

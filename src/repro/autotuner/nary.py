@@ -7,16 +7,14 @@ parameters have smooth unimodal-ish cost curves, so this converges in a
 handful of rounds with far fewer evaluations than a full sweep.
 
 Each round's probe set is known before any probe is evaluated, so the
-search optionally takes a ``batch_objective`` that scores a whole list
-of values at once — the hook the parallel candidate-evaluation engine
-(:mod:`repro.autotuner.parallel`) uses to fan probes out over a process
-pool.  The probe sequence, narrowing decisions, and result are identical
-with and without the hook.
+objective scores a whole list of values at once: the tuner hands each
+round to the evaluator as one batch, which may fan it out over a process
+pool (:mod:`repro.autotuner.evaluation`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 
 def _probe_points(lo: int, hi: int, arity: int) -> List[int]:
@@ -49,22 +47,18 @@ def _probe_points(lo: int, hi: int, arity: int) -> List[int]:
 
 
 def nary_search(
-    objective: Callable[[int], float],
+    objective: Callable[[Sequence[int]], Sequence[float]],
     lo: int,
     hi: int,
     arity: int = 4,
     rounds: int = 4,
-    batch_objective: Optional[
-        Callable[[Sequence[int]], Sequence[float]]
-    ] = None,
 ) -> Tuple[int, float]:
-    """Minimize ``objective`` over integers in [lo, hi].
+    """Minimize the cost ``objective`` assigns to integers in [lo, hi].
 
-    Returns ``(best_value, best_cost)``.  ``objective`` is called at most
-    ``arity * rounds`` times (plus boundary probes); repeated values are
-    memoized.  When ``batch_objective`` is given it is called once per
-    round with the not-yet-memoized probe values (in ascending order) and
-    must return one cost per value; ``objective`` is then never called.
+    Returns ``(best_value, best_cost)``.  ``objective`` is called once
+    per round with the not-yet-memoized probe values (distinct, in
+    ascending order) and must return one cost per value; at most
+    ``arity * rounds`` values are probed (plus boundary probes).
     """
     if hi < lo:
         raise ValueError(f"empty range [{lo}, {hi}]")
@@ -73,17 +67,13 @@ def nary_search(
     def evaluate_many(values: Sequence[int]) -> List[float]:
         missing = [v for v in values if v not in cache]
         if missing:
-            if batch_objective is not None:
-                costs = batch_objective(missing)
-                if len(costs) != len(missing):
-                    raise ValueError(
-                        f"batch objective returned {len(costs)} costs "
-                        f"for {len(missing)} values"
-                    )
-                cache.update(zip(missing, costs))
-            else:
-                for value in missing:
-                    cache[value] = objective(value)
+            costs = objective(missing)
+            if len(costs) != len(missing):
+                raise ValueError(
+                    f"objective returned {len(costs)} costs "
+                    f"for {len(missing)} values"
+                )
+            cache.update(zip(missing, costs))
         return [cache[v] for v in values]
 
     def evaluate(value: int) -> float:

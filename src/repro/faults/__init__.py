@@ -2,10 +2,13 @@
 
 :mod:`repro.faults.injector` defines the seeded :class:`FaultInjector`
 (worker crash, worker hang, transient error, corrupted result record,
-cache-line corruption) that plugs into the pool workers and the cache
-writer of :mod:`repro.autotuner.parallel`; every decision is a pure
-function of ``(seed, fault kind, identity, attempt)``, so injected
-failures replay identically across runs and processes.
+cache-line corruption) that plugs into the measurement loop of
+:class:`~repro.autotuner.evaluation.Evaluator` (crash, hang and
+corrupt-record in pool workers only; transient on both sides) and into
+the writer of :class:`~repro.autotuner.parallel.MeasurementCache`; every
+decision is a pure function of ``(seed, fault kind, identity,
+attempt)``, so injected failures replay identically across runs and
+processes.
 
 :mod:`repro.faults.harness` is the companion stress harness — the
 fault-layer sibling of :mod:`repro.observe.stress` — which tunes a real

@@ -3,7 +3,7 @@
 ``POST /tune`` must not block the request handler for the minutes a
 genetic-tuning run takes, so tune requests enqueue here and run on
 daemon worker threads (each of which may itself fan measurements over
-the fault-tolerant :class:`~repro.autotuner.parallel.ParallelEvaluator`
+the fault-tolerant :class:`~repro.autotuner.evaluation.Evaluator`
 process pool).  Jobs move ``queued → running → done | failed``; the
 runner's return value becomes ``job.result``, its exception becomes
 ``job.error``.  All state transitions happen under one condition

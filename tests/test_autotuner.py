@@ -14,6 +14,7 @@ import pytest
 
 from repro.autotuner import (
     Candidate,
+    CandidateFailure,
     ConsistencyError,
     Evaluator,
     GeneticTuner,
@@ -41,9 +42,14 @@ def treesum():
     return build_treesum()
 
 
+def each(cost):
+    """The n-ary objective that scores every probe value with ``cost``."""
+    return lambda values: [cost(v) for v in values]
+
+
 class TestNarySearch:
     def test_convex(self):
-        best, cost = nary_search(lambda v: (v - 37) ** 2, 1, 1000)
+        best, cost = nary_search(each(lambda v: (v - 37) ** 2), 1, 1000)
         assert best == 37 and cost == 0
 
     def test_arity_one_degrades_to_endpoints(self):
@@ -51,7 +57,7 @@ class TestNarySearch:
         from repro.autotuner.nary import _probe_points
 
         assert _probe_points(2, 100, 1) == [2, 100]
-        best, cost = nary_search(lambda v: (v - 90) ** 2, 2, 100, arity=1)
+        best, cost = nary_search(each(lambda v: (v - 90) ** 2), 2, 100, arity=1)
         assert (best, cost) == (100, 100)
 
     def test_zero_based_range(self):
@@ -61,9 +67,9 @@ class TestNarySearch:
 
         assert _probe_points(0, 1, 4) == [0, 1]
         assert _probe_points(0, 100, 4)[0] == 0
-        assert nary_search(lambda v: (v - 0) ** 2, 0, 1)[0] == 0
-        assert nary_search(lambda v: (v - 1) ** 2, 0, 1)[0] == 1
-        assert nary_search(lambda v: (v - 37) ** 2, 0, 1000)[0] == 37
+        assert nary_search(each(lambda v: (v - 0) ** 2), 0, 1)[0] == 0
+        assert nary_search(each(lambda v: (v - 1) ** 2), 0, 1)[0] == 1
+        assert nary_search(each(lambda v: (v - 37) ** 2), 0, 1000)[0] == 37
 
     def test_probe_points_equal_bounds(self):
         from repro.autotuner.nary import _probe_points
@@ -88,50 +94,41 @@ class TestNarySearch:
         with pytest.raises(ValueError):
             _probe_points(-1, 10, 4)
 
-    def test_batch_objective_matches_serial(self):
-        def objective(v):
-            return (v - 37) ** 2
-
+    def test_objective_scores_one_batch_per_round(self):
         batches = []
 
-        def batch_objective(values):
+        def objective(values):
             batches.append(list(values))
-            return [objective(v) for v in values]
+            return [(v - 37) ** 2 for v in values]
 
-        serial = nary_search(objective, 1, 1000, arity=4, rounds=4)
-        batched = nary_search(
-            objective, 1, 1000, arity=4, rounds=4,
-            batch_objective=batch_objective,
-        )
-        assert serial == batched
-        assert batches  # the hook actually ran
-        # every batch holds distinct, not-yet-memoized values
+        assert nary_search(objective, 1, 1000, arity=4, rounds=4) == (37, 0)
+        assert batches[0] == [1]  # the lower bound, before any round
+        assert any(len(batch) > 1 for batch in batches)
+        # every batch holds distinct, ascending, not-yet-memoized values
         seen = set()
         for batch in batches:
+            assert batch == sorted(set(batch))
             assert not (set(batch) & seen)
             seen.update(batch)
 
-    def test_batch_objective_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="batch objective"):
-            nary_search(
-                lambda v: v, 1, 100,
-                batch_objective=lambda values: [0.0],
-            )
+    def test_objective_size_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="objective returned 1 costs"):
+            nary_search(lambda values: [0.0], 1, 100)
 
     def test_boundary_minimum(self):
-        best, _ = nary_search(lambda v: v, 1, 100)
+        best, _ = nary_search(each(lambda v: v), 1, 100)
         assert best == 1
 
     def test_decreasing(self):
-        best, _ = nary_search(lambda v: -v, 1, 100)
+        best, _ = nary_search(each(lambda v: -v), 1, 100)
         assert best == 100
 
     def test_single_point(self):
-        assert nary_search(lambda v: v, 5, 5) == (5, 5)
+        assert nary_search(each(lambda v: v), 5, 5) == (5, 5)
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            nary_search(lambda v: v, 10, 5)
+            nary_search(each(lambda v: v), 10, 5)
 
     def test_memoizes(self):
         calls = []
@@ -140,7 +137,7 @@ class TestNarySearch:
             calls.append(v)
             return abs(v - 50)
 
-        nary_search(objective, 1, 128, arity=4, rounds=4)
+        nary_search(each(objective), 1, 128, arity=4, rounds=4)
         assert len(calls) == len(set(calls))
 
 
@@ -295,11 +292,24 @@ class TestEvaluator:
         assert measurement_seed(1, "sig", 64, 1) != base
 
     def test_pure_recursion_fails(self, treesum):
+        """A nonviable configuration is simulated once: asking again
+        raises the recorded CandidateFailure without re-measuring."""
         ev = Evaluator(treesum, "TreeSum", treesum_inputs, MACHINES["xeon8"])
+        measured = []
+        measure = ev.measure
+
+        def counting_measure(*args):
+            measured.append(args[1])
+            return measure(*args)
+
+        ev.measure = counting_measure
         config = ChoiceConfig()
         config.set_choice(SITE, Selector.static(1))
-        with pytest.raises(Exception, match="recursion"):
-            ev.time(config, 64)
+        for _ in range(3):
+            with pytest.raises(CandidateFailure, match="recursion"):
+                ev.time(config, 64)
+        assert measured == [64]
+        assert ev.evaluations == 0
 
 
 class TestGeneticTuner:

@@ -1,6 +1,6 @@
 """Tests for the fault-tolerance layer: the deterministic injector
-(:mod:`repro.faults`), every recovery path of
-:class:`~repro.autotuner.parallel.ParallelEvaluator` (crash -> retry ->
+(:mod:`repro.faults`), every recovery path of the measurement loop of
+:class:`~repro.autotuner.evaluation.Evaluator` (crash -> retry ->
 pool rebuild, hang -> deadline cull, repeat killer -> quarantine,
 transient -> bounded backoff retries, pool collapse -> serial
 degradation), the crash-safe measurement cache, and the acceptance
@@ -15,13 +15,9 @@ import pickle
 import pytest
 
 from repro.apps import sort as sort_app
-from repro.autotuner import GeneticTuner
-from repro.autotuner.parallel import (
-    CandidateFailure,
-    EvaluatorSpec,
-    MeasurementCache,
-    ParallelEvaluator,
-)
+from repro.autotuner import GeneticTuner, evaluation
+from repro.autotuner.evaluation import CandidateFailure, Evaluator
+from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
 from repro.compiler import ChoiceConfig, Selector
 from repro.faults import FaultInjector, FaultSpecError
 from repro.faults.harness import (
@@ -33,9 +29,11 @@ from repro.observe import TraceSink
 
 SORT_SPEC = EvaluatorSpec.make("repro.apps.sort:make_evaluator", "xeon8")
 
-#: fast-recovery defaults for the unit tests: no backoff sleeps, short
-#: deadlines, short injected hangs.
-FAST = {"retry_backoff": 0.0}
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Fast recovery for the unit tests: no sleeps between retry rounds."""
+    monkeypatch.setattr(evaluation, "RETRY_BACKOFF", 0.0)
 
 
 def sort_batch(options, size=32):
@@ -58,14 +56,12 @@ def tune_sort(evaluator):
 @pytest.fixture(scope="module")
 def serial_times():
     """Fault-free reference values for the sort measurement batches."""
-    evaluator = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1)
-    evaluator.evaluate_batch(sort_batch((0, 1, 2, 3)))
-    times = {
-        (sig, size): evaluator._cache[(sig, size)]
-        for (sig, size) in evaluator._cache
+    batch = sort_batch((0, 1, 2, 3))
+    times = Evaluator.from_spec(SORT_SPEC).evaluate_batch(batch)
+    return {
+        (config.to_json(), size): time
+        for (config, size), time in zip(batch, times)
     }
-    evaluator.close()
-    return times
 
 
 class TestSpecGrammar:
@@ -145,9 +141,9 @@ class TestCrashRecovery:
         """Every first attempt crashes the worker: the batch still
         resolves, via retries and a pool rebuild, to identical values."""
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
-            injector=FaultInjector.parse("worker-crash:1x1"), **FAST,
+            injector=FaultInjector.parse("worker-crash:1x1"),
         )
         try:
             evaluator.evaluate_batch(sort_batch((0, 1, 2, 3)))
@@ -160,14 +156,15 @@ class TestCrashRecovery:
         assert sink.counter("tuner.pool.retries") >= 1
         assert sink.counter("tuner.pool.quarantines") == 0
 
-    def test_repeat_killer_quarantined(self):
+    def test_repeat_killer_quarantined(self, monkeypatch):
         """A signature that kills every worker is quarantined and fails
         fast at every size from then on."""
+        monkeypatch.setattr(evaluation, "QUARANTINE_AFTER", 2)
+        monkeypatch.setattr(evaluation, "DEGRADE_AFTER", 10)
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
             injector=FaultInjector.parse("worker-crash:1"),
-            quarantine_after=2, degrade_after=10, **FAST,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0,)))
@@ -182,17 +179,20 @@ class TestCrashRecovery:
         finally:
             evaluator.close()
         assert sink.counter("tuner.pool.quarantines") == 1
-        assert evaluator.quarantined_signatures
+        assert evaluator.quarantined
 
-    def test_degrades_to_serial_after_pool_collapse(self, serial_times):
+    def test_degrades_to_serial_after_pool_collapse(
+        self, serial_times, monkeypatch
+    ):
         """When the pool keeps dying without progress, the evaluator
         falls back to in-process evaluation and still produces correct
         values."""
+        monkeypatch.setattr(evaluation, "QUARANTINE_AFTER", 99)
+        monkeypatch.setattr(evaluation, "DEGRADE_AFTER", 2)
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
             injector=FaultInjector.parse("worker-crash:1"),
-            quarantine_after=99, degrade_after=2, **FAST,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0, 1)))
@@ -210,10 +210,10 @@ class TestDeadlines:
         """A measurement that hangs on every attempt misses its deadline
         max_retries+1 times and becomes a cached CandidateFailure."""
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
             injector=FaultInjector.parse("worker-hang:1,hang=2"),
-            measure_timeout=0.15, max_retries=1, **FAST,
+            measure_timeout=0.15, max_retries=1,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0,)))
@@ -232,10 +232,10 @@ class TestDeadlines:
         """A hang that fires once times out, is retried, and resolves to
         the identical measurement."""
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
             injector=FaultInjector.parse("worker-hang:1x1,hang=1"),
-            measure_timeout=0.2, **FAST,
+            measure_timeout=0.2,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0, 1)))
@@ -250,10 +250,10 @@ class TestDeadlines:
         """Timed-out candidates are cached failures, like any other
         nonviable candidate (the paper's culling)."""
         path = str(tmp_path / "cache.jsonl")
-        evaluator = ParallelEvaluator.from_spec(
-            SORT_SPEC, jobs=2, cache=path,
+        evaluator = Evaluator.from_spec(
+            SORT_SPEC, jobs=2, cache=MeasurementCache(path),
             injector=FaultInjector.parse("worker-hang:1,hang=2"),
-            measure_timeout=0.15, max_retries=0, **FAST,
+            measure_timeout=0.15, max_retries=0,
         )
         config, size = sort_batch((0,))[0]
         try:
@@ -265,14 +265,42 @@ class TestDeadlines:
         (record,) = warm._records.values()
         assert "MeasurementTimeout" in record["error"]
 
+    def test_one_miss_beside_a_cached_pair_keeps_its_deadline(
+        self, serial_times, tmp_path
+    ):
+        """A pool batch whose only miss sits next to a cached pair is
+        still measured in a worker under the deadline: a persistent hang
+        ends in MeasurementTimeout instead of blocking the caller."""
+        path = str(tmp_path / "cache.jsonl")
+        with Evaluator.from_spec(
+            SORT_SPEC, cache=MeasurementCache(path)
+        ) as warm:
+            warm.evaluate_batch(sort_batch((0,)))
+        sink = TraceSink(capture_events=False)
+        evaluator = Evaluator.from_spec(
+            SORT_SPEC, jobs=2, sink=sink, cache=MeasurementCache(path),
+            injector=FaultInjector.parse("worker-hang:1,hang=2"),
+            measure_timeout=0.15, max_retries=0,
+        )
+        batch = sort_batch((0, 1))
+        try:
+            cached, missed = evaluator.evaluate_batch(batch)
+        finally:
+            evaluator.close()
+        config, size = batch[0]
+        assert cached == serial_times[(config.to_json(), size)]
+        assert isinstance(missed, CandidateFailure)
+        assert "MeasurementTimeout" in str(missed)
+        assert sink.counter("tuner.pool.dispatches") == 1
+        assert sink.counter("tuner.pool.timeouts") == 1
+
 
 class TestTransientFaults:
     def test_transient_errors_retried_to_identical_values(self, serial_times):
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=2, sink=sink,
             injector=FaultInjector.parse("transient:0.9,corrupt-record:0.9"),
-            **FAST,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0, 1, 2, 3)))
@@ -287,10 +315,10 @@ class TestTransientFaults:
         candidate for this run only — it must not poison the disk cache
         for later (healthy) runs."""
         path = str(tmp_path / "cache.jsonl")
-        evaluator = ParallelEvaluator.from_spec(
-            SORT_SPEC, jobs=2, cache=path,
+        evaluator = Evaluator.from_spec(
+            SORT_SPEC, jobs=2, cache=MeasurementCache(path),
             injector=FaultInjector.parse("transient:1"),
-            max_retries=1, **FAST,
+            max_retries=1,
         )
         config, size = sort_batch((0,))[0]
         try:
@@ -305,12 +333,11 @@ class TestTransientFaults:
         """jobs=1 has no process boundary: crash/hang/corrupt-record
         faults are inert, transient faults are retried in place."""
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
+        evaluator = Evaluator.from_spec(
             SORT_SPEC, jobs=1, sink=sink,
             injector=FaultInjector.parse(
                 "worker-crash:1,worker-hang:1,corrupt-record:1,transient:0.9"
             ),
-            **FAST,
         )
         try:
             evaluator.evaluate_batch(sort_batch((0, 1)))
@@ -386,8 +413,8 @@ class TestCrashSafeCache:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self._row(64) + "\n{broken\n")
         sink = TraceSink(capture_events=False)
-        evaluator = ParallelEvaluator.from_spec(
-            SORT_SPEC, jobs=1, cache=path, sink=sink
+        evaluator = Evaluator.from_spec(
+            SORT_SPEC, jobs=1, cache=MeasurementCache(path), sink=sink
         )
         evaluator.close()
         assert sink.counter("tuner.cache.corrupt_lines") == 1
@@ -396,15 +423,16 @@ class TestCrashSafeCache:
         """cache-corrupt faults garble flushed lines; the next load
         skips them and the measurements are simply re-run."""
         path = str(tmp_path / "cache.jsonl")
-        first = ParallelEvaluator.from_spec(
-            SORT_SPEC, jobs=1, cache=path,
-            injector=FaultInjector.parse("cache-corrupt:1"), **FAST,
+        first = Evaluator.from_spec(
+            SORT_SPEC, jobs=1, cache=MeasurementCache(
+                path, injector=FaultInjector.parse("cache-corrupt:1")
+            ),
         )
         first.evaluate_batch(sort_batch((0, 1)))
         first.close()
         assert first.evaluations == 2
 
-        warm = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        warm = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         warm.evaluate_batch(sort_batch((0, 1)))
         warm.close()
         assert warm.cache.corrupt_lines == 2
@@ -416,22 +444,22 @@ class TestKillMidRunResume:
         """A hard kill mid-batch (no close(), no flush) loses only the
         batch in flight; a warm restart re-runs just what was lost and
         lands on the byte-identical configuration."""
-        cold = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1)
+        cold = Evaluator.from_spec(SORT_SPEC, jobs=1)
         cold_result = tune_sort(cold)
         cold.close()
         total = cold.evaluations
 
         path = str(tmp_path / "cache.jsonl")
-        killed = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        killed = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         batch_sizes = []
-        original = ParallelEvaluator.evaluate_batch
+        original = Evaluator.evaluate_batch
 
         def tracking_batch(self, batch):
             batch_sizes.append(len(batch))
             return original(self, batch)
 
         kill_at = {"remaining": 10}
-        original_measure = ParallelEvaluator.measure
+        original_measure = Evaluator.measure
 
         def killing_measure(self, config, size, signature=None):
             if kill_at["remaining"] == 0:
@@ -449,7 +477,7 @@ class TestKillMidRunResume:
         lost = killed.evaluations - flushed
         assert 0 <= lost <= max(batch_sizes)
 
-        warm = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        warm = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         warm_result = tune_sort(warm)
         warm.close()
         assert warm_result.config.to_json() == cold_result.config.to_json()
@@ -460,9 +488,9 @@ class TestKillMidRunResume:
         """The CLI's try/finally path: an exception mid-tuning still
         flushes every completed measurement."""
         path = str(tmp_path / "cache.jsonl")
-        evaluator = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        evaluator = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         batches = {"seen": 0}
-        original = ParallelEvaluator.evaluate_batch
+        original = Evaluator.evaluate_batch
 
         def interrupting_batch(self, batch):
             if batches["seen"] == 3:
@@ -490,7 +518,6 @@ class TestFaultToleranceHarness:
             "worker-crash:0.2,worker-hang:0.05,hang=1",
             jobs=2,
             measure_timeout=0.3,
-            retry_backoff=0.0,
             tuner_kwargs={"threshold_metric": sort_app.size_metric},
         )
         assert report.identical
@@ -503,7 +530,6 @@ class TestFaultToleranceHarness:
             "worker-crash:0.15,transient:0.1,corrupt-record:0.1",
             seeds=(1, 2),
             jobs=2,
-            retry_backoff=0.0,
             tuner_kwargs={"threshold_metric": sort_app.size_metric},
         )
         assert all(report.identical for report in reports)

@@ -155,7 +155,7 @@ def test_the_command_line_is_a_client_of_the_daemon_and_the_tuner():
     tree = ast.parse((SRC / "cli.py").read_text())
     owned = {
         "BatchEngine", "result_record", "malformed_record", "EvaluatorSpec",
-        "ParallelEvaluator",
+        "Evaluator",
     }
     named = {
         node.id if isinstance(node, ast.Name)

@@ -1,12 +1,12 @@
 """Tests for parallel candidate evaluation and the persistent
-measurement cache (:mod:`repro.autotuner.parallel`).
+measurement cache (:mod:`repro.autotuner.evaluation`,
+:mod:`repro.autotuner.parallel`).
 
 The acceptance bar: ``repro tune --jobs N`` must produce a byte-identical
-``TuneResult`` (config JSON + history) to ``--jobs 1`` on Sort and
-MatrixMultiply, and a warm cache must eliminate every fresh evaluation.
-Pool tests use tiny training sizes — correctness of the fan-out, not
-speed, is under test here (speedup lives in
-``benchmarks/bench_parallel_tune.py``).
+``TuneResult`` (config JSON + history) and ``candidate`` event stream to
+``--jobs 1`` on Sort and MatrixMultiply, and a warm cache must eliminate
+every fresh evaluation.  Pool tests use tiny training sizes: correctness
+of the fan-out, not its speed, is under test.
 """
 
 import json
@@ -16,13 +16,8 @@ import pytest
 from repro.apps import matmul as matmul_app
 from repro.apps import sort as sort_app
 from repro.autotuner import GeneticTuner
-from repro.autotuner.evaluation import Evaluator, config_signature
-from repro.autotuner.parallel import (
-    CandidateFailure,
-    EvaluatorSpec,
-    MeasurementCache,
-    ParallelEvaluator,
-)
+from repro.autotuner.evaluation import CandidateFailure, Evaluator
+from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
 from repro.compiler import ChoiceConfig, Selector
 
 SORT_SPEC = EvaluatorSpec.make("repro.apps.sort:make_evaluator", "xeon8")
@@ -122,17 +117,17 @@ class TestEvaluatorSpec:
             EvaluatorSpec.make("repro.apps.sort:build_program").build()
 
 
-class TestParallelEvaluator:
+class TestBatchEvaluation:
     def test_matches_serial_evaluator_values(self):
         serial = sort_app.make_evaluator("xeon8")
-        parallel = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1)
+        parallel = Evaluator.from_spec(SORT_SPEC, jobs=1)
         config = ChoiceConfig()
         config.set_choice(sort_app.SORT_SITE, Selector(((65, 0), (None, 1))))
         for size in (16, 64, 256):
             assert parallel.time(config, size) == serial.time(config, size)
 
     def test_evaluate_batch_prefills_cache(self):
-        parallel = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1)
+        parallel = Evaluator.from_spec(SORT_SPEC, jobs=1)
         configs = []
         for option in (0, 1, 2):
             config = ChoiceConfig()
@@ -152,9 +147,9 @@ class TestParallelEvaluator:
 
         path = str(tmp_path / "cache.jsonl")
         program = build_treesum()
-        parallel = ParallelEvaluator(
+        parallel = Evaluator(
             program, "TreeSum", treesum_inputs, MACHINES["xeon8"],
-            jobs=1, cache=path,
+            cache=MeasurementCache(path),
         )
         bad = ChoiceConfig()
         bad.set_choice("TreeSum.S.0", Selector.static(1))  # recurse forever
@@ -166,9 +161,9 @@ class TestParallelEvaluator:
         parallel.close()
 
         # The failure round-trips through the JSONL cache too.
-        warm = ParallelEvaluator(
+        warm = Evaluator(
             program, "TreeSum", treesum_inputs, MACHINES["xeon8"],
-            jobs=1, cache=path,
+            cache=MeasurementCache(path),
         )
         with pytest.raises(CandidateFailure, match="recursion"):
             warm.time(bad, 64)
@@ -177,8 +172,8 @@ class TestParallelEvaluator:
 
     def test_pool_batch_matches_serial_batch(self):
         """The real process pool returns bit-identical measurements."""
-        serial = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1)
-        pooled = ParallelEvaluator.from_spec(SORT_SPEC, jobs=2)
+        serial = Evaluator.from_spec(SORT_SPEC, jobs=1)
+        pooled = Evaluator.from_spec(SORT_SPEC, jobs=2)
         batch = []
         for option in (0, 1, 3):
             config = ChoiceConfig()
@@ -198,21 +193,26 @@ class TestTuneParity:
     """`--jobs N` vs `--jobs 1`: byte-identical config and history."""
 
     def test_sort_jobs2_byte_identical(self):
-        results = []
+        from repro.observe import TraceSink
+
+        results, candidates = [], []
         for jobs in (1, 2):
-            evaluator = ParallelEvaluator.from_spec(SORT_SPEC, jobs=jobs)
+            sink = TraceSink()
+            evaluator = Evaluator.from_spec(SORT_SPEC, jobs=jobs, sink=sink)
             try:
                 results.append(tune_sort(evaluator))
             finally:
                 evaluator.close()
+            candidates.append(sink.events_of("candidate"))
         assert results[0].config.to_json() == results[1].config.to_json()
         assert results[0].best_time == results[1].best_time
         assert history_rows(results[0]) == history_rows(results[1])
+        assert candidates[0] and candidates[0] == candidates[1]
 
     def test_matmul_jobs2_byte_identical(self):
         results = []
         for jobs in (1, 2):
-            evaluator = ParallelEvaluator.from_spec(MATMUL_SPEC, jobs=jobs)
+            evaluator = Evaluator.from_spec(MATMUL_SPEC, jobs=jobs)
             tuner = GeneticTuner(
                 evaluator,
                 min_size=4,
@@ -233,12 +233,12 @@ class TestTuneParity:
 class TestWarmCache:
     def test_warm_rerun_zero_fresh_evaluations(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        cold = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        cold = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         cold_result = tune_sort(cold)
         cold.close()
         assert cold.evaluations > 0
 
-        warm = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        warm = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         warm_result = tune_sort(warm)
         warm.close()
         assert warm.evaluations == 0
@@ -247,7 +247,7 @@ class TestWarmCache:
 
     def test_cache_ignored_across_machines(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        xeon = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        xeon = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         config = ChoiceConfig()
         config.set_choice(sort_app.SORT_SITE, Selector.static(0))
         xeon.time(config, 32)
@@ -256,8 +256,8 @@ class TestWarmCache:
         niagara_spec = EvaluatorSpec.make(
             "repro.apps.sort:make_evaluator", "niagara"
         )
-        niagara = ParallelEvaluator.from_spec(
-            niagara_spec, jobs=1, cache=path
+        niagara = Evaluator.from_spec(
+            niagara_spec, cache=MeasurementCache(path)
         )
         niagara.time(config, 32)
         niagara.close()
@@ -269,13 +269,13 @@ class TestWarmCache:
         path = str(tmp_path / "cache.jsonl")
         config = ChoiceConfig()
         config.set_choice(sort_app.SORT_SITE, Selector.static(1))
-        first = ParallelEvaluator.from_spec(SORT_SPEC, jobs=1, cache=path)
+        first = Evaluator.from_spec(SORT_SPEC, cache=MeasurementCache(path))
         first.time(config, 64)
         first.close()
 
         sink = TraceSink()
-        second = ParallelEvaluator.from_spec(
-            SORT_SPEC, jobs=1, cache=path, sink=sink
+        second = Evaluator.from_spec(
+            SORT_SPEC, cache=MeasurementCache(path), sink=sink
         )
         assert second.time(config, 64) == first.time(config, 64)
         second.close()
