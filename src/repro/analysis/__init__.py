@@ -26,13 +26,13 @@ from repro.analysis.coverage import check_coverage
 from repro.analysis.lints import check_lints
 from repro.analysis.leafpaths import check_leaf_paths
 from repro.analysis.depend import (
-    ConflictWitness,
     Dependence,
     FusionCandidate,
+    Witness,
     check_depend,
     fusion_candidates,
     rule_dependences,
-    validate_conflict,
+    validate_witness,
 )
 from repro.analysis.check import (
     analyze_program,
@@ -53,10 +53,10 @@ __all__ = [
     "WARNING",
     "WitnessBudget",
     "DEFAULT_BUDGET",
-    "ConflictWitness",
     "Dependence",
     "FusionCandidate",
     "Replay",
+    "Witness",
     "analyze_program",
     "analyze_transform",
     "check_bounds",
@@ -73,5 +73,5 @@ __all__ = [
     "record_report",
     "rule_dependences",
     "run_check",
-    "validate_conflict",
+    "validate_witness",
 ]

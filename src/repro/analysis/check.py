@@ -112,6 +112,27 @@ def check_source(
 _DSL_RE = re.compile(r"^\s*transform\s+\w+", re.MULTILINE)
 
 
+def import_file(path: str):
+    """Import a ``.py`` file: ``(module, None)``, or ``(None, the PB001
+    diagnostic)`` when it cannot be imported — ``repro check`` and
+    ``repro rewrite`` read modules through this one door."""
+    spec = importlib.util.spec_from_file_location(
+        f"_repro_check_{abs(hash(path))}", path
+    )
+    if spec is None or spec.loader is None:
+        message = f"cannot import {path}"
+    else:
+        module = importlib.util.module_from_spec(spec)
+        try:
+            spec.loader.exec_module(module)
+            return module, None
+        except Exception as exc:  # import errors are check failures, not crashes
+            message = f"import failed: {exc}"
+    return None, Diagnostic(
+        code="PB001", severity="error", message=message, path=path
+    )
+
+
 def check_python_module(
     path: str, budget: WitnessBudget = DEFAULT_BUDGET
 ) -> AnalysisReport:
@@ -124,31 +145,9 @@ def check_python_module(
     free.
     """
     report = AnalysisReport()
-    spec = importlib.util.spec_from_file_location(
-        f"_repro_check_{abs(hash(path))}", path
-    )
-    if spec is None or spec.loader is None:
-        report.add(
-            Diagnostic(
-                code="PB001",
-                severity="error",
-                message=f"cannot import {path}",
-                path=path,
-            )
-        )
-        return report
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except Exception as exc:  # import errors are check failures, not crashes
-        report.add(
-            Diagnostic(
-                code="PB001",
-                severity="error",
-                message=f"import failed: {exc}",
-                path=path,
-            )
-        )
+    module, failure = import_file(path)
+    if failure is not None:
+        report.add(failure)
         return report
 
     checked_sources = set()

@@ -22,9 +22,7 @@ reads it; the candidate is
   into the consumer preserves every per-element operation sequence
   bit-for-bit;
 * ``blocked`` (PB602) when a writer of the matrix also reads it and a
-  concrete conflicting application pair exists: a (sizes, writer rule +
-  instance, reader rule + instance, cell) witness, replay-validated by
-  :func:`validate_conflict` against the engine's exact region geometry,
+  concrete conflicting application pair exists — a :class:`Witness`
   proving the matrix's cells depend on its own cells (a carried flow
   dependence — rolling sums, wavefront stencils) so no substitution can
   eliminate it;
@@ -49,9 +47,8 @@ chain step) must never reach a lexicographically earlier tile, an anti
 dependence never a later one.  :func:`schedule_candidates` derives the
 per-variable gaps from the same unit-stride offsets as the distance
 vectors; a refusal is only reported as ``blocked`` (PB605) with a
-replay-validated :class:`ScheduleWitness` — a concrete pair of
-applications of the rule that a tiled interchange would run in the
-wrong order — mirroring the PB602 contract.
+:class:`Witness` — a concrete pair of applications of the rule that a
+tiled interchange would run in the wrong order.
 
 The third family is *storage* legality (PB606/PB607): may the engine
 keep only a window of a ``through`` matrix's planes, plane ``q`` living
@@ -60,11 +57,18 @@ in slot ``q % window``?  :func:`storage_verdict` proves it symbolically
 that share a band, under the lockstep schedule it names — and the engine
 folds every matrix it is proven for; PB607 states the refusal and, when
 the refusal is an overwrite the schedule really performs, carries a
-replay-validated :class:`StorageWitness`.
+:class:`Witness` of it.
+
+The three families share one witness record — (code, sizes, matrix,
+writer access, reader access, note) — found by one hunt per family at
+one size environment at a time; :func:`validate_witness` replays any of
+them at its own sizes and accepts it only if its family's hunt finds
+that very record there.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -113,36 +117,51 @@ class Dependence:
 
 
 @dataclass(frozen=True)
-class ConflictWitness:
-    """A replayable cross-instance flow conflict carried by ``matrix``:
-    one application writes ``cell`` and a *different* application — of a
-    rule that also writes the matrix — reads it, so the matrix's cells
-    depend on its own cells and substitution cannot eliminate it."""
+class Access:
+    """One side of a :class:`Witness`: the application of rule ``rule``
+    (``rule_id``) at ``instance`` in segment ``segment``, and the cell of
+    the witness's matrix it touches."""
 
-    sizes: Tuple[Tuple[str, int], ...]
-    writer_rule: str
-    writer_rule_id: int
-    writer: Tuple[Tuple[str, int], ...]
-    reader_rule: str
-    reader_rule_id: int
-    reader: Tuple[Tuple[str, int], ...]
+    segment: str
+    rule: str
+    rule_id: int
+    instance: Tuple[Tuple[str, int], ...]
     cell: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, segment: str, app, cell) -> "Access":
+        instance = tuple(sorted(app.assignment.items()))
+        return cls(segment, app.rule.label, app.rule.rule_id, instance, cell)
+
+    def describe(self, matrix: str, verb: str) -> str:
+        instance = (
+            describe_env({}, dict(self.instance)) if self.instance else "sole instance"
+        )
+        cell = describe_bounds(matrix, [(c, c + 1) for c in self.cell])
+        return f"{self.rule} instance ({instance}) of {self.segment} {verb} {cell}"
+
+
+@dataclass(frozen=True)
+class Witness:
+    """A replayable PB602/PB605/PB607 refusal (``code``): at ``sizes``,
+    ``writer`` writes a cell of ``matrix`` and a *different* application,
+    ``reader``, reads one — the same cell, for a flow fusion or tiling
+    would break; another plane of the same slot, for an overwrite folded
+    storage would perform.  ``note`` says why the pair refutes the
+    rewrite.  :func:`validate_witness` replays it."""
+
+    code: str
+    sizes: Tuple[Tuple[str, int], ...]
     matrix: str
+    writer: Access
+    reader: Access
+    note: str
 
     def describe(self) -> str:
-        cellbox = describe_bounds(
-            self.matrix, [(c, c + 1) for c in self.cell]
-        )
-
-        def instance(assignment) -> str:
-            if not assignment:
-                return "(sole instance)"
-            return f"({describe_env({}, dict(assignment))})"
-
         return (
-            f"{describe_env(dict(self.sizes))}: {self.writer_rule} instance "
-            f"{instance(self.writer)} writes {cellbox}; "
-            f"{self.reader_rule} instance {instance(self.reader)} reads it"
+            f"{describe_env(dict(self.sizes))}: "
+            f"{self.writer.describe(self.matrix, 'writes')}; "
+            f"{self.reader.describe(self.matrix, 'reads')}; {self.note}"
         )
 
 
@@ -159,9 +178,13 @@ class FusionCandidate:
     status: str  # "legal" | "blocked" | "ineligible"
     reason: str
     distances: Tuple[Distance, ...] = ()
-    conflict: Optional[ConflictWitness] = None
+    witness: Optional[Witness] = None
     line: int = 0
     column: int = 0
+
+    @property
+    def subject(self) -> str:
+        return f"fusion over {self.matrix}"
 
     def distance_text(self) -> str:
         if not self.distances:
@@ -341,66 +364,50 @@ def _structural_block(
     return ""
 
 
-def _carried_conflict(replay: Replay, matrix: str) -> Optional[ConflictWitness]:
-    """Hunt a concrete flow conflict carried by ``matrix``: under the
-    engine's default option selection, the first application to write a
-    cell is not the application of a *writer rule* that reads it."""
-    compiled = replay.compiled
-    segments = [s for s in compiled.grid.segments.get(matrix, ()) if s.options]
-    for e, env in enumerate(replay.envs):
-        per_segment = [
-            replay.applications(seg, seg.options[0], e) for seg in segments
-        ]
-        if None in per_segment:
-            continue
-        apps = [app for segment_apps in per_segment for app in segment_apps]
-        first: Dict[Tuple[int, ...], object] = {}
+def _flow_witnesses(replay: Replay, code: str, e: int, runs, matrices, keep, note):
+    """A ``code`` witness per flow of one of ``matrices`` between two
+    different applications of ``runs`` — ``(segment key, applications)``
+    pairs at sizes ``replay.envs[e]`` — that ``keep(cell, writer,
+    reader)`` accepts; ``keep`` sees every flow, in order."""
+    segment_of = {id(app): key for key, run in runs for app in run}
+    apps = [app for _key, run in runs for app in run]
+    sizes = tuple(sorted(replay.envs[e].items()))
+    for matrix in matrices:
         for cell, writer, reader in replay.flows(apps, matrix):
-            if first.setdefault(cell, writer) is not writer or writer.same_as(reader):
-                continue
-            witness = ConflictWitness(
-                sizes=tuple(sorted(env.items())),
-                writer_rule=writer.rule.label,
-                writer_rule_id=writer.rule.rule_id,
-                writer=tuple(sorted(writer.assignment.items())),
-                reader_rule=reader.rule.label,
-                reader_rule_id=reader.rule.rule_id,
-                reader=tuple(sorted(reader.assignment.items())),
-                cell=cell,
-                matrix=matrix,
-            )
-            if validate_conflict(compiled, witness):
-                return witness
-    return None
+            if keep(cell, writer, reader) and not writer.same_as(reader):
+                yield Witness(
+                    code, sizes, matrix,
+                    Access.of(segment_of[id(writer)], writer, cell),
+                    Access.of(segment_of[id(reader)], reader, cell),
+                    note,
+                )
 
 
-def validate_conflict(compiled, witness: ConflictWitness) -> bool:
-    """Replay a conflict witness against the engine's exact geometry:
-    the writer application's to-region must contain the cell, a
-    *different* application's from-region must read it."""
-    rules = compiled.ir.rules
-    if not (
-        0 <= witness.writer_rule_id < len(rules)
-        and 0 <= witness.reader_rule_id < len(rules)
-    ):
-        return False
-    writer = dict(witness.writer)
-    reader = dict(witness.reader)
-    if witness.writer_rule_id == witness.reader_rule_id and writer == reader:
-        return False
-    return _touches(
-        rules[witness.writer_rule_id].to_regions, witness, writer
-    ) and _touches(rules[witness.reader_rule_id].from_regions, witness, reader)
+def _carried_conflicts(replay: Replay, matrix: str, e: int):
+    """PB602 witnesses at sizes ``replay.envs[e]``: under the engine's
+    default option selection, the first application to write a cell of
+    ``matrix`` feeds another application of a rule writing it."""
+    segments = replay.compiled.grid.segments.get(matrix, ())
+    runs = [
+        (seg.key, replay.applications(seg, seg.options[0], e))
+        for seg in segments
+        if seg.options
+    ]
+    if any(apps is None for _key, apps in runs):
+        return ()
+    first: Dict[Tuple[int, ...], object] = {}
+    return _flow_witnesses(
+        replay, "PB602", e, runs, [matrix],
+        lambda cell, writer, _reader: first.setdefault(cell, writer) is writer,
+        f"a flow dependence carried by {matrix}",
+    )
 
 
-def _touches(regions, witness, instance) -> bool:
-    """Does some region over the witness's matrix, at this application
-    (``instance`` on top of the witness's sizes), contain its cell?"""
-    instance_env = {**dict(witness.sizes), **instance}
-    return any(
-        _in_box(witness.cell, reg.box.concrete(instance_env))
-        for reg in regions
-        if reg.matrix == witness.matrix
+def _first(replay: Replay, hunt, subject) -> Optional[Witness]:
+    """The first witness ``hunt`` finds for ``subject``, smallest sizes first."""
+    return next(
+        (w for e in range(len(replay.envs)) for w in hunt(replay, subject, e)),
+        None,
     )
 
 
@@ -411,36 +418,6 @@ def _in_box(cell, bounds) -> bool:
 
 
 # -- schedule legality: tiling and interchange (PB604/PB605) ----------------
-
-
-@dataclass(frozen=True)
-class ScheduleWitness:
-    """A replayable pair of applications of one rule proving that
-    running its free (data-parallel) variables tile-by-tile, chain
-    inside each tile, would execute the reader's tile on the wrong side
-    of the writer's: the writer produces ``cell`` of ``matrix`` and a
-    *different* application of the same rule consumes it from a tile
-    the interchanged order visits too early (or, for an anti
-    dependence, too late)."""
-
-    sizes: Tuple[Tuple[str, int], ...]
-    segment: str
-    rule: str
-    rule_id: int
-    writer: Tuple[Tuple[str, int], ...]
-    reader: Tuple[Tuple[str, int], ...]
-    cell: Tuple[int, ...]
-    matrix: str
-
-    def describe(self) -> str:
-        cellbox = describe_bounds(self.matrix, [(c, c + 1) for c in self.cell])
-        return (
-            f"{describe_env(dict(self.sizes))}: {self.rule} instance "
-            f"({describe_env({}, dict(self.writer))}) writes {cellbox}; "
-            f"instance ({describe_env({}, dict(self.reader))}) reads it "
-            f"from a tile the blocked order runs on the wrong side of "
-            f"the write"
-        )
 
 
 @dataclass(frozen=True)
@@ -461,9 +438,13 @@ class ScheduleCandidate:
     free_vars: Tuple[str, ...]
     status: str  # "legal" | "blocked" | "ineligible"
     reason: str
-    witness: Optional[ScheduleWitness] = None
+    witness: Optional[Witness] = None
     line: int = 0
     column: int = 0
+
+    @property
+    def subject(self) -> str:
+        return f"schedule candidate {self.segment}/{self.rule}"
 
 
 def _schedule_deltas(
@@ -664,66 +645,37 @@ def schedule_verdict(site) -> ScheduleVerdict:
     return ScheduleVerdict(chain_vars, free_vars, directions, reason, carried)
 
 
-def _schedule_conflict(replay: Replay, site) -> Optional[ScheduleWitness]:
-    """Hunt a concrete application pair of the site's rule that a tiled
-    interchange would run out of order; every returned witness is
-    replay-validated."""
-    compiled, segment, rule = site.transform, site.segment, site.rule
-    shared = [m for m in rule.writes_matrices() if m in rule.reads_matrices()]
-    for e, env in enumerate(replay.envs):
-        apps = [
-            app
-            for app in replay.applications(segment, site.option, e) or ()
-            if app.rule.rule_id == rule.rule_id
-        ]
-        for matrix in shared:
-            for cell, writer, reader in replay.flows(apps, matrix):
-                if writer.same_as(reader):
-                    continue
-                witness = ScheduleWitness(
-                    sizes=tuple(sorted(env.items())),
-                    segment=segment.key,
-                    rule=rule.label,
-                    rule_id=rule.rule_id,
-                    writer=tuple(sorted(writer.assignment.items())),
-                    reader=tuple(sorted(reader.assignment.items())),
-                    cell=cell,
-                    matrix=matrix,
-                )
-                if validate_schedule_witness(compiled, witness):
-                    return witness
-    return None
-
-
-def validate_schedule_witness(compiled, witness: ScheduleWitness) -> bool:
-    """Replay a schedule witness against the engine's exact geometry:
-    the writer application's to-region must contain the cell, a
-    *different* application's from-region must read it, and the blocked
-    order must really visit the pair on the wrong side — the reader's
-    tile strictly precedes the writer's while its chain step follows
-    (or vice versa), for every tile size that separates them (size-1
-    tiles separate any two distinct free coordinates)."""
-    site = compiled.sites.get((witness.segment, witness.rule_id))
-    writer = dict(witness.writer)
-    reader = dict(witness.reader)
-    if site is None or writer == reader or not site.schedule.is_site:
-        return False
+def _schedule_conflicts(replay: Replay, site, e: int):
+    """PB605 witnesses at sizes ``replay.envs[e]``: two applications of
+    the site's rule, one reading a cell the other writes, that the
+    blocked order runs on the wrong side of each other — the reader's
+    tile strictly precedes the writer's while its chain step follows (or
+    vice versa), for every tile size that separates them (size-1 tiles
+    separate any two distinct free coordinates)."""
+    if site is None:
+        return ()
     rule, verdict = site.rule, site.schedule
-    chain_vars, free_vars = verdict.chain_vars, verdict.free_vars
-    directions = verdict.directions
-    if any(v not in writer or v not in reader for v in chain_vars + free_vars):
-        return False
-    if not (
-        _touches(rule.to_regions, witness, writer)
-        and _touches(rule.from_regions, witness, reader)
-    ):
-        return False
-    chain_w = tuple(directions[v] * writer[v] for v in chain_vars)
-    chain_r = tuple(directions[v] * reader[v] for v in chain_vars)
-    free_w = tuple(writer[v] for v in free_vars)
-    free_r = tuple(reader[v] for v in free_vars)
-    return (chain_r > chain_w and free_r < free_w) or (
-        chain_r < chain_w and free_r > free_w
+    apps = [
+        app
+        for app in replay.applications(site.segment, site.option, e) or ()
+        if app.rule.rule_id == rule.rule_id
+    ]
+
+    def order(app):
+        at = app.assignment
+        chain = tuple(verdict.directions[v] * at[v] for v in verdict.chain_vars)
+        return chain, tuple(at[v] for v in verdict.free_vars)
+
+    def wrong_side(_cell, writer, reader) -> bool:
+        (chain_w, free_w), (chain_r, free_r) = order(writer), order(reader)
+        return (chain_r > chain_w and free_r < free_w) or (
+            chain_r < chain_w and free_r > free_w
+        )
+
+    shared = [m for m in rule.writes_matrices() if m in rule.reads_matrices()]
+    return _flow_witnesses(
+        replay, "PB605", e, [(site.segment.key, apps)], shared, wrong_side,
+        "the blocked order runs the reader's tile on the wrong side of the write",
     )
 
 
@@ -743,19 +695,12 @@ def _schedule_candidates(replay: Replay) -> List[ScheduleCandidate]:
         segment, rule, verdict = site.segment, site.rule, site.schedule
         if not verdict.is_site:
             continue
-        status, reason, witness = "legal", verdict.reason, None
-        if verdict.carried:
-            witness = _schedule_conflict(replay, site)
-            if witness is not None:
-                status = "blocked"
-            else:
-                status = "ineligible"
-                reason += (
-                    "; no concrete out-of-order instance pair found "
-                    "within budget"
-                )
-        elif reason:
-            status = "ineligible"
+        witness = _first(replay, _schedule_conflicts, site) if verdict.carried else None
+        status, reason = "blocked" if witness else "ineligible", verdict.reason
+        if not reason:
+            status = "legal"
+        elif verdict.carried and witness is None:
+            reason += "; no concrete out-of-order instance pair found within budget"
         out.append(
             ScheduleCandidate(
                 transform=ir.name,
@@ -1036,45 +981,6 @@ def _fold_along(
     return 5, window, ""
 
 
-@dataclass(frozen=True)
-class StorageWitness:
-    """A replayable overwrite under folded storage: with ``window``
-    planes of ``matrix`` kept along ``axis``, the last thing the
-    segments before ``reader_segment`` store in the slot of ``cell`` is
-    the ``writer`` application's plane ``plane`` of that cell — not
-    ``cell[axis]``, which the ``reader`` application then reads."""
-
-    sizes: Tuple[Tuple[str, int], ...]
-    matrix: str
-    axis: int
-    window: int
-    writer_segment: str
-    writer_rule: str
-    writer: Tuple[Tuple[str, int], ...]
-    plane: int
-    reader_segment: str
-    reader_rule: str
-    reader: Tuple[Tuple[str, int], ...]
-    cell: Tuple[int, ...]
-
-    def describe(self) -> str:
-        def box(plane: int) -> str:
-            cell = [*self.cell]
-            cell[self.axis] = plane
-            return describe_bounds(self.matrix, [(c, c + 1) for c in cell])
-
-        old = box(self.cell[self.axis])
-        return (
-            f"{describe_env(dict(self.sizes))}: with {self.window} planes "
-            f"kept, {self.writer_rule} instance "
-            f"({describe_env({}, dict(self.writer))}) of "
-            f"{self.writer_segment} leaves {box(self.plane)} in the slot "
-            f"of {old}; {self.reader_rule} instance "
-            f"({describe_env({}, dict(self.reader))}) of "
-            f"{self.reader_segment} runs later and reads {old}"
-        )
-
-
 def _engine_order(replay: Replay, axis: int, groups, e: int):
     """``(segment, option, applications)`` in the order the engine runs
     them at sizes ``replay.envs[e]``, each segment's first option: a
@@ -1110,37 +1016,46 @@ def _engine_order(replay: Replay, axis: int, groups, e: int):
         pending = []
 
 
-def _clobbers(
-    replay: Replay, name: str, axis: int, window: int, e: int, groups=()
-):
-    """Every :class:`StorageWitness` at sizes ``replay.envs[e]``, in
-    :func:`_engine_order` under the lockstep ``groups``, one segment (or
-    one plane of a group member) at a time: when one starts, a slot
-    holds what the last earlier run to write it left there — its highest
-    plane of the slot if it sweeps the planes ascending, its lowest if
-    descending, unknowable (no witness) otherwise.  A read of any other
-    plane of that slot is an overwrite the engine really performs; reads
-    of cells the reading segment writes itself are not judged."""
-    compiled, env = replay.compiled, replay.envs[e]
+def _clobbers(replay: Replay, verdict: Optional[StorageVerdict], e: int):
+    """PB607 witnesses at sizes ``replay.envs[e]`` of a refused
+    ``verdict``: the overwrites a fold along its axis, at the window the
+    recurrence alone asks for, would perform.  Runs go in
+    :func:`_engine_order` under the verdict's lockstep groups, one
+    segment (or one plane of a group member) at a time: when one starts,
+    a slot holds what the last earlier run to write it left there — its
+    highest plane of the slot if it sweeps the planes ascending, its
+    lowest if descending, unknowable (no witness) otherwise.  A read of
+    any other plane of that slot is an overwrite the engine really
+    performs; reads of cells the reading segment writes itself are not
+    judged."""
+    if verdict is None or verdict.folds:
+        return
+    compiled, name, axis = replay.compiled, verdict.matrix, verdict.axis
+    window = _plane_window(compiled.ir, name, axis)
+    if not window:
+        return
+    sizes = tuple(sorted(replay.envs[e].items()))
+    note = (
+        f"with {window} planes kept along axis {axis} both cells share a "
+        f"slot, and the read runs later"
+    )
 
     def slot(cell):
         return (*cell[:axis], cell[axis] % window, *cell[axis + 1 :])
 
     holds: Dict[Tuple[int, ...], Optional[Tuple]] = {}
-    for segment, option, apps in _engine_order(replay, axis, groups, e):
+    for segment, option, apps in _engine_order(replay, axis, verdict.groups, e):
         key = segment.key
         if apps is None:
             return  # over budget: what later slots hold is unknown
         own = replay.box(segment, e) if segment.matrix == name else ()
         for cell, reader in replay.touched(apps, name, "from_regions"):
             held = holds.get(slot(cell))
-            if held and held[0] != cell[axis] and not _in_box(cell, own):
-                plane, wrote, writer = held
-                yield StorageWitness(
-                    tuple(sorted(env.items())), name, axis, window, wrote,
-                    writer.rule.label, tuple(sorted(writer.assignment.items())),
-                    plane, key, reader.rule.label,
-                    tuple(sorted(reader.assignment.items())), cell,
+            if held and held[0][axis] != cell[axis] and not _in_box(cell, own):
+                wrote, at, writer = held
+                yield Witness(
+                    "PB607", sizes, name, Access.of(at, writer, wrote),
+                    Access.of(key, reader, cell), note,
                 )
         # the order a segment of ``name`` writes its planes in (none for
         # a rule that writes ``name`` from another matrix's segment)
@@ -1151,51 +1066,44 @@ def _clobbers(
             held = left.get(slot(cell), ())
             if held is None or (held and not sign):
                 left[slot(cell)] = None  # two planes, no order between them
-            elif not held or (cell[axis] - held[0]) * sign > 0:
-                left[slot(cell)] = (cell[axis], key, writer)
+            elif not held or (cell[axis] - held[0][axis]) * sign > 0:
+                left[slot(cell)] = (cell, key, writer)
         holds.update(left)
 
 
 def storage_witness(
     compiled, verdict: StorageVerdict, budget: WitnessBudget = DEFAULT_BUDGET
-) -> Optional[StorageWitness]:
+) -> Optional[Witness]:
     """The first overwrite a refused fold would perform at the window
     its recurrence alone asks for, within budget; ``None`` for a refusal
     that overwrites nothing (PB607 states what the engine does, so it
     is true without a witness)."""
-    return _storage_witness(Replay(compiled, budget), verdict)
+    return _first(Replay(compiled, budget), _clobbers, verdict)
 
 
-def _storage_witness(replay: Replay, verdict) -> Optional[StorageWitness]:
-    name, axis = verdict.matrix, verdict.axis
-    window = _plane_window(replay.compiled.ir, name, axis)
-    if verdict.folds or not window:
-        return None
-    return next(
-        (
-            witness
-            for e in range(len(replay.envs))
-            for witness in _clobbers(
-                replay, name, axis, window, e, verdict.groups
-            )
-        ),
-        None,
-    )
+#: per witness family: its hunt, and what it hunts for a given witness
+_HUNTS = {
+    "PB602": (_carried_conflicts, lambda compiled, w: w.matrix),
+    "PB605": (
+        _schedule_conflicts,
+        lambda compiled, w: compiled.sites.get((w.writer.segment, w.writer.rule_id)),
+    ),
+    "PB607": (_clobbers, lambda compiled, w: compiled.storage_verdicts.get(w.matrix)),
+}
 
 
-def validate_storage_witness(compiled, witness: StorageWitness) -> bool:
-    """Replay a storage witness: it must be one of the overwrites
-    :func:`_clobbers` derives from the engine's geometry and schedule —
-    lockstep groups included — at the witness's own sizes, axis and
-    window."""
-    mat = compiled.ir.matrices.get(witness.matrix)
-    if mat is None or not 0 <= witness.axis < mat.ndim or witness.window < 1:
+def validate_witness(compiled, witness: Witness) -> bool:
+    """Replay a PB602/PB605/PB607 witness through one :class:`Replay`
+    pinned to its own sizes: valid exactly when the engine admits those
+    sizes and the hunt of its family finds this very record there."""
+    if witness.code not in _HUNTS:
         return False
-    verdict = compiled.storage_verdicts.get(witness.matrix)
+    hunt, subject = _HUNTS[witness.code]
     replay = Replay(compiled, envs=[dict(witness.sizes)])
-    return witness in _clobbers(
-        replay, witness.matrix, witness.axis, witness.window, 0,
-        verdict.groups if verdict else (),
+    return any(
+        found == witness
+        for e in range(len(replay.envs))
+        for found in hunt(replay, subject(compiled, witness), e)
     )
 
 
@@ -1207,7 +1115,7 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
     if not writers or not readers:
         return None  # dead matrix: hygiene's PB403 territory
 
-    def cand(status, reason="", producer=None, consumer=None, distances=(), conflict=None):
+    def cand(status, reason="", producer=None, consumer=None, distances=(), witness=None):
         return FusionCandidate(
             transform=ir.name,
             matrix=name,
@@ -1218,7 +1126,7 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
             status=status,
             reason=reason,
             distances=tuple(distances),
-            conflict=conflict,
+            witness=witness,
             line=mat.line or ir.line,
             column=mat.column or ir.column,
         )
@@ -1229,18 +1137,18 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
         # A writer reads the matrix it helps compute: cells of `name`
         # may depend on other cells of `name`, which substitution cannot
         # express.  Blocked only with a concrete, replayed conflict.
-        conflict = _carried_conflict(replay, name)
-        if conflict is not None:
-            producer = ir.rules[conflict.writer_rule_id]
+        witness = _first(replay, _carried_conflicts, name)
+        if witness is not None:
+            producer = ir.rules[witness.writer.rule_id]
             consumer = external_readers[0] if external_readers else None
             return cand(
                 "blocked",
                 f"cells of {name} depend on other {name} cells "
-                f"({conflict.reader_rule} reads what {conflict.writer_rule} "
+                f"({witness.reader.rule} reads what {witness.writer.rule} "
                 f"writes; flow dependence carried by {name})",
                 producer=producer,
                 consumer=consumer,
-                conflict=conflict,
+                witness=witness,
             )
     if len(writers) > 1:
         return cand(
@@ -1315,12 +1223,13 @@ def check_depend(replay: Replay, path: str = "") -> List[Diagnostic]:
     return rewrite_audit(replay, path)[2]
 
 
-def rewrite_audit(
-    replay: Replay, path: str = ""
-) -> Tuple[List[FusionCandidate], List[ScheduleCandidate], List[Diagnostic]]:
+def rewrite_audit(replay: Replay, path: str = "") -> Tuple[
+    List[FusionCandidate], List[ScheduleCandidate], List[Diagnostic], List[Witness]
+]:
     """One hunt per PB6xx family: the fusion candidates, the schedule
-    candidates, and :func:`check_depend`'s diagnostics rendered from
-    them (``repro rewrite`` lists the former beside the latter)."""
+    candidates, :func:`check_depend`'s diagnostics rendered from them
+    (``repro rewrite`` lists the former beside the latter) and the
+    witnesses those diagnostics carry, in order."""
     compiled = replay.compiled
     ir = compiled.ir
     deps = rule_dependences(ir)
@@ -1331,8 +1240,11 @@ def rewrite_audit(
         for mat in sorted(ir.throughs, key=lambda m: m.name)
     ]
     diagnostics: List[Diagnostic] = []
+    witnesses: List[Witness] = []
 
     def emit(code, at, rule, message, hint, witness=None, region="") -> None:
+        if witness:
+            witnesses.append(witness)
         diagnostics.append(
             Diagnostic(
                 code=code,
@@ -1369,7 +1281,7 @@ def rewrite_audit(
                 f"fusion over {cand.matrix} is blocked: {cand.reason}",
                 "fusion would read the producer's expression instead of "
                 "the cell another instance wrote",
-                cand.conflict,
+                cand.witness,
             )
     for site in sched:
         if site.status == "legal":
@@ -1406,7 +1318,7 @@ def rewrite_audit(
                 f"storage of {mat.name} is not folded: {verdict.reason}",
                 "every declared plane is kept; DESIGN.md \"Storage "
                 "folding\" lists the conditions",
-                _storage_witness(replay, verdict),
+                _first(replay, _clobbers, verdict),
                 region=mat.name,
             )
             continue
@@ -1432,28 +1344,19 @@ def rewrite_audit(
             "and the problem size still counts every declared plane",
             region=mat.name,
         )
-    kinds = {"flow": 0, "anti": 0, "output": 0}
-    for dep in deps:
-        kinds[dep.kind] += 1
-    clauses = []
-    for cand in candidates:
-        if cand.status == "ineligible":
-            clauses.append(f"{cand.matrix} ineligible ({cand.reason})")
-        else:
-            clauses.append(f"{cand.matrix} {cand.status}")
-    for site in sched:
-        if site.status == "ineligible":
-            clauses.append(
-                f"schedule {site.segment}/{site.rule} ineligible "
-                f"({site.reason})"
-            )
-        else:
-            clauses.append(f"schedule {site.segment}/{site.rule} {site.status}")
-    clauses.extend(
+    kinds = Counter(dep.kind for dep in deps)
+
+    def clause(name: str, cand) -> str:
+        why = f" ({cand.reason})" if cand.status == "ineligible" else ""
+        return f"{name} {cand.status}{why}"
+
+    clauses = [clause(cand.matrix, cand) for cand in candidates]
+    clauses += [clause(f"schedule {c.segment}/{c.rule}", c) for c in sched]
+    clauses += [
         f"{mat.name} folds ×{verdict.window}"
         for mat, verdict in storage
         if verdict.folds
-    )
+    ]
     detail = "; ".join(clauses) if clauses else "no fusion candidates"
     diagnostics.append(
         Diagnostic(
@@ -1470,27 +1373,24 @@ def rewrite_audit(
             path=path,
         )
     )
-    return candidates, sched, diagnostics
+    return candidates, sched, diagnostics, witnesses
 
 
 __all__ = [
+    "Access",
     "Dependence",
-    "ConflictWitness",
     "FusionCandidate",
     "ScheduleCandidate",
-    "ScheduleWitness",
     "ScheduleVerdict",
     "StorageVerdict",
-    "StorageWitness",
+    "Witness",
     "rule_dependences",
     "fusion_candidates",
     "schedule_candidates",
     "schedule_verdict",
     "storage_verdict",
     "storage_witness",
-    "validate_conflict",
-    "validate_schedule_witness",
-    "validate_storage_witness",
+    "validate_witness",
     "check_depend",
     "rewrite_audit",
 ]

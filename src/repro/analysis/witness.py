@@ -11,7 +11,10 @@ witness.  Soundness follows by construction: every error names an input
 size at which the runtime itself would fault or double-write; a
 transform whose executions are well-behaved at the probed sizes is
 never flagged, and guarded programs are not blamed for sizes they
-already reject.
+already reject.  One rule, :meth:`Replay.admits`, decides which sizes
+those are — for the enumerated environments and for the pinned one a
+PB602/PB605/PB607 witness is replayed at
+(:func:`repro.analysis.depend.validate_witness`).
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class Replay:
     compiled transform or in a module-level table.  Anything over
     ``budget`` is ``None`` — "not checked", never a finding.  ``envs``
     pins the sizes instead of enumerating them (validation replays a
-    witness at its own sizes)."""
+    witness at its own sizes); those the engine refuses are dropped."""
 
     def __init__(
         self,
@@ -122,7 +125,7 @@ class Replay:
         self.budget = budget
         self._memo: Dict[Tuple, object] = {}
         if envs is not None:
-            self.envs = envs
+            self.envs = [env for env in envs if self.admits(env)]
 
     @cached_property
     def envs(self) -> List[SizeEnv]:
@@ -130,7 +133,7 @@ class Replay:
         (transform assumptions already include the choice grid's folded
         order guards); environments the engine would reject at run time
         via the grid's remaining order guards are filtered out."""
-        ir, grid, budget = self.compiled.ir, self.compiled.grid, self.budget
+        ir, budget = self.compiled.ir, self.budget
         variables = list(ir.size_vars)
         if not variables:
             return [{}]
@@ -149,12 +152,27 @@ class Replay:
         envs: List[SizeEnv] = []
         for combo in combos:
             env = dict(zip(variables, combo))
-            if grid.failed_order_guard(env) is not None:
+            if not self.admits(env):
                 continue
             envs.append(env)
             if len(envs) >= budget.max_envs:
                 break
         return envs
+
+    def admits(self, env: SizeEnv) -> bool:
+        """Would the engine run at ``env``: every size variable, and
+        nothing else, bound to an integer in its assumed range that
+        passes the grid's order guards?"""
+        ir = self.compiled.ir
+        if set(env) != set(ir.size_vars):
+            return False
+        for var, value in env.items():
+            lo, hi = ir.assumptions.range_of(var)
+            if not isinstance(value, int) or value < max(0, lo or 0):
+                return False
+            if hi is not None and value > hi:
+                return False
+        return self.compiled.grid.failed_order_guard(env) is None
 
     def options(self) -> Iterator[Tuple[object, object]]:
         """(segment, option) pairs across all grids of the transform."""

@@ -209,48 +209,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     return run_check(args.source, fmt=args.format, strict=args.strict)
 
 
-class _RewriteLoadError(Exception):
-    """``repro rewrite`` could not obtain a program from its source."""
-
-
-def _load_rewrite_program(path: str) -> CompiledProgram:
-    """Program for ``repro rewrite``: DSL text, or an imported ``.py``
-    module's ``build_program()`` (same contract as ``repro check``)."""
-    if not path.endswith(".py"):
-        return _load_program(path)
-    import importlib.util
-
-    spec = importlib.util.spec_from_file_location(
-        f"_repro_rewrite_{abs(hash(path))}", path
-    )
-    if spec is None or spec.loader is None:
-        raise _RewriteLoadError(f"cannot import {path}")
-    module = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(module)
-    except Exception as exc:
-        raise _RewriteLoadError(f"import failed: {exc}") from exc
-    builder = getattr(module, "build_program", None)
-    if not callable(builder):
-        raise _RewriteLoadError(
-            f"{path} does not export build_program()"
-        )
-    return builder()
-
-
 def cmd_rewrite(args: argparse.Namespace) -> int:
     """List proven rewrite opportunities, or apply them and emit DSL."""
-    from repro.analysis.check import diagnostic_from_error
+    from repro.analysis.check import diagnostic_from_error, import_file
     from repro.analysis.depend import rewrite_audit
     from repro.analysis.diagnostics import Diagnostic
     from repro.analysis.witness import Replay
     from repro.rewrite import (
         REWRITE_BUDGET,
         UnparseError,
-        interchange_transform,
+        apply_interchange,
         program_src,
+        rewrite_legal_sites,
         tile_transform,
     )
+
+    if (args.tile or args.interchange) and not args.apply:
+        raise _UsageError("--tile and --interchange need --apply")
 
     def fail(message: str, hint: str = "") -> int:
         diag = Diagnostic(
@@ -263,10 +238,19 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         print(diag.format(), file=sys.stderr)
         return 2
 
+    # DSL text, or an imported ``.py`` module's ``build_program()`` (the
+    # module contract ``repro check`` reads)
+    builder = None
+    if args.source.endswith(".py"):
+        module, failure = import_file(args.source)
+        if failure is not None:
+            print(failure.format(), file=sys.stderr)
+            return 2
+        builder = getattr(module, "build_program", None)
+        if not callable(builder):
+            return fail(f"{args.source} does not export build_program()")
     try:
-        program = _load_rewrite_program(args.source)
-    except _RewriteLoadError as exc:
-        return fail(str(exc))
+        program = builder() if builder else _load_program(args.source)
     except PetaBricksError as exc:
         print(
             diagnostic_from_error(exc, args.source).format(), file=sys.stderr
@@ -284,7 +268,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     diagnostics = []
     for name in names:
         replay = Replay(program.transform(name), REWRITE_BUDGET)
-        candidates[name], schedules[name], found = rewrite_audit(
+        candidates[name], schedules[name], found, _ = rewrite_audit(
             replay, args.source
         )
         diagnostics.extend(found)
@@ -311,8 +295,8 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
                     )
                     did = did or bool(tiled)
                 if args.interchange:
-                    current, swapped = interchange_transform(
-                        current, budget=REWRITE_BUDGET
+                    current, swapped = rewrite_legal_sites(
+                        current, REWRITE_BUDGET, apply_interchange
                     )
                     did = did or bool(swapped)
             applied[name] = did
@@ -345,8 +329,8 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
                                 for vec in cand.distances
                             ],
                             "witness": (
-                                cand.conflict.describe()
-                                if cand.conflict
+                                cand.witness.describe()
+                                if cand.witness
                                 else ""
                             ),
                         }
@@ -390,8 +374,8 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
                 elif cand.reason:
                     line += f" — {cand.reason}"
                 print(line)
-                if cand.conflict:
-                    print(f"  witness: {cand.conflict.describe()}")
+                if cand.witness:
+                    print(f"  witness: {cand.witness.describe()}")
             for cand in schedules[name]:
                 line = (
                     f"{name}: schedule {cand.segment}/{cand.rule} "
@@ -860,10 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to one transform (default: all)",
     )
     p_rewrite.add_argument(
-        "--list", action="store_true",
-        help="list rewrite candidates with legality verdicts (the default)",
-    )
-    p_rewrite.add_argument(
         "--apply", action="store_true",
         help="apply every legal fusion and emit the rewritten DSL",
     )
@@ -1149,7 +1129,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (PetaBricksError, OSError, _UsageError) as exc:
         # A user error (unknown transform, refused sizes, a tile size the
-        # rewrite's ScheduleError rejects, a file that cannot be read or
+        # rewrite's RewriteError rejects, a file that cannot be read or
         # written): one line, like the daemon's structured 4xx — never a
         # traceback.
         print(f"error: {exc}", file=sys.stderr)

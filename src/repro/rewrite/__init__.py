@@ -1,8 +1,9 @@
 """Legality-gated IR-to-IR rewrites (the scheduling layer's first axis).
 
-Every rewrite here is *verified*: it may only be applied when the
-static dependence analyzer (:mod:`repro.analysis.depend`) proves it
-legal (PB601 for fusion, PB604 for tiling/interchange), and the
+Every rewrite here is *verified*: it may only be applied to a candidate
+the static dependence analyzer (:mod:`repro.analysis.depend`) proves
+legal (PB601 for fusion, PB604 for tiling/interchange) — one gate,
+:func:`require_legal`, raising :class:`RewriteError` otherwise — and the
 rewritten IR is re-checked by the full error-severity verifier before
 the engine will run it.  The rewrites compose — fuse-then-tile blocks
 the fused rule's iteration space — and each is exposed to the genetic
@@ -12,21 +13,19 @@ tuner as a reserved tunable (``__fuse__``, ``__tile_i__``/
 """
 
 from repro.rewrite.fuse import (
-    FusionError,
     REWRITE_BUDGET,
+    RewriteError,
     apply_fusion,
     build_fused_variant,
     fuse_transform,
-)
-from repro.rewrite.interchange import (
-    apply_interchange,
-    interchange_transform,
+    require_legal,
 )
 from repro.rewrite.tile import (
     DEFAULT_TILE,
-    ScheduleError,
     annotate_schedule,
+    apply_interchange,
     apply_tiling,
+    rewrite_legal_sites,
     tile_transform,
 )
 from repro.rewrite.unparse import (
@@ -41,9 +40,8 @@ from repro.rewrite.unparse import (
 
 __all__ = [
     "DEFAULT_TILE",
-    "FusionError",
     "REWRITE_BUDGET",
-    "ScheduleError",
+    "RewriteError",
     "UnparseError",
     "affine_src",
     "annotate_schedule",
@@ -53,9 +51,10 @@ __all__ = [
     "build_fused_variant",
     "expr_src",
     "fuse_transform",
-    "interchange_transform",
     "program_src",
     "region_src",
+    "require_legal",
+    "rewrite_legal_sites",
     "rule_src",
     "tile_transform",
     "transform_src",

@@ -36,13 +36,15 @@ from repro.analysis.depend import FusionCandidate, fusion_candidates
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import RuleIR, TransformIR
 from repro.language import ast_nodes as ast
+from repro.language.errors import PetaBricksError
 
 __all__ = [
-    "FusionError",
     "REWRITE_BUDGET",
+    "RewriteError",
     "apply_fusion",
     "fuse_transform",
     "build_fused_variant",
+    "require_legal",
 ]
 
 #: Probing budget for fusion planning and post-rewrite verification —
@@ -54,8 +56,19 @@ REWRITE_BUDGET = WitnessBudget(
 )
 
 
-class FusionError(Exception):
-    """Fusion was attempted on a candidate the analyzer did not prove."""
+class RewriteError(PetaBricksError):
+    """A rewrite was attempted on a candidate the analyzer did not prove
+    (or with unusable tile sizes)."""
+
+
+def require_legal(candidate) -> None:
+    """The analyzer gate every rewrite passes: refuse any fusion or
+    schedule candidate that is not PB601/PB604-legal."""
+    if candidate.status != "legal":
+        raise RewriteError(
+            f"{candidate.subject} is {candidate.status}, not legal"
+            + (f": {candidate.reason}" if candidate.reason else "")
+        )
 
 
 def _map_expr(node: ast.ExprNode, fn: Callable) -> ast.ExprNode:
@@ -112,11 +125,7 @@ def apply_fusion(ir: TransformIR, candidate: FusionCandidate) -> TransformIR:
     :func:`build_fused_variant` (or re-verify themselves) before
     executing the result.
     """
-    if candidate.status != "legal":
-        raise FusionError(
-            f"candidate over {candidate.matrix} is {candidate.status}, "
-            f"not legal"
-        )
+    require_legal(candidate)
     producer = ir.rules[candidate.producer_id]
     consumer = ir.rules[candidate.consumer_id]
     name = candidate.matrix
@@ -250,7 +259,6 @@ def build_fused_variant(
     when the full bounds/races/coverage verifier re-runs on the
     rewritten IR.  Never raises."""
     from repro.analysis.check import analyze_transform
-    from repro.language.errors import PetaBricksError
 
     try:
         variant, applied = fuse_transform(compiled, budget)
@@ -258,6 +266,6 @@ def build_fused_variant(
             return None
         if analyze_transform(variant, budget, errors_only=True):
             return None
-    except (PetaBricksError, FusionError):
+    except PetaBricksError:
         return None
     return variant

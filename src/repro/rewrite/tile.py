@@ -1,4 +1,5 @@
-"""Legality-gated loop tiling (the scheduling layer's second axis).
+"""Legality-gated loop tiling and interchange (the scheduling layer's
+second and third axes).
 
 Fusion (:mod:`repro.rewrite.fuse`) changes *what* the rules compute
 over; tiling changes *how their iteration space is walked*.  A
@@ -6,15 +7,18 @@ PB604-legal site — an instance rule with at least one sequential chain
 variable and one data-parallel free variable whose cross-instance
 dependences never point against the blocked order — may have its free
 variables blocked into fixed-size tiles without changing any value the
-program produces.  The rewrite is purely an annotation: it attaches a
-:class:`~repro.compiler.ir.ScheduleIR` to the rule, which the engine's
-vector leaf path lowers to cache-blocked NumPy execution and which the
-``__tile_i__``/``__tile_j__`` tunables can override at run time.
+program produces.  Interchange then runs the *entire* chain per tile
+while it is cache-hot instead of sweeping every tile at every chain
+step; with every tile-crossing dependence pointing along the blocked
+order, the two factors commute, so it is legal exactly where tiling is.
 
-Like every rewrite in this package the gate is the static dependence
-analyzer: :func:`apply_tiling` refuses candidates the analyzer did not
-prove (PB605 sites carry a replay-validated witness showing a concrete
-instance pair the blocked order would reorder).
+Both rewrites are purely annotations: they merge a
+:class:`~repro.compiler.ir.ScheduleIR` into the rule, which the engine's
+vector leaf path lowers to cache-blocked NumPy execution and which the
+``__tile_i__``/``__tile_j__``/``__interchange__`` tunables can override
+at run time.  Like every rewrite in this package they pass
+:func:`~repro.rewrite.fuse.require_legal` (PB605 sites carry a witness
+of a concrete instance pair the blocked order would reorder).
 """
 
 from __future__ import annotations
@@ -25,13 +29,13 @@ from typing import Callable, List, Mapping, Tuple, Union
 from repro.analysis.depend import ScheduleCandidate, schedule_candidates
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import ScheduleIR, TransformIR
-from repro.language.errors import PetaBricksError
-from repro.rewrite.fuse import REWRITE_BUDGET, unanalyzed
+from repro.rewrite.fuse import REWRITE_BUDGET, RewriteError, require_legal, unanalyzed
 
 __all__ = [
-    "ScheduleError",
     "annotate_schedule",
+    "apply_interchange",
     "apply_tiling",
+    "rewrite_legal_sites",
     "tile_transform",
 ]
 
@@ -41,11 +45,6 @@ __all__ = [
 DEFAULT_TILE = 32
 
 Sizes = Union[int, Mapping[str, int]]
-
-
-class ScheduleError(PetaBricksError):
-    """A schedule rewrite was attempted on a candidate the analyzer
-    did not prove (or with unusable tile sizes)."""
 
 
 def _tile_pairs(
@@ -61,12 +60,12 @@ def _tile_pairs(
         else:
             continue
         if size < 1:
-            raise ScheduleError(
+            raise RewriteError(
                 f"tile size for {var} must be >= 1, got {size}"
             )
         pairs.append((var, size))
     if not pairs:
-        raise ScheduleError(
+        raise RewriteError(
             f"no tile sizes for any free variable of {candidate.rule} "
             f"(free: {', '.join(candidate.free_vars)})"
         )
@@ -102,17 +101,6 @@ def annotate_schedule(
     return replace(ir, rules=new_rules)
 
 
-def require_legal(candidate: ScheduleCandidate) -> None:
-    """The analyzer gate shared by tiling and interchange: refuse any
-    candidate that is not PB604-legal."""
-    if candidate.status != "legal":
-        raise ScheduleError(
-            f"schedule candidate {candidate.segment}/{candidate.rule} is "
-            f"{candidate.status}, not legal"
-            + (f": {candidate.reason}" if candidate.reason else "")
-        )
-
-
 def rewrite_legal_sites(
     compiled,
     budget: WitnessBudget,
@@ -122,7 +110,10 @@ def rewrite_legal_sites(
     rule (a rule legal in several segments carries one annotation).
 
     Returns the recompiled transform (the input itself when no site is
-    legal) and the candidates that were applied."""
+    legal) and the candidates that were applied.  Interchange without
+    tiles is inert at run time, so ``apply_interchange`` is typically
+    run after :func:`tile_transform` — annotations merge, they do not
+    overwrite."""
     from repro.compiler.codegen import CompiledTransform
 
     applied: List[ScheduleCandidate] = []
@@ -170,3 +161,15 @@ def tile_transform(
     return rewrite_legal_sites(
         compiled, budget, lambda ir, cand: apply_tiling(ir, cand, sizes)
     )
+
+
+def apply_interchange(
+    ir: TransformIR, candidate: ScheduleCandidate
+) -> TransformIR:
+    """The interchanged transform IR for one PB604-legal candidate.
+
+    Purely structural — callers re-verify through the compile pipeline
+    before executing the result.
+    """
+    require_legal(candidate)
+    return annotate_schedule(ir, candidate.rule_id, interchange=True)

@@ -27,9 +27,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.depend import (
     fusion_candidates,
+    rewrite_audit,
     schedule_candidates,
-    validate_schedule_witness,
+    validate_witness,
 )
+from repro.analysis.witness import Replay
 from repro.apps import rollingsum
 from repro.autotuner.consistency import observe, observe_batch
 from repro.compiler import ChoiceConfig, Selector, TransformBuilder, compile_program
@@ -247,7 +249,8 @@ class Case:
     ``error``.  ``demotes``: the vector leaf runs the closure here, so
     it records the interpreter's graph too.  ``info`` holds what the
     kind's own checks read: ``fuses`` (a verified fused variant exists),
-    ``legal`` (PB604 verdict of the offset rule ``rule1``), ``tiles``
+    ``legal`` (PB604 verdict of the offset rule ``rule1``), ``blocked``
+    (a pair of its applications tiling runs out of order exists), ``tiles``
     (some run tiled), ``stacks`` (every lane stacked), ``fails`` (which
     lanes raise)."""
 
@@ -438,7 +441,9 @@ def _planes(draw, legal=st.booleans(), through=st.booleans()):
         chain_source(dx, dy, scale, through), "RChain",
         [_arrays(draw, {"A": (n + 2, m + 2)}, -2.0, 2.0)],
         knobs=TILES, sizes={"t_end": draw(st.integers(1, 4))},
-        info={} if through else {"legal": legal, "tiles": legal},
+        info={} if through else {
+            "legal": legal, "tiles": legal, "blocked": (dx, dy) > (0, 0)
+        },
     )
 
 
@@ -700,11 +705,21 @@ def masked(observation, *fields):
     return dataclasses.replace(observation, **dict.fromkeys(fields))
 
 
+def assert_witnesses_replay(transform):
+    """Every PB602/PB605/PB607 witness the rewrite audit reports
+    replays; returns them."""
+    witnesses = rewrite_audit(Replay(transform))[3]
+    for witness in witnesses:
+        assert validate_witness(transform, witness), witness.describe()
+    return witnesses
+
+
 def check_case(case):
     """Run ``case`` under every leaf × knob × lane, twice serially and
     once through the batch engine, and compare what
     :func:`repro.autotuner.consistency.observe` sees against the
-    interpreter's run of the same lane; then the kind's own checks."""
+    interpreter's run of the same lane; then that every witness of the
+    rewrite audit replays, and the kind's own checks."""
     transform = compile_program(case.source).transform(case.name)
     if case.drop_fallbacks:
         drop_fallbacks(transform)
@@ -735,6 +750,7 @@ def check_case(case):
         if seen.error is None:
             assert (lane_seen.outputs, lane_seen.writes) == (seen.outputs, seen.writes)
 
+    witnesses = assert_witnesses_replay(transform)
     info = case.info
     stacked = [lane.counters["batch.stacked"] for lane in batched.values()]
     if "fuses" in info:  # PB601 legal exactly when a verified variant exists
@@ -750,13 +766,14 @@ def check_case(case):
                 assert candidate.status == "legal", candidate.reason
             else:  # blocked on a witness that replays, or ineligible
                 assert candidate.status != "legal"
-                if candidate.status == "blocked":
-                    assert validate_schedule_witness(transform, candidate.witness)
                 # the engine's own re-proof refuses to tile the offset rule
                 assert not [
                     label for seen in serial.values() for label, *_ in seen.graph or ()
                     if label.startswith("rule1[") and "[vec:tiled]" in label
                 ]
+    if "blocked" in info:  # PB605 only on a pair the blocked order reorders
+        blocked = [w for w in witnesses if w.code == "PB605" and w.writer.rule == "rule1"]
+        assert bool(blocked) == info["blocked"], [w.describe() for w in blocked]
     if info.get("tiles"):  # the knobs asked for real tiles: they engaged
         assert sum(s.counters.get("exec.tiled_blocks", 0) for s in serial.values()) > 0
     if info.get("stacks"):

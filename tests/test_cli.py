@@ -178,6 +178,15 @@ class TestUserErrorsAreOneLine:
         assert captured.err == "error: tile size for i must be >= 1, got -3\n"
         assert "Traceback" not in captured.out
 
+    @pytest.mark.parametrize("option", [["--tile", "8"], ["--interchange"]])
+    def test_rewrite_schedule_option_needs_apply(self, tmp_path, capsys, option):
+        path = tmp_path / "matmul.pbcc"
+        path.write_text(MATMUL_CHAIN)
+        assert main(["rewrite", str(path), *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --tile and --interchange need --apply\n"
+        assert captured.out == ""
+
 
 class TestTrace:
     def test_trace_writes_jsonl(self, source, tmp_path, capsys):

@@ -7,20 +7,23 @@ carries a concrete conflict that replays against the engine's exact
 geometry), and the PB601/PB602/PB603 diagnostics.
 """
 
+import pathlib
+import re
 from dataclasses import replace
 from fractions import Fraction
 
-from repro.analysis.check import check_source
+from repro.analysis.check import check_source, import_file
 from repro.analysis.depend import (
     check_depend,
     fusion_candidates,
     rule_dependences,
-    validate_conflict,
+    validate_witness,
 )
 from repro.analysis.witness import Replay, WitnessBudget
 from repro.compiler import compile_program
 from repro.symbolic import Affine
 from repro.symbolic.solve import unit_stride_offset
+from tests.strategies import assert_witnesses_replay
 
 BUDGET = WitnessBudget(
     max_size=3, max_envs=8, max_instances=512, max_cells=1024
@@ -233,8 +236,8 @@ class TestFusionCandidates:
     def test_rolling_is_blocked_with_witness(self):
         (cand,) = fusion_candidates(compiled(ROLLING, "Rolling"), BUDGET)
         assert cand.status == "blocked"
-        assert cand.conflict is not None
-        assert cand.conflict.matrix == "S"
+        assert cand.witness is not None
+        assert (cand.witness.code, cand.witness.matrix) == ("PB602", "S")
         assert "depend on other S cells" in cand.reason
 
     def test_two_writers_ineligible(self):
@@ -263,39 +266,69 @@ class TestFusionCandidates:
 # -- the PB602 witness contract --------------------------------------------
 
 
-class TestConflictWitness:
+class TestPB602Witness:
     def test_witness_replays(self):
         transform = compiled(ROLLING, "Rolling")
         (cand,) = fusion_candidates(transform, BUDGET)
-        assert validate_conflict(transform, cand.conflict)
+        assert validate_witness(transform, cand.witness)
 
     def test_tampered_witness_rejected(self):
         transform = compiled(ROLLING, "Rolling")
         (cand,) = fusion_candidates(transform, BUDGET)
-        witness = cand.conflict
-        # Wrong cell: neither region contains it.
-        assert not validate_conflict(
-            transform, replace(witness, cell=(99,))
-        )
-        # Same rule, same instance: not a cross-instance conflict.
-        assert not validate_conflict(
-            transform,
+        witness = cand.witness
+        writer, reader = witness.writer, witness.reader
+        for tampered in (
+            # Wrong cell: neither region contains it.
             replace(
                 witness,
-                reader_rule_id=witness.writer_rule_id,
-                reader=witness.writer,
+                writer=replace(writer, cell=(99,)),
+                reader=replace(reader, cell=(99,)),
             ),
-        )
-        # Out-of-range rule id.
-        assert not validate_conflict(
-            transform, replace(witness, writer_rule_id=17)
-        )
+            # Same rule, same instance: not a cross-instance conflict.
+            replace(witness, reader=replace(writer, cell=reader.cell)),
+            # Out-of-range rule id.
+            replace(witness, writer=replace(writer, rule_id=17)),
+            # Sizes the engine refuses: negative, or a size left unbound.
+            replace(witness, sizes=(("n", -1),)),
+            replace(witness, sizes=()),
+            # Another family's claim about the same pair.
+            replace(witness, code="PB605"),
+        ):
+            assert not validate_witness(transform, tampered), tampered
 
     def test_witness_description_names_the_instances(self):
         transform = compiled(ROLLING, "Rolling")
         (cand,) = fusion_candidates(transform, BUDGET)
-        text = cand.conflict.describe()
-        assert "writes S[" in text and "reads it" in text
+        text = cand.witness.describe()
+        assert "writes S[" in text and "reads S[" in text
+
+
+def test_every_witness_of_the_check_sweep_replays():
+    """The files CI runs ``repro check`` over: each ``build_program()``
+    and each module-level DSL constant, every PB602/PB605/PB607 witness
+    of its rewrite audit replayed at its own sizes."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [
+        *sorted(root.glob("src/repro/apps/*.py")),
+        *sorted(root.glob("examples/*.py")),
+        root / "benchmarks/e2e/programs.py",
+    ]
+    codes = []
+    for path in paths:
+        module, failure = import_file(str(path))
+        assert failure is None, failure
+        programs = [
+            compile_program(value, analyze=False)
+            for value in vars(module).values()
+            if isinstance(value, str)
+            and re.search(r"^\s*transform\s+\w+", value, re.MULTILINE)
+        ]
+        if callable(getattr(module, "build_program", None)):
+            programs.append(module.build_program())
+        for program in programs:
+            for transform in program.transforms.values():
+                codes += [w.code for w in assert_witnesses_replay(transform)]
+    assert {"PB602", "PB605"} <= set(codes), codes
 
 
 # -- diagnostics -----------------------------------------------------------

@@ -139,14 +139,14 @@ class TestStaticAnalysis:
     def test_versioned_stencil_blocks_fusion_with_witness(self, heat):
         """The wavefront reads U cells other instances wrote: PB602,
         backed by a replay-valid conflict witness."""
-        from repro.analysis.depend import fusion_candidates, validate_conflict
+        from repro.analysis.depend import fusion_candidates, validate_witness
 
         (cand,) = [
             c for c in fusion_candidates(heat) if c.matrix == "U"
         ]
         assert cand.status == "blocked"
-        assert cand.conflict is not None
-        assert validate_conflict(heat, cand.conflict)
+        assert cand.witness is not None
+        assert validate_witness(heat, cand.witness)
 
 
 class TestExecution:

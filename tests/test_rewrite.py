@@ -13,8 +13,8 @@ from repro.analysis.depend import fusion_candidates
 from repro.compiler import ChoiceConfig, compile_program
 from repro.language import ast_nodes as ast
 from repro.rewrite import (
-    FusionError,
     REWRITE_BUDGET,
+    RewriteError,
     apply_fusion,
     build_fused_variant,
     fuse_transform,
@@ -151,7 +151,7 @@ class TestApplyFusion:
         transform = compiled(ROLLING, "Rolling")
         (cand,) = fusion_candidates(transform, REWRITE_BUDGET)
         assert cand.status == "blocked"
-        with pytest.raises(FusionError, match="blocked"):
+        with pytest.raises(RewriteError, match="blocked, not legal: cells of S"):
             apply_fusion(transform.ir, cand)
 
 

@@ -2,7 +2,7 @@
 interchange).
 
 Covers the PB604/PB605 analyzer verdicts with their replay-validated
-witnesses, the `repro.rewrite.tile` / `repro.rewrite.interchange`
+witnesses, the `repro.rewrite.tile` tiling and interchange
 annotation rewrites (including fuse-then-tile composition), the
 engine's cache-blocked vector execution behind the `__tile_i__` /
 `__tile_j__` / `__interchange__` tunables, the genetic tuner gating on
@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.depend import (
     check_depend,
     schedule_candidates,
-    validate_schedule_witness,
+    validate_witness,
 )
 from repro.analysis.witness import Replay
 from repro.cli import main
@@ -25,11 +25,12 @@ from repro.compiler import ChoiceConfig, compile_program
 from repro.engine_fast import LRUCache
 from repro.observe import TraceSink
 from repro.rewrite import (
-    ScheduleError,
+    REWRITE_BUDGET,
+    RewriteError,
     apply_interchange,
     apply_tiling,
     fuse_transform,
-    interchange_transform,
+    rewrite_legal_sites,
     tile_transform,
     transform_src,
 )
@@ -119,7 +120,7 @@ class TestScheduleCandidates:
         cand = blocked[0]
         assert "crosses tiles against the blocked order" in cand.reason
         assert cand.witness is not None
-        assert validate_schedule_witness(heat, cand.witness)
+        assert validate_witness(heat, cand.witness)
         # The boundary carry-forward rules only read their own column
         # (zero free offset): legal despite sharing the segment matrix.
         assert any(c.status == "legal" for c in schedule_candidates(heat))
@@ -131,17 +132,34 @@ class TestScheduleCandidates:
             for c in schedule_candidates(heat)
             if c.status == "blocked"
         )
-        # A cell outside the writer's region fails containment.
-        bad_cell = dataclasses.replace(
-            witness, cell=tuple(coord + 50 for coord in witness.cell)
-        )
-        assert not validate_schedule_witness(heat, bad_cell)
-        # Writer and reader must be distinct instances.
-        same_instance = dataclasses.replace(witness, reader=witness.writer)
-        assert not validate_schedule_witness(heat, same_instance)
-        # The rule id must exist.
-        bad_rule = dataclasses.replace(witness, rule_id=99)
-        assert not validate_schedule_witness(heat, bad_rule)
+        replace = dataclasses.replace
+        writer, reader = witness.writer, witness.reader
+        far = tuple(coord + 50 for coord in reader.cell)
+        for tampered in (
+            # A cell outside the writer's region fails containment.
+            replace(
+                witness,
+                writer=replace(writer, cell=far),
+                reader=replace(reader, cell=far),
+            ),
+            # Writer and reader must be distinct instances.
+            replace(witness, reader=writer),
+            # The rule id must exist.
+            replace(witness, writer=replace(writer, rule_id=99)),
+            # A real flow of the rule (i=1 feeds i=2's left read one step
+            # later) that the blocked order runs in its own order.
+            replace(
+                witness,
+                sizes=(("k", 2), ("n", 4)),
+                writer=replace(writer, instance=(("i", 1), ("t", 1)), cell=(1, 1)),
+                reader=replace(reader, instance=(("i", 2), ("t", 2)), cell=(1, 1)),
+            ),
+            # Sizes the engine refuses: a size left unbound, or one below
+            # the minimum the assumptions and the grid's guards admit.
+            replace(witness, sizes=witness.sizes[1:]),
+            replace(witness, sizes=tuple((v, 0) for v, _ in witness.sizes)),
+        ):
+            assert not validate_witness(heat, tampered), tampered
 
     def test_check_depend_emits_pb604_and_pb605(self):
         mm_codes = [d.code for d in check_depend(Replay(compiled(MATMUL_CHAIN, "MatMulChain")))]
@@ -240,7 +258,7 @@ class TestScheduleRewrites:
     def test_interchange_merges_with_tiling(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
         tiled, _ = tile_transform(mm, sizes={"j": 3})
-        both, applied = interchange_transform(tiled)
+        both, applied = rewrite_legal_sites(tiled, REWRITE_BUDGET, apply_interchange)
         assert applied
         rule = next(r for r in both.ir.rules if r.schedule is not None)
         assert rule.schedule.tile == (("j", 3),)  # tile survived the merge
@@ -257,17 +275,17 @@ class TestScheduleRewrites:
         blocked = next(
             c for c in schedule_candidates(heat) if c.status == "blocked"
         )
-        with pytest.raises(ScheduleError, match="blocked, not legal"):
+        with pytest.raises(RewriteError, match="blocked, not legal"):
             apply_tiling(heat.ir, blocked)
-        with pytest.raises(ScheduleError, match="blocked, not legal"):
+        with pytest.raises(RewriteError, match="blocked, not legal"):
             apply_interchange(heat.ir, blocked)
 
     def test_bad_tile_sizes_are_refused(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
         legal = schedule_candidates(mm)[0]
-        with pytest.raises(ScheduleError, match=">= 1"):
+        with pytest.raises(RewriteError, match=">= 1"):
             apply_tiling(mm.ir, legal, sizes=0)
-        with pytest.raises(ScheduleError, match="no tile sizes"):
+        with pytest.raises(RewriteError, match="no tile sizes"):
             apply_tiling(mm.ir, legal, sizes={"zz": 4})
 
     def test_fuse_then_tile_composes(self):

@@ -32,7 +32,7 @@ from repro.analysis.depend import (
     check_depend,
     storage_verdict,
     storage_witness,
-    validate_storage_witness,
+    validate_witness,
 )
 from repro.analysis.witness import Replay
 from repro.autotuner.consistency import observe, observe_batch
@@ -533,8 +533,8 @@ def test_heat_folds_with_no_overwrite_only_in_lockstep():
     assert storage_witness(heat, refused) is None
     witness = storage_witness(heat, dataclasses.replace(refused, groups=()))
     # the edge chain (U.3) laps cell 0 before the interior (U.4) reads it
-    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "U.4")
-    assert not validate_storage_witness(heat, witness)  # not what runs
+    assert (witness.writer.segment, witness.reader.segment) == ("U.3", "U.4")
+    assert not validate_witness(heat, witness)  # not what runs
 
 
 # -- the negative table: must not fold, must still be right -----------------
@@ -861,22 +861,30 @@ def test_pb607_carries_a_witness_that_replays():
     witness = storage_witness(edged, edged.storage_verdicts["U"])
     assert pb607.witness == witness.describe()
     # the edge chain (U.3) laps cell 0 before E.0 reads it
-    assert (witness.writer_segment, witness.reader_segment) == ("U.3", "E.0")
-    assert (witness.window, witness.cell, witness.plane) == (2, (0, 0), 2)
-    assert validate_storage_witness(edged, witness)
+    writer, reader = witness.writer, witness.reader
+    assert (writer.segment, reader.segment) == ("U.3", "E.0")
+    assert (writer.cell, reader.cell) == ((2, 0), (0, 0))
+    assert "with 2 planes kept along axis 0" in witness.note
+    assert validate_witness(edged, witness)
     replace = functools.partial(dataclasses.replace, witness)
+    wrote = functools.partial(dataclasses.replace, writer)
+    read = functools.partial(dataclasses.replace, reader)
     for tampered in (
-        replace(plane=witness.plane + 1),  # another slot
-        replace(plane=witness.cell[0]),  # the plane itself
-        replace(window=3),
-        replace(axis=1),
-        replace(cell=(witness.cell[0], 1)),  # a column E.0 does not read
-        replace(writer_segment="E.0", reader_segment="U.3"),  # later
-        replace(reader=tuple((v, x + 5) for v, x in witness.reader)),
-        replace(writer_rule="rule2"),
+        replace(writer=wrote(cell=(3, 0))),  # another slot
+        replace(writer=wrote(cell=reader.cell)),  # the plane itself
+        replace(note=witness.note.replace("2 planes", "3 planes")),
+        replace(note=witness.note.replace("axis 0", "axis 1")),
+        replace(reader=read(cell=(0, 1))),  # a column E.0 does not read
+        replace(writer=wrote(segment="E.0"), reader=read(segment="U.3")),  # later
+        replace(reader=read(instance=tuple((v, x + 5) for v, x in reader.instance))),
+        replace(writer=wrote(rule="rule2")),
         replace(matrix="B"),
+        replace(code="PB602"),
+        # sizes the engine refuses: a size left unbound, or negative
+        replace(sizes=witness.sizes[1:]),
+        replace(sizes=tuple((v, -1) for v, _ in witness.sizes)),
     ):
-        assert not validate_storage_witness(edged, tampered), tampered
+        assert not validate_witness(edged, tampered), tampered
 
 
 def test_a_refusal_without_an_overwrite_has_no_witness():
