@@ -653,32 +653,34 @@ class CompiledTransform:
         self,
         inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None],
     ) -> Dict[str, MatrixView]:
-        declared = self.ir.inputs
-        views: Dict[str, MatrixView] = {}
         if inputs is None:
             inputs = {}
-        if isinstance(inputs, Mapping):
-            items = dict(inputs)
-            for mat in declared:
-                if mat.name not in items:
-                    raise ExecutionError(
-                        f"{self.name}: missing input {mat.name!r}"
-                    )
-                views[mat.name] = _as_view(items.pop(mat.name))
-            if items:
+        if not isinstance(inputs, Mapping):
+            return self._bind(list(inputs))
+        items = dict(inputs)
+        views: Dict[str, MatrixView] = {}
+        for mat in self.ir.inputs:
+            if mat.name not in items:
                 raise ExecutionError(
-                    f"{self.name}: unexpected inputs {sorted(items)}"
+                    f"{self.name}: missing input {mat.name!r}"
                 )
-        else:
-            supplied = list(inputs)
-            if len(supplied) != len(declared):
-                raise ExecutionError(
-                    f"{self.name}: expected {len(declared)} inputs, "
-                    f"got {len(supplied)}"
-                )
-            for mat, value in zip(declared, supplied):
-                views[mat.name] = _as_view(value)
+            views[mat.name] = _as_view(items.pop(mat.name))
+        if items:
+            raise ExecutionError(
+                f"{self.name}: unexpected inputs {sorted(items)}"
+            )
         return views
+
+    def _bind(self, args: Sequence[ArrayLike]) -> Dict[str, MatrixView]:
+        """``args`` in declared order as the frame's input views: views
+        pass through, anything else is coerced."""
+        declared = self.ir.inputs
+        if len(args) != len(declared):
+            raise ExecutionError(
+                f"{self.name}: expected {len(declared)} inputs, "
+                f"got {len(args)}"
+            )
+        return {mat.name: _as_view(arg) for mat, arg in zip(declared, args)}
 
     def bind_sizes_from_shapes(
         self,
@@ -861,7 +863,7 @@ class CompiledTransform:
         """``(plan, served from cache?)``.  Unlocked on purpose: plans
         are immutable and equal for equal keys, so two threads that miss
         together build twice and either insert wins."""
-        explicit = normalize_sizes(explicit_sizes)
+        explicit = {} if explicit_sizes is None else normalize_sizes(explicit_sizes)
         key = (config_key, shapes, tuple(sorted(explicit.items())))
         plan = self._plan_cache.get(key)
         if plan is not None:
@@ -1054,14 +1056,14 @@ class CompiledTransform:
                         label=group.label,
                         inline=inline,
                     ) as group_task:
-                        steps = plan.steps[group.start : group.stop]
-                        if steps[0].geometry is None:
-                            (step,) = steps
+                        step = plan.steps[group.start]
+                        if step.geometry is None:  # a whole rule: alone
                             self._apply_once(
                                 state, step.rule, plan.env, views,
                                 plan.tunables, step.region_bounds,
                             )
                         else:
+                            steps = plan.steps[group.start : group.stop]
                             self._run_steps(state, plan, steps, views, hit)
                     tasks.append(group_task)
         finally:
@@ -1423,6 +1425,7 @@ class CompiledTransform:
         them (whole rules: a function of the sizes only); per-instance
         applications derive them from ``env`` here."""
         state.applications += 1
+        plan_env = region_bounds is not None  # else a mutable instance env
         if region_bounds is None:
             region_bounds = [
                 region.box.concrete(env) for region in rule.all_regions
@@ -1443,14 +1446,9 @@ class CompiledTransform:
         }
 
         if rule.native_body is not None:
-            context = NativeContext(
-                engine=self,
-                state=state,
-                bindings=bindings,
-                env=dict(env),
-                tunables=tunables,
-            )
-            rule.native_body(context)
+            rule.native_body(NativeContext(
+                self, state, bindings, env if plan_env else dict(env), tunables
+            ))
             state.recorder.charge(rule.base_work)
             return
 
@@ -1484,17 +1482,25 @@ class CompiledTransform:
         slot = plane % window
         return (*bounds[:axis], (slot, slot + 1), *bounds[axis + 1:])
 
+    def _call_frame(
+        self, state: _EngineState, name: str, args: Sequence[ArrayLike]
+    ) -> Dict[str, Matrix]:
+        """The one sibling-call path: run transform ``name`` on ``args``
+        (declared order) as a frame of this run."""
+        program = self.program
+        callee = program.transforms.get(name) or program.transform(name)
+        return callee._execute(state, callee._bind(args))[0]
+
     def _call_sibling(
-        self, state: _EngineState, name: str, args: Sequence[MatrixView]
+        self, state: _EngineState, name: str, args: Sequence[ArrayLike],
+        caller: str = "in an expression",
     ) -> MatrixView:
-        callee = self.program.transform(name)
-        outputs, _ = callee._execute(
-            state, callee._coerce_inputs(list(args))
-        )
+        """:meth:`_call_frame` for a caller that takes one output."""
+        outputs = self._call_frame(state, name, args)
         if len(outputs) != 1:
             raise ExecutionError(
-                f"call to {name!r} in an expression requires exactly one "
-                f"output, it has {len(outputs)}"
+                f"call to {name!r} {caller} requires exactly one output, "
+                f"it has {len(outputs)}"
             )
         return next(iter(outputs.values())).whole()
 
@@ -1555,26 +1561,21 @@ class NativeContext:
     def call(self, name: str, *inputs: ArrayLike) -> MatrixView:
         """Run another transform (or this one recursively) and return its
         single output as a view."""
-        views = [_as_view(value) for value in inputs]
-        return self._engine._call_sibling(self._state, name, views)
+        return self._engine._call_sibling(
+            self._state, name, inputs, "from a native rule body"
+        )
 
     def call_multi(self, name: str, *inputs: ArrayLike) -> Dict[str, Matrix]:
         """Run a transform with multiple outputs."""
-        callee = self._engine.program.transform(name)
-        views = [_as_view(value) for value in inputs]
-        outputs, _ = callee._execute(
-            self._state, callee._coerce_inputs(views)
-        )
-        return outputs
+        return self._engine._call_frame(self._state, name, inputs)
 
     def parallel(self, *thunks: Callable[[], object]) -> List[object]:
         """Run thunks as sibling tasks (parallel in the task graph; the
         scheduler simulator may overlap them)."""
+        task, inline = self._state.recorder.task, self._state.inline
         results: List[object] = []
         for index, thunk in enumerate(thunks):
-            with self._state.recorder.task(
-                label=f"par{index}", inline=self._state.inline
-            ):
+            with task(label=f"par{index}", inline=inline):
                 results.append(thunk())
         return results
 

@@ -61,11 +61,7 @@ class Matrix:
 
     def whole(self) -> "MatrixView":
         """A view covering the entire matrix."""
-        return MatrixView(
-            self.data,
-            tuple((0, extent) for extent in self.data.shape),
-            self.name,
-        )
+        return MatrixView._whole(self.data, self.name)
 
     # The region API mirrors MatrixView's; delegate through a whole-view.
 
@@ -125,6 +121,17 @@ class MatrixView:
         self._bounds = bounds
         self.name = name
         self._window: np.ndarray = None  # lazily built by to_numpy()
+
+    @classmethod
+    def _whole(cls, data: np.ndarray, name: str) -> "MatrixView":
+        """The view of all of ``data``: bounds taken from its own shape
+        need no range check, and the window is the array (if not 0-D)."""
+        view = cls.__new__(cls)
+        view._data = data
+        view._bounds = tuple([(0, extent) for extent in data.shape])
+        view.name = name
+        view._window = data if data.ndim else None
+        return view
 
     # -- geometry ----------------------------------------------------------
 

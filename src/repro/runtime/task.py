@@ -174,10 +174,9 @@ class TaskRecorder:
             tid = stack[-1]
             if sink is not None:
                 sink.count("recorder.inlined")
-        else:
-            tid = self._open(tuple(deps), label)
-            stack.pop()
-        self._tasks[tid].work += work
+            self._tasks[tid].work += work
+        else:  # appended closed; 0.0 + work is what a charge would add
+            tid = self._append(tuple(deps), label, 0.0 + work)
         if sink is not None:
             sink.count("recorder.work_charged", work)
         return tid
@@ -188,12 +187,18 @@ class TaskRecorder:
     # -- internals used by _TaskContext -------------------------------------
 
     def _open(self, deps: Tuple[int, ...], label: str) -> int:
+        tid = self._append(deps, label, 0.0)
+        self._stack.append(tid)
+        return tid
+
+    def _append(self, deps: Tuple[int, ...], label: str, work: float) -> int:
+        """Record a task under the innermost open one, without opening
+        it; the sink sees it as recorded."""
         tid = len(self._tasks)
         parent = self._stack[-1] if self._stack else None
-        self._tasks.append(Task(tid=tid, deps=deps, parent=parent, label=label))
+        self._tasks.append(Task(tid, work, deps, parent, label))
         if parent is not None:
             self._tasks[parent].spawns += 1
-        self._stack.append(tid)
         if self.sink is not None:
             self.sink.count("recorder.tasks")
             self.sink.emit(

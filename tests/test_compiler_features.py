@@ -1,14 +1,26 @@
 """Tests for the remaining language/compiler features: template
 transforms, generator declarations, configuration files (including
-size-leveled tunables), and static specialization."""
+size-leveled tunables), static specialization and sibling calls."""
 
 import numpy as np
 import pytest
 
+from repro.apps import sort
 from repro.autotuner import Evaluator
 from repro.autotuner.evaluation import generator_inputs
-from repro.compiler import ChoiceConfig, Selector, compile_program
-from repro.compiler.codegen import dead_choice_report, specialize
+from repro.compiler import (
+    ChoiceConfig,
+    Selector,
+    TransformBuilder,
+    build_ir,
+    compile_program,
+)
+from repro.compiler.codegen import (
+    ExecutionError,
+    dead_choice_report,
+    specialize,
+)
+from repro.language import parse_program
 from repro.language.errors import CompileError
 from repro.runtime import MACHINES
 
@@ -130,6 +142,105 @@ class TestSpecialization:
         config = ChoiceConfig()
         config.set_choice("Reverse.B.0", Selector(((64, 0), (None, 1))))
         assert dead_choice_report(program, config) == {}
+
+    def test_a_static_run_plans_only_in_the_clone(self):
+        """The clone copies its transform's state, caches included: a
+        static ladder-Sort run — 175 sibling frames — must recurse
+        through the static program, fill only the clone's plan cache and
+        leave the dynamic program's empty."""
+        program = sort.build_program()
+        ladder = ChoiceConfig()
+        ladder.set_choice(
+            sort.SORT_SITE, Selector(((128, 0), (2048, 3), (None, 2)))
+        )
+        static = specialize(program, ladder)
+        keys = np.random.default_rng(3).uniform(0, 1, 4096)
+        result = static.transform("Sort").run([keys])
+        assert result.rule_applications == 175
+        np.testing.assert_array_equal(result.output(), np.sort(keys))
+        clone = static.transform("Sort")
+        assert len(clone._plan_cache) > 1
+        assert all(
+            plan.transform is clone for plan in clone._plan_cache._data.values()
+        )
+        assert len(program.transform("Sort")._plan_cache) == 0
+
+
+SPLIT = """
+transform Split
+from A[n]
+to B[n], C[n]
+{
+  to (B.cell(i) b) from (A.cell(i) a) { b = a; }
+  to (C.cell(i) c) from (A.cell(i) a) { c = a + 1; }
+}
+
+transform CallInExpression
+from A[n]
+to B[n]
+{
+  to (B b) from (A a) { b = Split(a); }
+}
+"""
+
+
+def native_caller(body, source=SPLIT):
+    """The transforms of ``source`` plus ``CallNative``, whose one rule
+    is the native ``body``."""
+    builder = TransformBuilder("CallNative")
+    builder.input("A", "n")
+    builder.output("B", "n")
+    builder.rule(to=[("B", "all", "b")], from_=[("A", "all", "a")], body=body)
+    return compile_program(
+        [*build_ir(parse_program(source)).transforms.values(), builder.build()],
+        analyze=False,
+    )
+
+
+class TestSiblingCalls:
+    """``ctx.call``, ``ctx.call_multi`` and calls in rule expressions
+    share one path; only the single-output check differs."""
+
+    def test_call_multi_returns_every_output(self):
+        def body(ctx):
+            outputs = ctx.call_multi("Split", ctx["a"])
+            ctx["b"].assign(outputs["B"].data + outputs["C"].data)
+
+        result = native_caller(body).transform("CallNative").run(
+            [np.arange(3.0)]
+        )
+        np.testing.assert_array_equal(result.output(), [1.0, 3.0, 5.0])
+
+    def test_call_accepts_arrays_and_views(self):
+        def body(ctx):
+            whole = ctx.call("Reverse", ctx["a"].to_numpy()).to_numpy()
+            ctx["b"].assign(whole + ctx.call("Reverse", ctx["a"]).to_numpy())
+
+        program = native_caller(body, SORTISH)
+        result = program.transform("CallNative").run([np.arange(3.0)])
+        np.testing.assert_array_equal(result.output(), [4.0, 2.0, 0.0])
+
+    @pytest.mark.parametrize("caller,where", [
+        ("CallNative", "from a native rule body"),
+        ("CallInExpression", "in an expression"),
+    ])
+    def test_a_multi_output_callee_names_the_caller_kind(self, caller, where):
+        program = native_caller(lambda ctx: ctx.call("Split", ctx["a"]))
+        with pytest.raises(ExecutionError) as info:
+            program.transform(caller).run([np.arange(3.0)])
+        assert str(info.value) == (
+            f"call to 'Split' {where} requires exactly one output, it has 2"
+        )
+
+    def test_arity_and_unknown_callee_errors(self):
+        program = native_caller(lambda ctx: ctx.call("Split"))
+        with pytest.raises(
+            ExecutionError, match=r"^Split: expected 1 inputs, got 0$"
+        ):
+            program.transform("CallNative").run([np.arange(3.0)])
+        program = native_caller(lambda ctx: ctx.call_multi("Nope", ctx["a"]))
+        with pytest.raises(CompileError, match="unknown transform 'Nope'"):
+            program.transform("CallNative").run([np.arange(3.0)])
 
 
 class TestLeveledTunables:

@@ -1,6 +1,7 @@
 """Tests for the rule-body interpreter."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,9 +18,12 @@ from repro.language.ast_nodes import (
     UnaryOp,
     Var,
 )
-from repro.language.interp import EvalError, Scope, evaluate, execute
+from repro.compiler import ChoiceConfig, compile_program
+from repro.engine_fast import LEAF_CLOSURE, LEAF_INTERP
+from repro.language.interp import BUILTINS, EvalError, Scope, evaluate, execute
 from repro.language.parser import parse_expression, parse_rule_body
 from repro.runtime import Matrix
+from repro.runtime.matrix import MatrixView
 
 
 def scope_with(**bindings):
@@ -188,3 +192,81 @@ def test_property_binop_matches_python(a, b, op):
 def test_property_sum_matches_numpy(values):
     view = Matrix.from_array(values).whole()
     assert ev("sum(a)", a=view) == pytest.approx(float(np.sum(values)))
+
+
+# -- sum/prod: the ufunc reduction np.sum/np.prod make, bit for bit -------
+
+SPECIAL = np.array(
+    [-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 1e308, 1e308, 3.0,
+     -0.0, -0.0]
+)
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def reduction_operands():
+    line = Matrix.from_array(SPECIAL).whole()
+    grid = Matrix.from_array(SPECIAL.reshape(3, 4)).whole()
+    return [
+        line,
+        line.region(3, 3),  # empty
+        line.region(10, 12),  # -0.0 + -0.0
+        line.region(5, 9),  # overflows to inf
+        line.region(0, 5),  # NaN
+        grid.row(2),  # 1-D, strided
+        grid.region(0, 1, 3, 3),  # 2-D, strided
+        grid.region(1, 1, 1, 3),  # 2-D, empty
+        line.cell(4),  # 0-D views
+        line.cell(0),
+        Matrix.scalar(-0.0).whole(),
+        -0.0, 3, math.nan, -math.inf, 1e308,  # Python scalars
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf, NaN
+@pytest.mark.parametrize("name,reference", [("sum", np.sum), ("prod", np.prod)])
+def test_builtin_reductions_match_numpy_bit_for_bit(name, reference):
+    for operand in reduction_operands():
+        array = operand.to_numpy() if isinstance(operand, MatrixView) else operand
+        assert bits(BUILTINS[name](operand)) == bits(float(reference(array)))
+
+
+REDUCTIONS = """
+transform Reductions
+from A[n, m]
+to S[n], P[n], T[m], U[n]
+{
+  to (S.cell(i) s) from (A.region(0, 0, i, m) a) { s = sum(a); }
+  to (P.cell(i) p) from (A.region(i, 1, n, m) a) { p = prod(a); }
+  to (T.cell(j) t) from (A.row(j) a) { t = sum(a) + prod(a); }
+  to (U.cell(i) u) from (A.cell(i, 0) a) { u = prod(a) + sum(a); }
+}
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("leaf", [LEAF_CLOSURE, LEAF_INTERP])
+def test_lowered_reductions_match_numpy_bit_for_bit(leaf):
+    """The closure leaf calls the same ``BUILTINS`` entries: over empty,
+    strided 1-D and 2-D regions and cells of ``SPECIAL`` both leaves
+    write what ``np.sum``/``np.prod`` return."""
+    data = SPECIAL.reshape(3, 4)
+    transform = compile_program(REDUCTIONS).transform("Reductions")
+    if leaf == LEAF_CLOSURE:
+        assert all(site.kernel for site in transform.sites.values())
+    config = ChoiceConfig()
+    config.set_tunable("Reductions.__leaf_path__", leaf)
+    result = transform.run([data], config)
+    expected = {
+        "S": [np.sum(data[:i]) for i in range(3)],
+        "P": [np.prod(data[i:, 1:]) for i in range(3)],
+        "T": [float(np.sum(data[:, j])) + float(np.prod(data[:, j]))
+              for j in range(4)],
+        "U": [float(np.prod(data[i, 0])) + float(np.sum(data[i, 0]))
+              for i in range(3)],
+    }
+    for name, values in expected.items():
+        got = result.outputs[name].data
+        assert [bits(v) for v in got] == [bits(float(v)) for v in values], name

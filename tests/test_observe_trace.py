@@ -117,10 +117,10 @@ class TestRecorderEvents:
     def test_record_leaf_is_the_scope_in_one_call(self, inline, root):
         """Same tasks — field for field — same events, same counters as
         ``with task(...): charge(...)``, inlined (into a parent, or
-        promoted to a root when there is none) or not."""
+        promoted to a root when there is none) or not, with a sink and
+        without one."""
 
-        def record(fused):
-            sink = TraceSink()
+        def record(fused, sink):
             rec = TaskRecorder(sink=sink)
 
             def leaves():
@@ -140,9 +140,13 @@ class TestRecorderEvents:
                 with rec.task(label="root"):
                     rec.charge(1.25)
                     ids = leaves()
-            return ids, rec.graph().tasks, sink.events, sink.counters
+            return ids, rec.graph().tasks
 
-        assert record(fused=True) == record(fused=False)
+        assert record(True, None) == record(False, None)
+        fused, scoped = TraceSink(), TraceSink()
+        assert record(True, fused) == record(False, scoped)
+        assert fused.events == scoped.events
+        assert fused.counters == scoped.counters
         with pytest.raises(ValueError):
             TaskRecorder().record_leaf((), "leaf", False, -1.0)
 

@@ -113,6 +113,31 @@ class TestRecorder:
         with pytest.raises(ValueError):
             TaskGraph(graph_tasks).validate()
 
+    @pytest.mark.parametrize("tasks,message", [
+        ([Task(0, deps=(1,)), Task(1)], "task 0 depends on later/unknown task 1"),
+        ([Task(0), Task(1, deps=(1,))], "task 1 depends on later/unknown task 1"),
+        ([Task(0), Task(1, deps=(-1,))], "task 1 depends on later/unknown task -1"),
+        ([Task(0), Task(1, parent=2), Task(2)], "task 1 spawned by unknown task 2"),
+        ([Task(0, parent=-1)], "task 0 spawned by unknown task -1"),
+        ([Task(0), Task(1, work=-0.5)], "task 1 has negative work"),
+        ([Task(0), Task(5), Task(6, deps=(3,))],
+         "task 6 depends on later/unknown task 3"),
+        ([Task(0), Task(5), Task(7, parent=6)], "task 7 spawned by unknown task 6"),
+    ], ids=["forward-dep", "self-dep", "negative-dep", "unknown-parent",
+            "negative-parent", "negative-work", "non-dense-dep",
+            "non-dense-parent"])
+    def test_validate_rejects_with_its_message(self, tasks, message):
+        with pytest.raises(ValueError) as info:
+            TaskGraph(tasks).validate()
+        assert str(info.value) == message
+
+    def test_validate_accepts_ids_that_are_not_dense(self):
+        """Ids need not be indices: a dep or parent is known once a task
+        with that id came before."""
+        TaskGraph(
+            [Task(0), Task(1, deps=(0,)), Task(5, parent=1), Task(6, deps=(5, 0))]
+        ).validate()
+
     def test_critical_path_chain(self):
         rec = TaskRecorder()
         prev = None
