@@ -30,6 +30,7 @@ Run:  python examples/matmul_chain.py
 import numpy as np
 
 from repro import ChoiceConfig, TraceSink, compile_program
+from repro.compiler.config import TILE_I
 
 MATMUL_CHAIN = """
 transform MatMulChain
@@ -67,7 +68,7 @@ def main() -> None:
             f"chain ({', '.join(cand.chain_vars)})  "
             f"free ({', '.join(cand.free_vars)})"
         )
-    print(f"  has_tiling() -> {mm.has_tiling()}")
+    print(f"  tile knobs live -> {TILE_I.live(mm)}")
 
     rng = np.random.default_rng(7)
     n, p, m = 48, 6, 40

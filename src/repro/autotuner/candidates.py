@@ -46,11 +46,8 @@ def choice_sites(transform: CompiledTransform) -> List[Tuple[str, int]]:
     ]
 
 
-def seed_population(
-    transforms: Sequence[CompiledTransform],
-    base_tunables: Optional[Dict[str, int]] = None,
-) -> List[Candidate]:
-    """All single-algorithm implementations across the given transforms.
+def seed_population(transform: CompiledTransform) -> List[Candidate]:
+    """All single-algorithm implementations of a transform.
 
     Candidate ``k`` statically selects option ``min(k, options-1)`` at
     every site; the number of seeds is the maximum option count anywhere.
@@ -58,21 +55,14 @@ def seed_population(
     seeds that always recurse will fail evaluation and be culled, exactly
     like a nonviable member of a genetic population.
     """
-    max_options = 1
-    sites: List[Tuple[str, int]] = []
-    for transform in transforms:
-        for key, count in choice_sites(transform):
-            sites.append((key, count))
-            max_options = max(max_options, count)
+    sites = choice_sites(transform)
+    max_options = max([1] + [count for _, count in sites])
 
     seeds: List[Candidate] = []
     for option in range(max_options):
         config = ChoiceConfig()
         for key, count in sites:
             config.set_choice(key, Selector.static(min(option, count - 1)))
-        if base_tunables:
-            for name, value in base_tunables.items():
-                config.set_tunable(name, value)
         seeds.append(Candidate(config=config, lineage=f"seed{option}"))
     return seeds
 

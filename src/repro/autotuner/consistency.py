@@ -153,7 +153,7 @@ def check_consistency(
     (nonviable, not inconsistent).
     """
     target = program.transform(transform)
-    configs = [c.config for c in seed_population([target])] + list(extra_configs)
+    configs = [c.config for c in seed_population(target)] + list(extra_configs)
     compared: Dict[int, int] = {}
     for size in sizes:
         inputs = input_generator(size, random.Random(seed * 1000003 + size))

@@ -73,6 +73,7 @@ import numpy as np
 from repro.autotuner.evaluation import random_inputs
 from repro.autotuner.parallel import source_spec, tune_from_spec
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
+from repro.compiler.config import LEAF_PATH
 from repro.engine_fast import LEAF_PATH_NAMES
 from repro.faults import FaultInjector, FaultSpecError
 from repro.language.errors import PetaBricksError
@@ -417,13 +418,13 @@ def _run_config(args: argparse.Namespace) -> Optional[ChoiceConfig]:
     if args.leaf_path is None:
         return config
     config = config or ChoiceConfig()
-    key = f"{args.transform}.__leaf_path__"
+    key = LEAF_PATH.key(args.transform)
     config.set_tunable(
         key,
         next(v for v, name in LEAF_PATH_NAMES.items() if name == args.leaf_path),
     )
-    # A size-leveled entry of the same name would shadow the flat one
-    # (``ChoiceConfig.tunable_at``); the override replaces it too.
+    # The knob is leveled, and a leveled entry shadows the flat one:
+    # the override replaces it too.
     config.leveled_tunables.pop(key, None)
     return config
 

@@ -76,7 +76,10 @@ from repro.symbolic import Affine, solve_bounds_for
 
 from repro.compiler.choicegrid import ChoiceGrid, ChoiceOption, Segment, build_choice_grid
 from repro.compiler.applicable import analyze_applicable_regions
-from repro.compiler.config import ChoiceConfig, Selector, site_key
+from repro.compiler.config import (
+    BLOCK_SIZE, FUSE, INTERCHANGE, LEAF_PATH, SEQ_CUTOFF, TILE_I, TILE_J, VECTORIZE_CUTOFF,
+    ChoiceConfig, Selector, site_key,
+)
 from repro.compiler.depgraph import ChoiceDepGraph, build_dep_graph
 from repro.compiler.ir import (
     ROLE_OUTPUT,
@@ -546,14 +549,12 @@ class Site:
         for dim, var in enumerate(geometry.free_vars):
             size = declared_tiles.get(var, 0)
             if dim < 2:
-                size = config.tile_size(name, dim, size)
+                size = config.knob(name, (TILE_I, TILE_J)[dim], default=size)
             lo, hi = geometry.var_ranges[var]
             tile_sizes.append(size if 0 < size < hi - lo else 0)
         if not any(tile_sizes) or not self.tilable:
             return None
-        return tuple(tile_sizes), bool(
-            config.interchange_enabled(name, int(declared.interchange))
-        )
+        return tuple(tile_sizes), config.knob(name, INTERCHANGE, default=declared.interchange)
 
 
 class CompiledTransform:
@@ -780,20 +781,6 @@ class CompiledTransform:
                 variant._fused = None
         return self._fused  # type: ignore[return-value]
 
-    def has_fusion(self) -> bool:
-        """Whether ``__fuse__ = 1`` would change anything."""
-        return self.fused_variant() is not None
-
-    def has_tiling(self) -> bool:
-        """Whether the ``__tile_i__``/``__tile_j__``/``__interchange__``
-        tunables can change anything: some site is both
-        :attr:`Site.tilable` and vectorizable.  Mirrors
-        :meth:`has_fusion` — the tuner only searches knobs that exist."""
-        return any(
-            site.tilable and site.vector[0] is not None
-            for site in self.sites.values()
-        )
-
     @functools.cached_property
     def storage_verdicts(self) -> Dict[str, object]:
         """The PB606 verdict per ``through`` matrix, decided on first
@@ -868,9 +855,7 @@ class CompiledTransform:
         plan = self._plan_cache.get(key)
         if plan is not None:
             return plan, True
-        variant = (
-            self.fused_variant() if config.fuse_enabled(self.name) else None
-        )
+        variant = self.fused_variant() if config.knob(self.name, FUSE) else None
         if variant is not None:
             plan, hit = variant._frame_plan(
                 config, config_key, shapes, explicit, sink
@@ -946,7 +931,7 @@ class CompiledTransform:
             frame=(self.name, tuple(sorted(env.items()))),
             allocations=tuple(allocations),
             problem_size=problem_size,
-            inline=problem_size < config.seq_cutoff(self.name),
+            inline=problem_size < config.knob(self.name, SEQ_CUTOFF),
             tunables=self.tunables_at(config, problem_size),
             steps=tuple(steps),
             groups=tuple(
@@ -975,12 +960,11 @@ class CompiledTransform:
         # closure when the site is not vectorizable (or below the
         # cutoff), closure to the interpreter when the rule has no
         # kernel.  The interpreter is always legal.
-        leaf = config.leaf_path(self.name, problem_size)
+        leaf = config.knob(self.name, LEAF_PATH, problem_size)
         if leaf == LEAF_VECTOR:
             plan, _reason = site.vector
-            if plan is not None and geometry.step_volume >= max(
-                1, config.vectorize_cutoff(self.name, problem_size)
-            ):
+            cutoff = config.knob(self.name, VECTORIZE_CUTOFF, problem_size)
+            if plan is not None and geometry.step_volume >= cutoff:
                 tiles = site.tiles(config, geometry)
                 return PlanStep(
                     **common,
@@ -991,7 +975,7 @@ class CompiledTransform:
                     cell_work=rule.base_work + plan.static_ops,
                 )
         instances = geometry.free_products
-        block = max(1, config.block_size(self.name))
+        block = config.knob(self.name, BLOCK_SIZE)
         return PlanStep(
             **common,
             geometry=geometry,

@@ -21,23 +21,67 @@ from __future__ import annotations
 import difflib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-INFINITE = None  # marker: level applies to all sizes
 
-#: The reserved tunables, keyed ``"Transform.<name>"`` — the only
-#: ``__dunder__`` names a configuration may carry, in the order the
-#: tuner searches them.
-RESERVED_TUNABLES = (
-    "__seq_cutoff__",  # region size below which tasks are inlined (§3.2)
-    "__block_size__",  # cells per data-parallel task
-    "__leaf_path__",  # 0 interp / 1 closure / 2 vector
-    "__vectorize_cutoff__",  # step volume below which vector demotes
-    "__fuse__",  # run the verified fused rewrite when one exists
-    "__tile_i__",  # tile size of the first data-parallel variable; 0 = off
-    "__tile_j__",  # ... of the second
-    "__interchange__",  # run the sequential chain per tile
+@dataclass(frozen=True)
+class Knob:
+    """One reserved tunable ``"Transform.<name>"``: a runtime cutoff or
+    schedule choice in the paper's one flat tunable space (§3.1).  Its
+    row is all the engine, the tuner and the config loader know of it."""
+
+    name: str
+    default: int  # an absent entry's value (a site may declare its own)
+    clamp: Callable[[int], int]  # raw value -> the value the engine obeys
+    leveled: bool  # a size-leveled entry applies; the loader refuses one elsewhere
+    search: Callable[[int], Tuple[int, int]]  # training size -> the tuner's (lo, hi)
+    live: Callable[[object], bool]  # transform -> may any value change what runs?
+
+    def key(self, transform: str) -> str:
+        return f"{transform}.{self.name}"
+
+
+def _clamp(lo: int, hi: Optional[int] = None) -> Callable[[int], int]:
+    return lambda v: max(lo, v) if hi is None else min(hi, max(lo, v))
+
+
+def _always(transform) -> bool:
+    return True
+
+
+def _fusible(transform) -> bool:
+    return transform.fused_variant() is not None
+
+
+def _tilable(transform) -> bool:
+    return any(s.tilable and s.vector[0] is not None for s in transform.sites.values())
+
+
+# Meaning, per row: region size below which tasks are inlined (§3.2);
+# cells per data-parallel task; leaf 0 interp / 1 closure / 2 vector;
+# step volume below which vector demotes to closure; run the verified
+# fused rewrite; tile size of the first / second data-parallel variable
+# (0 = off); run the whole sequential chain per tile.  The tuner starts
+# cutoffs at 8 (below, overhead only), skips interp (exactly the
+# closure's simulated work), and searches fusion and tiling instead of
+# assuming them, only where the analyzer proved them legal.
+# fmt: off
+SEQ_CUTOFF, BLOCK_SIZE, LEAF_PATH, VECTORIZE_CUTOFF, FUSE, TILE_I, TILE_J, INTERCHANGE = _ROWS = (
+    #    name               default  clamp         leveled search: n -> (lo, hi)          live
+    Knob("__seq_cutoff__",       64, int,          False,  lambda n: (8, max(16, n * 4)), _always),
+    Knob("__block_size__",       64, _clamp(1),    False,  lambda n: (8, max(16, n)),     _always),
+    Knob("__leaf_path__",         1, _clamp(0, 2), True,   lambda n: (1, 2),              _always),
+    Knob("__vectorize_cutoff__",  0, _clamp(1),    True,   lambda n: (1, max(16, n)),     _always),
+    Knob("__fuse__",              0, bool,         False,  lambda n: (0, 1),              _fusible),
+    Knob("__tile_i__",            0, _clamp(0),    False,  lambda n: (0, max(16, n)),     _tilable),
+    Knob("__tile_j__",            0, _clamp(0),    False,  lambda n: (0, max(16, n)),     _tilable),
+    Knob("__interchange__",       0, bool,         False,  lambda n: (0, 1),              _tilable),
 )
+# fmt: on
+
+#: The reserved tunables by name, in the order the tuner searches them:
+#: the only ``__dunder__`` names a configuration may carry.
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in _ROWS}
 
 
 @dataclass(frozen=True)
@@ -95,8 +139,8 @@ class ChoiceConfig:
     Keys are flat strings (the paper's flat configuration space):
     choice sites are ``"Transform.Matrix.segment"``, tunables are
     ``"Transform.name"`` plus the reserved runtime and schedule
-    tunables ``"Transform.__name__"`` of :data:`RESERVED_TUNABLES`,
-    each read through its accessor below.
+    tunables ``"Transform.__name__"`` of :data:`KNOBS`, each read
+    through :meth:`knob`.
     """
 
     choices: Dict[str, Selector] = field(default_factory=dict)
@@ -123,10 +167,7 @@ class ChoiceConfig:
     def set_leveled_tunable(self, name: str, selector: Selector) -> None:
         """Set a tunable whose value depends on the problem size; the
         selector's "options" are the tunable's values per size band."""
-        self.leveled_tunables[name] = selector
-
-    def tunable(self, name: str, default: int) -> int:
-        return self.tunables.get(name, default)
+        self.leveled_tunables[_checked_tunable(name, leveled=True)] = selector
 
     def tunable_at(self, name: str, size: int, default: int) -> int:
         """Resolve a tunable at a problem size (leveled entries win)."""
@@ -135,58 +176,17 @@ class ChoiceConfig:
             return leveled.pick(size)
         return self.tunables.get(name, default)
 
-    def seq_cutoff(self, transform: str, default: int = 64) -> int:
-        """Region size below which generated code runs the sequential
-        (non-task-spawning) version (paper §3.2)."""
-        return self.tunable(f"{transform}.__seq_cutoff__", default)
-
-    def block_size(self, transform: str, default: int = 64) -> int:
-        """Granularity for splitting data-parallel regions into tasks."""
-        return self.tunable(f"{transform}.__block_size__", default)
-
-    def leaf_path(self, transform: str, size: int, default: int = 1) -> int:
-        """Leaf execution path for rule instances at a problem size:
-        0 = reference interpreter, 1 = compiled closure (the default),
-        2 = vectorized NumPy leaves (see :mod:`repro.engine_fast`).
-        Leveled entries make the path itself size-dependent."""
-        value = self.tunable_at(f"{transform}.__leaf_path__", size, default)
-        return min(2, max(0, int(value)))
-
-    def vectorize_cutoff(self, transform: str, size: int, default: int = 0) -> int:
-        """Minimum data-parallel step volume before the vector leaf path
-        engages; below it the engine demotes to the closure path."""
-        return max(
-            0,
-            int(
-                self.tunable_at(
-                    f"{transform}.__vectorize_cutoff__", size, default
-                )
-            ),
-        )
-
-    def fuse_enabled(self, transform: str, default: int = 0) -> int:
-        """Whether the engine dispatches to the transform's verified
-        fused rewrite (:mod:`repro.rewrite`) when one exists: 0 runs the
-        program as written (the default), 1 runs the fused variant.  A
-        no-op on transforms with no legal fusion."""
-        return 1 if self.tunable(f"{transform}.__fuse__", default) else 0
-
-    def tile_size(self, transform: str, dim: int, default: int = 0) -> int:
-        """Tile size for the ``dim``-th data-parallel (free) instance
-        variable of a PB604-legal site: ``__tile_i__`` for the first,
-        ``__tile_j__`` for the second.  0 (the default) disables tiling
-        of that variable; the engine ignores the knob entirely on sites
-        the dependence analyzer cannot prove safe."""
-        name = "__tile_i__" if dim == 0 else "__tile_j__"
-        return max(0, int(self.tunable(f"{transform}.{name}", default)))
-
-    def interchange_enabled(self, transform: str, default: int = 0) -> int:
-        """Whether tiled sites run tiles outermost — the whole
-        sequential chain sweeps each tile while it is cache-hot —
-        instead of re-visiting every tile at every chain step.  Only
-        meaningful with a nonzero tile size; a no-op on sites without a
-        PB604 legality proof."""
-        return 1 if self.tunable(f"{transform}.__interchange__", default) else 0
+    def knob(
+        self, transform: str, knob: Knob, size: int = 0, default: Optional[int] = None
+    ) -> int:
+        """The value ``transform`` runs reserved tunable ``knob`` with at
+        problem ``size``: its entry (a leveled one wins where the row
+        allows levels), else ``default`` or the row's, clamped."""
+        key = knob.key(transform)
+        default = knob.default if default is None else default
+        if knob.leveled:
+            return knob.clamp(int(self.tunable_at(key, size, default)))
+        return knob.clamp(int(self.tunables.get(key, default)))
 
     # -- identity ----------------------------------------------------------------
 
@@ -246,9 +246,7 @@ class ChoiceConfig:
         for name, value in payload.get("tunables", {}).items():
             config.tunables[_checked_tunable(name)] = int(value)
         for name, levels in payload.get("leveled_tunables", {}).items():
-            config.leveled_tunables[_checked_tunable(name)] = parse_levels(
-                levels
-            )
+            config.set_leveled_tunable(name, parse_levels(levels))
         return config
 
     def save(self, path: str) -> None:
@@ -262,11 +260,7 @@ class ChoiceConfig:
 
     def merged_with(self, other: "ChoiceConfig") -> "ChoiceConfig":
         """A new config where ``other``'s entries win on conflicts."""
-        merged = ChoiceConfig(
-            dict(self.choices),
-            dict(self.tunables),
-            dict(self.leveled_tunables),
-        )
+        merged = self.copy()
         merged.choices.update(other.choices)
         merged.tunables.update(other.tunables)
         merged.leveled_tunables.update(other.leveled_tunables)
@@ -280,20 +274,28 @@ class ChoiceConfig:
         )
 
 
-def _checked_tunable(name: str) -> str:
+def _checked_tunable(name: str, leveled: bool = False) -> str:
     """``name``, unless it has the reserved ``X.__y__`` shape without
-    being reserved: a misspelt knob arriving from outside (a request's
-    ``config`` field, a ``--config`` file) would be accepted and
-    silently ignored."""
+    being reserved, or is a ``leveled`` entry for a knob the engine
+    reads flat: either would be accepted from outside (a request's
+    ``config`` field, a ``--config`` file) and silently ignored."""
     prefix, dot, knob = name.rpartition(".")
-    reserved_shape = knob.startswith("__") and knob.endswith("__")
-    if reserved_shape and knob not in RESERVED_TUNABLES:
+    if not (knob.startswith("__") and knob.endswith("__")):
+        return name
+    row = KNOBS.get(knob)
+    if row is None:
         nearest = difflib.get_close_matches(
-            knob.lower(), RESERVED_TUNABLES, n=1, cutoff=0.0
+            knob.lower(), KNOBS, n=1, cutoff=0.0
         )[0]
         raise ValueError(
             f"unknown reserved tunable {name!r} (nearest valid name: "
             f"{prefix + dot + nearest!r})"
+        )
+    if leveled and not row.leveled:
+        levels = " and ".join(k for k, r in KNOBS.items() if r.leveled)
+        raise ValueError(
+            f"reserved tunable {name!r} cannot be size-leveled (only "
+            f"{levels} can; set it under \"tunables\")"
         )
     return name
 

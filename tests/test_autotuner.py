@@ -143,7 +143,7 @@ class TestNarySearch:
 
 class TestCandidates:
     def test_seeds_cover_all_options(self, treesum):
-        seeds = seed_population([treesum.transform("TreeSum")])
+        seeds = seed_population(treesum.transform("TreeSum"))
         assert len(seeds) == 2
         picks = [c.config.choice_for(SITE).pick(10) for c in seeds]
         assert picks == [0, 1]
@@ -181,7 +181,7 @@ class TestCandidates:
         base.config.set_tunable("x", 1)
         clone = base.clone("child")
         clone.config.set_tunable("x", 2)
-        assert base.config.tunable("x", 0) == 1
+        assert base.config.tunables["x"] == 1
 
     def test_mutations_keep_leveled_tunables(self):
         """``clone`` used to rebuild the config from choices and flat

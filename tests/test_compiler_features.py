@@ -266,7 +266,7 @@ class TestLeveledTunables:
         config.set_leveled_tunable("T.iters", Selector(((8, 4), (None, 9))))
         restored = ChoiceConfig.from_json(config.to_json())
         assert restored.choice_for("T.Y.0").pick(50) == 2
-        assert restored.tunable("T.k", 0) == 3
+        assert restored.tunables["T.k"] == 3
         assert restored.tunable_at("T.iters", 4, 0) == 4
         assert restored.tunable_at("T.iters", 800, 0) == 9
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.depend import fusion_candidates
 from repro.compiler import ChoiceConfig, compile_program
+from repro.compiler.config import FUSE
 from repro.language import ast_nodes as ast
 from repro.rewrite import (
     REWRITE_BUDGET,
@@ -196,10 +197,6 @@ class TestFuseTransform:
 
 
 class TestEngineDispatch:
-    def test_has_fusion(self):
-        assert compiled(PIPE, "Pipe").has_fusion()
-        assert not compiled(ROLLING, "Rolling").has_fusion()
-
     def test_fused_variant_cached(self):
         transform = compiled(PIPE, "Pipe")
         assert transform.fused_variant() is transform.fused_variant()
@@ -233,8 +230,10 @@ class TestEngineDispatch:
     def test_fuse_knob_round_trips_through_config(self):
         config = ChoiceConfig()
         config.set_tunable("Pipe.__fuse__", 1)
-        assert config.fuse_enabled("Pipe") == 1
-        assert ChoiceConfig().fuse_enabled("Pipe") == 0
+        assert config.knob("Pipe", FUSE) == 1
+        assert ChoiceConfig().knob("Pipe", FUSE) == 0
+        reloaded = ChoiceConfig.from_json(config.to_json())
+        assert reloaded.knob("Pipe", FUSE) == 1
 
     def test_tuner_searches_the_fuse_knob(self):
         """End to end: a short genetic tuning run on a fusible pipeline

@@ -6,7 +6,8 @@ witnesses, the `repro.rewrite.tile` tiling and interchange
 annotation rewrites (including fuse-then-tile composition), the
 engine's cache-blocked vector execution behind the `__tile_i__` /
 `__tile_j__` / `__interchange__` tunables, the genetic tuner gating on
-`has_tiling()`, the LRU-bounded geometry caches, and the CLI surface.
+the tile knobs' `live` column, the LRU-bounded geometry caches, and the
+CLI surface.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ from repro.analysis.depend import (
 from repro.analysis.witness import Replay
 from repro.cli import main
 from repro.compiler import ChoiceConfig, compile_program
+from repro.compiler.config import INTERCHANGE, TILE_I, TILE_J
 from repro.engine_fast import LRUCache
 from repro.observe import TraceSink
 from repro.rewrite import (
@@ -416,10 +418,6 @@ class TestEngineTiling:
         # rules are chain-only in this segment layout: nothing tiles.
         assert sink.counter("exec.tiled_blocks") == 0
 
-    def test_has_tiling_gates(self):
-        assert compiled(MATMUL_CHAIN, "MatMulChain").has_tiling()
-        assert not compiled(PIPE, "Pipe").has_tiling()
-
     def test_oversized_tile_degrades_to_untiled(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
         inputs = mm_inputs(7)
@@ -441,14 +439,14 @@ class TestConfigKnobs:
         config.set_tunable("T.__tile_i__", 32)
         config.set_tunable("T.__tile_j__", -5)
         config.set_tunable("T.__interchange__", 3)
-        assert config.tile_size("T", 0) == 32
-        assert config.tile_size("T", 1) == 0  # negatives clamp to off
-        assert config.tile_size("T", 0, default=8) == 32
-        assert config.tile_size("U", 0, default=8) == 8
-        assert config.interchange_enabled("T") == 1
-        assert config.interchange_enabled("U") == 0
+        assert config.knob("T", TILE_I) == 32
+        assert config.knob("T", TILE_J) == 0  # negatives clamp to off
+        assert config.knob("T", TILE_I, default=8) == 32
+        assert config.knob("U", TILE_I, default=8) == 8
+        assert config.knob("T", INTERCHANGE) == 1
+        assert config.knob("U", INTERCHANGE) == 0
         reloaded = ChoiceConfig.from_json(config.to_json())
-        assert reloaded.tile_size("T", 0) == 32
+        assert reloaded.knob("T", TILE_I) == 32
 
 
 # -- tuner gating ----------------------------------------------------------

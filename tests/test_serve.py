@@ -269,6 +269,27 @@ class TestServeApp:
         fine = {"tunables": {"Scale.salt": 1, "Scale.__leaf_path__": 2}}
         assert "outputs" in app.run(dict(good, program=phash, config=fine))
 
+    def test_leveled_entry_for_a_flat_knob_is_400_or_that_lines_record(
+        self, app, phash
+    ):
+        """A leveled ``__seq_cutoff__`` used to load and be ignored: the
+        engine reads it once per run."""
+        good = {"transform": "Scale", "inputs": {"A": [[1.0]]}}
+        bad = {"leveled_tunables": {"Scale.__seq_cutoff__": [[None, 4]]}}
+        with pytest.raises(ServeError) as excinfo:
+            app.run(dict(good, program=phash, config=bad))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith(
+            "bad config: reserved tunable 'Scale.__seq_cutoff__' cannot be "
+            "size-leveled"
+        )
+        lines = [json.dumps(good), json.dumps(dict(good, config=bad))]
+        records = app.batch({"program": phash, "lines": lines})["results"]
+        assert [record["ok"] for record in records] == [True, False]
+        assert "cannot be size-leveled" in records[1]["error"]
+        fine = {"leveled_tunables": {"Scale.__leaf_path__": [[None, 2]]}}
+        assert "outputs" in app.run(dict(good, program=phash, config=fine))
+
     def test_tune_job_publishes_version(self, app, phash):
         job_id = app.tune(
             {

@@ -37,6 +37,7 @@ from repro.analysis.depend import (
 from repro.analysis.witness import Replay
 from repro.autotuner.consistency import observe, observe_batch
 from repro.compiler import ChoiceConfig, compile_program
+from repro.compiler.config import TILE_I
 from repro.compiler.builder import TransformBuilder
 from repro.compiler.codegen import _EngineState
 from repro.observe import TraceSink
@@ -484,7 +485,7 @@ def test_a_writer_reading_another_cell_folds_in_lockstep():
     assert folded.storage_verdicts["S"].groups == (("S.2", "S.3"),)
     tiled = config_for("Skewed", 2, KNOB_SETS[-1])
     assert observe(baseline, AB, tiled).counters["exec.tiled_blocks"] > 0
-    assert not folded.has_tiling() and baseline.has_tiling()
+    assert not TILE_I.live(folded) and TILE_I.live(baseline)
 
 
 @settings(max_examples=20, deadline=None)
