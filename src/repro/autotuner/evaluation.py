@@ -37,8 +37,8 @@ because slow or broken candidates are culled cheaply):
   it ``max_retries + 1`` times is a failure; hung workers are killed and
   the pool rebuilt.
 * **Retries** — transient errors, corrupt result records and crash
-  casualties are retried up to ``max_retries`` times, backing off
-  exponentially from ``RETRY_BACKOFF`` seconds.
+  casualties are retried up to ``max_retries`` times, each round backing
+  off by the :class:`~repro.faults.RetryPolicy` ``RETRY_BACKOFF``.
 * **Quarantine** — a signature that kills ``QUARANTINE_AFTER``
   consecutive workers fails fast from then on (never persisted).
 * **Degradation** — after ``DEGRADE_AFTER`` consecutive no-progress pool
@@ -57,7 +57,6 @@ histograms ``tuner.pool.batch_size`` and ``tuner.pool.batch_latency_ms``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
@@ -72,7 +71,9 @@ import numpy as np
 
 from repro.compiler.codegen import CompiledProgram, CompiledTransform, RunResult
 from repro.compiler.config import ChoiceConfig
-from repro.faults import FaultInjector, TransientFault
+from repro.faults import (
+    Deadline, FaultInjector, RetryPolicy, TransientFault, stable_hash,
+)
 from repro.runtime.machine import Machine
 from repro.runtime.scheduler import ScheduleResult, WorkStealingScheduler
 
@@ -86,8 +87,8 @@ InputGenerator = Callable[[int, random.Random], object]
 #: A pool measurement's deadline: this multiple of the best wall clock
 #: seen at its size, floored at ``measure_timeout``.
 DEADLINE_FACTOR = 8.0
-#: Base seconds of the exponential backoff between retry rounds.
-RETRY_BACKOFF = 0.05
+#: The backoff between retry rounds: 0.05 s doubling, capped at 2 s.
+RETRY_BACKOFF = RetryPolicy(backoff_s=0.05, max_backoff_s=2.0, jitter=0.0)
 #: Consecutive worker crashes that quarantine a signature.
 QUARANTINE_AFTER = 3
 #: Consecutive no-progress pool rounds before measuring in process.
@@ -102,15 +103,12 @@ def config_signature(config: ChoiceConfig) -> str:
 def measurement_seed(seed: int, signature: str, size: int, trial: int) -> int:
     """The scheduler seed for one measurement.
 
-    A stable hash of ``(seed, signature, size, trial)`` — deliberately
-    *not* Python's salted ``hash()`` — so every measurement draws its
-    scheduler RNG from its identity alone.  This is what makes
-    measurements order-independent and safe to fan out across processes.
+    A :func:`~repro.faults.stable_hash` of ``(seed, size, trial,
+    signature)``, so every measurement draws its scheduler RNG from its
+    identity alone.  This is what makes measurements order-independent
+    and safe to fan out across processes.
     """
-    digest = hashlib.blake2b(
-        f"{seed}|{size}|{trial}|{signature}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return stable_hash(seed, size, trial, signature)
 
 
 class CandidateFailure(RuntimeError):
@@ -503,8 +501,7 @@ class Evaluator:
                 return
             if rounds:
                 self._count("tuner.pool.retries", len(unresolved))
-                if RETRY_BACKOFF > 0:
-                    _time.sleep(min(2.0, RETRY_BACKOFF * 2 ** (rounds - 1)))
+                _time.sleep(RETRY_BACKOFF.delay("resolve", rounds - 1))
             if self.jobs == 1 or self.spec is None or self.degraded:
                 outcomes = {
                     item: self._classify(_attempt(
@@ -563,14 +560,14 @@ class Evaluator:
         if not futures:
             return outcomes
         budget = self._round_budget(list(futures.values()))
-        started = _time.monotonic()
+        deadline = None if budget is None else Deadline.after(budget)
         remaining = set(futures)
         while remaining:
             timeout = None
-            if budget is not None:
-                timeout = budget - (_time.monotonic() - started)
-                if timeout <= 0:
+            if deadline is not None:
+                if deadline.expired():
                     break
+                timeout = deadline.remaining_s()
             done, remaining = wait(remaining, timeout=timeout)
             for future in done:
                 item = futures[future]

@@ -50,6 +50,7 @@ from repro.batch.stacked import plan_stacked, run_stacked
 from repro.compiler.codegen import CompiledTransform, RunPlan, normalize_sizes
 from repro.compiler.config import ChoiceConfig
 from repro.engine_fast import LRUCache
+from repro.faults import Deadline
 from repro.runtime.batchqueue import BucketQueue
 from repro.runtime.matrix import Matrix
 
@@ -140,12 +141,10 @@ class BatchEngine:
         )
         return request_id
 
-    def gather(self, deadline=None) -> List[BatchResult]:
+    def gather(self, deadline: Optional[Deadline] = None) -> List[BatchResult]:
         """Execute everything pending; results in submission order.
 
-        ``deadline`` is an optional budget object (duck-typed: the serve
-        layer passes :class:`repro.serve.resilience.Deadline`) exposing
-        ``expired()`` and ``error()``.  It is checked at bucket, chunk,
+        ``deadline`` (the request's budget) is checked at bucket, chunk,
         and serial-request boundaries: once expired, every not-yet-
         started request resolves to a well-formed ``error()`` result
         while requests already inside a stacked chunk complete normally
@@ -198,7 +197,7 @@ class BatchEngine:
             self._token_refs.append(request.transform)
         return bucket_key(token, request)
 
-    def _expire(self, requests: List[BatchRequest], deadline) -> None:
+    def _expire(self, requests: List[BatchRequest], deadline: Deadline) -> None:
         """Resolve every request to the deadline's structured error."""
         if self.sink is not None:
             self.sink.count("batch.deadline_skips", len(requests))
@@ -211,7 +210,8 @@ class BatchEngine:
             )
 
     def _run_bucket(
-        self, key: BucketKey, requests: List[BatchRequest], deadline=None
+        self, key: BucketKey, requests: List[BatchRequest],
+        deadline: Optional[Deadline] = None,
     ) -> None:
         first = requests[0]
         plan = None

@@ -75,7 +75,7 @@ from repro.autotuner.parallel import source_spec, tune_from_spec
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 from repro.compiler.config import LEAF_PATH
 from repro.engine_fast import LEAF_PATH_NAMES
-from repro.faults import FaultInjector, FaultSpecError
+from repro.faults import FaultInjector, FaultSpecError, RetryPolicy
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
 from repro.runtime import MACHINES, WorkStealingScheduler
@@ -133,6 +133,17 @@ def _size_binding(text: str) -> Tuple[str, int]:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected VAR=INTEGER, got {text!r}")
+
+
+def _deadline_ms(text: str) -> float:
+    """A ``--default-deadline-ms`` argument, refused as a request's
+    ``deadline_ms`` would be."""
+    from repro.serve.resilience import deadline_ms
+
+    try:
+        return deadline_ms(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
 
 
 def _resolve_inputs(
@@ -595,7 +606,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
-    import threading
 
     from repro.serve import ResilienceConfig, ServeApp, ServeDaemon
 
@@ -618,20 +628,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"preloaded {path}: program {info['program']}")
     daemon = ServeDaemon(app, host=args.host, port=args.port)
 
-    def _sigterm(_signum, _frame) -> None:
-        # Graceful drain on SIGTERM: shed new work, let admitted
-        # requests and the running tune job finish (bounded by the hard
-        # drain timeout), then break the accept loop.  shutdown() must
-        # not run on the signal-handler frame, hence the helper thread.
-        app.begin_drain()
-
-        def _drain_then_stop() -> None:
-            app.drain()
-            daemon.server.shutdown()
-
-        threading.Thread(target=_drain_then_stop, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _sigterm)
+    # SIGTERM drains gracefully, the same way POST /shutdown does.
+    signal.signal(
+        signal.SIGTERM, lambda _signum, _frame: daemon.drain_and_stop()
+    )
     recovered = app.recovered
     store_note = f", store {args.store}" if args.store else ", no store"
     print(
@@ -656,7 +656,6 @@ def _client_source(client, path: str) -> str:
 
 def cmd_client(args: argparse.Namespace) -> int:
     from repro.serve.client import ServeClient, ServeClientError
-    from repro.serve.resilience import RetryPolicy
 
     client = ServeClient(
         args.host,
@@ -1028,7 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
              "with 429 (default: %(default)s)",
     )
     p_serve.add_argument(
-        "--default-deadline-ms", type=float, default=None, metavar="MS",
+        "--default-deadline-ms", type=_deadline_ms, default=None,
+        metavar="MS",
         help="server-side default request deadline for /run and /batch "
              "(requests may override with 'deadline_ms'; default: none)",
     )

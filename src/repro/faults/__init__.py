@@ -1,28 +1,27 @@
-"""Deterministic fault injection for the fault-tolerance layer.
+"""Deterministic fault injection and the recovery rules it exercises.
+
+:mod:`repro.faults.recovery` is the one home of the rules the tuner and
+the daemon share: :func:`stable_hash` (the seeded blake2b behind
+measurement seeds, fault decisions and retry jitter),
+:class:`RetryPolicy` (capped exponential backoff) and :class:`Deadline`
+(a monotonic budget).
 
 :mod:`repro.faults.injector` defines the seeded :class:`FaultInjector`
 (worker crash, worker hang, transient error, corrupted result record,
-cache-line corruption) that plugs into the measurement loop of
-:class:`~repro.autotuner.evaluation.Evaluator` (crash, hang and
-corrupt-record in pool workers only; transient on both sides) and into
-the writer of :class:`~repro.autotuner.parallel.MeasurementCache`; every
-decision is a pure function of ``(seed, fault kind, identity,
-attempt)``, so injected failures replay identically across runs and
-processes.
+cache-line corruption, and the serve-side kinds) that plugs into the
+measurement loop of :class:`~repro.autotuner.evaluation.Evaluator`, the
+writer of :class:`~repro.autotuner.parallel.MeasurementCache` and the
+serve daemon; every decision is a pure function of ``(seed, fault kind,
+identity, attempt)``, so injected failures replay identically across
+runs and processes.
 
-:mod:`repro.faults.harness` is the companion stress harness — the
-fault-layer sibling of :mod:`repro.observe.stress` — which tunes a real
-transform under an injected fault plan and asserts the recovery
-invariant: the tuned configuration and history are byte-identical to a
-fault-free run (import it directly; it pulls in the autotuner).
-
-:mod:`repro.faults.serve_harness` does the same for the serving stack:
-serve-side fault kinds (``conn-drop``, ``slow-handler``, ``shed-storm``,
-``store-io-fail``, ``drain-race``) injected into a live daemon, with the
-serving invariant — byte-identical response or exactly one well-formed
-structured error, never a hang or a corrupt artifact (import it
-directly; it pulls in the serve stack, and doubles as the CI chaos
-smoke via ``python -m repro.faults.serve_harness``).
+:mod:`repro.faults.harness` is the chaos harness — the sibling of
+:mod:`repro.observe.stress` — with one ``sweep`` over injector seeds
+and two invariants: tuning under faults is byte-identical to a
+fault-free run, and a faulted daemon answers every request with the
+fault-free bytes or exactly one structured error (import it directly;
+it pulls in the autotuner and the serve stack).  ``python -m pytest
+tests/test_faults.py tests/test_serve_chaos.py`` runs the drills.
 """
 
 from repro.faults.injector import (
@@ -34,13 +33,23 @@ from repro.faults.injector import (
     FaultSpecError,
     TransientFault,
 )
+from repro.faults.recovery import (
+    Deadline,
+    DeadlineExceeded,
+    RetryPolicy,
+    stable_hash,
+)
 
 __all__ = [
     "DEFAULT_HANG_SECONDS",
     "DEFAULT_SEED",
     "KINDS",
+    "Deadline",
+    "DeadlineExceeded",
     "FaultInjector",
     "FaultRule",
     "FaultSpecError",
+    "RetryPolicy",
     "TransientFault",
+    "stable_hash",
 ]

@@ -1,10 +1,10 @@
 """Deterministic, seeded fault injection.
 
 Every decision the injector makes is a pure function of ``(injector
-seed, fault kind, fault identity, attempt)`` — hashed with blake2b, the
-same construction :func:`repro.autotuner.evaluation.measurement_seed`
-uses — so a fault plan fires identically across runs, across worker
-processes, and regardless of evaluation order.  That is what makes the
+seed, fault kind, fault identity, attempt)`` — hashed with
+:func:`repro.faults.recovery.stable_hash`, as measurement seeds and
+retry jitter are — so a fault plan fires identically across runs, across
+worker processes, and regardless of evaluation order.  That is what makes the
 recovery machinery of :mod:`repro.autotuner.parallel` testable in CI:
 an injected crash is as reproducible as the measurement it interrupts.
 
@@ -49,7 +49,7 @@ faults only — a crash or hang cannot be recovered from in-process, and
 degraded-serial mode exists precisely to escape them.
 
 Serve-side fault kinds (injected into the daemon stack — see
-:mod:`repro.serve` and :mod:`repro.faults.serve_harness`; identities
+:mod:`repro.serve` and :mod:`repro.faults.harness`; identities
 key off the request's ``rid`` payload field and the client's retry
 ``attempt`` counter, so HTTP fault plans replay identically too):
 
@@ -68,10 +68,11 @@ key off the request's ``rid`` payload field and the client's retry
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+from repro.faults.recovery import stable_hash
 
 #: Fault kinds the injector understands.
 KINDS: Tuple[str, ...] = (
@@ -231,11 +232,7 @@ class FaultInjector:
     # -- decisions ---------------------------------------------------------
 
     def _fraction(self, kind: str, identity: str, attempt: int) -> float:
-        digest = hashlib.blake2b(
-            f"{self.seed}|{kind}|{identity}|{attempt}".encode("utf-8"),
-            digest_size=8,
-        ).digest()
-        return int.from_bytes(digest, "big") / 2.0**64
+        return stable_hash(self.seed, kind, identity, attempt) / 2.0**64
 
     def fires(self, kind: str, identity: str, attempt: int = 0) -> bool:
         """Does fault ``kind`` fire for ``identity`` on this attempt?

@@ -28,8 +28,9 @@ the simulation but cheap to check from the trace.
 
 The fault-tolerance layer has a sibling harness,
 :mod:`repro.faults.harness`, which plays the same role for the parallel
-tuning loop: seeded fault plans instead of seeded task graphs, and the
-recovery-parity invariant instead of the scheduler invariants.
+tuning loop and the serve daemon: seeded fault plans instead of seeded
+task graphs, one ``sweep`` over injector seeds, and the recovery-parity
+and serving invariants instead of the scheduler invariants.
 """
 
 from __future__ import annotations

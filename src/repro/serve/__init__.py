@@ -15,8 +15,9 @@ artifact store behind it for restart recovery.
   corrupt-artifact-tolerant recovery).
 * :mod:`repro.serve.app` — endpoint logic, transport-independent.
 * :mod:`repro.serve.resilience` — admission control (weighted
-  concurrency limit + bounded accept queue), request deadline budgets,
-  structured load shedding, drain state, and the client retry policy.
+  concurrency limit + bounded accept queue), request deadline budgets
+  over HTTP, structured load shedding and drain state (``Deadline`` and
+  ``RetryPolicy``, re-exported here, live in :mod:`repro.faults`).
 * :mod:`repro.serve.jobs` — background workers for tuning requests
   (event-based waits, idempotent enqueue, drain-aware).
 * :mod:`repro.serve.transport` — all the HTTP/1.1 there is: one head
@@ -34,6 +35,7 @@ artifact store behind it for restart recovery.
   band as the float64 blobs of a frame behind the JSON.
 """
 
+from repro.faults import Deadline, DeadlineExceeded, RetryPolicy
 from repro.serve.app import ServeApp, ServeError, ShedError
 from repro.serve.client import (
     IDEMPOTENT_POSTS,
@@ -43,13 +45,7 @@ from repro.serve.client import (
 from repro.serve.daemon import DEFAULT_PORT, ServeDaemon
 from repro.serve.jobs import Job, JobQueue, QueueDraining
 from repro.serve.records import error_body, malformed_record, result_record
-from repro.serve.resilience import (
-    AdmissionController,
-    Deadline,
-    DeadlineExceeded,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from repro.serve.resilience import AdmissionController, ResilienceConfig
 from repro.serve.registry import (
     ANY_BUCKET,
     ConfigEntry,

@@ -44,16 +44,18 @@ costs once and register the result.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.analysis.check import check_source
 from repro.autotuner.parallel import source_spec, tune_from_spec
 from repro.batch.request import config_digest
 from repro.compiler import ChoiceConfig
 from repro.compiler.codegen import ExecutionError, normalize_sizes
+from repro.faults import Deadline
 from repro.observe import ThreadSafeSink
 from repro.runtime import MACHINES
 
@@ -69,10 +71,10 @@ from repro.serve.registry import (
 )
 from repro.serve.resilience import (
     AdmissionController,
-    Deadline,
     ResilienceConfig,
     ServeError,
     ShedError,
+    request_deadline,
 )
 from repro.serve.store import ArtifactStore
 
@@ -84,12 +86,13 @@ class ServeApp:
     an :class:`AdmissionController` in front of the work routes.
 
     ``injector`` (dev/test only) enables the deterministic serve-side
-    fault kinds of :mod:`repro.faults`: ``slow-handler`` and
-    ``drain-race`` fire here at dispatch, ``shed-storm`` forces an
-    admission shed, ``store-io-fail`` fires inside the artifact store
-    (``conn-drop`` is transport-level and lives in the daemon).  Fault
-    identities key off the request's optional ``rid`` payload field so
-    a fault plan replays identically across runs.
+    fault kinds of :mod:`repro.faults`, each decided by :meth:`_fires`:
+    ``slow-handler`` and ``drain-race`` fire at dispatch and
+    ``shed-storm`` forces an admission shed (all in :meth:`_admit`),
+    ``store-io-fail`` fires inside the artifact store, and the daemon
+    acts on ``conn-drop``.  Fault identities key off the request's
+    optional ``rid`` payload field so a fault plan replays identically
+    across runs.
     """
 
     def __init__(
@@ -163,13 +166,7 @@ class ServeApp:
                     entry.phash, source, {"transforms": entry.transforms()}
                 )
             except OSError as exc:
-                self.sink.count("serve.store.write_failures")
-                raise ServeError(
-                    503,
-                    f"artifact store write failed: {exc}",
-                    code="store_io",
-                    retry_after=self.resilience.retry_after_s,
-                )
+                raise self._store_io_error(exc)
         self._observe("serve.compile_ms", started)
         self.sink.count("serve.requests")
         return {
@@ -180,16 +177,10 @@ class ServeApp:
 
     def run(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         started = time.perf_counter()
-        deadline = Deadline.from_payload(
+        deadline = request_deadline(
             payload, self.resilience.default_deadline_ms
         )
-        with self.admission.admit(
-            "run",
-            cost=1,
-            deadline=deadline,
-            forced_shed=self._injected_shed("run", payload),
-        ):
-            self._inject_dispatch_faults("run", payload)
+        with self._admit("run", payload, deadline=deadline):
             packed = self._packed_reply(payload)
             entry = self._program(payload)
             transform = self._transform(entry, payload)
@@ -207,12 +198,9 @@ class ServeApp:
             config, version, hit = self._resolve_config(
                 payload, entry.phash, machine, bucket
             )
-            if deadline is not None and deadline.expired():
-                # The execution boundary: queueing/admission consumed
-                # the whole budget, so don't start work that nobody is
-                # waiting for.
-                self.sink.count("serve.deadline.expired")
-                raise deadline.serve_error()
+            # The execution boundary: if queueing/admission consumed the
+            # whole budget, don't start work that nobody is waiting for.
+            self.admission.check_deadline(deadline)
             try:
                 result = transform.run(inputs, config, sizes=sizes)
             except Exception as exc:
@@ -241,19 +229,13 @@ class ServeApp:
         lines = payload.get("lines")
         if not isinstance(lines, list):
             raise ServeError(400, "batch needs 'lines': a list of JSONL strings")
-        deadline = Deadline.from_payload(
+        deadline = request_deadline(
             payload, self.resilience.default_deadline_ms
         )
         # Cost-aware admission: a batch weighs its request count, so a
         # 1024-line batch and 1024 /run calls occupy the limiter alike
         # (clamped so one maximal batch fills — not exceeds — it).
-        with self.admission.admit(
-            "batch",
-            cost=len(lines),
-            deadline=deadline,
-            forced_shed=self._injected_shed("batch", payload),
-        ):
-            self._inject_dispatch_faults("batch", payload)
+        with self._admit("batch", payload, len(lines), deadline):
             return self._batch_admitted(payload, lines, deadline, started)
 
     def _batch_admitted(
@@ -372,12 +354,7 @@ class ServeApp:
         }
 
     def tune(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
-        with self.admission.admit(
-            "tune",
-            cost=1,
-            forced_shed=self._injected_shed("tune", payload),
-        ):
-            self._inject_dispatch_faults("tune", payload)
+        with self._admit("tune", payload):
             entry = self._program(payload)
             transform = self._transform(entry, payload)
             machine = self._machine(payload)
@@ -397,13 +374,7 @@ class ServeApp:
                     "tune", job_payload, idempotency_key=key
                 )
             except QueueDraining:
-                self.sink.count("serve.shed.draining")
-                raise ShedError(
-                    503,
-                    "tune shed: daemon is draining",
-                    code="draining",
-                    retry_after=self.resilience.drain_timeout_s,
-                )
+                raise self.admission.draining_shed("tune")
             self.sink.count("serve.requests")
             if not deduped:
                 self.sink.count("serve.tune_jobs")
@@ -463,14 +434,11 @@ class ServeApp:
         """Block until in-flight requests and the running tune job
         finish, bounded by the hard drain timeout.  Returns True on a
         clean drain; a forced drain (timeout hit) is counted too."""
-        if timeout is None:
-            timeout = self.resilience.drain_timeout_s
-        ends_at = time.monotonic() + max(0.0, timeout)
-        clean = self.admission.wait_idle(timeout)
-        clean = (
-            self.jobs.wait_idle(max(0.0, ends_at - time.monotonic()))
-            and clean
+        deadline = Deadline.after(
+            self.resilience.drain_timeout_s if timeout is None else timeout
         )
+        clean = self.admission.wait_idle(deadline.remaining_s())
+        clean = self.jobs.wait_idle(deadline.remaining_s()) and clean
         self.sink.count(
             "serve.drain.completed" if clean else "serve.drain.forced"
         )
@@ -485,56 +453,46 @@ class ServeApp:
 
     # -- deterministic fault hooks (dev/test; see repro.faults) -------------
 
-    @staticmethod
-    def _fault_identity(route: str, payload: Mapping[str, Any]):
+    def _fires(self, kind: str, route: str, payload: Mapping[str, Any]) -> bool:
+        """Does the injected fault ``kind`` fire on this request?  Only a
+        request carrying a ``rid`` can fault; its identity is
+        ``route|rid`` (``conn|route|rid`` for ``conn-drop``) at the
+        client's ``attempt``."""
         rid = payload.get("rid")
-        if rid is None:
-            return None, 0
+        if self.injector is None or rid is None:
+            return False
         try:
             attempt = int(payload.get("attempt", 0) or 0)
         except (TypeError, ValueError):
             attempt = 0
-        return f"{route}|{rid}", attempt
+        prefix = "conn|" if kind == "conn-drop" else ""
+        return self.injector.fires(kind, f"{prefix}{route}|{rid}", attempt)
 
-    def _injected_shed(self, route: str, payload: Mapping[str, Any]) -> bool:
-        """``shed-storm``: force an admission shed for this request."""
-        if self.injector is None:
-            return False
-        identity, attempt = self._fault_identity(route, payload)
-        return identity is not None and self.injector.fires(
-            "shed-storm", identity, attempt
-        )
-
-    def _inject_dispatch_faults(
-        self, route: str, payload: Mapping[str, Any]
-    ) -> None:
-        inj = self.injector
-        if inj is None:
-            return
-        identity, attempt = self._fault_identity(route, payload)
-        if identity is None:
-            return
-        if inj.fires("slow-handler", identity, attempt):
-            # A pathologically slow handler, bounded so an injected
-            # plan can't wedge a test run.
-            time.sleep(min(inj.hang_seconds, 5.0))
-        if inj.fires("drain-race", identity, attempt):
-            # Shutdown racing an in-flight request: this request is
-            # already admitted and must complete; everything after it
-            # sheds.
-            self.begin_drain()
-
-    def injected_conn_drop(
-        self, route: str, payload: Mapping[str, Any]
-    ) -> bool:
-        """``conn-drop``: the daemon truncates this response mid-body
-        (transport fault; the app only decides whether it fires)."""
-        if self.injector is None:
-            return False
-        identity, attempt = self._fault_identity(route, payload)
-        return identity is not None and self.injector.fires(
-            "conn-drop", f"conn|{identity}", attempt
-        )
+    @contextlib.contextmanager
+    def _admit(
+        self,
+        route: str,
+        payload: Mapping[str, Any],
+        cost: int = 1,
+        deadline: Optional[Deadline] = None,
+    ) -> Iterator[None]:
+        """Admission for a work route, with the dispatch-time faults."""
+        with self.admission.admit(
+            route,
+            cost=cost,
+            deadline=deadline,
+            forced_shed=self._fires("shed-storm", route, payload),
+        ):
+            if self._fires("slow-handler", route, payload):
+                # A pathologically slow handler, bounded so an injected
+                # plan can't wedge a test run.
+                time.sleep(min(self.injector.hang_seconds, 5.0))
+            if self._fires("drain-race", route, payload):
+                # Shutdown racing an in-flight request: this request is
+                # already admitted and must complete; everything after
+                # it sheds.
+                self.begin_drain()
+            yield
 
     # -- tuning worker ------------------------------------------------------
 
@@ -620,13 +578,7 @@ class ServeApp:
                         attempt=attempt,
                     )
                 except OSError as exc:
-                    self.sink.count("serve.store.write_failures")
-                    raise ServeError(
-                        503,
-                        f"artifact store write failed: {exc}",
-                        code="store_io",
-                        retry_after=self.resilience.retry_after_s,
-                    )
+                    raise self._store_io_error(exc)
             return self.registry.publish(
                 phash,
                 machine,
@@ -718,6 +670,17 @@ class ServeApp:
         if entry is None:
             return None, None, False
         return entry.config, entry.version, True
+
+    def _store_io_error(self, exc: OSError) -> ServeError:
+        """The 503 for an artifact-store write that failed before the
+        request was acknowledged (retrying it is safe)."""
+        self.sink.count("serve.store.write_failures")
+        return ServeError(
+            503,
+            f"artifact store write failed: {exc}",
+            code="store_io",
+            retry_after=self.resilience.retry_after_s,
+        )
 
     def _observe(self, name: str, started: float) -> None:
         elapsed_ms = (time.perf_counter() - started) * 1000.0

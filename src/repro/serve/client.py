@@ -21,7 +21,7 @@ Client-side resilience (the other half of the serving contract):
 
 * **Bounded retries with deterministic backoff** — connection errors
   (refused, reset, truncated response) and structured 429/503 sheds
-  retry up to :class:`~repro.serve.resilience.RetryPolicy` attempts,
+  retry up to :class:`~repro.faults.RetryPolicy` attempts,
   sleeping exponential backoff ± seeded jitter between tries.  A shed
   carrying ``Retry-After`` is honored (capped at the policy maximum)
   instead of guessing.
@@ -42,17 +42,18 @@ Retry accounting lands on an optional sink: ``serve.retry.attempts``
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
+from repro.faults import Deadline, RetryPolicy
 from repro.serve.daemon import DEFAULT_PORT
 from repro.serve.records import FrameWriter, WireError, decode_array
 from repro.serve.records import encode_array, split_frame
 from repro.serve.registry import program_digest
-from repro.serve.resilience import RetryPolicy
 from repro.serve.transport import BrokenReply, Connection
 
 #: Routes safe to replay (see module docstring); everything POSTed
@@ -61,6 +62,9 @@ from repro.serve.transport import BrokenReply, Connection
 IDEMPOTENT_POSTS = frozenset(
     {"/compile", "/run", "/batch", "/check", "/shutdown"}
 )
+
+#: How ``wait_job`` polls: 50 ms doubling to 1 s, no jitter.
+JOB_POLL = RetryPolicy(backoff_s=0.05, max_backoff_s=1.0, jitter=0.0)
 
 #: Transport-level failures worth a retry: the request may never have
 #: reached the daemon, or the response was cut off mid-body.
@@ -345,22 +349,22 @@ class ServeClient:
         return self.request("GET", f"/jobs/{job_id}")
 
     def wait_job(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
-        """Poll a job to a terminal state with capped exponential
-        backoff (50 ms doubling to 1 s) — tight enough for short tunes,
-        no busy-spin for long ones."""
-        deadline = time.monotonic() + timeout
-        delay = 0.05
-        while True:
+        """Poll a job to a terminal state on the :data:`JOB_POLL`
+        backoff — tight enough for short tunes, no busy-spin for long
+        ones."""
+        deadline = Deadline.after(timeout)
+        for attempt in itertools.count():
             snapshot = self.job(job_id)
             if snapshot["state"] in ("done", "failed", "cancelled"):
                 return snapshot
-            if time.monotonic() >= deadline:
+            if deadline.expired():
                 raise TimeoutError(
                     f"job {job_id} still {snapshot['state']} "
                     f"after {timeout:.0f}s"
                 )
-            time.sleep(min(delay, max(0.0, deadline - time.monotonic())))
-            delay = min(1.0, delay * 2)
+            time.sleep(
+                min(JOB_POLL.delay("job", attempt), deadline.remaining_s())
+            )
 
     def check(self, program: str) -> Dict[str, Any]:
         return self.request("POST", "/check", {"program": program})

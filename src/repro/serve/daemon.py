@@ -23,10 +23,11 @@ Resilience at the transport layer:
 * ``GET /ready`` is the readiness probe (503 while draining or
   saturated) as distinct from ``GET /health`` liveness.
 * ``POST /shutdown`` begins a *graceful drain*: the reply acknowledges
-  ``{"state": "draining"}`` immediately, new work sheds with 503, and a
-  helper thread waits for in-flight requests plus the running tune job
-  (bounded by the hard drain timeout) before stopping the accept loop
-  (``shutdown()`` deadlocks when called from a handler thread).
+  ``{"state": "draining"}`` immediately, new work sheds with 503, and
+  :meth:`ServeDaemon.drain_and_stop` — the one drain-and-stop, shared
+  with SIGTERM and ``stop()`` — waits for in-flight requests plus the
+  running tune job (bounded by the hard drain timeout) before stopping
+  the accept loop.
 * The listen backlog is bounded (``request_queue_size``) so overload
   pushes back at the kernel instead of accumulating unbounded sockets.
 * ``Content-Length`` is validated before anything is read by it: not a
@@ -70,6 +71,7 @@ _CONN_ERRORS = (BrokenPipeError, ConnectionResetError, ConnectionAbortedError)
 
 class _Handler(socketserver.StreamRequestHandler):
     app: ServeApp  # injected by ServeDaemon via the handler subclass
+    daemon: "ServeDaemon"  # likewise
     # Clients keep their connection; with Nagle on, a small reply could
     # wait ~40 ms for the peer's delayed ACK of the one before it.
     disable_nagle_algorithm = True
@@ -164,34 +166,25 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply(
                 200,
                 self.app.run(payload),
-                drop=self.app.injected_conn_drop("run", payload),
+                drop=self.app._fires("conn-drop", "run", payload),
             )
         elif self.path == "/batch":
             self._reply(
                 200,
                 self.app.batch(payload),
-                drop=self.app.injected_conn_drop("batch", payload),
+                drop=self.app._fires("conn-drop", "batch", payload),
             )
         elif self.path == "/tune":
             self._reply(200, self.app.tune(payload))
         elif self.path == "/check":
             self._reply(200, self.app.check(payload))
         elif self.path == "/shutdown":
-            self.app.begin_drain()
+            self.daemon.drain_and_stop()
             self._reply(200, {"ok": True, "state": "draining"})
-            threading.Thread(
-                target=self._drain_then_stop, daemon=True
-            ).start()
         else:
             self._reply(404, error_body(f"no route {self.path!r}"))
 
     _ROUTES = {"GET": _get, "POST": _post}
-
-    def _drain_then_stop(self) -> None:
-        """Graceful stop: finish admitted work (bounded by the drain
-        timeout), then break the accept loop."""
-        self.app.drain()
-        self.server.shutdown()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -293,7 +286,9 @@ class ServeDaemon:
         backlog: int = 64,
     ) -> None:
         self.app = app
-        handler = type("_BoundHandler", (_Handler,), {"app": app})
+        handler = type(
+            "_BoundHandler", (_Handler,), {"app": app, "daemon": self}
+        )
         server_cls = type(
             "_BoundServer",
             (socketserver.ThreadingTCPServer,),
@@ -339,14 +334,30 @@ class ServeDaemon:
         self._thread.start()
         return self
 
-    def stop(self, graceful: bool = True) -> None:
-        """Stop the daemon.  ``graceful`` (default) sheds new work and
-        waits (bounded) for in-flight requests before closing the
-        socket, mirroring ``POST /shutdown`` / SIGTERM."""
-        if graceful:
-            self.app.begin_drain()
+    def drain_and_stop(self) -> threading.Thread:
+        """Graceful stop (``POST /shutdown``, SIGTERM, ``stop()``): shed
+        new work now; on the returned thread, wait for admitted work
+        and the running tune job (bounded by the drain timeout), then
+        break the accept loop — ``server.shutdown()`` would deadlock on
+        a handler thread or on the serving thread's signal frame."""
+        self.app.begin_drain()
+
+        def stop() -> None:
             self.app.drain()
-        self.server.shutdown()
+            self.server.shutdown()
+
+        stopper = threading.Thread(target=stop, name="repro-serve-drain",
+                                   daemon=True)
+        stopper.start()
+        return stopper
+
+    def stop(self, graceful: bool = True) -> None:
+        """Stop the daemon: :meth:`drain_and_stop` when ``graceful``
+        (default), else break the accept loop at once."""
+        if graceful:
+            self.drain_and_stop().join()
+        else:
+            self.server.shutdown()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

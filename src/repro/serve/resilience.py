@@ -1,5 +1,5 @@
-"""Serving-layer resilience primitives: admission control, deadlines,
-structured shedding, drain coordination, and the client retry policy.
+"""Serving-layer resilience: admission control, structured shedding,
+drain coordination, and what a deadline looks like over HTTP.
 
 The serve daemon fronts heavy traffic with finite resources, so every
 overload decision is made *explicitly* here instead of implicitly by
@@ -14,14 +14,13 @@ queue growth:
   machine-readable ``reason``) — never silently queued to OOM.  Batch
   requests weigh their request count, so one 1024-line batch cannot
   starve the limiter accounting.
-* :class:`Deadline` — a per-request wall-clock budget (``deadline_ms``
-  on ``/run`` and ``/batch``, or the server default).  The batch
-  engine's drain loop checks it at bucket/segment boundaries; an
-  expired request gets a well-formed :class:`DeadlineExceeded` record
-  while bucket-mates already executing complete normally.
-* :class:`RetryPolicy` — bounded exponential backoff with deterministic
-  (seeded, blake2b-derived) jitter for :class:`~repro.serve.client.
-  ServeClient`; honors ``Retry-After`` hints on sheds.
+* :func:`request_deadline` — a request's ``deadline_ms`` (or the server
+  default) as a :class:`~repro.faults.Deadline`, the one home of the
+  budget rule (a finite number > 0, else a 400); an expired budget is
+  the admission controller's 504.  The batch engine checks it at
+  bucket/segment boundaries; an expired request gets a well-formed
+  :class:`~repro.faults.DeadlineExceeded` record while bucket-mates
+  already executing complete normally.
 * :class:`ResilienceConfig` — one knob bundle threaded from the CLI
   through the app to the admission controller and drain logic.
 
@@ -37,11 +36,12 @@ Counters (on the app's :class:`~repro.observe.trace.TraceSink`):
 from __future__ import annotations
 
 import contextlib
-import hashlib
+import math
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, Mapping, Optional
+
+from repro.faults import Deadline
 
 
 class ServeError(Exception):
@@ -72,11 +72,30 @@ class ShedError(ServeError):
     so retrying it (after ``retry_after``) is always safe."""
 
 
-class DeadlineExceeded(Exception):
-    """A request's deadline budget expired before (or between) its
-    execution boundaries.  The message is a pure function of the budget
-    — no wall-clock content — so shed records stay byte-deterministic.
-    """
+def deadline_ms(raw: Any) -> float:
+    """``raw`` as a deadline budget in ms: a finite number > 0, never a
+    bool.  Anything else is a ``ValueError`` naming the rule."""
+    try:
+        budget = float(raw)
+    except (TypeError, ValueError):
+        budget = math.nan
+    if isinstance(raw, bool) or not (math.isfinite(budget) and budget > 0):
+        raise ValueError("must be a finite number > 0")
+    return budget
+
+
+def request_deadline(
+    payload: Mapping[str, Any], default_ms: Optional[float] = None
+) -> Optional[Deadline]:
+    """The request's ``deadline_ms`` (or the server default, or ``None``
+    for unbounded).  A malformed value is a 400."""
+    raw = payload.get("deadline_ms", default_ms)
+    if raw is None:
+        return None
+    try:
+        return Deadline(deadline_ms(raw))
+    except ValueError as exc:
+        raise ServeError(400, f"bad deadline_ms {raw!r}: {exc}") from None
 
 
 @dataclass
@@ -103,8 +122,11 @@ class ResilienceConfig:
             raise ValueError("max_concurrency must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be > 0")
+        if self.default_deadline_ms is not None:
+            try:
+                deadline_ms(self.default_deadline_ms)
+            except ValueError as exc:
+                raise ValueError(f"default_deadline_ms {exc}") from None
 
     @property
     def queue_high_water(self) -> int:
@@ -112,61 +134,6 @@ class ResilienceConfig:
 
     def clamp_cost(self, cost: int) -> int:
         return max(1, min(int(cost), self.max_concurrency))
-
-
-class Deadline:
-    """A monotonic wall-clock budget for one request."""
-
-    __slots__ = ("budget_ms", "_expires_at")
-
-    def __init__(self, budget_ms: float) -> None:
-        if budget_ms <= 0:
-            raise ValueError("deadline budget must be > 0 ms")
-        self.budget_ms = float(budget_ms)
-        self._expires_at = time.monotonic() + self.budget_ms / 1000.0
-
-    @classmethod
-    def from_payload(
-        cls,
-        payload: Mapping[str, Any],
-        default_ms: Optional[float] = None,
-    ) -> Optional["Deadline"]:
-        """The request's ``deadline_ms`` (or the server default, or
-        ``None`` for unbounded).  A malformed value is a 400."""
-        raw = payload.get("deadline_ms", default_ms)
-        if raw is None:
-            return None
-        try:
-            budget = float(raw)
-            if budget <= 0:
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ServeError(
-                400, f"bad deadline_ms {raw!r}: must be a number > 0"
-            ) from None
-        return cls(budget)
-
-    def expired(self) -> bool:
-        return time.monotonic() >= self._expires_at
-
-    def remaining_s(self) -> float:
-        return max(0.0, self._expires_at - time.monotonic())
-
-    def error(self) -> DeadlineExceeded:
-        """The structured per-request error — deterministic text (the
-        budget, never the elapsed time) so batch records keep byte
-        parity across runs."""
-        return DeadlineExceeded(
-            f"{self.budget_ms:g}ms request budget exhausted"
-        )
-
-    def serve_error(self) -> ServeError:
-        return ServeError(
-            504,
-            f"deadline_exceeded: {self.budget_ms:g}ms request budget "
-            "exhausted",
-            code="deadline_exceeded",
-        )
 
 
 class AdmissionController:
@@ -182,7 +149,7 @@ class AdmissionController:
     * draining → 503 ``draining`` (retry against the next instance),
     * accept queue full → 429 ``capacity``,
     * queued past ``queue_timeout_s`` → 429 ``queue_timeout``,
-    * queued past the request deadline → the deadline's 504.
+    * queued past the request deadline → :meth:`check_deadline`'s 504.
     """
 
     def __init__(self, config: ResilienceConfig, sink=None) -> None:
@@ -237,6 +204,22 @@ class AdmissionController:
                 self._inflight -= cost
                 self._cond.notify_all()
 
+    def check_deadline(self, deadline: Optional[Deadline]) -> None:
+        """Raise the structured 504 if ``deadline`` has expired."""
+        if deadline is not None and deadline.expired():
+            self._count("serve.deadline.expired")
+            raise ServeError(
+                504, f"deadline_exceeded: {deadline.error()}",
+                code="deadline_exceeded",
+            )
+
+    def draining_shed(self, route: str) -> ShedError:
+        """The 503 every route sheds with once the daemon drains."""
+        return self._shed(
+            route, "draining", 503, "draining",
+            "daemon is draining; retry against the next instance",
+        )
+
     def _shed(
         self, route: str, counter: str, status: int, code: str, message: str
     ) -> ShedError:
@@ -260,7 +243,7 @@ class AdmissionController:
         deadline: Optional[Deadline],
         forced_shed: bool,
     ) -> None:
-        timeout_at = time.monotonic() + self.config.queue_timeout_s
+        queue_deadline = Deadline.after(self.config.queue_timeout_s)
         with self._cond:
             if forced_shed:
                 raise self._shed(
@@ -271,11 +254,7 @@ class AdmissionController:
             try:
                 while True:
                     if self._draining:
-                        raise self._shed(
-                            route, "draining", 503, "draining",
-                            "daemon is draining; retry against the next "
-                            "instance",
-                        )
+                        raise self.draining_shed(route)
                     if self._inflight + cost <= self.config.max_concurrency:
                         self._inflight += cost
                         return
@@ -289,18 +268,15 @@ class AdmissionController:
                             )
                         queued = True
                         self._queued += cost
-                    now = time.monotonic()
-                    if now >= timeout_at:
+                    if queue_deadline.expired():
                         raise self._shed(
                             route, "queue_timeout", 429, "queue_timeout",
                             f"queued past "
                             f"{self.config.queue_timeout_s:g}s without a "
                             "slot",
                         )
-                    if deadline is not None and deadline.expired():
-                        self._count("serve.deadline.expired")
-                        raise deadline.serve_error()
-                    wait = timeout_at - now
+                    self.check_deadline(deadline)
+                    wait = queue_deadline.remaining_s()
                     if deadline is not None:
                         wait = min(wait, deadline.remaining_s())
                     self._cond.wait(timeout=max(0.001, wait))
@@ -331,38 +307,3 @@ class AdmissionController:
     def _count(self, name: str) -> None:
         if self.sink is not None:
             self.sink.count(name)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic jitter.
-
-    The jitter fraction is blake2b-derived from ``(seed, route,
-    attempt)`` — the same construction as the fault injector — so a
-    retry schedule replays identically across runs, which keeps the
-    chaos harness deterministic end to end.  ``Retry-After`` hints from
-    sheds are honored (capped at ``max_backoff_s``) and never shortened
-    below the server's ask.
-    """
-
-    retries: int = 3
-    backoff_s: float = 0.05
-    max_backoff_s: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0x52E7
-
-    def delay(
-        self,
-        route: str,
-        attempt: int,
-        retry_after: Optional[float] = None,
-    ) -> float:
-        base = min(self.max_backoff_s, self.backoff_s * (2.0 ** attempt))
-        digest = hashlib.blake2b(
-            f"{self.seed}|{route}|{attempt}".encode("utf-8"), digest_size=8
-        ).digest()
-        fraction = int.from_bytes(digest, "big") / 2.0**64
-        delay = base * (1.0 + self.jitter * (2.0 * fraction - 1.0))
-        if retry_after is not None:
-            delay = max(delay, min(float(retry_after), self.max_backoff_s))
-        return delay

@@ -1,5 +1,5 @@
-"""Tests for the fault-tolerance layer: the deterministic injector
-(:mod:`repro.faults`), every recovery path of the measurement loop of
+"""Tests for the fault-tolerance layer: the deterministic injector and
+the shared recovery rules (:mod:`repro.faults`), every recovery path of the measurement loop of
 :class:`~repro.autotuner.evaluation.Evaluator` (crash -> retry ->
 pool rebuild, hang -> deadline cull, repeat killer -> quarantine,
 transient -> bounded backoff retries, pool collapse -> serial
@@ -8,9 +8,12 @@ invariant: tuning under injected faults is byte-identical to a
 fault-free run.
 """
 
+import functools
 import json
 import os
 import pickle
+import time
+import types
 
 import pytest
 
@@ -19,11 +22,12 @@ from repro.autotuner import GeneticTuner, evaluation
 from repro.autotuner.evaluation import CandidateFailure, Evaluator
 from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
 from repro.compiler import ChoiceConfig, Selector
-from repro.faults import FaultInjector, FaultSpecError
+from repro.faults import FaultInjector, FaultSpecError, RetryPolicy
+from repro.faults import stable_hash
 from repro.faults.harness import (
     DEFAULT_TUNER_KWARGS,
     check_fault_tolerance,
-    fault_sweep,
+    sweep,
 )
 from repro.observe import TraceSink
 
@@ -33,7 +37,9 @@ SORT_SPEC = EvaluatorSpec.make("repro.apps.sort:make_evaluator", "xeon8")
 @pytest.fixture(autouse=True)
 def no_backoff(monkeypatch):
     """Fast recovery for the unit tests: no sleeps between retry rounds."""
-    monkeypatch.setattr(evaluation, "RETRY_BACKOFF", 0.0)
+    monkeypatch.setattr(
+        evaluation, "RETRY_BACKOFF", RetryPolicy(backoff_s=0.0, jitter=0.0)
+    )
 
 
 def sort_batch(options, size=32):
@@ -134,6 +140,71 @@ class TestInjectorDecisions:
         for kind in ("worker-crash", "worker-hang", "transient"):
             for i in range(100):
                 assert not injector.fires(kind, f"sig{i}", 1)
+
+
+class TestRecoveryRules:
+    """The one ``stable_hash`` reproduces the three formulas it replaced,
+    bit for bit (values taken from the hand-written blake2b copies)."""
+
+    def test_measurement_seed_pinned(self):
+        assert evaluation.measurement_seed(
+            20090615, '{"a": 1}', 64, 2
+        ) == 3316755640898328634
+        assert evaluation.measurement_seed(1, "sig", 64, 0) == (
+            5965824829963928929
+        )
+        assert stable_hash(1, 64, 0, "sig") == 5965824829963928929
+
+    def test_fault_fraction_pinned(self):
+        injector = FaultInjector.parse("transient:0.5,seed=7")
+        assert injector._fraction("transient", "sig|64", 1) == (
+            0.8736878974892485
+        )
+        assert FaultInjector.parse("conn-drop:0.5")._fraction(
+            "conn-drop", "conn|run|r3", 0
+        ) == 0.40471012282630325
+
+    def test_retry_delay_pinned(self):
+        policy = RetryPolicy()
+        assert [policy.delay("/run", attempt) for attempt in range(4)] == [
+            0.056241226783556655,
+            0.12251744857371322,
+            0.2336289316074328,
+            0.4133602296765174,
+        ]
+        assert RetryPolicy(seed=9, jitter=0.5).delay(
+            "/batch", 2, retry_after=0.01
+        ) == 0.2321647948257255
+
+    def test_unjittered_backoff_is_capped_doubling(self):
+        policy = RetryPolicy(backoff_s=0.05, max_backoff_s=1.0, jitter=0.0)
+        assert [policy.delay("job", k) for k in range(7)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0
+        ]
+        assert policy.delay("job", 5000) == 1.0  # no overflow on long polls
+
+    def test_resolve_backs_off_on_the_evaluator_schedule(
+        self, monkeypatch, serial_times
+    ):
+        """Retry rounds sleep 0.05 * 2**k s, capped at 2 s."""
+        monkeypatch.setattr(
+            evaluation, "RETRY_BACKOFF",
+            RetryPolicy(backoff_s=0.05, max_backoff_s=2.0, jitter=0.0),
+        )
+        sleeps = []
+        monkeypatch.setattr(evaluation, "_time", types.SimpleNamespace(
+            sleep=sleeps.append, perf_counter=time.perf_counter
+        ))
+        batch = sort_batch((0,))
+        evaluator = Evaluator.from_spec(
+            SORT_SPEC,
+            injector=FaultInjector.parse("transient:1x7"),
+            max_retries=10,
+        )
+        assert evaluator.evaluate_batch(batch) == [
+            serial_times[(batch[0][0].to_json(), 32)]
+        ]
+        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
 
 class TestCrashRecovery:
@@ -520,16 +591,22 @@ class TestFaultToleranceHarness:
             measure_timeout=0.3,
             tuner_kwargs={"threshold_metric": sort_app.size_metric},
         )
-        assert report.identical
         assert not report.degraded
-        assert report.recovery_counter("tuner.pool.rebuilds") >= 1
+        assert report.counters.get("tuner.pool.rebuilds", 0) >= 1
 
     def test_all_fault_kinds_sweep(self):
-        reports = fault_sweep(
-            SORT_SPEC,
+        # check_fault_tolerance asserts parity itself: a diverging seed
+        # raises inside the sweep.
+        reports = sweep(
+            functools.partial(
+                check_fault_tolerance,
+                SORT_SPEC,
+                jobs=2,
+                tuner_kwargs={"threshold_metric": sort_app.size_metric},
+            ),
             "worker-crash:0.15,transient:0.1,corrupt-record:0.1",
             seeds=(1, 2),
-            jobs=2,
-            tuner_kwargs={"threshold_metric": sort_app.size_metric},
         )
-        assert all(report.identical for report in reports)
+        assert [report.faulty.config.to_json() for report in reports] == [
+            report.baseline.config.to_json() for report in reports
+        ]

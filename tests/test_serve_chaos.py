@@ -1,24 +1,26 @@
 """Chaos tests: the serving invariant under injected fault schedules.
 
-Each test drives :mod:`repro.faults.serve_harness` — a live daemon, a
+Each test drives :mod:`repro.faults.harness` — a live daemon, a
 deterministic request schedule, retrying clients — and asserts that
 every request either got the byte-identical fault-free response or
 exactly one well-formed structured error, with no hung threads; plus
-the kill-and-restart durability checks for the artifact store.
+the kill-and-restart durability checks for the artifact store, and
+which plans replay identically.
 """
 
+import functools
 import tempfile
 
 import pytest
 
 from repro.faults import FaultInjector
-from repro.faults.serve_harness import (
+from repro.faults.harness import (
     COMBINED_INJECT,
     KIND_INJECTS,
     SCALE,
     check_serve_resilience,
     check_store_recovery,
-    run_serve_chaos,
+    sweep,
 )
 from repro.serve import ServeApp, ServeError
 
@@ -85,12 +87,50 @@ def test_kill_and_restart_never_regresses_versions():
         recovered.close()
 
 
-def test_run_serve_chaos_report_shape(tmp_path):
-    report_path = tmp_path / "chaos.json"
-    summary = run_serve_chaos(
-        [4], requests=6, report_path=str(report_path)
+#: The sweep's seeds and schedule length (the full chaos drill).
+SWEEP_SEEDS = (1, 2)
+SWEEP_REQUESTS = 18
+
+#: The plans whose outcome split and counters replay exactly; a
+#: ``drain-race`` plan depends on which requests are in flight.
+REPLAYABLE = ("conn-drop", "slow-handler", "shed-storm", "store-io-fail")
+
+
+def _check(kind):
+    if kind == "store-io-fail":
+        return check_store_recovery
+    return functools.partial(check_serve_resilience, requests=SWEEP_REQUESTS)
+
+
+@pytest.fixture(scope="module")
+def swept():
+    """Every fault kind alone plus the combined plan, under every sweep
+    seed: plan name -> one report per seed."""
+    plans = {**KIND_INJECTS, "combined": COMBINED_INJECT}
+    return {
+        kind: sweep(_check(kind), inject, SWEEP_SEEDS)
+        for kind, inject in plans.items()
+    }
+
+
+def _outcome(report):
+    return (
+        report.parity,
+        report.structured_errors,
+        report.client_counters,
+        report.server_counters,
     )
-    assert summary["ok"] is True
-    # One run per fault kind plus the combined plan.
-    assert len(summary["runs"]) == 6
-    assert report_path.exists()
+
+
+def test_sweep_every_plan_and_seed(swept):
+    assert len(swept) == 6
+    for kind, reports in swept.items():
+        assert len(reports) == len(SWEEP_SEEDS)
+        for report in reports:
+            assert report.ok, (kind, report.inject)
+
+
+@pytest.mark.parametrize("kind", REPLAYABLE)
+def test_drain_free_plans_replay_identically(swept, kind):
+    (again,) = sweep(_check(kind), KIND_INJECTS[kind], SWEEP_SEEDS[:1])
+    assert _outcome(again) == _outcome(swept[kind][0])

@@ -5,23 +5,29 @@ Covers admission control (weighted sheds, bounded queueing, structured
 (including the batch engine's bucket-boundary checks), graceful drain
 semantics (in-flight work completes byte-identically while new work
 sheds), liveness vs readiness probes, the event-based job queue with
-idempotent enqueue, client-side bounded retries against injected
-transport faults, the dropped-connection tolerance of the HTTP handler,
+idempotent enqueue, the client's job polling, client-side bounded
+retries against injected transport faults, a ``repro serve`` process
+draining on SIGTERM, the dropped-connection tolerance of the HTTP handler,
 a ``Content-Length`` the daemon cannot trust, and error pages that are
 not the daemon's own JSON.
 """
 
 import json
+import os
 import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
+import types
 
 import pytest
 
 from repro.batch.engine import BatchEngine
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, recovery
 from repro.serve import (
     AdmissionController,
     Deadline,
@@ -37,7 +43,9 @@ from repro.serve import (
     ServeError,
     ShedError,
 )
+from repro.serve import client as client_module
 from repro.serve.daemon import MAX_BODY_BYTES, _Handler
+from repro.serve.resilience import request_deadline
 from repro.observe.trace import ThreadSafeSink
 from tests.strategies import converse
 
@@ -179,13 +187,51 @@ class TestAdmission:
 
 class TestDeadline:
     def test_from_payload_validation(self):
-        assert Deadline.from_payload({}) is None
-        assert Deadline.from_payload({}, default_ms=50.0).budget_ms == 50.0
-        assert Deadline.from_payload({"deadline_ms": 25}).budget_ms == 25.0
-        for bad in ("soon", -1, 0, [1]):
+        assert request_deadline({}) is None
+        assert request_deadline({}, default_ms=50.0).budget_ms == 50.0
+        assert request_deadline({"deadline_ms": 25}).budget_ms == 25.0
+        bad_values = ("soon", -1, 0, [1], float("nan"), float("inf"), True)
+        for bad in bad_values:
             with pytest.raises(ServeError) as excinfo:
-                Deadline.from_payload({"deadline_ms": bad})
+                request_deadline({"deadline_ms": bad})
             assert excinfo.value.status == 400
+            assert "must be a finite number > 0" in excinfo.value.message
+        for bad in (float("nan"), float("inf"), True, 0):
+            with pytest.raises(ValueError, match="finite number > 0"):
+                ResilienceConfig(default_deadline_ms=bad)
+
+    def test_zero_budget_is_already_expired(self):
+        deadline = Deadline(0)
+        assert deadline.expired()
+        assert deadline.remaining_s() == 0.0
+        app = _app()
+        try:
+            assert app.drain(0) is True  # legal, and idle means clean
+        finally:
+            app.close()
+
+    def test_nan_deadline_over_http_is_400(self):
+        """A raw JSON ``NaN`` (which ``json.loads`` accepts) must not
+        become a budget that never expires."""
+        daemon = ServeDaemon(_app(), port=0).start_background()
+        try:
+            body = (
+                b'{"program": "p", "transform": "Scale", '
+                b'"inputs": {"A": [[1.0]]}, "deadline_ms": NaN}'
+            )
+            ((status, _headers, reply),) = converse(
+                daemon,
+                b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+                + body,
+            )
+        finally:
+            daemon.stop()
+        assert status == 400
+        assert json.loads(reply)["error"] == (
+            "bad deadline_ms nan: must be a finite number > 0"
+        )
 
     def test_error_text_is_wall_clock_free(self):
         deadline = Deadline(75.0)
@@ -322,6 +368,50 @@ class TestJobQueue:
 
 
 # ---------------------------------------------------------------------------
+# job polling
+
+
+class TestWaitJob:
+    @staticmethod
+    def _client(monkeypatch, states, clock):
+        """A client whose ``job`` answers ``states`` in turn and whose
+        sleeps advance the fake monotonic ``clock`` (no daemon)."""
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr(
+            client_module, "time", types.SimpleNamespace(sleep=sleep)
+        )
+        monkeypatch.setattr(
+            recovery, "time", types.SimpleNamespace(monotonic=lambda: clock[0])
+        )
+        client = ServeClient(port=1)
+        answers = iter(states)
+        client.job = lambda job_id: {"state": next(answers)}
+        return client, sleeps
+
+    def test_polls_on_capped_doubling(self, monkeypatch):
+        states = ["queued"] * 7 + ["done"]
+        client, sleeps = self._client(monkeypatch, states, [0.0])
+        assert client.wait_job("j", timeout=300.0) == {"state": "done"}
+        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0]
+
+    def test_times_out_at_the_deadline(self, monkeypatch):
+        client, sleeps = self._client(
+            monkeypatch, iter(lambda: "running", None), [0.0]
+        )
+        with pytest.raises(TimeoutError, match="job j still running after 2s"):
+            client.wait_job("j", timeout=2.0)
+        # 0.05 + 0.1 + 0.2 + 0.4 + 0.8 = 1.55, then the last 0.45 s.
+        assert sleeps[:5] == [0.05, 0.1, 0.2, 0.4, 0.8]
+        assert sum(sleeps) == pytest.approx(2.0)
+        assert len(sleeps) == 6
+
+
+# ---------------------------------------------------------------------------
 # retry policy
 
 
@@ -402,6 +492,33 @@ class TestDrain:
         assert app.sink.counters["serve.drain.begun"] == 1
         assert app.sink.counters["serve.drain.completed"] == 1
         assert app.sink.counters["serve.shed.draining"] >= 1
+
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+        """``repro serve`` under SIGTERM: the same drain-and-stop as
+        ``/shutdown`` — new work sheds, the process exits 0."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src), env.get("PYTHONPATH", "")]
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+            assert ServeClient(port=port).health()["ok"] is True
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=15.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert out.strip().endswith("repro serve: stopped")
 
     def test_ready_flips_on_drain_health_stays_alive(self):
         app = _app()

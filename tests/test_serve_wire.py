@@ -35,7 +35,7 @@ from repro.observe import ThreadSafeSink
 from repro.serve import ServeApp, ServeClient, ServeClientError, ServeDaemon
 from repro.serve.records import FRAME_MAGIC, FrameWriter, WireError
 from repro.serve.records import decode_array, encode_array, split_frame
-from repro.serve.resilience import RetryPolicy
+from repro.serve import RetryPolicy
 from repro.serve.transport import send_message
 from tests.strategies import converse
 
