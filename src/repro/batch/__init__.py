@@ -5,9 +5,10 @@ Production traffic for a PetaBricks-style system is not one big matmul
 per-call planning amortizes badly.  This package turns the library
 into something a request firehose can hit:
 
-* :mod:`repro.batch.request` — requests, results, and the bucket-key
-  grouper (same program + transform + exact shapes + config → one
-  bucket sharing all compile-time caches).
+* :mod:`repro.batch.request` — requests and results.  A bucket is a
+  run plan: same program + transform + the transform's plan key
+  (config content, exact shapes, sizes) → one bucket, one
+  ``CompiledTransform.plan``.
 * :mod:`repro.batch.stacked` — the stacked execution path: a bucket
   runs as batched NumPy steps over a leading request axis, planned by
   the batch-axis extension of :mod:`repro.engine_fast.vectorize`.
@@ -21,13 +22,7 @@ per-transform stackability via :func:`~repro.batch.stacked.batch_eligibility`.
 """
 
 from repro.batch.engine import BatchEngine
-from repro.batch.request import (
-    BatchRequest,
-    BatchResult,
-    bucket_key,
-    config_digest,
-    request_shapes,
-)
+from repro.batch.request import BatchRequest, BatchResult
 from repro.batch.stacked import (
     batch_eligibility,
     plan_stacked,
@@ -39,9 +34,6 @@ __all__ = [
     "BatchRequest",
     "BatchResult",
     "batch_eligibility",
-    "bucket_key",
-    "config_digest",
     "plan_stacked",
-    "request_shapes",
     "run_stacked",
 ]

@@ -1,7 +1,8 @@
 """The batch execution engine: submit/gather over bucketed requests.
 
 :class:`BatchEngine` accepts many small execution requests, groups them
-into buckets of provably-identical work (:mod:`repro.batch.request`),
+into buckets of requests that replay one run plan (the transform's plan
+key: config content, input shapes, sizes — :mod:`repro.batch.request`),
 and serves each bucket either *stacked* — one batched NumPy sweep over
 a leading request axis (:mod:`repro.batch.stacked`) — or *serially*,
 one ``CompiledTransform.run`` per request, when the bucket's transform
@@ -37,59 +38,38 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.batch.request import (
-    ArrayLike,
-    BatchRequest,
-    BatchResult,
-    BucketKey,
-    bucket_key,
-    config_digest,
-    input_arrays,
-)
+from repro.batch.request import ArrayLike, BatchRequest, BatchResult
 from repro.batch.stacked import plan_stacked, run_stacked
 from repro.compiler.codegen import CompiledTransform, RunPlan, normalize_sizes
 from repro.compiler.config import ChoiceConfig
-from repro.engine_fast import LRUCache
 from repro.faults import Deadline
 from repro.runtime.batchqueue import BucketQueue
 from repro.runtime.matrix import Matrix
+
+#: The most requests one stacked sweep carries: a larger bucket runs as
+#: several chunks, so one chunk's arrays are at most ``MAX_STACK`` times
+#: the serial footprint.
+MAX_STACK = 1024
 
 
 class BatchEngine:
     """Bucketing submit/gather executor for many small requests.
 
-    ``max_stack`` caps how many requests share one stacked sweep; a
-    bucket larger than that runs as several chunks (bounding peak
-    memory: one chunk's arrays are ``max_stack`` × the serial
-    footprint).
-
     The engine is safe to keep alive indefinitely (the serve daemon
-    does): configs are frozen at submit — each request carries a private
-    copy plus its content digest, so mutating the caller's config object
-    after ``submit`` affects neither bucketing nor execution, and the
-    engine holds no per-config-object state between gathers.  The
-    stacked-plan cache is a bounded LRU (``plan_cache_size`` buckets).
+    does): each request carries a private copy of its config, so
+    mutating the caller's object after ``submit`` affects neither
+    bucketing nor execution, and the engine holds no per-config state
+    between gathers.  A bucket's plan is the transform's own cached
+    :class:`RunPlan` (``CompiledTransform.plan``), so the transform's
+    bounded LRU is the one plan cache.
     """
 
-    def __init__(
-        self,
-        sink=None,
-        max_stack: int = 1024,
-        plan_cache_size: int = 256,
-    ) -> None:
-        if max_stack < 1:
-            raise ValueError("max_stack must be >= 1")
-        if plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
+    def __init__(self, sink=None) -> None:
         self.sink = sink
-        self.max_stack = max_stack
-        self.plan_cache_size = plan_cache_size
         self._pending: List[BatchRequest] = []
         self._results: Dict[int, BatchResult] = {}
         self._tokens: Dict[int, str] = {}
         self._token_refs: List[CompiledTransform] = []  # keep ids alive
-        #: BucketKey -> (stackable RunPlan or None, fallback reason)
-        self._plans = LRUCache(plan_cache_size)
         self._next_id = 0
 
     # -- submission ---------------------------------------------------------
@@ -100,46 +80,35 @@ class BatchEngine:
         inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None],
         config: Optional[ChoiceConfig] = None,
         sizes: Optional[Mapping[str, int]] = None,
-        digest: Optional[str] = None,
     ) -> int:
         """Queue one request; returns its id (also its gather position).
 
-        The config is frozen here: the request keeps a private copy and
-        its content digest, so two submits separated by a mutation land
-        in different buckets and run with the configs they were
-        submitted with.  ``digest`` lets a caller that guarantees the
-        config is immutable (the serve registry versions its configs
-        and never mutates them) pass the precomputed digest and skip
-        both the copy and the serialization — the zero-serialization
-        hot path.
+        The request keeps a private copy of ``config`` (``None`` runs as
+        ``ChoiceConfig()``, as in ``CompiledTransform.run``), so two
+        submits separated by a mutation land in different buckets and
+        run with the configs they were submitted with.  Inputs bind
+        through :meth:`CompiledTransform.bind_inputs`; a request whose
+        inputs or sizes do not bind runs serially and gets the engine's
+        own error.
         """
-        request_id = self._next_id
-        self._next_id += 1
-        if digest is None:
-            digest = config_digest(config)
-            if config is not None:
-                config = config.copy()
-        try:
-            arrays = input_arrays(transform, inputs)
-            shapes = tuple(array.shape for array in arrays)
-            sizes = normalize_sizes(sizes) or None
-        except Exception:
-            # malformed: serial fallback reports the error
-            arrays = None
-            shapes = None
-        self._pending.append(
-            BatchRequest(
-                request_id=request_id,
-                transform=transform,
-                inputs=inputs,
-                config=config,
-                sizes=sizes,
-                digest=digest,
-                shapes=shapes,
-                arrays=arrays,
-            )
+        request = BatchRequest(
+            request_id=self._next_id,
+            transform=transform,
+            inputs=inputs,
+            config=ChoiceConfig() if config is None else config.copy(),
+            sizes=sizes,
         )
-        return request_id
+        self._next_id += 1
+        try:
+            views = transform.bind_inputs(inputs)
+            request.sizes = normalize_sizes(sizes)
+        except Exception:
+            pass  # the serial run reports the error
+        else:
+            request.inputs = views
+            request.shapes = tuple([view.shape for view in views.values()])
+        self._pending.append(request)
+        return request.request_id
 
     def gather(self, deadline: Optional[Deadline] = None) -> List[BatchResult]:
         """Execute everything pending; results in submission order.
@@ -157,13 +126,13 @@ class BatchEngine:
         queue: BucketQueue[BatchRequest] = BucketQueue()
         for request in pending:
             queue.add(self._key(request), request)
-        for key, requests in queue.drain():
+        for _, requests in queue.drain():
             if deadline is not None and deadline.expired():
                 self._expire(requests, deadline)
                 continue
             if self.sink is not None:
                 self.sink.count("batch.buckets")
-            self._run_bucket(key, requests, deadline)
+            self._run_bucket(requests, deadline)
         elapsed = time.perf_counter() - started
         if self.sink is not None:
             self.sink.count("batch.requests", len(pending))
@@ -189,13 +158,24 @@ class BatchEngine:
 
     # -- bucketing ----------------------------------------------------------
 
-    def _key(self, request: BatchRequest) -> BucketKey:
+    def _key(self, request: BatchRequest) -> Tuple:
+        """The bucket: the transform's plan key (config content, shapes,
+        sizes) under its program token and name.  A request that did not
+        bind gets a bucket of its own."""
+        if request.shapes is None:
+            return ("unbound", request.request_id)
         token = self._tokens.get(id(request.transform.program))
         if token is None:
             token = f"p{len(self._token_refs)}"
             self._tokens[id(request.transform.program)] = token
             self._token_refs.append(request.transform)
-        return bucket_key(token, request)
+        return (
+            token,
+            request.transform.name,
+            request.shapes,
+            request.config.key(),
+            tuple(sorted(request.sizes.items())),
+        )
 
     def _expire(self, requests: List[BatchRequest], deadline: Deadline) -> None:
         """Resolve every request to the deadline's structured error."""
@@ -210,19 +190,15 @@ class BatchEngine:
             )
 
     def _run_bucket(
-        self, key: BucketKey, requests: List[BatchRequest],
+        self, requests: List[BatchRequest],
         deadline: Optional[Deadline] = None,
     ) -> None:
         first = requests[0]
         plan = None
         if first.shapes is not None:
-            cached = self._plans.get(key)
-            if cached is None:
-                cached = plan_stacked(
-                    first.transform, first.shapes, first.config, first.sizes
-                )
-                self._plans[key] = cached
-            plan, _reason = cached
+            plan, _reason = plan_stacked(
+                first.transform, first.shapes, first.config, first.sizes
+            )
         if plan is None:
             for request in requests:
                 if deadline is not None and deadline.expired():
@@ -230,8 +206,8 @@ class BatchEngine:
                     continue
                 self._run_serial(request, fallback=True)
             return
-        for start in range(0, len(requests), self.max_stack):
-            chunk = requests[start : start + self.max_stack]
+        for start in range(0, len(requests), MAX_STACK):
+            chunk = requests[start : start + MAX_STACK]
             if deadline is not None and deadline.expired():
                 self._expire(chunk, deadline)
                 continue
@@ -240,15 +216,19 @@ class BatchEngine:
     def _run_chunk(
         self, plan: RunPlan, chunk: List[BatchRequest]
     ) -> None:
-        transform = chunk[0].transform
-        declared = [mat.name for mat in transform.ir.inputs]
         try:
             stacked_inputs = {
-                name: np.stack([request.arrays[pos] for request in chunk])
-                for pos, name in enumerate(declared)
+                name: np.stack(
+                    [request.inputs[name].to_numpy() for request in chunk]
+                )
+                for name in chunk[0].inputs
             }
             outputs = run_stacked(
-                transform, plan, stacked_inputs, len(chunk), sink=self.sink
+                chunk[0].transform,
+                plan,
+                stacked_inputs,
+                len(chunk),
+                sink=self.sink,
             )
         except Exception:
             # Demote the whole chunk: each request re-runs serially and

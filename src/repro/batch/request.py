@@ -1,36 +1,31 @@
-"""Batch requests and the bucket-key grouper.
+"""Batch requests and results.
 
 A request is ``(transform, inputs, config[, sizes])``.  Two requests
-share a bucket — and therefore a stacked execution — exactly when the
-engine can prove they run the *same* generated code over the *same*
-iteration geometry: same program object, same transform, same exact
-input shapes, same configuration content, same explicit sizes.  Exact
-shapes (not a coarser size class) are required because stacking lays
-requests along a new leading axis of one shared array per matrix.
+share a bucket — and therefore a stacked execution — exactly when they
+replay the same :class:`~repro.compiler.codegen.RunPlan`: same program
+object, same transform, and the transform's own plan key, which is the
+configuration's content (``ChoiceConfig.key()``), the exact input shapes
+and the normalised explicit sizes.  Exact shapes (not a coarser size
+class) are required because stacking lays requests along a new leading
+axis of one shared array per matrix.
 
-The program component of the key is a registration token handed out per
+The program component is a registration token handed out per
 compiled-program object in first-seen order: deterministic for a given
-submission sequence without hashing IR structure.  The config component
-is a blake2b digest of :meth:`ChoiceConfig.to_json`, so distinct config
-objects with equal content share a bucket.
+submission sequence without hashing IR structure.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compiler.codegen import CompiledTransform, ExecutionError
+from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig
 from repro.runtime.matrix import Matrix
 
 ArrayLike = Union[np.ndarray, Matrix, Sequence]
-
-#: Bucket key: (program token, transform, shapes, config digest, sizes).
-BucketKey = Tuple[str, str, Tuple[Tuple[int, ...], ...], str, Tuple]
 
 
 @dataclass
@@ -39,21 +34,17 @@ class BatchRequest:
 
     request_id: int
     transform: CompiledTransform
-    inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None]
-    config: Optional[ChoiceConfig]
+    #: The transform's bound input views (declared order), or the raw
+    #: inputs when binding failed — the serial run then raises the
+    #: engine's own error.
+    inputs: Union[Mapping[str, Any], Sequence[ArrayLike], None]
+    #: A private copy made at submit: mutating the caller's object
+    #: afterwards changes neither bucketing nor execution.
+    config: ChoiceConfig
     sizes: Optional[Mapping[str, int]] = None
-    #: The config-content digest, snapshotted when the request is
-    #: submitted.  Bucketing reads this field — never the live config
-    #: object — so mutating a config after ``submit`` can neither
-    #: corrupt grouping nor pin the object in an engine-lifetime memo.
-    digest: str = "default"
-    #: None when the request cannot be shape-analyzed (wrong input
-    #: count / missing name); such requests bucket alone and run
-    #: serially, reproducing the engine's exact error.
+    #: Input shapes in declared order; None when the inputs or sizes
+    #: did not bind — such a request buckets alone and runs serially.
     shapes: Optional[Tuple[Tuple[int, ...], ...]] = None
-    #: Inputs as float64 arrays in declared order, converted once at
-    #: submit (None exactly when ``shapes`` is None).
-    arrays: Optional[Tuple[np.ndarray, ...]] = None
 
 
 @dataclass
@@ -81,85 +72,3 @@ class BatchResult:
                 raise ValueError("transform has multiple outputs; pass a name")
             name = next(iter(self.outputs))
         return self.outputs[name].data
-
-
-def input_arrays(
-    transform: CompiledTransform,
-    inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None],
-) -> Tuple[np.ndarray, ...]:
-    """Inputs as float64 arrays in declared order, validated the same
-    way the serial engine validates them (same error messages)."""
-    declared = transform.ir.inputs
-    if inputs is None:
-        inputs = {}
-    values = []
-    if isinstance(inputs, Mapping):
-        items = dict(inputs)
-        for mat in declared:
-            if mat.name not in items:
-                raise ExecutionError(
-                    f"{transform.name}: missing input {mat.name!r}"
-                )
-            values.append(items.pop(mat.name))
-        if items:
-            raise ExecutionError(
-                f"{transform.name}: unexpected inputs {sorted(items)}"
-            )
-    else:
-        supplied = list(inputs)
-        if len(supplied) != len(declared):
-            raise ExecutionError(
-                f"{transform.name}: expected {len(declared)} inputs, "
-                f"got {len(supplied)}"
-            )
-        values = supplied
-    return tuple(
-        v.data if isinstance(v, Matrix) else np.asarray(v, dtype=np.float64)
-        for v in values
-    )
-
-
-def request_shapes(
-    transform: CompiledTransform,
-    inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None],
-) -> Tuple[Tuple[int, ...], ...]:
-    """Exact input shapes in declared order (raises like the engine
-    would when the request is malformed)."""
-    return tuple(a.shape for a in input_arrays(transform, inputs))
-
-
-def config_digest(config: Optional[ChoiceConfig]) -> str:
-    if config is None:
-        return "default"
-    return hashlib.blake2b(
-        config.to_json().encode(), digest_size=8
-    ).hexdigest()
-
-
-def bucket_key(program_token: str, request: BatchRequest) -> BucketKey:
-    """The grouping key; malformed requests get a singleton key so the
-    serial fallback reports their error without touching a live bucket.
-
-    The config component is ``request.digest``, snapshotted at submit —
-    grouping never re-serializes the config and never dereferences the
-    live object."""
-    if request.shapes is None:
-        return (
-            program_token,
-            request.transform.name,
-            (),
-            f"invalid:{request.request_id}",
-            (),
-        )
-    sizes = (
-        tuple(sorted((str(k), int(v)) for k, v in request.sizes.items()))
-        if request.sizes
-        else ()
-    )
-    return (
-        program_token,
-        request.transform.name,
-        request.shapes,
-        request.digest,
-        sizes,
-    )

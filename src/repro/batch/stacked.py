@@ -1,9 +1,12 @@
 """Stacked execution: one bucket of same-shaped requests, one sweep.
 
 ``plan_stacked`` takes the transform's :class:`RunPlan` for the bucket's
-(config, shapes, sizes) — the very plan a serial run replays: same size
-binding, same size guards, same option selection, same cached geometry,
-same ``__fuse__`` redirect — and reads, for every step, the site's one
+(config, shapes, sizes) — a bucket's identity is that plan's key, and
+the plan comes from the transform's own cache, the one plan cache that
+batches share with serial runs.  It is the very plan a serial run
+replays: same size binding, same size guards, same option selection,
+same cached geometry, same ``__fuse__`` redirect — and reads, for every
+step, the site's one
 vector plan (``step.site.vector`` — the same object the serial vector
 leaf runs at batch 1; its step takes arrays with a leading batch axis).
 If every step qualifies, the whole transform runs as a sequence of those

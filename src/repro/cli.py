@@ -72,6 +72,7 @@ import numpy as np
 
 from repro.autotuner.evaluation import random_inputs
 from repro.autotuner.parallel import source_spec, tune_from_spec
+from repro.autotuner.tuner import tune_limits
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 from repro.compiler.config import LEAF_PATH
 from repro.engine_fast import LEAF_PATH_NAMES
@@ -512,6 +513,10 @@ _RECOVERY_COUNTERS = (
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    try:
+        tune_limits(args.min_size, args.max_size, args.population, args.jobs)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     source_text = _read(args.source)
     # Counters (recovery accounting) are always collected; the event
     # stream — the expensive part — only when --trace asks for it.

@@ -639,7 +639,7 @@ class CompiledTransform:
             config_key = config.key()
         recorder = TaskRecorder(sink=sink)
         state = _EngineState(config, config_key, recorder)
-        input_views = self._coerce_inputs(inputs)
+        input_views = self.bind_inputs(inputs)
         outputs, env = self._execute(state, input_views, sizes)
         return RunResult(
             outputs=outputs,
@@ -650,10 +650,14 @@ class CompiledTransform:
 
     # -- input handling -----------------------------------------------------------
 
-    def _coerce_inputs(
+    def bind_inputs(
         self,
         inputs: Union[Mapping[str, ArrayLike], Sequence[ArrayLike], None],
     ) -> Dict[str, MatrixView]:
+        """``inputs`` (by name or in declared order) as the frame's
+        input views, in declared order — what ``run`` executes and the
+        batch engine stacks.  The one home of the missing, unexpected
+        and wrong-count input errors."""
         if inputs is None:
             inputs = {}
         if not isinstance(inputs, Mapping):

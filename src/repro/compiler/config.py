@@ -194,10 +194,10 @@ class ChoiceConfig:
         """The configuration's content as a hashable value: the sorted
         items of the three dicts.  Equal exactly when two configs would
         drive the engine identically, whatever their insertion order —
-        the in-process cache key (run plans), about a microsecond to
-        build.  Persisted identities (:func:`repro.batch.config_digest`,
-        the tuner's ``config_signature``) stay digests of
-        :meth:`to_json`."""
+        the in-process cache key (run plans, hence batch buckets), about
+        a microsecond to build.  Persisted identities
+        (:func:`repro.serve.registry.config_digest`, the tuner's
+        ``config_signature``) stay digests of :meth:`to_json`."""
         return (
             tuple(sorted(self.choices.items())),
             tuple(sorted(self.tunables.items())),

@@ -181,9 +181,6 @@ class TaskRecorder:
             sink.count("recorder.work_charged", work)
         return tid
 
-    def current_task(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
-
     # -- internals used by _TaskContext -------------------------------------
 
     def _open(self, deps: Tuple[int, ...], label: str) -> int:

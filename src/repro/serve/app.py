@@ -35,11 +35,11 @@ request mapping itself.
 
 Hot path (``/run`` and ``/batch`` with a registered config): program
 lookup and config lookup are dict reads of immutable entries, execution
-reuses the resident :class:`CompiledTransform` and the per-program
+reuses the resident :class:`CompiledTransform`, its cached run plans
+(keyed by config content, shapes and sizes) and the per-program
 :class:`BatchEngine` — **zero program parsing and zero config
-serialization per request** (the config digest was computed once at
-publish).  Cold paths (first compile, inline configs, tuning) pay their
-costs once and register the result.
+serialization per request**.  Cold paths (first compile, inline
+configs, tuning) pay their costs once and register the result.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.analysis.check import check_source
 from repro.autotuner.parallel import source_spec, tune_from_spec
-from repro.batch.request import config_digest
+from repro.autotuner.tuner import tune_limits
 from repro.compiler import ChoiceConfig
 from repro.compiler.codegen import ExecutionError, normalize_sizes
 from repro.faults import Deadline
@@ -68,6 +68,7 @@ from repro.serve.registry import (
     ProgramEntry,
     ServeRegistry,
     bucket_for,
+    config_digest,
 )
 from repro.serve.resilience import (
     AdmissionController,
@@ -254,7 +255,7 @@ class ServeApp:
             default_config = self._parse_config(payload["config"])
 
         # Parse outside the engine lock; only submit/gather hold it.
-        entries: List[Tuple] = []  # ("submit", t, inputs, cfg, sizes, digest)
+        entries: List[Tuple] = []  # ("submit", t, inputs, cfg, sizes)
         for lineno, line in enumerate(lines, start=1):
             if isinstance(line, str):
                 line = line.strip()
@@ -281,7 +282,6 @@ class ServeApp:
                     )
                 )
                 continue
-            digest = None
             if config is None:
                 registered = self.registry.lookup(
                     entry.phash,
@@ -289,30 +289,17 @@ class ServeApp:
                     bucket_for(shapes, sizes),
                 )
                 if registered is not None:
-                    # Registry configs are immutable: reuse the digest
-                    # computed at publish (zero serialization).
-                    config, digest = registered.config, registered.digest
-            entries.append(
-                (
-                    "submit",
-                    transform,
-                    inputs,
-                    config,
-                    sizes,
-                    digest,
-                )
-            )
+                    config = registered.config
+            entries.append(("submit", transform, inputs, config, sizes))
 
         with entry.engine_lock:
             submitted: List[int] = []  # engine ids, in submission order
             for item in entries:
                 if item[0] != "submit":
                     continue
-                _, transform, inputs, config, sizes, digest = item
+                _, transform, inputs, config, sizes = item
                 submitted.append(
-                    entry.engine.submit(
-                        transform, inputs, config, sizes, digest=digest
-                    )
+                    entry.engine.submit(transform, inputs, config, sizes)
                 )
             results = {
                 result.request_id: result
@@ -358,15 +345,24 @@ class ServeApp:
             entry = self._program(payload)
             transform = self._transform(entry, payload)
             machine = self._machine(payload)
+            try:
+                min_size, max_size, population, jobs = tune_limits(
+                    payload.get("min_size", 16),
+                    payload.get("max_size", 64),
+                    payload.get("population", 6),
+                    payload.get("jobs", 1),
+                )
+            except ValueError as exc:
+                raise ServeError(400, f"bad tune request: {exc}")
             job_payload = {
                 "program": entry.phash,
                 "transform": transform.name,
                 "machine": machine,
                 "bucket": str(payload.get("bucket") or ANY_BUCKET),
-                "min_size": int(payload.get("min_size", 16)),
-                "max_size": int(payload.get("max_size", 64)),
-                "population": int(payload.get("population", 6)),
-                "jobs": int(payload.get("jobs", 1)),
+                "min_size": min_size,
+                "max_size": max_size,
+                "population": population,
+                "jobs": jobs,
             }
             key = payload.get("idempotency_key")
             try:

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.batch.engine import BatchEngine
-from repro.batch.request import config_digest
 from repro.compiler import ChoiceConfig, CompiledProgram, compile_program
 
 #: Wildcard size bucket: matches any request size on fallback.
@@ -41,6 +40,13 @@ ANY_BUCKET = "any"
 def program_digest(source: str) -> str:
     """Content hash of program source (the registry's program key)."""
     return hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def config_digest(config: ChoiceConfig) -> str:
+    """The published identity of a registered config: a blake2b digest
+    of :meth:`ChoiceConfig.to_json`, written to the store's meta and
+    shown by ``/stats`` and a tune job's result."""
+    return hashlib.blake2b(config.to_json().encode(), digest_size=8).hexdigest()
 
 
 def size_bucket(extent: int) -> str:
@@ -70,10 +76,11 @@ def bucket_for(
 class ConfigEntry:
     """One immutable registry snapshot: a tuned config at a version.
 
-    ``digest`` is the batch-engine content digest, precomputed once at
-    publish so request hot paths never serialize the config.  The
-    ``config`` object is shared by reference and must never be mutated
-    — publish a new version instead.
+    ``digest`` is the config's published identity
+    (:func:`config_digest`), computed once at publish for ``/stats`` and
+    the store.  The ``config`` object is shared by reference and must
+    never be mutated — publish a new version instead; the batch engine
+    copies it per request and buckets by its plan key.
     """
 
     version: int
@@ -85,9 +92,9 @@ class ConfigEntry:
 
 class ProgramEntry:
     """A compiled program resident in the daemon, plus the long-lived
-    batch engine that serves its ``/batch`` traffic (engines bucket per
-    program token, so sharing one engine across requests reuses its
-    stacked-plan cache)."""
+    batch engine that serves its ``/batch`` traffic.  The engine keeps
+    no plans of its own: its buckets replay the resident transforms'
+    cached run plans, which ``/run`` shares."""
 
     def __init__(
         self, phash: str, source: str, program: CompiledProgram, sink=None

@@ -60,13 +60,6 @@ class Assumptions:
         copy._ranges[var] = (new_lo, hi)
         return copy
 
-    def with_range(self, var: str, lo: Optional[int], hi: Optional[int]) -> "Assumptions":
-        """A copy with the range of ``var`` replaced."""
-        copy = Assumptions()
-        copy._ranges = dict(self._ranges)
-        copy._ranges[var] = (_bound(lo), _bound(hi))
-        return copy
-
     def __repr__(self) -> str:
         inner = ", ".join(
             f"{var}:[{lo},{'inf' if hi is None else hi}]"

@@ -28,6 +28,7 @@ from repro.autotuner import (
 from repro.autotuner.accuracy import Scored, accuracy_ratio
 from repro.autotuner.candidates import dedupe, set_tunable
 from repro.autotuner.evaluation import config_signature
+from repro.autotuner.tuner import tune_limits
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.compiler.config import site_key
 from repro.runtime import MACHINES
@@ -310,6 +311,31 @@ class TestEvaluator:
                 ev.time(config, 64)
         assert measured == [64]
         assert ev.evaluations == 0
+
+
+class TestTuneLimits:
+    def test_min_size_zero_is_refused_not_looped(self, treesum):
+        # 0 doubles to 0: tune() would never leave its size schedule
+        ev = Evaluator(treesum, "TreeSum", treesum_inputs, MACHINES["xeon8"])
+        with pytest.raises(ValueError, match="min_size must be an integer"):
+            GeneticTuner(ev, min_size=0, max_size=64)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            (0, 64, 4, 1), (-8, 64, 4, 1), (16, 0, 4, 1), (16, 64, 0, 1),
+            (16, 64, 4, 0), ("16", 64, 4, 1), (16, [64], 4, 1),
+            (16, 64, 4.0, 1), (16, 64, 4, 1e400), (True, 64, 4, 1),
+            (128, 64, 4, 1),
+        ],
+    )
+    def test_rule_refuses(self, limits):
+        with pytest.raises(ValueError):
+            tune_limits(*limits)
+
+    def test_rule_accepts(self):
+        assert tune_limits(16, 16, 1) == (16, 16, 1, 1)
+        assert tune_limits(np.int64(8), 64, 6, 2) == (8, 64, 6, 2)
 
 
 class TestGeneticTuner:

@@ -7,18 +7,20 @@ engine-level invariants:
 * gather() returns exactly one result per request, **in submission
   order**, even though buckets complete in scrambled (hash) order;
 * the bucket count equals the number of distinct (transform, shapes,
-  config) combinations actually submitted;
+  ``config.key()``) combinations actually submitted — a bucket is a
+  run plan;
 * every stackable request is served stacked, every non-stackable one
   falls back, and the counters account for all of them;
 * results are correct (checked against closed-form expectations — the
   differential suite covers byte-parity against the serial engine);
-* ``max_stack`` chunking and repeat gathers behave.
+* ``MAX_STACK`` chunking and repeat gathers behave.
 """
 
 import numpy as np
 import pytest
 
-from repro.batch import BatchEngine, config_digest
+import repro.batch.engine as batch_engine
+from repro.batch import BatchEngine
 from repro.compiler import ChoiceConfig, Selector, compile_program
 from repro.observe import TraceSink
 from repro.runtime.batchqueue import BucketQueue, scramble
@@ -71,7 +73,7 @@ def stress_run():
     shapes = [(2, 2), (2, 3), (3, 2), (4, 4), (1, 5)]
     configs = _configs()
     sink = TraceSink(capture_events=False)
-    engine = BatchEngine(sink=sink, max_stack=64)
+    engine = BatchEngine(sink=sink)
 
     requests = []  # (kind, inputs, expected array)
     for index in range(1100):
@@ -87,7 +89,9 @@ def stress_run():
             engine.submit(scale, {"A": a}, config)
             requests.append(("scale", (a, config), a * 2.0 + 1.0))
 
-    results = engine.gather()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch_engine, "MAX_STACK", 64)
+        results = engine.gather()
     return engine, sink, requests, results
 
 
@@ -109,7 +113,7 @@ def test_results_are_correct(stress_run):
 def test_bucket_count_matches_distinct_work(stress_run):
     _, sink, requests, _ = stress_run
     scale_buckets = {
-        (inputs[0].shape, config_digest(inputs[1]))
+        (inputs[0].shape, inputs[1].key())
         for kind, inputs, _ in requests
         if kind == "scale"
     }
@@ -137,9 +141,9 @@ def test_repeat_gather_is_empty(stress_run):
     assert engine.gather() == []
 
 
-def test_max_stack_chunking_is_invisible():
-    """Chunked stacked sweeps (max_stack smaller than the bucket) give
-    byte-identical results to one whole-bucket sweep."""
+def test_max_stack_chunking_is_invisible(monkeypatch):
+    """Chunked stacked sweeps (``MAX_STACK`` smaller than the bucket)
+    give byte-identical results to one whole-bucket sweep."""
     program = compile_program(SCALE)
     scale = program.transform("Scale")
     rng = np.random.default_rng(SEED)
@@ -147,7 +151,8 @@ def test_max_stack_chunking_is_invisible():
 
     outcomes = []
     for max_stack in (7, 1024):
-        engine = BatchEngine(max_stack=max_stack)
+        monkeypatch.setattr(batch_engine, "MAX_STACK", max_stack)
+        engine = BatchEngine()
         for a in arrays:
             engine.submit(scale, {"A": a})
         outcomes.append(
@@ -199,21 +204,24 @@ def test_submit_freezes_config_content():
 
 def test_soak_digest_path_is_bounded():
     """10k requests with 10k distinct config objects against ONE engine:
-    no config object may stay pinned after its gather, and the plan
-    cache must stay bounded — the serve-daemon lifetime invariant."""
+    no config object may stay pinned after its gather, and the one plan
+    cache — the transform's — stays within its bound while more distinct
+    configs pass through than it holds: the serve-daemon lifetime
+    invariant."""
     import gc
     import weakref
 
     program = compile_program(SCALE)
     scale = program.transform("Scale")
-    engine = BatchEngine(max_stack=256, plan_cache_size=32)
+    engine = BatchEngine()
     a = np.ones((2, 2))
 
     refs = []
     for round_number in range(100):
         for index in range(100):
             config = ChoiceConfig()
-            config.set_tunable("Scale.__seq_cutoff__", index)
+            # 397 distinct contents: more than the plan cache holds
+            config.set_tunable("Scale.__seq_cutoff__", index + 3 * round_number)
             refs.append(weakref.ref(config))
             engine.submit(scale, {"A": a}, config)
             del config
@@ -223,29 +231,25 @@ def test_soak_digest_path_is_bounded():
 
     gc.collect()
     assert all(ref() is None for ref in refs), "engine pinned configs"
-    assert len(engine._plans) <= 32
+    assert 0 < len(scale._plan_cache) <= scale._plan_cache.limit < 397
+    assert scale._plan_cache.evictions > 0
+    assert not hasattr(engine, "_plans")
     assert not hasattr(engine, "_digests")
 
 
-def test_precomputed_digest_skips_copy():
-    """The serve hot path: a caller-owned immutable config submitted
-    with its precomputed digest is used by reference (no copy, no
-    serialization) and still buckets by the given digest."""
+def test_none_and_empty_config_share_one_bucket():
+    """``None`` is planned as ``ChoiceConfig()`` (as ``run`` does), and
+    distinct config objects with equal content share ``config.key()``:
+    all three are one run plan and one bucket."""
     program = compile_program(SCALE)
     scale = program.transform("Scale")
     sink = TraceSink(capture_events=False)
     engine = BatchEngine(sink=sink)
     a = np.ones((2, 2))
-    config = ChoiceConfig()
-    config.set_tunable("Scale.__leaf_path__", 1)
-    digest = config_digest(config)
-    engine.submit(scale, {"A": a}, config, digest=digest)
-    engine.submit(scale, {"A": a}, config, digest=digest)
-    assert all(
-        request.config is config for request in engine._pending
-    )
+    for config in (None, ChoiceConfig(), ChoiceConfig()):
+        engine.submit(scale, {"A": a}, config)
     results = engine.gather()
-    assert all(result.ok for result in results)
+    assert all(result.stacked for result in results)
     assert sink.counter("batch.buckets") == 1
 
 

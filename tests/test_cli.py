@@ -138,6 +138,28 @@ class TestUserErrorsAreOneLine:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # the size schedule would double 0 forever
+            (["--min-size", "0"], "min_size must be an integer >= 1, got 0"),
+            (["--min-size", "64", "--max-size", "16"],
+             "min_size 64 exceeds max_size 16"),
+            (["--population", "0"],
+             "population must be an integer >= 1, got 0"),
+            (["--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_tune_limits(self, source, capsys, monkeypatch, flags, message):
+        def no_tuning(*args, **kwargs):
+            raise AssertionError("a refused limit reached the tuner")
+
+        monkeypatch.setattr("repro.cli.tune_from_spec", no_tuning)
+        assert main(["tune", source, "-t", "RollingSum", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("binding", ["n", "n=x", "=3"])
     def test_malformed_size_binding_is_a_usage_error(
         self, source, capsys, binding

@@ -290,6 +290,32 @@ class TestServeApp:
         fine = {"leveled_tunables": {"Scale.__leaf_path__": [[None, 2]]}}
         assert "outputs" in app.run(dict(good, program=phash, config=fine))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"min_size": 0}, "min_size must be an integer >= 1, got 0"),
+            ({"min_size": "abc"},
+             "min_size must be an integer >= 1, got 'abc'"),
+            ({"population": [3]},
+             "population must be an integer >= 1, got [3]"),
+            ({"jobs": float("inf")}, "jobs must be an integer >= 1, got inf"),
+            ({"jobs": 0}, "jobs must be an integer >= 1, got 0"),
+            ({"min_size": 128, "max_size": 64},
+             "min_size 128 exceeds max_size 64"),
+        ],
+    )
+    def test_bad_tune_limits_are_a_400_before_enqueue(
+        self, app, phash, monkeypatch, fields, message
+    ):
+        def no_enqueue(*args, **kwargs):
+            raise AssertionError("a refused tune request was enqueued")
+
+        monkeypatch.setattr(app.jobs, "submit", no_enqueue)
+        with pytest.raises(ServeError) as excinfo:
+            app.tune({"program": phash, "transform": "Scale", **fields})
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == f"bad tune request: {message}"
+
     def test_tune_job_publishes_version(self, app, phash):
         job_id = app.tune(
             {
@@ -671,8 +697,9 @@ class TestByteParity:
 class TestSoak:
     def test_10k_requests_bounded_memory(self, app, phash):
         """10k served requests across 100 distinct inline configs leave
-        the per-program engine's plan cache bounded and the registry
-        unchanged — the daemon does not accumulate per-request state."""
+        the resident transform's plan cache (the one plan cache, which
+        the batch engine shares) bounded and the registry unchanged —
+        the daemon does not accumulate per-request state."""
         lines = [
             json.dumps({"transform": "Scale", "inputs": {"A": [[1.0, 2.0]]}})
             for _ in range(100)
@@ -686,7 +713,9 @@ class TestSoak:
             )
             assert response["failed"] == 0
         assert app.sink.counters["serve.batch_requests"] == 10_000
-        assert len(entry.engine._plans) <= entry.engine.plan_cache_size
+        plans = entry.program.transform("Scale")._plan_cache
+        assert 0 < len(plans) <= plans.limit
+        assert not hasattr(entry.engine, "_plans")
         assert len(app.registry._configs) == registry_size
         # The fixed digest memo of old (id-keyed, append-only) is gone.
         assert not hasattr(entry.engine, "_digests")

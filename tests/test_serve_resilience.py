@@ -691,6 +691,7 @@ class TestClientRetries:
             payload = {
                 "program": app.compile({"source": SCALE})["program"],
                 "transform": "Scale",
+                "min_size": 4,
                 "max_size": 4,
                 "idempotency_key": "tune-1",
             }
