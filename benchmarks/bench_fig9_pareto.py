@@ -22,7 +22,7 @@ from harness import fmt_row, write_report
 
 from repro.apps import poisson as p_app
 from repro.autotuner import fastest_per_bin, pareto_front
-from repro.autotuner.accuracy import PAPER_ACCURACY_BINS, Scored
+from repro.autotuner.accuracy import ACCURACY_BINS, Scored
 from repro.compiler import ChoiceConfig, Selector
 from repro.runtime import MACHINES, WorkStealingScheduler
 
@@ -87,7 +87,7 @@ def build_cloud():
 def test_fig9_pareto(benchmark):
     scored = benchmark.pedantic(build_cloud, rounds=1, iterations=1)
     front = pareto_front(scored)
-    per_bin = fastest_per_bin(scored, PAPER_ACCURACY_BINS)
+    per_bin = fastest_per_bin(scored, ACCURACY_BINS)
 
     lines = [
         f"Figure 9(a): accuracy/time candidates for Poisson, grid {GRID}",
@@ -121,5 +121,5 @@ def test_fig9_pareto(benchmark):
     most_accurate = max(scored, key=lambda s: s.accuracy)
     for level, choice in per_bin.items():
         assert choice.time <= most_accurate.time + 1e-9
-    low, high = per_bin[PAPER_ACCURACY_BINS[0]], per_bin[PAPER_ACCURACY_BINS[-1]]
+    low, high = per_bin[ACCURACY_BINS[0]], per_bin[ACCURACY_BINS[-1]]
     assert low.time < high.time

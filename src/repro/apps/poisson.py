@@ -25,12 +25,12 @@ Figure 10 V-cycle: one SOR(1.15) sweep, restrict the residual, call
 ``Poisson_i`` on the coarse grid, interpolate + correct, one SOR(1.15)
 sweep.
 
-Accuracy is estimated at run time by residual-RMS reduction (the paper
-defines accuracy as input/output error-RMS ratio against the true
-solution, available only with training data; for this operator the
-residual reduction factor tracks the error reduction factor, and the
-benchmark harness reports true-error accuracies measured against the
-direct solve — see EXPERIMENTS.md).
+Accuracy is never measured at run time: every iterative rule runs an
+iteration count (``sorIters``, ``jacobiIters``, ``mgCycles``,
+``fmgCycles``) that :func:`tune_accuracy` trained on representative
+data, whose true (direct) solution the paper's accuracy — the
+input/output error-RMS ratio — needs.  The bins and the metric live in
+:mod:`repro.autotuner.accuracy`.
 
 Cost model: every sweep/stencil pass charges ~its flop count (5-9 ops
 per cell) and is recorded as a fan of row-block tasks (data parallel);
@@ -41,10 +41,18 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.autotuner.accuracy import (
+    ACCURACY_BINS,
+    Scored,
+    accuracy_ratio,
+    fastest_per_bin,
+    fewest_steps,
+    rms,
+)
 from repro.compiler import (
     ChoiceConfig,
     CompiledProgram,
@@ -53,9 +61,6 @@ from repro.compiler import (
     compile_program,
 )
 from repro.linalg import BandedCholesky
-
-#: The paper's accuracy bins.
-ACCURACY_BINS: Tuple[float, ...] = (1e1, 1e3, 1e5, 1e7, 1e9)
 
 JACOBI_SWEEP_COST = 6.0
 SOR_SWEEP_COST = 8.0
@@ -71,20 +76,6 @@ PARALLEL_CHUNKS = 8
 # ---------------------------------------------------------------------------
 
 
-def apply_operator(x: np.ndarray) -> np.ndarray:
-    """The five-point operator L on interior points (boundary rows/cols
-    of the result are zero)."""
-    out = np.zeros_like(x)
-    out[1:-1, 1:-1] = (
-        4.0 * x[1:-1, 1:-1]
-        - x[:-2, 1:-1]
-        - x[2:, 1:-1]
-        - x[1:-1, :-2]
-        - x[1:-1, 2:]
-    )
-    return out
-
-
 def residual(x: np.ndarray, b: np.ndarray) -> np.ndarray:
     r = np.zeros_like(x)
     r[1:-1, 1:-1] = b[1:-1, 1:-1] - (
@@ -95,12 +86,6 @@ def residual(x: np.ndarray, b: np.ndarray) -> np.ndarray:
         - x[1:-1, 2:]
     )
     return r
-
-
-def rms(values: np.ndarray) -> float:
-    if values.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.square(values))))
 
 
 def jacobi_sweep(x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -208,11 +193,6 @@ def direct_solve(b: np.ndarray) -> np.ndarray:
     return x
 
 
-def true_solution(b: np.ndarray) -> np.ndarray:
-    """Reference solution (used for accuracy measurement in benchmarks)."""
-    return direct_solve(b)
-
-
 def direct_work(n: int) -> float:
     m = max(1, n - 2)
     return float(m * m) * float(m) ** 2
@@ -248,17 +228,14 @@ def poisson_site(bin_index: int) -> str:
     return f"{poisson_name(bin_index)}.Y.0"
 
 
-def _make_direct_rule():
-    def rule(ctx) -> None:
-        b = ctx["b"].to_numpy()
-        n = b.shape[0]
-        ctx["y"].assign(direct_solve(b))
-        ctx.charge(CALL_OVERHEAD + direct_work(n))
-
-    return rule
+def _direct_rule(ctx) -> None:
+    b = ctx["b"].to_numpy()
+    n = b.shape[0]
+    ctx["y"].assign(direct_solve(b))
+    ctx.charge(CALL_OVERHEAD + direct_work(n))
 
 
-def _make_sor_rule():
+def _sor_rule(ctx) -> None:
     """Iterate SOR(w_opt) a *trained* number of sweeps.
 
     The paper's pseudo code reads "iterate using SOR_wopt until accuracy
@@ -267,40 +244,32 @@ def _make_sor_rule():
     autotuning (the ``sorIters`` tunable, size-leveled) — the runtime has
     no access to the true solution to measure accuracy against.
     """
-
-    def rule(ctx) -> None:
-        x = ctx["x"].to_numpy().copy()
-        b = ctx["b"].to_numpy()
-        n = b.shape[0]
-        omega = optimal_sor_weight(n)
-        sweeps = max(1, ctx.tunable("sorIters"))
-        for _ in range(sweeps):
-            sor_sweep(x, b, omega)
-        ctx["y"].assign(x)
-        ctx.charge(CALL_OVERHEAD)
-        _charge_parallel(ctx, sweeps * SOR_SWEEP_COST * n * n)
-
-    return rule
+    x = ctx["x"].to_numpy().copy()
+    b = ctx["b"].to_numpy()
+    n = b.shape[0]
+    omega = optimal_sor_weight(n)
+    sweeps = max(1, ctx.tunable("sorIters"))
+    for _ in range(sweeps):
+        sor_sweep(x, b, omega)
+    ctx["y"].assign(x)
+    ctx.charge(CALL_OVERHEAD)
+    _charge_parallel(ctx, sweeps * SOR_SWEEP_COST * n * n)
 
 
-def _make_multigrid_choice_rule():
+def _multigrid_rule(ctx) -> None:
     """Run a trained number of ``Multigrid_j`` V-cycles, where both the
     cycle count (``mgCycles``) and the sub-cycle accuracy ``j``
     (``mgAccuracy`` — the cross-accuracy paths of Figure 9b) are
     size-leveled tunables set by the accuracy tuner."""
-
-    def rule(ctx) -> None:
-        x = ctx["x"].to_numpy().copy()
-        b = ctx["b"].to_numpy()
-        sub_bin = ctx.tunable("mgAccuracy")
-        cycles = max(1, ctx.tunable("mgCycles"))
-        mg = multigrid_name(int(sub_bin))
-        for _ in range(cycles):
-            x = ctx.call(mg, x, b).to_numpy().copy()
-        ctx["y"].assign(x)
-        ctx.charge(CALL_OVERHEAD)
-
-    return rule
+    x = ctx["x"].to_numpy().copy()
+    b = ctx["b"].to_numpy()
+    sub_bin = ctx.tunable("mgAccuracy")
+    cycles = max(1, ctx.tunable("mgCycles"))
+    mg = multigrid_name(int(sub_bin))
+    for _ in range(cycles):
+        x = ctx.call(mg, x, b).to_numpy().copy()
+    ctx["y"].assign(x)
+    ctx.charge(CALL_OVERHEAD)
 
 
 def _make_fmg_rule(bin_index: int):
@@ -335,24 +304,20 @@ def _make_fmg_rule(bin_index: int):
     return rule
 
 
-def _make_jacobi_rule():
+def _jacobi_rule(ctx) -> None:
     """Weighted Jacobi with a trained sweep count.  The paper excluded
     Jacobi from the final search space ("SOR performs much better ...
     for similar computation cost per iteration"); keeping it as a choice
     lets the autotuner rediscover that exclusion."""
-
-    def rule(ctx) -> None:
-        x = ctx["x"].to_numpy().copy()
-        b = ctx["b"].to_numpy()
-        n = b.shape[0]
-        sweeps = max(1, ctx.tunable("jacobiIters"))
-        for _ in range(sweeps):
-            x = jacobi_sweep(x, b)
-        ctx["y"].assign(x)
-        ctx.charge(CALL_OVERHEAD)
-        _charge_parallel(ctx, sweeps * JACOBI_SWEEP_COST * n * n)
-
-    return rule
+    x = ctx["x"].to_numpy().copy()
+    b = ctx["b"].to_numpy()
+    n = b.shape[0]
+    sweeps = max(1, ctx.tunable("jacobiIters"))
+    for _ in range(sweeps):
+        x = jacobi_sweep(x, b)
+    ctx["y"].assign(x)
+    ctx.charge(CALL_OVERHEAD)
+    _charge_parallel(ctx, sweeps * JACOBI_SWEEP_COST * n * n)
 
 
 def _make_vcycle_rule(bin_index: int):
@@ -387,64 +352,41 @@ def _make_vcycle_rule(bin_index: int):
 
 
 def build_program() -> CompiledProgram:
-    """Compile the full Poisson_i / Multigrid_i family (paper §4.1.4)."""
+    """Compile the full Poisson_i / Multigrid_i family (paper §4.1.4).
+
+    Tuned configs store option indices, so the rule order below is the
+    ``Poisson_i.Y.0`` option numbering: direct 0, sor 1, multigrid 2,
+    fmg 3, jacobi 4."""
     transforms = []
-    for index, target in enumerate(ACCURACY_BINS):
+    for index in range(len(ACCURACY_BINS)):
         p = TransformBuilder(poisson_name(index))
-        p.input("X", "n", "n")
-        p.input("B", "n", "n")
-        p.output("Y", "n", "n")
+        m = TransformBuilder(multigrid_name(index))
+        for builder in (p, m):
+            builder.input("X", "n", "n")
+            builder.input("B", "n", "n")
+            builder.output("Y", "n", "n")
         p.tunable("mgAccuracy", 0, len(ACCURACY_BINS) - 1, default=index)
         p.tunable("mgCycles", 1, MAX_CYCLES, default=2)
         p.tunable("sorIters", 1, MAX_SWEEPS, default=50)
         p.tunable("fmgCycles", 1, MAX_CYCLES, default=1)
         p.tunable("jacobiIters", 1, MAX_SWEEPS, default=100)
-        p.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_direct_rule(),
-            label="direct",
-        )
-        p.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_sor_rule(),
-            label="sor",
-        )
-        p.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_multigrid_choice_rule(),
-            label="multigrid",
-            recursive=True,  # Multigrid_j recurses back into Poisson_j
-        )
-        p.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_fmg_rule(index),
-            label="fmg",
-            recursive=True,
-        )
-        p.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_jacobi_rule(),
-            label="jacobi",
-        )
-        transforms.append(p.build())
-
-        m = TransformBuilder(multigrid_name(index))
-        m.input("X", "n", "n")
-        m.input("B", "n", "n")
-        m.output("Y", "n", "n")
-        m.rule(
-            to=[("Y", "all", "y")],
-            from_=[("X", "all", "x"), ("B", "all", "b")],
-            body=_make_vcycle_rule(index),
-            label="vcycle",
-            recursive=True,
-        )
-        transforms.append(m.build())
+        for builder, label, body, recursive in (
+            (p, "direct", _direct_rule, None),
+            (p, "sor", _sor_rule, None),
+            # Multigrid_j recurses back into Poisson_j
+            (p, "multigrid", _multigrid_rule, True),
+            (p, "fmg", _make_fmg_rule(index), True),
+            (p, "jacobi", _jacobi_rule, None),
+            (m, "vcycle", _make_vcycle_rule(index), True),
+        ):
+            builder.rule(
+                to=[("Y", "all", "y")],
+                from_=[("X", "all", "x"), ("B", "all", "b")],
+                body=body,
+                label=label,
+                recursive=recursive,
+            )
+        transforms += [p.build(), m.build()]
     return compile_program(transforms)
 
 
@@ -471,12 +413,10 @@ def input_generator(size: int, rng: random.Random) -> List[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _levels_from_picks(
-    picks: List[Tuple[int, int]], top_value: int
-) -> "Selector":
+def _levels_from_picks(picks: List[Tuple[int, int]]) -> "Selector":
     """Build a size-leveled selector from ascending (grid, value) picks:
-    each pick covers problem sizes up to the next picked grid; ``top_value``
-    covers everything beyond the last pick."""
+    each pick covers problem sizes up to the next picked grid; the last
+    pick also covers everything beyond."""
     levels: List[Tuple[Optional[int], int]] = []
     for idx, (grid, value) in enumerate(picks):
         if idx + 1 < len(picks):
@@ -484,25 +424,31 @@ def _levels_from_picks(
         else:
             threshold = size_metric(grid) + 1
         levels.append((threshold, value))
-    levels.append((None, top_value))
+    levels.append((None, picks[-1][1]))
     return Selector(tuple(levels))
 
 
-def _minimal_sor_sweeps(
-    x0: np.ndarray, b: np.ndarray, reference: np.ndarray, target: float
-) -> Optional[int]:
-    """Fewest SOR(w_opt) sweeps reaching the target accuracy on the
-    training problem (None if MAX_SWEEPS is not enough)."""
-    n = b.shape[0]
-    omega = optimal_sor_weight(n)
-    err0 = rms((x0 - reference)[1:-1, 1:-1])
-    x = x0.copy()
-    for sweeps in range(1, MAX_SWEEPS + 1):
-        sor_sweep(x, b, omega)
-        err = rms((x - reference)[1:-1, 1:-1])
-        if err == 0.0 or err0 / err >= target:
-            return sweeps
-    return None
+def _write_picks(
+    config: ChoiceConfig,
+    bin_index: int,
+    picks: Dict[str, List[Tuple[int, int]]],
+) -> None:
+    """Write ``Poisson_<bin_index>``'s per-kind picks into ``config``:
+    kind ``choice`` is the choice site, every other kind a size-leveled
+    tunable of that name."""
+    for kind, levels in picks.items():
+        selector = _levels_from_picks(levels)
+        if kind == "choice":
+            config.set_choice(poisson_site(bin_index), selector)
+        else:
+            config.set_leveled_tunable(
+                f"{poisson_name(bin_index)}.{kind}", selector
+            )
+
+
+#: skip the Jacobi candidate beyond this many training sweeps (it never
+#: wins there and the search itself would dominate tuning time)
+_JACOBI_SEARCH_CAP = 20_000
 
 
 def tune_accuracy(
@@ -534,222 +480,117 @@ def tune_accuracy(
 
     scheduler = WorkStealingScheduler(machine)
     config = ChoiceConfig()
-    bins = ACCURACY_BINS
-    nbins = len(bins)
-    choice_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
-    sor_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
-    cycle_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
-    acc_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
-    fmg_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
-    jacobi_picks: Dict[int, List[Tuple[int, int]]] = {i: [] for i in range(nbins)}
+    # picks[bin][kind]: the ascending (grid, value) picks of one knob
+    picks: List[Dict[str, List[Tuple[int, int]]]] = [
+        {} for _ in ACCURACY_BINS
+    ]
     history: List[Tuple[int, int, str, float, float]] = []
-
-    def rebuild(trial: ChoiceConfig, bin_index: int, extra: Dict[str, Tuple[int, int]]) -> None:
-        """Write this bin's selector + leveled tunables into ``trial``,
-        optionally extending with this level's candidate values."""
-        name = poisson_name(bin_index)
-        table = {
-            "choice": (choice_picks[bin_index], poisson_site(bin_index)),
-            "sorIters": (sor_picks[bin_index], f"{name}.sorIters"),
-            "mgCycles": (cycle_picks[bin_index], f"{name}.mgCycles"),
-            "mgAccuracy": (acc_picks[bin_index], f"{name}.mgAccuracy"),
-            "fmgCycles": (fmg_picks[bin_index], f"{name}.fmgCycles"),
-            "jacobiIters": (jacobi_picks[bin_index], f"{name}.jacobiIters"),
-        }
-        for kind, (picks, key) in table.items():
-            extended = list(picks)
-            if kind in extra:
-                extended.append(extra[kind])
-            if not extended:
-                continue
-            selector = _levels_from_picks(extended, extended[-1][1])
-            if kind == "choice":
-                trial.set_choice(key, selector)
-            else:
-                trial.set_leveled_tunable(key, selector)
 
     rng = random.Random(seed)
     for level in range(2, max_level + 1):
         n = grid_size(level)
         x0, b = input_generator(n, rng)
-        reference = true_solution(b)
-        for bin_index, target in enumerate(bins):
+        accuracy = accuracy_against(x0, direct_solve(b))
+        omega = optimal_sor_weight(n)
+
+        def sor(x: np.ndarray) -> np.ndarray:
+            sor_sweep(x, b, omega)
+            return x
+
+        def vcycle(sub_bin: int):
+            cycle = program.transform(multigrid_name(sub_bin))
+            return lambda x: cycle.run([x, b], config).output("Y")
+
+        coarse_b = 4.0 * restrict_full_weighting(b)
+        m = coarse_b.shape[0]
+        for bin_index, target in enumerate(ACCURACY_BINS):
             solver = program.transform(poisson_name(bin_index))
-            # Candidate list: (label, option, extra leveled values).
-            candidates: List[Tuple[str, Dict[str, Tuple[int, int]]]] = [
-                ("direct", {"choice": (n, 0)})
+            # (label, {kind: value at grid n}); the first of equally
+            # fast candidates wins, so the order is part of the result.
+            candidates: List[Tuple[str, Dict[str, int]]] = [
+                ("direct", {"choice": 0})
             ]
-            sweeps = _minimal_sor_sweeps(x0, b, reference, target)
+            sweeps = fewest_steps(
+                sor, x0.copy(), accuracy, target, MAX_SWEEPS
+            )
             if sweeps is not None:
-                candidates.append(
-                    ("sor", {"choice": (n, 1), "sorIters": (n, sweeps)})
-                )
+                candidates.append(("sor", {"choice": 1, "sorIters": sweeps}))
             # Jacobi is only worth *considering* on small grids (its
             # sweep counts explode quadratically; the paper dropped it
             # from the search space altogether).
-            jacobi_sweeps = (
-                _minimal_jacobi_sweeps(x0, b, reference, target)
-                if n <= 33
-                else None
-            )
-            if jacobi_sweeps is not None:
-                candidates.append(
-                    (
-                        "jacobi",
-                        {"choice": (n, 4), "jacobiIters": (n, jacobi_sweeps)},
-                    )
+            if n <= 33:
+                sweeps = fewest_steps(
+                    lambda x: jacobi_sweep(x, b),
+                    x0, accuracy, target, _JACOBI_SEARCH_CAP,
                 )
-            for j in range(nbins):
-                cycles = _minimal_mg_cycles(
-                    program, config, j, x0, b, reference, target
-                )
-                if cycles is not None:
+                if sweeps is not None:
                     candidates.append(
-                        (
-                            f"mg(acc={j})",
-                            {
-                                "choice": (n, 2),
-                                "mgCycles": (n, cycles),
-                                "mgAccuracy": (n, j),
-                            },
-                        )
+                        ("jacobi", {"choice": 4, "jacobiIters": sweeps})
                     )
-                fmg_cycles = _minimal_fmg_cycles(
-                    program, config, bin_index, j, x0, b, reference, target
-                )
-                if fmg_cycles is not None:
-                    candidates.append(
-                        (
-                            f"fmg(acc={j})",
-                            {
-                                "choice": (n, 3),
-                                "fmgCycles": (n, fmg_cycles),
-                                "mgAccuracy": (n, j),
-                            },
-                        )
+            # FMG's coarse pre-solve runs through the already-tuned
+            # config, the same for every sub-accuracy.
+            try:
+                coarse = solver.run([np.zeros((m, m)), coarse_b], config)
+                fmg_start = interpolate(coarse.output("Y"), n)
+            except Exception:
+                fmg_start = None
+            for j in range(len(ACCURACY_BINS)):
+                step = vcycle(j)
+                for label, option, kind, start in (
+                    ("mg", 2, "mgCycles", x0),
+                    ("fmg", 3, "fmgCycles", fmg_start),
+                ):
+                    if start is None:
+                        continue
+                    cycles = fewest_steps(
+                        step, start, accuracy, target, MAX_CYCLES
                     )
-            best = None
+                    if cycles is not None:
+                        candidates.append((
+                            f"{label}(acc={j})",
+                            {"choice": option, kind: cycles, "mgAccuracy": j},
+                        ))
+            scored: List[Scored] = []
             for label, extra in candidates:
                 trial = config.copy()
-                rebuild(trial, bin_index, extra)
+                _write_picks(trial, bin_index, {
+                    kind: picks[bin_index].get(kind, []) + [(n, value)]
+                    for kind, value in extra.items()
+                })
                 try:
                     result = solver.run([x0, b], trial)
                 except Exception:
                     continue
-                accuracy = measure_accuracy(x0, result.output("Y"), b)
-                if accuracy < target * 0.99:
-                    continue
                 elapsed = scheduler.run(result.graph, workers=workers).makespan
-                if best is None or elapsed < best[0]:
-                    best = (elapsed, label, extra, accuracy)
+                scored.append(
+                    Scored((label, extra), elapsed, accuracy(result.output("Y")))
+                )
+            level_target = target * 0.99
+            best = fastest_per_bin(scored, (level_target,))[level_target]
             if best is None:  # direct is exact, so this cannot happen
                 raise RuntimeError(
                     f"no candidate reached accuracy {target} at grid {n}"
                 )
-            elapsed, label, extra, accuracy = best
-            for kind, pick in extra.items():
-                {
-                    "choice": choice_picks,
-                    "sorIters": sor_picks,
-                    "mgCycles": cycle_picks,
-                    "mgAccuracy": acc_picks,
-                    "fmgCycles": fmg_picks,
-                    "jacobiIters": jacobi_picks,
-                }[kind][bin_index].append(pick)
-            rebuild(config, bin_index, {})
-            history.append((n, bin_index, label, elapsed, accuracy))
+            label, extra = best.candidate
+            for kind, value in extra.items():
+                picks[bin_index].setdefault(kind, []).append((n, value))
+            _write_picks(config, bin_index, picks[bin_index])
+            history.append((n, bin_index, label, best.time, best.accuracy))
     return config, history
 
 
-#: skip the Jacobi candidate beyond this many training sweeps (it never
-#: wins there and the search itself would dominate tuning time)
-_JACOBI_SEARCH_CAP = 20_000
-
-
-def _minimal_jacobi_sweeps(
-    x0: np.ndarray, b: np.ndarray, reference: np.ndarray, target: float
-) -> Optional[int]:
-    """Fewest weighted-Jacobi sweeps reaching the target accuracy."""
+def accuracy_against(
+    x0: np.ndarray, reference: np.ndarray
+) -> Callable[[np.ndarray], float]:
+    """The paper's accuracy of a solve started from ``x0``, as a function
+    of its result: RMS input error / RMS output error against
+    ``reference``, over interior points."""
     err0 = rms((x0 - reference)[1:-1, 1:-1])
-    x = x0.copy()
-    for sweeps in range(1, _JACOBI_SEARCH_CAP + 1):
-        x = jacobi_sweep(x, b)
-        err = rms((x - reference)[1:-1, 1:-1])
-        if err == 0.0 or err0 / err >= target:
-            return sweeps
-    return None
-
-
-def _minimal_fmg_cycles(
-    program: CompiledProgram,
-    config: ChoiceConfig,
-    bin_index: int,
-    sub_bin: int,
-    x0: np.ndarray,
-    b: np.ndarray,
-    reference: np.ndarray,
-    target: float,
-) -> Optional[int]:
-    """Fewest post-FMG V-cycles reaching the target accuracy, with the
-    coarse pre-solve running through the already-tuned config."""
-    n = b.shape[0]
-    if n <= 3:
-        return None
-    err0 = rms((x0 - reference)[1:-1, 1:-1])
-    coarse_b = 4.0 * restrict_full_weighting(b)
-    m = coarse_b.shape[0]
-    try:
-        coarse = program.transform(poisson_name(bin_index)).run(
-            [np.zeros((m, m)), coarse_b], config
-        ).output("Y")
-    except Exception:
-        return None
-    x = interpolate(coarse, n)
-    solver = program.transform(multigrid_name(sub_bin))
-    for cycles in range(1, MAX_CYCLES + 1):
-        try:
-            x = solver.run([x, b], config).output("Y")
-        except Exception:
-            return None
-        err = rms((x - reference)[1:-1, 1:-1])
-        if err == 0.0 or err0 / err >= target:
-            return cycles
-    return None
-
-
-def _minimal_mg_cycles(
-    program: CompiledProgram,
-    config: ChoiceConfig,
-    sub_bin: int,
-    x0: np.ndarray,
-    b: np.ndarray,
-    reference: np.ndarray,
-    target: float,
-) -> Optional[int]:
-    """Fewest Multigrid_j V-cycles reaching the target accuracy on the
-    training problem, under the already-tuned coarse-grid config."""
-    solver = program.transform(multigrid_name(sub_bin))
-    err0 = rms((x0 - reference)[1:-1, 1:-1])
-    x = x0
-    for cycles in range(1, MAX_CYCLES + 1):
-        try:
-            x = solver.run([x, b], config).output("Y")
-        except Exception:
-            return None
-        err = rms((x - reference)[1:-1, 1:-1])
-        if err == 0.0 or err0 / err >= target:
-            return cycles
-    return None
+    return lambda x: accuracy_ratio(err0, rms((x - reference)[1:-1, 1:-1]))
 
 
 def measure_accuracy(
     x0: np.ndarray, result: np.ndarray, b: np.ndarray
 ) -> float:
-    """The paper's accuracy metric: RMS input error / RMS output error,
-    against the true (direct) solution."""
-    reference = true_solution(b)
-    err_in = rms((x0 - reference)[1:-1, 1:-1])
-    err_out = rms((result - reference)[1:-1, 1:-1])
-    if err_out == 0.0:
-        return float("inf")
-    return err_in / err_out
+    """The paper's accuracy metric against the true (direct) solution."""
+    return accuracy_against(x0, direct_solve(b))(result)

@@ -3,8 +3,9 @@
 For algorithms with a time/accuracy trade-off (the multigrid Poisson
 solver), the tuner keeps, instead of one optimal algorithm per input
 size, a *set*: the fastest algorithm achieving at least ``p_i`` for each
-accuracy level in a discrete bin list (the paper uses
-``{10, 10^3, 10^5, 10^7, 10^9}``).
+accuracy level in a discrete bin list (:data:`ACCURACY_BINS`, the
+paper's).  This module is the one home of that vocabulary: the bins,
+the metric, the iterate-until-accurate search and the per-bin pick.
 
 ``accuracy`` follows the paper's definition: the ratio of input RMS
 error to output RMS error, so higher is better and one multigrid V-cycle
@@ -14,14 +15,14 @@ multiplies accuracies roughly independently of absolute error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 
-#: The discrete accuracy levels used for the Poisson benchmark.
-PAPER_ACCURACY_BINS: Tuple[float, ...] = (1e1, 1e3, 1e5, 1e7, 1e9)
+#: The paper's discrete accuracy levels (the Poisson benchmark's bins).
+ACCURACY_BINS: Tuple[float, ...] = (1e1, 1e3, 1e5, 1e7, 1e9)
 
 
 @dataclass(frozen=True)
@@ -33,19 +34,39 @@ class Scored(Generic[T]):
     accuracy: float
 
 
-def accuracy_ratio(
-    input_error_rms: float, output_error_rms: float
-) -> float:
-    """Paper §4.1.3: accuracy = RMS error of input / RMS error of output."""
-    if output_error_rms <= 0:
+def accuracy_ratio(err0: float, err: float) -> float:
+    """Paper §4.1.3: accuracy = RMS error of the input (``err0``) / RMS
+    error of the output (``err``)."""
+    if err <= 0:
         return float("inf")
-    return input_error_rms / output_error_rms
+    return err0 / err
 
 
 def rms(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
     return float(np.sqrt(np.mean(np.square(values))))
+
+
+def fewest_steps(
+    step: Callable[[T], T],
+    state: T,
+    accuracy: Callable[[T], float],
+    target: float,
+    cap: int,
+) -> Optional[int]:
+    """The fewest applications of ``step`` to ``state`` after which
+    ``accuracy`` reaches ``target`` — the trained count behind the
+    paper's "iterate until accuracy p_i is achieved".  ``None`` past
+    ``cap`` steps or when a step raises."""
+    for count in range(1, cap + 1):
+        try:
+            state = step(state)
+        except Exception:
+            return None
+        if accuracy(state) >= target:
+            return count
+    return None
 
 
 def pareto_front(scored: Sequence[Scored]) -> List[Scored]:
@@ -63,7 +84,7 @@ def pareto_front(scored: Sequence[Scored]) -> List[Scored]:
 
 def fastest_per_bin(
     scored: Sequence[Scored],
-    bins: Sequence[float] = PAPER_ACCURACY_BINS,
+    bins: Sequence[float] = ACCURACY_BINS,
 ) -> Dict[float, Optional[Scored]]:
     """For each accuracy level, the fastest candidate achieving at least
     it (the solid squares of Figure 9a); None when no candidate reaches

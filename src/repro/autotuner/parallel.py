@@ -144,9 +144,6 @@ class MeasurementCache:
             self._dirty.append(key)
         self._records[key] = record
 
-    def store_failure(self, key: CacheKey, error: str) -> None:
-        self.store(key, {"error": error})
-
     @staticmethod
     def _parse_row(line: str) -> Optional[Tuple[CacheKey, Dict[str, Any]]]:
         """One validated ``(key, record)`` from a JSONL line, or ``None``
@@ -237,7 +234,6 @@ def evaluator_from_source(
     source: str,
     transform: str,
     machine_name: str,
-    max_size: int = 4096,
     workers: Optional[int] = None,
     trials: int = 1,
     seed: int = 20090615,
@@ -268,7 +264,7 @@ def evaluator_from_source(
 
 
 def source_spec(
-    source: str, transform: str, machine_name: str, max_size: int
+    source: str, transform: str, machine_name: str
 ) -> EvaluatorSpec:
     """The picklable recipe of :func:`evaluator_from_source`."""
     return EvaluatorSpec.make(
@@ -276,7 +272,6 @@ def source_spec(
         source,
         transform,
         machine_name,
-        max_size=max_size,
     )
 
 

@@ -224,11 +224,7 @@ class BatchEngine:
                 for name in chunk[0].inputs
             }
             outputs = run_stacked(
-                chunk[0].transform,
-                plan,
-                stacked_inputs,
-                len(chunk),
-                sink=self.sink,
+                plan, stacked_inputs, len(chunk), sink=self.sink
             )
         except Exception:
             # Demote the whole chunk: each request re-runs serially and

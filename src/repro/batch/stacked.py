@@ -70,15 +70,14 @@ def plan_stacked(
 
 
 def run_stacked(
-    transform: CompiledTransform,
     plan: RunPlan,
     stacked_inputs: Dict[str, np.ndarray],
     batch: int,
     sink=None,
 ) -> Dict[str, Matrix]:
     """Replay one planned bucket over ``batch`` stacked requests
-    (``plan`` names the transform that runs — ``transform`` itself, or
-    its fused variant under ``__fuse__``).
+    (``plan`` names the transform that runs — the bucket's transform,
+    or its fused variant under ``__fuse__``).
 
     ``stacked_inputs`` maps each declared input to an array of shape
     ``(batch,) + serial_shape``.  Outputs come back batched the same

@@ -526,7 +526,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     # picklable spec, so every process measures identically; the result
     # is byte-for-byte the same for any --jobs value.
     result, evaluator = tune_from_spec(
-        source_spec(source_text, args.transform, args.machine, args.max_size),
+        source_spec(source_text, args.transform, args.machine),
         {
             "min_size": args.min_size,
             "max_size": args.max_size,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -230,23 +231,56 @@ class ChoiceConfig:
 
     @staticmethod
     def from_dict(payload: Mapping) -> "ChoiceConfig":
-        """A config from the parsed form of :meth:`to_json`."""
-        config = ChoiceConfig()
-
-        def parse_levels(levels) -> Selector:
-            return Selector(
-                tuple(
-                    (None if max_size is None else int(max_size), int(value))
-                    for max_size, value in levels
-                )
+        """A config from the parsed form of :meth:`to_json`; any shape
+        :meth:`to_json` cannot produce is a ``ValueError`` naming the
+        field."""
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"a config must be an object, got {payload!r}")
+        unknown = sorted(set(payload) - set(_CONFIG_FIELDS))
+        if unknown:
+            raise ValueError(
+                f"unknown config field {unknown[0]!r} (expected "
+                f"{', '.join(_CONFIG_FIELDS)})"
             )
 
-        for site, levels in payload.get("choices", {}).items():
-            config.choices[site] = parse_levels(levels)
-        for name, value in payload.get("tunables", {}).items():
-            config.tunables[_checked_tunable(name)] = int(value)
-        for name, levels in payload.get("leveled_tunables", {}).items():
-            config.set_leveled_tunable(name, parse_levels(levels))
+        def section(name: str) -> Mapping:
+            entries = payload.get(name, {})
+            if not isinstance(entries, Mapping):
+                raise ValueError(f"{name} must be an object, got {entries!r}")
+            return entries
+
+        def parse_levels(where: str, levels) -> Selector:
+            if not isinstance(levels, (list, tuple)) or not all(
+                isinstance(level, (list, tuple)) and len(level) == 2
+                for level in levels
+            ):
+                raise ValueError(
+                    f"{where} must be a list of [max_size, value] pairs, "
+                    f"got {levels!r}"
+                )
+            parsed = tuple(
+                (
+                    None if max_size is None else _integer(max_size, where),
+                    _integer(value, where),
+                )
+                for max_size, value in levels
+            )
+            try:
+                return Selector(parsed)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+
+        config = ChoiceConfig()
+        for site, levels in section("choices").items():
+            config.choices[site] = parse_levels(f"choices[{site!r}]", levels)
+        for name, value in section("tunables").items():
+            config.tunables[_checked_tunable(name)] = _integer(
+                value, f"tunables[{name!r}]"
+            )
+        for name, levels in section("leveled_tunables").items():
+            config.set_leveled_tunable(
+                name, parse_levels(f"leveled_tunables[{name!r}]", levels)
+            )
         return config
 
     def save(self, path: str) -> None:
@@ -272,6 +306,21 @@ class ChoiceConfig:
             dict(self.tunables),
             dict(self.leveled_tunables),
         )
+
+
+#: The fields of :meth:`ChoiceConfig.to_json`, in its order.
+_CONFIG_FIELDS = ("choices", "tunables", "leveled_tunables")
+
+
+def _integer(value, where: str) -> int:
+    """``value`` as a JSON integer: floats, strings and booleans are
+    refused, naming ``where``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
 def _checked_tunable(name: str, leveled: bool = False) -> str:

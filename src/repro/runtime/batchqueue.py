@@ -39,10 +39,6 @@ class BucketQueue(Generic[T]):
     def __len__(self) -> int:
         return sum(len(items) for items in self._buckets.values())
 
-    @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
     def drain(self) -> Iterator[Tuple[Hashable, List[T]]]:
         """Yield ``(key, items)`` per bucket and empty the queue.
 

@@ -498,12 +498,7 @@ class ServeApp:
         payload = job.payload
         entry = self.registry.program(payload["program"])
         result, _ = tune_from_spec(
-            source_spec(
-                entry.source,
-                payload["transform"],
-                payload["machine"],
-                payload["max_size"],
-            ),
+            source_spec(entry.source, payload["transform"], payload["machine"]),
             {
                 "min_size": payload["min_size"],
                 "max_size": payload["max_size"],

@@ -71,16 +71,6 @@ def solve_bounds_for(
     return Interval(at_hi.stepped(1), at_lo.stepped(1))
 
 
-def solve_equal(var: str, lhs: AffineLike, rhs: AffineLike) -> Optional[Affine]:
-    """Solve ``lhs(var) == rhs(var)`` for ``var``; ``None`` when ``var``
-    cancels out (the equation is then either an identity or inconsistent,
-    which the caller must check)."""
-    diff = Affine.coerce(lhs) - Affine.coerce(rhs)
-    if diff.coefficient_sign(var) == 0:
-        return None
-    return diff.solved_for(var)
-
-
 def unit_stride_offset(
     src: AffineLike,
     dst: AffineLike,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autotuner.accuracy import (
-    PAPER_ACCURACY_BINS,
+    ACCURACY_BINS,
     Scored,
     accuracy_ratio,
     fastest_per_bin,
@@ -116,7 +116,7 @@ def test_front_is_idempotent(scored):
 @given(scored=scored_lists)
 def test_fastest_per_bin_selection(scored):
     table = fastest_per_bin(scored)
-    assert tuple(table) == PAPER_ACCURACY_BINS
+    assert tuple(table) == ACCURACY_BINS
     for level, chosen in table.items():
         achieving = [s for s in scored if s.accuracy >= level]
         if not achieving:
@@ -133,11 +133,11 @@ def test_fastest_per_bin_times_rise_with_accuracy(scored):
     non-decreasing across ascending bins (achieving sets only shrink)."""
     table = fastest_per_bin(scored)
     previous = None
-    for level in PAPER_ACCURACY_BINS:
+    for level in ACCURACY_BINS:
         chosen = table[level]
         if chosen is None:
             # once a level is unreachable, all higher levels are too
-            for higher in PAPER_ACCURACY_BINS:
+            for higher in ACCURACY_BINS:
                 if higher >= level:
                     assert table[higher] is None
             break
@@ -187,8 +187,6 @@ def test_tune_accuracy_is_deterministic_under_seed(poisson_program):
     assert first_config.to_json() == second_config.to_json()
     assert first_history == second_history
     # every (grid, bin) pair tuned, and every winner hit its target bin
-    from repro.apps.poisson import ACCURACY_BINS
-
     assert len(first_history) == len(ACCURACY_BINS)
     for _, bin_index, _, elapsed, accuracy in first_history:
         assert elapsed > 0
@@ -254,7 +252,7 @@ def test_poisson_accuracy_time_front(poisson_program):
     # the per-bin table serves cheap requests cheaply and exact requests
     # exactly: times never decrease as the accuracy demand rises
     table = fastest_per_bin(scored)
-    chosen = [table[level] for level in PAPER_ACCURACY_BINS]
+    chosen = [table[level] for level in ACCURACY_BINS]
     assert all(entry is not None for entry in chosen)
     for earlier, later in zip(chosen, chosen[1:]):
         assert later.time >= earlier.time

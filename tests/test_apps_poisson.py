@@ -34,7 +34,7 @@ class TestKernels:
         rng = np.random.default_rng(2)
         x = np.zeros((n, n))
         x[1:-1, 1:-1] = rng.standard_normal((n - 2, n - 2))
-        Lx = p_app.apply_operator(x)
+        Lx = -p_app.residual(x, np.zeros((n, n)))
         # Check a few interior points against the stencil definition.
         for i, j in [(1, 1), (3, 4), (5, 5)]:
             expected = (
@@ -133,6 +133,25 @@ class TestPoissonFamily:
         )
         return config, history
 
+    def test_tuned_choices(self, tuned):
+        """The (grid, bin, label) picks behind EXPERIMENTS.md's Figure
+        9/11 claims: direct on tiny grids, SOR then multigrid as the
+        grid grows, full multigrid for the middle bins at grid 33."""
+        _, history = tuned
+        by_grid = {}
+        for n, bin_index, label, _, _ in history:
+            by_grid.setdefault(n, []).append((bin_index, label))
+        assert {
+            n: [label for _, label in sorted(rows)]
+            for n, rows in by_grid.items()
+        } == {
+            5: ["direct"] * 5,
+            9: ["sor", "direct", "direct", "direct", "direct"],
+            17: ["sor", "sor", "sor", "sor", "mg(acc=1)"],
+            33: ["mg(acc=0)", "fmg(acc=0)", "fmg(acc=0)", "mg(acc=0)",
+                 "mg(acc=0)"],
+        }
+
     def test_every_bin_hits_its_accuracy_on_training_data(self, tuned):
         _, history = tuned
         for n, bin_index, _, _, accuracy in history:
@@ -182,10 +201,16 @@ class TestPoissonFamily:
         both are given iteration counts sufficient for accuracy 1e9."""
         n = 65
         x0, b = make_problem(n, 15)
-        reference = p_app.true_solution(b)
+        accuracy = p_app.accuracy_against(x0, p_app.direct_solve(b))
         target = 1e9
 
-        sweeps = p_app._minimal_sor_sweeps(x0, b, reference, target)
+        def sor(x):
+            p_app.sor_sweep(x, b, p_app.optimal_sor_weight(n))
+            return x
+
+        sweeps = p_app.fewest_steps(
+            sor, x0.copy(), accuracy, target, p_app.MAX_SWEEPS
+        )
         assert sweeps is not None
         sor_config = static_config(4, 1)
         sor_config.set_tunable("Poisson_4.sorIters", sweeps)
@@ -202,8 +227,10 @@ class TestPoissonFamily:
             )
             mg_config.set_tunable(f"Poisson_{i}.mgAccuracy", 0)
             mg_config.set_tunable(f"Poisson_{i}.mgCycles", 1)
-        cycles = p_app._minimal_mg_cycles(
-            program, mg_config, 0, x0, b, reference, target
+        vcycle = program.transform(p_app.multigrid_name(0))
+        cycles = p_app.fewest_steps(
+            lambda x: vcycle.run([x, b], mg_config).output("Y"),
+            x0, accuracy, target, p_app.MAX_CYCLES,
         )
         assert cycles is not None
         mg_config.set_tunable("Poisson_4.mgCycles", cycles)
@@ -224,7 +251,7 @@ class TestPoissonFamily:
     def test_accuracy_metric(self):
         n = 9
         x0, b = make_problem(n, 17)
-        exact = p_app.true_solution(b)
+        exact = p_app.direct_solve(b)
         assert p_app.measure_accuracy(x0, exact, b) == float("inf")
         assert p_app.measure_accuracy(x0, x0, b) == pytest.approx(1.0)
 

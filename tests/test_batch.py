@@ -277,8 +277,9 @@ def test_bucket_queue_preserves_order_within_buckets():
     for item in range(30):
         queue.add(f"k{item % 3}", item)
     assert len(queue) == 30
-    assert queue.bucket_count == 3
-    for key, items in queue.drain():
+    drained = list(queue.drain())
+    assert len(drained) == 3
+    for key, items in drained:
         assert items == sorted(items)
 
 
@@ -362,9 +363,9 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
     stacked_plans = []
     run_stacked = batch_engine.run_stacked
 
-    def spy_run_stacked(transform, plan, *args, **kwargs):
+    def spy_run_stacked(plan, *args, **kwargs):
         stacked_plans.extend(step.plan for step in plan.steps)
-        return run_stacked(transform, plan, *args, **kwargs)
+        return run_stacked(plan, *args, **kwargs)
 
     monkeypatch.setattr(CompiledTransform, "_vector_leaf", spy_vector_leaf)
     monkeypatch.setattr(batch_engine, "run_stacked", spy_run_stacked)

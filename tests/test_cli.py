@@ -160,6 +160,36 @@ class TestUserErrorsAreOneLine:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["report", "run", "trace"])
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([1, 2], "a config must be an object, got [1, 2]"),
+            ({"choices": []}, "choices must be an object, got []"),
+            ({"choices": {"RollingSum.B.0": 5}},
+             "choices['RollingSum.B.0'] must be a list of "
+             "[max_size, value] pairs, got 5"),
+            ({"tunables": {"RollingSum.x": [1]}},
+             "tunables['RollingSum.x'] must be an integer, got [1]"),
+        ],
+        ids=["list", "choices-list", "levels-int", "tunable-list"],
+    )
+    def test_malformed_config(
+        self, source, tmp_path, capsys, command, payload, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        argv = [command, str(path)]
+        if command != "report":
+            argv = [command, source, "-t", "RollingSum", "--random-input",
+                    "4", "--config", str(path)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad config {path}: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("binding", ["n", "n=x", "=3"])
     def test_malformed_size_binding_is_a_usage_error(
         self, source, capsys, binding

@@ -52,7 +52,7 @@ class TestMeasurementCache:
         path = str(tmp_path / "cache.jsonl")
         cache = MeasurementCache(path)
         cache.store(self.KEY, {"time": 12.5, "tasks": 3, "steals": 1})
-        cache.store_failure(self.KEY[:5] + (128,), "RecursionError: boom")
+        cache.store(self.KEY[:5] + (128,), {"error": "RecursionError: boom"})
         assert cache.flush() == 2
 
         reloaded = MeasurementCache(path)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.symbolic import Affine, Assumptions, Box, Interval, solve_bounds_for
 from repro.symbolic.expr import SymbolicCompareError
-from repro.symbolic.solve import UnsatisfiableConstraint, solve_equal
+from repro.symbolic.solve import UnsatisfiableConstraint
 
 n = Affine.var("n")
 i = Affine.var("i")
@@ -153,14 +153,3 @@ class TestSolveBounds:
             if 0 <= -scale * v + offset + size < size
         ]
         assert [v for v in range(lo, hi)] == expected
-
-
-class TestSolveEqual:
-    def test_simple(self):
-        assert solve_equal("i", i + 1, n) == n - 1
-
-    def test_scaled(self):
-        assert solve_equal("i", 2 * i, n) == n / 2
-
-    def test_var_cancels(self):
-        assert solve_equal("i", i + 1, i + 1) is None
