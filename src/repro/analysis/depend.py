@@ -1220,16 +1220,14 @@ def check_depend(replay: Replay, path: str = "") -> List[Diagnostic]:
     """PB601/PB602 per fusion candidate, PB604/PB605 per schedule
     candidate, PB606/PB607 per ``through`` matrix, plus the PB603
     audit."""
-    return rewrite_audit(replay, path)[2]
+    return rewrite_audit(replay, path)[0]
 
 
-def rewrite_audit(replay: Replay, path: str = "") -> Tuple[
-    List[FusionCandidate], List[ScheduleCandidate], List[Diagnostic], List[Witness]
-]:
-    """One hunt per PB6xx family: the fusion candidates, the schedule
-    candidates, :func:`check_depend`'s diagnostics rendered from them
-    (``repro rewrite`` lists the former beside the latter) and the
-    witnesses those diagnostics carry, in order."""
+def rewrite_audit(
+    replay: Replay, path: str = ""
+) -> Tuple[List[Diagnostic], List[Witness]]:
+    """One hunt per PB6xx family: :func:`check_depend`'s diagnostics
+    and the witnesses those diagnostics carry, in order."""
     compiled = replay.compiled
     ir = compiled.ir
     deps = rule_dependences(ir)
@@ -1373,7 +1371,7 @@ def rewrite_audit(replay: Replay, path: str = "") -> Tuple[
             path=path,
         )
     )
-    return candidates, sched, diagnostics, witnesses
+    return diagnostics, witnesses
 
 
 __all__ = [

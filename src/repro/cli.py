@@ -223,7 +223,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
-    """List proven rewrite opportunities, or apply them and emit DSL."""
+    """Report the PB6xx rewrite verdicts, or apply them and emit DSL."""
     from repro.analysis.check import diagnostic_from_error, import_file
     from repro.analysis.depend import rewrite_audit
     from repro.analysis.diagnostics import Diagnostic
@@ -231,13 +231,11 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     from repro.rewrite import (
         REWRITE_BUDGET,
         UnparseError,
-        apply_interchange,
         program_src,
-        rewrite_legal_sites,
-        tile_transform,
+        schedule_transform,
     )
 
-    if (args.tile or args.interchange) and not args.apply:
+    if (args.tile is not None or args.interchange) and not args.apply:
         raise _UsageError("--tile and --interchange need --apply")
 
     def fail(message: str, hint: str = "") -> int:
@@ -276,43 +274,27 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         [args.transform] if args.transform else sorted(program.transforms)
     )
 
-    candidates = {}
-    schedules = {}
     diagnostics = []
     for name in names:
         replay = Replay(program.transform(name), REWRITE_BUDGET)
-        candidates[name], schedules[name], found, _ = rewrite_audit(
-            replay, args.source
-        )
-        diagnostics.extend(found)
+        diagnostics.extend(rewrite_audit(replay, args.source)[0])
 
-    applied = {}
+    rewritten_names: List[str] = []
     rewritten = None
     if args.apply:
         out_transforms = []
         for name in sorted(program.transforms):
-            compiled = program.transform(name)
-            current = compiled
-            did = False
+            current = program.transform(name)
             if name in names:
-                variant = compiled.fused_variant()
-                if variant is not None:
-                    current = variant
-                    did = True
+                fused = current.fused_variant()
                 # Fuse-then-tile: schedule rewrites re-plan on the
                 # (possibly fused) result, so a fused rule's iteration
                 # space is what gets blocked.
-                if args.tile:
-                    current, tiled = tile_transform(
-                        current, sizes=args.tile, budget=REWRITE_BUDGET
-                    )
-                    did = did or bool(tiled)
-                if args.interchange:
-                    current, swapped = rewrite_legal_sites(
-                        current, REWRITE_BUDGET, apply_interchange
-                    )
-                    did = did or bool(swapped)
-            applied[name] = did
+                current, scheduled = schedule_transform(
+                    fused or current, args.tile, args.interchange
+                )
+                if fused is not None or scheduled:
+                    rewritten_names.append(name)
             out_transforms.append(current.ir)
         try:
             rewritten = program_src(out_transforms)
@@ -324,103 +306,37 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
                     "source form; run --apply on the DSL original"
                 ),
             )
+        # The emitted text itself re-passes the parser and the
+        # error-severity verifier before anything is written.
+        try:
+            compile_program(rewritten)
+        except PetaBricksError as exc:
+            return fail(f"rewritten source does not verify: {exc}")
 
     if args.json:
         payload = {
-            "source": args.source,
-            "transforms": {
-                name: {
-                    "candidates": [
-                        {
-                            "matrix": cand.matrix,
-                            "producer": cand.producer,
-                            "consumer": cand.consumer,
-                            "status": cand.status,
-                            "reason": cand.reason,
-                            "distances": [
-                                ["*" if d is None else str(d) for d in vec]
-                                for vec in cand.distances
-                            ],
-                            "witness": (
-                                cand.witness.describe()
-                                if cand.witness
-                                else ""
-                            ),
-                        }
-                        for cand in candidates[name]
-                    ],
-                    "schedule_candidates": [
-                        {
-                            "segment": cand.segment,
-                            "rule": cand.rule,
-                            "status": cand.status,
-                            "reason": cand.reason,
-                            "chain_vars": list(cand.chain_vars),
-                            "free_vars": list(cand.free_vars),
-                            "witness": (
-                                cand.witness.describe()
-                                if cand.witness
-                                else ""
-                            ),
-                        }
-                        for cand in schedules[name]
-                    ],
-                    "applied": applied.get(name, False),
-                }
-                for name in names
-            },
             "diagnostics": [d.to_dict() for d in diagnostics],
+            "rewritten": rewritten_names,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for name in names:
-            cands = candidates[name]
-            if not cands:
-                print(f"{name}: no fusion candidates")
-            for cand in cands:
-                line = f"{name}: {cand.matrix} {cand.status}"
-                if cand.status == "legal":
-                    line += (
-                        f" — fuse {cand.producer} into {cand.consumer}, "
-                        f"distance {cand.distance_text()}"
-                    )
-                elif cand.reason:
-                    line += f" — {cand.reason}"
-                print(line)
-                if cand.witness:
-                    print(f"  witness: {cand.witness.describe()}")
-            for cand in schedules[name]:
-                line = (
-                    f"{name}: schedule {cand.segment}/{cand.rule} "
-                    f"{cand.status}"
-                )
-                if cand.status == "legal":
-                    line += (
-                        f" — tile/interchange over "
-                        f"({', '.join(cand.free_vars)}) with chain "
-                        f"({', '.join(cand.chain_vars)})"
-                    )
-                elif cand.reason:
-                    line += f" — {cand.reason}"
-                print(line)
-                if cand.witness:
-                    print(f"  witness: {cand.witness.describe()}")
+        for diag in diagnostics:
+            print(diag.format())
 
-    if args.apply and rewritten is not None:
-        done_names = sorted(n for n, did in applied.items() if did)
-        if not done_names:
-            print("rewrite: no legal rewrites to apply", file=sys.stderr)
-        else:
-            print(
-                f"rewrite: rewrote {', '.join(done_names)} "
-                f"(re-verified clean)",
-                file=sys.stderr,
-            )
+    if rewritten is not None:
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(rewritten)
         elif not args.json:
             print(rewritten)
+        if rewritten_names:
+            print(
+                f"rewrite: rewrote {', '.join(rewritten_names)} "
+                f"(re-verified clean)",
+                file=sys.stderr,
+            )
+        else:
+            print("rewrite: no legal rewrites to apply", file=sys.stderr)
     return 0
 
 
@@ -853,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply every legal fusion and emit the rewritten DSL",
     )
     p_rewrite.add_argument(
-        "--tile", type=int, default=0, metavar="N",
+        "--tile", type=int, default=None, metavar="N",
         help="with --apply: annotate every PB604-legal site with NxN "
         "tiles (after fusion, so fused rules tile too)",
     )
@@ -864,7 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rewrite.add_argument(
         "--json", action="store_true",
-        help="machine-readable report (candidates + PB6xx diagnostics)",
+        help="machine-readable report (PB6xx diagnostics + rewritten "
+        "transforms)",
     )
     p_rewrite.add_argument(
         "-o", "--output", default=None,

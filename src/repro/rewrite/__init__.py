@@ -5,11 +5,13 @@ the static dependence analyzer (:mod:`repro.analysis.depend`) proves
 legal (PB601 for fusion, PB604 for tiling/interchange) — one gate,
 :func:`require_legal`, raising :class:`RewriteError` otherwise — and the
 rewritten IR is re-checked by the full error-severity verifier before
-the engine will run it.  The rewrites compose — fuse-then-tile blocks
-the fused rule's iteration space — and each is exposed to the genetic
-tuner as a reserved tunable (``__fuse__``, ``__tile_i__``/
-``__tile_j__``, ``__interchange__``) and to the CLI as
-``repro rewrite``.
+it runs (the fused variant in :func:`build_fused_variant`, the source
+``repro rewrite --apply`` emits by compiling it).  There is one entry
+point per axis, :func:`fuse_transform` and :func:`schedule_transform`
+(tiles and interchange are one annotation); they compose — fuse-then-tile
+blocks the fused rule's iteration space — and each is exposed to the
+genetic tuner as a reserved tunable (``__fuse__``, ``__tile_i__``/
+``__tile_j__``, ``__interchange__``) and to the CLI as ``repro rewrite``.
 """
 
 from repro.rewrite.fuse import (
@@ -20,14 +22,7 @@ from repro.rewrite.fuse import (
     fuse_transform,
     require_legal,
 )
-from repro.rewrite.tile import (
-    DEFAULT_TILE,
-    annotate_schedule,
-    apply_interchange,
-    apply_tiling,
-    rewrite_legal_sites,
-    tile_transform,
-)
+from repro.rewrite.tile import apply_schedule, schedule_transform
 from repro.rewrite.unparse import (
     UnparseError,
     affine_src,
@@ -39,23 +34,19 @@ from repro.rewrite.unparse import (
 )
 
 __all__ = [
-    "DEFAULT_TILE",
     "REWRITE_BUDGET",
     "RewriteError",
     "UnparseError",
     "affine_src",
-    "annotate_schedule",
     "apply_fusion",
-    "apply_interchange",
-    "apply_tiling",
+    "apply_schedule",
     "build_fused_variant",
     "expr_src",
     "fuse_transform",
     "program_src",
     "region_src",
     "require_legal",
-    "rewrite_legal_sites",
     "rule_src",
-    "tile_transform",
+    "schedule_transform",
     "transform_src",
 ]

@@ -12,11 +12,11 @@ while it is cache-hot instead of sweeping every tile at every chain
 step; with every tile-crossing dependence pointing along the blocked
 order, the two factors commute, so it is legal exactly where tiling is.
 
-Both rewrites are purely annotations: they merge a
+Both rewrites are one annotation: :func:`apply_schedule` merges a
 :class:`~repro.compiler.ir.ScheduleIR` into the rule, which the engine's
 vector leaf path lowers to cache-blocked NumPy execution and which the
 ``__tile_i__``/``__tile_j__``/``__interchange__`` tunables can override
-at run time.  Like every rewrite in this package they pass
+at run time.  Like every rewrite in this package it passes
 :func:`~repro.rewrite.fuse.require_legal` (PB605 sites carry a witness
 of a concrete instance pair the blocked order would reorder).
 """
@@ -24,25 +24,14 @@ of a concrete instance pair the blocked order would reorder).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Mapping, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 from repro.analysis.depend import ScheduleCandidate, schedule_candidates
 from repro.analysis.witness import WitnessBudget
 from repro.compiler.ir import ScheduleIR, TransformIR
 from repro.rewrite.fuse import REWRITE_BUDGET, RewriteError, require_legal, unanalyzed
 
-__all__ = [
-    "annotate_schedule",
-    "apply_interchange",
-    "apply_tiling",
-    "rewrite_legal_sites",
-    "tile_transform",
-]
-
-#: Default tile edge when the caller does not pick one: big enough to
-#: amortize per-tile step cost, small enough that a 2D float64 tile
-#: (32 * 32 * 8 = 8 KiB) stays deep inside L1.
-DEFAULT_TILE = 32
+__all__ = ["apply_schedule", "schedule_transform"]
 
 Sizes = Union[int, Mapping[str, int]]
 
@@ -72,104 +61,63 @@ def _tile_pairs(
     return tuple(pairs)
 
 
-def annotate_schedule(
+def apply_schedule(
     ir: TransformIR,
-    rule_id: int,
-    *,
-    tile: Tuple[Tuple[str, int], ...] = None,
-    interchange: bool = None,
+    candidate: ScheduleCandidate,
+    tile: Optional[Sizes] = None,
+    interchange: bool = False,
 ) -> TransformIR:
-    """``ir`` with the schedule annotation of one rule merged in.
+    """``ir`` with one PB604-legal candidate's schedule annotation
+    merged in.
 
-    ``None`` fields keep whatever the rule already declares, so tiling
-    and interchange compose in either order.  Every rule is rebuilt
-    with cleared analysis fields (the applicable-regions pass re-runs
-    when the new IR is compiled), mirroring :func:`apply_fusion`.
+    ``tile`` is either one edge length for every free variable or a
+    ``{var: size}`` mapping (variables it omits stay untiled); ``None``
+    keeps the tiles the rule already declares, and ``interchange`` only
+    ever turns interchange on, so annotations compose in either order.
+    Every rule is rebuilt with cleared analysis fields (the
+    applicable-regions pass re-runs when the new IR is compiled),
+    mirroring :func:`~repro.rewrite.fuse.apply_fusion`.
     """
+    require_legal(candidate)
+    pairs = None if tile is None else _tile_pairs(candidate, tile)
     new_rules = []
     for rule in ir.rules:
-        if rule.rule_id == rule_id:
+        if rule.rule_id == candidate.rule_id:
             old = rule.schedule or ScheduleIR()
             merged = ScheduleIR(
-                tile=old.tile if tile is None else tile,
-                interchange=(
-                    old.interchange if interchange is None else interchange
-                ),
+                tile=old.tile if pairs is None else pairs,
+                interchange=old.interchange or interchange,
             )
             rule = replace(rule, schedule=merged)
         new_rules.append(unanalyzed(rule))
     return replace(ir, rules=new_rules)
 
 
-def rewrite_legal_sites(
+def schedule_transform(
     compiled,
-    budget: WitnessBudget,
-    apply: Callable[[TransformIR, ScheduleCandidate], TransformIR],
+    tile: Optional[Sizes] = None,
+    interchange: bool = False,
+    budget: WitnessBudget = REWRITE_BUDGET,
 ) -> Tuple[object, List[ScheduleCandidate]]:
-    """Run one schedule rewrite over every PB604-legal site, once per
+    """Annotate every PB604-legal site of a compiled transform, once per
     rule (a rule legal in several segments carries one annotation).
 
     Returns the recompiled transform (the input itself when no site is
-    legal) and the candidates that were applied.  Interchange without
-    tiles is inert at run time, so ``apply_interchange`` is typically
-    run after :func:`tile_transform` — annotations merge, they do not
-    overwrite."""
+    legal, or when there is nothing to annotate) and the candidates
+    that were applied.  Interchange without tiles is inert at run time.
+    """
     from repro.compiler.codegen import CompiledTransform
 
     applied: List[ScheduleCandidate] = []
+    if tile is None and not interchange:
+        return compiled, applied
     ir = compiled.ir
     for cand in schedule_candidates(compiled, budget):
-        if cand.status != "legal" or any(
-            cand.rule_id == done.rule_id for done in applied
+        if cand.status == "legal" and all(
+            cand.rule_id != done.rule_id for done in applied
         ):
-            continue
-        ir = apply(ir, cand)
-        applied.append(cand)
+            ir = apply_schedule(ir, cand, tile, interchange)
+            applied.append(cand)
     if not applied:
-        return compiled, []
+        return compiled, applied
     return CompiledTransform(ir, compiled.program), applied
-
-
-def apply_tiling(
-    ir: TransformIR,
-    candidate: ScheduleCandidate,
-    sizes: Sizes = DEFAULT_TILE,
-) -> TransformIR:
-    """The tiled transform IR for one PB604-legal candidate.
-
-    ``sizes`` is either one edge length for every free variable or a
-    ``{var: size}`` mapping (variables it omits stay untiled).  Purely
-    structural — callers re-verify through the compile pipeline before
-    executing the result.
-    """
-    require_legal(candidate)
-    return annotate_schedule(
-        ir, candidate.rule_id, tile=_tile_pairs(candidate, sizes)
-    )
-
-
-def tile_transform(
-    compiled,
-    sizes: Sizes = DEFAULT_TILE,
-    budget: WitnessBudget = REWRITE_BUDGET,
-) -> Tuple[object, List[ScheduleCandidate]]:
-    """Tile every PB604-legal site of a compiled transform.
-
-    Returns the recompiled transform (the input itself when no site is
-    legal) and the candidates that were applied.
-    """
-    return rewrite_legal_sites(
-        compiled, budget, lambda ir, cand: apply_tiling(ir, cand, sizes)
-    )
-
-
-def apply_interchange(
-    ir: TransformIR, candidate: ScheduleCandidate
-) -> TransformIR:
-    """The interchanged transform IR for one PB604-legal candidate.
-
-    Purely structural — callers re-verify through the compile pipeline
-    before executing the result.
-    """
-    require_legal(candidate)
-    return annotate_schedule(ir, candidate.rule_id, interchange=True)

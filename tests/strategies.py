@@ -708,7 +708,7 @@ def masked(observation, *fields):
 def assert_witnesses_replay(transform):
     """Every PB602/PB605/PB607 witness the rewrite audit reports
     replays; returns them."""
-    witnesses = rewrite_audit(Replay(transform))[3]
+    witnesses = rewrite_audit(Replay(transform))[1]
     for witness in witnesses:
         assert validate_witness(transform, witness), witness.describe()
     return witnesses

@@ -222,13 +222,28 @@ class TestUserErrorsAreOneLine:
         )
         assert captured.out == ""
 
-    def test_rewrite_refused_tile_size(self, tmp_path, capsys):
+    @pytest.mark.parametrize("size", ["-3", "0"])
+    def test_rewrite_refused_tile_size(self, tmp_path, capsys, size):
         path = tmp_path / "matmul.pbcc"
         path.write_text(MATMUL_CHAIN)
-        assert main(["rewrite", str(path), "--apply", "--tile", "-3"]) == 2
+        assert main(["rewrite", str(path), "--apply", "--tile", size]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: tile size for i must be >= 1, got -3\n"
+        assert captured.err == (
+            f"error: tile size for i must be >= 1, got {size}\n"
+        )
         assert "Traceback" not in captured.out
+
+    def test_rewrite_unwritable_output(self, tmp_path, capsys):
+        # Nothing is reported as rewritten until the file is written.
+        path = tmp_path / "matmul.pbcc"
+        path.write_text(MATMUL_CHAIN)
+        missing = str(tmp_path / "missing_dir" / "x.pbcc")
+        assert main(
+            ["rewrite", str(path), "--apply", "--tile", "4", "-o", missing]
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        )
 
     @pytest.mark.parametrize("option", [["--tile", "8"], ["--interchange"]])
     def test_rewrite_schedule_option_needs_apply(self, tmp_path, capsys, option):

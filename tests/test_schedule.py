@@ -27,13 +27,10 @@ from repro.compiler.config import INTERCHANGE, TILE_I, TILE_J
 from repro.engine_fast import LRUCache
 from repro.observe import TraceSink
 from repro.rewrite import (
-    REWRITE_BUDGET,
     RewriteError,
-    apply_interchange,
-    apply_tiling,
+    apply_schedule,
     fuse_transform,
-    rewrite_legal_sites,
-    tile_transform,
+    schedule_transform,
     transform_src,
 )
 from tests.strategies import HEAT, MATMUL_CHAIN
@@ -247,9 +244,9 @@ class TestOneVerdict:
 
 
 class TestScheduleRewrites:
-    def test_apply_tiling_annotates_and_round_trips(self):
+    def test_schedule_transform_tiles_and_round_trips(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
-        tiled, applied = tile_transform(mm, sizes=4)
+        tiled, applied = schedule_transform(mm, tile=4)
         assert [c.segment for c in applied] == ["S.1"]
         source = transform_src(tiled.ir)
         assert "tile(i: 4, j: 4)" in source
@@ -259,8 +256,8 @@ class TestScheduleRewrites:
 
     def test_interchange_merges_with_tiling(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
-        tiled, _ = tile_transform(mm, sizes={"j": 3})
-        both, applied = rewrite_legal_sites(tiled, REWRITE_BUDGET, apply_interchange)
+        tiled, _ = schedule_transform(mm, tile={"j": 3})
+        both, applied = schedule_transform(tiled, interchange=True)
         assert applied
         rule = next(r for r in both.ir.rules if r.schedule is not None)
         assert rule.schedule.tile == (("j", 3),)  # tile survived the merge
@@ -278,23 +275,23 @@ class TestScheduleRewrites:
             c for c in schedule_candidates(heat) if c.status == "blocked"
         )
         with pytest.raises(RewriteError, match="blocked, not legal"):
-            apply_tiling(heat.ir, blocked)
+            apply_schedule(heat.ir, blocked, tile=32)
         with pytest.raises(RewriteError, match="blocked, not legal"):
-            apply_interchange(heat.ir, blocked)
+            apply_schedule(heat.ir, blocked, interchange=True)
 
     def test_bad_tile_sizes_are_refused(self):
         mm = compiled(MATMUL_CHAIN, "MatMulChain")
         legal = schedule_candidates(mm)[0]
         with pytest.raises(RewriteError, match=">= 1"):
-            apply_tiling(mm.ir, legal, sizes=0)
+            apply_schedule(mm.ir, legal, tile=0)
         with pytest.raises(RewriteError, match="no tile sizes"):
-            apply_tiling(mm.ir, legal, sizes={"zz": 4})
+            apply_schedule(mm.ir, legal, tile={"zz": 4})
 
     def test_fuse_then_tile_composes(self):
         ft = compiled(FUSE_TILE, "FuseTile")
         fused, fusions = fuse_transform(ft)
         assert fusions  # T was eliminated
-        tiled, schedules = tile_transform(fused, sizes=2)
+        tiled, schedules = schedule_transform(fused, tile=2)
         assert schedules and schedules[0].chain_vars == ("q",)
         fused_rule = next(
             r for r in tiled.ir.rules if r.schedule is not None
@@ -587,6 +584,19 @@ class TestLRUCache:
 # -- CLI surface -----------------------------------------------------------
 
 
+def _e2e_programs():
+    """``benchmarks/e2e/programs.py``'s DSL programs (``name -> (source,
+    transform)``), imported the way ``repro check`` imports a module."""
+    import pathlib
+
+    from repro.analysis.check import import_file
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    module, failure = import_file(str(root / "benchmarks/e2e/programs.py"))
+    assert failure is None, failure
+    return module.DSL
+
+
 class TestCli:
     @pytest.fixture()
     def mm_source(self, tmp_path):
@@ -608,14 +618,50 @@ class TestCli:
         out = capsys.readouterr().out
         assert "tile(i: 8, j: 8) interchange" in out
 
+    @pytest.mark.parametrize("name", sorted(_e2e_programs()))
+    def test_apply_keeps_e2e_programs_byte_identical(
+        self, name, tmp_path, capsys
+    ):
+        source, transform = _e2e_programs()[name]
+        path = tmp_path / f"{name}.pbcc"
+        path.write_text(source)
+        out = tmp_path / "rewritten.pbcc"
+        assert main(
+            ["rewrite", str(path), "--apply", "--tile", "4", "--interchange",
+             "-o", str(out)]
+        ) == 0
+        err = capsys.readouterr().err
+        if name in ("heat", "matmul_momentum", "pipeline"):
+            assert err == f"rewrite: rewrote {transform} (re-verified clean)\n"
+        else:
+            assert err == "rewrite: no legal rewrites to apply\n"
+        original = compiled(source, transform)
+        rewritten = compiled(out.read_text(), transform)  # analysis on
+        sizes = {var: 6 for var in original.ir.size_vars}
+        rng = np.random.default_rng(4)
+        inputs = {
+            mat.name: rng.uniform(
+                -1.0, 1.0, tuple(dim.eval_floor(sizes) for dim in mat.dims)
+            )
+            for mat in original.ir.inputs
+        }
+        for leaf in (0, 1, 2):
+            config = config_with(transform, __leaf_path__=leaf)
+            assert run_bytes(rewritten, inputs, config, sizes) == run_bytes(
+                original, inputs, config, sizes
+            ), leaf
+
     def test_json_includes_schedule_candidates(self, mm_source, capsys):
         import json
 
         assert main(["rewrite", mm_source, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        sched = payload["transforms"]["MatMulChain"]["schedule_candidates"]
-        assert sched[0]["status"] == "legal"
-        assert sched[0]["chain_vars"] == ["k"]
+        (pb604,) = [
+            d for d in payload["diagnostics"] if d["code"] == "PB604"
+        ]
+        assert "over S.1 is legal" in pb604["message"]
+        assert "chain (k)" in pb604["message"]
+        assert payload["rewritten"] == []
 
     def test_apply_on_native_bodies_exits_2_with_diagnostic(self, capsys):
         # The bundled matmul app builds its rules natively (no DSL
