@@ -38,6 +38,7 @@ from repro.analysis.lints import check_lints
 from repro.analysis.races import check_races
 from repro.analysis.witness import DEFAULT_BUDGET, Replay, WitnessBudget
 from repro.language.errors import PetaBricksError
+from repro.language.parser import parse_program
 
 
 def analyze_transform(
@@ -97,11 +98,19 @@ def check_source(
     path: str = "",
     budget: WitnessBudget = DEFAULT_BUDGET,
 ) -> AnalysisReport:
-    """Compile DSL text and run every pass; never raises on bad input."""
+    """Compile DSL text and run every pass; never raises on bad input.
+    A template is checked at both ends of its declared range."""
     from repro.compiler.codegen import compile_program
+    from repro.compiler.ir import build_ir
 
     try:
-        program = compile_program(source, analyze=False)
+        parsed = parse_program(source)
+        ends = {
+            decl.name: sorted({lo, hi})
+            for decl in parsed.transforms
+            for _, lo, hi in decl.template_params
+        }
+        program = compile_program(build_ir(parsed, ends), analyze=False)
     except PetaBricksError as exc:
         return AnalysisReport([diagnostic_from_error(exc, path)])
     return analyze_program(program, budget, path)

@@ -305,9 +305,7 @@ def _structural_block(
         | {t.name for t in ir.tunables}
     )
 
-    def walk(node) -> str:
-        if isinstance(node, ast.Num):
-            return ""
+    for node in stmt.value.walk():
         if isinstance(node, ast.Var):
             if node.name in banned:
                 return (
@@ -316,24 +314,11 @@ def _structural_block(
                 )
             if node.name not in allowed:
                 return f"producer {p.label} body references {node.name!r}"
-            return ""
-        if isinstance(node, ast.BinOp):
-            return walk(node.left) or walk(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return walk(node.operand)
-        if isinstance(node, ast.Call):
+        elif isinstance(node, ast.Call):
             if node.name not in VECTOR_STABLE_CALLS:
                 return f"producer {p.label} body calls {node.name!r}"
-            for arg in node.args:
-                err = walk(arg)
-                if err:
-                    return err
-            return ""
-        return f"producer {p.label} body uses {type(node).__name__}"
-
-    err = walk(stmt.value)
-    if err:
-        return err
+        elif not isinstance(node, (ast.Num, ast.BinOp, ast.UnaryOp)):
+            return f"producer {p.label} body uses {type(node).__name__}"
 
     if not c.is_instance_rule:
         return f"consumer {c.label} is a whole-region rule"
@@ -354,8 +339,7 @@ def _structural_block(
         if isinstance(target, ast.Var):
             tname = target.name
         elif isinstance(target, ast.CellAccess):
-            base = target.base
-            tname = base if isinstance(base, str) else getattr(base, "name", None)
+            tname = target.base
         if tname in intermediate_binds:
             return (
                 f"consumer {c.label} body assigns to intermediate "

@@ -13,7 +13,7 @@ variable families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.language import ast_nodes as ast
@@ -266,84 +266,47 @@ def instantiate_template(
         raise CompileError(
             f"{decl.name}: template value {value} outside [{lo}, {hi}]"
         )
-    env = {param: ast.Num(value)}
+    literal = ast.Num(value)
 
-    def subst_expr(node: ast.ExprNode) -> ast.ExprNode:
-        if isinstance(node, ast.Var):
-            return env.get(node.name, node)
-        if isinstance(node, ast.Num):
-            return node
-        if isinstance(node, ast.BinOp):
-            return ast.BinOp(node.op, subst_expr(node.left), subst_expr(node.right))
-        if isinstance(node, ast.UnaryOp):
-            return ast.UnaryOp(node.op, subst_expr(node.operand))
-        if isinstance(node, ast.Ternary):
-            return ast.Ternary(
-                subst_expr(node.cond),
-                subst_expr(node.if_true),
-                subst_expr(node.if_false),
-            )
-        if isinstance(node, ast.Call):
-            return ast.Call(node.name, tuple(subst_expr(a) for a in node.args))
-        if isinstance(node, ast.CellAccess):
-            return ast.CellAccess(
-                node.base, tuple(subst_expr(a) for a in node.args)
-            )
-        return node
+    def subst(node: ast.ExprNode) -> ast.ExprNode:
+        return node.map_vars(lambda var: literal if var.name == param else var)
+
+    def subst_all(nodes):
+        return tuple(subst(node) for node in nodes)
 
     def subst_matrix(mat: ast.MatrixDecl) -> ast.MatrixDecl:
-        return ast.MatrixDecl(
-            name=mat.name,
-            dims=tuple(subst_expr(d) for d in mat.dims),
-            version=None
-            if mat.version is None
-            else (subst_expr(mat.version[0]), subst_expr(mat.version[1])),
-            line=mat.line,
-            column=mat.column,
-        )
-
-    def subst_bind(b: ast.RegionBind) -> ast.RegionBind:
-        return ast.RegionBind(
-            b.matrix,
-            b.accessor,
-            tuple(subst_expr(a) for a in b.args),
-            b.name,
-            line=b.line,
-            column=b.column,
+        return replace(
+            mat,
+            dims=subst_all(mat.dims),
+            version=None if mat.version is None else subst_all(mat.version),
         )
 
     def subst_rule(rule: ast.RuleDecl) -> ast.RuleDecl:
-        return ast.RuleDecl(
-            to_bindings=tuple(subst_bind(b) for b in rule.to_bindings),
-            from_bindings=tuple(subst_bind(b) for b in rule.from_bindings),
+        return replace(
+            rule,
+            to_bindings=tuple(
+                replace(b, args=subst_all(b.args)) for b in rule.to_bindings
+            ),
+            from_bindings=tuple(
+                replace(b, args=subst_all(b.args)) for b in rule.from_bindings
+            ),
             body=tuple(
-                ast.Assign(subst_expr(s.target), s.op, subst_expr(s.value))
+                replace(s, target=subst(s.target), value=subst(s.value))
                 for s in rule.body
             ),
             where=tuple(
-                ast.WhereClause(subst_expr(w.condition), w.line, w.column)
-                for w in rule.where
+                replace(w, condition=subst(w.condition)) for w in rule.where
             ),
-            priority=rule.priority,
-            label=rule.label,
-            escapes=rule.escapes,
-            tile=rule.tile,
-            interchange=rule.interchange,
-            line=rule.line,
-            column=rule.column,
         )
 
-    return ast.TransformDecl(
+    return replace(
+        decl,
         name=f"{decl.name}_{value}",
         to_matrices=tuple(subst_matrix(m) for m in decl.to_matrices),
         from_matrices=tuple(subst_matrix(m) for m in decl.from_matrices),
         through_matrices=tuple(subst_matrix(m) for m in decl.through_matrices),
         rules=tuple(subst_rule(r) for r in decl.rules),
-        tunables=decl.tunables,
-        generator=decl.generator,
         template_params=(),
-        line=decl.line,
-        column=decl.column,
     )
 
 
@@ -397,29 +360,11 @@ def build_transform(decl: ast.TransformDecl) -> TransformIR:
 
 def _calls_transform(statements, name: str) -> bool:
     """Does any statement call ``name`` (direct recursion detection)?"""
-
-    def expr_calls(node: ast.ExprNode) -> bool:
-        if isinstance(node, ast.Call):
-            if node.name == name:
-                return True
-            return any(expr_calls(arg) for arg in node.args)
-        if isinstance(node, ast.BinOp):
-            return expr_calls(node.left) or expr_calls(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return expr_calls(node.operand)
-        if isinstance(node, ast.Ternary):
-            return (
-                expr_calls(node.cond)
-                or expr_calls(node.if_true)
-                or expr_calls(node.if_false)
-            )
-        if isinstance(node, ast.CellAccess):
-            return any(expr_calls(arg) for arg in node.args)
-        return False
-
     return any(
-        expr_calls(stmt.value) or expr_calls(stmt.target)
+        isinstance(node, ast.Call) and node.name == name
         for stmt in statements
+        for expr in (stmt.value, stmt.target)
+        for node in expr.walk()
     )
 
 

@@ -12,9 +12,8 @@ Two expression contexts share one node family (:class:`ExprNode`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.symbolic import Affine
 
@@ -24,21 +23,53 @@ from repro.symbolic import Affine
 
 
 class ExprNode:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    :meth:`walk` and :meth:`map_vars` are the one traversal of the tree:
+    both read a node's children off its dataclass fields (an
+    ``ExprNode`` or a tuple of them), so a new node type needs no
+    traversal code of its own.
+    """
 
     def to_affine(self) -> Affine:
         """Convert to an affine symbolic expression; raises ValueError for
         non-affine constructs (calls, comparisons, cell access...)."""
         raise ValueError(f"{type(self).__name__} is not an affine expression")
 
-    def free_names(self) -> Tuple[str, ...]:
-        """All identifier names referenced, in first-seen order."""
-        seen: List[str] = []
-        self._collect_names(seen)
-        return tuple(seen)
+    def _children(self) -> Iterator[Tuple[str, object]]:
+        """``(field name, value)`` of every field holding subexpressions."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (ExprNode, tuple)):
+                yield f.name, value
 
-    def _collect_names(self, out: List[str]) -> None:
-        pass
+    def walk(self) -> Iterator[ExprNode]:
+        """This node, then its descendants in source order (pre-order)."""
+        yield self
+        for _, value in self._children():
+            for child in value if isinstance(value, tuple) else (value,):
+                yield from child.walk()
+
+    def map_vars(self, fn: Callable[[Var], ExprNode]) -> ExprNode:
+        """A copy with every :class:`Var` replaced by ``fn(var)``."""
+        changes = {
+            name: tuple(arg.map_vars(fn) for arg in value)
+            if isinstance(value, tuple)
+            else value.map_vars(fn)
+            for name, value in self._children()
+        }
+        return replace(self, **changes) if changes else self
+
+    def free_names(self) -> Tuple[str, ...]:
+        """All identifier names referenced, in first-seen order (a cell
+        access's base before its arguments)."""
+        seen: Dict[str, None] = {}
+        for node in self.walk():
+            if isinstance(node, Var):
+                seen.setdefault(node.name)
+            elif isinstance(node, CellAccess):
+                seen.setdefault(node.base)
+        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -62,9 +93,8 @@ class Var(ExprNode):
     def to_affine(self) -> Affine:
         return Affine.var(self.name)
 
-    def _collect_names(self, out: List[str]) -> None:
-        if self.name not in out:
-            out.append(self.name)
+    def map_vars(self, fn: Callable[[Var], ExprNode]) -> ExprNode:
+        return fn(self)
 
 
 @dataclass(frozen=True)
@@ -88,10 +118,6 @@ class BinOp(ExprNode):
             return lhs / rhs
         raise ValueError(f"operator {self.op!r} in region coordinate")
 
-    def _collect_names(self, out: List[str]) -> None:
-        self.left._collect_names(out)
-        self.right._collect_names(out)
-
 
 @dataclass(frozen=True)
 class UnaryOp(ExprNode):
@@ -105,9 +131,6 @@ class UnaryOp(ExprNode):
             return -self.operand.to_affine()
         raise ValueError(f"unary {self.op!r} in region coordinate")
 
-    def _collect_names(self, out: List[str]) -> None:
-        self.operand._collect_names(out)
-
 
 @dataclass(frozen=True)
 class Call(ExprNode):
@@ -115,10 +138,6 @@ class Call(ExprNode):
 
     name: str
     args: Tuple[ExprNode, ...]
-
-    def _collect_names(self, out: List[str]) -> None:
-        for arg in self.args:
-            arg._collect_names(out)
 
 
 @dataclass(frozen=True)
@@ -128,12 +147,6 @@ class CellAccess(ExprNode):
     base: str
     args: Tuple[ExprNode, ...]
 
-    def _collect_names(self, out: List[str]) -> None:
-        if self.base not in out:
-            out.append(self.base)
-        for arg in self.args:
-            arg._collect_names(out)
-
 
 @dataclass(frozen=True)
 class Ternary(ExprNode):
@@ -142,11 +155,6 @@ class Ternary(ExprNode):
     cond: ExprNode
     if_true: ExprNode
     if_false: ExprNode
-
-    def _collect_names(self, out: List[str]) -> None:
-        self.cond._collect_names(out)
-        self.if_true._collect_names(out)
-        self.if_false._collect_names(out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,17 +285,10 @@ class TransformDecl:
     @property
     def size_variables(self) -> Tuple[str, ...]:
         """Free variables appearing in matrix dimension expressions."""
-        seen: List[str] = []
+        seen: Dict[str, None] = {}
         for decl in self.to_matrices + self.from_matrices + self.through_matrices:
-            for dim in decl.dims:
-                for name in dim.free_names():
-                    if name not in seen:
-                        seen.append(name)
-            if decl.version is not None:
-                for expr in decl.version:
-                    for name in expr.free_names():
-                        if name not in seen:
-                            seen.append(name)
+            for expr in decl.dims + (decl.version or ()):
+                seen.update(dict.fromkeys(expr.free_names()))
         return tuple(seen)
 
 

@@ -30,7 +30,7 @@ across all three leaf paths.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.depend import FusionCandidate, fusion_candidates
 from repro.analysis.witness import WitnessBudget
@@ -71,42 +71,13 @@ def require_legal(candidate) -> None:
         )
 
 
-def _map_expr(node: ast.ExprNode, fn: Callable) -> ast.ExprNode:
-    """Structurally rebuild ``node`` with every Var passed through ``fn``."""
-    if isinstance(node, ast.Var):
-        return fn(node)
-    if isinstance(node, ast.BinOp):
-        return replace(
-            node,
-            left=_map_expr(node.left, fn),
-            right=_map_expr(node.right, fn),
-        )
-    if isinstance(node, ast.UnaryOp):
-        return replace(node, operand=_map_expr(node.operand, fn))
-    if isinstance(node, ast.Call):
-        return replace(
-            node, args=tuple(_map_expr(arg, fn) for arg in node.args)
-        )
-    if isinstance(node, ast.CellAccess):
-        return replace(
-            node, args=tuple(_map_expr(arg, fn) for arg in node.args)
-        )
-    if isinstance(node, ast.Ternary):
-        return replace(
-            node,
-            cond=_map_expr(node.cond, fn),
-            if_true=_map_expr(node.if_true, fn),
-            if_false=_map_expr(node.if_false, fn),
-        )
-    return node
-
-
 def _body_names(body) -> set:
-    names: List[str] = []
-    for stmt in body:
-        stmt.target._collect_names(names)
-        stmt.value._collect_names(names)
-    return set(names)
+    return {
+        name
+        for stmt in body
+        for expr in (stmt.target, stmt.value)
+        for name in expr.free_names()
+    }
 
 
 def _fresh_name(base: str, used) -> str:
@@ -169,8 +140,7 @@ def apply_fusion(ir: TransformIR, candidate: FusionCandidate) -> TransformIR:
                     bind_name=fresh,
                 )
             )
-        inline[region.bind_name] = _map_expr(
-            producer.body[0].value,
+        inline[region.bind_name] = producer.body[0].value.map_vars(
             lambda var, rename=rename: (
                 replace(var, name=rename[var.name])
                 if var.name in rename
@@ -181,9 +151,7 @@ def apply_fusion(ir: TransformIR, candidate: FusionCandidate) -> TransformIR:
     new_body = tuple(
         replace(
             stmt,
-            value=_map_expr(
-                stmt.value, lambda var: inline.get(var.name, var)
-            ),
+            value=stmt.value.map_vars(lambda var: inline.get(var.name, var)),
         )
         for stmt in consumer.body
     )

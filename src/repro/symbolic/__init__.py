@@ -28,10 +28,13 @@ Public surface:
   their n-dimensional products.
 * :func:`~repro.symbolic.solve.solve_bounds_for` — turn a constraint
   ``lo <= e(v) < hi`` into an interval for ``v``.
+
+The package parses no text: expressions come from the DSL's one parser
+and tree (:meth:`repro.language.ast_nodes.ExprNode.to_affine`).
 """
 
 from repro.symbolic.assumptions import Assumptions
-from repro.symbolic.expr import Affine, SymbolicCompareError, parse_affine
+from repro.symbolic.expr import Affine, SymbolicCompareError
 from repro.symbolic.interval import Box, Interval
 from repro.symbolic.solve import solve_bounds_for
 
@@ -41,6 +44,5 @@ __all__ = [
     "Box",
     "Interval",
     "SymbolicCompareError",
-    "parse_affine",
     "solve_bounds_for",
 ]

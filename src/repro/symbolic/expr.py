@@ -36,14 +36,13 @@ needs them.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.symbolic.assumptions import Assumptions, AssumptionsLike
 
 Number = Union[int, Fraction]
-AffineLike = Union["Affine", int, Fraction, str]
+AffineLike = Union["Affine", int, Fraction]
 Terms = Tuple[Tuple[str, int], ...]
 
 
@@ -107,13 +106,12 @@ class Affine:
 
     @staticmethod
     def coerce(value: AffineLike) -> "Affine":
-        """Convert ints, Fractions, variable names, or Affines to Affine."""
+        """Convert ints, Fractions, or Affines to Affine.  Text is the DSL
+        parser's: ``repro.language.parser.parse_expression(text).to_affine()``."""
         if isinstance(value, Affine):
             return value
         if isinstance(value, (int, Fraction)):
             return Affine(value)
-        if isinstance(value, str):
-            return parse_affine(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to Affine")
 
     # -- accessors ---------------------------------------------------------
@@ -512,86 +510,3 @@ def sort_bounds(
         if not placed:
             ordered.append(expr)
     return tuple(ordered)
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()+\-*/]))"
-)
-
-
-def parse_affine(text: str) -> Affine:
-    """Parse an arithmetic expression like ``"n/2 + 1"`` into an Affine.
-
-    Supports ``+ - * /``, parentheses, integer literals, and variable
-    names.  Division is exact-rational; products must have a constant
-    operand (otherwise the expression is not affine and a ValueError is
-    raised).
-    """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad character in affine expression: {text[pos:]!r}")
-        tokens.append(match.group().strip())
-        pos = match.end()
-    tokens = [tok for tok in tokens if tok]
-    index = 0
-
-    def peek() -> Optional[str]:
-        return tokens[index] if index < len(tokens) else None
-
-    def take() -> str:
-        nonlocal index
-        tok = tokens[index]
-        index += 1
-        return tok
-
-    def parse_expr() -> Affine:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> Affine:
-        node = parse_unary()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_unary()
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_unary() -> Affine:
-        if peek() == "-":
-            take()
-            return -parse_unary()
-        if peek() == "+":
-            take()
-            return parse_unary()
-        return parse_atom()
-
-    def parse_atom() -> Affine:
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression: {text!r}")
-        if tok == "(":
-            take()
-            node = parse_expr()
-            if peek() != ")":
-                raise ValueError(f"missing ')' in {text!r}")
-            take()
-            return node
-        take()
-        if tok.isdigit():
-            return Affine(int(tok))
-        return Affine.var(tok)
-
-    result = parse_expr()
-    if index != len(tokens):
-        raise ValueError(f"trailing tokens in affine expression {text!r}")
-    return result
-

@@ -521,6 +521,20 @@ def test_parse_error_becomes_diagnostic():
     assert diag.code == "PB001"
 
 
+TEMPLATE_SHIFT = (
+    "transform Shift template<K, 1, 8> from A[n] to B[n] "
+    "{ to (B.cell(i) b) from (A.cell(i + K) a) { b = a; } }"
+)
+
+
+def test_a_template_is_checked_at_the_ends_of_its_range():
+    twin = TEMPLATE_SHIFT.replace(" template<K, 1, 8>", "")
+    (template_error,) = check_source(TEMPLATE_SHIFT).errors
+    (twin_error,) = check_source(twin.replace("i + K", "i + 1")).errors
+    assert template_error.code == twin_error.code == "PB301"
+    assert template_error.message.startswith("Shift_1: ")
+
+
 def test_code_table_severities_are_valid():
     for code, (severity, family, summary) in CODE_TABLE.items():
         Diagnostic(code=code, severity=severity, message=summary)

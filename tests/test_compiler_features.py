@@ -2,6 +2,8 @@
 transforms, generator declarations, configuration files (including
 size-leveled tunables), static specialization and sibling calls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from repro.compiler.codegen import (
     dead_choice_report,
     specialize,
 )
+from repro.compiler.ir import instantiate_template
 from repro.language import parse_program
 from repro.language.errors import CompileError
 from repro.runtime import MACHINES
+from tests.strategies import LEAVES, config_for
 
 TEMPLATED = """
 transform Scale template <FACTOR, 1, 100>
@@ -32,6 +36,23 @@ to B[n]
   to (B.cell(i) b) from (A.cell(i) a) { b = a * FACTOR; }
 }
 """
+
+#: the parameter in a matrix dimension, a version range, region
+#: coordinates, a ``where`` clause and a rule body
+SHIFTED = """
+transform Shift template<K, 1, 4>
+from A[n + K]
+to B[n]
+through U<0..K>[n]
+{
+  to (U.cell(0, i) u) from (A.cell(i + K) a) { u = a; }
+  to (U.cell(t, i) u) from (U.cell(t - 1, i) p) { u = p * 0.5 + K; }
+  to (B.cell(i) b) from (U.cell(K, i) u) where i % K == 0 { b = u; }
+  secondary to (B.cell(i) b) from (U.cell(K, i) u) { b = -u; }
+}
+"""
+#: ``SHIFTED`` instantiated by hand at ``K = 3``
+SHIFTED_3 = SHIFTED.replace(" template<K, 1, 4>", "").replace("K", "3")
 
 WITH_GENERATOR = """
 transform RandomInput
@@ -69,6 +90,21 @@ class TestTemplates:
     def test_uninstantiated_template_not_compiled(self):
         program = compile_program(TEMPLATED)
         assert not program.transforms
+
+    def test_instance_equals_the_hand_instantiated_declaration(self):
+        (decl,) = parse_program(SHIFTED).transforms
+        (hand,) = parse_program(SHIFTED_3).transforms
+        assert instantiate_template(decl, 3) == replace(hand, name="Shift_3")
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_instance_runs_like_the_hand_instantiated_program(self, leaf):
+        program = compile_program(SHIFTED, template_values={"Shift": [3]})
+        instance = program.transform("Shift_3")
+        hand = compile_program(SHIFTED_3).transform("Shift")
+        data = [np.arange(11.0)]
+        got = instance.run(data, config_for("Shift_3", leaf)).output("B")
+        want = hand.run(data, config_for("Shift", leaf)).output("B")
+        assert got.tobytes() == want.tobytes()
 
     def test_out_of_range_value_rejected(self):
         with pytest.raises(CompileError):

@@ -9,10 +9,12 @@ from repro.language import (
     CellAccess,
     Num,
     ParseError,
+    UnaryOp,
     Var,
     parse_program,
     parse_transform,
 )
+from repro.language.parser import parse_expression
 from repro.symbolic import Affine
 
 ROLLING_SUM = """
@@ -309,3 +311,32 @@ class TestErrors:
         )
         with pytest.raises(ValueError):
             t.rules[0].from_bindings[0].args[0].to_affine()
+
+
+class TestTraversal:
+    """``walk``/``map_vars``/``free_names``: the one traversal of the tree.
+    ``free_names`` order fixes ``TransformDecl.size_variables``."""
+
+    @pytest.mark.parametrize(
+        "text,names",
+        [
+            ("A.cell(j, i) + k * i", ("A", "j", "i", "k")),
+            ("c ? f(b, a) : -a", ("c", "b", "a")),
+            ("n / 2 + m - n", ("n", "m")),
+            ("max(B.cell(x), 1.5)", ("B", "x")),
+            ("3", ()),
+        ],
+    )
+    def test_free_names_in_first_seen_order(self, text, names):
+        assert parse_expression(text).free_names() == names
+
+    def test_walk_is_pre_order(self):
+        kinds = [type(node) for node in parse_expression("a + f(-b)").walk()]
+        assert kinds == [BinOp, Var, Call, UnaryOp, Var]
+
+    def test_map_vars_replaces_vars_only(self):
+        expr = parse_expression("A.cell(i, j) + i")
+        mapped = expr.map_vars(
+            lambda var: Num(1) if var.name in ("i", "A") else var
+        )
+        assert mapped == parse_expression("A.cell(1, j) + 1")

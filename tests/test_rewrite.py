@@ -8,6 +8,7 @@ dispatch through the `__fuse__` tunable), and the IR unparser that
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.depend import fusion_candidates
 from repro.compiler import ChoiceConfig, compile_program
@@ -22,6 +23,7 @@ from repro.rewrite import (
     program_src,
     transform_src,
 )
+from tests.strategies import KINDS, programs
 
 PIPE = """
 transform Pipe
@@ -124,9 +126,7 @@ class TestApplyFusion:
         # The inlined body: b = (a * 2.0 + 1.0) * 1.5 - 0.5.
         (stmt,) = rule.body
         assert isinstance(stmt, ast.Assign) and stmt.op == "="
-        names = []
-        stmt.value._collect_names(names)
-        assert set(names) == {"a"}
+        assert set(stmt.value.free_names()) == {"a"}
 
     def test_work_model_accounts_for_both_rules(self):
         transform = compiled(PIPE, "Pipe")
@@ -318,3 +318,25 @@ to B[n]
         rng = np.random.default_rng(7)
         inputs = {"A": rng.uniform(-2.0, 2.0, 9)}
         assert run_bytes(reparsed, inputs) == run_bytes(transform, inputs)
+
+
+def assert_unparse_fixed_point(transforms):
+    """``program_src`` is a fixed point of parse, compile and unparse."""
+    source = program_src(transforms)
+    reparsed = compile_program(source).ir.transforms.values()
+    assert program_src(list(reparsed)) == source
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_parse_unparse_is_a_fixed_point(kind, data):
+    case = data.draw(programs(kind))
+    program = compile_program(case.source)
+    transforms = list(program.ir.transforms.values())
+    assert_unparse_fixed_point(transforms)
+    fused, applied = fuse_transform(program.transform(case.name))
+    if applied:
+        assert_unparse_fixed_point(
+            [fused.ir if t.name == case.name else t for t in transforms]
+        )
