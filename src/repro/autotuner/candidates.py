@@ -15,10 +15,9 @@ A candidate is a full :class:`ChoiceConfig`.  Following §3.3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.autotuner.evaluation import config_signature
 from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig, Selector
 
@@ -33,9 +32,6 @@ class Candidate:
 
     def clone(self, lineage: str) -> "Candidate":
         return Candidate(config=self.config.copy(), lineage=lineage)
-
-    def signature(self) -> str:
-        return config_signature(self.config)
 
 
 def choice_sites(transform: CompiledTransform) -> List[Tuple[str, int]]:
@@ -102,11 +98,11 @@ def set_tunable(candidate: Candidate, name: str, value: int) -> Candidate:
 
 def dedupe(candidates: Sequence[Candidate]) -> List[Candidate]:
     """Drop candidates with identical configurations (first wins)."""
-    seen: Dict[str, bool] = {}
+    seen: Set[Tuple] = set()
     unique: List[Candidate] = []
     for candidate in candidates:
-        signature = candidate.signature()
-        if signature not in seen:
-            seen[signature] = True
+        key = candidate.config.key()
+        if key not in seen:
+            seen.add(key)
             unique.append(candidate)
     return unique

@@ -14,7 +14,19 @@ the input data and the scheduler's victim-selection RNG are derived from
 that tuple alone, never from evaluator state.  So measurements are
 order-independent — interleaved, repeated, reordered, or fanned out
 across worker processes they yield identical values — and one lost to a
-crashed or hung worker is simply re-run.
+crashed or hung worker is simply re-run.  The inputs of a ``(size,
+trial)`` pair are generated once per evaluator and shared by every
+configuration timed on them, as read-only arrays: a candidate that
+writes into its input raises instead of corrupting the next one.
+
+In memory a configuration is identified by :meth:`ChoiceConfig.key`
+(the ``(key, size)`` pairs of ``_times``, ``_failures`` and a batch's
+pending set; the tuner's dedupe too).  Its JSON ``signature``
+(:func:`config_signature`) is written only for a pair that memory does
+not know: it keys the disk cache and quarantine, seeds the scheduler
+(:func:`measurement_seed`), travels to pool workers and names the
+configuration in the ``candidate`` event, so all of those are the same
+bytes whatever the in-memory identity.
 
 Every miss resolves through one entry, :meth:`Evaluator.evaluate_batch`
 (``time()`` is a one-pair call of it).  It consults memory, recorded
@@ -64,7 +76,8 @@ import time as _time
 from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -218,6 +231,7 @@ class _PendingItem:
     """One unresolved measurement's recovery state during a batch."""
 
     config: ChoiceConfig
+    key: Tuple  # the in-memory identity, ``(config.key(), size)``
     signature: str
     size: int
     attempts: int = 0       # attempts consumed (feeds injector decisions)
@@ -326,6 +340,10 @@ class Evaluator:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials!r}")
+        if workers is not None and workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
         if measure_timeout is not None and measure_timeout <= 0:
             raise ValueError("measure_timeout must be positive (or None)")
         if max_retries < 0:
@@ -352,8 +370,10 @@ class Evaluator:
         self.degraded = False
         #: signatures barred from measurement (signature -> reason).
         self.quarantined: Dict[str, str] = {}
-        self._times: Dict[Tuple[str, int], float] = {}
-        self._failures: Dict[Tuple[str, int], str] = {}
+        self._times: Dict[Tuple[Tuple, int], float] = {}
+        self._failures: Dict[Tuple[Tuple, int], str] = {}
+        #: ``(size, trial)`` -> that trial's read-only inputs
+        self._inputs: Dict[Tuple[int, int], object] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_builds = 0
         self._idle_pool_rounds = 0
@@ -399,15 +419,28 @@ class Evaluator:
         """
         if signature is None:
             signature = config_signature(config)
-        rng = random.Random(self.seed * 1000003 + size * 1009 + trial)
-        inputs = self.input_generator(size, rng)
-        result = self.transform.run(inputs, config)
+        result = self.transform.run(self.inputs(size, trial), config)
         scheduler = WorkStealingScheduler(
             self.machine,
             seed=measurement_seed(self.seed, signature, size, trial),
         )
         schedule = scheduler.run(result.graph, workers=self.workers)
         return result, schedule
+
+    def inputs(self, size: int, trial: int) -> object:
+        """The training inputs of ``(size, trial)``: generated from an
+        RNG seeded by ``(seed, size, trial)`` on first use, then the same
+        object on every call, its arrays read-only."""
+        inputs = self._inputs.get((size, trial))
+        if inputs is None:
+            rng = random.Random(self.seed * 1000003 + size * 1009 + trial)
+            inputs = self.input_generator(size, rng)
+            arrays = inputs.values() if isinstance(inputs, Mapping) else inputs
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            self._inputs[size, trial] = inputs
+        return inputs
 
     def measure(
         self, config: ChoiceConfig, size: int, signature: Optional[str] = None
@@ -452,21 +485,22 @@ class Evaluator:
         disk cache is flushed afterwards, so a killed run loses at most
         the batch in flight.
         """
-        keys: List[Tuple[str, int]] = []
-        pending: Dict[Tuple[str, int], _PendingItem] = {}
+        keys: List[Tuple[Tuple, int]] = []
+        pending: Dict[Tuple[Tuple, int], _PendingItem] = {}
         hits = 0
         for config, size in batch:
-            signature = config_signature(config)
-            key = (signature, size)
+            key = (config.key(), size)
             keys.append(key)
             if key in self._times:
                 hits += 1
             elif key in self._failures or key in pending:
                 continue
-            elif signature in self.quarantined:
-                self._failures[key] = self.quarantined[signature]
-            elif not self._consult_disk(key):
-                pending[key] = _PendingItem(config, signature, size)
+            else:
+                signature = config_signature(config)
+                if signature in self.quarantined:
+                    self._failures[key] = self.quarantined[signature]
+                elif not self._consult_disk(key, signature):
+                    pending[key] = _PendingItem(config, key, signature, size)
         self._count("tuner.cache_hits", hits)
         if pending:
             started = _time.perf_counter()
@@ -657,7 +691,7 @@ class Evaluator:
         """Record one resolved item in batch order: a time counts as an
         evaluation and emits ``candidate``; either kind goes to the disk
         cache unless it is a session-local verdict."""
-        key = (item.signature, item.size)
+        key = item.key
         record = item.record
         if "error" in record:
             self._failures[key] = record["error"]
@@ -675,13 +709,14 @@ class Evaluator:
                     config=item.signature,
                 )
         if item.persist and self.cache is not None:
-            self.cache.store(self._cache_key(key), record)
+            self.cache.store(self._cache_key(item.signature, item.size), record)
 
-    def _consult_disk(self, key: Tuple[str, int]) -> bool:
-        """Pull one resolution from the persistent cache if present."""
+    def _consult_disk(self, key: Tuple[Tuple, int], signature: str) -> bool:
+        """Pull the resolution of ``key`` (whose configuration has JSON
+        ``signature``) from the persistent cache if present."""
         if self.cache is None:
             return False
-        record = self.cache.lookup(self._cache_key(key))
+        record = self.cache.lookup(self._cache_key(signature, key[1]))
         if record is None:
             return False
         if "error" in record:
@@ -691,8 +726,11 @@ class Evaluator:
         self._count("tuner.cache.disk_hits")
         return True
 
-    def _cache_key(self, key: Tuple[str, int]) -> Tuple[Any, ...]:
-        return (self.machine.name, self.workers, self.trials, self.seed, *key)
+    def _cache_key(self, signature: str, size: int) -> Tuple[Any, ...]:
+        return (
+            self.machine.name, self.workers, self.trials, self.seed,
+            signature, size,
+        )
 
     def _count(self, name: str, delta: int = 1) -> None:
         if self.sink is not None and delta:

@@ -250,6 +250,27 @@ def lockstep(
     )
 
 
+class FrameDecisions(NamedTuple):
+    """Everything a :class:`RunPlan` reads from its configuration,
+    resolved at the frame's problem size by
+    :meth:`CompiledTransform.decisions`.  Equal decisions at equal
+    shapes and sizes build equal plans, so with them they are the plan
+    cache's second key: configurations that differ only where this frame
+    does not look (another size band, another transform) share a plan."""
+
+    #: the option index each segment of ``segment_order`` picks
+    options: Tuple[int, ...]
+    inline: bool  # the problem size is below ``__seq_cutoff__``
+    leaf: Optional[int]
+    vectorize_cutoff: Optional[int]
+    block: Optional[int]
+    #: the ``__tile_i__``, ``__tile_j__``, ``__interchange__`` entries as
+    #: given (``None``: absent), for :meth:`Site.tiles` to resolve
+    #: against each rule's declared schedule
+    tiles: Tuple[Optional[int], Optional[int], Optional[int]]
+    tunables: Tuple[Tuple[str, int], ...]  # resolved user tunables
+
+
 @dataclass(frozen=True, slots=True)
 class RunPlan:
     """One frame of one transform, decided — see
@@ -529,32 +550,34 @@ class Site:
         return ranges
 
     def tiles(
-        self, config: ChoiceConfig, geometry: Geometry
+        self,
+        raw: Tuple[Optional[int], Optional[int], Optional[int]],
+        geometry: Geometry,
     ) -> Optional[Tuple[Tuple[int, ...], bool]]:
         """The effective (tile sizes per free var, interchange?) of a
         vector step, or ``None`` to run the untiled sweep.
 
-        Sizes come from the ``__tile_i__``/``__tile_j__`` tunables, with
-        the rule's declared ``tile(...)`` annotation as the default; a
-        size of 0 (or one covering the whole extent) leaves that
-        variable unblocked.  Engages only on PB604-legal sites outside a
-        lockstep group — on any other site the knobs are a verified
-        no-op."""
+        ``raw`` holds the config's ``__tile_i__``, ``__tile_j__`` and
+        ``__interchange__`` entries (``None`` where absent, so the rule's
+        declared ``tile(...)`` annotation applies); a size of 0 (or one
+        covering the whole extent) leaves that variable unblocked.
+        Engages only on PB604-legal sites outside a lockstep group — on
+        any other site the knobs are a verified no-op."""
         if not geometry.chain_vars or not geometry.free_vars:
             return None
-        name = self.transform.name
         declared = self.rule.schedule or ScheduleIR()
         declared_tiles = dict(declared.tile)
         tile_sizes: List[int] = []
         for dim, var in enumerate(geometry.free_vars):
             size = declared_tiles.get(var, 0)
-            if dim < 2:
-                size = config.knob(name, (TILE_I, TILE_J)[dim], default=size)
+            if dim < 2 and raw[dim] is not None:
+                size = (TILE_I, TILE_J)[dim].clamp(int(raw[dim]))
             lo, hi = geometry.var_ranges[var]
             tile_sizes.append(size if 0 < size < hi - lo else 0)
         if not any(tile_sizes) or not self.tilable:
             return None
-        return tuple(tile_sizes), config.knob(name, INTERCHANGE, default=declared.interchange)
+        interchange = declared.interchange if raw[2] is None else raw[2]
+        return tuple(tile_sizes), INTERCHANGE.clamp(int(interchange))
 
 
 class CompiledTransform:
@@ -851,11 +874,15 @@ class CompiledTransform:
     def _frame_plan(
         self, config, config_key, shapes, explicit_sizes, sink=None
     ) -> Tuple[RunPlan, bool]:
-        """``(plan, served from cache?)``.  Unlocked on purpose: plans
-        are immutable and equal for equal keys, so two threads that miss
-        together build twice and either insert wins."""
+        """``(plan, served from cache?)``.  One LRU holds each plan under
+        two keys: the config's content and its :class:`FrameDecisions`,
+        each with the shapes and sizes.  A config-key miss resolves the
+        decisions and reuses a plan built for equal ones.  Unlocked on
+        purpose: plans are immutable and equal for equal keys, so two
+        threads that miss together build twice and either insert wins."""
         explicit = {} if explicit_sizes is None else normalize_sizes(explicit_sizes)
-        key = (config_key, shapes, tuple(sorted(explicit.items())))
+        sized = (shapes, tuple(sorted(explicit.items())))
+        key = (config_key, *sized)
         plan = self._plan_cache.get(key)
         if plan is not None:
             return plan, True
@@ -865,11 +892,23 @@ class CompiledTransform:
                 config, config_key, shapes, explicit, sink
             )
         else:
-            plan, hit = self._build_plan(config, shapes, explicit, sink), False
+            env, problem_size, declared = self._frame_sizes(shapes, explicit)
+            decisions = self.decisions(config, problem_size)
+            decided = (decisions, *sized)
+            plan = self._plan_cache.get(decided)
+            hit = plan is not None
+            if not hit:
+                plan = self._build_plan(decisions, env, problem_size, declared, sink)
+                self._plan_cache[decided] = plan
         self._plan_cache[key] = plan
         return plan, hit
 
-    def _build_plan(self, config, shapes, explicit, sink) -> RunPlan:
+    def _frame_sizes(
+        self, shapes, explicit
+    ) -> Tuple[Dict[str, int], int, Tuple[Tuple[int, ...], ...]]:
+        """``(env, problem size, declared shapes of the outputs and
+        throughs)`` of a frame on inputs of ``shapes``; raises when the
+        sizes violate the choice grid's order guards."""
         env = self.bind_sizes_from_shapes(shapes, explicit)
         guard = self.grid.failed_order_guard(env)
         if guard is not None:
@@ -883,14 +922,59 @@ class CompiledTransform:
         # The whole call footprint (not just outputs) shrinks under
         # *any* recursive decomposition, including splits along
         # reduction dimensions that keep the output size constant.  It
-        # counts *declared* cells: folding storage below must not move a
+        # counts *declared* cells: folding storage must not move a
         # selector, a cutoff or a task graph.
-        problem_size = sum(math.prod(shape) for shape in shapes)
+        declared = tuple(
+            tuple(dim.eval_floor(env) for dim in mat.dims)
+            for mat in self.ir.outputs + self.ir.throughs
+        )
+        problem_size = sum(map(math.prod, shapes)) + sum(map(math.prod, declared))
+        return env, problem_size, declared
+
+    def decisions(self, config: ChoiceConfig, problem_size: int) -> FrameDecisions:
+        """What ``config`` decides for a frame of ``problem_size``: the
+        one place a plan reads its configuration.  Knobs the frame cannot
+        obey are left out (``None``) — the leaf knobs where no rule runs
+        per instance, the vector ones unless the leaf is vector — so
+        configs that differ only there share one plan."""
+        name = self.name
+        leaf = vector = None
+        if self._per_instance:
+            leaf = config.knob(name, LEAF_PATH, problem_size)
+            vector = leaf == LEAF_VECTOR
+        return FrameDecisions(
+            options=tuple(
+                (
+                    config.choice_for(site_key(name, segment.matrix, segment.index))
+                    or self._default_selector(segment)
+                ).pick(problem_size)
+                for segment in self.segment_order
+            ),
+            inline=problem_size < config.knob(name, SEQ_CUTOFF),
+            leaf=leaf,
+            vectorize_cutoff=(
+                config.knob(name, VECTORIZE_CUTOFF, problem_size) if vector else None
+            ),
+            block=None if leaf is None else config.knob(name, BLOCK_SIZE),
+            tiles=tuple(
+                config.tunables.get(knob.key(name)) if vector else None
+                for knob in (TILE_I, TILE_J, INTERCHANGE)
+            ),
+            tunables=tuple(self.tunables_at(config, problem_size).items()),
+        )
+
+    @functools.cached_property
+    def _per_instance(self) -> bool:
+        """Whether any site runs its rule per instance: only such a step
+        reads the leaf knobs."""
+        return any(site.rule.is_instance_rule for site in self.sites.values())
+
+    def _build_plan(
+        self, decisions: FrameDecisions, env, problem_size, declared, sink
+    ) -> RunPlan:
         folds = self._storage_folds
         allocations = []
-        for mat in self.ir.outputs + self.ir.throughs:
-            shape = tuple(dim.eval_floor(env) for dim in mat.dims)
-            problem_size += math.prod(shape)
+        for mat, shape in zip(self.ir.outputs + self.ir.throughs, declared):
             if mat.name in folds:
                 axis, window = folds[mat.name]
                 shape = (
@@ -908,7 +992,7 @@ class CompiledTransform:
         groups: List[Tuple[List[str], set, int]] = []  # keys, deps, start
         position: Dict[str, int] = {}  # segment key -> its group
         for site, fallback, bounds in self.scheduled_segments(
-            env, config, problem_size
+            env, decisions.options
         ):
             # Inputs and empty segments have no step (no task) and
             # contribute no dependency edge.
@@ -925,9 +1009,7 @@ class CompiledTransform:
             )
             position[key] = len(groups) - 1
             steps.append(
-                self._plan_step(
-                    config, problem_size, env, site, fallback, bounds, sink
-                )
+                self._plan_step(decisions, env, site, fallback, bounds, sink)
             )
         return RunPlan(
             transform=self,
@@ -935,8 +1017,8 @@ class CompiledTransform:
             frame=(self.name, tuple(sorted(env.items()))),
             allocations=tuple(allocations),
             problem_size=problem_size,
-            inline=problem_size < config.knob(self.name, SEQ_CUTOFF),
-            tunables=self.tunables_at(config, problem_size),
+            inline=decisions.inline,
+            tunables=dict(decisions.tunables),
             steps=tuple(steps),
             groups=tuple(
                 PlanGroup(
@@ -948,7 +1030,7 @@ class CompiledTransform:
         )
 
     def _plan_step(
-        self, config, problem_size, env, site, fallback, bounds, sink
+        self, decisions: FrameDecisions, env, site, fallback, bounds, sink
     ) -> PlanStep:
         segment, rule = site.segment, site.rule
         common = dict(site=site, fallback=fallback)
@@ -964,12 +1046,11 @@ class CompiledTransform:
         # closure when the site is not vectorizable (or below the
         # cutoff), closure to the interpreter when the rule has no
         # kernel.  The interpreter is always legal.
-        leaf = config.knob(self.name, LEAF_PATH, problem_size)
+        leaf = decisions.leaf
         if leaf == LEAF_VECTOR:
             plan, _reason = site.vector
-            cutoff = config.knob(self.name, VECTORIZE_CUTOFF, problem_size)
-            if plan is not None and geometry.step_volume >= cutoff:
-                tiles = site.tiles(config, geometry)
+            if plan is not None and geometry.step_volume >= decisions.vectorize_cutoff:
+                tiles = site.tiles(decisions.tiles, geometry)
                 return PlanStep(
                     **common,
                     geometry=geometry,
@@ -979,7 +1060,7 @@ class CompiledTransform:
                     cell_work=rule.base_work + plan.static_ops,
                 )
         instances = geometry.free_products
-        block = config.knob(self.name, BLOCK_SIZE)
+        block = decisions.block
         return PlanStep(
             **common,
             geometry=geometry,
@@ -1059,23 +1140,21 @@ class CompiledTransform:
         return outputs
 
     def scheduled_segments(
-        self, env: Dict[str, int], config: ChoiceConfig, problem_size: int
+        self, env: Dict[str, int], options: Sequence[int]
     ) -> Iterator[Tuple[Site, Optional[RuleIR], Bounds]]:
         """The schedule walk: ``(site, fallback, bounds)`` for every
         non-empty choice-grid segment in dependency (schedule) order,
-        with the configuration's option selected for ``problem_size``,
-        the :class:`Site` of its primary rule and its fallback rule
-        resolved, the primary's size guards checked and the segment's
-        concrete ``[lo, hi)`` bounds computed.  Walked once per plan
-        built."""
-        for segment in self.segment_order:
+        with the option ``options`` decided for it (one per segment of
+        ``segment_order``), the :class:`Site` of its primary rule and
+        its fallback rule resolved, the primary's size guards checked
+        and the segment's concrete ``[lo, hi)`` bounds computed.  Walked
+        once per plan built."""
+        for segment, index in zip(self.segment_order, options):
             bounds = segment.box.concrete(env)
             if any(hi <= lo for lo, hi in bounds):
                 continue
-            key = site_key(self.name, segment.matrix, segment.index)
-            selector = config.choice_for(key) or self._default_selector(segment)
-            index = selector.pick(problem_size)
             if not (0 <= index < len(segment.options)):
+                key = site_key(self.name, segment.matrix, segment.index)
                 raise ExecutionError(
                     f"{self.name}: configuration picks option {index} at "
                     f"{key}, but the site has {len(segment.options)} options"

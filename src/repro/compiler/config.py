@@ -22,6 +22,7 @@ import difflib
 import json
 import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 
@@ -195,10 +196,12 @@ class ChoiceConfig:
         """The configuration's content as a hashable value: the sorted
         items of the three dicts.  Equal exactly when two configs would
         drive the engine identically, whatever their insertion order —
-        the in-process cache key (run plans, hence batch buckets), about
-        a microsecond to build.  Persisted identities
+        the in-process identity, about a microsecond to build: of run
+        plans (hence batch buckets), and of the tuner's measurements,
+        failures and population dedupe.  Persisted identities
         (:func:`repro.serve.registry.config_digest`, the tuner's
-        ``config_signature``) stay digests of :meth:`to_json`."""
+        ``config_signature``, written once per fresh measurement) stay
+        :meth:`to_json` or digests of it."""
         return (
             tuple(sorted(self.choices.items())),
             tuple(sorted(self.tunables.items())),
@@ -208,22 +211,27 @@ class ChoiceConfig:
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> str:
-        payload = {
-            "choices": {
-                site: [
-                    [max_size, option] for max_size, option in sel.levels
-                ]
-                for site, sel in sorted(self.choices.items())
-            },
-            "tunables": dict(sorted(self.tunables.items())),
-            "leveled_tunables": {
-                name: [
-                    [max_size, value] for max_size, value in sel.levels
-                ]
-                for name, sel in sorted(self.leveled_tunables.items())
-            },
-        }
-        return json.dumps(payload, indent=2)
+        """The configuration as JSON, keys sorted: the bytes of
+        ``json.dumps(payload, indent=2)``, written here directly because
+        that encoder runs in pure Python and the tuner writes one per
+        fresh measurement (:func:`repro.autotuner.evaluation.config_signature`)."""
+        return _json_object(
+            (
+                ("choices", _json_object(
+                    [(site, _json_levels(sel.levels, 2))
+                     for site, sel in sorted(self.choices.items())], 1,
+                )),
+                ("tunables", _json_object(
+                    [(name, _json_scalar(value))
+                     for name, value in sorted(self.tunables.items())], 1,
+                )),
+                ("leveled_tunables", _json_object(
+                    [(name, _json_levels(sel.levels, 2))
+                     for name, sel in sorted(self.leveled_tunables.items())], 1,
+                )),
+            ),
+            0,
+        )
 
     @staticmethod
     def from_json(text: str) -> "ChoiceConfig":
@@ -310,6 +318,36 @@ class ChoiceConfig:
 
 #: The fields of :meth:`ChoiceConfig.to_json`, in its order.
 _CONFIG_FIELDS = ("choices", "tunables", "leveled_tunables")
+
+
+def _json_scalar(value) -> str:
+    if value is None:
+        return "null"
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
+def _json_levels(levels, depth: int) -> str:
+    """A selector's ``[[max_size, value], ...]`` nested ``depth`` deep,
+    as ``json.dumps(..., indent=2)`` writes it."""
+    pad = "\n" + "  " * (depth + 1)
+    item = pad + "  "
+    body = ",".join(
+        f"{pad}[{item}{_json_scalar(bound)},{item}{_json_scalar(value)}{pad}]"
+        for bound, value in levels
+    )
+    return "[" + body + "\n" + "  " * depth + "]"
+
+
+def _json_object(entries, depth: int) -> str:
+    """``{key: text}`` (each text already JSON) nested ``depth`` deep,
+    as ``json.dumps(..., indent=2)`` writes it."""
+    if not entries:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    body = ",".join(
+        f"{pad}{encode_basestring_ascii(key)}: {text}" for key, text in entries
+    )
+    return "{" + body + "\n" + "  " * depth + "}"
 
 
 def _integer(value, where: str) -> int:

@@ -26,7 +26,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Deque, List, Optional, Set
 
 from repro.runtime.machine import Machine
 from repro.runtime.task import TaskGraph
@@ -109,7 +109,7 @@ class WorkStealingScheduler:
             raise ValueError("need at least one worker")
 
         tasks = graph.tasks
-        sequential_time = machine.compute_time(graph.total_work())
+        total_work = graph.total_work()
         if not tasks:
             return ScheduleResult(
                 makespan=0.0,
@@ -121,23 +121,27 @@ class WorkStealingScheduler:
                 workers=worker_count,
             )
 
-        rng = random.Random(self.seed)
-        pending_deps: Dict[int, int] = {}
-        parent_pending: Set[int] = set()
-        dependents: Dict[int, List[int]] = {}
+        # Per task, indexed by tid: what running it costs its worker,
+        # its unmet dependency edges, whether its spawner is still
+        # running, and the tasks waiting on it.
+        durations = [
+            machine.compute_time(task.work) + task.spawns * machine.spawn_time
+            for task in tasks
+        ]
+        pending_deps = [len(task.deps) for task in tasks]
+        gated = [task.parent is not None for task in tasks]
+        dependents: List[List[int]] = [[] for _ in tasks]
         for task in tasks:
-            pending_deps[task.tid] = len(task.deps)
             for dep in task.deps:
-                dependents.setdefault(dep, []).append(task.tid)
-            if task.parent is not None:
-                parent_pending.add(task.tid)
+                dependents[dep].append(task.tid)
 
         deques: List[Deque[int]] = [deque() for _ in range(worker_count)]
-        worker_free_at = [0.0] * worker_count
+        queued = 0  # tasks on all deques together
         idle: Set[int] = set(range(worker_count))
-        done: Set[int] = set()
+        finished = 0
         steals = 0
         makespan = 0.0
+        rng: Optional[random.Random] = None  # built at the first steal
         # Per-worker idle/busy state mirrored for transition events only.
         was_idle = [True] * worker_count if trace is not None else None
 
@@ -149,18 +153,17 @@ class WorkStealingScheduler:
                 machine=machine.name,
                 workers=worker_count,
                 tasks=len(tasks),
-                total_work=graph.total_work(),
+                total_work=total_work,
             )
 
         # Event heap of (time, sequence, worker, task) completions.
         events: List = []
         seq = 0
 
-        def enabled(tid: int) -> bool:
-            return pending_deps[tid] == 0 and tid not in parent_pending
-
         def push(worker: int, tid: int, now: float = 0.0) -> None:
+            nonlocal queued
             deques[worker].append(tid)
+            queued += 1
             if trace is not None:
                 trace.count("scheduler.pushes")
                 trace.observe("scheduler.deque_depth", len(deques[worker]))
@@ -174,14 +177,10 @@ class WorkStealingScheduler:
 
         def start(worker: int, tid: int, now: float) -> None:
             nonlocal seq
-            task = tasks[tid]
-            duration = machine.compute_time(task.work)
-            duration += task.spawns * machine.spawn_time
-            finish = now + duration
-            worker_free_at[worker] = finish
+            duration = durations[tid]
             idle.discard(worker)
             seq += 1
-            heapq.heappush(events, (finish, seq, worker, tid))
+            heapq.heappush(events, (now + duration, seq, worker, tid))
             if trace is not None:
                 if was_idle[worker]:
                     was_idle[worker] = False
@@ -193,20 +192,24 @@ class WorkStealingScheduler:
                     t=now,
                     worker=worker,
                     task=tid,
-                    label=task.label,
+                    label=tasks[tid].label,
                 )
 
         def try_dispatch(worker: int, now: float) -> bool:
             """Give an idle worker something to run; True on success."""
-            nonlocal steals
+            nonlocal steals, queued, rng
+            if not queued:
+                return False
+            queued -= 1
             if deques[worker]:
                 start(worker, deques[worker].pop(), now)  # LIFO: own top
                 return True
+            # Some other deque holds a task: steal it.
             victims = [
                 w for w in range(worker_count) if w != worker and deques[w]
             ]
-            if not victims:
-                return False
+            if rng is None:
+                rng = random.Random(self.seed)
             victim = rng.choice(victims)
             stolen = deques[victim].popleft()  # FIFO end: oldest task
             steals += 1
@@ -236,7 +239,7 @@ class WorkStealingScheduler:
         while events:
             now, _, worker, tid = heapq.heappop(events)
             makespan = max(makespan, now)
-            done.add(tid)
+            finished += 1
             if trace is not None:
                 trace.count("scheduler.tasks_finished")
                 trace.emit("task_finish", t=now, worker=worker, task=tid)
@@ -247,12 +250,12 @@ class WorkStealingScheduler:
             # program order.
             newly_ready: List[int] = []
             for child in graph.children_of(tid):
-                parent_pending.discard(child)
-                if enabled(child):
+                gated[child] = False
+                if pending_deps[child] == 0:
                     newly_ready.append(child)
-            for dependent in dependents.get(tid, ()):
+            for dependent in dependents[tid]:
                 pending_deps[dependent] -= 1
-                if enabled(dependent):
+                if pending_deps[dependent] == 0 and not gated[dependent]:
                     newly_ready.append(dependent)
             for ready in reversed(newly_ready):
                 push(worker, ready, now)
@@ -261,27 +264,28 @@ class WorkStealingScheduler:
             # Wake idle workers (including this one): any that can take or
             # steal a task does so at the current time.  sorted() snapshots
             # the set; try_dispatch removes workers it occupies.
-            for candidate in sorted(idle):
-                if candidate in idle:
-                    try_dispatch(candidate, now)
+            if queued:
+                for candidate in sorted(idle):
+                    if candidate in idle:
+                        try_dispatch(candidate, now)
             if trace is not None:
                 mark_idle_transitions(now)
 
-        if len(done) != len(tasks):
+        if finished != len(tasks):
             raise RuntimeError(
-                f"schedule deadlock: {len(tasks) - len(done)} tasks never ran"
+                f"schedule deadlock: {len(tasks) - finished} tasks never ran"
             )
 
         if trace is not None:
             trace.emit(
                 "run_end", t=makespan, makespan=makespan, steals=steals,
-                tasks=len(done),
+                tasks=finished,
             )
 
         return ScheduleResult(
             makespan=makespan,
-            sequential_time=sequential_time,
-            total_work=graph.total_work(),
+            sequential_time=machine.compute_time(total_work),
+            total_work=total_work,
             critical_path=machine.compute_time(graph.critical_path()),
             steals=steals,
             tasks=len(tasks),

@@ -187,6 +187,13 @@ def tiny_strips(cells=8):
         vectorize.STRIP_BYTES = original
 
 
+def planned(transform):
+    """The distinct run plans in ``transform``'s plan cache, which holds
+    each one under its config key and its decisions key."""
+    held = transform._plan_cache._data.values()
+    return list({id(plan): plan for plan in held}.values())
+
+
 def drop_fallbacks(transform):
     """Strip the fallback rule off every meta-rule option.  No DSL source
     compiles to this (PB301 demands coverage), but the engine defines

@@ -9,6 +9,8 @@ result — a hybrid composition with an architecture-dependent cutoff —
 from scratch.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -197,11 +199,10 @@ class TestCandidates:
             add_level(base, SITE, 1, 64),
         ):
             assert mutated.config.leveled_tunables == {"TreeSum.iters": leveled}
-            assert mutated.signature() != base.signature()
+            assert mutated.config.key() != base.config.key()
         same = base.clone("copy")
         assert same.config.key() == base.config.key()
-        assert same.signature() == base.signature()
-        assert same.signature() == config_signature(base.config)
+        assert config_signature(same.config) == config_signature(base.config)
         same.config.leveled_tunables.clear()  # a copy, not an alias
         assert base.config.leveled_tunables == {"TreeSum.iters": leveled}
 
@@ -281,6 +282,34 @@ class TestEvaluator:
         _, again = ev.run_once(hybrid, 2048, trial=0)
         assert again.makespan == first.makespan
         assert again.steals == first.steals
+
+    @pytest.mark.parametrize(
+        "field, value", [("trials", 0), ("trials", -2), ("workers", 0)]
+    )
+    def test_refuses_counts_below_one(self, treesum, field, value):
+        """Every candidate would fail (a division by zero trials, a
+        scheduler with no worker) and the tuner report that none
+        terminates: the constructor refuses instead, naming the field."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            Evaluator(
+                treesum, "TreeSum", treesum_inputs, MACHINES["xeon8"],
+                **{field: value},
+            )
+
+    def test_inputs_are_generated_once_and_read_only(self, treesum):
+        ev = Evaluator(treesum, "TreeSum", treesum_inputs, MACHINES["xeon8"])
+        first = ev.inputs(64, 0)
+        assert ev.inputs(64, 0) is first
+        assert ev.inputs(64, 1) is not first
+        ev.time(ChoiceConfig(), 64)
+        assert ev.inputs(64, 0) is first
+        (array,) = first
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+        regenerated = treesum_inputs(
+            64, random.Random(ev.seed * 1000003 + 64 * 1009)
+        )
+        np.testing.assert_array_equal(array, regenerated[0])
 
     def test_measurement_seed_distinguishes_identity(self):
         from repro.autotuner.evaluation import measurement_seed

@@ -2,10 +2,13 @@
 transforms, generator declarations, configuration files (including
 size-leveled tunables), static specialization and sibling calls."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import sort
 from repro.autotuner import Evaluator
@@ -27,6 +30,13 @@ from repro.language import parse_program
 from repro.language.errors import CompileError
 from repro.runtime import MACHINES
 from tests.strategies import LEAVES, config_for
+
+#: selectors of one to three levels: increasing thresholds, any options
+SELECTORS = st.lists(
+    st.integers(1, 10**6), max_size=2, unique=True
+).flatmap(lambda bounds: st.lists(
+    st.integers(-3, 2**33), min_size=len(bounds) + 1, max_size=len(bounds) + 1,
+).map(lambda options: Selector(tuple(zip([*sorted(bounds), None], options)))))
 
 TEMPLATED = """
 transform Scale template <FACTOR, 1, 100>
@@ -305,6 +315,34 @@ class TestLeveledTunables:
         assert restored.tunables["T.k"] == 3
         assert restored.tunable_at("T.iters", 4, 0) == 4
         assert restored.tunable_at("T.iters", 800, 0) == 9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        choices=st.dictionaries(
+            st.text(min_size=1, max_size=6), SELECTORS, max_size=3
+        ),
+        tunables=st.dictionaries(
+            st.text(min_size=1, max_size=6), st.integers(-(2**40), 2**40),
+            max_size=4,
+        ),
+        leveled=st.dictionaries(
+            st.sampled_from(["T.iters", "T.__leaf_path__", "T.k"]), SELECTORS,
+        ),
+    )
+    def test_json_is_what_the_json_module_writes(self, choices, tunables, leveled):
+        """``to_json`` writes its indent-2 text directly; it must be the
+        bytes ``json.dumps(..., indent=2)`` writes for the same data —
+        every persisted signature, seed and cache line depends on it."""
+        config = ChoiceConfig(choices, tunables, leveled)
+        text = config.to_json()
+        assert text == json.dumps(json.loads(text), indent=2)
+        assert json.loads(text) == {
+            "choices": {k: [list(l) for l in s.levels] for k, s in sorted(choices.items())},
+            "tunables": dict(sorted(tunables.items())),
+            "leveled_tunables": {
+                k: [list(l) for l in s.levels] for k, s in sorted(leveled.items())
+            },
+        }
 
     def test_merged_with_keeps_levels(self):
         base = ChoiceConfig()

@@ -23,7 +23,7 @@ from repro.engine_fast import (
 )
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
-from tests.strategies import drop_fallbacks
+from tests.strategies import drop_fallbacks, planned
 
 ELEMENTWISE = """
 transform Elementwise
@@ -645,7 +645,7 @@ class TestAllocationDiscipline:
             if config.tunables["Blur.__leaf_path__"] == LEAF_CLOSURE:
                 assert sink.counter("exec.closure_calls") == 64 * 64
             products.append(vars(geometry)["free_products"])
-        assert len(t._geom_cache) == 1 and len(t._plan_cache) == 4
+        assert len(t._geom_cache) == 1 and len(planned(t)) == 4
         assert all(p is products[0] for p in products)
         assert products[0][:2] == ((0, 0), (0, 1)) and len(products[0]) == 4096
 

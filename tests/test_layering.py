@@ -13,7 +13,7 @@ import pathlib
 
 import repro
 from repro.compiler import ChoiceConfig, compile_program
-from tests.strategies import STAGES
+from tests.strategies import STAGES, planned
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -221,7 +221,7 @@ def test_a_sites_kernel_is_lowered_once_however_many_configs_plan_it(
         config.set_tunable("Stages.__block_size__", block)
         plan = stages.plan(config, shapes)
         kernels.append([step.kernel for step in plan.steps])
-    assert len(stages._plan_cache) == 4
+    assert len(planned(stages)) == 4
     assert sorted(lowered) == ["rule0", "rule1", "rule2"]
     for per_plan in kernels:
         assert all(a is b for a, b in zip(per_plan, kernels[0]))

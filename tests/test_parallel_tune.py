@@ -10,6 +10,8 @@ of the fan-out, not its speed, is under test.
 """
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.autotuner.evaluation import CandidateFailure, Evaluator
 from repro.autotuner.parallel import EvaluatorSpec, MeasurementCache
 from repro.compiler import ChoiceConfig, Selector
 
+DATA = pathlib.Path(__file__).parent / "data"
 SORT_SPEC = EvaluatorSpec.make("repro.apps.sort:make_evaluator", "xeon8")
 MATMUL_SPEC = EvaluatorSpec.make("repro.apps.matmul:make_evaluator", "xeon8")
 
@@ -244,6 +247,24 @@ class TestWarmCache:
         assert warm.evaluations == 0
         assert warm_result.config.to_json() == cold_result.config.to_json()
         assert warm_result.best_time == cold_result.best_time
+
+    def test_a_cache_file_from_an_earlier_version_still_serves(self, tmp_path):
+        """``tests/data/sort_tune_cache.jsonl`` is ``tune_sort``'s cache as
+        an earlier evaluator (memory keyed by the JSON signature) wrote
+        it, beside the config it tuned: every line loads, a warm rerun
+        measures nothing, returns that config and appends no line."""
+        path = tmp_path / "cache.jsonl"
+        shutil.copy(DATA / "sort_tune_cache.jsonl", path)
+        cache = MeasurementCache(str(path))
+        assert (cache.corrupt_lines, len(cache)) == (0, 139)
+        warm = Evaluator.from_spec(SORT_SPEC, cache=cache)
+        result = tune_sort(warm)
+        warm.close()
+        assert warm.evaluations == 0
+        assert result.config.to_json() == (
+            DATA / "sort_tune_config.json"
+        ).read_text()
+        assert path.read_bytes() == (DATA / "sort_tune_cache.jsonl").read_bytes()
 
     def test_cache_ignored_across_machines(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -19,14 +19,16 @@ from hypothesis import strategies as st
 
 from repro.apps import sort
 from repro.autotuner.consistency import observe
-from repro.compiler import ChoiceConfig, Selector, compile_program
+from repro.compiler import ChoiceConfig, RuleIR, Selector, compile_program
 from repro.compiler.codegen import (
     _PLAN_CACHE_LIMIT,
+    CompiledTransform,
     PlanStep,
     RunPlan,
+    Site,
     specialize,
 )
-from repro.engine_fast import Geometry
+from repro.engine_fast import Geometry, RuleKernel, VectorPlan
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
 from repro.runtime.matrix import Matrix, MatrixView
@@ -35,9 +37,11 @@ from repro.symbolic.interval import Box
 from tests.strategies import (
     BLUR,
     HEAT,
+    KINDS,
     ROLLINGSUM,
     chain_source,
     drop_fallbacks,
+    planned,
     programs,
 )
 
@@ -263,7 +267,7 @@ def test_a_replayed_plan_raises_what_the_built_one_did(leaf):
         "ExecutionError: Guarded rule0: where-clause fails at "
         "{'x': 0, 'y': 2} and no fallback exists"
     )
-    assert len(transform._plan_cache) == 1  # the *plan* was fine
+    assert len(planned(transform)) == 1  # the *plan* was fine
 
 
 # -- (iii) the key is the config's content --------------------------------
@@ -331,7 +335,7 @@ def test_equal_content_shares_one_plan_whatever_the_insertion_order():
     assert list(one.tunables) != list(two.tunables)
     assert one.key() == two.key()
     assert transform.plan(one, [(12,)]) is transform.plan(two, [(12,)])
-    assert len(transform._plan_cache) == 1
+    assert len(planned(transform)) == 1
     two.set_tunable("RollingSum.__block_size__", 5)
     assert transform.plan(two, [(12,)]) is not transform.plan(one, [(12,)])
 
@@ -357,7 +361,7 @@ def test_a_failing_plan_is_rebuilt_and_never_cached():
             transform.run([np.zeros(5)], ChoiceConfig(), sizes={"k": 2.5})
     assert len(transform._plan_cache) == 0
     transform.run([np.zeros(5)], ChoiceConfig(), sizes={"k": 3})
-    assert len(transform._plan_cache) == 1
+    assert len(planned(transform)) == 1
 
 
 # -- (v) a hit does no symbolic work --------------------------------------
@@ -425,7 +429,8 @@ def test_the_plan_cache_is_bounded():
     for n in range(1, 10 * _PLAN_CACHE_LIMIT + 1):
         transform.plan(config, [(n,)])
     assert len(transform._plan_cache) == _PLAN_CACHE_LIMIT
-    assert transform._plan_cache.evictions == 9 * _PLAN_CACHE_LIMIT
+    # each plan went in twice: under its config key and its decisions key
+    assert transform._plan_cache.evictions == 19 * _PLAN_CACHE_LIMIT
 
 
 def held_values(value, seen):
@@ -464,3 +469,173 @@ def test_plans_hold_no_matrix_data(name):
         with pytest.raises(AttributeError):  # frozen
             plan.steps = ()
         assert not hasattr(plan, "__dict__")
+
+
+# -- (vii) a plan is shared by equal decisions ----------------------------
+
+
+def comparable(value):
+    """``value`` with the program objects a plan points into replaced by
+    what names them, so plans of two compilations compare field by
+    field."""
+    if isinstance(value, (RunPlan, PlanStep)):
+        return tuple(
+            (slot, comparable(getattr(value, slot))) for slot in value.__slots__
+        )
+    if isinstance(value, CompiledTransform):
+        return ("transform", value.name)
+    if isinstance(value, Site):
+        return ("site", value.segment.key, value.rule.rule_id)
+    if isinstance(value, RuleIR):
+        return ("rule", value.rule_id)
+    if isinstance(value, Geometry):
+        held = dict(vars(value))
+        held.pop("free_products", None)  # built on first per-cell use
+        return ("geometry", comparable(held))
+    if isinstance(value, (RuleKernel, VectorPlan)):
+        return (type(value).__name__, value.source)
+    if isinstance(value, dict):
+        return ("dict", tuple((k, comparable(v)) for k, v in value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(comparable(v) for v in value)
+    return value
+
+
+def leveled_or_flat(draw, values):
+    """A knob's entry: absent, flat, or size-leveled over ``values``."""
+    kind = draw(st.sampled_from(["absent", "flat", "leveled"]))
+    if kind == "absent":
+        return None
+    if kind == "flat":
+        return draw(values)
+    return Selector(((draw(st.integers(1, 64)), draw(values)), (None, draw(values))))
+
+
+def drawn_config(draw, transform):
+    """A random config over every knob a plan reads: choices (static or
+    two levels), leaf and vectorize cutoff (flat or leveled), block,
+    tiles, interchange, the cutoff and fusion."""
+    name = transform.name
+    config = ChoiceConfig()
+    for key, segment in transform.choice_sites():
+        options = st.integers(0, len(segment.options) - 1)
+        if draw(st.booleans()):
+            config.set_choice(key, Selector.static(draw(options)))
+        else:
+            config.set_choice(key, Selector(
+                ((draw(st.integers(1, 64)), draw(options)), (None, draw(options)))
+            ))
+    for knob, values in (
+        ("__leaf_path__", st.integers(0, 2)),
+        ("__vectorize_cutoff__", st.integers(1, 16)),
+    ):
+        entry = leveled_or_flat(draw, values)
+        if isinstance(entry, Selector):
+            config.set_leveled_tunable(f"{name}.{knob}", entry)
+        elif entry is not None:
+            config.set_tunable(f"{name}.{knob}", entry)
+    for knob, values in (
+        ("__block_size__", st.integers(1, 8)),
+        ("__tile_i__", st.integers(0, 4)),
+        ("__tile_j__", st.integers(0, 4)),
+        ("__interchange__", st.integers(0, 1)),
+        ("__seq_cutoff__", st.integers(0, 64)),
+        ("__fuse__", st.integers(0, 1)),
+    ):
+        value = draw(st.none() | values)
+        if value is not None:
+            config.set_tunable(f"{name}.{knob}", value)
+    return config
+
+
+def beside(config, transform, problem_size, salt):
+    """``config`` changed only where a frame of ``problem_size`` does not
+    look: another transform's tunable, and each selector's pick replaced
+    above that size."""
+    other = config.copy()
+    other.set_tunable("Elsewhere.unused", salt)
+    for key, segment in transform.choice_sites():
+        selector = config.choice_for(key)
+        if selector is not None:
+            here = selector.pick(problem_size)
+            above = (here + 1) % len(segment.options)
+            other.set_choice(key, Selector(((problem_size + 1, here), (None, above))))
+    return other
+
+
+def one_entry_changed(config, other, draw):
+    """``config`` with one of its or ``other``'s entries (a choice, a
+    tunable or a leveled tunable) set as in ``other``."""
+    changed = config.copy()
+    entries = sorted(
+        (section, key)
+        for section in ("choices", "tunables", "leveled_tunables")
+        for key in {**getattr(config, section), **getattr(other, section)}
+    )
+    if entries:
+        section, key = draw(st.sampled_from(entries))
+        value = getattr(other, section).get(key)
+        getattr(changed, section).pop(key, None)
+        if value is not None:
+            getattr(changed, section)[key] = value
+    return changed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(sorted(KINDS)).flatmap(programs),
+    salt=st.integers(0, 9),
+    data=st.data(),
+)
+def test_a_plan_reused_for_equal_decisions_equals_one_built_fresh(case, salt, data):
+    """Plan ``config``, then a config one entry away from it: whether it
+    is served by the first plan or built, it equals, field by field, the
+    plan a new compilation builds for it — or both raise alike.  Then
+    ``beside`` that config misses its key and is served by its plan."""
+    transform = compile_program(case.source).transform(case.name)
+    fresh = compile_program(case.source).transform(case.name)
+    first = drawn_config(data.draw, transform)
+    config = one_entry_changed(first, drawn_config(data.draw, transform), data.draw)
+    shapes = [view.shape for view in transform.bind_inputs(case.lanes[0]).values()]
+    try:
+        transform.plan(first, shapes, case.sizes)
+    except PetaBricksError:
+        pass
+    try:
+        plan = transform.plan(config, shapes, case.sizes)
+    except PetaBricksError as error:
+        with pytest.raises(PetaBricksError) as again:
+            fresh.plan(config, shapes, case.sizes)
+        assert str(again.value) == str(error)
+        return
+    assert comparable(fresh.plan(config, shapes, case.sizes)) == comparable(plan)
+    other = beside(config, transform, plan.problem_size, salt)
+    assert other.key() != config.key()
+    assert transform.plan(other, shapes, case.sizes) is plan
+
+
+def test_ladder_configs_that_differ_above_a_frame_share_its_plan():
+    """Ladders that differ only above a frame's size share its plan: one
+    that differs above the top frame (8192 cells) runs on the first
+    ladder's plans alone, and exactly as on a fresh compilation; one that
+    differs from 2048 cells up shares the 512-key frame but not the top."""
+    transform = sort.build_program().transform("Sort")
+    keys = np.random.default_rng(5).uniform(0, 1, 4096)
+    first = ladder_config()
+    transform.run([keys], first)
+    above = ChoiceConfig()
+    above.set_choice(
+        sort.SORT_SITE, Selector(((128, 0), (2048, 3), (16384, 2), (None, 1)))
+    )
+    assert above.key() != first.key()
+    sink = TraceSink(capture_events=False)
+    reused = transform.run([keys], above, sink=sink)
+    assert sink.counter("exec.plan_misses") == 0
+    assert sink.counter("exec.plan_hits") > 1
+    built = sort.build_program().transform("Sort").run([keys], above)
+    assert task_list(reused.graph) == task_list(built.graph)
+    np.testing.assert_array_equal(reused.output(), built.output())
+    top = ChoiceConfig()
+    top.set_choice(sort.SORT_SITE, Selector(((128, 0), (2048, 3), (None, 1))))
+    assert transform.plan(top, [(512,)]) is transform.plan(first, [(512,)])
+    assert transform.plan(top, [(4096,)]) is not transform.plan(first, [(4096,)])

@@ -1,5 +1,9 @@
 """Tests for the task recorder and the work-stealing schedule simulator."""
 
+import dataclasses
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,8 @@ from repro.runtime import (
     TaskRecorder,
     WorkStealingScheduler,
 )
+from repro.observe import TraceSink
+from repro.observe.stress import SHAPES, random_task_graph
 from repro.runtime.task import Task
 
 FAST = Machine(
@@ -241,6 +247,32 @@ class TestScheduler:
                 rec.charge(1)
         result = WorkStealingScheduler(FAST).run(rec.graph(), workers=4)
         assert result.makespan >= 101.0
+
+
+    def test_every_schedule_matches_the_golden_table(self):
+        """``tests/data/scheduler_golden.json`` holds every field of the
+        :class:`ScheduleResult` of each stress-graph kind x seed x
+        machine x worker count, as an earlier simulator loop computed
+        them; the run, traced or not, reproduces each bit for bit."""
+        path = pathlib.Path(__file__).parent / "data" / "scheduler_golden.json"
+        golden = json.loads(path.read_text())
+        seen = 0
+        for shape in SHAPES:
+            for seed in range(5):
+                graph = random_task_graph(seed, shape)
+                for name, machine in MACHINES.items():
+                    for workers in (1, 2, 8):
+                        scheduler = WorkStealingScheduler(machine, seed=seed)
+                        result = scheduler.run(graph, workers=workers)
+                        traced = scheduler.run(
+                            graph, workers=workers, sink=TraceSink()
+                        )
+                        assert traced == result
+                        key = f"{shape}/{seed}/{name}/{workers}"
+                        assert list(dataclasses.astuple(result)) == golden[key]
+                        seen += 1
+        assert seen == len(golden) == 360
+        assert sum(row[4] > 0 for row in golden.values()) > 100  # steals
 
 
 class TestMachines:
