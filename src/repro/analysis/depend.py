@@ -3,12 +3,12 @@
 For every pair of rules sharing a matrix the pass classifies the
 potential dependences Bernstein-style — *flow* (writer feeds reader),
 *anti* (reader precedes a writer of the same cells), *output* (two
-writers) — and computes the symbolic dependence distance per dimension
-from the affine read/write regions: when both accesses sweep a
-dimension unit-stride in one instance variable, instances pair up
-positionally and the distance is the exact constant gap (see
-:func:`repro.symbolic.solve.unit_stride_offset`); anything else is
-reported as ``*`` (unknown).
+writers) — and computes the dependence distance per dimension from
+each rule's access map (:meth:`repro.compiler.ir.RuleIR.access`): when
+both accesses sweep a dimension unit-stride in one instance variable,
+instances pair up positionally and the distance is the exact constant
+gap (:meth:`~repro.compiler.ir.Coordinate.unit_stride_offset`); anything
+else is reported as ``*`` (unknown).
 
 On top of the classification sits the legality gate for the first
 verified rewrite, producer→consumer fusion of adjacent elementwise
@@ -90,8 +90,6 @@ from repro.compiler.ir import (
     TransformIR,
 )
 from repro.language import ast_nodes as ast
-from repro.symbolic import Affine
-from repro.symbolic.solve import unit_stride_offset
 
 #: Per-dimension dependence distance; ``None`` renders as ``*``.
 Distance = Tuple[Optional[Fraction], ...]
@@ -193,16 +191,13 @@ class FusionCandidate:
 
 
 def _region_distance(
-    src_region: RegionIR,
-    dst_region: RegionIR,
-    src_vars,
-    dst_vars,
+    src: RuleIR, src_region: RegionIR, dst: RuleIR, dst_region: RegionIR
 ) -> Distance:
     if src_region.view_kind != "cell" or dst_region.view_kind != "cell":
         return tuple(None for _ in src_region.box.intervals)
     return tuple(
-        unit_stride_offset(s.lo, d.lo, src_vars, dst_vars)
-        for s, d in zip(src_region.box.intervals, dst_region.box.intervals)
+        s.unit_stride_offset(d)
+        for s, d in zip(src.access(src_region), dst.access(dst_region))
     )
 
 
@@ -212,9 +207,7 @@ def rule_dependences(ir: TransformIR) -> List[Dependence]:
     seen = set()
 
     def emit(kind, matrix, src, dst, src_region, dst_region):
-        distance = _region_distance(
-            src_region, dst_region, src.rule_vars, dst.rule_vars
-        )
+        distance = _region_distance(src, src_region, dst, dst_region)
         key = (kind, matrix, src.rule_id, dst.rule_id, distance)
         if key in seen:
             return
@@ -267,17 +260,12 @@ def _structural_block(
     to = p.to_regions[0]
     if to.view_kind != "cell":
         return f"producer {p.label} writes a non-cell view"
-    coords = []
-    for interval in to.box.intervals:
-        lo = interval.lo
-        names = lo.variables()
-        if len(names) != 1 or lo != Affine.var(names[0]):
-            return (
-                f"producer {p.label} write coordinates are not an "
-                f"identity map over its instance variables"
-            )
-        coords.append(names[0])
-    if len(set(coords)) != len(coords) or set(coords) != set(p.rule_vars):
+    identity = [
+        coord.vars[0]
+        for coord in p.access(to)
+        if coord.rest == 0 and len(coord.terms) == 1 and coord.terms[0][1] == 1
+    ]
+    if len(identity) != to.ndim() or sorted(identity) != sorted(p.rule_vars):
         return (
             f"producer {p.label} write coordinates are not an "
             f"identity map over its instance variables"
@@ -443,21 +431,16 @@ def _schedule_deltas(
     ``deltas is None`` with an empty reason means the two accesses
     provably never touch the same cell, so the pair carries no
     dependence at all."""
-    var_set = set(rule.rule_vars)
     if wreg.view_kind != "cell" or rreg.view_kind != "cell":
         return {}, (
             f"{rule.label} accesses {wreg.matrix} through a non-cell view"
         )
     deltas: Dict[str, Fraction] = {}
-    for dim, (wiv, riv) in enumerate(
-        zip(wreg.box.intervals, rreg.box.intervals)
+    for dim, (write, read) in enumerate(
+        zip(rule.access(wreg), rule.access(rreg))
     ):
-        write_coord, read_coord = wiv.lo, riv.lo
-        wvars = [v for v in write_coord.variables() if v in var_set]
-        rvars = [v for v in read_coord.variables() if v in var_set]
-        offset = unit_stride_offset(
-            write_coord, read_coord, rule.rule_vars, rule.rule_vars
-        )
+        wvars, rvars = write.vars, read.vars
+        offset = write.unit_stride_offset(read)
         if not wvars and not rvars:
             # Both coordinates fixed per application: the accesses alias
             # only if the (size-symbolic) coordinates coincide.
@@ -780,30 +763,24 @@ def storage_verdict(compiled, matrix: str) -> StorageVerdict:
     return StorageVerdict(matrix, -best[1], 0, best[2])
 
 
-def _moves_with(rule: RuleIR, coord: Affine) -> Tuple[str, ...]:
-    """The rule variables ``coord`` depends on."""
-    return tuple(v for v in coord.variables() if v in rule.var_bounds)
-
-
 def _writer_block(rule: RuleIR, name: str, axis: int) -> str:
     """Why ``rule`` is not a writer in the sense of (a); empty if it is."""
     if len(rule.to_regions) != 1:
         return f"{rule.label} writes {len(rule.to_regions)} regions"
     to = rule.to_regions[0]
     seen: List[str] = []
-    for dim, interval in enumerate(to.box.intervals):
-        moving = _moves_with(rule, interval.lo)
+    for dim, coord in enumerate(rule.access(to)):
         unit = [1] if dim == axis else [1, -1]
-        if moving and (
-            len(moving) > 1
-            or moving[0] in seen
-            or interval.lo.coefficient(moving[0]) not in unit
+        if coord.terms and (
+            len(coord.terms) > 1
+            or coord.vars[0] in seen
+            or coord.terms[0][1] not in unit
         ):
             return (
                 f"{rule.label} does not write one cell of {name} per "
-                f"instance, planes ascending (coordinate {interval.lo})"
+                f"instance, planes ascending (coordinate {coord.expr})"
             )
-        seen.extend(moving)
+        seen.extend(coord.vars)
     for stmt in rule.body:
         if to.bind_name in stmt.value.free_names():
             break
@@ -818,13 +795,13 @@ def _writer_block(rule: RuleIR, name: str, axis: int) -> str:
 
 
 def _self_reads(ir: TransformIR, name: str):
-    """``(rule, written intervals, read intervals)`` per read of
+    """``(rule, write access map, read access map)`` per read of
     ``name`` by a rule that writes it."""
     for rule in ir.rules:
         wrote = [reg for reg in rule.to_regions if reg.matrix == name]
         for reg in rule.from_regions if wrote else ():
             if reg.matrix == name:
-                yield rule, wrote[0].box.intervals, reg.box.intervals
+                yield rule, rule.access(wrote[0]), rule.access(reg)
 
 
 def _plane_window(ir: TransformIR, name: str, axis: int) -> int:
@@ -833,12 +810,10 @@ def _plane_window(ir: TransformIR, name: str, axis: int) -> int:
     read is at no such distance ``>= 1``."""
     window = 1
     for _rule, wrote, read in _self_reads(ir, name):
-        gap = wrote[axis].lo - read[axis].lo
-        if not gap.is_constant() or gap.as_constant() < 1:
+        gap = wrote[axis].gap(read[axis])
+        if gap is None or gap < 1 or gap.denominator != 1:
             return 0
-        if gap.as_constant().denominator != 1:
-            return 0
-        window = max(window, 1 + int(gap.as_constant()))
+        window = max(window, 1 + int(gap))
     return window
 
 
@@ -907,7 +882,7 @@ def _fold_along(
             rule = ir.rules[option.primary]
             wrote = rule.to_regions[0].box
             order = compiled.depgraph.rule_directions[segment.key, rule.rule_id]
-            moves = _moves_with(rule, wrote.intervals[axis].lo)
+            moves = rule.access(rule.to_regions[0])[axis].terms
             ascending = order.signs[axis] == 1
             if member:  # the plane's variable is the site's one chain
                 ascending = ascending and moves and not any(
@@ -936,10 +911,10 @@ def _fold_along(
         )
     for rule, wrote, read in _self_reads(ir, name):
         for dim, (w, r) in enumerate(zip(wrote, read)):
-            if dim != axis and w.lo != r.lo and rule.rule_id in alone:
+            if dim != axis and w != r and rule.rule_id in alone:
                 return 3, 0, (
-                    f"{rule.label} reads {name} at another cell ({r.lo} "
-                    f"for {w.lo} in axis {dim}): outside a lockstep group "
+                    f"{rule.label} reads {name} at another cell ({r.expr} "
+                    f"for {w.expr} in axis {dim}): outside a lockstep group "
                     f"only a per-cell recurrence folds"
                 )
     extent = mat.dims[axis]
@@ -950,7 +925,7 @@ def _fold_along(
             if reg.matrix != name:
                 continue
             plane = reg.box.intervals[axis].lo
-            if _moves_with(rule, plane) or not plane.always_ge(
+            if rule.access(reg)[axis].terms or not plane.always_ge(
                 extent - window, known
             ):
                 return 4, 0, (
@@ -1154,12 +1129,7 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
         for reg in consumer.from_regions:
             if reg.matrix == name:
                 distances.append(
-                    _region_distance(
-                        write_region,
-                        reg,
-                        producer.rule_vars,
-                        consumer.rule_vars,
-                    )
+                    _region_distance(producer, write_region, consumer, reg)
                 )
     if name in producer.reads_matrices():
         return cand(

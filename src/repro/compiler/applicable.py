@@ -22,7 +22,7 @@ such rules as restricted (bounding-box + meta-rule semantics, §3.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.language import ast_nodes as ast
 from repro.language.errors import CompileError
@@ -228,41 +228,15 @@ def _image_box(
     contiguous interval; the paper's programs satisfy this, anything else
     is rejected.
     """
-    intervals: List[Interval] = []
     for interval in box.intervals:
-        lo = _sweep(interval.lo, var_bounds, transform, rule, is_upper=False)
-        hi = _sweep(interval.hi, var_bounds, transform, rule, is_upper=True)
-        intervals.append(Interval(lo, hi))
-    return Box(intervals)
-
-
-def _sweep(
-    expr: Affine,
-    var_bounds: Dict[str, Interval],
-    transform: TransformIR,
-    rule: RuleIR,
-    is_upper: bool,
-) -> Affine:
-    swept = expr
-    for var in expr.variables():
-        if var not in var_bounds:
-            continue  # a size variable
-        coeff = swept.coefficient(var)
-        if abs(coeff) != 1:
-            raise CompileError(
-                f"{transform.name} {rule.label}: output coordinate {expr} "
-                f"has non-unit stride in {var!r}"
-            )
-        vb = var_bounds[var]
-        increasing = coeff > 0
-        # For the union's lower bound take the minimizing end of var's
-        # range; for the upper bound the maximizing end.  The variable
-        # interval is half-open, so its maximum value is hi - 1.
-        if is_upper == increasing:
-            swept = swept.subs({var: vb.hi - 1})
-        else:
-            swept = swept.subs({var: vb.lo})
-    return swept
+        for expr in (interval.lo, interval.hi):
+            for var, coeff in expr.coefficients.items():
+                if var in var_bounds and abs(coeff) != 1:
+                    raise CompileError(
+                        f"{transform.name} {rule.label}: output coordinate "
+                        f"{expr} has non-unit stride in {var!r}"
+                    )
+    return box.swept(var_bounds)
 
 
 def _bounding_box(a: Box, b: Box, assumptions: Assumptions) -> Box:

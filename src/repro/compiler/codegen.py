@@ -432,15 +432,12 @@ class Site:
         for region in rule.to_regions:
             if region.matrix != segment.matrix:
                 continue
-            for dim, interval in enumerate(region.box.intervals):
-                for var in interval.lo.variables():
-                    if var not in rule.var_bounds:
-                        continue
+            for dim, coord in enumerate(rule.access(region)):
+                for var, coeff in coord.terms:
                     controlling_dim.setdefault(var, dim)
                     if order.signs[dim] == 0:
                         continue
-                    sign = interval.lo.coefficient_sign(var)
-                    required = order.signs[dim] * sign
+                    required = order.signs[dim] * (1 if coeff > 0 else -1)
                     if directions.get(var, required) != required:
                         raise ExecutionError(
                             f"{self.transform.name} {rule.label}: variable "
@@ -527,21 +524,17 @@ class Site:
         for region in rule.to_regions:
             if region.matrix != segment.matrix:
                 continue
-            for dim, interval in enumerate(region.box.intervals):
-                expr = interval.lo  # cell bindings: lo is the coordinate
-                seg_lo, seg_hi = segment_bounds[dim]
-                rule_vars_here = [
-                    v for v in expr.variables() if v in rule.var_bounds
-                ]
-                if not rule_vars_here:
+            for dim, coord in enumerate(rule.access(region)):
+                if not coord.terms:
                     continue
-                if len(rule_vars_here) > 1:
+                if len(coord.terms) > 1:
                     raise ExecutionError(
                         f"{self.transform.name} {rule.label}: output "
-                        f"coordinate {expr} couples rule variables"
+                        f"coordinate {coord.expr} couples rule variables"
                     )
-                var = rule_vars_here[0]
-                solved = solve_bounds_for(var, expr, seg_lo, seg_hi)
+                (var,) = coord.vars
+                seg_lo, seg_hi = segment_bounds[dim]
+                solved = solve_bounds_for(var, coord.expr, seg_lo, seg_hi)
                 if solved is None:
                     continue
                 lo, hi = solved.concrete(env)
@@ -1654,33 +1647,6 @@ class NativeContext:
 # ---------------------------------------------------------------------------
 # static specialization
 # ---------------------------------------------------------------------------
-
-
-def dead_choice_report(
-    program: CompiledProgram, config: ChoiceConfig
-) -> Dict[str, List[str]]:
-    """Which options static specialization eliminates per choice site.
-
-    The original fed the configuration back into the compiler "to
-    eliminate unused choices and allow additional optimizations"; this
-    reports, per site, the rule choices the given configuration can
-    never select (by label), i.e. the dead code a static build strips.
-    """
-    report: Dict[str, List[str]] = {}
-    for name, compiled in program.transforms.items():
-        for key, segment in compiled.choice_sites():
-            selector = config.choice_for(key)
-            if selector is None:
-                selector = compiled._default_selector(segment)
-            used = set(selector.options_used())
-            dead = [
-                option.describe(compiled.ir)
-                for index, option in enumerate(segment.options)
-                if index not in used
-            ]
-            if dead:
-                report[key] = dead
-    return report
 
 
 def specialize(

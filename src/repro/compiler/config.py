@@ -123,9 +123,6 @@ class Selector:
                 return option
         return self.levels[-1][1]
 
-    def options_used(self) -> Tuple[int, ...]:
-        return tuple(dict.fromkeys(option for _, option in self.levels))
-
     def describe(self) -> str:
         parts = []
         for max_size, option in self.levels:
@@ -299,14 +296,6 @@ class ChoiceConfig:
     def load(path: str) -> "ChoiceConfig":
         with open(path, "r", encoding="utf-8") as handle:
             return ChoiceConfig.from_json(handle.read())
-
-    def merged_with(self, other: "ChoiceConfig") -> "ChoiceConfig":
-        """A new config where ``other``'s entries win on conflicts."""
-        merged = self.copy()
-        merged.choices.update(other.choices)
-        merged.tunables.update(other.tunables)
-        merged.leveled_tunables.update(other.leveled_tunables)
-        return merged
 
     def copy(self) -> "ChoiceConfig":
         return ChoiceConfig(

@@ -18,16 +18,16 @@ The graph serves three masters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.language.errors import CompileError
-from repro.symbolic import Affine, Box, Interval
+from repro.symbolic import Box, Interval
 from repro.symbolic.expr import SymbolicCompareError
 
 from repro.compiler.choicegrid import ChoiceGrid, Segment
-from repro.compiler.ir import ROLE_INPUT, RegionIR, RuleIR, TransformIR
+from repro.compiler.ir import ROLE_INPUT, Coordinate, RegionIR, RuleIR, TransformIR
 
 #: Node identifiers: an input matrix name, or "Matrix.segmentIndex".
 NodeKey = str
@@ -141,9 +141,9 @@ def _add_rule_edges(
     var_bounds = _segment_var_bounds(rule, segment, assumptions)
 
     for region in rule.from_regions:
-        read_box = _swept_read_box(region, var_bounds)
+        read_box = region.box.swept(var_bounds)
         directions, offsets = _edge_annotation(
-            region, center, ndim, assumptions
+            rule, region, center, assumptions
         )
         producers = _producer_nodes(
             transform, region.matrix, read_box, segment_lookup, assumptions
@@ -163,12 +163,12 @@ def _add_rule_edges(
     return _solve_iteration_order(transform, segment, rule, ndim, self_edges)
 
 
-def _rule_center(rule: RuleIR, matrix: str) -> Optional[Tuple[Affine, ...]]:
-    """The symbolic center: the cell coordinates the rule writes in
-    ``matrix`` (None for whole-region rules)."""
+def _rule_center(rule: RuleIR, matrix: str) -> Optional[Tuple[Coordinate, ...]]:
+    """The symbolic center: the access map of the cell the rule writes
+    in ``matrix`` (None for whole-region rules)."""
     for region in rule.to_regions:
         if region.matrix == matrix and region.view_kind == "cell":
-            return tuple(iv.lo for iv in region.box.intervals)
+            return rule.access(region)
     return None
 
 
@@ -187,16 +187,14 @@ def _segment_var_bounds(
     for region in rule.to_regions:
         if region.matrix != segment.matrix:
             continue
-        for dim, interval in enumerate(region.box.intervals):
-            expr = interval.lo
-            vars_here = [v for v in expr.variables() if v in bounds]
-            if len(vars_here) != 1:
+        for dim, coord in enumerate(rule.access(region)):
+            if len(coord.terms) != 1:
                 continue
-            var = vars_here[0]
+            (var,) = coord.vars
             seg_interval = segment.box.intervals[dim]
             try:
                 solved = solve_bounds_for(
-                    var, expr, seg_interval.lo, seg_interval.hi, assumptions
+                    var, coord.expr, seg_interval.lo, seg_interval.hi, assumptions
                 )
                 if solved is not None:
                     bounds[var] = bounds[var].intersect(solved, assumptions)
@@ -205,37 +203,10 @@ def _segment_var_bounds(
     return bounds
 
 
-def _swept_read_box(region: RegionIR, var_bounds: Dict[str, Interval]) -> Box:
-    """Bounding box of the cells ``region`` reads as the rule variables
-    sweep the given bounds (general affine sweep)."""
-    intervals = []
-    for interval in region.box.intervals:
-        intervals.append(
-            Interval(
-                _sweep_expr(interval.lo, var_bounds, minimize=True),
-                _sweep_expr(interval.hi, var_bounds, minimize=False),
-            )
-        )
-    return Box(intervals)
-
-
-def _sweep_expr(
-    expr: Affine, var_bounds: Dict[str, Interval], minimize: bool
-) -> Affine:
-    swept = expr
-    for var in expr.variables():
-        bounds = var_bounds.get(var)
-        if bounds is None:
-            continue
-        take_low = (swept.coefficient_sign(var) > 0) == minimize
-        swept = swept.subs({var: bounds.lo if take_low else bounds.hi - 1})
-    return swept
-
-
 def _edge_annotation(
+    rule: RuleIR,
     region: RegionIR,
-    center: Optional[Tuple[Affine, ...]],
-    ndim: int,
+    center: Optional[Tuple[Coordinate, ...]],
     assumptions,
 ) -> Tuple[Tuple[str, ...], Optional[Tuple[Fraction, ...]]]:
     """Per-dimension direction chars and, for exact cell reads, offsets."""
@@ -244,11 +215,11 @@ def _edge_annotation(
     directions: List[str] = []
     offsets: List[Fraction] = []
     exact = region.view_kind == "cell"
-    for dim, interval in enumerate(region.box.intervals):
-        lo_off = interval.lo - center[dim]
-        hi_off = interval.hi - center[dim]
-        if exact and lo_off.is_constant():
-            offset = lo_off.as_constant()
+    for interval, read, wrote in zip(
+        region.box.intervals, rule.access(region), center
+    ):
+        offset = read.gap(wrote) if exact else None
+        if offset is not None:
             offsets.append(offset)
             if offset < 0:
                 directions.append("<")
@@ -258,14 +229,10 @@ def _edge_annotation(
                 directions.append("=")
             continue
         exact = False
-        if hi_off.always_le(0, assumptions):
+        if interval.hi.always_le(wrote.expr, assumptions):
             directions.append("<")
-        elif Affine.const(1).always_le(lo_off, assumptions):
+        elif (wrote.expr + 1).always_le(interval.lo, assumptions):
             directions.append(">")
-        elif lo_off.always_le(0, assumptions) and Affine.const(1).always_le(
-            hi_off, assumptions
-        ):
-            directions.append("*")
         else:
             directions.append("*")
     return tuple(directions), tuple(offsets) if exact else None

@@ -14,12 +14,14 @@ variable families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.language import ast_nodes as ast
 from repro.language.errors import CompileError
 from repro.language.interp import Scope, evaluate
 from repro.symbolic import Affine, Assumptions, Box, Interval
+from repro.symbolic.expr import Number
 
 ROLE_INPUT = "from"
 ROLE_OUTPUT = "to"
@@ -70,6 +72,62 @@ class RegionIR:
 
     def ndim(self) -> int:
         return self.box.ndim
+
+
+def _constant(expr: Affine) -> Optional[Fraction]:
+    return expr.as_constant() if expr.is_constant() else None
+
+
+class Coordinate(NamedTuple):
+    """One entry of an access map (:meth:`RuleIR.access`): a coordinate
+    split into its rule-variable ``terms`` — ``(var, coeff)`` in the
+    coordinate's variable order — and the ``rest``, which depends on
+    sizes only."""
+
+    terms: Tuple[Tuple[str, Number], ...]
+    rest: Affine
+    #: the whole coordinate, ``rest`` plus ``terms``
+    expr: Affine
+
+    @staticmethod
+    def split(expr: Affine, rule_vars: Sequence[str]) -> "Coordinate":
+        # integral coefficients stay ints: a compile builds next to no Fraction
+        _, numerators, den = expr.as_integers()
+        terms = tuple(
+            (var, n if den == 1 else Fraction(n, den))
+            for var, n in numerators
+            if var in rule_vars
+        )
+        return Coordinate(terms, expr.without(rule_vars), expr)
+
+    @property
+    def vars(self) -> Tuple[str, ...]:
+        """The rule variables the coordinate moves with."""
+        return tuple(var for var, _ in self.terms)
+
+    def gap(self, other: "Coordinate") -> Optional[Fraction]:
+        """``self - other`` at one instance of the rule, when that is the
+        same number at every instance; else None."""
+        if self.terms != other.terms:
+            return None
+        return _constant(self.rest - other.rest)
+
+    def unit_stride_offset(self, dst: "Coordinate") -> Optional[Fraction]:
+        """Constant dependence offset from this access to ``dst``, the
+        same dimension indexed by another rule (or another instance).
+
+        Well defined when each side sweeps the dimension unit-stride in
+        at most one of its rule variables: instances then pair up
+        positionally and the per-pair gap ``dst.rest - self.rest`` is
+        one number.  None when either side is multi-variable or
+        non-unit-stride, when only one side sweeps (a broadcast: the gap
+        varies per instance), or when the gap is symbolic."""
+        sweeps = (self.terms, dst.terms)
+        if sweeps != ((), ()) and not all(
+            len(terms) == 1 and terms[0][1] == 1 for terms in sweeps
+        ):
+            return None
+        return _constant(dst.rest - self.rest)
 
 
 @dataclass(frozen=True)
@@ -123,6 +181,26 @@ class RuleIR:
     var_bounds: Dict[str, Interval] = field(default_factory=dict)
     residual_where: Tuple[ast.ExprNode, ...] = ()
     size_guards: Tuple[Affine, ...] = ()
+    #: :meth:`access` maps built so far, by ``id`` of the region.
+    _access: Dict[int, Tuple[RegionIR, Tuple[Coordinate, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def access(self, region: RegionIR) -> Tuple[Coordinate, ...]:
+        """The access map of one of this rule's bindings: per dimension,
+        where the binding sits — a cell view's coordinate, the lower
+        corner of any other view — split into this rule's variable
+        terms and a size-only rest.  Derived from ``region.box`` on
+        first use and kept per region object, so a rewrite that replaces
+        a region (a new box) gets a new map."""
+        hit = self._access.get(id(region))
+        if hit is None or hit[0] is not region:
+            hit = region, tuple(
+                Coordinate.split(interval.lo, self.rule_vars)
+                for interval in region.box.intervals
+            )
+            self._access[id(region)] = hit
+        return hit[1]
 
     @property
     def is_instance_rule(self) -> bool:

@@ -19,10 +19,10 @@ Legality argument (see DESIGN.md "Execution paths"):
   the same guarantee that lets the engine record them as sibling parallel
   tasks.  Executing them as one bulk array operation is just another
   serialization of an independent set;
-* every write coordinate must cover every free variable with an integral
-  stride and no variable coupling, so each (write-)slice is a bijection
-  of the instance set — the bulk write hits exactly the cells the scalar
-  loop would;
+* every write coordinate's access map (``RuleIR.access``) must cover
+  every free variable with an integral stride and no coupling, so each
+  (write-)slice is a bijection of the instance set — the bulk write hits
+  exactly the cells the scalar loop would;
 * reads may omit free variables (broadcast) or use negative strides
   (reversed slices); non-free dimensions lower to the same exact
   ceil-of-affine indices the interpreter computes.
@@ -353,11 +353,9 @@ class _VectorLowerer(KernelBuilder):
             present: List[str] = []  # free var per kept axis, in dim order
             index_parts: List[str] = []
             checks: List[str] = []
-            for dim, interval in enumerate(region.box.intervals):
-                expr = interval.lo
-                frees = [
-                    v for v in expr.variables() if v in self.free_set
-                ]
+            for dim, coord in enumerate(self.rule.access(region)):
+                expr = coord.expr
+                frees = [term for term in coord.terms if term[0] in self.free_set]
                 if len(frees) > 1:
                     raise _NotVectorizable(
                         f"coordinate {expr} couples parallel variables"
@@ -370,13 +368,12 @@ class _VectorLowerer(KernelBuilder):
                     index_parts.append(subscript)
                     continue
                 extent = self._dim_ref(mat, dim)
-                var = frees[0]
+                var, coeff = frees[0]
                 if var in present:
                     raise _NotVectorizable(
                         f"variable {var!r} appears in multiple "
                         f"dimensions of {name!r}"
                     )
-                coeff = expr.coefficient(var)
                 if coeff.denominator != 1:
                     raise _NotVectorizable(
                         f"non-integer stride for {var!r} in {expr}"

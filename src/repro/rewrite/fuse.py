@@ -104,8 +104,7 @@ def apply_fusion(ir: TransformIR, candidate: FusionCandidate) -> TransformIR:
     # Identity write map: producer's d-th instance variable indexes the
     # d-th dimension (the legality gate proved this).
     axis_vars = [
-        interval.lo.variables()[0]
-        for interval in producer.to_regions[0].box.intervals
+        coord.vars[0] for coord in producer.access(producer.to_regions[0])
     ]
 
     used = {reg.bind_name for reg in consumer.to_regions}

@@ -49,18 +49,6 @@ class Machine:
     steal_time: float
     memory_time: float = 0.0
 
-    def with_cores(self, cores: int) -> "Machine":
-        """The same silicon restricted to ``cores`` workers (e.g. the
-        paper's Xeon 1-way vs Xeon 8-way)."""
-        return Machine(
-            name=f"{self.name}-{cores}way",
-            cores=cores,
-            cycle_time=self.cycle_time,
-            spawn_time=self.spawn_time,
-            steal_time=self.steal_time,
-            memory_time=self.memory_time,
-        )
-
     def compute_time(self, work: float) -> float:
         """Simulated time to execute ``work`` units on one core."""
         return work * self.cycle_time

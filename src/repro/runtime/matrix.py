@@ -14,7 +14,7 @@ everywhere — exactly the aliasing model of the original runtime.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -277,16 +277,6 @@ class MatrixView:
     def assign(self, values) -> None:
         """Bulk write ``values`` (array-like of matching shape)."""
         self._data[self._axis_slice()] = values
-
-    def copy_from(self, other: "MatrixView") -> None:
-        """Copy the contents of another view of identical shape."""
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        self.assign(other.to_numpy())
-
-    def iter_cells(self) -> Iterable[Tuple[int, ...]]:
-        """All view-relative coordinates in row-major order."""
-        return np.ndindex(*self.shape)
 
     def __repr__(self) -> str:
         label = self.name or "view"

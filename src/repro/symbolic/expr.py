@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Collection, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from repro.symbolic.assumptions import Assumptions, AssumptionsLike
 
@@ -148,6 +148,11 @@ class Affine:
 
     def is_constant(self) -> bool:
         return not self._terms
+
+    def without(self, names: Collection[str]) -> "Affine":
+        """This expression with the terms of ``names`` dropped."""
+        kept = tuple(term for term in self._terms if term[0] not in names)
+        return self if len(kept) == len(self._terms) else _reduced(self._n0, kept, self._den)
 
     def as_integers(self) -> Tuple[int, Terms, int]:
         """The stored form ``(n0, ((var, n), ...), den)``: the expression is

@@ -108,6 +108,16 @@ class Interval:
         return f"[{self.lo}, {self.hi})"
 
 
+def _sweep(expr: Affine, bounds: Mapping[str, Interval], upper: bool) -> Affine:
+    swept = expr
+    for var in expr.variables():
+        interval = bounds.get(var)
+        if interval is not None:
+            high = (swept.coefficient_sign(var) > 0) == upper
+            swept = swept.subs({var: interval.hi - 1 if high else interval.lo})
+    return swept
+
+
 def symbolic_max(a: Affine, b: Affine, assumptions: AssumptionsLike = None) -> Affine:
     """Whichever of ``a``, ``b`` is provably the larger under ``assumptions``."""
     if a.always_ge(b, assumptions):
@@ -186,6 +196,15 @@ class Box:
 
     def subs(self, env: Mapping[str, AffineLike]) -> "Box":
         return Box(iv.subs(env) for iv in self.intervals)
+
+    def swept(self, bounds: Mapping[str, Interval]) -> "Box":
+        """The box covered as each variable of ``bounds`` sweeps its
+        half-open interval: per dimension the least ``lo`` and the
+        greatest ``hi``; other variables stay symbolic."""
+        return Box(
+            Interval(_sweep(iv.lo, bounds, False), _sweep(iv.hi, bounds, True))
+            for iv in self.intervals
+        )
 
     def contains(self, other: "Box", assumptions: AssumptionsLike = None) -> bool:
         if self.ndim != other.ndim:

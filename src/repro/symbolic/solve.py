@@ -20,7 +20,6 @@ inequality: with ``e = c*i + r`` (``r`` free of ``i``),
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from repro.symbolic.assumptions import AssumptionsLike
@@ -70,47 +69,3 @@ def solve_bounds_for(
     # expr decreasing in var: v ranges over ( (hi-r)/c , (lo-r)/c ].
     return Interval(at_hi.stepped(1), at_lo.stepped(1))
 
-
-def unit_stride_offset(
-    src: AffineLike,
-    dst: AffineLike,
-    src_vars,
-    dst_vars,
-) -> Optional[Fraction]:
-    """Constant dependence offset between two access coordinates.
-
-    ``src`` and ``dst`` are the affine coordinates two rules use to index
-    the same dimension of a shared matrix; ``src_vars``/``dst_vars`` are
-    the respective rules' instance variables.  The offset is well defined
-    when each coordinate sweeps the dimension unit-stride in at most one
-    of its own instance variables — then instances pair up positionally
-    and the per-pair gap ``(dst - dst_var) - (src - src_var)`` is a single
-    number.  Returns that exact :class:`Fraction`, or ``None`` when either
-    access is multi-variable, non-unit-stride, or only one side sweeps
-    (a broadcast: the gap varies per instance).
-    """
-    src = Affine.coerce(src)
-    dst = Affine.coerce(dst)
-
-    def strip_sweep(expr: Affine, own_vars) -> Optional[Affine]:
-        swept = [v for v in expr.variables() if v in own_vars]
-        if len(swept) > 1:
-            return None
-        if not swept:
-            return expr
-        if expr.coefficient(swept[0]) != 1:
-            return None
-        return expr - Affine.var(swept[0])
-
-    src_swept = any(v in src_vars for v in src.variables())
-    dst_swept = any(v in dst_vars for v in dst.variables())
-    if src_swept != dst_swept:
-        return None
-    src_rest = strip_sweep(src, src_vars)
-    dst_rest = strip_sweep(dst, dst_vars)
-    if src_rest is None or dst_rest is None:
-        return None
-    diff = dst_rest - src_rest
-    if not diff.is_constant():
-        return None
-    return diff.as_constant()

@@ -9,9 +9,12 @@ example passes ``repro check --strict``.
 
 import collections
 import dataclasses
+import difflib
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -665,3 +668,43 @@ def test_pb503_matches_engine_behavior():
         (result,) = engine.gather()
         assert result.ok
         assert result.stacked is expect_stacked
+
+
+# ---------------------------------------------------------------------------
+# The verifier's whole report over the shipped programs, pinned byte for byte
+# ---------------------------------------------------------------------------
+
+CHECK_GOLDEN = os.path.join(REPO_ROOT, "tests", "data", "check_golden.json")
+
+
+def test_check_report_matches_golden():
+    """``repro check --strict --format json`` over the apps, the examples
+    and the benchmark programs prints ``tests/data/check_golden.json``.
+    Every PB code, witness, distance and refusal text is in it, so a
+    change that moves any verdict shows here as a diff.  After an
+    intended change, regenerate the file with the same command."""
+    sources = [
+        *sorted(glob.glob("src/repro/apps/*.py", root_dir=REPO_ROOT)),
+        *sorted(glob.glob("examples/*.py", root_dir=REPO_ROOT)),
+        "benchmarks/e2e/programs.py",
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "check", "--strict", "--format", "json", *sources],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    with open(CHECK_GOLDEN, encoding="utf-8") as handle:
+        golden = handle.read()
+    diff = "".join(
+        difflib.unified_diff(
+            golden.splitlines(keepends=True),
+            done.stdout.splitlines(keepends=True),
+            "tests/data/check_golden.json",
+            "repro check output",
+        )
+    )
+    assert not diff, "repro check output differs from the golden:\n" + diff[:6000]

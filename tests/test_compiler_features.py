@@ -22,7 +22,6 @@ from repro.compiler import (
 )
 from repro.compiler.codegen import (
     ExecutionError,
-    dead_choice_report,
     specialize,
 )
 from repro.compiler.ir import instantiate_template
@@ -176,18 +175,9 @@ class TestSpecialization:
         result = static.transform("Reverse").run([np.arange(4.0)], override)
         np.testing.assert_allclose(result.output("B"), [3, 2, 1, 0])
 
-    def test_dead_choice_report(self):
-        program = compile_program(SORTISH)
-        config = ChoiceConfig()
-        config.set_choice("Reverse.B.0", Selector.static(0))
-        report = dead_choice_report(program, config)
-        assert report == {"Reverse.B.0": ["rule1"]}
-
     def test_multilevel_selector_keeps_both(self):
-        program = compile_program(SORTISH)
-        config = ChoiceConfig()
-        config.set_choice("Reverse.B.0", Selector(((64, 0), (None, 1))))
-        assert dead_choice_report(program, config) == {}
+        selector = Selector(((64, 0), (None, 1)))
+        assert [selector.pick(size) for size in (1, 63, 64, 10**6)] == [0, 0, 1, 1]
 
     def test_a_static_run_plans_only_in_the_clone(self):
         """The clone copies its transform's state, caches included: a
@@ -343,10 +333,3 @@ class TestLeveledTunables:
                 k: [list(l) for l in s.levels] for k, s in sorted(leveled.items())
             },
         }
-
-    def test_merged_with_keeps_levels(self):
-        base = ChoiceConfig()
-        base.set_leveled_tunable("T.iters", Selector.static(4))
-        other = ChoiceConfig()
-        merged = base.merged_with(other)
-        assert merged.tunable_at("T.iters", 10, 0) == 4

@@ -11,9 +11,14 @@ import pathlib
 import re
 from dataclasses import replace
 from fractions import Fraction
+from collections import Counter
+from itertools import product
+
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.check import check_source, import_file
 from repro.analysis.depend import (
+    _schedule_deltas,
     check_depend,
     fusion_candidates,
     rule_dependences,
@@ -21,8 +26,8 @@ from repro.analysis.depend import (
 )
 from repro.analysis.witness import Replay, WitnessBudget
 from repro.compiler import compile_program
-from repro.symbolic import Affine
-from repro.symbolic.solve import unit_stride_offset
+from repro.compiler.ir import Coordinate, RegionIR, RuleIR
+from repro.symbolic import Affine, Box
 from tests.strategies import assert_witnesses_replay
 
 BUDGET = WitnessBudget(
@@ -134,37 +139,188 @@ def compiled(source, name):
     return compile_program(source).transform(name)
 
 
-# -- the distance primitive ------------------------------------------------
+# -- the access map --------------------------------------------------------
+
+
+def coord(expr, *rule_vars):
+    """One access-map entry: ``expr`` split over ``rule_vars``."""
+    return Coordinate.split(Affine.coerce(expr), rule_vars)
 
 
 class TestUnitStrideOffset:
     def test_aligned_sweep_is_zero(self):
         i, j = Affine.var("i"), Affine.var("j")
-        assert unit_stride_offset(i, j, ("i",), ("j",)) == 0
+        assert coord(i, "i").unit_stride_offset(coord(j, "j")) == 0
 
     def test_constant_gap(self):
         i, j = Affine.var("i"), Affine.var("j")
-        assert unit_stride_offset(i, j + 1, ("i",), ("j",)) == Fraction(1)
-        assert unit_stride_offset(i + 2, j, ("i",), ("j",)) == Fraction(-2)
+        assert coord(i, "i").unit_stride_offset(coord(j + 1, "j")) == Fraction(1)
+        assert coord(i + 2, "i").unit_stride_offset(coord(j, "j")) == Fraction(-2)
 
     def test_both_constant(self):
-        assert unit_stride_offset(0, 0, ("i",), ("j",)) == 0
+        assert coord(0, "i").unit_stride_offset(coord(0, "j")) == 0
 
     def test_non_unit_stride_is_unknown(self):
         i, j = Affine.var("i"), Affine.var("j")
-        assert unit_stride_offset(i, 2 * j, ("i",), ("j",)) is None
+        assert coord(i, "i").unit_stride_offset(coord(2 * j, "j")) is None
 
     def test_broadcast_is_unknown(self):
         # One side sweeps, the other is fixed: the gap varies per pair.
         i = Affine.var("i")
-        assert unit_stride_offset(i, Affine.const(0), ("i",), ("j",)) is None
+        assert coord(i, "i").unit_stride_offset(coord(0, "j")) is None
 
     def test_size_var_gap_is_not_constant(self):
         # A size variable is not an instance variable; a residual size
         # term makes the per-pair gap symbolic, hence unknown.
         i, j, n = Affine.var("i"), Affine.var("j"), Affine.var("n")
-        assert unit_stride_offset(i + n, j, ("i",), ("j",)) is None
-        assert unit_stride_offset(i, j + n, ("i",), ("j",)) is None
+        assert coord(i + n, "i").unit_stride_offset(coord(j, "j")) is None
+        assert coord(i, "i").unit_stride_offset(coord(j + n, "j")) is None
+
+    def test_split_keeps_rule_terms_in_variable_order(self):
+        i, j, n = Affine.var("i"), Affine.var("j"), Affine.var("n")
+        split = coord(n - 2 * j + i - 1, "j", "i")
+        assert split.terms == (("i", 1), ("j", -2))
+        assert split.rest == n - 1 and split.expr == n - 2 * j + i - 1
+
+
+# Brute force for the map: which instance pairs of two accesses touch the
+# same cell, at a few sizes ``n``, each rule variable sweeping [0, n).
+SIZES = (3, 5, 7)
+RULE_VARS = {"src": (("i",), ("i", "j")), "dst": (("k",), ("k", "l"))}
+
+
+def _instances(rule_vars, n):
+    return [dict(zip(rule_vars, values)) for values in product(range(n), repeat=len(rule_vars))]
+
+
+def _pairs(src, src_vars, dst, dst_vars, n):
+    """``(s, d, same cell?)`` per instance pair at size ``n``; ``src`` and
+    ``dst`` are tuples of affine coordinates."""
+    def cells(coords, rule_vars):
+        apps = _instances(rule_vars, n)
+        return [(app, tuple(c.evaluate({"n": n, **app}) for c in coords)) for app in apps]
+
+    return [
+        (s, d, s_cell == d_cell)
+        for s, s_cell in cells(src, src_vars)
+        for d, d_cell in cells(dst, dst_vars)
+    ]
+
+
+def _holds(src, src_vars, dst, dst_vars, touches):
+    """Do exactly the pairs ``touches(s, d)`` accepts share a cell, at
+    every size?"""
+    return all(
+        same == touches(s, d)
+        for n in SIZES
+        for s, d, same in _pairs(src, src_vars, dst, dst_vars, n)
+    )
+
+
+def _constant_gaps(src, src_vars, dst, dst_vars):
+    """Every constant gap the enumeration shows between two accesses of
+    one dimension (``src``, ``dst`` affine): ``(vs, vd, g)`` when two
+    pairs share a cell at that gap and, at every size, the pairs sharing
+    a cell are exactly those with ``d[vd] - s[vs] == g`` (one pair alone
+    can be a coincidence of the small sizes); ``("fixed", g)`` when
+    neither access moves with its instance and their cells are ``g``
+    apart at every size."""
+    by_size = {n: _pairs((src,), src_vars, (dst,), dst_vars, n) for n in SIZES}
+    found = set()
+    for vs in src_vars:
+        for vd in dst_vars:
+            seen = Counter(
+                d[vd] - s[vs] for s, d, same in by_size[max(SIZES)] if same
+            )
+            found.update(
+                (vs, vd, g)
+                for g, count in seen.items()
+                if count > 1 and all(
+                    same == (d[vd] - s[vs] == g)
+                    for pairs in by_size.values()
+                    for s, d, same in pairs
+                )
+            )
+    fixed = set()
+    for n, pairs in by_size.items():
+        ends = {(src.evaluate({"n": n, **s}), dst.evaluate({"n": n, **d})) for s, d, _ in pairs}
+        ((s_cell, d_cell),) = ends if len(ends) == 1 else ((None, None),)
+        fixed.add(None if s_cell is None else d_cell - s_cell)
+    if len(fixed) == 1 and None not in fixed:
+        found.add(("fixed", fixed.pop()))
+    return found
+
+
+@st.composite
+def coordinates(draw, rule_vars):
+    """An affine coordinate over ``rule_vars``: coefficients in -2..2
+    plus a constant and a size-variable offset."""
+    expr = Affine.const(draw(st.integers(-2, 2))) + draw(st.integers(-1, 1)) * Affine.var("n")
+    for var in rule_vars:
+        expr = expr + draw(st.integers(-2, 2)) * Affine.var(var)
+    return expr
+
+
+def _equal_strides(a, b):
+    """Both accesses sweep one variable with the same coefficient other
+    than 1: a constant gap the map leaves unknown (it pairs unit strides
+    only)."""
+    return (
+        len(a.terms) == len(b.terms) == 1
+        and a.terms[0][1] == b.terms[0][1] != 1
+    )
+
+
+@st.composite
+def access_pairs(draw):
+    src_vars = draw(st.sampled_from(RULE_VARS["src"]))
+    dst_vars = draw(st.sampled_from(RULE_VARS["dst"]))
+    return (
+        draw(coordinates(src_vars)), src_vars, draw(coordinates(dst_vars)), dst_vars
+    )
+
+
+class TestAccessMapAgainstEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(access_pairs())
+    def test_distance(self, pair):
+        src, src_vars, dst, dst_vars = pair
+        write, read = coord(src, *src_vars), coord(dst, *dst_vars)
+        offset = write.unit_stride_offset(read)
+        gaps = _constant_gaps(src, src_vars, dst, dst_vars)
+        if offset is None:
+            assert not gaps or _equal_strides(write, read)
+        elif write.terms:
+            ((vs, _),), ((vd, _),) = write.terms, read.terms
+            assert _holds((src,), src_vars, (dst,), dst_vars,
+                          lambda s, d: d[vd] - s[vs] == -offset)
+        else:
+            assert _holds((src,), src_vars, (dst,), dst_vars, lambda s, d: offset == 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(RULE_VARS["src"]), st.integers(1, 2), st.data())
+    def test_delta(self, rule_vars, ndim, data):
+        """``_schedule_deltas``: the per-variable gap (reader - writer)
+        of one rule's self-dependence, read off the map."""
+        wrote = tuple(data.draw(coordinates(rule_vars)) for _ in range(ndim))
+        read = tuple(data.draw(coordinates(rule_vars)) for _ in range(ndim))
+        wreg = RegionIR("M", "cell", Box.cell(wrote), "w")
+        rreg = RegionIR("M", "cell", Box.cell(read), "r")
+        rule = RuleIR(0, "r", 0, (wreg,), (rreg,), rule_vars)
+        deltas, reason = _schedule_deltas(rule, wreg, rreg)
+        if reason:  # unknown: only where one dimension shows no constant gap
+            if ndim == 1:
+                gaps = _constant_gaps(wrote[0], rule_vars, read[0], rule_vars)
+                per_variable = [g for g in gaps if g[0] == "fixed" or g[0] == g[1]]
+                assert not per_variable or _equal_strides(
+                    coord(wrote[0], *rule_vars), coord(read[0], *rule_vars)
+                )
+            return
+        if deltas is None:  # provably never the same cell
+            touches = lambda w, r: False
+        else:
+            touches = lambda w, r: all(r[v] - w[v] == g for v, g in deltas.items())
+        assert _holds(wrote, rule_vars, read, rule_vars, touches)
 
 
 # -- classification --------------------------------------------------------

@@ -281,7 +281,7 @@ class TestMachines:
             assert name in MACHINES
 
     def test_with_cores(self):
-        one_way = MACHINES["xeon8"].with_cores(1)
+        one_way = dataclasses.replace(MACHINES["xeon8"], cores=1)
         assert one_way.cores == 1
         assert one_way.cycle_time == MACHINES["xeon8"].cycle_time
 
