@@ -3,9 +3,11 @@
 Six pass families — symbolic/witness bounds checking, write-write race
 detection, coverage auditing, hygiene lints, the leaf-path
 eligibility report, and the dependence/fusion-legality analysis that
-gates the rewrite layer — emitting structured
-:class:`~repro.analysis.diagnostics.Diagnostic` records with stable
-``PBxxx`` codes, source positions, fix hints, and concrete witnesses.
+gates the rewrite layer — each reporting through one collector,
+:class:`~repro.analysis.diagnostics.Findings`, whose
+:class:`~repro.analysis.diagnostics.Diagnostic` records carry stable
+``PBxxx`` codes (severity is the code's ``CODE_TABLE`` row), source
+positions, fix hints, and concrete witnesses.
 Exposed through the ``repro check`` CLI subcommand and the
 ``compile_program(..., analyze=True)`` pipeline hook.
 """
@@ -17,7 +19,6 @@ from repro.analysis.diagnostics import (
     ERROR,
     INFO,
     WARNING,
-    default_severity,
 )
 from repro.analysis.witness import DEFAULT_BUDGET, Replay, WitnessBudget
 from repro.analysis.bounds import check_bounds
@@ -67,7 +68,6 @@ __all__ = [
     "check_lints",
     "check_races",
     "check_source",
-    "default_severity",
     "diagnostic_from_error",
     "fusion_candidates",
     "record_report",

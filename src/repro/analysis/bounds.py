@@ -18,63 +18,40 @@ conditional on the guard, not proven for all sizes.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, ERROR, INFO
+from repro.analysis.diagnostics import Diagnostic, Findings
 from repro.analysis.witness import Replay, describe_bounds, describe_env
 
 
 def check_bounds(replay: Replay, path: str = "") -> List[Diagnostic]:
     compiled = replay.compiled
-    ir = compiled.ir
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple[int, str, int]] = set()
-
-    def report_violation(
-        rule, region, region_index: int, env, assignment, bounds, shape
-    ) -> None:
-        key = (rule.rule_id, region.matrix, region_index)
-        if key in seen:
-            return
-        seen.add(key)
-        access = "writes" if region in rule.to_regions else "reads"
-        diagnostics.append(
-            Diagnostic(
-                code="PB101",
-                severity=ERROR,
-                message=(
-                    f"{access} {describe_bounds(region.matrix, bounds)} "
-                    f"outside matrix extent "
-                    f"{describe_bounds(region.matrix, [(0, s) for s in shape])}"
-                ),
-                transform=ir.name,
-                rule=rule.label,
-                region=f"{region.matrix}.{region.view_kind}({region.box})",
-                line=region.line or rule.line,
-                column=region.column or rule.column,
-                hint=(
-                    "tighten the rule's region bounds or add a where-clause "
-                    "excluding the out-of-range instances"
-                ),
-                witness=describe_env(env, assignment),
-                path=path,
-            )
-        )
-
+    found = Findings(compiled.ir, path)
     for segment, option in replay.options():
         for e, env in enumerate(replay.envs):
             for app in replay.applications(segment, option, e) or ():
-                for index, region in enumerate(app.rule.all_regions):
+                rule = app.rule
+                for index, region in enumerate(rule.all_regions):
                     shape = replay.shape(region.matrix, e)
                     bounds = region.box.concrete(app.env)
-                    if _out_of_bounds(bounds, shape):
-                        report_violation(
-                            app.rule, region, index, env, app.assignment,
-                            bounds, shape,
-                        )
-
-    diagnostics.extend(_guard_notes(compiled, path))
-    return diagnostics
+                    if not _out_of_bounds(bounds, shape):
+                        continue
+                    access = "writes" if region in rule.to_regions else "reads"
+                    found.add(
+                        "PB101",
+                        rule,
+                        f"{access} {describe_bounds(region.matrix, bounds)} "
+                        f"outside matrix extent "
+                        f"{describe_bounds(region.matrix, [(0, s) for s in shape])}",
+                        "tighten the rule's region bounds or add a "
+                        "where-clause excluding the out-of-range instances",
+                        witness=describe_env(env, app.assignment),
+                        key=(rule.rule_id, region.matrix, index),
+                        region=f"{region.matrix}.{region.view_kind}({region.box})",
+                        at=(region.line, region.column),
+                    )
+    _guard_notes(compiled, found)
+    return found.diagnostics
 
 
 def _out_of_bounds(
@@ -88,43 +65,23 @@ def _out_of_bounds(
     return False
 
 
-def _guard_notes(compiled, path: str) -> List[Diagnostic]:
+def _guard_notes(compiled, found: Findings) -> None:
     """PB103: in-bounds execution relies on runtime-checked guards."""
-    ir = compiled.ir
-    notes: List[Diagnostic] = []
-    for rule in ir.rules:
+    for rule in compiled.ir.rules:
         if rule.size_guards:
             guards = ", ".join(f"{g} >= 0" for g in rule.size_guards)
-            notes.append(
-                Diagnostic(
-                    code="PB103",
-                    severity=INFO,
-                    message=(
-                        f"in-bounds only under runtime size guard(s): {guards}"
-                    ),
-                    transform=ir.name,
-                    rule=rule.label,
-                    line=rule.line,
-                    column=rule.column,
-                    hint="the engine rejects sizes violating these guards",
-                    path=path,
-                )
+            found.add(
+                "PB103",
+                rule,
+                f"in-bounds only under runtime size guard(s): {guards}",
+                "the engine rejects sizes violating these guards",
             )
     if compiled.grid.order_guards:
         guards = ", ".join(f"{g} >= 0" for g in compiled.grid.order_guards)
-        notes.append(
-            Diagnostic(
-                code="PB103",
-                severity=INFO,
-                message=(
-                    f"choice-grid segmentation assumes runtime ordering "
-                    f"guard(s): {guards}"
-                ),
-                transform=ir.name,
-                line=ir.line,
-                column=ir.column,
-                hint="inputs violating the ordering are rejected at run time",
-                path=path,
-            )
+        found.add(
+            "PB103",
+            None,
+            f"choice-grid segmentation assumes runtime ordering "
+            f"guard(s): {guards}",
+            "inputs violating the ordering are rejected at run time",
         )
-    return notes

@@ -2,7 +2,7 @@
 
 Entry points, lowest to highest level:
 
-* :func:`analyze_transform` — the four pass families over one compiled
+* :func:`analyze_transform` — the six pass families over one compiled
   transform.
 * :func:`analyze_program` — every transform of a compiled program.
 * :func:`check_source` — compile DSL text (pipeline analysis disabled —
@@ -23,16 +23,12 @@ from __future__ import annotations
 import importlib.util
 import re
 import sys
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.bounds import check_bounds
 from repro.analysis.coverage import check_coverage
 from repro.analysis.depend import check_depend
-from repro.analysis.diagnostics import (
-    AnalysisReport,
-    Diagnostic,
-    default_severity,
-)
+from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.analysis.leafpaths import check_leaf_paths
 from repro.analysis.lints import check_lints
 from repro.analysis.races import check_races
@@ -56,7 +52,7 @@ def analyze_transform(
     diagnostics.extend(check_coverage(replay, path))
     if not errors_only:
         diagnostics.extend(check_lints(replay, path))
-        diagnostics.extend(check_leaf_paths(compiled, budget, path))
+        diagnostics.extend(check_leaf_paths(compiled, path))
         diagnostics.extend(check_depend(replay, path))
     if errors_only:
         diagnostics = [d for d in diagnostics if d.is_error]
@@ -81,10 +77,8 @@ def analyze_program(
 
 def diagnostic_from_error(exc: PetaBricksError, path: str = "") -> Diagnostic:
     """A compile failure as a diagnostic (code PB001 when untagged)."""
-    code = exc.code or "PB001"
     return Diagnostic(
-        code=code,
-        severity=default_severity(code),
+        code=exc.code or "PB001",
         message=exc.message,
         line=exc.line,
         column=exc.column,
@@ -137,9 +131,7 @@ def import_file(path: str):
             return module, None
         except Exception as exc:  # import errors are check failures, not crashes
             message = f"import failed: {exc}"
-    return None, Diagnostic(
-        code="PB001", severity="error", message=message, path=path
-    )
+    return None, Diagnostic(code="PB001", message=message, path=path)
 
 
 def check_python_module(
@@ -153,11 +145,10 @@ def check_python_module(
     entry points with ``__main__``, so importing them is side-effect
     free.
     """
-    report = AnalysisReport()
     module, failure = import_file(path)
     if failure is not None:
-        report.add(failure)
-        return report
+        return AnalysisReport([failure])
+    report = AnalysisReport()
 
     checked_sources = set()
     builder = getattr(module, "build_program", None)
@@ -178,13 +169,6 @@ def check_python_module(
         ):
             checked_sources.add(value)
             report.extend(check_source(value, path, budget))
-    if builder is not None and checked_sources:
-        # build_program() modules usually compile the same constant; drop
-        # exact duplicate findings from the double-check.
-        unique = {}
-        for diag in report.diagnostics:
-            unique.setdefault(diag, diag)
-        report.diagnostics = list(unique.values())
     return report
 
 
@@ -195,16 +179,7 @@ def check_file(path: str, budget: WitnessBudget = DEFAULT_BUDGET) -> AnalysisRep
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
-        return AnalysisReport(
-            [
-                Diagnostic(
-                    code="PB001",
-                    severity="error",
-                    message=str(exc),
-                    path=path,
-                )
-            ]
-        )
+        return AnalysisReport([Diagnostic(code="PB001", message=str(exc), path=path)])
     return check_source(source, path, budget)
 
 
@@ -230,17 +205,8 @@ def run_check(
     """The ``repro check`` subcommand: check files, print, exit-code."""
     out = out if out is not None else sys.stdout
     report = AnalysisReport()
-    seen = set()
     for path in paths:
-        for diag in check_file(path, budget).diagnostics:
-            # Multi-file runs can visit one file twice (repeated argument,
-            # module re-export): identical findings collapse to one, and
-            # the report order is the diagnostics' stable sort regardless
-            # of the argument order.
-            if diag in seen:
-                continue
-            seen.add(diag)
-            report.add(diag)
+        report.extend(check_file(path, budget).diagnostics)
     record_report(report, sink)
     if fmt == "json":
         print(report.to_json(), file=out)

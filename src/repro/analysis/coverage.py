@@ -20,64 +20,44 @@ is reported only so `repro check` output shows where choices live.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Set
 
-from repro.analysis.diagnostics import Diagnostic, ERROR, INFO
+from repro.analysis.diagnostics import Diagnostic, Findings
 from repro.analysis.witness import Cell, Replay, describe_bounds, describe_env
 from repro.compiler.ir import ROLE_INPUT
 
 
 def check_coverage(replay: Replay, path: str = "") -> List[Diagnostic]:
     ir = replay.compiled.ir
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple] = set()
-
+    found = Findings(ir, path)
     for segment in replay.compiled.grid.all_segments():
         for option in segment.options:
             for e in range(len(replay.envs)):
-                diag = _check_segment_option(replay, segment, option, e, path)
-                if diag is None:
-                    continue
-                key = (diag.code, segment.matrix, segment.index, diag.rule)
-                if key not in seen:
-                    seen.add(key)
-                    diagnostics.append(diag)
+                _check_segment_option(replay, segment, option, e, found)
         if len(segment.options) > 1:
-            mat = ir.matrices[segment.matrix]
-            diagnostics.append(
-                Diagnostic(
-                    code="PB302",
-                    severity=INFO,
-                    message=(
-                        f"segment {segment.key} has "
-                        f"{len(segment.options)} interchangeable options: "
-                        + ", ".join(
-                            opt.describe(ir) for opt in segment.options
-                        )
-                    ),
-                    transform=ir.name,
-                    region=f"{segment.matrix}[{segment.box}]",
-                    line=mat.line or ir.line,
-                    column=mat.column or ir.column,
-                    hint="the autotuner selects among these",
-                    path=path,
-                )
+            found.add(
+                "PB302",
+                ir.matrices[segment.matrix],
+                f"segment {segment.key} has "
+                f"{len(segment.options)} interchangeable options: "
+                + ", ".join(opt.describe(ir) for opt in segment.options),
+                "the autotuner selects among these",
+                region=f"{segment.matrix}[{segment.box}]",
             )
+    _matrix_partition(replay, found)
+    return found.diagnostics
 
-    diagnostics.extend(_matrix_partition(replay, path))
-    return diagnostics
 
-
-def _check_segment_option(replay, segment, option, e: int, path: str):
-    """One PB301 (or None) for this segment/option at sizes ``e``."""
+def _check_segment_option(replay, segment, option, e: int, found: Findings) -> None:
+    """One PB301 (or none) for this segment/option at sizes ``e``."""
     ir = replay.compiled.ir
     seg_bounds = replay.box(segment, e)
     target = replay.cells(seg_bounds)
     if not target:
-        return None
+        return
     apps = replay.applications(segment, option, e)
     if apps is None:
-        return None
+        return
     written: Set[Cell] = set()
     for chosen, instance_env, _assignment in apps:
         for region in chosen.to_regions:
@@ -85,42 +65,32 @@ def _check_segment_option(replay, segment, option, e: int, path: str):
                 continue
             cells = replay.cells(region.box.concrete(instance_env))
             if cells is None:
-                return None
+                return
             written.update(cells)
     missing = [cell for cell in target if cell not in written]
     if not missing:
-        return None
+        return
     rule = ir.rules[option.primary]
     cell = missing[0]
-    return Diagnostic(
-        code="PB301",
-        severity=ERROR,
-        message=(
-            f"option {option.describe(ir)} leaves "
-            f"{len(missing)} cell(s) of segment {segment.key} "
-            f"{describe_bounds(segment.matrix, seg_bounds)} unwritten, "
-            f"first {describe_bounds(segment.matrix, [(c, c + 1) for c in cell])}"
-        ),
-        transform=ir.name,
-        rule=rule.label,
-        region=f"{segment.matrix}[{segment.box}]",
-        line=rule.line,
-        column=rule.column,
-        hint=(
-            "widen the rule's to-region or add a rule covering the "
-            "skipped cells"
-        ),
+    found.add(
+        "PB301",
+        rule,
+        f"option {option.describe(ir)} leaves "
+        f"{len(missing)} cell(s) of segment {segment.key} "
+        f"{describe_bounds(segment.matrix, seg_bounds)} unwritten, "
+        f"first {describe_bounds(segment.matrix, [(c, c + 1) for c in cell])}",
+        "widen the rule's to-region or add a rule covering the "
+        "skipped cells",
         witness=describe_env(replay.envs[e]),
-        path=path,
+        key=(segment.matrix, segment.index, rule.label),
+        region=f"{segment.matrix}[{segment.box}]",
     )
 
 
-def _matrix_partition(replay, path: str) -> List[Diagnostic]:
+def _matrix_partition(replay, found: Findings) -> None:
     """PB301 when a matrix's segments do not add up to its whole box."""
-    ir = replay.compiled.ir
-    diagnostics: List[Diagnostic] = []
     for name, segments in replay.compiled.grid.segments.items():
-        mat = ir.matrices[name]
+        mat = replay.compiled.ir.matrices[name]
         if mat.role == ROLE_INPUT:
             continue
         for e, env in enumerate(replay.envs):
@@ -132,25 +102,14 @@ def _matrix_partition(replay, path: str) -> List[Diagnostic]:
             missing = [cell for cell in whole if cell not in covered]
             if missing:
                 cell = missing[0]
-                diagnostics.append(
-                    Diagnostic(
-                        code="PB301",
-                        severity=ERROR,
-                        message=(
-                            f"choice grid of {name!r} misses "
-                            f"{len(missing)} cell(s), first "
-                            f"{describe_bounds(name, [(c, c + 1) for c in cell])}"
-                        ),
-                        transform=ir.name,
-                        line=mat.line or ir.line,
-                        column=mat.column or ir.column,
-                        hint=(
-                            "a rule's applicable region excludes these "
-                            "cells and no other rule covers them"
-                        ),
-                        witness=describe_env(env),
-                        path=path,
-                    )
+                found.add(
+                    "PB301",
+                    mat,
+                    f"choice grid of {name!r} misses "
+                    f"{len(missing)} cell(s), first "
+                    f"{describe_bounds(name, [(c, c + 1) for c in cell])}",
+                    "a rule's applicable region excludes these "
+                    "cells and no other rule covers them",
+                    witness=describe_env(env),
                 )
                 break  # one witness per matrix is enough
-    return diagnostics

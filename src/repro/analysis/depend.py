@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, INFO
+from repro.analysis.diagnostics import Diagnostic, Findings
 from repro.analysis.witness import (
     DEFAULT_BUDGET,
     Replay,
@@ -167,7 +167,6 @@ class Witness:
 class FusionCandidate:
     """The fusion verdict for one ``through`` matrix."""
 
-    transform: str
     matrix: str
     producer: str
     consumer: str
@@ -177,8 +176,6 @@ class FusionCandidate:
     reason: str
     distances: Tuple[Distance, ...] = ()
     witness: Optional[Witness] = None
-    line: int = 0
-    column: int = 0
 
     @property
     def subject(self) -> str:
@@ -401,7 +398,6 @@ class ScheduleCandidate:
     nothing to interchange and plain blocking is a no-op partition; with
     no free variable there is nothing to tile."""
 
-    transform: str
     segment: str
     matrix: str
     rule: str
@@ -411,8 +407,6 @@ class ScheduleCandidate:
     status: str  # "legal" | "blocked" | "ineligible"
     reason: str
     witness: Optional[Witness] = None
-    line: int = 0
-    column: int = 0
 
     @property
     def subject(self) -> str:
@@ -656,7 +650,6 @@ def schedule_candidates(
 
 def _schedule_candidates(replay: Replay) -> List[ScheduleCandidate]:
     compiled = replay.compiled
-    ir = compiled.ir
     out: List[ScheduleCandidate] = []
     for site in compiled.sites.values():
         segment, rule, verdict = site.segment, site.rule, site.schedule
@@ -670,7 +663,6 @@ def _schedule_candidates(replay: Replay) -> List[ScheduleCandidate]:
             reason += "; no concrete out-of-order instance pair found within budget"
         out.append(
             ScheduleCandidate(
-                transform=ir.name,
                 segment=segment.key,
                 matrix=segment.matrix,
                 rule=rule.label,
@@ -680,8 +672,6 @@ def _schedule_candidates(replay: Replay) -> List[ScheduleCandidate]:
                 status=status,
                 reason=reason,
                 witness=witness,
-                line=rule.line or ir.line,
-                column=rule.column or ir.column,
             )
         )
     out.sort(key=lambda c: (c.segment, c.rule_id))
@@ -1076,7 +1066,6 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
 
     def cand(status, reason="", producer=None, consumer=None, distances=(), witness=None):
         return FusionCandidate(
-            transform=ir.name,
             matrix=name,
             producer=producer.label if producer else "",
             consumer=consumer.label if consumer else "",
@@ -1086,8 +1075,6 @@ def _candidate_for(replay: Replay, mat) -> Optional[FusionCandidate]:
             reason=reason,
             distances=tuple(distances),
             witness=witness,
-            line=mat.line or ir.line,
-            column=mat.column or ir.column,
         )
 
     writer_ids = {r.rule_id for r in writers}
@@ -1191,56 +1178,41 @@ def rewrite_audit(
         (mat, compiled.storage_verdicts[mat.name])
         for mat in sorted(ir.throughs, key=lambda m: m.name)
     ]
-    diagnostics: List[Diagnostic] = []
+    found = Findings(ir, path)
     witnesses: List[Witness] = []
 
-    def emit(code, at, rule, message, hint, witness=None, region="") -> None:
-        if witness:
-            witnesses.append(witness)
-        diagnostics.append(
-            Diagnostic(
-                code=code,
-                severity=INFO,
-                message=message,
-                transform=ir.name,
-                rule=rule,
-                region=region or at.matrix,
-                line=at.line or ir.line,
-                column=at.column or ir.column,
-                witness=witness.describe() if witness else "",
-                hint=hint,
-                path=path,
-            )
-        )
-
     for cand in candidates:
+        mat = ir.matrices[cand.matrix]
         if cand.status == "legal":
-            emit(
+            found.add(
                 "PB601",
-                cand,
-                cand.consumer,
+                ir.rules[cand.consumer_id],
                 f"fusing {cand.producer} into {cand.consumer} over "
                 f"{cand.matrix} is legal; distance vector(s) "
                 f"{cand.distance_text()}",
                 f"apply with `repro rewrite --apply` or set tunable "
                 f"{ir.name}.__fuse__ = 1",
+                region=cand.matrix,
+                at=(mat.line, mat.column),
             )
         elif cand.status == "blocked":
-            emit(
+            witnesses.append(cand.witness)
+            found.add(
                 "PB602",
-                cand,
-                cand.producer,
+                ir.rules[cand.producer_id],
                 f"fusion over {cand.matrix} is blocked: {cand.reason}",
                 "fusion would read the producer's expression instead of "
                 "the cell another instance wrote",
-                cand.witness,
+                witness=cand.witness.describe(),
+                region=cand.matrix,
+                at=(mat.line, mat.column),
             )
     for site in sched:
+        rule = ir.rules[site.rule_id]
         if site.status == "legal":
-            emit(
+            found.add(
                 "PB604",
-                site,
-                site.rule,
+                rule,
                 f"tiling/interchange of {site.rule} over {site.segment} is "
                 f"legal: every {site.matrix}-carried dependence stays "
                 f"within or ahead of its tile (chain "
@@ -1249,28 +1221,32 @@ def rewrite_audit(
                 f"set tunables {ir.name}.__tile_i__ / {ir.name}.__tile_j__ "
                 f"(and {ir.name}.__interchange__ = 1) or let `repro tune` "
                 f"search them",
+                region=site.matrix,
             )
         elif site.status == "blocked":
-            emit(
+            witnesses.append(site.witness)
+            found.add(
                 "PB605",
-                site,
-                site.rule,
+                rule,
                 f"tiling/interchange of {site.rule} over {site.segment} is "
                 f"blocked: {site.reason}",
-                "a blocked order would visit the reading tile on the wrong "
-                "side of the writing one",
-                site.witness,
+                "a blocked order would visit the reading tile on the "
+                "wrong side of the writing one",
+                witness=site.witness.describe(),
+                region=site.matrix,
             )
     for mat, verdict in storage:
         if not verdict.folds:
-            emit(
+            witness = _first(replay, _clobbers, verdict)
+            if witness:
+                witnesses.append(witness)
+            found.add(
                 "PB607",
                 mat,
-                "",
                 f"storage of {mat.name} is not folded: {verdict.reason}",
                 "every declared plane is kept; DESIGN.md \"Storage "
                 "folding\" lists the conditions",
-                _first(replay, _clobbers, verdict),
+                witness=witness.describe() if witness else "",
                 region=mat.name,
             )
             continue
@@ -1284,10 +1260,9 @@ def rewrite_audit(
         lockstep = "".join(
             f"; {', '.join(group)} run in lockstep" for group in verdict.groups
         )
-        emit(
+        found.add(
             "PB606",
             mat,
-            "",
             f"storage of {mat.name} folds to {verdict.window} planes along "
             f"axis {verdict.axis} (reads reach {verdict.window - 1} "
             f"plane(s) back; the last reader is "
@@ -1310,22 +1285,14 @@ def rewrite_audit(
         if verdict.folds
     ]
     detail = "; ".join(clauses) if clauses else "no fusion candidates"
-    diagnostics.append(
-        Diagnostic(
-            code="PB603",
-            severity=INFO,
-            message=(
-                f"rewrite audit: {len(deps)} dependence(s) "
-                f"({kinds['flow']} flow, {kinds['anti']} anti, "
-                f"{kinds['output']} output); {detail}"
-            ),
-            transform=ir.name,
-            line=ir.line,
-            column=ir.column,
-            path=path,
-        )
+    found.add(
+        "PB603",
+        None,
+        f"rewrite audit: {len(deps)} dependence(s) "
+        f"({kinds['flow']} flow, {kinds['anti']} anti, "
+        f"{kinds['output']} output); {detail}",
     )
-    return diagnostics, witnesses
+    return found.diagnostics, witnesses
 
 
 __all__ = [

@@ -3,20 +3,21 @@
 Every finding of the analysis passes is a :class:`Diagnostic`: a stable
 code (``PB1xx`` bounds, ``PB2xx`` races/deadlocks, ``PB3xx`` coverage,
 ``PB4xx`` hygiene, ``PB5xx`` leaf execution paths, ``PB6xx``
-dependence/rewrite legality), a severity, the
-offending transform/rule/region, a
-source position when the program came from the parser, a one-line fix
-hint, and — for the witness-based checks — the concrete size/instance
-assignment that exhibits the problem.  Error-severity diagnostics are
-always backed by such a witness, so an error is never a false positive:
-it names sizes at which the program would corrupt memory, race, or fail.
+dependence/rewrite legality), the severity ``CODE_TABLE`` registers for
+that code, the offending transform/rule/region, a source position when
+the program came from the parser, a one-line fix hint, and — for the
+witness-based checks — the concrete size/instance assignment that
+exhibits the problem.  Passes build them through :class:`Findings`.
+Error-severity diagnostics are always backed by such a witness, so an
+error is never a false positive: it names sizes at which the program
+would corrupt memory, race, or fail.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 ERROR = "error"
 WARNING = "warning"
@@ -56,17 +57,12 @@ CODE_TABLE: Dict[str, Tuple[str, str, str]] = {
 }
 
 
-def default_severity(code: str) -> str:
-    """The registered severity of ``code`` (errors for unknown codes)."""
-    return CODE_TABLE.get(code, (ERROR, "general", ""))[0]
-
-
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding of a static-analysis pass."""
+    """One finding of a static-analysis pass; its severity is the
+    registered one of its code (errors for unknown codes)."""
 
     code: str
-    severity: str
     message: str
     transform: str = ""
     rule: str = ""
@@ -77,9 +73,9 @@ class Diagnostic:
     witness: str = ""
     path: str = ""
 
-    def __post_init__(self) -> None:
-        if self.severity not in _SEVERITY_RANK:
-            raise ValueError(f"unknown severity {self.severity!r}")
+    @property
+    def severity(self) -> str:
+        return CODE_TABLE.get(self.code, (ERROR,))[0]
 
     @property
     def is_error(self) -> bool:
@@ -87,7 +83,8 @@ class Diagnostic:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dict (stable key order, empty fields included)."""
-        return {key: value for key, value in sorted(asdict(self).items())}
+        fields = dict(asdict(self), severity=self.severity)
+        return {key: value for key, value in sorted(fields.items())}
 
     def format(self) -> str:
         """One human-readable line, lint style."""
@@ -119,17 +116,74 @@ class Diagnostic:
         )
 
 
+class Findings:
+    """The collector every pass reports through, bound to one transform
+    IR and the path its source came from.
+
+    :meth:`add` fills the transform, the rule and the source position
+    from a finding's *subject* — a rule, a matrix, a tunable, or
+    ``None`` for the transform — by one rule: the position ``at`` when
+    given, else the subject's own, else the transform's.  A finding
+    whose dedupe ``key`` was already added under its code is dropped,
+    so a defect seen at many sizes or instances is reported once."""
+
+    def __init__(self, ir, path: str = "") -> None:
+        self.ir = ir
+        self.path = path
+        self.diagnostics: List[Diagnostic] = []
+        self._keys: Set[Tuple] = set()
+
+    def add(
+        self,
+        code: str,
+        subject,
+        message: str,
+        hint: str = "",
+        witness: str = "",
+        key: Optional[Tuple] = None,
+        region: str = "",
+        at: Tuple[int, int] = (0, 0),
+    ) -> None:
+        if key is not None:
+            if (code, key) in self._keys:
+                return
+            self._keys.add((code, key))
+        line, column = at
+        for place in (subject, self.ir):
+            if place is not None:
+                line, column = line or place.line, column or place.column
+        self.diagnostics.append(
+            Diagnostic(
+                code=code,
+                message=message,
+                transform=self.ir.name,
+                rule=getattr(subject, "label", ""),
+                region=region,
+                line=line,
+                column=column,
+                hint=hint,
+                witness=witness,
+                path=self.path,
+            )
+        )
+
+
 class AnalysisReport:
-    """An ordered collection of diagnostics with lint-style summaries."""
+    """An ordered collection of diagnostics with lint-style summaries;
+    a diagnostic equal to one already held is dropped."""
 
     def __init__(self, diagnostics: Iterable[Diagnostic] = ()) -> None:
-        self.diagnostics: List[Diagnostic] = list(diagnostics)
+        self._held: Dict[Diagnostic, None] = dict.fromkeys(diagnostics)
+
+    @property
+    def diagnostics(self) -> List[Diagnostic]:
+        return list(self._held)
 
     def extend(self, diagnostics: Iterable[Diagnostic]) -> None:
-        self.diagnostics.extend(diagnostics)
+        self._held.update(dict.fromkeys(diagnostics))
 
     def add(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
+        self._held[diagnostic] = None
 
     def sorted(self) -> List[Diagnostic]:
         return sorted(self.diagnostics, key=Diagnostic.sort_key)
@@ -138,7 +192,7 @@ class AnalysisReport:
         return iter(self.sorted())
 
     def __len__(self) -> int:
-        return len(self.diagnostics)
+        return len(self._held)
 
     def with_severity(self, severity: str) -> List[Diagnostic]:
         return [d for d in self.sorted() if d.severity == severity]

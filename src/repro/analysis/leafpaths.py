@@ -22,21 +22,16 @@ an optimization opportunity.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List
 
-from repro.analysis.diagnostics import Diagnostic, INFO
+from repro.analysis.diagnostics import Diagnostic, Findings
 
 
-def check_leaf_paths(compiled, budget=None, path: str = "") -> List[Diagnostic]:
-    """PB501/PB502 eligibility diagnostics for one compiled transform.
-
-    ``budget`` is accepted for driver uniformity but unused: eligibility
-    is a static property of the rule body and dependency directions, not
-    of any concrete size environment.
-    """
+def check_leaf_paths(compiled, path: str = "") -> List[Diagnostic]:
+    """PB501/PB502 eligibility diagnostics for one compiled transform,
+    plus its PB503 stacking verdict."""
     ir = compiled.ir
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple] = set()
+    found = Findings(ir, path)
     for site in compiled.sites.values():
         rule = site.rule
         if rule.native_body is not None or not rule.is_instance_rule:
@@ -44,47 +39,32 @@ def check_leaf_paths(compiled, budget=None, path: str = "") -> List[Diagnostic]:
         if not rule.body:
             continue
         plan, reason = site.vector
-        key = (rule.rule_id, plan is not None, reason)
-        if key in seen:
-            continue
-        seen.add(key)
+        key = (rule.rule_id, reason)
         if plan is not None:
-            over = f" over ({', '.join(plan.free_vars)})"
-            code = "PB501"
-            message = (
-                f"qualifies for vectorized leaf execution{over} "
-                f"(segment {site.segment.key})"
-            )
-            hint = (
+            found.add(
+                "PB501",
+                rule,
+                f"qualifies for vectorized leaf execution over "
+                f"({', '.join(plan.free_vars)}) (segment {site.segment.key})",
                 f"set tunable {ir.name}.__leaf_path__ = 2 (or let the "
                 "autotuner pick it) to run whole data-parallel steps as "
-                "NumPy slice arithmetic"
+                "NumPy slice arithmetic",
+                key=key,
             )
         else:
-            code = "PB502"
-            message = f"not vectorizable: {reason}"
-            hint = (
+            found.add(
+                "PB502",
+                rule,
+                f"not vectorizable: {reason}",
                 "the rule still runs through the compiled closure path "
-                "(__leaf_path__ = 1, the default)"
+                "(__leaf_path__ = 1, the default)",
+                key=key,
             )
-        diagnostics.append(
-            Diagnostic(
-                code=code,
-                severity=INFO,
-                message=message,
-                transform=ir.name,
-                rule=rule.label,
-                line=rule.line,
-                column=rule.column,
-                hint=hint,
-                path=path,
-            )
-        )
-    diagnostics.append(_batch_diagnostic(compiled, path))
-    return diagnostics
+    _batch_diagnostic(compiled, found)
+    return found.diagnostics
 
 
-def _batch_diagnostic(compiled, path: str) -> Diagnostic:
+def _batch_diagnostic(compiled, found: Findings) -> None:
     """The per-transform PB503 stacking verdict."""
     # Local import: repro.batch sits on top of the analysis layer.
     from repro.batch.stacked import batch_eligibility
@@ -108,13 +88,4 @@ def _batch_diagnostic(compiled, path: str) -> Diagnostic:
             "buckets of this transform run per-request through the "
             "serial engine (identical results, lower throughput)"
         )
-    return Diagnostic(
-        code="PB503",
-        severity=INFO,
-        message=message,
-        transform=compiled.ir.name,
-        line=compiled.ir.line,
-        column=compiled.ir.column,
-        hint=hint,
-        path=path,
-    )
+    found.add("PB503", None, message, hint)

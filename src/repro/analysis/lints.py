@@ -10,21 +10,21 @@ that `repro check --strict` promotes them to a failing exit code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
-from repro.analysis.diagnostics import Diagnostic, WARNING
+from repro.analysis.diagnostics import Diagnostic, Findings
 from repro.analysis.witness import Replay, describe_env
 from repro.compiler.ir import ROLE_INPUT
 
 
 def check_lints(replay: Replay, path: str = "") -> List[Diagnostic]:
     compiled = replay.compiled
-    diagnostics: List[Diagnostic] = []
-    diagnostics.extend(_unsatisfiable_wheres(replay, path))
-    diagnostics.extend(_unused_tunables(compiled, path))
-    diagnostics.extend(_unused_matrices(compiled, path))
-    diagnostics.extend(_dead_and_shadowed_rules(compiled, path))
-    return diagnostics
+    found = Findings(compiled.ir, path)
+    _unsatisfiable_wheres(replay, found)
+    _unused_tunables(compiled, found)
+    _unused_matrices(compiled, found)
+    _dead_and_shadowed_rules(compiled, found)
+    return found.diagnostics
 
 
 def _rule_used_names(rule) -> Set[str]:
@@ -43,15 +43,15 @@ def _rule_used_names(rule) -> Set[str]:
     return names
 
 
-def _unsatisfiable_wheres(replay, path: str) -> List[Diagnostic]:
+def _unsatisfiable_wheres(replay, found: Findings) -> None:
     """PB401: a residual where-predicate that is false at every instance
-    of every admitted size (the rule's body can never run as primary).
+    of every admitted size (the rule's body can never run as primary),
+    once per rule (a meta-rule option can recur across segments).
 
     Only reported when the instance space was enumerated exhaustively at
     at least one admitted size — a budget-truncated sweep stays silent.
     """
     ir, envs = replay.compiled.ir, replay.envs
-    diagnostics: List[Diagnostic] = []
     for segment, option in replay.options():
         rule = ir.rules[option.primary]
         if not rule.residual_where:
@@ -66,36 +66,22 @@ def _unsatisfiable_wheres(replay, path: str) -> List[Diagnostic]:
                 probed += len(replay.instances(segment, rule, e))
         if probed == 0:
             continue
-        line, column = rule.line, rule.column
+        at = (0, 0)
         if rule.residual_where[0] in rule.where:
-            pos = rule.where_position(rule.where.index(rule.residual_where[0]))
-            if pos:
-                line, column = pos
-        diagnostics.append(
-            Diagnostic(
-                code="PB401",
-                severity=WARNING,
-                message=(
-                    f"where-clause is false at every admitted instance "
-                    f"({probed} probed); the rule never fires as primary"
-                ),
-                transform=ir.name,
-                rule=rule.label,
-                line=line,
-                column=column,
-                hint="loosen the predicate or delete the rule",
-                witness=describe_env(envs[-1]) if envs else "",
-                path=path,
-            )
+            at = rule.where_position(rule.where.index(rule.residual_where[0])) or at
+        found.add(
+            "PB401",
+            rule,
+            f"where-clause is false at every admitted instance "
+            f"({probed} probed); the rule never fires as primary",
+            "loosen the predicate or delete the rule",
+            witness=describe_env(envs[-1]) if envs else "",
+            key=(rule.label,),
+            at=at,
         )
-    # Dedup per rule (the same meta-rule option can recur across segments).
-    unique: Dict[Tuple[str, str], Diagnostic] = {}
-    for diag in diagnostics:
-        unique.setdefault((diag.code, diag.rule), diag)
-    return list(unique.values())
 
 
-def _unused_tunables(compiled, path: str) -> List[Diagnostic]:
+def _unused_tunables(compiled, found: Findings) -> None:
     """PB402: declared tunable no rule text references.
 
     Skipped when any rule has a native (Python) body — native bodies may
@@ -103,30 +89,21 @@ def _unused_tunables(compiled, path: str) -> List[Diagnostic]:
     """
     ir = compiled.ir
     if any(rule.native_body is not None for rule in ir.rules):
-        return []
+        return
     used: Set[str] = set()
     for rule in ir.rules:
         used.update(_rule_used_names(rule))
-    diagnostics = []
     for tunable in ir.tunables:
-        if tunable.name in used:
-            continue
-        diagnostics.append(
-            Diagnostic(
-                code="PB402",
-                severity=WARNING,
-                message=f"tunable {tunable.name!r} is never used by any rule",
-                transform=ir.name,
-                line=tunable.line or ir.line,
-                column=tunable.column or ir.column,
-                hint="delete the tunable or reference it in a rule",
-                path=path,
+        if tunable.name not in used:
+            found.add(
+                "PB402",
+                tunable,
+                f"tunable {tunable.name!r} is never used by any rule",
+                "delete the tunable or reference it in a rule",
             )
-        )
-    return diagnostics
 
 
-def _unused_matrices(compiled, path: str) -> List[Diagnostic]:
+def _unused_matrices(compiled, found: Findings) -> None:
     """PB403: an input matrix never bound by any rule region and never
     named in any rule expression (outputs are covered by PB301)."""
     ir = compiled.ir
@@ -135,26 +112,17 @@ def _unused_matrices(compiled, path: str) -> List[Diagnostic]:
         for region in rule.to_regions + rule.from_regions:
             referenced.add(region.matrix)
         referenced.update(_rule_used_names(rule))
-    diagnostics = []
     for matrix in ir.matrices.values():
-        if matrix.role != ROLE_INPUT or matrix.name in referenced:
-            continue
-        diagnostics.append(
-            Diagnostic(
-                code="PB403",
-                severity=WARNING,
-                message=f"input matrix {matrix.name!r} is never read",
-                transform=ir.name,
-                line=matrix.line or ir.line,
-                column=matrix.column or ir.column,
-                hint="drop the matrix from the from(...) header",
-                path=path,
+        if matrix.role == ROLE_INPUT and matrix.name not in referenced:
+            found.add(
+                "PB403",
+                matrix,
+                f"input matrix {matrix.name!r} is never read",
+                "drop the matrix from the from(...) header",
             )
-        )
-    return diagnostics
 
 
-def _dead_and_shadowed_rules(compiled, path: str) -> List[Diagnostic]:
+def _dead_and_shadowed_rules(compiled, found: Findings) -> None:
     """PB404 (rule in no segment's option set) and PB405 (rule applicable
     in one or more segments but priority-filtered in all of them).
 
@@ -195,47 +163,25 @@ def _dead_and_shadowed_rules(compiled, path: str) -> List[Diagnostic]:
             if rule.priority > min_priority:
                 shadowed_in[rule.rule_id] = shadowed_in.get(rule.rule_id, 0) + 1
 
-    diagnostics = []
     for rule in ir.rules:
         if rule.rule_id in selected:
             continue
         segments_seen = applicable_in.get(rule.rule_id, 0)
         if segments_seen and shadowed_in.get(rule.rule_id, 0) == segments_seen:
-            diagnostics.append(
-                Diagnostic(
-                    code="PB405",
-                    severity=WARNING,
-                    message=(
-                        f"rule is shadowed by higher-priority rules in all "
-                        f"{segments_seen} segment(s) where it applies"
-                    ),
-                    transform=ir.name,
-                    rule=rule.label,
-                    line=rule.line,
-                    column=rule.column,
-                    hint=(
-                        "lower the rule's priority value or remove it; it "
-                        "can never be chosen"
-                    ),
-                    path=path,
-                )
+            found.add(
+                "PB405",
+                rule,
+                f"rule is shadowed by higher-priority rules in all "
+                f"{segments_seen} segment(s) where it applies",
+                "lower the rule's priority value or remove it; it "
+                "can never be chosen",
             )
         else:
-            diagnostics.append(
-                Diagnostic(
-                    code="PB404",
-                    severity=WARNING,
-                    message="rule is never selectable in any segment",
-                    transform=ir.name,
-                    rule=rule.label,
-                    line=rule.line,
-                    column=rule.column,
-                    hint=(
-                        "its applicable region matches no segment (or it "
-                        "needs an unrestricted fallback); adjust regions "
-                        "or priorities"
-                    ),
-                    path=path,
-                )
+            found.add(
+                "PB404",
+                rule,
+                "rule is never selectable in any segment",
+                "its applicable region matches no segment (or it "
+                "needs an unrestricted fallback); adjust regions "
+                "or priorities",
             )
-    return diagnostics

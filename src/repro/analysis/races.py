@@ -24,44 +24,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, ERROR
+from repro.analysis.diagnostics import Diagnostic, Findings
 from repro.analysis.witness import Cell, Replay, describe_bounds, describe_env
 
 
 def check_races(replay: Replay, path: str = "") -> List[Diagnostic]:
-    ir = replay.compiled.ir
-    diagnostics: List[Diagnostic] = []
-    seen: Set[Tuple] = set()
-
-    def emit(code: str, key: Tuple, message: str, rule, hint: str, witness: str) -> None:
-        if key in seen:
-            return
-        seen.add(key)
-        diagnostics.append(
-            Diagnostic(
-                code=code,
-                severity=ERROR,
-                message=message,
-                transform=ir.name,
-                rule=rule.label,
-                line=rule.line,
-                column=rule.column,
-                hint=hint,
-                witness=witness,
-                path=path,
-            )
-        )
-
+    found = Findings(replay.compiled.ir, path)
     for segment, option in replay.options():
         for e, env in enumerate(replay.envs):
             apps = replay.applications(segment, option, e)
-            _check_option_writes(replay, apps or (), env, emit)
+            _check_option_writes(replay, apps or (), env, found)
+    _cross_segment_overlaps(replay, found)
+    return found.diagnostics
 
-    diagnostics.extend(_cross_segment_overlaps(replay, path, seen))
-    return diagnostics
 
-
-def _check_option_writes(replay, apps, env, emit) -> None:
+def _check_option_writes(replay, apps, env, found: Findings) -> None:
     # cell -> (rule, assignment) of its first writer, per matrix
     writers: Dict[str, Dict[Cell, Tuple]] = {}
     for chosen, instance_env, assignment in apps:
@@ -73,15 +50,15 @@ def _check_option_writes(replay, apps, env, emit) -> None:
             mine = app_cells.setdefault(region.matrix, set())
             for cell in cells:
                 if cell in mine:
-                    emit(
+                    found.add(
                         "PB202",
-                        ("PB202", chosen.rule_id, region.matrix),
+                        chosen,
                         f"to-bindings of one application alias cell "
                         f"{describe_bounds(region.matrix, [(c, c + 1) for c in cell])}",
-                        chosen,
                         "split the rule so each application writes each "
                         "cell through a single binding",
-                        describe_env(env, assignment),
+                        witness=describe_env(env, assignment),
+                        key=(chosen.rule_id, region.matrix),
                     )
                     break
                 mine.add(cell)
@@ -97,70 +74,52 @@ def _check_option_writes(replay, apps, env, emit) -> None:
                     matrix, [(c, c + 1) for c in cell]
                 )
                 if prior_rule.rule_id == chosen.rule_id:
-                    emit(
+                    found.add(
                         "PB201",
-                        ("PB201", chosen.rule_id, matrix),
+                        chosen,
                         f"instances {describe_env({}, prior_assignment)} and "
                         f"{describe_env({}, assignment)} both write {where}",
-                        chosen,
-                        "make the to-region stride cover each cell exactly "
-                        "once per instance",
-                        describe_env(env, assignment),
+                        "make the to-region stride cover each cell "
+                        "exactly once per instance",
+                        witness=describe_env(env, assignment),
+                        key=(chosen.rule_id, matrix),
                     )
                 else:
-                    emit(
+                    found.add(
                         "PB203",
-                        ("PB203", prior_rule.rule_id, chosen.rule_id, matrix),
+                        chosen,
                         f"concurrent writers {prior_rule.label} and "
                         f"{chosen.label} both write {where}",
-                        chosen,
                         "restrict one writer's region or give the rules "
                         "different priorities",
-                        describe_env(env, assignment),
+                        witness=describe_env(env, assignment),
+                        key=(prior_rule.rule_id, chosen.rule_id, matrix),
                     )
 
 
-def _cross_segment_overlaps(
-    replay, path: str, seen: Set[Tuple]
-) -> List[Diagnostic]:
+def _cross_segment_overlaps(replay, found: Findings) -> None:
     """PB203 for two segments of one matrix whose concrete boxes overlap
     (the grid should partition each matrix; overlap means two segment
     schedules would write the same cells)."""
     ir = replay.compiled.ir
-    diagnostics: List[Diagnostic] = []
     for matrix, segments in replay.compiled.grid.segments.items():
         for e, env in enumerate(replay.envs):
             boxes = [(seg, replay.box(seg, e)) for seg in segments]
             for i, (seg_a, box_a) in enumerate(boxes):
                 for seg_b, box_b in boxes[i + 1 :]:
                     if _boxes_overlap(box_a, box_b):
-                        key = ("PB203-seg", matrix, seg_a.index, seg_b.index)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        mat = ir.matrices[matrix]
-                        diagnostics.append(
-                            Diagnostic(
-                                code="PB203",
-                                severity=ERROR,
-                                message=(
-                                    f"segments {seg_a.key} "
-                                    f"{describe_bounds(matrix, box_a)} and "
-                                    f"{seg_b.key} "
-                                    f"{describe_bounds(matrix, box_b)} overlap"
-                                ),
-                                transform=ir.name,
-                                line=mat.line or ir.line,
-                                column=mat.column or ir.column,
-                                hint=(
-                                    "segment boundaries are mis-ordered at "
-                                    "these sizes; an ordering guard is missing"
-                                ),
-                                witness=describe_env(env),
-                                path=path,
-                            )
+                        found.add(
+                            "PB203",
+                            ir.matrices[matrix],
+                            f"segments {seg_a.key} "
+                            f"{describe_bounds(matrix, box_a)} and "
+                            f"{seg_b.key} "
+                            f"{describe_bounds(matrix, box_b)} overlap",
+                            "segment boundaries are mis-ordered at "
+                            "these sizes; an ordering guard is missing",
+                            witness=describe_env(env),
+                            key=("segments", matrix, seg_a.index, seg_b.index),
                         )
-    return diagnostics
 
 
 def _boxes_overlap(

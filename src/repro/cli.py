@@ -239,13 +239,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
         raise _UsageError("--tile and --interchange need --apply")
 
     def fail(message: str, hint: str = "") -> int:
-        diag = Diagnostic(
-            code="PB001",
-            severity="error",
-            message=message,
-            hint=hint,
-            path=args.source,
-        )
+        diag = Diagnostic(code="PB001", message=message, hint=hint, path=args.source)
         print(diag.format(), file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ Native bodies receive a :class:`NativeContext`::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.language import ast_nodes as ast
 from repro.language.errors import CompileError

@@ -55,7 +55,6 @@ from typing import (
 import numpy as np
 
 from repro.engine_fast import (
-    LEAF_CLOSURE,
     LEAF_INTERP,
     LEAF_VECTOR,
     Geometry,
@@ -149,8 +148,8 @@ def normalize_sizes(sizes: object) -> Dict[str, int]:
     The one gate between caller-supplied sizes (library arguments, CLI
     flags, JSON request bodies) and the integer evaluator: integral
     values of any numeric type (``int``, NumPy ints, ``3.0``) become
-    ``int``; anything else — a non-mapping, a string, ``2.7``, a negative
-    — raises :class:`ExecutionError` naming the variable.
+    ``int``; anything else — a non-mapping, a string, a bool, ``2.7``, a
+    negative — raises :class:`ExecutionError` naming the variable.
     """
     if sizes is None:
         return {}
@@ -162,7 +161,7 @@ def normalize_sizes(sizes: object) -> Dict[str, int]:
     normalized: Dict[str, int] = {}
     for var, value in sizes.items():
         number = None
-        if isinstance(value, numbers.Real):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
             try:
                 number = int(value)
             except (ValueError, OverflowError):  # nan, inf

@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List
 
 
 class Histogram:

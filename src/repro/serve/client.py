@@ -47,7 +47,7 @@ import json
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from repro.faults import Deadline, RetryPolicy
 from repro.serve.daemon import DEFAULT_PORT

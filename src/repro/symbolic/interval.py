@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.symbolic.assumptions import Assumptions, AssumptionsLike
+from repro.symbolic.assumptions import AssumptionsLike
 from repro.symbolic.expr import Affine, AffineLike, Number, SymbolicCompareError
 
 IntervalLike = Union["Interval", Tuple[AffineLike, AffineLike]]

@@ -540,7 +540,8 @@ def test_a_template_is_checked_at_the_ends_of_its_range():
 
 def test_code_table_severities_are_valid():
     for code, (severity, family, summary) in CODE_TABLE.items():
-        Diagnostic(code=code, severity=severity, message=summary)
+        assert severity in ("error", "warning", "info")
+        assert Diagnostic(code=code, message=summary).severity == severity
         assert family in (
             "general", "bounds", "races", "coverage", "hygiene",
             "leafpaths", "depend",
@@ -579,8 +580,8 @@ def test_design_doc_table_matches_code_table():
 
 def test_report_ordering_and_summary():
     report = AnalysisReport()
-    report.add(Diagnostic(code="PB402", severity="warning", message="w", line=9))
-    report.add(Diagnostic(code="PB101", severity="error", message="e", line=2))
+    report.add(Diagnostic(code="PB402", message="w", line=9))
+    report.add(Diagnostic(code="PB101", message="e", line=2))
     assert [d.code for d in report] == ["PB101", "PB402"]
     assert report.exit_code() == 1
     assert "1 error(s), 1 warning(s)" in report.summary_line()
@@ -708,3 +709,44 @@ def test_check_report_matches_golden():
         )
     )
     assert not diff, "repro check output differs from the golden:\n" + diff[:6000]
+
+
+REWRITE_GOLDEN = os.path.join(REPO_ROOT, "tests", "data", "rewrite_golden.json")
+
+
+def test_rewrite_report_matches_golden(tmp_path):
+    """``repro rewrite <name>.pbcc --json`` over each DSL program of
+    ``benchmarks/e2e/programs.py`` prints its entry of
+    ``tests/data/rewrite_golden.json``.  The programs are written into a
+    temporary directory and run from there, so the embedded path is the
+    bare file name.  After an intended change, regenerate the file from
+    the same runs."""
+    from repro.analysis.check import import_file
+
+    module, failure = import_file(
+        os.path.join(REPO_ROOT, "benchmarks", "e2e", "programs.py")
+    )
+    assert failure is None, failure
+    with open(REWRITE_GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert sorted(golden) == sorted(module.DSL)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH")])
+    )
+    diffs = []
+    for name, (source, _transform) in sorted(module.DSL.items()):
+        (tmp_path / f"{name}.pbcc").write_text(source, encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "rewrite", f"{name}.pbcc", "--json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        expected = json.dumps(golden[name], indent=2, sort_keys=True) + "\n"
+        diffs += difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            done.stdout.splitlines(keepends=True),
+            f"rewrite_golden.json[{name}]",
+            f"repro rewrite {name}.pbcc --json",
+        )
+    assert not diffs, "repro rewrite output differs from the golden:\n" + "".join(diffs)[:6000]

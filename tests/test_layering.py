@@ -92,6 +92,32 @@ def test_expressions_have_one_parser_and_one_walker():
     assert offending_names(EXPRESSION_WALKERS) == []
 
 
+#: the passes that report only through ``analysis.diagnostics.Findings``
+PASSES = {"bounds", "races", "coverage", "lints", "leafpaths", "depend"}
+
+
+def test_a_finding_has_one_home():
+    """A finding's severity is its code's ``CODE_TABLE`` row, and the
+    passes build findings through the one collector, never by hand."""
+    offenders = []
+    for path, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if path != pathlib.Path("analysis", "diagnostics.py") and any(
+                keyword.arg == "severity" for keyword in node.keywords
+            ):
+                offenders.append(f"{path}:{node.lineno} severity=")
+            if (
+                path.parts[0] == "analysis"
+                and path.stem in PASSES
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Diagnostic"
+            ):
+                offenders.append(f"{path}:{node.lineno} Diagnostic(")
+    assert offenders == []
+
+
 def imports(tree):
     """``(line, dotted name)`` of everything ``tree`` imports; a
     ``from a import b`` names both ``a`` and ``a.b``."""

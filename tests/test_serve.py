@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.compiler import ChoiceConfig
+from repro.compiler.codegen import ExecutionError, normalize_sizes
 from repro.serve import (
     ANY_BUCKET,
     ArtifactStore,
@@ -239,6 +240,23 @@ class TestServeApp:
             app.batch({"program": phash, "lines": lines, "strict": True})
         assert excinfo.value.status == 400
         assert "request line 2" in excinfo.value.message
+
+    def test_a_bool_is_not_a_size(self, app, phash):
+        """``True`` is an ``int`` to Python but not a size: the library,
+        ``/run`` and a ``/batch`` line refuse it like ``np.bool_``."""
+        refusal = "size variable 'n' must be a non-negative integer, got True"
+        with pytest.raises(ExecutionError) as excinfo:
+            normalize_sizes({"n": True})
+        assert str(excinfo.value) == refusal
+        good = {"transform": "Scale", "inputs": {"A": [[1.0]]}}
+        with pytest.raises(ServeError) as excinfo:
+            app.run(dict(good, program=phash, sizes={"n": True}))
+        assert excinfo.value.status == 400
+        assert excinfo.value.message == f"bad sizes: {refusal}"
+        lines = [json.dumps(good), json.dumps(dict(good, sizes={"n": True}))]
+        records = app.batch({"program": phash, "lines": lines})["results"]
+        assert [record["ok"] for record in records] == [True, False]
+        assert refusal in records[1]["error"]
 
     def test_misspelt_reserved_tunable_is_400_or_that_lines_record(
         self, app, phash
