@@ -20,6 +20,7 @@ when one is passed: ``analysis.diagnostics.<CODE>`` per code plus the
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import re
 import sys
@@ -112,7 +113,8 @@ def check_source(
 
 #: A module-level string constant is treated as DSL when it opens with a
 #: transform declaration.
-_DSL_RE = re.compile(r"^\s*transform\s+\w+", re.MULTILINE)
+_DSL_RE = re.compile(r"^\s*transform\s+(\w+)", re.MULTILINE)
+_QUOTE_RE = re.compile(r"[A-Za-z]*(\"\"\"|\'\'\'|\"|\')")
 
 
 def import_file(path: str):
@@ -141,34 +143,54 @@ def check_python_module(
 
     Checks ``build_program()`` when the module exports one, and any
     module-level string constant that parses as transform source (e.g.
-    ``rollingsum.SOURCE``).  Bundled apps and examples all guard their
-    entry points with ``__main__``, so importing them is side-effect
-    free.
+    ``rollingsum.SOURCE``), each once: a constant assigned a string
+    literal reports at its position in the file, and neither a constant
+    assembled from checked ones (``SERVED = BLUR + ROLLINGSUM``) nor a
+    ``build_program()`` transform a checked constant declares is
+    checked again.  Bundled apps and examples all guard their entry
+    points with ``__main__``, so importing them is side-effect free.
     """
     module, failure = import_file(path)
     if failure is not None:
         return AnalysisReport([failure])
     report = AnalysisReport()
 
-    checked_sources = set()
+    # Where each string literal assigned at module level opens: its text
+    # is checked behind that many lines and columns of padding.
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    padding = {}
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            literal = node.value
+            quote = _QUOTE_RE.match(ast.get_source_segment(text, literal))
+            for target in node.targets:
+                if isinstance(target, ast.Name) and quote:
+                    padding[target.id] = "\n" * (literal.lineno - 1) + " " * (
+                        literal.col_offset + quote.end()
+                    )
+    # Literals first, so an assembled constant finds its parts checked.
+    checked_sources, checked_names = [], set()
+    for name in sorted(vars(module), key=lambda name: (name not in padding, name)):
+        value = getattr(module, name)
+        if not isinstance(value, str):
+            continue
+        rest = value
+        for source in checked_sources:
+            rest = rest.replace(source, "")
+        if _DSL_RE.search(rest):
+            checked_sources.append(value)
+            checked_names.update(_DSL_RE.findall(value))
+            report.extend(check_source(padding.get(name, "") + value, path, budget))
     builder = getattr(module, "build_program", None)
     if callable(builder):
         try:
             program = builder()
         except PetaBricksError as exc:
             report.add(diagnostic_from_error(exc, path))
-            program = None
-        if program is not None:
-            report.extend(analyze_program(program, budget, path))
-    for name in sorted(vars(module)):
-        value = getattr(module, name)
-        if (
-            isinstance(value, str)
-            and _DSL_RE.search(value)
-            and value not in checked_sources
-        ):
-            checked_sources.add(value)
-            report.extend(check_source(value, path, budget))
+        else:  # a transform compiled from a checked constant is not checked again
+            for name in sorted(set(program.transforms) - checked_names):
+                report.extend(analyze_transform(program.transforms[name], budget, path))
     return report
 
 

@@ -40,8 +40,9 @@ import numpy as np
 
 from repro.batch.request import ArrayLike, BatchRequest, BatchResult
 from repro.batch.stacked import plan_stacked, run_stacked
-from repro.compiler.codegen import CompiledTransform, RunPlan, normalize_sizes
+from repro.compiler.codegen import CompiledTransform, normalize_sizes
 from repro.compiler.config import ChoiceConfig
+from repro.compiler.plan import RunPlan
 from repro.faults import Deadline
 from repro.runtime.batchqueue import BucketQueue
 from repro.runtime.matrix import Matrix

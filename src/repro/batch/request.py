@@ -2,7 +2,7 @@
 
 A request is ``(transform, inputs, config[, sizes])``.  Two requests
 share a bucket — and therefore a stacked execution — exactly when they
-replay the same :class:`~repro.compiler.codegen.RunPlan`: same program
+replay the same :class:`~repro.compiler.plan.RunPlan`: same program
 object, same transform, and the transform's own plan key, which is the
 configuration's content (``ChoiceConfig.key()``), the exact input shapes
 and the normalised explicit sizes.  Exact shapes (not a coarser size

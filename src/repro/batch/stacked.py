@@ -34,8 +34,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compiler.codegen import CompiledTransform, RunPlan, lockstep
+from repro.compiler.codegen import CompiledTransform
 from repro.compiler.config import ChoiceConfig
+from repro.compiler.plan import RunPlan, lockstep
 from repro.runtime.matrix import Matrix
 
 
@@ -88,7 +89,7 @@ def run_stacked(
     Each step call is the serial leaf's own strip-mined ufunc chain —
     its strips count the batch axis, its scratch belongs to the
     ``maker`` call made here — in the serial replay's order: a plan
-    group's rows of :func:`~repro.compiler.codegen.lockstep`, untiled.
+    group's rows of :func:`~repro.compiler.plan.lockstep`, untiled.
     """
     arrays: Dict[str, np.ndarray] = dict(stacked_inputs)
     outputs: Dict[str, Matrix] = {}

@@ -17,11 +17,12 @@ Pipeline (paper §3.1), operating on symbolic regions of unknown size:
    detection doubles as the deadlock-freedom guarantee of §3.6.
 5. **Code generation** (:mod:`repro.compiler.codegen`) — an executable
    :class:`CompiledTransform` whose every call replays a cached
-   :class:`~repro.compiler.codegen.RunPlan`.  Dynamic mode keys plans by
-   the content of the :class:`~repro.compiler.config.ChoiceConfig`
-   given at run time; static mode
-   (:func:`~repro.compiler.codegen.specialize`) bakes one configuration
-   in and never reads a config again.
+   :class:`~repro.compiler.plan.RunPlan`, built by
+   :mod:`repro.compiler.plan` and replayed by
+   :mod:`repro.compiler.leaves`.  Dynamic mode keys plans by the content
+   of the :class:`~repro.compiler.config.ChoiceConfig` given at run
+   time; static mode (:func:`~repro.compiler.codegen.specialize`) bakes
+   one configuration in and never reads a config again.
 """
 
 from repro.compiler.builder import TransformBuilder, NativeContext

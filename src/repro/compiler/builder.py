@@ -48,6 +48,7 @@ from repro.compiler.ir import (
     TransformIR,
     build_transform,
 )
+from repro.compiler.leaves import NativeContext  # body signatures name it
 
 RegionSpec = Sequence[str]
 
@@ -229,9 +230,5 @@ def program_from_transforms(transforms: Sequence[TransformIR]) -> ProgramIR:
         table[transform.name] = transform
     return ProgramIR(table)
 
-
-# NativeContext lives in codegen (it needs the execution engine); it is
-# re-exported here because builder users reference it in body signatures.
-from repro.compiler.codegen import NativeContext  # noqa: E402
 
 __all__ = ["TransformBuilder", "NativeContext", "program_from_transforms"]

@@ -225,8 +225,8 @@ class VectorPlan:
     exactly the cells the full-step call would, in tile-sized pieces.
     No separate tiled kernel exists: :meth:`sweep` enumerates the calls
     of one segment application, and the untiled sweep is simply the
-    single full-extent tile (see ``PlanStep.sweep`` in the codegen
-    module, which the serial replay and ``run_stacked`` both walk).
+    single full-extent tile (see ``PlanStep.sweep`` in
+    :mod:`repro.compiler.plan`, which the serial replay and ``run_stacked`` both walk).
     """
 
     chain_vars: Tuple[str, ...]

@@ -1,4 +1,4 @@
-"""Error hierarchy for the PetaBricks frontend and compiler.
+"""Error hierarchy for the PetaBricks frontend, compiler and engine.
 
 Every error keeps its bare ``message`` accessible separately from the
 formatted string (``str(err)`` prepends ``line L:C:`` when a position is
@@ -47,3 +47,8 @@ class ParseError(PetaBricksError):
 class CompileError(PetaBricksError):
     """Semantic error detected by a compiler pass (unknown matrix,
     uncoverable region, dependency deadlock, ...)."""
+
+
+class ExecutionError(PetaBricksError):
+    """Raised for failures while running generated code (bad input
+    shapes, unsatisfied size guards, runaway recursion...)."""

@@ -350,15 +350,15 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
     import dataclasses
 
     import repro.batch.engine as batch_engine
-    from repro.compiler.codegen import CompiledTransform
-    from repro.engine_fast import RuleKernel, VectorPlan
+    from repro.compiler import leaves
+    from repro.engine_fast import RuleKernel
 
     serial_plans = []
-    vector_leaf = CompiledTransform._vector_leaf
+    vector_leaf = leaves._vector_leaf
 
-    def spy_vector_leaf(self, *args):
-        serial_plans.extend(a for a in args if isinstance(a, VectorPlan))
-        return vector_leaf(self, *args)
+    def spy_vector_leaf(state, plan, step, *args):
+        serial_plans.append(step.plan)
+        return vector_leaf(state, plan, step, *args)
 
     stacked_plans = []
     run_stacked = batch_engine.run_stacked
@@ -367,7 +367,7 @@ def test_serial_and_stacked_runs_share_one_plan_per_site(monkeypatch):
         stacked_plans.extend(step.plan for step in plan.steps)
         return run_stacked(plan, *args, **kwargs)
 
-    monkeypatch.setattr(CompiledTransform, "_vector_leaf", spy_vector_leaf)
+    monkeypatch.setattr(leaves, "_vector_leaf", spy_vector_leaf)
     monkeypatch.setattr(batch_engine, "run_stacked", spy_run_stacked)
 
     stages = compile_program(STAGES).transform("Stages")

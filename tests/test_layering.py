@@ -9,6 +9,9 @@ same object is read by every consumer.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import repro
@@ -133,6 +136,40 @@ def imports(tree):
 
 def is_under(name, package):
     return name == package or name.startswith(package + ".")
+
+
+def test_the_benchmarks_hook_points_stay_where_it_patches_them():
+    """``benchmarks/e2e/layers.py`` wraps each ``PATCHES`` row in the
+    namespace its callers read it from, so a function moved out of it
+    reads 0 in the ledger.  Every row still names a function defined
+    there; only ``codegen`` reaches the lowerer and the geometry
+    builder; planning imports nothing of execution."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_layers", SRC.parents[1] / "benchmarks" / "e2e" / "layers.py"
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    for module_name, class_name, attr, _span in layers.PATCHES:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = vars(owner)[class_name]
+        value = vars(owner)[attr]
+        assert inspect.isfunction(getattr(value, "__func__", value)), attr
+    compiler = [(path, tree) for path, tree in modules() if path.parts[0] == "compiler"]
+    assert {
+        path.name
+        for path, tree in compiler
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+        in {"lower_rule", "build_geometry"}
+    } == {"codegen.py"}
+    assert [
+        name
+        for path, tree in compiler
+        if path.name == "plan.py"
+        for _line, name in imports(tree)
+        if is_under(name, "repro.compiler.leaves")
+    ] == []
 
 
 def test_the_library_does_not_import_the_command_line():

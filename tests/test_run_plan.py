@@ -20,14 +20,8 @@ from hypothesis import strategies as st
 from repro.apps import sort
 from repro.autotuner.consistency import observe
 from repro.compiler import ChoiceConfig, RuleIR, Selector, compile_program
-from repro.compiler.codegen import (
-    _PLAN_CACHE_LIMIT,
-    CompiledTransform,
-    PlanStep,
-    RunPlan,
-    Site,
-    specialize,
-)
+from repro.compiler.codegen import _PLAN_CACHE_LIMIT, CompiledTransform, Site, specialize
+from repro.compiler.plan import PlanStep, RunPlan
 from repro.engine_fast import Geometry, RuleKernel, VectorPlan
 from repro.language.errors import PetaBricksError
 from repro.observe import TraceSink
@@ -362,6 +356,38 @@ def test_a_failing_plan_is_rebuilt_and_never_cached():
     assert len(transform._plan_cache) == 0
     transform.run([np.zeros(5)], ChoiceConfig(), sizes={"k": 3})
     assert len(planned(transform)) == 1
+
+
+def test_a_frames_size_facts_are_computed_once_per_shapes(monkeypatch):
+    """Two configs that differ in one selector miss each other's plan,
+    but their frame's binding, order guards and declared shapes are
+    computed once; a failing guard is checked (and raises) every call."""
+    guards = []
+
+    def counting(transform):
+        failed_order_guard = transform.grid.failed_order_guard
+
+        def counted(env):
+            guards.append(dict(env))
+            return failed_order_guard(env)
+
+        monkeypatch.setattr(transform.grid, "failed_order_guard", counted)
+        return transform
+
+    rolling = counting(compile_program(ROLLINGSUM).transform("RollingSum"))
+    one, two = ChoiceConfig(), ChoiceConfig()
+    one.set_choice("RollingSum.B.1", Selector.static(0))
+    two.set_choice("RollingSum.B.1", Selector.static(1))
+    plans = [rolling.plan(config, [(12,)]) for config in (one, two)]
+    assert plans[0] is not plans[1]
+    assert guards == [{"n": 12}]
+    assert rolling.bind_sizes_from_shapes([(12,)]) == {"n": 12}
+    assert len(guards) == 1
+    heat = counting(compile_program(HEAT).transform("Heat"))
+    for _ in range(2):
+        with pytest.raises(PetaBricksError, match="region ordering"):
+            heat.plan(one, [(1,)], {"k": 3})
+    assert len(guards) == 3
 
 
 # -- (v) a hit does no symbolic work --------------------------------------

@@ -36,10 +36,9 @@ from repro.analysis.depend import (
 )
 from repro.analysis.witness import Replay
 from repro.autotuner.consistency import observe, observe_batch
-from repro.compiler import ChoiceConfig, compile_program
+from repro.compiler import ChoiceConfig, compile_program, leaves
 from repro.compiler.config import TILE_I
 from repro.compiler.builder import TransformBuilder
-from repro.compiler.codegen import _EngineState
 from repro.observe import TraceSink
 from repro.runtime.matrix import Matrix
 from repro.runtime.task import TaskRecorder
@@ -920,14 +919,14 @@ def out_of_range_errors(transform):
     vector = site.vector[0]
     step = vector.maker(env, {}, {k: v[None] for k, v in arrays.items()})
     views = {k: Matrix.from_array(v).whole() for k, v in arrays.items()}
-    state = _EngineState(ChoiceConfig(), (), TaskRecorder())
+    state = leaves.EngineState(ChoiceConfig(), (), TaskRecorder())
     errors = []
     for k in (0, 6):
         for call in (
             lambda: block(k, [(1, 1)]),
             lambda: step(k, 0, 4, 0, 3),
-            lambda: transform._apply_once(
-                state, rule, {**env, "k": k, "i": 1, "j": 1}, views, {}
+            lambda: leaves._apply_once(
+                state, transform, rule, {**env, "k": k, "i": 1, "j": 1}, views, {}
             ),
         ):
             with pytest.raises(IndexError) as excinfo:
