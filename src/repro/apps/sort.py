@@ -70,24 +70,37 @@ def insertion_sort(ctx) -> None:
     ctx.charge(CALL_OVERHEAD + IS_SHIFT * n * n + n)
 
 
+def _partition(keys: np.ndarray):
+    """Median-of-three pivot, three-way partition of ``keys``."""
+    k = keys.size
+    pivot = sorted((keys[0], keys[k // 2], keys[k - 1]))[1]
+    return keys[keys < pivot], keys[keys == pivot], keys[keys > pivot]
+
+
 def quick_sort(ctx) -> None:
     data, out, n = _read(ctx)
     if n <= 1:
         out.assign(data)
         ctx.charge(CALL_OVERHEAD)
         return
-    # Median-of-three pivot, three-way partition.
-    candidates = sorted((data[0], data[n // 2], data[n - 1]))
-    pivot = candidates[1]
-    left = data[data < pivot]
-    middle = data[data == pivot]
-    right = data[data > pivot]
+    left, middle, right = _partition(data)
+    nans = None
+    if left.size + middle.size + right.size < n:
+        # NaN keys compare false, so they fall in no part (a NaN pivot
+        # empties all three): partition the other keys and put the NaNs
+        # last, in input order, where every other choice puts them.
+        is_nan = np.isnan(data)
+        keys, nans = data[~is_nan], data[is_nan]
+        left, middle, right = _partition(keys) if keys.size else (keys,) * 3
     ctx.charge(CALL_OVERHEAD + QS_PARTITION * n)
     parts = ctx.parallel(
         lambda: ctx.call("Sort", left).to_numpy() if left.size else left,
         lambda: ctx.call("Sort", right).to_numpy() if right.size else right,
     )
-    out.assign(np.concatenate([parts[0], middle, parts[1]]))
+    merged = [parts[0], middle, parts[1]]
+    if nans is not None:
+        merged.append(nans)
+    out.assign(np.concatenate(merged))
 
 
 def _parallel_merge(ctx, size: int) -> None:
@@ -114,7 +127,10 @@ def make_merge_sort(ways: int):
             out.assign(data)
             ctx.charge(CALL_OVERHEAD)
             return
-        chunks = [c for c in np.array_split(data, ways) if c.size]
+        # np.array_split's chunks: the first n % ways one key longer
+        size, extra = divmod(n, ways)
+        ends = [k * size + min(k, extra) for k in range(ways + 1)]
+        chunks = [data[lo:hi] for lo, hi in zip(ends, ends[1:]) if hi > lo]
         ctx.charge(CALL_OVERHEAD + MS_SPLIT * n)
         sorted_chunks = ctx.parallel(
             *[

@@ -380,6 +380,8 @@ class CompiledTransform:
     def __init__(self, ir: TransformIR, program: CompiledProgram) -> None:
         self.ir = ir
         self.program = program
+        #: declared input names, in order: what a sibling call binds
+        self._input_names: Tuple[str, ...] = tuple(mat.name for mat in ir.inputs)
         analyze_applicable_regions(ir)
         # build_choice_grid also folds the grid's single-variable order
         # guards (e.g. ``n - 2 >= 0``; checked at run time, so analyses
@@ -456,7 +458,7 @@ class CompiledTransform:
             config_key = config.key()
         recorder = TaskRecorder(sink=sink)
         state = EngineState(config, config_key, recorder)
-        outputs, env = run_frame(self, state, self.bind_inputs(inputs), sizes)
+        outputs, _views, env = run_frame(self, state, self.bind_inputs(inputs), sizes)
         return RunResult(
             outputs=outputs,
             graph=recorder.graph(),
@@ -495,13 +497,13 @@ class CompiledTransform:
     def _bind(self, args: Sequence[ArrayLike]) -> Dict[str, MatrixView]:
         """``args`` in declared order as the frame's input views: views
         pass through, anything else is coerced."""
-        declared = self.ir.inputs
-        if len(args) != len(declared):
+        names = self._input_names
+        if len(args) != len(names):
             raise ExecutionError(
-                f"{self.name}: expected {len(declared)} inputs, "
+                f"{self.name}: expected {len(names)} inputs, "
                 f"got {len(args)}"
             )
-        return {mat.name: _as_view(arg) for mat, arg in zip(declared, args)}
+        return {name: _as_view(arg) for name, arg in zip(names, args)}
 
     def bind_sizes_from_shapes(
         self,
@@ -811,6 +813,6 @@ def _as_view(value: ArrayLike) -> MatrixView:
         return value
     if isinstance(value, Matrix):
         return value.whole()
-    return Matrix.from_array(value).whole()
+    return MatrixView._whole(np.asarray(value, dtype=np.float64), "")
 
 

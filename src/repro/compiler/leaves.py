@@ -11,6 +11,11 @@ transforms, each frame replaying its own plan, for calls in a body.
 Every block or application is recorded as a task with its dependency
 edges; below the tuned sequential cutoff tasks are inlined, the dual
 code paths of §3.2.  Nothing is decided here that the plan could hold.
+
+What a frame costs beyond its leaves: one keyed plan lookup per
+distinct (transform, input shapes) per run — later frames of that shape
+read the run's own table — one open/close pair per recorded task, and
+no coercion of views a sibling call passes or returns.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ _VECTOR_STEP_WORK = 32.0
 class EngineState:
     """Mutable state threaded through one top-level run."""
 
-    __slots__ = ("config", "config_key", "recorder", "inline", "call_stack", "applications")
+    __slots__ = (
+        "config", "config_key", "recorder", "inline", "call_stack", "applications", "plans",
+    )
 
     def __init__(
         self, config: ChoiceConfig, config_key: Tuple, recorder: TaskRecorder
@@ -52,6 +59,10 @@ class EngineState:
         self.inline = False
         self.call_stack: List[Tuple[str, Tuple[int, ...]]] = []
         self.applications = 0
+        #: ``{(transform, input shapes): plan}`` of this run's frames
+        #: without explicit sizes: the config cannot change within a
+        #: run, so a frame's second visit skips the keyed LRU lookup
+        self.plans: Dict[Tuple, RunPlan] = {}
 
 
 def run_frame(
@@ -59,14 +70,21 @@ def run_frame(
     state: EngineState,
     input_views: Dict[str, MatrixView],
     explicit_sizes=None,
-) -> Tuple[Dict[str, Matrix], Dict[str, int]]:
+) -> Tuple[Dict[str, Matrix], Dict[str, MatrixView], Dict[str, int]]:
     """One frame of ``transform``: look up (or build) its plan, guard the
-    recursion, replay.  ``input_views`` is in declared order."""
+    recursion, replay.  ``input_views`` is in declared order.  Returns
+    the outputs, every view of the frame by matrix name and its sizes."""
     sink = state.recorder.sink
     shapes = tuple([view.shape for view in input_views.values()])
-    plan, hit = transform._frame_plan(
-        state.config, state.config_key, shapes, explicit_sizes, sink
-    )
+    key = (transform, shapes)
+    plan = state.plans.get(key) if explicit_sizes is None else None
+    hit = plan is not None
+    if not hit:
+        plan, hit = transform._frame_plan(
+            state.config, state.config_key, shapes, explicit_sizes, sink
+        )
+        if explicit_sizes is None:
+            state.plans[key] = plan
     if sink is not None:
         sink.count("exec.plan_hits" if hit else "exec.plan_misses")
     if plan.frame in state.call_stack:
@@ -76,18 +94,21 @@ def run_frame(
         )
     state.call_stack.append(plan.frame)
     try:
-        return _replay(state, plan, input_views, hit), plan.env
+        outputs, views = _replay(state, plan, input_views, hit)
     finally:
         state.call_stack.pop()
+    return outputs, views, plan.env
 
 
 def _replay(
     state: EngineState, plan: RunPlan, input_views, hit: bool
-) -> Dict[str, Matrix]:
-    """Allocate, then run ``plan``'s steps, recording their tasks.
-    The one execution path: a plan built a moment ago (``hit``
-    false: its geometry lookups were counted while it was built) and
-    one replayed for the millionth time run this same loop."""
+) -> Tuple[Dict[str, Matrix], Dict[str, MatrixView]]:
+    """Allocate, then run ``plan``'s steps, recording their tasks; the
+    outputs and every view of the frame.  The one execution path: a
+    plan built a moment ago (``hit`` false: its geometry lookups were
+    counted while it was built) and one replayed for the millionth
+    time run this same loop.  Its task scopes are the recorder's direct
+    pair: if a step raises they stay open, and the run is lost."""
     views: Dict[str, MatrixView] = dict(input_views)
     outputs: Dict[str, Matrix] = {}
     for name, shape, is_output, label in plan.allocations:
@@ -100,27 +121,27 @@ def _replay(
     inline = state.inline = outer_inline or plan.inline
     recorder = state.recorder
     try:
-        with recorder.task(label=plan.transform.name, inline=inline):
-            tasks: List[int] = []
-            for group in plan.groups:
-                with recorder.task(
-                    deps=[tasks[index] for index in group.deps],
-                    label=group.label,
-                    inline=inline,
-                ) as group_task:
-                    step = plan.steps[group.start]
-                    if step.geometry is None:  # a whole rule: alone
-                        _apply_once(
-                            state, plan.transform, step.rule, plan.env, views,
-                            plan.tunables, step.region_bounds,
-                        )
-                    else:
-                        steps = plan.steps[group.start : group.stop]
-                        _run_steps(state, plan, steps, views, hit)
-                tasks.append(group_task)
+        frame_task = recorder.open((), plan.transform.name, inline)
+        tasks: List[int] = []
+        for group in plan.groups:
+            group_task = recorder.open(
+                [tasks[index] for index in group.deps], group.label, inline
+            )
+            step = plan.steps[group.start]
+            if step.geometry is None:  # a whole rule: alone
+                _apply_once(
+                    state, plan.transform, step.rule, plan.env, views,
+                    plan.tunables, step.region_bounds,
+                )
+            else:
+                steps = plan.steps[group.start : group.stop]
+                _run_steps(state, plan, steps, views, hit)
+            recorder.close(group_task)
+            tasks.append(group_task)
+        recorder.close(frame_task)
     finally:
         state.inline = outer_inline
-    return outputs
+    return outputs, views
 
 
 def _run_steps(
@@ -185,12 +206,11 @@ def _instance_leaf(
                     apply_block(chain_values, instances),
                 )
             else:
-                with recorder.task(
-                    deps=previous, label=label, inline=inline
-                ) as block_task:
-                    work = apply_block(chain_values, instances)
-                    if work is not None:
-                        recorder.charge(work)
+                block_task = recorder.open(previous, label, inline)
+                work = apply_block(chain_values, instances)
+                if work is not None:
+                    recorder.charge(work)
+                recorder.close(block_task)
             tasks.append(block_task)
 
     return leaf
@@ -360,19 +380,20 @@ def _apply_once(
     holds them (whole rules: a function of the sizes only); per-instance
     applications derive them from ``env`` here."""
     state.applications += 1
+    regions = rule.all_regions
     plan_env = region_bounds is not None  # else a mutable instance env
     if region_bounds is None:
-        region_bounds = [region.box.concrete(env) for region in rule.all_regions]
+        region_bounds = [region.box.concrete(env) for region in regions]
     folds = transform._storage_folds
     if folds:
         region_bounds = [
             _slot_bounds(transform, region.matrix, bounds, env)
             if region.matrix in folds else bounds
-            for region, bounds in zip(rule.all_regions, region_bounds)
+            for region, bounds in zip(regions, region_bounds)
         ]
     bindings: Dict[str, object] = {
         region.bind_name: _region_view(region, bounds, views[region.matrix])
-        for region, bounds in zip(rule.all_regions, region_bounds)
+        for region, bounds in zip(regions, region_bounds)
     }
 
     if rule.native_body is not None:
@@ -425,25 +446,26 @@ def _region_view(region: RegionIR, bounds: Bounds, base: MatrixView) -> MatrixVi
 
 def _call_frame(
     state: EngineState, program, name: str, args: Sequence
-) -> Dict[str, Matrix]:
+) -> Tuple[Dict[str, Matrix], Dict[str, MatrixView], Dict[str, int]]:
     """The one sibling-call path: run transform ``name`` of ``program``
     on ``args`` (declared order) as a frame of this run."""
     callee = program.transforms.get(name) or program.transform(name)
-    return run_frame(callee, state, callee._bind(args))[0]
+    return run_frame(callee, state, callee._bind(args))
 
 
 def _call_sibling(
     state: EngineState, program, name: str, args: Sequence,
     caller: str = "in an expression",
 ) -> MatrixView:
-    """:func:`_call_frame` for a caller that takes one output."""
-    outputs = _call_frame(state, program, name, args)
+    """:func:`_call_frame` for a caller that takes one output: the
+    view the callee's frame wrote it through."""
+    outputs, views, _env = _call_frame(state, program, name, args)
     if len(outputs) != 1:
         raise ExecutionError(
             f"call to {name!r} {caller} requires exactly one output, "
             f"it has {len(outputs)}"
         )
-    return next(iter(outputs.values())).whole()
+    return views[next(iter(outputs))]
 
 
 class NativeContext:
@@ -454,6 +476,8 @@ class NativeContext:
     everything the embedded C++ of the original could reach through the
     runtime library.
     """
+
+    __slots__ = ("_program", "_state", "_bindings", "_env", "_tunables")
 
     def __init__(
         self,
@@ -470,9 +494,10 @@ class NativeContext:
         self._tunables = tunables
 
     def __getitem__(self, name: str) -> MatrixView:
-        if name not in self._bindings:
-            raise ExecutionError(f"no binding named {name!r}")
-        return self._bindings[name]  # type: ignore[return-value]
+        try:
+            return self._bindings[name]  # type: ignore[return-value]
+        except KeyError:
+            raise ExecutionError(f"no binding named {name!r}") from None
 
     def var(self, name: str) -> int:
         if name not in self._env:
@@ -503,16 +528,17 @@ class NativeContext:
 
     def call_multi(self, name: str, *inputs) -> Dict[str, Matrix]:
         """Run a transform with multiple outputs."""
-        return _call_frame(self._state, self._program, name, inputs)
+        return _call_frame(self._state, self._program, name, inputs)[0]
 
     def parallel(self, *thunks: Callable[[], object]) -> List[object]:
         """Run thunks as sibling tasks (parallel in the task graph; the
         scheduler simulator may overlap them)."""
-        task, inline = self._state.recorder.task, self._state.inline
+        recorder, inline = self._state.recorder, self._state.inline
         results: List[object] = []
         for index, thunk in enumerate(thunks):
-            with task(label=f"par{index}", inline=inline):
-                results.append(thunk())
+            tid = recorder.open((), f"par{index}", inline)
+            results.append(thunk())
+            recorder.close(tid)
         return results
 
     def spawn(self, thunk: Callable[[], object]) -> object:

@@ -97,10 +97,11 @@ class MatrixView:
     * numpy interop via ``to_numpy()`` / ``assign()``.
 
     Coordinates are always *view-relative*; the view applies its own
-    offsets, so recursive rules never see absolute indices.
+    offsets, so recursive rules never see absolute indices.  ``shape``
+    (extent per axis) is set with the bounds, which never change.
     """
 
-    __slots__ = ("_data", "_bounds", "name", "_window")
+    __slots__ = ("_data", "_bounds", "name", "_window", "shape")
 
     def __init__(
         self,
@@ -121,6 +122,7 @@ class MatrixView:
         self._bounds = bounds
         self.name = name
         self._window: np.ndarray = None  # lazily built by to_numpy()
+        self.shape: Tuple[int, ...] = tuple([hi - lo for lo, hi in bounds])
 
     @classmethod
     def _whole(cls, data: np.ndarray, name: str) -> "MatrixView":
@@ -128,16 +130,13 @@ class MatrixView:
         need no range check, and the window is the array (if not 0-D)."""
         view = cls.__new__(cls)
         view._data = data
-        view._bounds = tuple([(0, extent) for extent in data.shape])
+        view.shape = data.shape
+        view._bounds = tuple([(0, extent) for extent in view.shape])
         view.name = name
         view._window = data if data.ndim else None
         return view
 
     # -- geometry ----------------------------------------------------------
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return tuple(hi - lo for lo, hi in self._bounds)
 
     @property
     def ndim(self) -> int:
@@ -171,7 +170,7 @@ class MatrixView:
                 )
             bounds.append((absolute, absolute + 1))
         window = self._data[tuple(slice(lo, hi) for lo, hi in bounds)]
-        return MatrixView(window.reshape(()), (), self.name)
+        return MatrixView._whole(window.reshape(()), self.name)
 
     def region(self, *args: int) -> "MatrixView":
         """A sub-view ``[lo, hi)`` per axis, PetaBricks argument order."""
@@ -201,8 +200,7 @@ class MatrixView:
         absolute = y_lo + int(y)
         if not (y_lo <= absolute < y_hi):
             raise IndexError(f"row({y}) outside view of shape {self.shape}")
-        window = self._data[x_lo:x_hi, absolute]
-        return MatrixView(window, ((0, window.shape[0]),), self.name)
+        return MatrixView._whole(self._data[x_lo:x_hi, absolute], self.name)
 
     def column(self, x: int) -> "MatrixView":
         """The 1-D slice with first coordinate fixed (2-D views only)."""
@@ -212,8 +210,7 @@ class MatrixView:
         absolute = x_lo + int(x)
         if not (x_lo <= absolute < x_hi):
             raise IndexError(f"column({x}) outside view of shape {self.shape}")
-        window = self._data[absolute, y_lo:y_hi]
-        return MatrixView(window, ((0, window.shape[0]),), self.name)
+        return MatrixView._whole(self._data[absolute, y_lo:y_hi], self.name)
 
     def slice_axis(self, axis: int, index: int) -> "MatrixView":
         """Generalized row/column: drop ``axis`` at view-relative ``index``.
@@ -227,10 +224,7 @@ class MatrixView:
             raise IndexError(f"slice_axis({axis}, {index}) out of range")
         slicer = [slice(b_lo, b_hi) for b_lo, b_hi in self._bounds]
         slicer[axis] = absolute
-        window = self._data[tuple(slicer)]
-        return MatrixView(
-            window, tuple((0, extent) for extent in window.shape), self.name
-        )
+        return MatrixView._whole(self._data[tuple(slicer)], self.name)
 
     # -- element access --------------------------------------------------------
 
@@ -276,7 +270,11 @@ class MatrixView:
 
     def assign(self, values) -> None:
         """Bulk write ``values`` (array-like of matching shape)."""
-        self._data[self._axis_slice()] = values
+        window = self._window
+        if window is None:
+            self._data[self._axis_slice()] = values
+        else:  # the same cells, already sliced
+            window[...] = values
 
     def __repr__(self) -> str:
         label = self.name or "view"

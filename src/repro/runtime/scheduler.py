@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, List, Optional, Set
 
 from repro.runtime.machine import Machine
-from repro.runtime.task import TaskGraph
+from repro.runtime.task import TaskGraph, finish_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (observe -> runtime)
     from repro.observe.trace import TraceSink
@@ -121,19 +121,27 @@ class WorkStealingScheduler:
                 workers=worker_count,
             )
 
-        # Per task, indexed by tid: what running it costs its worker,
-        # its unmet dependency edges, whether its spawner is still
-        # running, and the tasks waiting on it.
-        durations = [
-            machine.compute_time(task.work) + task.spawns * machine.spawn_time
-            for task in tasks
-        ]
-        pending_deps = [len(task.deps) for task in tasks]
-        gated = [task.parent is not None for task in tasks]
+        # Per task, indexed by tid, in one pass over the recorded
+        # (topological) order: what running it costs its worker, its
+        # unmet dependency edges, whether its spawner is still running,
+        # the tasks waiting on it, the tasks it spawned, and when it
+        # would finish on unboundedly many workers (the span's terms).
+        durations: List[float] = []
+        pending_deps: List[int] = []
+        gated: List[bool] = []
         dependents: List[List[int]] = [[] for _ in tasks]
+        children: List[List[int]] = [[] for _ in tasks]
+        finish: List[float] = []
+        compute_time, spawn_time = machine.compute_time, machine.spawn_time
         for task in tasks:
+            durations.append(compute_time(task.work) + task.spawns * spawn_time)
+            pending_deps.append(len(task.deps))
             for dep in task.deps:
                 dependents[dep].append(task.tid)
+            gated.append(task.parent is not None)
+            if task.parent is not None:
+                children[task.parent].append(task.tid)
+            finish.append(finish_time(task, finish, tasks))
 
         deques: List[Deque[int]] = [deque() for _ in range(worker_count)]
         queued = 0  # tasks on all deques together
@@ -249,7 +257,7 @@ class WorkStealingScheduler:
             # the first spawn on top so the owner executes depth-first in
             # program order.
             newly_ready: List[int] = []
-            for child in graph.children_of(tid):
+            for child in children[tid]:
                 gated[child] = False
                 if pending_deps[child] == 0:
                     newly_ready.append(child)
@@ -286,7 +294,7 @@ class WorkStealingScheduler:
             makespan=makespan,
             sequential_time=machine.compute_time(total_work),
             total_work=total_work,
-            critical_path=machine.compute_time(graph.critical_path()),
+            critical_path=compute_time(max(finish)),
             steals=steals,
             tasks=len(tasks),
             workers=worker_count,

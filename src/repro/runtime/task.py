@@ -17,14 +17,15 @@ This models the paper's dual sequential/dynamic code versions.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (observe -> runtime)
     from repro.observe.trace import TraceSink
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One schedulable unit of work.
 
@@ -52,22 +53,9 @@ class TaskGraph:
 
     def __init__(self, tasks: Sequence[Task]) -> None:
         self.tasks: Tuple[Task, ...] = tuple(tasks)
-        #: spawn tree, built by the first ``children_of`` — only the
-        #: scheduler simulation reads it, most recorded graphs never are
-        self._children: Optional[Dict[int, List[int]]] = None
 
     def __len__(self) -> int:
         return len(self.tasks)
-
-    def children_of(self, tid: int) -> Tuple[int, ...]:
-        children = self._children
-        if children is None:
-            children = {}
-            for task in self.tasks:
-                if task.parent is not None:
-                    children.setdefault(task.parent, []).append(task.tid)
-            self._children = children
-        return tuple(children.get(tid, ()))
 
     def total_work(self) -> float:
         """Sum of all task work: the sequential execution time in work
@@ -77,20 +65,10 @@ class TaskGraph:
     def critical_path(self) -> float:
         """Longest work-weighted path through dependency + spawn edges:
         the span (T_inf) of the computation."""
-        finish: Dict[int, float] = {}
+        finish: List[float] = []
         for task in self.tasks:  # tasks are recorded in topological order
-            start = 0.0
-            for dep in task.deps:
-                start = max(start, finish.get(dep, 0.0))
-            if task.parent is not None:
-                # a child cannot start before its spawner has started;
-                # approximate with the parent's start (parent work may
-                # continue after the spawn).
-                parent = self.tasks[task.parent]
-                parent_start = finish.get(parent.tid, parent.work) - parent.work
-                start = max(start, parent_start)
-            finish[task.tid] = start + task.work
-        return max(finish.values(), default=0.0)
+            finish.append(finish_time(task, finish, self.tasks))
+        return max(finish, default=0.0)
 
     def validate(self) -> None:
         """Check topological recording order and edge sanity."""
@@ -110,10 +88,26 @@ class TaskGraph:
             seen.add(task.tid)
 
 
+def finish_time(task: Task, finish: Sequence[float], tasks: Sequence[Task]) -> float:
+    """When ``task`` ends on an unbounded machine, given ``finish`` of
+    every task before it (indexed by id): after its dependencies, and
+    no earlier than its spawner started.  The span's one formula, for
+    :meth:`TaskGraph.critical_path` and the scheduler's setup pass."""
+    start = 0.0
+    for dep in task.deps:
+        start = max(start, finish[dep])
+    if task.parent is not None:
+        # a child cannot start before its spawner has started;
+        # approximate with the parent's start (parent work may
+        # continue after the spawn).
+        start = max(start, finish[task.parent] - tasks[task.parent].work)
+    return start + task.work
+
+
 class TaskRecorder:
     """Builds a :class:`TaskGraph` while generated code runs.
 
-    Usage from the execution engine::
+    Usage::
 
         recorder = TaskRecorder()
         with recorder.task(label="root") as root:
@@ -125,7 +119,11 @@ class TaskRecorder:
     ``charge`` adds work to the innermost open task.  When ``inline=True``
     (below the sequential cutoff) ``task`` does not create a node: the
     block's work accumulates into the enclosing task, modelling the
-    sequential code path.
+    sequential code path.  ``task`` is the ``with`` form of
+    :meth:`open`/:meth:`close`, the pair the execution engine calls
+    directly; ``task`` closes its scope when the body raises too, while
+    the engine leaves its scopes open (a failed run's recorder is
+    discarded, not unwound).
     """
 
     def __init__(self, sink: Optional["TraceSink"] = None) -> None:
@@ -147,18 +145,48 @@ class TaskRecorder:
         if self.sink is not None:
             self.sink.count("recorder.work_charged", work)
 
+    def open(
+        self, deps: Iterable[int] = (), label: str = "", inline: bool = False
+    ) -> int:
+        """Open a task scope and return its id; :meth:`close` ends it.
+
+        ``deps`` are ids of previously closed tasks.  With ``inline=True``
+        no node is created: the scope re-opens the innermost open task,
+        so its work and children fold into it (once sequential,
+        everything below stays sequential, paper §3.2); with nothing
+        open to fold into it is promoted to a real root task.
+        """
+        stack = self._stack
+        if inline and stack:
+            tid = stack[-1]
+            if self.sink is not None:
+                self.sink.count("recorder.inlined")
+        else:
+            tid = self._append(tuple(deps), label, 0.0)
+        stack.append(tid)
+        return tid
+
+    def close(self, tid: int) -> None:
+        """Close the innermost open scope, which :meth:`open` returned
+        ``tid`` for."""
+        if not self._stack or self._stack[-1] != tid:
+            raise RuntimeError("task scopes closed out of order")
+        self._stack.pop()
+
+    @contextlib.contextmanager
     def task(
         self,
         deps: Iterable[int] = (),
         label: str = "",
         inline: bool = False,
-    ) -> "_TaskContext":
-        """Open a task scope (a context manager yielding the task id).
-
-        ``deps`` are ids of previously closed tasks.  With ``inline=True``
-        no node is created and the scope's work folds into the parent.
-        """
-        return _TaskContext(self, tuple(deps), label, inline)
+    ) -> Iterator[int]:
+        """:meth:`open`, then :meth:`close` when the body returns or
+        raises, as a context manager yielding the task id."""
+        tid = self.open(deps, label, inline)
+        try:
+            yield tid
+        finally:
+            self.close(tid)
 
     def record_leaf(
         self, deps: Iterable[int], label: str, inline: bool, work: float
@@ -181,13 +209,6 @@ class TaskRecorder:
             sink.count("recorder.work_charged", work)
         return tid
 
-    # -- internals used by _TaskContext -------------------------------------
-
-    def _open(self, deps: Tuple[int, ...], label: str) -> int:
-        tid = self._append(deps, label, 0.0)
-        self._stack.append(tid)
-        return tid
-
     def _append(self, deps: Tuple[int, ...], label: str, work: float) -> int:
         """Record a task under the innermost open one, without opening
         it; the sink sees it as recorded."""
@@ -207,11 +228,6 @@ class TaskRecorder:
             )
         return tid
 
-    def _close(self, tid: int) -> None:
-        if not self._stack or self._stack[-1] != tid:
-            raise RuntimeError("task scopes closed out of order")
-        self._stack.pop()
-
     # -- output ------------------------------------------------------------
 
     def graph(self) -> TaskGraph:
@@ -221,42 +237,3 @@ class TaskRecorder:
         graph = TaskGraph(self._tasks)
         graph.validate()
         return graph
-
-
-class _TaskContext:
-    """Context manager for one task scope (see :meth:`TaskRecorder.task`)."""
-
-    __slots__ = ("_recorder", "_deps", "_label", "_inline", "tid")
-
-    def __init__(
-        self,
-        recorder: TaskRecorder,
-        deps: Tuple[int, ...],
-        label: str,
-        inline: bool,
-    ) -> None:
-        self._recorder = recorder
-        self._deps = deps
-        self._label = label
-        # Inline when requested, or when nested inside an inlined scope
-        # with no recorder stack to attach to: once sequential, everything
-        # below stays sequential (paper §3.2).
-        self._inline = inline
-        self.tid: Optional[int] = None
-
-    def __enter__(self) -> Optional[int]:
-        recorder = self._recorder
-        if self._inline and recorder._stack:
-            if recorder.sink is not None:
-                recorder.sink.count("recorder.inlined")
-            return recorder._stack[-1]
-        if self._inline and not recorder._stack:
-            # Nothing to inline into: promote to a real root task.
-            self._inline = False
-        self.tid = recorder._open(self._deps, self._label)
-        return self.tid
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._inline:
-            assert self.tid is not None
-            self._recorder._close(self.tid)

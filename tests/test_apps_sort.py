@@ -92,12 +92,22 @@ class TestCorrectness:
         assert all(count == 7 for count in compared.values())
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=200),
-           st.integers(0, 6))
+    @given(st.lists(
+        st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6),
+            st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]),
+            st.floats(),
+        ),
+        max_size=200,
+    ), st.integers(0, 6))
     def test_property_sorts(self, program, values, option):
+        """Every choice returns ``np.sort(kind="stable")`` bit for bit:
+        NaN keys last, ±inf at the ends, equal ±0.0 in input order."""
         data = np.asarray(values, dtype=float)
-        result = run_sort(program, data, static_config(option))
-        np.testing.assert_allclose(result.output("B"), np.sort(data))
+        output = run_sort(program, data, static_config(option)).output("B")
+        expected = np.sort(data, kind="stable")
+        np.testing.assert_array_equal(output, expected)  # NaN == NaN here
+        np.testing.assert_array_equal(np.signbit(output), np.signbit(expected))
 
 
 class TestCostModel:

@@ -323,3 +323,21 @@ def test_only_the_engine_records_a_leaf_after_the_fact():
         if isinstance(node, ast.Attribute) and node.attr == "record_leaf"
     ]
     assert offenders == []
+
+
+def test_the_engine_opens_task_scopes_through_the_direct_pair():
+    """A frame pays one ``open``/``close`` per recorded task and no scope
+    object: no ``with …task(…)`` in the engine's replay.  The ``with``
+    form stays for ``observe/stress.py`` and the tests."""
+    tree = ast.parse((SRC / "compiler" / "leaves.py").read_text())
+    offenders = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.With, ast.AsyncWith))
+        for item in node.items
+        if isinstance(item.context_expr, ast.Call)
+        and getattr(
+            item.context_expr.func, "attr", getattr(item.context_expr.func, "id", None)
+        ) == "task"
+    ]
+    assert offenders == []

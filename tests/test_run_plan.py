@@ -82,6 +82,86 @@ def test_ladder_sort_matches_the_pre_plan_golden():
     )
 
 
+#: ``TraceSink(capture_events=False).counters`` of the ladder Sort (a
+#: fresh transform's first run, a second, a specialized program's
+#: first) and of the same ladder below a 1024-cell sequential cutoff,
+#: captured before frames kept a per-run plan table and opened task
+#: scopes directly: they count every plan lookup and recorded task
+LADDER_WORK = 81499.19999999992
+LADDER_COUNTERS = {
+    "miss": {"exec.plan_hits": 169, "exec.plan_misses": 6,
+             "recorder.tasks": 534, "recorder.work_charged": LADDER_WORK},
+    "hit": {"exec.plan_hits": 175,
+            "recorder.tasks": 534, "recorder.work_charged": LADDER_WORK},
+    "static": {"exec.plan_hits": 169, "exec.plan_misses": 6,
+               "recorder.tasks": 534, "recorder.work_charged": LADDER_WORK},
+    "cutoff_miss": {"exec.plan_hits": 169, "exec.plan_misses": 6,
+                    "recorder.inlined": 448, "recorder.tasks": 86,
+                    "recorder.work_charged": LADDER_WORK},
+    "cutoff_hit": {"exec.plan_hits": 175, "recorder.inlined": 448,
+                   "recorder.tasks": 86, "recorder.work_charged": LADDER_WORK},
+}
+
+
+def counted(run):
+    sink = TraceSink(capture_events=False)
+    run(sink)
+    return dict(sink.counters)
+
+
+def test_ladder_sort_counts_what_it_did_before():
+    program = sort.build_program()
+    transform = program.transform("Sort")
+    keys = np.random.default_rng(7).uniform(0, 1, 4096)
+    cutoff = ladder_config()
+    cutoff.set_tunable("Sort.__seq_cutoff__", 1024)
+    fresh = sort.build_program().transform("Sort")
+    static = specialize(program, ladder_config()).transform("Sort")
+    assert {
+        "miss": counted(lambda sink: transform.run([keys], ladder_config(), sink=sink)),
+        "hit": counted(lambda sink: transform.run([keys], ladder_config(), sink=sink)),
+        "static": counted(lambda sink: static.run([keys], sink=sink)),
+        "cutoff_miss": counted(lambda sink: fresh.run([keys], cutoff, sink=sink)),
+        "cutoff_hit": counted(lambda sink: fresh.run([keys], cutoff, sink=sink)),
+    } == LADDER_COUNTERS
+
+
+def test_heat_counts_what_it_did_before():
+    transform, config, inputs, sizes = dispatch_cases()["heat41"]
+    common = {"exec.closure_calls": 492, "recorder.tasks": 40,
+              "recorder.work_charged": 2052.0}
+    assert counted(
+        lambda sink: transform.run(inputs, config, sizes=sizes, sink=sink)
+    ) == {**common, "exec.geom_cache_misses": 7, "exec.plan_misses": 1}
+    assert counted(
+        lambda sink: transform.run(inputs, config, sizes=sizes, sink=sink)
+    ) == {**common, "exec.geom_cache_hits": 7, "exec.plan_hits": 1}
+
+
+def test_a_run_that_fails_in_a_deep_frame_leaves_nothing_behind():
+    """A ladder whose lowest band picks an option Sort does not have
+    raises from a frame far below the top, with task scopes open and
+    frames planned; a golden run on the same transform afterwards
+    records and counts exactly what a fresh transform's first run does.
+    (Every frame of the failing ladder decides differently from the
+    golden one's, so no plan is shared between them.)"""
+    transform = sort.build_program().transform("Sort")
+    keys = np.random.default_rng(7).uniform(0, 1, 4096)
+    failing = ChoiceConfig()
+    failing.set_choice(sort.SORT_SITE, Selector(((128, 9), (None, 1))))
+    for _ in range(2):
+        with pytest.raises(PetaBricksError, match="picks option 9"):
+            transform.run([keys], failing)
+    sink = TraceSink(capture_events=False)
+    result = transform.run([keys], ladder_config(), sink=sink)
+    assert dict(sink.counters) == LADDER_COUNTERS["miss"]
+    digest = hashlib.sha256(repr(task_list(result.graph)).encode()).hexdigest()
+    assert digest == (
+        "47acde5456b3c85d2c64dcf39aa46385dcc6b2335d0771e6dcea2a74f4aa53a5"
+    )
+    np.testing.assert_array_equal(result.output(), np.sort(keys))
+
+
 #: sha256 of ``task_list`` and (tasks, applications, total work) on the
 #: commit before storage folding, for programs that do not fold
 UNFOLDED_GOLDEN = {

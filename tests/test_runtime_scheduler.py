@@ -41,34 +41,7 @@ class TestRecorder:
         assert graph.total_work() == 30.0
         root = graph.tasks[0]
         assert root.spawns == 3
-        assert graph.children_of(0) == (1, 2, 3)
-
-    def test_spawn_tree_is_built_by_the_first_children_of(self):
-        """Only the scheduler simulation reads the spawn tree; a graph
-        that is never simulated never builds it, and one that is gets
-        the answers a parent-pointer scan gives."""
-        rec = TaskRecorder()
-        with rec.task(label="root"):
-            for _ in range(3):
-                with rec.task(label="mid"):
-                    with rec.task(label="leaf"):
-                        rec.charge(1.0)
-                    with rec.task(label="leaf"):
-                        rec.charge(1.0)
-        graph = rec.graph()  # validate() ran; the tree did not
-        assert graph._children is None
-        expected = {
-            task.tid: tuple(
-                child.tid for child in graph.tasks if child.parent == task.tid
-            )
-            for task in graph.tasks
-        }
-        assert expected[0] == (1, 4, 7)
-        for tid, children in expected.items():
-            assert graph.children_of(tid) == children
-        assert graph.children_of(len(graph)) == ()
-        result = WorkStealingScheduler(FAST, seed=1).run(graph, workers=2)
-        assert result.tasks == len(graph)
+        assert [task.parent for task in graph.tasks] == [None, 0, 0, 0]
 
     def test_charge_outside_task_rejected(self):
         rec = TaskRecorder()
@@ -80,6 +53,18 @@ class TestRecorder:
         with rec.task():
             with pytest.raises(ValueError):
                 rec.charge(-1.0)
+
+    def test_with_form_closes_its_scopes_when_the_body_raises(self):
+        rec = TaskRecorder()
+        with pytest.raises(KeyError):
+            with rec.task(label="root"):
+                with rec.task(label="child", inline=True):
+                    raise KeyError("body")
+        with rec.task(label="after"):
+            rec.charge(1.0)
+        graph = rec.graph()
+        assert [task.label for task in graph.tasks] == ["root", "after"]
+        assert graph.tasks[1].parent is None
 
     def test_deps_recorded(self):
         rec = TaskRecorder()
