@@ -5,10 +5,10 @@
 the plan comes from the transform's own cache, the one plan cache that
 batches share with serial runs.  It is the very plan a serial run
 replays: same size binding, same size guards, same option selection,
-same cached geometry, same ``__fuse__`` redirect — and reads, for every
-step, the site's one
-vector plan (``step.site.vector`` — the same object the serial vector
-leaf runs at batch 1; its step takes arrays with a leading batch axis).
+same cached geometry, the same fused variant where the plan's decisions
+fuse — and reads, for every step, the site's one vector plan
+(``step.site.vector`` — the same object the serial vector leaf runs at
+batch 1; its step takes arrays with a leading batch axis).
 If every step qualifies, the whole transform runs as a sequence of those
 vector steps over the stacked requests; otherwise the first blocking
 reason is reported and the engine falls back to per-request serial
@@ -78,7 +78,7 @@ def run_stacked(
 ) -> Dict[str, Matrix]:
     """Replay one planned bucket over ``batch`` stacked requests
     (``plan`` names the transform that runs — the bucket's transform,
-    or its fused variant under ``__fuse__``).
+    or its fused variant where the plan's decisions fuse).
 
     ``stacked_inputs`` maps each declared input to an array of shape
     ``(batch,) + serial_shape``.  Outputs come back batched the same

@@ -44,7 +44,6 @@ from repro.language.parser import parse_expression, parse_rule_body
 
 from repro.compiler.ir import (
     NativeBody,
-    ProgramIR,
     TransformIR,
     build_transform,
 )
@@ -221,14 +220,4 @@ def _region_bind(spec: RegionSpec) -> ast.RegionBind:
     )
 
 
-def program_from_transforms(transforms: Sequence[TransformIR]) -> ProgramIR:
-    """Bundle built transforms into a program IR."""
-    table: Dict[str, TransformIR] = {}
-    for transform in transforms:
-        if transform.name in table:
-            raise CompileError(f"duplicate transform {transform.name!r}")
-        table[transform.name] = transform
-    return ProgramIR(table)
-
-
-__all__ = ["TransformBuilder", "NativeContext", "program_from_transforms"]
+__all__ = ["TransformBuilder", "NativeContext"]

@@ -50,7 +50,7 @@ from repro.symbolic import Affine, solve_bounds_for
 
 from repro.compiler.choicegrid import ChoiceGrid, ChoiceOption, Segment, build_choice_grid
 from repro.compiler.applicable import analyze_applicable_regions
-from repro.compiler.config import FUSE, INTERCHANGE, TILE_I, TILE_J, ChoiceConfig, site_key
+from repro.compiler.config import INTERCHANGE, TILE_I, TILE_J, ChoiceConfig, site_key
 from repro.compiler.depgraph import ChoiceDepGraph, build_dep_graph
 from repro.compiler.ir import ROLE_OUTPUT, ProgramIR, RuleIR, ScheduleIR, TransformIR, build_ir
 from repro.compiler.leaves import EngineState, run_frame
@@ -122,10 +122,6 @@ def normalize_sizes(sizes: object) -> Dict[str, int]:
             )
         normalized[var] = number
     return normalized
-
-
-#: "fused variant not planned yet" marker (None is a valid cached plan).
-_FUSED_UNSET = object()
 
 
 class CompiledProgram:
@@ -414,10 +410,6 @@ class CompiledTransform:
         self._geom_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
         self._size_cache: LRUCache = LRUCache(_GEOM_CACHE_LIMIT)
         self._plan_cache: LRUCache = LRUCache(_PLAN_CACHE_LIMIT)
-        # The legality-gated fused rewrite (repro.rewrite), planned and
-        # verified lazily on first request; None once planning decides
-        # there is nothing (or nothing provably safe) to fuse.
-        self._fused: object = _FUSED_UNSET
 
     # -- public API ------------------------------------------------------------
 
@@ -618,20 +610,20 @@ class CompiledTransform:
     def fused_variant(self) -> Optional["CompiledTransform"]:
         """The verified fused rewrite of this transform, or ``None``.
 
-        Planned once: producer→consumer fusion is applied wherever the
-        dependence analyzer proves PB601, the result is re-verified by
-        the error-severity passes, and the compiled variant is cached.
-        ``None`` (also cached) means the transform runs unfused no
-        matter what ``__fuse__`` says.
+        Built on first request: producer→consumer fusion is applied
+        wherever the dependence analyzer proves PB601 and the result is
+        re-verified by the error-severity passes.  ``None`` means the
+        transform runs unfused no matter what ``__fuse__`` says.  The
+        variant is planned by this transform (:func:`decisions`), never
+        by itself.
         """
-        if self._fused is _FUSED_UNSET:
-            from repro.rewrite.fuse import build_fused_variant
+        return self._fused
 
-            variant = self._fused = build_fused_variant(self)
-            if variant is not None:
-                # A fused variant never re-fuses (or re-plans) itself.
-                variant._fused = None
-        return self._fused  # type: ignore[return-value]
+    @functools.cached_property
+    def _fused(self) -> Optional["CompiledTransform"]:
+        from repro.rewrite.fuse import build_fused_variant
+
+        return build_fused_variant(self)
 
     @functools.cached_property
     def storage_verdicts(self) -> Dict[str, object]:
@@ -695,25 +687,29 @@ class CompiledTransform:
         """``(plan, served from cache?)``.  One LRU holds each plan under
         two keys: the config's content and its :class:`FrameDecisions`,
         each with the shapes and sizes.  A config-key miss resolves the
-        decisions and reuses a plan built for equal ones.  Unlocked on
-        purpose: plans are immutable and equal for equal keys, so two
-        threads that miss together build twice and either insert wins."""
+        decisions and reuses a plan built for equal ones.  A fused frame
+        is planned here too: the variant's size binding supplies its
+        allocations (and checks its grid's order guards), this frame's
+        the problem size.  Unlocked on purpose: plans are immutable and
+        equal for equal keys, so two threads that miss together build
+        twice and either insert wins."""
         explicit = {} if explicit_sizes is None else normalize_sizes(explicit_sizes)
         sized = (shapes, tuple(sorted(explicit.items())))
         key = (config_key, *sized)
         plan = self._plan_cache.get(key)
         if plan is not None:
             return plan, True
-        variant = self.fused_variant() if config.knob(self.name, FUSE) else None
-        if variant is not None:
-            plan, hit = variant._frame_plan(config, config_key, shapes, explicit, sink)
-        else:
-            sizes = self._sizes(sized)
-            decided = decisions(self, config, sizes.problem_size)
-            plan = self._plan_cache.get((decided, *sized))
-            hit = plan is not None
-            if not hit:
-                plan = self._plan_cache[decided, *sized] = build_plan(self, decided, sizes, sink)
+        sizes = self._sizes(sized)
+        decided = decisions(self, config, sizes.problem_size)
+        plan = self._plan_cache.get((decided, *sized))
+        hit = plan is not None
+        if not hit:
+            variant = self.fused_variant() if decided.fuse else None
+            if variant is not None:
+                sizes = variant._sizes(sized)._replace(problem_size=sizes.problem_size)
+            plan = self._plan_cache[decided, *sized] = build_plan(
+                variant or self, decided, sizes, sink
+            )
         self._plan_cache[key] = plan
         return plan, hit
 

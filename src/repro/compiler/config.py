@@ -191,18 +191,22 @@ class ChoiceConfig:
 
     def key(self) -> Tuple:
         """The configuration's content as a hashable value: the sorted
-        items of the three dicts.  Equal exactly when two configs would
-        drive the engine identically, whatever their insertion order —
-        the in-process identity, about a microsecond to build: of run
+        items of the three dicts, each selector as its ``levels`` tuple
+        (so hashing a key never re-runs ``Selector.__hash__``).  Equal
+        exactly when two configs would drive the engine identically,
+        whatever their insertion order — the in-process identity, about
+        a microsecond to build: of run
         plans (hence batch buckets), and of the tuner's measurements,
         failures and population dedupe.  Persisted identities
         (:func:`repro.serve.registry.config_digest`, the tuner's
         ``config_signature``, written once per fresh measurement) stay
         :meth:`to_json` or digests of it."""
         return (
-            tuple(sorted(self.choices.items())),
+            tuple(sorted((site, sel.levels) for site, sel in self.choices.items())),
             tuple(sorted(self.tunables.items())),
-            tuple(sorted(self.leveled_tunables.items())),
+            tuple(sorted(
+                (name, sel.levels) for name, sel in self.leveled_tunables.items()
+            )),
         )
 
     # -- serialization ---------------------------------------------------------

@@ -511,10 +511,6 @@ class NativeContext:
             return default
         raise ExecutionError(f"no tunable named {name!r}")
 
-    @property
-    def config(self) -> ChoiceConfig:
-        return self._state.config
-
     def charge(self, work: float) -> None:
         """Charge abstract work units to the current task."""
         self._state.recorder.charge(work)

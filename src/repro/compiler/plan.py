@@ -21,7 +21,7 @@ from typing import (
 )
 
 from repro.compiler.config import (
-    BLOCK_SIZE, INTERCHANGE, LEAF_PATH, SEQ_CUTOFF, TILE_I, TILE_J, VECTORIZE_CUTOFF,
+    BLOCK_SIZE, FUSE, INTERCHANGE, LEAF_PATH, SEQ_CUTOFF, TILE_I, TILE_J, VECTORIZE_CUTOFF,
     ChoiceConfig, Selector, site_key,
 )
 from repro.compiler.ir import RuleIR
@@ -112,6 +112,10 @@ class FrameDecisions(NamedTuple):
     only where this frame does not look (another size band, another
     transform) share a plan."""
 
+    #: ``__fuse__`` is on and the transform has a ``fused_variant()``:
+    #: the frame runs the variant, and the fields below are resolved
+    #: against it
+    fuse: bool
     #: the option index each segment of ``segment_order`` picks
     options: Tuple[int, ...]
     inline: bool  # the problem size is below ``__seq_cutoff__``
@@ -151,8 +155,8 @@ class RunPlan:
     lives on the shared geometry, built when the first such step is
     planned."""
 
-    #: whose frame this is: the planned transform, or its
-    #: ``fused_variant()`` when ``__fuse__`` redirects the call
+    #: whose frame this is: the called transform, or its
+    #: ``fused_variant()`` where the decisions ``fuse``
     transform: "CompiledTransform"
     env: Dict[str, int]
     frame: Tuple[str, Tuple[Tuple[str, int], ...]]
@@ -170,17 +174,24 @@ def decisions(
     transform: "CompiledTransform", config: ChoiceConfig, problem_size: int
 ) -> FrameDecisions:
     """What ``config`` decides for a frame of ``problem_size``: the one
-    place a plan reads its configuration.  Knobs the frame cannot obey
-    are left out (``None``) — the leaf knobs where no rule runs per
+    place a plan reads its configuration.  Fusion is decided first; a
+    fused frame resolves everything else against the variant, at the
+    called transform's problem size.  Knobs the frame cannot obey are
+    left out (``None``) — the leaf knobs where no rule runs per
     instance, the vector ones unless the leaf is vector — so configs
     that differ only there share one plan.  An untuned segment takes
     its first non-recursive option (guaranteed to terminate), else 0."""
-    name, rules = transform.name, transform.ir.rules
+    name = transform.name
+    fuse = config.knob(name, FUSE) and transform.fused_variant() is not None
+    if fuse:
+        transform = transform.fused_variant()
+    rules = transform.ir.rules
     leaf = vector = None
     if transform._per_instance:
         leaf = config.knob(name, LEAF_PATH, problem_size)
         vector = leaf == LEAF_VECTOR
     return FrameDecisions(
+        fuse=fuse,
         options=tuple(
             (
                 config.choice_for(site_key(name, segment.matrix, segment.index))

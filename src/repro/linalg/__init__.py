@@ -27,7 +27,6 @@ from repro.linalg.tridiag_eig import (
     eig_bisection,
     eig_divide_conquer,
     eig_qr,
-    eigenvalues_ql,
     sturm_count,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "eig_bisection",
     "eig_divide_conquer",
     "eig_qr",
-    "eigenvalues_ql",
     "random_spd_band",
     "sturm_count",
     "tridiagonalize",

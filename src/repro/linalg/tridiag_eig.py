@@ -104,59 +104,6 @@ def eig_qr(
     return diag[order], Z[:, order]
 
 
-def eigenvalues_ql(
-    d: np.ndarray, e: np.ndarray, max_sweeps: int = 50
-) -> np.ndarray:
-    """Eigenvalues only, via the same QL iteration without accumulation."""
-    d, e = _validate(d, e)
-    n = d.shape[0]
-    if n == 0:
-        return d.copy()
-    diag = d.copy()
-    off = np.zeros(n)
-    off[: n - 1] = e
-    for l in range(n):
-        for iteration in range(max_sweeps + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(diag[m]) + abs(diag[m + 1])
-                if abs(off[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == max_sweeps:
-                raise RuntimeError("QL iteration failed to converge")
-            g = (diag[l + 1] - diag[l]) / (2.0 * off[l])
-            r = math.hypot(g, 1.0)
-            g = diag[m] - diag[l] + off[l] / (g + math.copysign(r, g))
-            s, c = 1.0, 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * off[i]
-                b = c * off[i]
-                r = math.hypot(f, g)
-                off[i + 1] = r
-                if r == 0.0:
-                    diag[i + 1] -= p
-                    off[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = diag[i + 1] - p
-                r = (diag[i] - g) * s + 2.0 * c * b
-                p = s * r
-                diag[i + 1] = g + p
-                g = c * r - b
-            else:
-                diag[l] -= p
-                off[l] = g
-                off[m] = 0.0
-                continue
-            continue
-    return np.sort(diag)
-
-
 # ---------------------------------------------------------------------------
 # bisection + inverse iteration
 # ---------------------------------------------------------------------------

@@ -341,3 +341,53 @@ def test_the_engine_opens_task_scopes_through_the_direct_pair():
         ) == "task"
     ]
     assert offenders == []
+
+
+#: the :class:`ChoiceConfig` methods that read a run's configuration
+CONFIG_READS = {"knob", "choice_for", "tunable_at"}
+
+
+def config_reads(path):
+    """``(enclosing definition, method)`` of every call in ``path`` of a
+    method in :data:`CONFIG_READS`; the definition is dotted
+    (``Class.method``), ``""`` at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in CONFIG_READS
+            ):
+                found.append((scope, child.func.attr))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def test_a_frame_reads_its_configuration_in_one_place():
+    """On the execution side a run's configuration is read by
+    ``plan.decisions`` alone — ``__fuse__`` included — and by the
+    ``CompiledTransform.tunables_at`` hook it calls: the plan carries
+    every decision, so nothing that replays or stacks one asks again."""
+    engine = [
+        SRC / "compiler" / "leaves.py",
+        SRC / "compiler" / "codegen.py",
+        *sorted((SRC / "batch").rglob("*.py")),
+        *sorted((SRC / "engine_fast").rglob("*.py")),
+    ]
+    offenders = [
+        f"{path.relative_to(SRC)} {scope}: .{method}("
+        for path in engine
+        for scope, method in config_reads(path)
+        if scope != "CompiledTransform.tunables_at"
+    ]
+    assert offenders == []
+    assert {scope for scope, _ in config_reads(SRC / "compiler" / "plan.py")} == {
+        "decisions"
+    }

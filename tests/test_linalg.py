@@ -14,7 +14,6 @@ from repro.linalg import (
     eig_bisection,
     eig_divide_conquer,
     eig_qr,
-    eigenvalues_ql,
     random_spd_band,
     sturm_count,
     tridiagonalize,
@@ -187,13 +186,6 @@ class TestEigQR:
         e = np.zeros(2)
         lam, Q = eig_qr(d, e)
         np.testing.assert_allclose(lam, [1.0, 2.0, 3.0])
-
-    def test_eigenvalues_only_variant(self):
-        rng = np.random.default_rng(77)
-        d, e = random_tridiag(25, rng)
-        lam = eigenvalues_ql(d, e)
-        T = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
-        np.testing.assert_allclose(lam, np.linalg.eigvalsh(T), atol=1e-9)
 
 
 class TestEigBisection:

@@ -23,7 +23,7 @@ from repro.rewrite import (
     program_src,
     transform_src,
 )
-from tests.strategies import KINDS, programs
+from tests.strategies import KINDS, planned, programs
 
 PIPE = """
 transform Pipe
@@ -217,6 +217,35 @@ class TestEngineDispatch:
             {k: v.copy() for k, v in inputs.items()}, config
         )
         assert fused.rule_applications < unfused.rule_applications
+
+    def test_a_fused_frame_plans_at_the_called_transforms_size(self):
+        """Fusion moves no selector or cutoff: an 8x8 call counts its
+        declared 192 cells (A, T, B) fused or not — the variant, which
+        declares no T, would count 128 — so a sequential cutoff of 150
+        inlines neither frame."""
+        transform = compiled(PIPE, "Pipe")
+        config = ChoiceConfig()
+        config.set_tunable("Pipe.__seq_cutoff__", 150)
+        unfused = transform.plan(config, [(8, 8)])
+        config.set_tunable("Pipe.__fuse__", 1)
+        fused = transform.plan(config, [(8, 8)])
+        assert unfused.transform is transform
+        assert fused.transform is transform.fused_variant()
+        assert (fused.problem_size, fused.inline) == (192, False)
+        assert (unfused.problem_size, unfused.inline) == (192, False)
+        assert [name for name, *_ in fused.allocations] == ["B"]
+
+    def test_fused_plans_live_in_the_called_transforms_cache(self):
+        transform = compiled(PIPE, "Pipe")
+        config = ChoiceConfig()
+        config.set_tunable("Pipe.__fuse__", 1)
+        inputs = {"A": np.ones((6, 4))}
+        for _ in range(2):
+            run_bytes(transform, inputs, config)
+        variant = transform.fused_variant()
+        assert len(variant._plan_cache) == 0
+        assert planned(transform) == [transform.plan(config, [(6, 4)])]
+        assert planned(transform)[0].transform is variant
 
     def test_fuse_tunable_noop_when_blocked(self):
         transform = compiled(ROLLING, "Rolling")

@@ -21,6 +21,7 @@ from repro.apps import sort
 from repro.autotuner.consistency import observe
 from repro.compiler import ChoiceConfig, RuleIR, Selector, compile_program
 from repro.compiler.codegen import _PLAN_CACHE_LIMIT, CompiledTransform, Site, specialize
+from repro.compiler.config import FUSE
 from repro.compiler.plan import PlanStep, RunPlan
 from repro.engine_fast import Geometry, RuleKernel, VectorPlan
 from repro.language.errors import PetaBricksError
@@ -697,7 +698,9 @@ def test_a_plan_reused_for_equal_decisions_equals_one_built_fresh(case, salt, da
     """Plan ``config``, then a config one entry away from it: whether it
     is served by the first plan or built, it equals, field by field, the
     plan a new compilation builds for it — or both raise alike.  Then
-    ``beside`` that config misses its key and is served by its plan."""
+    ``beside`` that config misses its key and is served by its plan, and
+    the config with ``__fuse__`` flipped plans the same ``problem_size``
+    and ``inline``: fusion moves no selector or cutoff."""
     transform = compile_program(case.source).transform(case.name)
     fresh = compile_program(case.source).transform(case.name)
     first = drawn_config(data.draw, transform)
@@ -718,6 +721,13 @@ def test_a_plan_reused_for_equal_decisions_equals_one_built_fresh(case, salt, da
     other = beside(config, transform, plan.problem_size, salt)
     assert other.key() != config.key()
     assert transform.plan(other, shapes, case.sizes) is plan
+    flipped = config.copy()
+    flipped.set_tunable(f"{case.name}.__fuse__", not config.knob(case.name, FUSE))
+    try:
+        other_plan = transform.plan(flipped, shapes, case.sizes)
+    except PetaBricksError:
+        return
+    assert (other_plan.problem_size, other_plan.inline) == (plan.problem_size, plan.inline)
 
 
 def test_ladder_configs_that_differ_above_a_frame_share_its_plan():
